@@ -70,7 +70,7 @@ func main() {
 
 	log.Printf("WebGPU %s: course %s, %d workers x %d GPUs, listening on %s",
 		p.Arch, *course, p.Workers(), *gpus, *addr)
-	log.Printf("labs: %d available; POST /api/register to begin; GET /admin/status for the dashboard",
+	log.Printf("labs: %d available; POST /api/v1/register to begin; GET /admin/status for the dashboard",
 		len(labs.ForCourse(labs.Course(*course))))
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		log.Fatal(err)

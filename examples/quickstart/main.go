@@ -31,7 +31,7 @@ func main() {
 			ID string `json:"id"`
 		} `json:"user"`
 	}
-	post(ts.URL, "", "/api/register",
+	post(ts.URL, "", "/api/v1/register",
 		map[string]string{"name": "Ada Lovelace", "email": "ada@example.edu"}, &reg)
 	fmt.Printf("registered student %s\n", reg.User.ID)
 
@@ -41,12 +41,12 @@ func main() {
 		Code     string   `json:"code"`
 		Datasets []string `json:"datasets"`
 	}
-	get(ts.URL, reg.Token, "/api/labs/vector-add", &lab)
+	get(ts.URL, reg.Token, "/api/v1/labs/vector-add", &lab)
 	fmt.Printf("opened lab %q with %d datasets\n", lab.Name, len(lab.Datasets))
 
 	// Write the kernel (here: the reference solution) and save it.
 	solution := labs.ByID("vector-add").Reference
-	post(ts.URL, reg.Token, "/api/labs/vector-add/save",
+	post(ts.URL, reg.Token, "/api/v1/labs/vector-add/save",
 		map[string]string{"source": solution}, nil)
 
 	// Compile.
@@ -56,7 +56,7 @@ func main() {
 			CompileError string `json:"CompileError"`
 		} `json:"outcomes"`
 	}
-	post(ts.URL, reg.Token, "/api/labs/vector-add/compile", nil, &compileRes)
+	post(ts.URL, reg.Token, "/api/v1/labs/vector-add/compile", nil, &compileRes)
 	fmt.Printf("compiled: %v\n", compileRes.Outcomes[0].Compiled)
 
 	// Run against dataset 0 and show the wbLog/wbTime trace.
@@ -67,13 +67,13 @@ func main() {
 			Trace        string `json:"Trace"`
 		} `json:"outcome"`
 	}
-	post(ts.URL, reg.Token, "/api/labs/vector-add/attempt?dataset=0", nil, &att)
+	post(ts.URL, reg.Token, "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
 	fmt.Printf("attempt on dataset 0: correct=%v — %s\n",
 		att.Outcome.Correct, att.Outcome.CheckMessage)
 	fmt.Printf("--- lab output ---\n%s------------------\n", att.Outcome.Trace)
 
 	// Answer the short-answer questions.
-	post(ts.URL, reg.Token, "/api/labs/vector-add/questions",
+	post(ts.URL, reg.Token, "/api/v1/labs/vector-add/questions",
 		map[string][]string{"answers": {
 			"One add per element.",
 			"Without it, tail threads write out of bounds.",
@@ -87,7 +87,7 @@ func main() {
 			Max   int `json:"max"`
 		} `json:"grade"`
 	}
-	post(ts.URL, reg.Token, "/api/labs/vector-add/submit", nil, &sub)
+	post(ts.URL, reg.Token, "/api/v1/labs/vector-add/submit", nil, &sub)
 	fmt.Printf("\nfinal grade: %d/%d\n", sub.Grade.Total, sub.Grade.Max)
 
 	if g, err := p.Gradebook.Lookup(reg.User.ID, "vector-add"); err == nil {

@@ -67,7 +67,7 @@ func (c *apiClient) register(email, role string) error {
 	var resp struct {
 		Token string `json:"token"`
 	}
-	_, err := c.do("POST", "/api/register",
+	_, err := c.do("POST", "/api/v1/register",
 		map[string]string{"name": email, "email": email, "role": role}, &resp)
 	c.token = resp.Token
 	return err
@@ -93,14 +93,14 @@ func pipelineRun(p *platform.Platform, nStudents, attemptsEach int) (time.Durati
 				errs[s] = err
 				return
 			}
-			if _, err := c.do("POST", "/api/labs/vector-add/save",
+			if _, err := c.do("POST", "/api/v1/labs/vector-add/save",
 				map[string]string{"source": src}, nil); err != nil {
 				errs[s] = err
 				return
 			}
 			for a := 0; a < attemptsEach; a++ {
 				var att webserver.AttemptRec
-				if _, err := c.do("POST", "/api/labs/vector-add/attempt?dataset=0", nil, &att); err != nil {
+				if _, err := c.do("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att); err != nil {
 					errs[s] = err
 					return
 				}
@@ -211,7 +211,7 @@ func Figure4() string {
 		labs.ByID("vector-add").Reference,
 	}
 	for _, src := range snippets {
-		if _, err := c.do("POST", "/api/labs/vector-add/save",
+		if _, err := c.do("POST", "/api/v1/labs/vector-add/save",
 			map[string]string{"source": src}, nil); err != nil {
 			return err.Error()
 		}
@@ -219,7 +219,7 @@ func Figure4() string {
 	var historyPage struct {
 		Items []webserver.CodeRec `json:"items"`
 	}
-	if _, err := c.do("GET", "/api/labs/vector-add/history", nil, &historyPage); err != nil {
+	if _, err := c.do("GET", "/api/v1/labs/vector-add/history", nil, &historyPage); err != nil {
 		return err.Error()
 	}
 	history := historyPage.Items
@@ -262,7 +262,7 @@ func Figure5() string {
 		if err := c.register(s.email, "student"); err != nil {
 			return err.Error()
 		}
-		if _, err := c.do("POST", "/api/labs/vector-add/save",
+		if _, err := c.do("POST", "/api/v1/labs/vector-add/save",
 			map[string]string{"source": s.src}, nil); err != nil {
 			return err.Error()
 		}
@@ -270,9 +270,9 @@ func Figure5() string {
 		for i := range answers {
 			answers[i] = "an answer"
 		}
-		_, _ = c.do("POST", "/api/labs/vector-add/questions",
+		_, _ = c.do("POST", "/api/v1/labs/vector-add/questions",
 			map[string][]string{"answers": answers}, nil)
-		if _, err := c.do("POST", "/api/labs/vector-add/submit", nil, nil); err != nil {
+		if _, err := c.do("POST", "/api/v1/labs/vector-add/submit", nil, nil); err != nil {
 			return err.Error()
 		}
 	}
@@ -281,7 +281,7 @@ func Figure5() string {
 		return err.Error()
 	}
 	var roster []webserver.RosterRow
-	if _, err := prof.do("GET", "/api/instructor/roster/vector-add", nil, &roster); err != nil {
+	if _, err := prof.do("GET", "/api/v1/instructor/roster/vector-add", nil, &roster); err != nil {
 		return err.Error()
 	}
 	fmt.Fprintf(&sb, "%-24s %-9s %-12s %-9s %-9s %-6s %s\n",
@@ -342,14 +342,14 @@ func pipelineRunLab(p *platform.Platform, labID string, nStudents, attemptsEach 
 				errs[s] = err
 				return
 			}
-			if _, err := c.do("POST", "/api/labs/"+labID+"/save",
+			if _, err := c.do("POST", "/api/v1/labs/"+labID+"/save",
 				map[string]string{"source": src}, nil); err != nil {
 				errs[s] = err
 				return
 			}
 			for a := 0; a < attemptsEach; a++ {
 				var att webserver.AttemptRec
-				if _, err := c.do("POST", "/api/labs/"+labID+"/attempt?dataset=0", nil, &att); err != nil {
+				if _, err := c.do("POST", "/api/v1/labs/"+labID+"/attempt?dataset=0", nil, &att); err != nil {
 					errs[s] = err
 					return
 				}

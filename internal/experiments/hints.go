@@ -71,7 +71,7 @@ func Hints() string {
 		}
 		sb.WriteString("\n")
 	}
-	sb.WriteString("hints are served on demand at GET /api/labs/{id}/hints from the\n")
+	sb.WriteString("hints are served on demand at GET /api/v1/labs/{id}/hints from the\n")
 	sb.WriteString("student's latest attempt and current code.\n")
 	return sb.String()
 }

@@ -142,9 +142,8 @@ type Device struct {
 
 	atomicLocks [64]sync.Mutex // striped locks for global-memory atomics
 
-	statsMu     sync.Mutex
-	launches    []*LaunchStats
-	totalKernel int
+	statsMu  sync.Mutex
+	launches []*LaunchStats // append-only, so LaunchCount marks a position in it
 }
 
 // NewDevice creates a device with the given properties.
@@ -342,7 +341,6 @@ func (d *Device) recordLaunch(s *LaunchStats) {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
 	d.launches = append(d.launches, s)
-	d.totalKernel++
 }
 
 // Launches returns a copy of the statistics of all kernel launches so far,
@@ -359,14 +357,7 @@ func (d *Device) Launches() []*LaunchStats {
 func (d *Device) LaunchCount() int {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
-	return d.totalKernel
-}
-
-// ClearLaunches discards recorded launch statistics.
-func (d *Device) ClearLaunches() {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	d.launches = nil
+	return len(d.launches)
 }
 
 // QueryString renders the device properties in the format the Device Query

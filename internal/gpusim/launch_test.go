@@ -298,10 +298,6 @@ func TestLaunchRecorded(t *testing.T) {
 	if got := len(d.Launches()); got != 3 {
 		t.Errorf("len(Launches) = %d, want 3", got)
 	}
-	d.ClearLaunches()
-	if got := len(d.Launches()); got != 0 {
-		t.Errorf("after clear len = %d", got)
-	}
 }
 
 func TestAtomicsContended(t *testing.T) {

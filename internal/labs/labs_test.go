@@ -2,9 +2,12 @@ package labs
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"webgpu/internal/minicuda"
 	"webgpu/internal/wb"
 )
 
@@ -246,6 +249,74 @@ func TestDeviceResetBetweenRuns(t *testing.T) {
 	_ = Run(context.Background(), l, l.Reference, 0, devs, 0)
 	if devs[0].AllocCount() != 0 {
 		t.Errorf("device leaked %d allocations after run", devs[0].AllocCount())
+	}
+}
+
+// TestOutcomeKernelsOnReusedDevice: RunCompiled marks the device's launch
+// log with LaunchCount before the harness runs and reports the launches
+// past the mark, so on a long-lived worker device every outcome must list
+// exactly its own kernels and the mark must stay a valid log position.
+func TestOutcomeKernelsOnReusedDevice(t *testing.T) {
+	kernelNames := func(o *Outcome) string {
+		var names []string
+		for _, k := range o.Kernels {
+			names = append(names, k.Name)
+		}
+		return strings.Join(names, ",")
+	}
+	devs := NewDeviceSet(1)
+	total := 0
+	for _, id := range []string{"reduction-scan", "vector-add", "reduction-scan"} {
+		l := ByID(id)
+		o := Run(context.Background(), l, l.Reference, 0, devs, 0)
+		if !o.Correct {
+			t.Fatalf("%s: reference failed on a reused device: %s%s%s", id, o.CompileError, o.RuntimeError, o.CheckMessage)
+		}
+		fresh := Run(context.Background(), l, l.Reference, 0, NewDeviceSet(1), 0)
+		if got, want := kernelNames(o), kernelNames(fresh); got != want || want == "" {
+			t.Errorf("%s: kernels on reused device = %q, on fresh device = %q", id, got, want)
+		}
+		total += len(o.Kernels)
+		if n, logged := devs[0].LaunchCount(), len(devs[0].Launches()); n != total || logged != total {
+			t.Fatalf("%s: LaunchCount = %d, len(Launches) = %d, want both %d", id, n, logged, total)
+		}
+	}
+}
+
+// TestReferencesRunOnWarpEngine: a program the lowerer rejects runs on the
+// tree walker, roughly ten times slower and with no tier in between, so
+// every reference solution and example kernel must lower.
+func TestReferencesRunOnWarpEngine(t *testing.T) {
+	if os.Getenv("MINICUDA_INTERP") == "tree" {
+		t.Skip("MINICUDA_INTERP=tree selects the tree walker for every program")
+	}
+	check := func(name, src string, dialect minicuda.Dialect) {
+		prog, err := minicuda.Compile(src, dialect)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			return
+		}
+		if k := prog.ArtifactKind(); k != "bytecode-warp" {
+			t.Errorf("%s: ArtifactKind = %q, want bytecode-warp", name, k)
+		}
+	}
+	for _, l := range All() {
+		check(l.ID, l.Reference, l.Dialect)
+	}
+	paths, err := filepath.Glob("../../examples/kernels/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example kernels found: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialect := minicuda.DialectCUDA
+		if filepath.Ext(p) == ".cl" {
+			dialect = minicuda.DialectOpenCL
+		}
+		check(p, string(src), dialect)
 	}
 }
 

@@ -275,32 +275,19 @@ type Program struct {
 	constSize   int
 	usesBarrier bool
 
-	// Lowered bytecode artifact (nil when some construct could not be
-	// lowered and launches fall back to the tree-walking interpreter).
-	bcOnce sync.Once
-	bc     *bytecodeProgram
-
-	// Fused warp-execution artifact derived from the bytecode (nil when
-	// the program has no bytecode).
+	// Executable artifact for the warp engine: the lowered bytecode plus
+	// the fused warp stream derived from it (nil when some construct could
+	// not be lowered and launches run on the tree-walking interpreter).
 	wpOnce sync.Once
 	wp     *warpProgram
 }
 
-// bytecode returns the program's lowered bytecode artifact, building it on
-// first use. A nil result means the tree-walking interpreter is used.
-func (p *Program) bytecode() *bytecodeProgram {
-	p.bcOnce.Do(func() {
-		p.bc, _ = lowerProgram(p)
-	})
-	return p.bc
-}
-
-// warpcode returns the program's fused warp-execution artifact, building
-// it from the bytecode on first use. A nil result means warp launches
-// fall back to the per-thread VM (or the tree walker).
+// warpcode returns the program's warp-execution artifact, lowering the
+// tree to bytecode and fusing it on first use. A nil result means
+// launches run on the tree walker.
 func (p *Program) warpcode() *warpProgram {
 	p.wpOnce.Do(func() {
-		if bc := p.bytecode(); bc != nil {
+		if bc, ok := lowerProgram(p); ok {
 			p.wp = buildWarpProgram(bc)
 		}
 	})
@@ -308,44 +295,27 @@ func (p *Program) warpcode() *warpProgram {
 }
 
 // ArtifactKind reports which executable artifact a default launch of this
-// program uses: "bytecode-warp" for the warp engine, "bytecode" for the
-// per-thread register VM, "ast" for the tree walker.
+// program uses: "bytecode-warp" for the warp engine, "ast" for the tree
+// walker.
 func (p *Program) ArtifactKind() string {
-	switch defaultEngine() {
-	case EngineTree:
-		return "ast"
-	case EngineVM:
-		if p.bytecode() != nil {
-			return "bytecode"
-		}
-		return "ast"
-	default:
-		if p.warpcode() != nil {
-			return "bytecode-warp"
-		}
-		if p.bytecode() != nil {
-			return "bytecode"
-		}
-		return "ast"
+	if defaultEngine() == EngineWarp && p.warpcode() != nil {
+		return "bytecode-warp"
 	}
+	return "ast"
 }
 
-// InstructionCount reports the number of VM instructions in the lowered
-// bytecode, or 0 when the program has no bytecode artifact.
+// InstructionCount reports the number of instructions in the lowered
+// bytecode, or 0 when the program could not be lowered.
 func (p *Program) InstructionCount() int {
-	if bc := p.bytecode(); bc != nil {
-		return len(bc.code)
+	if wp := p.warpcode(); wp != nil {
+		return len(wp.bc.code)
 	}
 	return 0
 }
 
-// BytecodeBytes estimates the in-memory size of the bytecode artifact.
+// BytecodeBytes estimates the in-memory size of the lowered bytecode.
 func (p *Program) BytecodeBytes() int {
-	bc := p.bytecode()
-	if bc == nil {
-		return 0
-	}
-	return len(bc.code) * int(unsafe.Sizeof(instr{}))
+	return p.InstructionCount() * int(unsafe.Sizeof(instr{}))
 }
 
 // UsesBarrier reports whether any function in the program calls

@@ -21,7 +21,7 @@ func TestBytecodeArtifactMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.bytecode() == nil {
+	if prog.warpcode() == nil {
 		t.Fatal("vecAdd should lower to bytecode")
 	}
 	n := prog.InstructionCount()
@@ -31,12 +31,12 @@ func TestBytecodeArtifactMetadata(t *testing.T) {
 	if got, want := prog.BytecodeBytes(), n*int(unsafe.Sizeof(instr{})); got != want {
 		t.Fatalf("BytecodeBytes = %d, want %d", got, want)
 	}
-	if k := prog.ArtifactKind(); k != "bytecode-warp" && k != "bytecode" && k != "ast" {
+	if k := prog.ArtifactKind(); k != "bytecode-warp" && k != "ast" {
 		t.Fatalf("ArtifactKind = %q", k)
 	}
 }
 
-// TestBytecodeNoBarriersMatchesSema: the VM launch path derives NoBarriers
+// TestBytecodeNoBarriersMatchesSema: the warp launch path derives NoBarriers
 // from a static scan of the lowered code; it must agree with the semantic
 // pass's answer so the simulator picks the same execution path under both
 // engines.
@@ -54,10 +54,11 @@ func TestBytecodeNoBarriersMatchesSema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc := prog.bytecode()
-		if bc == nil {
+		wp := prog.warpcode()
+		if wp == nil {
 			t.Fatal("program should lower to bytecode")
 		}
+		bc := wp.bc
 		if bc.usesBarrier != prog.usesBarrier {
 			t.Fatalf("usesBarrier: bytecode %v, sema %v\n%s",
 				bc.usesBarrier, prog.usesBarrier, src)
@@ -65,9 +66,10 @@ func TestBytecodeNoBarriersMatchesSema(t *testing.T) {
 	}
 }
 
-// TestVMTrapSentinels: the VM must return the interpreter's sentinel errors
-// (not lookalikes) so errors.Is-based handling in the worker keeps working.
-func TestVMTrapSentinels(t *testing.T) {
+// TestTrapSentinels: the warp engine must return the interpreter's sentinel
+// errors (not lookalikes) so errors.Is-based handling in the worker keeps
+// working.
+func TestTrapSentinels(t *testing.T) {
 	cases := []struct {
 		name     string
 		src      string
@@ -85,11 +87,11 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prog.bytecode() == nil {
+			if prog.warpcode() == nil {
 				t.Fatal("kernel should lower to bytecode")
 			}
-			var msgs [3]string
-			for i, eng := range []Engine{EngineVM, EngineTree, EngineWarp} {
+			var msgs [2]string
+			for i, eng := range []Engine{EngineTree, EngineWarp} {
 				dev := gpusim.NewDefaultDevice()
 				o, _ := dev.Malloc(4)
 				_, lerr := prog.Launch(dev, "k",
@@ -104,9 +106,8 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 				}
 				msgs[i] = lerr.Error()
 			}
-			if msgs[0] != msgs[1] || msgs[0] != msgs[2] {
-				t.Fatalf("trap message divergence:\nvm:   %q\ntree: %q\nwarp: %q",
-					msgs[0], msgs[1], msgs[2])
+			if msgs[0] != msgs[1] {
+				t.Fatalf("trap message divergence:\ntree: %q\nwarp: %q", msgs[0], msgs[1])
 			}
 		})
 	}
@@ -121,7 +122,7 @@ func TestEngineOverride(t *testing.T) {
 	}
 	const n = 64
 	var want []int32
-	for _, eng := range []Engine{EngineVM, EngineTree, EngineWarp, EngineAuto} {
+	for _, eng := range []Engine{EngineTree, EngineWarp, EngineAuto} {
 		dev := gpusim.NewDefaultDevice()
 		out, _ := dev.Malloc(n * 4)
 		av := make([]int32, n)

@@ -41,22 +41,11 @@ func roundTrip(t *testing.T, prog *Program) *Program {
 }
 
 // runCodecDiff compiles the case, round-trips it through the codec, and
-// compares the decoded program's behaviour on every engine against the
+// compares the decoded program's behaviour on both engines against the
 // original under the tree walker.
 func runCodecDiff(t *testing.T, c diffCase) {
 	t.Helper()
-	if c.grid == (gpusim.Dim3{}) {
-		c.grid = gpusim.D1(1)
-	}
-	if c.block == (gpusim.Dim3{}) {
-		c.block = gpusim.D1(1)
-	}
-	if c.nInt == 0 {
-		c.nInt = 4
-	}
-	if c.nFloat == 0 {
-		c.nFloat = 2
-	}
+	c = c.withDefaults()
 	prog, err := Compile(c.src, DialectCUDA)
 	if err != nil {
 		t.Fatalf("compile failed:\n%s\nerror: %v", c.src, err)
@@ -79,34 +68,8 @@ func runCodecDiff(t *testing.T, c diffCase) {
 	}
 
 	tree := runOnEngine(t, prog, c, EngineTree)
-	for _, e := range []struct {
-		name string
-		eng  Engine
-	}{{"vm", EngineVM}, {"tree", EngineTree}, {"warp", EngineWarp}} {
-		got := runOnEngine(t, dec, c, e.eng)
-		if got.errStr != tree.errStr {
-			t.Fatalf("decoded error divergence:\n%s: %q\ntree: %q\nkernel:\n%s",
-				e.name, got.errStr, tree.errStr, c.src)
-		}
-		if !reflect.DeepEqual(got.ints, tree.ints) {
-			t.Fatalf("decoded int output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.ints, tree.ints, c.src)
-		}
-		if !reflect.DeepEqual(got.floats, tree.floats) {
-			t.Fatalf("decoded float output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.floats, tree.floats, c.src)
-		}
-		// Same documented boundary as runDiff: a mid-kernel trap on a
-		// multi-lane launch leaves the warp engine's lockstep lanes ahead
-		// of where the serial engines stop.
-		if e.eng == EngineWarp && tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
-			continue
-		}
-		if !reflect.DeepEqual(got.stats, tree.stats) {
-			t.Fatalf("decoded stats divergence:\n%s: %+v\ntree: %+v\nkernel:\n%s",
-				e.name, got.stats, tree.stats, c.src)
-		}
-	}
+	requireSameRun(t, "decoded tree", runOnEngine(t, dec, c, EngineTree), tree, c, false)
+	requireSameRun(t, "decoded warp", runOnEngine(t, dec, c, EngineWarp), tree, c, true)
 }
 
 // TestCodecDiffRandomExpressions round-trips the 700-kernel random

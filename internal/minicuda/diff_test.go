@@ -10,13 +10,12 @@ import (
 	"webgpu/internal/gpusim"
 )
 
-// Differential testing of the three execution engines: every kernel is
-// compiled once and launched three times — through the bytecode register
-// VM, the tree-walking interpreter, and the warp-vectorized engine — on
-// separate devices. Outputs, LaunchStats (minus wall time), and error
-// strings must match exactly; the tree walker is the oracle, so the
-// generators only need to produce valid, terminating kernels, not predict
-// their results.
+// Differential testing of the two execution engines: every kernel is
+// compiled once and launched twice — through the tree-walking interpreter
+// and the warp-vectorized engine — on separate devices. Outputs,
+// LaunchStats (minus wall time), and error strings must match exactly; the
+// tree walker is the oracle, so the generators only need to produce valid,
+// terminating kernels, not predict their results.
 
 // diffCase is one kernel to run under both engines.
 type diffCase struct {
@@ -44,7 +43,13 @@ type engineRun struct {
 
 func runOnEngine(t *testing.T, prog *Program, c diffCase, eng Engine) engineRun {
 	t.Helper()
-	dev := gpusim.NewDefaultDevice()
+	return runOnDevice(t, prog, c, gpusim.NewDefaultDevice(), LaunchOpts{Engine: eng})
+}
+
+// runOnDevice launches c on dev; opts supplies the engine and scheduling
+// knobs, the case supplies geometry and the step budget.
+func runOnDevice(t *testing.T, prog *Program, c diffCase, dev *gpusim.Device, opts LaunchOpts) engineRun {
+	t.Helper()
 	iout, err := dev.Malloc(c.nInt * 4)
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +64,8 @@ func runOnEngine(t *testing.T, prog *Program, c diffCase, eng Engine) engineRun 
 		}
 	}
 	args := append([]Arg{IntPtr(iout), FloatPtr(fout)}, c.extra...)
-	stats, lerr := prog.Launch(dev, c.kernel,
-		LaunchOpts{Grid: c.grid, Block: c.block, MaxSteps: c.maxSteps, Engine: eng},
-		args...)
+	opts.Grid, opts.Block, opts.MaxSteps = c.grid, c.block, c.maxSteps
+	stats, lerr := prog.Launch(dev, c.kernel, opts, args...)
 	r := engineRun{}
 	if lerr != nil {
 		r.errStr = lerr.Error()
@@ -75,9 +79,8 @@ func runOnEngine(t *testing.T, prog *Program, c diffCase, eng Engine) engineRun 
 	return r
 }
 
-// runDiff executes the case under both engines and fails on any divergence.
-func runDiff(t *testing.T, c diffCase) {
-	t.Helper()
+// withDefaults fills the geometry and buffer sizes a case left zero.
+func (c diffCase) withDefaults() diffCase {
 	if c.grid == (gpusim.Dim3{}) {
 		c.grid = gpusim.D1(1)
 	}
@@ -90,41 +93,48 @@ func runDiff(t *testing.T, c diffCase) {
 	if c.nFloat == 0 {
 		c.nFloat = 2
 	}
+	return c
+}
+
+// runDiff executes the case under both engines and fails on any divergence.
+func runDiff(t *testing.T, c diffCase) {
+	t.Helper()
+	c = c.withDefaults()
 	prog, err := Compile(c.src, DialectCUDA)
 	if err != nil {
 		t.Fatalf("compile failed:\n%s\nerror: %v", c.src, err)
 	}
 	tree := runOnEngine(t, prog, c, EngineTree)
-	for _, e := range []struct {
-		name string
-		eng  Engine
-	}{{"vm", EngineVM}, {"warp", EngineWarp}} {
-		got := runOnEngine(t, prog, c, e.eng)
-		if got.errStr != tree.errStr {
-			t.Fatalf("error divergence:\n%s: %q\ntree: %q\nkernel:\n%s",
-				e.name, got.errStr, tree.errStr, c.src)
-		}
-		if !reflect.DeepEqual(got.ints, tree.ints) {
-			t.Fatalf("int output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.ints, tree.ints, c.src)
-		}
-		if !reflect.DeepEqual(got.floats, tree.floats) {
-			t.Fatalf("float output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
-				e.name, got.floats, tree.floats, c.src)
-		}
-		// Stats are byte-identical except for one documented boundary: when a
-		// multi-thread launch traps mid-kernel, the warp engine's lockstep
-		// lanes have co-progressed to the trap point, while the serial
-		// per-thread engines never start the threads after the trapping one.
-		// Traps are exact at 1×1 (the whole random corpus) and on trap-free
-		// multi-lane kernels.
-		if e.eng == EngineWarp && tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
-			continue
-		}
-		if !reflect.DeepEqual(got.stats, tree.stats) {
-			t.Fatalf("stats divergence:\n%s: %+v\ntree: %+v\nkernel:\n%s",
-				e.name, got.stats, tree.stats, c.src)
-		}
+	requireSameRun(t, "warp", runOnEngine(t, prog, c, EngineWarp), tree, c, true)
+}
+
+// requireSameRun fails unless got matches the tree walker's run of c.
+// Stats are byte-identical except for one documented boundary, which
+// lockstep marks got as subject to: when a multi-thread launch traps
+// mid-kernel, the warp engine's lockstep lanes have co-progressed to the
+// trap point, while the serial per-thread tree walker never starts the
+// threads after the trapping one. Traps are exact at 1×1 (the whole random
+// corpus) and on trap-free multi-lane kernels.
+func requireSameRun(t *testing.T, name string, got, tree engineRun, c diffCase, lockstep bool) {
+	t.Helper()
+	if got.errStr != tree.errStr {
+		t.Fatalf("error divergence:\n%s: %q\ntree: %q\nkernel:\n%s",
+			name, got.errStr, tree.errStr, c.src)
+	}
+	if !reflect.DeepEqual(got.ints, tree.ints) {
+		t.Fatalf("int output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
+			name, got.ints, tree.ints, c.src)
+	}
+	if !reflect.DeepEqual(got.floats, tree.floats) {
+		t.Fatalf("float output divergence:\n%s: %v\ntree: %v\nkernel:\n%s",
+			name, got.floats, tree.floats, c.src)
+	}
+	if lockstep && tree.errStr != "" && c.grid.Count()*c.block.Count() > 1 {
+		return
+	}
+	if !reflect.DeepEqual(got.stats, tree.stats) {
+		t.Fatalf("stats divergence:\n%s: %+v\ntree: %+v\nkernel:\n%s",
+			name, got.stats, tree.stats, c.src)
 	}
 }
 
@@ -450,7 +460,7 @@ type namedDiffCase struct {
 // warpDivergenceCases returns divergence-heavy multi-lane kernels that
 // stress the warp engine's strand splitting, reconvergence-by-merge, and
 // the barrier arrive/wait split. All are race-free and trap-free so the
-// three engines must agree bit-for-bit on outputs and stats. Shared with
+// two engines must agree bit-for-bit on outputs and stats. Shared with
 // codec_test.go.
 func warpDivergenceCases() []namedDiffCase {
 	return []namedDiffCase{
@@ -565,11 +575,59 @@ __global__ void k(int *iout, float *fout) {
 	}
 }
 
-// TestDiffWarpDivergence runs the curated divergence corpus through all
-// three engines with the tree walker as oracle.
+// TestDiffWarpDivergence runs the curated divergence corpus through both
+// engines with the tree walker as oracle.
 func TestDiffWarpDivergence(t *testing.T) {
 	for _, c := range warpDivergenceCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) { runDiff(t, c.c) })
+	}
+}
+
+// TestWarpFallbackMatchesTree: launches the warp engine cannot serve
+// exactly — a SchedSeed-permuted thread order, or a device whose warps are
+// wider than maxWarpLanes — run on the tree walker whichever engine was
+// asked for, so outputs, LaunchStats, and error strings equal EngineTree's
+// on the same device and seed. The multi-lane trap case tells the two
+// engines apart: in lockstep no lane reaches the store before lane 5
+// traps, while serial execution completes the threads ordered before it.
+func TestWarpFallbackMatchesTree(t *testing.T) {
+	wide := gpusim.DefaultProps()
+	wide.WarpSize = 2 * maxWarpLanes
+	launches := []struct {
+		name  string
+		props gpusim.DeviceProps
+		seed  uint64
+	}{
+		{"sched-seed", gpusim.DefaultProps(), 7},
+		{"wide-warp", wide, 0},
+	}
+	cases := []namedDiffCase{
+		{"multi-lane-trap", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 32,
+			src: `__global__ void k(int *iout, float *fout) {
+  iout[threadIdx.x] = 100 / (threadIdx.x - 5);
+}`}},
+		{"step-limit", diffCase{kernel: "k", maxSteps: 1000,
+			src: `__global__ void k(int *iout, float *fout) {
+  int n = 0; while (1) { n++; } iout[0] = n; }`}},
+	}
+	cases = append(cases, warpDivergenceCases()...)
+	for _, l := range launches {
+		for _, nc := range cases {
+			l, c := l, nc.c.withDefaults()
+			t.Run(l.name+"/"+nc.name, func(t *testing.T) {
+				prog, err := Compile(c.src, DialectCUDA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(eng Engine) engineRun {
+					return runOnDevice(t, prog, c, gpusim.NewDevice(l.props),
+						LaunchOpts{Engine: eng, SchedSeed: l.seed})
+				}
+				tree := run(EngineTree)
+				requireSameRun(t, "auto", run(EngineAuto), tree, c, false)
+				requireSameRun(t, "warp", run(EngineWarp), tree, c, false)
+			})
+		}
 	}
 }

@@ -33,10 +33,9 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 	if err := Analyze(prog); err != nil {
 		return nil, err
 	}
-	// Lower to bytecode (and the fused warp stream derived from it)
-	// eagerly so the artifacts are built once at compile time (and cached
-	// alongside the AST in the program cache) rather than on the first
-	// launch.
+	// Lower to the fused warp stream eagerly so the artifact is built once
+	// at compile time (and cached alongside the AST in the program cache)
+	// rather than on the first launch.
 	prog.warpcode()
 	return prog, nil
 }
@@ -45,19 +44,16 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 type Engine uint8
 
 const (
-	// EngineAuto uses the warp engine unless MINICUDA_INTERP selects
-	// another (or the program could not be lowered).
+	// EngineAuto uses the warp engine unless MINICUDA_INTERP=tree.
 	EngineAuto Engine = iota
-	// EngineVM forces the per-thread bytecode register VM (falls back to
-	// the tree walker only when lowering failed).
-	EngineVM
-	// EngineTree forces the tree-walking interpreter.
+	// EngineTree forces the tree-walking interpreter, the reference the
+	// warp engine is differentially tested against.
 	EngineTree
 	// EngineWarp forces the warp-vectorized bytecode engine, which decodes
 	// each instruction once per warp instead of once per thread. Launches
 	// the warp engine cannot serve exactly (SchedSeed-permuted serial
 	// order, warps wider than maxWarpLanes, lowering failure) fall back to
-	// the VM.
+	// the tree walker.
 	EngineWarp
 )
 
@@ -66,18 +62,14 @@ var (
 	engineEnv  Engine
 )
 
-// defaultEngine resolves the process-wide engine choice once; the
-// MINICUDA_INTERP variable (tree | vm | warp) keeps the older
-// interpreters reachable without recompiling.
+// defaultEngine resolves the process-wide engine choice once:
+// MINICUDA_INTERP=tree runs every EngineAuto launch on the reference
+// interpreter; any other value selects the warp engine.
 func defaultEngine() Engine {
 	engineOnce.Do(func() {
-		switch os.Getenv("MINICUDA_INTERP") {
-		case "tree":
+		engineEnv = EngineWarp
+		if os.Getenv("MINICUDA_INTERP") == "tree" {
 			engineEnv = EngineTree
-		case "vm":
-			engineEnv = EngineVM
-		default:
-			engineEnv = EngineWarp
 		}
 	})
 	return engineEnv
@@ -171,31 +163,16 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 	if eng == EngineAuto {
 		eng = defaultEngine()
 	}
-	if eng == EngineWarp {
-		// SchedSeed permutes per-thread serial order, which a lockstep warp
-		// cannot reproduce; overly wide warps exceed the engine's lane
-		// bookkeeping. Both fall back to the per-thread VM.
-		if opts.SchedSeed != 0 || dev.Props().WarpSize > maxWarpLanes {
-			eng = EngineVM
-		} else if wp := p.warpcode(); wp != nil {
+	// SchedSeed permutes per-thread serial order, which a lockstep warp
+	// cannot reproduce; overly wide warps exceed the engine's lane
+	// bookkeeping. Both run on the tree walker, as does a program that
+	// could not be lowered.
+	if eng == EngineWarp && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
+		if wp := p.warpcode(); wp != nil {
 			kfn := wp.bc.funcs[fn]
 			cfg.NoBarriers = !wp.bc.usesBarrier
 			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) error {
 				return wp.run(wc, kfn, bound, maxSteps)
-			})
-		} else {
-			eng = EngineVM
-		}
-	}
-	if eng != EngineTree {
-		if bc := p.bytecode(); bc != nil {
-			kfn := bc.funcs[fn]
-			cfg.NoBarriers = !bc.usesBarrier
-			return dev.Launch(kernel, cfg, func(tc *gpusim.ThreadCtx) error {
-				st := vmPool.Get().(*vmState)
-				err := bc.run(st, tc, kfn, bound, maxSteps)
-				vmPool.Put(st)
-				return err
 			})
 		}
 	}

@@ -16,22 +16,20 @@ package minicuda
 // superinstructions executed with one dispatch, one budget check, and one
 // batched ALU charge.
 //
-// Parity contract (enforced by the three-way oracle in diff_test.go):
-// results, LaunchStats, and error strings match the tree walker and the
-// register VM exactly for race-free kernels. Compute charges (ALU,
-// special, branch, barrier) are batched per warp — only block-level sums
-// are observable. Memory accesses are NEVER batched: each goes through
+// Parity contract (enforced by the differential oracle in diff_test.go):
+// results, LaunchStats, and error strings match the tree walker exactly
+// for race-free kernels. Compute charges (ALU, special, branch, barrier)
+// are batched per warp — only block-level sums are observable. Memory accesses are NEVER batched: each goes through
 // the owning lane's ThreadCtx in ascending lane order, so gpusim's
 // warp-synchronous coalescing model sees per-thread event logs identical
-// to the per-thread engines. Step budgets are per-lane exact: a strand
+// to the tree walker's. Step budgets are per-lane exact: a strand
 // carries a shared counter plus per-lane offsets (rebased on merge), and
 // fused superinstructions fall back to component-at-a-time replay when a
 // budget trap could fire inside them. For single-lane launches the warp
-// engine is instruction-for-instruction identical to the VM, including
-// trap points; for multi-lane launches that trap mid-kernel, the set of
-// partially-executed threads may differ from the serial engines (lockstep
-// lanes run together), exactly as concurrent per-thread execution already
-// differs from serial.
+// engine traps at the same point as the tree walker; for multi-lane
+// launches that trap mid-kernel, the set of partially-executed threads may
+// differ from serial per-thread execution (lockstep lanes run together),
+// exactly as concurrent per-thread execution already differs from serial.
 
 import (
 	"math"
@@ -40,7 +38,7 @@ import (
 )
 
 // maxWarpLanes bounds the lane count the warp engine supports (lane masks
-// and scratch assume it); devices with wider warps fall back to the VM.
+// and scratch assume it); devices with wider warps run on the tree walker.
 const maxWarpLanes = 64
 
 // wOp tags a winstr with its fusion kind.
@@ -621,7 +619,7 @@ func (wx *warpExec) execFused(s *strand, w *winstr) (uint8, error) {
 // loadIdxFast is the dead-temp path of a fused indexed load: the formed
 // pointer is consumed only by this load, so it is never materialized —
 // the lane's address arithmetic feeds the ThreadCtx entry point directly.
-// Dispatch mirrors loadLane (and so vm.go's opLoad fast paths) exactly.
+// Dispatch mirrors loadLane exactly.
 func (wx *warpExec) loadIdxFast(s *strand, w *winstr) (uint8, error) {
 	ws := wx.ws
 	W := ws.W
@@ -836,8 +834,10 @@ func (wx *warpExec) finishBranch(s *strand, target int32) (uint8, error) {
 	return ctlSplit, nil
 }
 
-// loadLane performs opLoad's per-lane effect with pointer p, mirroring the
-// VM's fast paths exactly (vm.go opLoad).
+// loadLane performs opLoad's per-lane effect with pointer p. 4-byte global
+// and shared scalars take a direct path to the same ThreadCtx entry points
+// loadMem uses, skipping the Value boxing; traps and truncation are
+// identical.
 func (wx *warpExec) loadLane(s *strand, in *instr, li int, p Pointer) error {
 	ws := wx.ws
 	W := ws.W
@@ -893,7 +893,7 @@ func (wx *warpExec) loadLane(s *strand, in *instr, li int, p Pointer) error {
 }
 
 // storeLane performs opStoreI/opStoreF's per-lane effect with pointer p,
-// mirroring the VM's fast paths exactly.
+// with the same direct paths as loadLane.
 func (wx *warpExec) storeLane(s *strand, in *instr, li int, p Pointer) error {
 	ws := wx.ws
 	W := ws.W
@@ -1471,7 +1471,7 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		case bankP:
 			dstAbs = s.bP + cs.dst.reg
 		}
-		s.stack = append(s.stack, vmRet{pc: s.pc, bI: s.bI, bF: s.bF, bP: s.bP,
+		s.stack = append(s.stack, callFrame{pc: s.pc, bI: s.bI, bF: s.bF, bP: s.bP,
 			fn: s.fn, dstBank: cs.dst.bank, dstReg: dstAbs})
 		s.bI, s.bF, s.bP = nbI, nbF, nbP
 		s.fn = tgt
@@ -1555,7 +1555,7 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 			if spec.name == "atomicCAS" {
 				iv2 = ints[int(s.bI+spec.val2)*W+li]
 			}
-			v, err := vmAtomic(ws.lanes[li], spec, ptrs[pb+li], iv, fv, iv2)
+			v, err := laneAtomic(ws.lanes[li], spec, ptrs[pb+li], iv, fv, iv2)
 			if err != nil {
 				return 0, err
 			}
@@ -1569,4 +1569,186 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		return 0, wx.wp.bc.traps[in.aux]
 	}
 	return ctlNone, nil
+}
+
+// Per-lane scalar semantics shared by the plain and fused executors.
+
+func ptrTruthy(p Pointer) bool {
+	return !p.Glob.IsNil() || p.Local != nil || p.Off != 0
+}
+
+func round32(f float64) float64 { return float64(float32(f)) }
+
+func cmpIRes(code int32, a, b int64) int64 {
+	var res bool
+	switch code {
+	case cmpEQ:
+		res = a == b
+	case cmpNE:
+		res = a != b
+	case cmpLT:
+		res = a < b
+	case cmpLE:
+		res = a <= b
+	case cmpGT:
+		res = a > b
+	default:
+		res = a >= b
+	}
+	if res {
+		return 1
+	}
+	return 0
+}
+
+func cmpURes(code int32, a, b uint32) int64 {
+	var res bool
+	switch code {
+	case cmpEQ:
+		res = a == b
+	case cmpNE:
+		res = a != b
+	case cmpLT:
+		res = a < b
+	case cmpLE:
+		res = a <= b
+	case cmpGT:
+		res = a > b
+	default:
+		res = a >= b
+	}
+	if res {
+		return 1
+	}
+	return 0
+}
+
+func cmpFRes(code int32, a, b float64) int64 {
+	var res bool
+	switch code {
+	case cmpEQ:
+		res = a == b
+	case cmpNE:
+		res = a != b
+	case cmpLT:
+		res = a < b
+	case cmpLE:
+		res = a <= b
+	case cmpGT:
+		res = a > b
+	default:
+		res = a >= b
+	}
+	if res {
+		return 1
+	}
+	return 0
+}
+
+func cmpPRes(code int32, a, b Pointer) int64 {
+	d := ptrDelta(a, b)
+	eq := d == 0 && a.Space == b.Space && a.Glob == b.Glob && a.Local == b.Local
+	var res bool
+	switch code {
+	case cmpEQ:
+		res = eq
+	case cmpNE:
+		res = !eq
+	case cmpLT:
+		res = d < 0
+	case cmpLE:
+		res = d <= 0
+	case cmpGT:
+		res = d > 0
+	default:
+		res = d >= 0
+	}
+	if res {
+		return 1
+	}
+	return 0
+}
+
+// laneAtomic mirrors the tree-walker's evalAtomic: memory-space dispatch and
+// trap messages are resolved at run time. iv/fv carry the raw-converted
+// operand (one of them, per the lowering's bank choice); iv2 is the
+// atomicCAS third operand.
+func laneAtomic(tc *gpusim.ThreadCtx, spec *atomSpec, p Pointer, iv int64, fv float64, iv2 int64) (Value, error) {
+	elem := spec.elem
+	switch p.Space {
+	case SpaceGlobal:
+		switch spec.name {
+		case "atomicAdd", "atomicSub":
+			if elem.Kind == KFloat {
+				d := fv
+				if spec.name == "atomicSub" {
+					d = -d
+				}
+				old, err := tc.AtomicAddFloat32(p.Glob, 0, float32(d))
+				return Value{T: elem, F: float64(old)}, err
+			}
+			d := iv
+			if spec.name == "atomicSub" {
+				d = -d
+			}
+			old, err := tc.AtomicAddInt32(p.Glob, 0, int32(d))
+			return intValue(elem, int64(old)), err
+		case "atomicMax":
+			old, err := tc.AtomicMaxInt32(p.Glob, 0, int32(iv))
+			return intValue(elem, int64(old)), err
+		case "atomicMin":
+			old, err := tc.AtomicMinInt32(p.Glob, 0, int32(iv))
+			return intValue(elem, int64(old)), err
+		case "atomicExch":
+			if elem.Kind == KFloat {
+				old, err := tc.AtomicExchInt32(p.Glob, 0, int32(math.Float32bits(float32(fv))))
+				return Value{T: elem, F: float64(math.Float32frombits(uint32(old)))}, err
+			}
+			old, err := tc.AtomicExchInt32(p.Glob, 0, int32(iv))
+			return intValue(elem, int64(old)), err
+		case "atomicCAS":
+			old, err := tc.AtomicCASInt32(p.Glob, 0, int32(iv), int32(iv2))
+			return intValue(elem, int64(old)), err
+		}
+	case SpaceShared:
+		switch spec.name {
+		case "atomicAdd", "atomicSub":
+			if elem.Kind == KFloat {
+				d := fv
+				if spec.name == "atomicSub" {
+					d = -d
+				}
+				old, err := tc.SharedAtomicAddFloat32(p.Off/4, float32(d))
+				return Value{T: elem, F: float64(old)}, err
+			}
+			d := iv
+			if spec.name == "atomicSub" {
+				d = -d
+			}
+			old, err := tc.SharedAtomicAddInt32(p.Off/4, int32(d))
+			return intValue(elem, int64(old)), err
+		}
+		return Value{}, errAt(spec.tok, "%s is not supported on shared memory", spec.name)
+	}
+	return Value{}, errAt(spec.tok, "atomic on unsupported memory space %s", p.Space)
+}
+
+// atomFloatVal reports whether the lowering placed the atomic's value
+// operand in the float bank (must match the choice in lowerer.builtin).
+func atomFloatVal(spec *atomSpec) bool {
+	if spec.elem.Kind != KFloat {
+		return false
+	}
+	switch spec.name {
+	case "atomicAdd", "atomicSub", "atomicExch":
+		return true
+	}
+	return false
+}
+
+func dimPick(dims *[12]int, base int32, dim int64) int {
+	if dim >= 0 && dim < 3 {
+		return dims[base*3+int32(dim)]
+	}
+	return 0
 }

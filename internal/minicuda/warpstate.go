@@ -2,8 +2,7 @@ package minicuda
 
 // Warp-execution state: struct-of-arrays register banks plus the strand
 // bookkeeping the warp engine in warp.go schedules over. One warpState
-// services a whole warp (and is pooled across warps of a launch), exactly
-// as one vmState services a thread in vm.go.
+// services a whole warp (and is pooled across warps of a launch).
 //
 // Register layout is struct-of-arrays with the warp's live-lane count W as
 // the stride: logical register r of a strand whose window base is b lives
@@ -18,6 +17,15 @@ import (
 	"webgpu/internal/gpusim"
 )
 
+// callFrame is one saved frame on a strand's call stack.
+type callFrame struct {
+	pc         int32
+	bI, bF, bP int32
+	fn         *bcFunc
+	dstBank    uint8
+	dstReg     int32 // absolute index in the caller's bank
+}
+
 // strand is a group of lanes executing in lockstep at one program point.
 // A warp starts as a single strand holding every lane; a divergent branch
 // splits a strand in two, and strands whose control state becomes
@@ -29,7 +37,7 @@ type strand struct {
 	fn         *bcFunc
 	bI, bF, bP int32
 	depth      int32
-	stack      []vmRet
+	stack      []callFrame
 
 	lanes []int32 // active lanes, ascending
 	// Step-budget accounting: lane l has consumed steps+base[l] steps.
@@ -62,13 +70,24 @@ type warpState struct {
 	floats []float64
 	ptrs   []Pointer
 	lanes  []*gpusim.ThreadCtx
-	dims   [][12]int // per-lane builtin dims, layout as vm.go's dims
+	dims   [][12]int // per-lane builtin dims: threadIdx, blockIdx, blockDim, gridDim (x,y,z each)
 	acc    chargeAcc
 
 	strands []*strand // recycle list
 }
 
 var warpStatePool = sync.Pool{New: func() any { return new(warpState) }}
+
+// grow returns s extended (preserving contents) to hold at least need
+// elements, doubling to amortize regrowth.
+func grow[T any](s []T, need int) []T {
+	if need <= len(s) {
+		return s
+	}
+	n := make([]T, 2*need)
+	copy(n, s)
+	return n
+}
 
 // init prepares the state for one warp's lanes.
 func (ws *warpState) init(wc *gpusim.WarpCtx) {

@@ -78,7 +78,7 @@ func TestAnalysisEndToEnd(t *testing.T) {
 			c := newClient(t, ts.URL)
 			c.register(v.pass, fmt.Sprintf("kc%d@example.edu", vi), "student")
 			var sub webserver.SubmissionRec
-			c.mustDo("POST", "/api/labs/vector-add/submit",
+			c.mustDo("POST", "/api/v1/labs/vector-add/submit",
 				map[string]string{"source": v.source}, &sub)
 
 			found := false

@@ -76,7 +76,6 @@ func (s Status) Render() string {
 	// from one that was never wired up.
 	hitsByKind := map[string]int64{
 		"ast":           s.ProgCache.HitsAST,
-		"bytecode":      s.ProgCache.HitsBytecode,
 		"bytecode-warp": s.ProgCache.HitsBytecodeWarp,
 		"diagnostics":   s.ProgCache.HitsDiagnostics,
 	}

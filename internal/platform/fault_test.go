@@ -91,7 +91,7 @@ func TestAdminDeadLetterEndpoints(t *testing.T) {
 			Attempts int    `json:"attempts"`
 		} `json:"dead_letters"`
 	}
-	prof.mustDo("GET", "/api/admin/deadletters", nil, &listing)
+	prof.mustDo("GET", "/api/v1/admin/deadletters", nil, &listing)
 	if listing.Total != 1 || len(listing.DeadLetters) != 1 {
 		t.Fatalf("listing = %+v", listing)
 	}
@@ -102,7 +102,7 @@ func TestAdminDeadLetterEndpoints(t *testing.T) {
 	var redrive struct {
 		Redriven int `json:"redriven"`
 	}
-	prof.mustDo("POST", "/api/admin/deadletters/redrive", nil, &redrive)
+	prof.mustDo("POST", "/api/v1/admin/deadletters/redrive", nil, &redrive)
 	if redrive.Redriven != 1 {
 		t.Fatalf("redriven = %d", redrive.Redriven)
 	}
@@ -110,7 +110,7 @@ func TestAdminDeadLetterEndpoints(t *testing.T) {
 	// Students cannot reach the queue admin.
 	student := newClient(t, ts.URL)
 	student.register("Stu", "stu@example.edu", "student")
-	if code, _ := student.do("GET", "/api/admin/deadletters", nil, nil); code != http.StatusForbidden {
+	if code, _ := student.do("GET", "/api/v1/admin/deadletters", nil, nil); code != http.StatusForbidden {
 		t.Errorf("student access = %d, want 403", code)
 	}
 }
@@ -123,10 +123,10 @@ func TestAdminDeadLettersNotImplementedOnV1(t *testing.T) {
 
 	prof := newClient(t, ts.URL)
 	prof.register("Prof", "prof2@example.edu", "instructor")
-	if code, _ := prof.do("GET", "/api/admin/deadletters", nil, nil); code != http.StatusNotImplemented {
+	if code, _ := prof.do("GET", "/api/v1/admin/deadletters", nil, nil); code != http.StatusNotImplemented {
 		t.Errorf("v1 deadletters = %d, want 501", code)
 	}
-	if code, _ := prof.do("POST", "/api/admin/deadletters/redrive", nil, nil); code != http.StatusNotImplemented {
+	if code, _ := prof.do("POST", "/api/v1/admin/deadletters/redrive", nil, nil); code != http.StatusNotImplemented {
 		t.Errorf("v1 redrive = %d, want 501", code)
 	}
 }

@@ -122,7 +122,7 @@ type Platform struct {
 	progs         *progcache.Cache  // shared by every worker node of this deployment
 	store         *castore.Store    // durable artifact tier under progs; nil without CacheDir
 	metrics       *metrics.Registry // one registry across web tier + every node
-	traces        *trace.Store      // recent job traces, behind /api/admin/traces
+	traces        *trace.Store      // recent job traces, behind /api/v1/admin/traces
 	overload      *overload.Controller
 	mu            sync.Mutex
 	v1Count       int
@@ -184,7 +184,6 @@ func New(opts Options) *Platform {
 		s := p.progs.Stats()
 		r.Set("progcache_entries", float64(s.Size))
 		r.Set("progcache_evictions", float64(s.Evictions))
-		r.Set("progcache_hits_bytecode", float64(s.HitsBytecode))
 		r.Set("progcache_hits_bytecode_warp", float64(s.HitsBytecodeWarp))
 		r.Set("progcache_hits_ast", float64(s.HitsAST))
 		r.Set("progcache_hits_diagnostics", float64(s.HitsDiagnostics))

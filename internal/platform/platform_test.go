@@ -74,7 +74,7 @@ func (c *client) register(name, email, role string) string {
 		User  webserver.User `json:"user"`
 		Token string         `json:"token"`
 	}
-	c.mustDo("POST", "/api/register",
+	c.mustDo("POST", "/api/v1/register",
 		map[string]string{"name": name, "email": email, "role": role}, &resp)
 	c.token = resp.Token
 	return resp.User.ID
@@ -90,14 +90,14 @@ func studentFlow(t *testing.T, p *Platform) {
 
 	// List labs (action: browse the course).
 	var labList []map[string]interface{}
-	alice.mustDo("GET", "/api/labs", nil, &labList)
+	alice.mustDo("GET", "/api/v1/labs", nil, &labList)
 	if len(labList) == 0 {
 		t.Fatal("no labs listed")
 	}
 
 	// Fetch the vector-add lab: skeleton + rendered description (Figure 3).
 	var labView map[string]interface{}
-	alice.mustDo("GET", "/api/labs/vector-add", nil, &labView)
+	alice.mustDo("GET", "/api/v1/labs/vector-add", nil, &labView)
 	if !strings.Contains(labView["description"].(string), "<h1>") {
 		t.Error("description not rendered to HTML")
 	}
@@ -110,15 +110,15 @@ func studentFlow(t *testing.T, p *Platform) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   out[i] = in1[i] + in2[i];
 }`
-	alice.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": broken}, nil)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": broken}, nil)
 	good := labs.ByID("vector-add").Reference
-	alice.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": good}, nil)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": good}, nil)
 
 	var historyPage struct {
 		Total int                 `json:"total"`
 		Items []webserver.CodeRec `json:"items"`
 	}
-	alice.mustDo("GET", "/api/labs/vector-add/history", nil, &historyPage)
+	alice.mustDo("GET", "/api/v1/labs/vector-add/history", nil, &historyPage)
 	history := historyPage.Items
 	if historyPage.Total != 2 || len(history) != 2 || history[0].Rev != 1 || history[1].Rev != 2 {
 		t.Fatalf("history = %+v", historyPage)
@@ -126,11 +126,11 @@ func studentFlow(t *testing.T, p *Platform) {
 
 	// Compile (action 2).
 	var compileRes map[string]interface{}
-	alice.mustDo("POST", "/api/labs/vector-add/compile", nil, &compileRes)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/compile", nil, &compileRes)
 
 	// Run against a dataset (action 3).
 	var att webserver.AttemptRec
-	alice.mustDo("POST", "/api/labs/vector-add/attempt?dataset=0", nil, &att)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
 	if att.Outcome == nil || !att.Outcome.Correct {
 		t.Fatalf("attempt outcome = %+v", att.Outcome)
 	}
@@ -139,19 +139,19 @@ func studentFlow(t *testing.T, p *Platform) {
 	}
 
 	// Short answers (action 4).
-	alice.mustDo("POST", "/api/labs/vector-add/questions",
+	alice.mustDo("POST", "/api/v1/labs/vector-add/questions",
 		map[string][]string{"answers": {"two flops per thread", "guards tail threads"}}, nil)
 
 	// Submit for grading (action 5).
 	var sub webserver.SubmissionRec
-	alice.mustDo("POST", "/api/labs/vector-add/submit", nil, &sub)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/submit", nil, &sub)
 	if sub.Grade == nil || sub.Grade.Total != sub.Grade.Max {
 		t.Fatalf("grade = %+v", sub.Grade)
 	}
 
 	// Grade recorded and visible (action 6 adjacent).
 	var grade map[string]interface{}
-	alice.mustDo("GET", "/api/labs/vector-add/grade", nil, &grade)
+	alice.mustDo("GET", "/api/v1/labs/vector-add/grade", nil, &grade)
 	if int(grade["total"].(float64)) != sub.Grade.Max {
 		t.Errorf("grade total = %v", grade["total"])
 	}
@@ -166,7 +166,7 @@ func studentFlow(t *testing.T, p *Platform) {
 		Total int                    `json:"total"`
 		Items []webserver.AttemptRec `json:"items"`
 	}
-	alice.mustDo("GET", "/api/labs/vector-add/attempts", nil, &attemptsPage)
+	alice.mustDo("GET", "/api/v1/labs/vector-add/attempts", nil, &attemptsPage)
 	if attemptsPage.Total != 1 || len(attemptsPage.Items) != 1 {
 		t.Fatalf("attempts = %+v", attemptsPage)
 	}
@@ -175,14 +175,14 @@ func studentFlow(t *testing.T, p *Platform) {
 	prof := newClient(t, ts.URL)
 	prof.register("Prof", "prof@example.edu", "instructor")
 	var roster []webserver.RosterRow
-	prof.mustDo("GET", "/api/instructor/roster/vector-add", nil, &roster)
+	prof.mustDo("GET", "/api/v1/instructor/roster/vector-add", nil, &roster)
 	if len(roster) != 1 || roster[0].UserID != aliceID || roster[0].TotalGrade != sub.Grade.Max {
 		t.Fatalf("roster = %+v", roster)
 	}
-	prof.mustDo("POST", "/api/instructor/comment",
+	prof.mustDo("POST", "/api/v1/instructor/comment",
 		map[string]string{"user_id": aliceID, "lab_id": "vector-add", "text": "nice work"}, nil)
 	var overridden map[string]interface{}
-	prof.mustDo("POST", "/api/instructor/override",
+	prof.mustDo("POST", "/api/v1/instructor/override",
 		map[string]interface{}{"user_id": aliceID, "lab_id": "vector-add",
 			"total": 50, "comment": "late penalty"}, &overridden)
 	if int(overridden["total"].(float64)) != 50 {
@@ -190,13 +190,13 @@ func studentFlow(t *testing.T, p *Platform) {
 	}
 
 	// Export includes the overridden grade.
-	code, csv := prof.do("GET", "/api/instructor/export", nil, nil)
+	code, csv := prof.do("GET", "/api/v1/instructor/export", nil, nil)
 	if code != 200 || !strings.Contains(csv, "vector-add,50") {
 		t.Errorf("export = %d %q", code, csv)
 	}
 
 	// Students cannot reach instructor tools.
-	if code, _ := alice.do("GET", "/api/instructor/roster/vector-add", nil, nil); code != http.StatusForbidden {
+	if code, _ := alice.do("GET", "/api/v1/instructor/roster/vector-add", nil, nil); code != http.StatusForbidden {
 		t.Errorf("student roster access = %d", code)
 	}
 }
@@ -224,9 +224,9 @@ func TestV2MPIJobRouting(t *testing.T) {
 	c := newClient(t, ts.URL)
 	c.register("Grad", "grad@example.edu", "student")
 	l := labs.ByID("mpi-stencil")
-	c.mustDo("POST", "/api/labs/mpi-stencil/save", map[string]string{"source": l.Reference}, nil)
+	c.mustDo("POST", "/api/v1/labs/mpi-stencil/save", map[string]string{"source": l.Reference}, nil)
 	var att webserver.AttemptRec
-	c.mustDo("POST", "/api/labs/mpi-stencil/attempt?dataset=0", nil, &att)
+	c.mustDo("POST", "/api/v1/labs/mpi-stencil/attempt?dataset=0", nil, &att)
 	if att.Outcome == nil || !att.Outcome.Correct {
 		t.Fatalf("mpi attempt = %+v", att.Outcome)
 	}
@@ -240,7 +240,7 @@ func TestCourseScopesLabs(t *testing.T) {
 	c := newClient(t, ts.URL)
 	c.register("S", "s@example.edu", "student")
 	// sgemm is a 598 lab, not HPP.
-	if code, _ := c.do("GET", "/api/labs/sgemm", nil, nil); code != http.StatusNotFound {
+	if code, _ := c.do("GET", "/api/v1/labs/sgemm", nil, nil); code != http.StatusNotFound {
 		t.Errorf("sgemm in HPP = %d", code)
 	}
 }
@@ -271,12 +271,12 @@ func TestV2SubmissionSurvivesWorkerChurn(t *testing.T) {
 	c := newClient(t, ts.URL)
 	c.register("S", "s@example.edu", "student")
 	l := labs.ByID("vector-add")
-	c.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": l.Reference}, nil)
+	c.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": l.Reference}, nil)
 
 	done := make(chan webserver.AttemptRec, 1)
 	go func() {
 		var att webserver.AttemptRec
-		c.mustDo("POST", "/api/labs/vector-add/attempt?dataset=0", nil, &att)
+		c.mustDo("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
 		done <- att
 	}()
 	time.Sleep(50 * time.Millisecond) // job sits in the queue, no workers
@@ -299,9 +299,9 @@ func TestBrokerMirrorsToStandby(t *testing.T) {
 	c := newClient(t, ts.URL)
 	c.register("S", "s@example.edu", "student")
 	l := labs.ByID("vector-add")
-	c.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": l.Reference}, nil)
+	c.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": l.Reference}, nil)
 	var att webserver.AttemptRec
-	c.mustDo("POST", "/api/labs/vector-add/attempt?dataset=0", nil, &att)
+	c.mustDo("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for p.StandbyBroker.Stats().Published == 0 && time.Now().Before(deadline) {
@@ -319,7 +319,7 @@ func TestV2ReplicaServesReads(t *testing.T) {
 	defer ts.Close()
 	c := newClient(t, ts.URL)
 	c.register("S", "s@example.edu", "student")
-	c.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": "x"}, nil)
+	c.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": "x"}, nil)
 	if !p.Replica.WaitCaughtUp(5 * time.Second) {
 		t.Fatalf("replica lag = %d", p.Replica.Lag())
 	}
@@ -339,9 +339,9 @@ func TestDashboardStatus(t *testing.T) {
 		ts := httptest.NewServer(p.Handler())
 		c := newClient(t, ts.URL)
 		c.register("S", "s@example.edu", "student")
-		c.mustDo("POST", "/api/labs/vector-add/save",
+		c.mustDo("POST", "/api/v1/labs/vector-add/save",
 			map[string]string{"source": labs.ByID("vector-add").Reference}, nil)
-		c.mustDo("POST", "/api/labs/vector-add/submit", nil, nil)
+		c.mustDo("POST", "/api/v1/labs/vector-add/submit", nil, nil)
 
 		st := p.Status()
 		if st.Workers != 2 {
@@ -415,13 +415,13 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	c := newClient(t, ts.URL)
 	c.register("A", "dup@example.edu", "student")
 	c2 := newClient(t, ts.URL)
-	if code, _ := c2.do("POST", "/api/register",
+	if code, _ := c2.do("POST", "/api/v1/register",
 		map[string]string{"name": "B", "email": "dup@example.edu"}, nil); code != http.StatusConflict {
 		t.Errorf("duplicate register = %d", code)
 	}
 	// But login works.
 	var resp map[string]interface{}
-	c2.mustDo("POST", "/api/login", map[string]string{"email": "dup@example.edu"}, &resp)
+	c2.mustDo("POST", "/api/v1/login", map[string]string{"email": "dup@example.edu"}, &resp)
 	if resp["token"] == "" {
 		t.Error("login returned no token")
 	}

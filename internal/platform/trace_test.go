@@ -12,7 +12,7 @@ import (
 )
 
 // traceFlow submits one graded job and follows its trace ID from the
-// submission response to /api/admin/traces/{id}, asserting the span chain
+// submission response to /api/v1/admin/traces/{id}, asserting the span chain
 // covers the web tier, the worker pipeline, and the grader.
 func traceFlow(t *testing.T, p *Platform) {
 	ts := httptest.NewServer(p.Handler())
@@ -21,16 +21,16 @@ func traceFlow(t *testing.T, p *Platform) {
 	alice := newClient(t, ts.URL)
 	alice.register("Alice", "alice@example.edu", "student")
 	src := labs.ByID("vector-add").Reference
-	alice.mustDo("POST", "/api/labs/vector-add/save", map[string]string{"source": src}, nil)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": src}, nil)
 
 	var sub webserver.SubmissionRec
-	alice.mustDo("POST", "/api/labs/vector-add/submit", nil, &sub)
+	alice.mustDo("POST", "/api/v1/labs/vector-add/submit", nil, &sub)
 	if sub.TraceID == "" {
 		t.Fatal("submission response carries no trace_id")
 	}
 
 	// The response header names the same trace.
-	req, _ := http.NewRequest("POST", ts.URL+"/api/labs/vector-add/attempt?dataset=0", nil)
+	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/labs/vector-add/attempt?dataset=0", nil)
 	req.Header.Set("Authorization", "Bearer "+alice.token)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -42,14 +42,14 @@ func traceFlow(t *testing.T, p *Platform) {
 	}
 
 	// Students may not read the admin surface.
-	if code, _ := alice.do("GET", "/api/admin/traces/"+sub.TraceID, nil, nil); code != http.StatusForbidden {
+	if code, _ := alice.do("GET", "/api/v1/admin/traces/"+sub.TraceID, nil, nil); code != http.StatusForbidden {
 		t.Errorf("student trace access = %d, want 403", code)
 	}
 
 	prof := newClient(t, ts.URL)
 	prof.register("Prof", "prof@example.edu", "instructor")
 	var data trace.Data
-	prof.mustDo("GET", "/api/admin/traces/"+sub.TraceID, nil, &data)
+	prof.mustDo("GET", "/api/v1/admin/traces/"+sub.TraceID, nil, &data)
 	if data.ID != sub.TraceID {
 		t.Fatalf("trace id = %q, want %q", data.ID, sub.TraceID)
 	}
@@ -71,13 +71,13 @@ func traceFlow(t *testing.T, p *Platform) {
 		Total  int          `json:"total"`
 		Traces []trace.Data `json:"traces"`
 	}
-	prof.mustDo("GET", "/api/admin/traces", nil, &listing)
+	prof.mustDo("GET", "/api/v1/admin/traces", nil, &listing)
 	if listing.Total < 2 || len(listing.Traces) < 2 {
 		t.Fatalf("listing = total %d, %d traces", listing.Total, len(listing.Traces))
 	}
 
 	// The metrics dump reflects the work, in Prometheus text format.
-	code, body := prof.do("GET", "/api/admin/metrics", nil, nil)
+	code, body := prof.do("GET", "/api/v1/admin/metrics", nil, nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}

@@ -217,23 +217,18 @@ func TestArtifactStats(t *testing.T) {
 		t.Fatalf("status = %v, want Hit", st)
 	}
 	s = c.Stats()
-	split := s.HitsBytecodeWarp + s.HitsBytecode + s.HitsAST
+	split := s.HitsBytecodeWarp + s.HitsAST
 	if split != 1 || split != s.Hits {
-		t.Fatalf("hit split %d+%d+%d does not cover %d hits",
-			s.HitsBytecodeWarp, s.HitsBytecode, s.HitsAST, s.Hits)
+		t.Fatalf("hit split %d+%d does not cover %d hits",
+			s.HitsBytecodeWarp, s.HitsAST, s.Hits)
 	}
-	switch p.ArtifactKind() {
-	case "bytecode-warp":
+	if p.ArtifactKind() == "bytecode-warp" {
 		if s.HitsBytecodeWarp != 1 {
 			t.Fatalf("stats = %+v, want the hit counted as bytecode-warp", s)
 		}
 		if reg.Counter("progcache_hits_bytecode_warp") != 1 {
 			t.Fatalf("progcache_hits_bytecode_warp = %v, want 1",
 				reg.Counter("progcache_hits_bytecode_warp"))
-		}
-	case "bytecode":
-		if s.HitsBytecode != 1 {
-			t.Fatalf("stats = %+v, want the hit counted as bytecode", s)
 		}
 	}
 

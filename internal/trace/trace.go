@@ -8,7 +8,7 @@
 // v1's in-process push path, as a broker message tag plus job field in
 // v2) and worker-side spans are carried back on the Result so the web
 // tier always holds the complete picture. A fixed-capacity ring of
-// recently finished traces backs the /api/admin/traces endpoints.
+// recently finished traces backs the /api/v1/admin/traces endpoints.
 package trace
 
 import (

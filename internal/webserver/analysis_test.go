@@ -28,7 +28,7 @@ const racyVecAdd = `__global__ void vecAdd(float *in1, float *in2, float *out, i
 func TestAttemptCarriesDiagnostics(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("s@x", "student")
-	code, body := f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok,
+	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok,
 		map[string]string{"source": racyVecAdd})
 	if code != http.StatusOK {
 		t.Fatalf("attempt: %d %s", code, body)
@@ -52,7 +52,7 @@ func TestAttemptCarriesDiagnostics(t *testing.T) {
 
 	// The stored attempt (Attempts view / attempt history API) carries
 	// them too.
-	code, body = f.req("GET", "/api/labs/vector-add/attempts", tok, nil)
+	code, body = f.req("GET", "/api/v1/labs/vector-add/attempts", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("attempts: %d %s", code, body)
 	}
@@ -75,7 +75,7 @@ func TestSubmitFeedbackAndFailFast(t *testing.T) {
 	stok := f.register("s@x", "student")
 	itok := f.register("i@x", "instructor")
 
-	code, body := f.req("POST", "/api/labs/vector-add/submit", stok,
+	code, body := f.req("POST", "/api/v1/labs/vector-add/submit", stok,
 		map[string]string{"source": racyVecAdd})
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d %s", code, body)
@@ -104,23 +104,23 @@ func TestSubmitFeedbackAndFailFast(t *testing.T) {
 	}
 
 	// Instructor flips the lab to fail-fast; policy round-trips via GET.
-	code, body = f.req("POST", "/api/instructor/labs/vector-add/analysis", itok,
+	code, body = f.req("POST", "/api/v1/instructor/labs/vector-add/analysis", itok,
 		map[string]string{"policy": "fail-fast"})
 	if code != http.StatusOK {
 		t.Fatalf("set policy: %d %s", code, body)
 	}
-	code, body = f.req("GET", "/api/instructor/labs/vector-add/analysis", itok, nil)
+	code, body = f.req("GET", "/api/v1/instructor/labs/vector-add/analysis", itok, nil)
 	if code != http.StatusOK || !strings.Contains(string(body), "fail-fast") {
 		t.Fatalf("get policy: %d %s", code, body)
 	}
 
 	// Students cannot set the policy.
-	if code, _ := f.req("POST", "/api/instructor/labs/vector-add/analysis", stok,
+	if code, _ := f.req("POST", "/api/v1/instructor/labs/vector-add/analysis", stok,
 		map[string]string{"policy": "off"}); code != http.StatusForbidden {
 		t.Errorf("student set policy = %d, want 403", code)
 	}
 	// An unknown policy is rejected.
-	if code, _ := f.req("POST", "/api/instructor/labs/vector-add/analysis", itok,
+	if code, _ := f.req("POST", "/api/v1/instructor/labs/vector-add/analysis", itok,
 		map[string]string{"policy": "strict"}); code != http.StatusBadRequest {
 		t.Errorf("bogus policy = %d, want 400", code)
 	}
@@ -128,7 +128,7 @@ func TestSubmitFeedbackAndFailFast(t *testing.T) {
 	// The next submission of the same racy source is blocked before
 	// execution and the outcomes explain why.
 	f.now = f.now.Add(time.Hour) // clear the submit rate limit
-	code, body = f.req("POST", "/api/labs/vector-add/submit", stok,
+	code, body = f.req("POST", "/api/v1/labs/vector-add/submit", stok,
 		map[string]string{"source": racyVecAdd})
 	if code != http.StatusOK {
 		t.Fatalf("fail-fast submit: %d %s", code, body)
@@ -154,11 +154,11 @@ func TestFailFastCleanSubmission(t *testing.T) {
 	f := newFixture(t)
 	stok := f.register("s@x", "student")
 	itok := f.register("i@x", "instructor")
-	if code, body := f.req("POST", "/api/instructor/labs/vector-add/analysis", itok,
+	if code, body := f.req("POST", "/api/v1/instructor/labs/vector-add/analysis", itok,
 		map[string]string{"policy": "fail-fast"}); code != http.StatusOK {
 		t.Fatalf("set policy: %d %s", code, body)
 	}
-	code, body := f.req("POST", "/api/labs/vector-add/submit", stok,
+	code, body := f.req("POST", "/api/v1/labs/vector-add/submit", stok,
 		map[string]string{"source": labs.ByID("vector-add").Reference})
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d %s", code, body)

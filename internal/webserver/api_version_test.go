@@ -45,16 +45,15 @@ func (f *fixture) doRaw(method, path, token string) (int, http.Header, []byte) {
 
 // TestEveryRouteServedUnderV1 walks the whole route table: every route
 // must resolve under /api/v1 (a JSON response from our handlers, never the
-// mux's plain-text 404) and stamp the v1 version header; every non-V1Only
-// route must also resolve at its legacy /api alias with the deprecation
-// headers, and serve a byte-identical status and body there.
+// mux's plain-text 404) and stamp the v1 version header, and must not
+// resolve at the retired unversioned /api alias.
 func TestEveryRouteServedUnderV1(t *testing.T) {
 	f := newFixture(t)
 	for _, rt := range f.srv.apiRoutes() {
 		name := rt.Method + " " + rt.Pattern
 		p := samplePath(rt.Pattern)
 
-		code, hdr, body := f.doRaw(rt.Method, "/api/v1/"+p, "")
+		_, hdr, body := f.doRaw(rt.Method, "/api/v1/"+p, "")
 		if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 			t.Errorf("%s: /api/v1 content-type = %q (mux fell through?), body %q", name, ct, body)
 			continue
@@ -62,56 +61,8 @@ func TestEveryRouteServedUnderV1(t *testing.T) {
 		if v := hdr.Get(APIVersionHeader); v != "v1" {
 			t.Errorf("%s: v1 %s = %q, want \"v1\"", name, APIVersionHeader, v)
 		}
-		if d := hdr.Get("Deprecation"); d != "" {
-			t.Errorf("%s: v1 route carries Deprecation header %q", name, d)
-		}
-
-		if rt.V1Only {
-			// The legacy surface must NOT serve v1-native routes.
-			legacyCode, legacyHdr, _ := f.doRaw(rt.Method, "/api/"+p, "")
-			if legacyHdr.Get(APIVersionHeader) != "" {
-				t.Errorf("%s: v1-only route reachable at legacy alias (status %d)", name, legacyCode)
-			}
-			continue
-		}
-
-		legacyCode, legacyHdr, legacyBody := f.doRaw(rt.Method, "/api/"+p, "")
-		if v := legacyHdr.Get(APIVersionHeader); v != "legacy" {
-			t.Errorf("%s: legacy %s = %q, want \"legacy\"", name, APIVersionHeader, v)
-		}
-		if d := legacyHdr.Get("Deprecation"); d != "true" {
-			t.Errorf("%s: legacy Deprecation = %q, want \"true\"", name, d)
-		}
-		if l := legacyHdr.Get("Link"); !strings.Contains(l, "successor-version") {
-			t.Errorf("%s: legacy Link = %q, want a successor-version link", name, l)
-		}
-		if legacyCode != code || !bytes.Equal(legacyBody, body) {
-			t.Errorf("%s: legacy (%d, %s) != v1 (%d, %s)", name, legacyCode, legacyBody, code, body)
-		}
-	}
-}
-
-// TestV1LegacyEquivalenceAuthed compares authenticated happy-path
-// responses across the two surfaces: same token, same deterministic state
-// (frozen clock), byte-identical bodies.
-func TestV1LegacyEquivalenceAuthed(t *testing.T) {
-	f := newFixture(t)
-	tok := f.register("eq@x", "student")
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": "// draft"})
-
-	for _, path := range []string{
-		"/labs",
-		"/labs/vector-add",
-		"/labs/vector-add/code",
-		"/labs/vector-add/history",
-		"/labs/vector-add/attempts",
-		"/labs/no-such-lab", // error path equivalence
-	} {
-		legacyCode, _, legacyBody := f.doRaw("GET", "/api"+path, tok)
-		v1Code, _, v1Body := f.doRaw("GET", "/api/v1"+path, tok)
-		if legacyCode != v1Code || !bytes.Equal(legacyBody, v1Body) {
-			t.Errorf("GET %s: legacy (%d, %s) != v1 (%d, %s)",
-				path, legacyCode, legacyBody, v1Code, v1Body)
+		if code, _, _ := f.doRaw(rt.Method, "/api/"+p, ""); code != http.StatusNotFound {
+			t.Errorf("%s: unversioned alias = %d, want 404", name, code)
 		}
 	}
 }
@@ -158,9 +109,9 @@ func TestShareBeforeDeadlineEnvelope(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("dl@x", "student")
 	f.srv.SetDeadline("vector-add", f.now.Add(24*time.Hour))
-	f.req("POST", "/api/labs/vector-add/save", tok,
+	f.req("POST", "/api/v1/labs/vector-add/save", tok,
 		map[string]string{"source": labs.ByID("vector-add").Reference})
-	code, body := f.req("POST", "/api/labs/vector-add/attempt", tok, map[string]int{"dataset_id": 0})
+	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt", tok, map[string]int{"dataset_id": 0})
 	if code != http.StatusOK {
 		t.Fatalf("attempt = %d %s", code, body)
 	}
@@ -169,7 +120,7 @@ func TestShareBeforeDeadlineEnvelope(t *testing.T) {
 	}
 	_ = json.Unmarshal(body, &att)
 
-	code, body = f.req("POST", "/api/attempts/"+att.ID+"/share", tok, nil)
+	code, body = f.req("POST", "/api/v1/attempts/"+att.ID+"/share", tok, nil)
 	if code != http.StatusForbidden {
 		t.Fatalf("share before deadline = %d %s", code, body)
 	}

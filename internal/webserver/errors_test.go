@@ -50,9 +50,9 @@ func TestWorkerTierDownReturns503(t *testing.T) {
 	f := newBrokenFixture(t)
 	tok := f.register("a@x", "student")
 	for _, path := range []string{
-		"/api/labs/vector-add/compile",
-		"/api/labs/vector-add/attempt?dataset=0",
-		"/api/labs/vector-add/submit",
+		"/api/v1/labs/vector-add/compile",
+		"/api/v1/labs/vector-add/attempt?dataset=0",
+		"/api/v1/labs/vector-add/submit",
 	} {
 		if code, _ := f.req("POST", path, tok, nil); code != http.StatusServiceUnavailable {
 			t.Errorf("%s = %d, want 503", path, code)
@@ -63,7 +63,7 @@ func TestWorkerTierDownReturns503(t *testing.T) {
 func TestExportWithoutCourseraBook(t *testing.T) {
 	f := newBrokenFixture(t)
 	prof := f.register("p@x", "instructor")
-	if code, _ := f.req("GET", "/api/instructor/export", prof, nil); code != http.StatusNotImplemented {
+	if code, _ := f.req("GET", "/api/v1/instructor/export", prof, nil); code != http.StatusNotImplemented {
 		t.Errorf("export = %d, want 501", code)
 	}
 }
@@ -74,26 +74,26 @@ func TestMalformedBodies(t *testing.T) {
 	cases := []struct {
 		method, path string
 	}{
-		{"POST", "/api/labs/vector-add/save"},
-		{"POST", "/api/labs/vector-add/questions"},
-		{"POST", "/api/reviews/complete"},
+		{"POST", "/api/v1/labs/vector-add/save"},
+		{"POST", "/api/v1/labs/vector-add/questions"},
+		{"POST", "/api/v1/reviews/complete"},
 	}
 	for _, c := range cases {
 		if code, _ := f.reqRaw(c.method, c.path, tok, "{not json"); code != http.StatusBadRequest {
 			t.Errorf("%s %s with garbage = %d, want 400", c.method, c.path, code)
 		}
 	}
-	if code, _ := f.reqRaw("POST", "/api/register", "", "{not json"); code != http.StatusBadRequest {
+	if code, _ := f.reqRaw("POST", "/api/v1/register", "", "{not json"); code != http.StatusBadRequest {
 		t.Errorf("register garbage = %d", code)
 	}
-	if code, _ := f.reqRaw("POST", "/api/login", "", "{}"); code != http.StatusBadRequest {
+	if code, _ := f.reqRaw("POST", "/api/v1/login", "", "{}"); code != http.StatusBadRequest {
 		t.Errorf("empty login = %d", code)
 	}
 }
 
 func TestLoginUnknownEmail(t *testing.T) {
 	f := newFixture(t)
-	if code, _ := f.req("POST", "/api/login", "",
+	if code, _ := f.req("POST", "/api/v1/login", "",
 		map[string]string{"email": "ghost@x"}); code != http.StatusNotFound {
 		t.Errorf("ghost login = %d", code)
 	}
@@ -103,10 +103,10 @@ func TestAssignReviewsTooFewStudents(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("only@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	f.req("POST", "/api/labs/vector-add/submit", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 	prof := f.register("p@x", "instructor")
-	code, _ := f.req("POST", "/api/instructor/reviews/assign/vector-add", prof,
+	code, _ := f.req("POST", "/api/v1/instructor/reviews/assign/vector-add", prof,
 		map[string]interface{}{"per_student": 3})
 	if code != http.StatusBadRequest {
 		t.Errorf("assign with 1 student = %d, want 400", code)
@@ -116,10 +116,10 @@ func TestAssignReviewsTooFewStudents(t *testing.T) {
 func TestShareUnknownAttempt(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	if code, _ := f.req("POST", "/api/attempts/att-999999/share", tok, nil); code != http.StatusNotFound {
+	if code, _ := f.req("POST", "/api/v1/attempts/att-999999/share", tok, nil); code != http.StatusNotFound {
 		t.Errorf("unknown attempt share = %d", code)
 	}
-	if code, _ := f.req("GET", "/api/share/bogus-token", "", nil); code != http.StatusNotFound {
+	if code, _ := f.req("GET", "/api/v1/share/bogus-token", "", nil); code != http.StatusNotFound {
 		t.Errorf("bogus share token = %d", code)
 	}
 }
@@ -127,7 +127,7 @@ func TestShareUnknownAttempt(t *testing.T) {
 func TestGetCodeDefaultsToSkeleton(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	code, body := f.req("GET", "/api/labs/vector-add/code", tok, nil)
+	code, body := f.req("GET", "/api/v1/labs/vector-add/code", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
@@ -139,7 +139,7 @@ func TestGetCodeDefaultsToSkeleton(t *testing.T) {
 func TestGradeBeforeSubmit404(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	if code, _ := f.req("GET", "/api/labs/vector-add/grade", tok, nil); code != http.StatusNotFound {
+	if code, _ := f.req("GET", "/api/v1/labs/vector-add/grade", tok, nil); code != http.StatusNotFound {
 		t.Errorf("grade before submit = %d", code)
 	}
 }
@@ -148,9 +148,9 @@ func TestBadDatasetQueryRejected(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
 	for _, bad := range []string{"banana", "-1", "1.5"} {
-		code, body := f.req("POST", "/api/labs/vector-add/attempt?dataset="+bad, tok, nil)
+		code, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset="+bad, tok, nil)
 		if code != http.StatusBadRequest {
 			t.Errorf("attempt with dataset=%q = %d, want 400 (%s)", bad, code, body)
 			continue
@@ -175,9 +175,9 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		wantStatus          int
 		wantCode            string
 	}{
-		{"GET", "/api/labs", "", http.StatusUnauthorized, ErrCodeUnauthorized},
-		{"GET", "/api/labs/not-a-lab", tok, http.StatusNotFound, ErrCodeNotFound},
-		{"GET", "/api/instructor/roster/vector-add", tok, http.StatusForbidden, ErrCodeForbidden},
+		{"GET", "/api/v1/labs", "", http.StatusUnauthorized, ErrCodeUnauthorized},
+		{"GET", "/api/v1/labs/not-a-lab", tok, http.StatusNotFound, ErrCodeNotFound},
+		{"GET", "/api/v1/instructor/roster/vector-add", tok, http.StatusForbidden, ErrCodeForbidden},
 	}
 	for _, c := range cases {
 		code, body := f.req(c.method, c.path, c.token, nil)
@@ -199,7 +199,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 func TestOverrideUnknownGrade(t *testing.T) {
 	f := newFixture(t)
 	prof := f.register("p@x", "instructor")
-	code, _ := f.req("POST", "/api/instructor/override", prof,
+	code, _ := f.req("POST", "/api/v1/instructor/override", prof,
 		map[string]interface{}{"user_id": "ghost", "lab_id": "vector-add", "total": 10})
 	if code != http.StatusNotFound {
 		t.Errorf("override missing grade = %d", code)
@@ -209,7 +209,7 @@ func TestOverrideUnknownGrade(t *testing.T) {
 func TestCommentValidation(t *testing.T) {
 	f := newFixture(t)
 	prof := f.register("p@x", "instructor")
-	code, _ := f.req("POST", "/api/instructor/comment", prof,
+	code, _ := f.req("POST", "/api/v1/instructor/comment", prof,
 		map[string]string{"user_id": "u", "lab_id": "vector-add"})
 	if code != http.StatusBadRequest {
 		t.Errorf("empty comment = %d", code)

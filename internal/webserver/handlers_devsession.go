@@ -15,7 +15,6 @@ import (
 // compile+analysis API. A session is opened per (student, lab); the client
 // pushes keystroke-debounced drafts to the draft endpoint and receives
 // typed compile/diagnostics/status events over a server-sent-event stream.
-// These endpoints are v1-native: they exist only under /api/v1.
 
 // handleOpenSession creates a live development session for the lab.
 func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request, u *User) {

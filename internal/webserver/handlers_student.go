@@ -600,7 +600,7 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"url": "/api/share/" + att.ShareTok})
+	writeJSON(w, http.StatusOK, map[string]string{"url": "/api/v1/share/" + att.ShareTok})
 }
 
 func (s *Server) handleViewShare(w http.ResponseWriter, r *http.Request) {

@@ -334,7 +334,7 @@ func TestSubmissionsQueueWhileReadsShed(t *testing.T) {
 	bob := f.register("bob@test.edu", "student")
 	src := labs.ByID("vector-add").Reference
 	for _, tok := range []string{alice, bob} {
-		if code, body := f.req("POST", "/api/labs/vector-add/save", tok,
+		if code, body := f.req("POST", "/api/v1/labs/vector-add/save", tok,
 			map[string]string{"source": src}); code != http.StatusOK {
 			t.Fatalf("save: %d %s", code, body)
 		}

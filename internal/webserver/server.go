@@ -72,9 +72,9 @@ type Config struct {
 	Limits     sandbox.Limits
 	Clock      func() time.Time
 
-	// Metrics is the shared registry /api/admin/metrics dumps; nil
+	// Metrics is the shared registry /api/v1/admin/metrics dumps; nil
 	// creates a private one. Traces is the ring of recent job traces
-	// behind /api/admin/traces; nil creates one with default capacity.
+	// behind /api/v1/admin/traces; nil creates one with default capacity.
 	Metrics *metrics.Registry
 	Traces  *trace.Store
 
@@ -256,25 +256,21 @@ func (s *Server) DevSessions() *devsession.Manager { return s.devsessions }
 // backpressure signals; tests inspect its counters).
 func (s *Server) Overload() *overload.Controller { return s.overload }
 
-// APIVersionHeader names the response header stamping which API surface
-// served the request ("v1", or "legacy" on the deprecated unversioned
-// aliases).
+// APIVersionHeader names the response header stamping which API version
+// served the request ("v1").
 const APIVersionHeader = "X-WebGPU-API-Version"
 
 // apiRoute is one entry of the API route table. Pattern is the path under
-// the API prefix — the same handler is mounted at /api/v1/<pattern> and,
-// unless V1Only, at the deprecated legacy alias /api/<pattern>.
+// the API prefix: the handler is mounted at /api/v1/<pattern>.
 type apiRoute struct {
 	Method  string
 	Pattern string
-	V1Only  bool // v1-native endpoints (streaming sessions) have no legacy alias
 	handler http.HandlerFunc
 }
 
-// apiRoutes is the single route table both API surfaces are generated
-// from. Adding a route here mounts it under /api/v1 and (unless V1Only)
-// under the legacy /api alias, and enrolls it in the route-conformance
-// tests.
+// apiRoutes is the single route table the API surface is generated from.
+// Adding a route here mounts it under /api/v1 and enrolls it in the
+// route-conformance tests.
 func (s *Server) apiRoutes() []apiRoute {
 	return []apiRoute{
 		{Method: "POST", Pattern: "register", handler: s.handleRegister},
@@ -309,24 +305,18 @@ func (s *Server) apiRoutes() []apiRoute {
 		{Method: "GET", Pattern: "admin/deadletters", handler: s.instructor(s.handleAdminDeadLetters)},
 		{Method: "POST", Pattern: "admin/deadletters/redrive", handler: s.instructor(s.handleAdminRedrive)},
 
-		// Live development loop (v1-native: streaming has no legacy alias).
-		{Method: "POST", Pattern: "labs/{lab}/session", V1Only: true, handler: s.auth(s.handleOpenSession)},
-		{Method: "GET", Pattern: "sessions/{id}/events", V1Only: true, handler: s.auth(s.handleSessionEvents)},
-		{Method: "POST", Pattern: "sessions/{id}/draft", V1Only: true, handler: s.auth(s.classed(overload.ClassDraft, s.handleSessionDraft))},
-		{Method: "DELETE", Pattern: "sessions/{id}", V1Only: true, handler: s.auth(s.handleCloseSession)},
+		// Live development loop.
+		{Method: "POST", Pattern: "labs/{lab}/session", handler: s.auth(s.handleOpenSession)},
+		{Method: "GET", Pattern: "sessions/{id}/events", handler: s.auth(s.handleSessionEvents)},
+		{Method: "POST", Pattern: "sessions/{id}/draft", handler: s.auth(s.classed(overload.ClassDraft, s.handleSessionDraft))},
+		{Method: "DELETE", Pattern: "sessions/{id}", handler: s.auth(s.handleCloseSession)},
 	}
 }
 
-// versioned stamps the API-version header; deprecated aliases additionally
-// advertise their successor per RFC 8594/draft-ietf-httpapi-deprecation.
-func versioned(version string, deprecated bool, h http.HandlerFunc) http.HandlerFunc {
+// versioned stamps the API-version header.
+func versioned(version string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		hd := w.Header()
-		hd.Set(APIVersionHeader, version)
-		if deprecated {
-			hd.Set("Deprecation", "true")
-			hd.Set("Link", `</api/v1>; rel="successor-version"`)
-		}
+		w.Header().Set(APIVersionHeader, version)
 		h(w, r)
 	}
 }
@@ -334,10 +324,7 @@ func versioned(version string, deprecated bool, h http.HandlerFunc) http.Handler
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	for _, rt := range s.apiRoutes() {
-		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", false, rt.handler))
-		if !rt.V1Only {
-			s.mux.HandleFunc(rt.Method+" /api/"+rt.Pattern, versioned("legacy", true, rt.handler))
-		}
+		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", rt.handler))
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /labs/{lab}/view", s.auth(s.handleLabPage))

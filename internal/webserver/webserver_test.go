@@ -105,7 +105,7 @@ func (f *fixture) req(method, path, token string, body interface{}) (int, []byte
 
 func (f *fixture) register(email, role string) string {
 	f.t.Helper()
-	code, body := f.req("POST", "/api/register", "",
+	code, body := f.req("POST", "/api/v1/register", "",
 		map[string]string{"name": email, "email": email, "role": role})
 	if code != http.StatusCreated {
 		f.t.Fatalf("register: %d %s", code, body)
@@ -120,17 +120,17 @@ func (f *fixture) register(email, role string) string {
 
 func TestAuthRequired(t *testing.T) {
 	f := newFixture(t)
-	if code, _ := f.req("GET", "/api/labs", "", nil); code != http.StatusUnauthorized {
+	if code, _ := f.req("GET", "/api/v1/labs", "", nil); code != http.StatusUnauthorized {
 		t.Errorf("no token = %d", code)
 	}
-	if code, _ := f.req("GET", "/api/labs", "bogus-token", nil); code != http.StatusUnauthorized {
+	if code, _ := f.req("GET", "/api/v1/labs", "bogus-token", nil); code != http.StatusUnauthorized {
 		t.Errorf("bad token = %d", code)
 	}
 }
 
 func TestInvalidRole(t *testing.T) {
 	f := newFixture(t)
-	code, _ := f.req("POST", "/api/register", "",
+	code, _ := f.req("POST", "/api/v1/register", "",
 		map[string]string{"name": "x", "email": "x@x", "role": "superuser"})
 	if code != http.StatusBadRequest {
 		t.Errorf("bad role = %d", code)
@@ -141,20 +141,20 @@ func TestSubmitRateLimited(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
 
-	code, _ := f.req("POST", "/api/labs/vector-add/submit", tok, nil)
+	code, _ := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("first submit = %d", code)
 	}
 	// Immediate resubmit hits the §III-C rate limit.
-	code, body := f.req("POST", "/api/labs/vector-add/submit", tok, nil)
+	code, body := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("resubmit = %d %s", code, body)
 	}
 	// After the interval passes it works again.
 	f.now = f.now.Add(time.Minute)
-	if code, _ := f.req("POST", "/api/labs/vector-add/submit", tok, nil); code != http.StatusOK {
+	if code, _ := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil); code != http.StatusOK {
 		t.Fatalf("post-interval submit = %d", code)
 	}
 }
@@ -165,8 +165,8 @@ func TestShareOnlyAfterDeadline(t *testing.T) {
 	f.srv.SetDeadline("vector-add", deadline)
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	code, body := f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("attempt = %d %s", code, body)
 	}
@@ -174,13 +174,13 @@ func TestShareOnlyAfterDeadline(t *testing.T) {
 	_ = json.Unmarshal(body, &att)
 
 	// Before the deadline: sharing forbidden (§IV-B).
-	code, _ = f.req("POST", "/api/attempts/"+att.ID+"/share", tok, nil)
+	code, _ = f.req("POST", "/api/v1/attempts/"+att.ID+"/share", tok, nil)
 	if code != http.StatusForbidden {
 		t.Fatalf("pre-deadline share = %d", code)
 	}
 	// After the deadline: a public link is issued and world-readable.
 	f.now = deadline.Add(time.Hour)
-	code, body = f.req("POST", "/api/attempts/"+att.ID+"/share", tok, nil)
+	code, body = f.req("POST", "/api/v1/attempts/"+att.ID+"/share", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("post-deadline share = %d %s", code, body)
 	}
@@ -197,11 +197,11 @@ func TestShareSomeoneElsesAttempt(t *testing.T) {
 	tokA := f.register("a@x", "student")
 	tokB := f.register("b@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tokA, map[string]string{"source": src})
-	_, body := f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tokA, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tokA, map[string]string{"source": src})
+	_, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tokA, nil)
 	var att AttemptRec
 	_ = json.Unmarshal(body, &att)
-	if code, _ := f.req("POST", "/api/attempts/"+att.ID+"/share", tokB, nil); code != http.StatusForbidden {
+	if code, _ := f.req("POST", "/api/v1/attempts/"+att.ID+"/share", tokB, nil); code != http.StatusForbidden {
 		t.Errorf("cross-user share = %d", code)
 	}
 }
@@ -211,8 +211,8 @@ func TestLateSubmissionFlagged(t *testing.T) {
 	f.srv.SetDeadline("vector-add", f.now.Add(-time.Hour)) // already past
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	_, body := f.req("POST", "/api/labs/vector-add/submit", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	_, body := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 	var sub SubmissionRec
 	_ = json.Unmarshal(body, &sub)
 	if !sub.Late {
@@ -223,7 +223,7 @@ func TestLateSubmissionFlagged(t *testing.T) {
 func TestCompileErrorSurfaced(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	code, body := f.req("POST", "/api/labs/vector-add/compile", tok,
+	code, body := f.req("POST", "/api/v1/labs/vector-add/compile", tok,
 		map[string]string{"source": "__global__ void vecAdd( {"})
 	if code != http.StatusOK {
 		t.Fatalf("compile = %d", code)
@@ -241,7 +241,7 @@ func TestCompileErrorSurfaced(t *testing.T) {
 func TestBlacklistRejectionSurfaced(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	code, body := f.req("POST", "/api/labs/vector-add/compile", tok,
+	code, body := f.req("POST", "/api/v1/labs/vector-add/compile", tok,
 		map[string]string{"source": `__global__ void vecAdd(float*a,float*b,float*c,int n){ asm("x"); }`})
 	if code != http.StatusOK {
 		t.Fatalf("compile = %d", code)
@@ -256,7 +256,7 @@ func TestBlacklistRejectionSurfaced(t *testing.T) {
 func TestQuestionsValidation(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	code, _ := f.req("POST", "/api/labs/vector-add/questions", tok,
+	code, _ := f.req("POST", "/api/v1/labs/vector-add/questions", tok,
 		map[string][]string{"answers": {"1", "2", "3", "4", "5"}})
 	if code != http.StatusBadRequest {
 		t.Errorf("too many answers = %d", code)
@@ -266,7 +266,7 @@ func TestQuestionsValidation(t *testing.T) {
 func TestUnknownLab404(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
-	if code, _ := f.req("GET", "/api/labs/not-a-lab", tok, nil); code != http.StatusNotFound {
+	if code, _ := f.req("GET", "/api/v1/labs/not-a-lab", tok, nil); code != http.StatusNotFound {
 		t.Errorf("unknown lab = %d", code)
 	}
 }
@@ -278,13 +278,13 @@ func TestPeerReviewEndpoints(t *testing.T) {
 	src := labs.ByID("vector-add").Reference
 	for i, e := range emails {
 		tok := f.register(e, "student")
-		f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-		if code, body := f.req("POST", "/api/labs/vector-add/submit", tok, nil); code != 200 {
+		f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+		if code, body := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil); code != 200 {
 			t.Fatalf("submit %d: %d %s", i, code, body)
 		}
 	}
 	prof := f.register("p@x", "instructor")
-	code, body := f.req("POST", "/api/instructor/reviews/assign/vector-add", prof,
+	code, body := f.req("POST", "/api/v1/instructor/reviews/assign/vector-add", prof,
 		map[string]interface{}{"per_student": 1, "seed": 42})
 	if code != http.StatusOK {
 		t.Fatalf("assign = %d %s", code, body)
@@ -295,7 +295,7 @@ func TestPeerReviewEndpoints(t *testing.T) {
 		t.Fatalf("assignments = %+v", assigned)
 	}
 	// Student A completes their review.
-	_, body = f.req("GET", "/api/reviews", f.tokens["a@x"], nil)
+	_, body = f.req("GET", "/api/v1/reviews", f.tokens["a@x"], nil)
 	var mine struct {
 		Assignments []peerreview.Assignment `json:"assignments"`
 		Weight      float64                 `json:"weight"`
@@ -304,7 +304,7 @@ func TestPeerReviewEndpoints(t *testing.T) {
 	if len(mine.Assignments) != 1 || mine.Weight != 0.10 {
 		t.Fatalf("my reviews = %+v", mine)
 	}
-	code, body = f.req("POST", "/api/reviews/complete", f.tokens["a@x"],
+	code, body = f.req("POST", "/api/v1/reviews/complete", f.tokens["a@x"],
 		map[string]string{"lab_id": "vector-add", "author": mine.Assignments[0].Author,
 			"text": "looks right"})
 	if code != http.StatusOK {
@@ -319,7 +319,7 @@ func TestPeerReviewEndpoints(t *testing.T) {
 		t.Errorf("completion = %+v", done)
 	}
 	// Completing an unassigned review fails.
-	code, _ = f.req("POST", "/api/reviews/complete", f.tokens["a@x"],
+	code, _ = f.req("POST", "/api/v1/reviews/complete", f.tokens["a@x"],
 		map[string]string{"lab_id": "vector-add", "author": "nobody"})
 	if code != http.StatusBadRequest {
 		t.Errorf("bogus review completion = %d", code)
@@ -331,25 +331,25 @@ func TestStudentDetailView(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("ada@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": "// draft"})
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok, nil)
-	f.req("POST", "/api/labs/vector-add/questions", tok,
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": "// draft"})
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/questions", tok,
 		map[string][]string{"answers": {"two flops"}})
-	f.req("POST", "/api/labs/vector-add/submit", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 
 	// Find ada's user id via the roster.
 	prof := f.register("prof@x", "instructor")
-	_, rosterBody := f.req("GET", "/api/instructor/roster/vector-add", prof, nil)
+	_, rosterBody := f.req("GET", "/api/v1/instructor/roster/vector-add", prof, nil)
 	var roster []RosterRow
 	_ = json.Unmarshal(rosterBody, &roster)
 	if len(roster) != 1 {
 		t.Fatalf("roster = %+v", roster)
 	}
-	f.req("POST", "/api/instructor/comment", prof,
+	f.req("POST", "/api/v1/instructor/comment", prof,
 		map[string]string{"user_id": roster[0].UserID, "lab_id": "vector-add", "text": "tidy"})
 
-	code, body := f.req("GET", "/api/instructor/student/"+roster[0].UserID+"/vector-add", prof, nil)
+	code, body := f.req("GET", "/api/v1/instructor/student/"+roster[0].UserID+"/vector-add", prof, nil)
 	if code != http.StatusOK {
 		t.Fatalf("detail = %d %s", code, body)
 	}
@@ -384,10 +384,10 @@ func TestStudentDetailView(t *testing.T) {
 		t.Errorf("comments = %+v", detail.Comments)
 	}
 	// Unknown student 404s; students may not access it.
-	if code, _ := f.req("GET", "/api/instructor/student/ghost/vector-add", prof, nil); code != http.StatusNotFound {
+	if code, _ := f.req("GET", "/api/v1/instructor/student/ghost/vector-add", prof, nil); code != http.StatusNotFound {
 		t.Errorf("ghost = %d", code)
 	}
-	if code, _ := f.req("GET", "/api/instructor/student/"+roster[0].UserID+"/vector-add", tok, nil); code != http.StatusForbidden {
+	if code, _ := f.req("GET", "/api/v1/instructor/student/"+roster[0].UserID+"/vector-add", tok, nil); code != http.StatusForbidden {
 		t.Errorf("student access = %d", code)
 	}
 }
@@ -397,7 +397,7 @@ func TestHintsEndpoint(t *testing.T) {
 	tok := f.register("a@x", "student")
 
 	// No attempt yet: the analyzer says to run first.
-	code, body := f.req("GET", "/api/labs/vector-add/hints", tok, nil)
+	code, body := f.req("GET", "/api/v1/labs/vector-add/hints", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("hints = %d %s", code, body)
 	}
@@ -418,9 +418,9 @@ func TestHintsEndpoint(t *testing.T) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   out[i] = in1[i] + in2[i];
 }`
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok, nil)
-	_, body = f.req("GET", "/api/labs/vector-add/hints", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
+	_, body = f.req("GET", "/api/v1/labs/vector-add/hints", tok, nil)
 	resp.Hints = nil
 	_ = json.Unmarshal(body, &resp)
 	if len(resp.Hints) == 0 || resp.Hints[0].Code != "missing-bounds-check" {
@@ -439,8 +439,8 @@ func TestAttemptStoredOnWorkerError(t *testing.T) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   out[i] = in1[i] + in2[i];
 }`
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	code, body := f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("attempt = %d", code)
 	}
@@ -455,7 +455,7 @@ func TestHistoryPagination(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
 	for _, src := range []string{"// v1", "// v2", "// v3"} {
-		f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
+		f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
 	}
 	type histPage struct {
 		Total  int       `json:"total"`
@@ -463,7 +463,7 @@ func TestHistoryPagination(t *testing.T) {
 		Offset int       `json:"offset"`
 		Items  []CodeRec `json:"items"`
 	}
-	code, body := f.req("GET", "/api/labs/vector-add/history?limit=2&offset=1", tok, nil)
+	code, body := f.req("GET", "/api/v1/labs/vector-add/history?limit=2&offset=1", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("history = %d %s", code, body)
 	}
@@ -479,7 +479,7 @@ func TestHistoryPagination(t *testing.T) {
 	}
 
 	// Offset past the end yields an empty (not null) window.
-	_, body = f.req("GET", "/api/labs/vector-add/history?offset=99", tok, nil)
+	_, body = f.req("GET", "/api/v1/labs/vector-add/history?offset=99", tok, nil)
 	page = histPage{}
 	_ = json.Unmarshal(body, &page)
 	if page.Total != 3 || page.Items == nil || len(page.Items) != 0 {
@@ -488,7 +488,7 @@ func TestHistoryPagination(t *testing.T) {
 
 	// Malformed paging parameters are rejected with the error envelope.
 	for _, q := range []string{"limit=banana", "offset=-2", "limit=-1"} {
-		code, body := f.req("GET", "/api/labs/vector-add/history?"+q, tok, nil)
+		code, body := f.req("GET", "/api/v1/labs/vector-add/history?"+q, tok, nil)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400 (%s)", q, code, body)
 			continue
@@ -504,8 +504,8 @@ func TestAttemptCarriesTraceID(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
-	f.req("POST", "/api/labs/vector-add/save", tok, map[string]string{"source": src})
-	code, body := f.req("POST", "/api/labs/vector-add/attempt?dataset=0", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})
+	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("attempt = %d", code)
 	}

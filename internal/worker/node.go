@@ -62,7 +62,7 @@ type NodeConfig struct {
 
 	// Metrics is the registry the node reports into; nil creates a
 	// private one. The platform passes its shared registry so every
-	// node's counters land in one /api/admin/metrics dump.
+	// node's counters land in one /api/v1/admin/metrics dump.
 	Metrics *metrics.Registry
 
 	// Faults is the fault-injection registry for chaos testing; nil (the
@@ -438,14 +438,10 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 			if prog != nil {
 				// Which execution engine ran the kernels, and how large
 				// the lowered artifact was.
-				switch prog.ArtifactKind() {
-				case "bytecode-warp":
+				if prog.ArtifactKind() == "bytecode-warp" {
 					attrs["engine"] = "warp"
 					attrs["instructions"] = strconv.Itoa(prog.InstructionCount())
-				case "bytecode":
-					attrs["engine"] = "vm"
-					attrs["instructions"] = strconv.Itoa(prog.InstructionCount())
-				default:
+				} else {
 					attrs["engine"] = "tree"
 				}
 			}

@@ -11,8 +11,8 @@ pkg: webgpu/internal/minicuda
 cpu: Intel(R) Xeon(R) Processor
 BenchmarkInterpretTiledMatMul32-8    	     300	   4000000 ns/op
 BenchmarkInterpretTiledMatMul32-8    	     320	   3800000 ns/op
-BenchmarkWarpVsVMMatMul/warp-8       	     300	   3700000 ns/op
-BenchmarkWarpVsVMMatMul/vm-8         	      80	  13000000 ns/op
+BenchmarkWarpVsTreeMatMul/warp-8     	     300	   3700000 ns/op
+BenchmarkWarpVsTreeMatMul/tree-8     	      80	  13000000 ns/op
 PASS
 `
 
@@ -25,7 +25,7 @@ func TestParseBenchBestOfN(t *testing.T) {
 	if got := results["BenchmarkInterpretTiledMatMul32"]; got != 3800000 {
 		t.Errorf("TiledMatMul32 = %v, want best-of-n 3800000", got)
 	}
-	if got := results["BenchmarkWarpVsVMMatMul/warp"]; got != 3700000 {
+	if got := results["BenchmarkWarpVsTreeMatMul/warp"]; got != 3700000 {
 		t.Errorf("warp sub-benchmark = %v, want 3700000", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestParseBenchBestOfN(t *testing.T) {
 func TestGateWithinCeilings(t *testing.T) {
 	base := baseline{Benchmarks: map[string]float64{
 		"BenchmarkInterpretTiledMatMul32": 8000000,
-		"BenchmarkWarpVsVMMatMul/warp":    8000000,
+		"BenchmarkWarpVsTreeMatMul/warp":  8000000,
 	}}
 	results, _ := parseBench(strings.NewReader(benchOutput))
 	var sb strings.Builder
@@ -47,7 +47,7 @@ func TestGateWithinCeilings(t *testing.T) {
 
 func TestGateRegression(t *testing.T) {
 	base := baseline{Benchmarks: map[string]float64{
-		"BenchmarkWarpVsVMMatMul/vm": 1000000, // far below the 13ms result
+		"BenchmarkWarpVsTreeMatMul/tree": 1000000, // far below the 13ms result
 	}}
 	results, _ := parseBench(strings.NewReader(benchOutput))
 	var sb strings.Builder
