@@ -46,6 +46,64 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// historyTable10k fills a history-shaped table: 100 users × 4 labs × 25
+// revisions, keyed user|lab|rev like the web tier's.
+func historyTable10k(b *testing.B) *DB {
+	d := New()
+	err := d.Update(func(tx *Tx) error {
+		for u := 0; u < 100; u++ {
+			for l := 0; l < 4; l++ {
+				for rev := 1; rev <= 25; rev++ {
+					key := fmt.Sprintf("user-%06d|lab-%d|%08d", u, l, rev)
+					if err := tx.Put("history", key, benchRec{Name: "x", Count: rev}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkScanPrefix10k is one student's History page: a 25-key range
+// out of 10 000 rows.
+func BenchmarkScanPrefix10k(b *testing.B) {
+	d := historyTable10k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prefix := fmt.Sprintf("user-%06d|lab-%d|", i%100, i%4)
+		n := 0
+		_ = d.View(func(tx *Tx) error {
+			tx.ScanPrefix("history", prefix, func(string) bool { n++; return true })
+			return nil
+		})
+		if n != 25 {
+			b.Fatalf("range of %s = %d keys", prefix, n)
+		}
+	}
+}
+
+// BenchmarkKeys10k is the cost of listing a whole 10 000-row table (the
+// benchmark's db.keys_us replay).
+func BenchmarkKeys10k(b *testing.B) {
+	d := historyTable10k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.View(func(tx *Tx) error {
+			if n := len(tx.Keys("history")); n != 10_000 {
+				b.Fatalf("keys = %d", n)
+			}
+			return nil
+		})
+	}
+}
+
 func BenchmarkIndexLookup(b *testing.B) {
 	d := New()
 	d.CreateIndex("t", "role")

@@ -1,9 +1,10 @@
 // Package db is the embedded transactional record store behind WebGPU's
 // web tier, standing in for the MySQL (v1) and Aurora/replicated (v2)
 // databases of §III-B and §VI-A. It stores JSON-encoded records in named
-// tables, provides serializable read-write transactions, write-ahead-log
-// persistence with snapshots, secondary indexes, streaming replication to
-// read replicas, and a bounded connection pool.
+// tables, provides serializable read-write transactions, ordered key and
+// prefix-range scans, write-ahead-log persistence with snapshots,
+// secondary indexes, streaming replication to read replicas, and a
+// bounded connection pool.
 package db
 
 import (
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors.
@@ -33,13 +35,59 @@ type Entry struct {
 }
 
 type table struct {
+	// rows holds the committed bytes of each record. A committed value is
+	// never written again (an update installs a new slice), which is what
+	// lets the WAL, subscribers and replicas share it without copying.
 	rows map[string][]byte
+	// keys is the sorted key set of rows, so ordered reads and prefix
+	// ranges need no per-call sort.
+	keys []string
 	// indexes: field name -> value -> set of keys
 	indexes map[string]map[string]map[string]struct{}
 }
 
-func newTable() *table {
-	return &table{rows: map[string][]byte{}, indexes: map[string]map[string]map[string]struct{}{}}
+// insertKey adds a key not yet in the table. Monotonic IDs, the common
+// case, append; anything else costs a binary search and one memmove.
+func (t *table) insertKey(key string) {
+	n := len(t.keys)
+	if n == 0 || t.keys[n-1] < key {
+		t.keys = append(t.keys, key)
+		return
+	}
+	i := sort.SearchStrings(t.keys, key)
+	t.keys = append(t.keys, "")
+	copy(t.keys[i+1:], t.keys[i:])
+	t.keys[i] = key
+}
+
+func (t *table) removeKey(key string) {
+	i := sort.SearchStrings(t.keys, key)
+	t.keys = append(t.keys[:i], t.keys[i+1:]...)
+}
+
+// prefixRange returns the committed keys that start with prefix, found by
+// binary search: O(log n) plus nothing per match (the result aliases
+// t.keys and is only valid while the database lock is held).
+func (t *table) prefixRange(prefix string) []string {
+	lo := sort.SearchStrings(t.keys, prefix)
+	n := sort.Search(len(t.keys)-lo, func(i int) bool {
+		return !strings.HasPrefix(t.keys[lo+i], prefix)
+	})
+	return t.keys[lo : lo+n]
+}
+
+// reindex rebuilds the table's secondary indexes from its rows.
+func (t *table) reindex(fields []string) {
+	t.indexes = make(map[string]map[string]map[string]struct{}, len(fields))
+	for _, field := range fields {
+		idx := map[string]map[string]struct{}{}
+		t.indexes[field] = idx
+		for key, raw := range t.rows {
+			if v, ok := extractField(raw, field); ok {
+				addToIndex(idx, v, key)
+			}
+		}
+	}
 }
 
 // DB is the store. All methods are safe for concurrent use; writes are
@@ -50,6 +98,13 @@ type DB struct {
 	seq    uint64
 	closed bool
 
+	// indexDecls (table -> indexed fields) outlives the tables themselves:
+	// LoadSnapshot and a replica resync replace every table and rebuild
+	// the declared indexes from the new rows. indexGen counts declarations
+	// so a replica can tell cheaply that it has missed one.
+	indexDecls map[string][]string
+	indexGen   atomic.Uint64
+
 	wal *WAL
 
 	subMu sync.Mutex
@@ -58,7 +113,7 @@ type DB struct {
 
 // New creates an empty in-memory database.
 func New() *DB {
-	return &DB{tables: map[string]*table{}}
+	return &DB{tables: map[string]*table{}, indexDecls: map[string][]string{}}
 }
 
 // Close marks the database closed; in-flight readers finish, new
@@ -83,27 +138,26 @@ func (d *DB) Seq() uint64 {
 }
 
 // CreateIndex declares a secondary index on a string (or stringable)
-// field of a table's records. Existing rows are indexed immediately.
+// field of a table's records. Existing rows are indexed immediately, and
+// the declaration survives LoadSnapshot, WAL replay and replication.
 func (d *DB) CreateIndex(tableName, field string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t := d.tableLocked(tableName)
-	if _, ok := t.indexes[field]; ok {
-		return
-	}
-	idx := map[string]map[string]struct{}{}
-	t.indexes[field] = idx
-	for key, raw := range t.rows {
-		if v, ok := extractField(raw, field); ok {
-			addToIndex(idx, v, key)
+	for _, f := range d.indexDecls[tableName] {
+		if f == field {
+			return
 		}
 	}
+	d.indexDecls[tableName] = append(d.indexDecls[tableName], field)
+	d.indexGen.Add(1)
+	d.tableLocked(tableName).reindex(d.indexDecls[tableName])
 }
 
 func (d *DB) tableLocked(name string) *table {
 	t, ok := d.tables[name]
 	if !ok {
-		t = newTable()
+		t = &table{rows: map[string][]byte{}}
+		t.reindex(d.indexDecls[name])
 		d.tables[name] = t
 	}
 	return t
@@ -219,9 +273,14 @@ func (d *DB) commitLocked(tx *Tx) error {
 	return nil
 }
 
+// applyLocked installs one committed entry. It keeps e.Value rather than
+// a copy: the bytes were marshaled (Put) or decoded (Replay) for this
+// entry alone and nothing writes to them afterwards, so the primary, its
+// subscribers and its replicas all hold the same slice.
 func (d *DB) applyLocked(e Entry) {
 	t := d.tableLocked(e.Table)
-	if old, ok := t.rows[e.Key]; ok {
+	old, existed := t.rows[e.Key]
+	if existed {
 		for field, idx := range t.indexes {
 			if v, ok := extractField(old, field); ok {
 				removeFromIndex(idx, v, e.Key)
@@ -229,14 +288,18 @@ func (d *DB) applyLocked(e Entry) {
 		}
 	}
 	if e.Value == nil {
-		delete(t.rows, e.Key)
+		if existed {
+			delete(t.rows, e.Key)
+			t.removeKey(e.Key)
+		}
 		return
 	}
-	cp := make([]byte, len(e.Value))
-	copy(cp, e.Value)
-	t.rows[e.Key] = cp
+	t.rows[e.Key] = e.Value
+	if !existed {
+		t.insertKey(e.Key)
+	}
 	for field, idx := range t.indexes {
-		if v, ok := extractField(cp, field); ok {
+		if v, ok := extractField(e.Value, field); ok {
 			addToIndex(idx, v, e.Key)
 		}
 	}
@@ -317,43 +380,72 @@ func (tx *Tx) Exists(tableName, key string) bool {
 	return err == nil
 }
 
+// ScanPrefix calls fn, in key order, for every key of the table that
+// starts with prefix — the committed range merged with the transaction's
+// own buffered writes (a buffered delete hides the committed key); fn
+// returning false stops the scan. The committed range is found by binary
+// search, so the cost is O(log n + matches) however large the table is.
+// Only keys are handed out: a caller Gets the rows it wants, which is how
+// a paginated page decodes its window and merely counts the rest.
+func (tx *Tx) ScanPrefix(tableName, prefix string, fn func(key string) bool) {
+	var committed []string
+	if t, ok := tx.db.tables[tableName]; ok {
+		committed = t.prefixRange(prefix)
+	}
+	writes := tx.writes[tableName]
+	var pending []string
+	for k := range writes {
+		if strings.HasPrefix(k, prefix) {
+			pending = append(pending, k)
+		}
+	}
+	sort.Strings(pending)
+	for i, j := 0, 0; i < len(committed) || j < len(pending); {
+		var k string
+		if j == len(pending) || (i < len(committed) && committed[i] < pending[j]) {
+			k = committed[i]
+			i++
+		} else {
+			k = pending[j]
+			j++
+			if i < len(committed) && committed[i] == k {
+				i++
+			}
+			if writes[k] == nil {
+				continue
+			}
+		}
+		if !fn(k) {
+			return
+		}
+	}
+}
+
 // Keys returns the sorted keys of a table (committed state plus buffered
 // writes).
 func (tx *Tx) Keys(tableName string) []string {
-	set := map[string]bool{}
-	if t, ok := tx.db.tables[tableName]; ok {
-		for k := range t.rows {
-			set[k] = true
-		}
+	t := tx.db.tables[tableName]
+	if t != nil && len(tx.writes[tableName]) == 0 {
+		return append(make([]string, 0, len(t.keys)), t.keys...)
 	}
-	if t, ok := tx.writes[tableName]; ok {
-		for k, v := range t {
-			if v == nil {
-				delete(set, k)
-			} else {
-				set[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
+	keys := []string{}
+	tx.ScanPrefix(tableName, "", func(k string) bool {
 		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+		return true
+	})
 	return keys
 }
 
 // Scan calls fn for every record of the table in key order; fn returning
-// false stops the scan.
+// false stops the scan. raw is the caller's own copy of the record.
 func (tx *Tx) Scan(tableName string, fn func(key string, raw json.RawMessage) bool) {
-	for _, k := range tx.Keys(tableName) {
+	tx.ScanPrefix(tableName, "", func(k string) bool {
 		var raw json.RawMessage
-		if err := tx.Get(tableName, k, &raw); err == nil {
-			if !fn(k, raw) {
-				return
-			}
+		if err := tx.Get(tableName, k, &raw); err != nil {
+			return true
 		}
-	}
+		return fn(k, raw)
+	})
 }
 
 // IndexLookup returns the sorted keys whose indexed field equals value
@@ -378,5 +470,17 @@ func (tx *Tx) IndexLookup(tableName, field, value string) []string {
 
 // Count returns the number of records in the table.
 func (tx *Tx) Count(tableName string) int {
-	return len(tx.Keys(tableName))
+	var rows map[string][]byte
+	if t, ok := tx.db.tables[tableName]; ok {
+		rows = t.rows
+	}
+	n := len(rows)
+	for k, v := range tx.writes[tableName] {
+		if _, committed := rows[k]; committed && v == nil {
+			n--
+		} else if !committed && v != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -1,0 +1,330 @@
+package db
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+)
+
+// model is the brute-force reference of the read path: plain maps, every
+// read a full walk and a sort.
+type model map[string]map[string]string // table -> key -> JSON
+
+func (m model) clone() model {
+	c := model{}
+	for name, rows := range m {
+		c[name] = map[string]string{}
+		for k, v := range rows {
+			c[name][k] = v
+		}
+	}
+	return c
+}
+
+func (m model) keys(table, prefix string) []string {
+	keys := []string{}
+	for k := range m[table] {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func (m model) lookup(table, field, value string) []string {
+	keys := []string{}
+	for k, raw := range m[table] {
+		var rec map[string]interface{}
+		if json.Unmarshal([]byte(raw), &rec) == nil && rec[field] == value {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+var (
+	propTables   = []string{"history", "attempts"}
+	propPrefixes = []string{"", "u", "u1|", "u1|l2|", "u2|l0|03", "u3", "zzz", "u1|l2}"}
+	propRoles    = []string{"student", "instructor", "ta"}
+)
+
+// checkReads asserts that every read of tx equals the model: visible is
+// what the transaction should see (committed plus its own writes),
+// committed what the indexes reflect.
+func checkReads(t *testing.T, where string, tx *Tx, visible, committed model) {
+	t.Helper()
+	for _, table := range propTables {
+		want := visible.keys(table, "")
+		if got := tx.Keys(table); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Keys(%s) = %v, want %v", where, table, got, want)
+		}
+		if got := tx.Count(table); got != len(want) {
+			t.Fatalf("%s: Count(%s) = %d, want %d", where, table, got, len(want))
+		}
+		scanned := []string{}
+		tx.Scan(table, func(k string, raw json.RawMessage) bool {
+			if string(raw) != visible[table][k] {
+				t.Fatalf("%s: Scan(%s) %s = %s, want %s", where, table, k, raw, visible[table][k])
+			}
+			scanned = append(scanned, k)
+			return true
+		})
+		if !reflect.DeepEqual(scanned, want) {
+			t.Fatalf("%s: Scan(%s) visited %v, want %v", where, table, scanned, want)
+		}
+		for _, prefix := range propPrefixes {
+			got := []string{}
+			tx.ScanPrefix(table, prefix, func(k string) bool {
+				got = append(got, k)
+				return true
+			})
+			if want := visible.keys(table, prefix); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ScanPrefix(%s, %q) = %v, want %v", where, table, prefix, got, want)
+			}
+		}
+		for _, role := range propRoles {
+			got := tx.IndexLookup(table, "role", role)
+			if want := committed.lookup(table, "role", role); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: IndexLookup(%s, role, %s) = %v, want %v", where, table, role, got, want)
+			}
+		}
+	}
+	// ScanPrefix stops when asked to.
+	if all := visible.keys("history", ""); len(all) > 1 {
+		n := 0
+		tx.ScanPrefix("history", "", func(string) bool { n++; return false })
+		if n != 1 {
+			t.Fatalf("%s: ScanPrefix visited %d keys after fn returned false", where, n)
+		}
+	}
+}
+
+// TestReadPathMatchesModel drives random interleavings of transactions
+// (committed and rolled back), snapshot round trips, WAL reopens and
+// forced replica resyncs, and after every step compares Keys, Scan,
+// Count, ScanPrefix and IndexLookup — inside transactions with
+// uncommitted writes, after commit, and on the replica — with the model.
+func TestReadPathMatchesModel(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var wal bytes.Buffer
+			open := func() (*DB, *Replica) {
+				d := New()
+				if err := d.Replay(bytes.NewReader(wal.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				d.AttachWAL(NewWAL(&wal))
+				rep := NewReplica(d)
+				// Declared after the replica attached, as the web tier does.
+				for _, table := range propTables {
+					d.CreateIndex(table, "role")
+				}
+				return d, rep
+			}
+			d, rep := open()
+			defer func() { rep.Stop() }()
+			committed := model{}
+			randKey := func() string {
+				return fmt.Sprintf("u%d|l%d|%02d", rng.Intn(4), rng.Intn(3), rng.Intn(6))
+			}
+			for step := 0; step < 200; step++ {
+				where := fmt.Sprintf("seed %d step %d", seed, step)
+				switch op := rng.Intn(10); {
+				case op < 6: // a transaction of a few writes, committed or not
+					pendingModel := committed.clone()
+					rollback := errors.New("rollback")
+					commit := rng.Intn(4) != 0
+					err := d.Update(func(tx *Tx) error {
+						for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+							table, key := propTables[rng.Intn(2)], randKey()
+							if rng.Intn(3) == 0 {
+								if err := tx.Delete(table, key); err != nil {
+									return err
+								}
+								delete(pendingModel[table], key)
+							} else {
+								rec := map[string]interface{}{"role": propRoles[rng.Intn(3)], "n": step*10 + i}
+								if err := tx.Put(table, key, rec); err != nil {
+									return err
+								}
+								raw, _ := json.Marshal(rec)
+								if pendingModel[table] == nil {
+									pendingModel[table] = map[string]string{}
+								}
+								pendingModel[table][key] = string(raw)
+							}
+							checkReads(t, where+" in tx", tx, pendingModel, committed)
+						}
+						if !commit {
+							return rollback
+						}
+						return nil
+					})
+					if commit && err != nil || !commit && !errors.Is(err, rollback) {
+						t.Fatalf("%s: update: %v", where, err)
+					}
+					if commit {
+						committed = pendingModel
+					}
+				case op < 7: // snapshot round trip in place
+					var snap bytes.Buffer
+					if err := d.Snapshot(&snap); err != nil {
+						t.Fatal(err)
+					}
+					if err := d.LoadSnapshot(&snap); err != nil {
+						t.Fatal(err)
+					}
+				case op < 8: // crash and reopen from the WAL
+					rep.Stop()
+					d.Close()
+					d, rep = open()
+				default: // the replica lost entries and resynchronizes
+					rep.resync()
+				}
+				if err := d.View(func(tx *Tx) error {
+					checkReads(t, where, tx, committed, committed)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !rep.WaitCaughtUp(5 * time.Second) {
+					t.Fatalf("%s: replica lag %d", where, rep.Lag())
+				}
+				if err := rep.View(func(tx *Tx) error {
+					checkReads(t, where+" on replica", tx, committed, committed)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A promoted replica is a primary: same reads, and writable.
+			promoted := rep.Promote()
+			if err := promoted.View(func(tx *Tx) error {
+				checkReads(t, "promoted", tx, committed, committed)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestIndexesSurviveSnapshotAndFailover is the regression test for
+// indexes that vanished whenever a table set was replaced wholesale:
+// after LoadSnapshot, after a replica resync and after Promote every
+// IndexLookup returned nothing.
+func TestIndexesSurviveSnapshotAndFailover(t *testing.T) {
+	d := New()
+	d.CreateIndex("users", "email")
+	put := func(d *DB, key, email string) {
+		t.Helper()
+		if err := d.Update(func(tx *Tx) error {
+			return tx.Put("users", key, user{Name: key, Email: email})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup := func(view func(func(*Tx) error) error, email string) []string {
+		t.Helper()
+		var keys []string
+		if err := view(func(tx *Tx) error {
+			keys = tx.IndexLookup("users", "email", email)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	put(d, "u1", "ada@example.edu")
+
+	var snap bytes.Buffer
+	if err := d.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookup(d.View, "ada@example.edu"); !reflect.DeepEqual(got, []string{"u1"}) {
+		t.Fatalf("after LoadSnapshot: lookup = %v, want [u1]", got)
+	}
+	put(d, "u2", "bob@example.edu") // the rebuilt index is maintained
+	if got := lookup(d.View, "bob@example.edu"); !reflect.DeepEqual(got, []string{"u2"}) {
+		t.Fatalf("write after LoadSnapshot: lookup = %v, want [u2]", got)
+	}
+
+	rep := NewReplica(d)
+	d.CreateIndex("users", "name") // declared while the replica streams
+	put(d, "u3", "cy@example.edu")
+	rep.resync()
+	if !rep.WaitCaughtUp(5 * time.Second) {
+		t.Fatal("replica did not catch up")
+	}
+	if got := lookup(rep.View, "cy@example.edu"); !reflect.DeepEqual(got, []string{"u3"}) {
+		t.Fatalf("replica after resync: lookup = %v, want [u3]", got)
+	}
+	promoted := rep.Promote()
+	if got := lookup(promoted.View, "ada@example.edu"); !reflect.DeepEqual(got, []string{"u1"}) {
+		t.Fatalf("promoted: lookup = %v, want [u1]", got)
+	}
+	var byName []string
+	_ = promoted.View(func(tx *Tx) error {
+		byName = tx.IndexLookup("users", "name", "u3")
+		return nil
+	})
+	if !reflect.DeepEqual(byName, []string{"u3"}) {
+		t.Fatalf("promoted: index declared after attach: lookup = %v, want [u3]", byName)
+	}
+	put(promoted, "u4", "di@example.edu")
+	if got := lookup(promoted.View, "di@example.edu"); !reflect.DeepEqual(got, []string{"u4"}) {
+		t.Fatalf("write after Promote: lookup = %v, want [u4]", got)
+	}
+}
+
+// TestReadersCannotCorruptStoredRows: committed bytes are shared by the
+// table, the WAL entry and the replica, so everything handed to a reader
+// must be the reader's own copy.
+func TestReadersCannotCorruptStoredRows(t *testing.T) {
+	d := New()
+	rep := NewReplica(d)
+	defer rep.Stop()
+	if err := d.Update(func(tx *Tx) error { return tx.Put("t", "k", user{Name: "Ada"}) }); err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(raw json.RawMessage) {
+		for i := range raw {
+			raw[i] = 'X'
+		}
+	}
+	_ = d.View(func(tx *Tx) error {
+		var raw json.RawMessage
+		if err := tx.Get("t", "k", &raw); err != nil {
+			t.Fatal(err)
+		}
+		scribble(raw)
+		tx.Scan("t", func(_ string, raw json.RawMessage) bool {
+			scribble(raw)
+			return true
+		})
+		return nil
+	})
+	if !rep.WaitCaughtUp(5 * time.Second) {
+		t.Fatal("replica did not catch up")
+	}
+	for name, view := range map[string]func(func(*Tx) error) error{"primary": d.View, "replica": rep.View} {
+		var got user
+		if err := view(func(tx *Tx) error { return tx.Get("t", "k", &got) }); err != nil || got.Name != "Ada" {
+			t.Errorf("%s: row after a reader scribbled on its copy = %+v, %v", name, got, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"webgpu/internal/faultinject"
@@ -140,7 +141,8 @@ func (d *DB) Snapshot(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// LoadSnapshot replaces the database contents with a snapshot.
+// LoadSnapshot replaces the database contents with a snapshot. Index
+// declarations are kept and the indexes rebuilt over the loaded rows.
 func (d *DB) LoadSnapshot(r io.Reader) error {
 	var doc snapshotDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -150,10 +152,14 @@ func (d *DB) LoadSnapshot(r io.Reader) error {
 	defer d.mu.Unlock()
 	d.tables = map[string]*table{}
 	for name, rows := range doc.Tables {
-		t := d.tableLocked(name)
+		t := &table{rows: make(map[string][]byte, len(rows)), keys: make([]string, 0, len(rows))}
 		for k, v := range rows {
 			t.rows[k] = []byte(v)
+			t.keys = append(t.keys, k)
 		}
+		sort.Strings(t.keys)
+		t.reindex(d.indexDecls[name])
+		d.tables[name] = t
 	}
 	d.seq = doc.Seq
 	return nil

@@ -152,9 +152,7 @@ func TestV2FailoverToStandby(t *testing.T) {
 			t.Fatalf("publish: %v", err)
 		}
 	}
-	// Give the mirror goroutines a moment to copy the publishes, then
-	// kill the primary out from under the driver and unpause it.
-	time.Sleep(20 * time.Millisecond)
+	// Kill the primary out from under the driver and unpause it.
 	primary.Close()
 	if _, err := primary.Publish(worker.TopicJobs, nil); !errors.Is(err, queue.ErrClosed) {
 		t.Fatalf("publish on closed broker: %v", err)
@@ -162,7 +160,7 @@ func TestV2FailoverToStandby(t *testing.T) {
 	cfg.Paused = false
 	cfgSrv.Update(cfg)
 
-	// Every job was mirrored, so the standby can serve all of them; the
+	// No job was acked, so the standby holds and serves all of them; the
 	// results land on the standby too.
 	dedup := worker.NewResultDedup(0)
 	graded := map[string]bool{}

@@ -138,7 +138,10 @@ type Device struct {
 	nextAlloc uint64
 	allocs    map[uint64]*allocation
 	usedBytes int
-	constMem  []byte
+	// constMem is allocated by the first CopyToConst or ConstMem; until
+	// then constant memory reads as zeros. Most jobs never touch it, and
+	// a worker builds a fresh device set for every job.
+	constMem []byte
 
 	atomicLocks [64]sync.Mutex // striped locks for global-memory atomics
 
@@ -152,7 +155,6 @@ func NewDevice(props DeviceProps) *Device {
 		props:     props,
 		nextAlloc: 1,
 		allocs:    make(map[uint64]*allocation),
-		constMem:  make([]byte, props.TotalConstMem),
 	}
 }
 
@@ -306,17 +308,40 @@ func (d *Device) AllocSize(p Ptr) (int, error) {
 func (d *Device) CopyToConst(off int, src []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if off < 0 || off+len(src) > len(d.constMem) {
+	if off < 0 || off+len(src) > d.props.TotalConstMem {
 		return fmt.Errorf("%w: constant memory write [%d,%d) of %d",
-			ErrIllegalAccess, off, off+len(src), len(d.constMem))
+			ErrIllegalAccess, off, off+len(src), d.props.TotalConstMem)
 	}
-	copy(d.constMem[off:], src)
+	copy(d.constMemLocked()[off:], src)
 	return nil
 }
 
 // ConstMem returns a read-only view of constant memory. Kernels read it
 // through ThreadCtx so accesses are cost-accounted.
-func (d *Device) ConstMem() []byte { return d.constMem }
+func (d *Device) ConstMem() []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.constMemLocked()
+}
+
+func (d *Device) constMemLocked() []byte {
+	if d.constMem == nil {
+		d.constMem = make([]byte, d.props.TotalConstMem)
+	}
+	return d.constMem
+}
+
+// constLoad reads the 32-bit word at element idx of constant memory;
+// a device whose constant memory was never written reads zeros.
+func (d *Device) constLoad(idx int) (uint32, error) {
+	if idx < 0 || idx*4+4 > d.props.TotalConstMem {
+		return 0, fmt.Errorf("%w: constant memory read at element %d", ErrIllegalAccess, idx)
+	}
+	if d.constMem == nil {
+		return 0, nil
+	}
+	return leU32(d.constMem[idx*4:]), nil
+}
 
 // Reset frees all allocations and clears constant memory, as in
 // cudaDeviceReset. Launch statistics are preserved.
@@ -325,9 +350,7 @@ func (d *Device) Reset() {
 	defer d.mu.Unlock()
 	d.allocs = make(map[uint64]*allocation)
 	d.usedBytes = 0
-	for i := range d.constMem {
-		d.constMem[i] = 0
-	}
+	d.constMem = nil
 }
 
 // Close marks the device unusable.

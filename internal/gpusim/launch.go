@@ -126,6 +126,13 @@ func newBlockCtx(dev *Device, blockIdx Dim3, cfg LaunchConfig, shared int, abort
 // simulator releases the waiters but flags barrier divergence, which the
 // launch reports as an error: this is the class of bug (divergent
 // __syncthreads) the course's tiled labs teach students to avoid.
+//
+// Divergence is a property of the program, not of the interleaving: a
+// thread that has already retired will never reach this barrier, whether
+// it retired while others waited (threadExit flags that) or before the
+// first of them arrived — in which case the arrivals would otherwise
+// complete the shrunken participant set among themselves and release
+// cleanly, on some schedules only.
 func (bc *blockCtx) barrier() error {
 	if bc.serial {
 		return fmt.Errorf("%w: SyncThreads called in a launch declared NoBarriers",
@@ -135,14 +142,15 @@ func (bc *blockCtx) barrier() error {
 		return bc.abortErr.get()
 	}
 	bc.mu.Lock()
+	if bc.participants < bc.cfg.Block.Count() {
+		bc.divergence = true
+	}
 	gen := bc.generation
 	bc.arrived++
 	if bc.arrived == bc.participants {
 		bc.arrived = 0
 		bc.generation++
 		bc.cond.Broadcast()
-		bc.mu.Unlock()
-		return nil
 	}
 	for gen == bc.generation && !bc.aborted.Load() {
 		bc.cond.Wait()
@@ -455,22 +463,22 @@ func (tc *ThreadCtx) SharedStoreInt32(idx int, val int32) error {
 
 // ConstLoadFloat32 loads a float32 from constant memory at element idx.
 func (tc *ThreadCtx) ConstLoadFloat32(idx int) (float32, error) {
-	cm := tc.Dev.constMem
-	if idx < 0 || idx*4+4 > len(cm) {
-		return 0, fmt.Errorf("%w: constant memory read at element %d", ErrIllegalAccess, idx)
+	w, err := tc.Dev.constLoad(idx)
+	if err != nil {
+		return 0, err
 	}
 	tc.stats.cLoads++
-	return math.Float32frombits(leU32(cm[idx*4:])), nil
+	return math.Float32frombits(w), nil
 }
 
 // ConstLoadInt32 loads an int32 from constant memory at element idx.
 func (tc *ThreadCtx) ConstLoadInt32(idx int) (int32, error) {
-	cm := tc.Dev.constMem
-	if idx < 0 || idx*4+4 > len(cm) {
-		return 0, fmt.Errorf("%w: constant memory read at element %d", ErrIllegalAccess, idx)
+	w, err := tc.Dev.constLoad(idx)
+	if err != nil {
+		return 0, err
 	}
 	tc.stats.cLoads++
-	return int32(leU32(cm[idx*4:])), nil
+	return int32(w), nil
 }
 
 // --- Launch engine ---------------------------------------------------------

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -183,6 +184,36 @@ func TestBarrierDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestBarrierDivergenceWhateverTheSchedule forces the interleaving that
+// used to hide a divergent barrier (the TestDiffEdgeCases/case07 flake):
+// every thread that skips the barrier has retired before the one thread
+// that takes it arrives, so the arrival completes the participant set by
+// itself. The verdict must be the one TestBarrierDivergenceDetected gets.
+func TestBarrierDivergenceWhateverTheSchedule(t *testing.T) {
+	d := NewDefaultDevice()
+	cfg := LaunchConfig{Grid: D1(1), Block: D1(4)}
+	var atBarrier error
+	_, err := d.Launch("diverge-late", cfg, func(tc *ThreadCtx) error {
+		if tc.ThreadIdx.X != 0 {
+			return nil
+		}
+		for { // until threads 1..3 have exited
+			tc.block.mu.Lock()
+			alone := tc.block.participants == 1
+			tc.block.mu.Unlock()
+			if alone {
+				break
+			}
+			runtime.Gosched()
+		}
+		atBarrier = tc.SyncThreads()
+		return atBarrier
+	})
+	if !errors.Is(atBarrier, ErrBarrierDivergence) || !errors.Is(err, ErrBarrierDivergence) {
+		t.Errorf("SyncThreads = %v, Launch = %v; want ErrBarrierDivergence from both", atBarrier, err)
+	}
+}
+
 func TestKernelErrorAborts(t *testing.T) {
 	d := NewDefaultDevice()
 	boom := fmt.Errorf("boom")
@@ -281,6 +312,59 @@ func TestConstMemoryLoadInKernel(t *testing.T) {
 	got, _ := d.ReadFloat32(out, 4)
 	if got[0] != 20 || got[3] != 80 {
 		t.Errorf("const kernel = %v", got)
+	}
+}
+
+// TestConstMemoryUntouchedReadsZero: constant memory is allocated by the
+// first host write, so a kernel may read it before it exists. Such loads
+// see zeros, are cost-accounted like any other, and are bounds-checked
+// against the device's constant-memory size with the same trap.
+func TestConstMemoryUntouchedReadsZero(t *testing.T) {
+	run := func(d *Device, idx int) (float32, int32, *LaunchStats, error) {
+		var f float32
+		var n int32
+		stats, err := d.Launch("const", LaunchConfig{Grid: D1(1), Block: D1(1)}, func(tc *ThreadCtx) error {
+			var err error
+			if f, err = tc.ConstLoadFloat32(idx); err != nil {
+				return err
+			}
+			n, err = tc.ConstLoadInt32(idx)
+			return err
+		})
+		return f, n, stats, err
+	}
+	fresh := NewDefaultDevice()
+	last := fresh.Props().TotalConstMem/4 - 1
+	f, n, stats, err := run(fresh, last)
+	if err != nil || f != 0 || n != 0 {
+		t.Fatalf("load from untouched constant memory = %v, %v, %v; want zeros", f, n, err)
+	}
+	if stats.ConstLoads != 2 {
+		t.Errorf("ConstLoads = %d, want 2", stats.ConstLoads)
+	}
+	// The same loads on a device whose constant memory exists.
+	touched := NewDefaultDevice()
+	if err := touched.CopyToConst(0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, tstats, err := run(touched, last); err != nil || tstats.SimCycles != stats.SimCycles {
+		t.Errorf("untouched device costs %d cycles, touched one %d (%v)", stats.SimCycles, tstats.SimCycles, err)
+	}
+	for _, idx := range []int{-1, last + 1} {
+		_, _, _, ferr := run(fresh, idx)
+		_, _, _, terr := run(touched, idx)
+		if !errors.Is(ferr, ErrIllegalAccess) || ferr.Error() != terr.Error() {
+			t.Errorf("load at element %d: untouched device %v, touched device %v", idx, ferr, terr)
+		}
+	}
+	// Reset drops the contents, and with them the allocation.
+	_ = touched.CopyToConst(0, Float32Bytes([]float32{7}))
+	touched.Reset()
+	if f, _, _, err := run(touched, 0); err != nil || f != 0 {
+		t.Errorf("after Reset: load = %v, %v; want 0", f, err)
+	}
+	if got := touched.ConstMem(); len(got) != touched.Props().TotalConstMem || got[0] != 0 {
+		t.Errorf("after Reset: ConstMem() has %d bytes, first %d", len(got), got[0])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -454,5 +455,26 @@ func TestWBDatasetShapes(t *testing.T) {
 	}
 	if int(m.RowPtr[m.Rows]) != len(m.Vals) {
 		t.Errorf("rowptr end %d != nnz %d", m.RowPtr[m.Rows], len(m.Vals))
+	}
+}
+
+// TestConvolutionSameOnLazyConstMemory: the constant-memory lab runs the
+// same — verdict, simulated time, per-kernel counters — whether its
+// device's constant memory exists before the harness first writes the
+// mask (the old eager allocation) or is created by that write.
+func TestConvolutionSameOnLazyConstMemory(t *testing.T) {
+	l := ByID("convolution-2d")
+	for ds := 0; ds < l.NumDatasets; ds++ {
+		lazy := Run(context.Background(), l, l.Reference, ds, NewDeviceSet(1), 0)
+		eager := NewDeviceSet(1)
+		_ = eager[0].ConstMem() // allocate up front
+		want := Run(context.Background(), l, l.Reference, ds, eager, 0)
+		if !lazy.Correct || len(lazy.Kernels) == 0 {
+			t.Fatalf("dataset %d: correct=%v (%s), %d kernels", ds, lazy.Correct, lazy.CheckMessage, len(lazy.Kernels))
+		}
+		if lazy.SimTime != want.SimTime || !reflect.DeepEqual(lazy.Kernels, want.Kernels) {
+			t.Errorf("dataset %d: lazy constant memory ran %v %+v, eager %v %+v",
+				ds, lazy.SimTime, lazy.Kernels, want.SimTime, want.Kernels)
+		}
 	}
 }

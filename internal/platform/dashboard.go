@@ -19,7 +19,7 @@ type Status struct {
 	ReplicaLag    uint64 // v2
 	BrokerBacklog int    // v2: jobs waiting
 	BrokerStats   string // v2
-	StandbyDepth  int    // v2: mirrored jobs on the standby broker
+	StandbyDepth  int    // v2: unacked jobs mirrored on the standby broker
 	Evictions     int64  // v1: workers dropped for missed health checks
 	GradebookRows int64
 	ProgCache     progcache.Stats // compiled-program cache effectiveness

@@ -13,6 +13,7 @@ import (
 	"webgpu/internal/db"
 	"webgpu/internal/labs"
 	"webgpu/internal/webserver"
+	"webgpu/internal/worker"
 )
 
 // client is a minimal API client for the integration tests.
@@ -303,12 +304,20 @@ func TestBrokerMirrorsToStandby(t *testing.T) {
 	var att webserver.AttemptRec
 	c.mustDo("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
 
-	deadline := time.Now().Add(2 * time.Second)
-	for p.StandbyBroker.Stats().Published == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if p.StandbyBroker.Stats().Published == 0 {
 		t.Error("standby broker received no mirrored publishes")
+	}
+	// The job and its result are acked on the primary (the router acks
+	// just after it hands the result over), so the standby forgets both.
+	held := func() int {
+		return p.StandbyBroker.Depth(worker.TopicJobs) + p.StandbyBroker.Depth(worker.TopicResults)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for held() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("standby still holds %d messages of a finished job", n)
 	}
 }
 

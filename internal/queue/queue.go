@@ -3,8 +3,8 @@
 // *poll* (rather than having jobs pushed at them), requirement tags so a
 // lab needing MPI or multiple GPUs is only handed to a capable worker,
 // visibility timeouts with redelivery for at-least-once semantics, a
-// dead-letter queue for poison messages, and mirroring to a standby
-// broker in another availability zone.
+// dead-letter queue for poison messages, and mirroring of the unacked
+// messages to a standby broker in another availability zone.
 package queue
 
 import (
@@ -105,9 +105,13 @@ func (b *Broker) SetMaxAttempts(n int) {
 	b.maxAttempts = n
 }
 
-// Mirror attaches a standby broker that receives a copy of every publish
-// (§VI-A: the broker "can be replicated across Amazon availability zones
-// — offering resiliency against faults").
+// Mirror attaches a standby broker that holds a copy of every message
+// this broker has not yet seen acked (§VI-A: the broker "can be
+// replicated across Amazon availability zones — offering resiliency
+// against faults"): a publish is copied under the same message ID, an ack
+// drops the copy, so a failover serves exactly the unfinished work. The
+// standby must not be published to while this broker is live — its own
+// IDs continue after the last mirrored one.
 func (b *Broker) Mirror(standby *Broker) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,13 +145,44 @@ func (b *Broker) Publish(topic string, payload []byte, tags ...string) (string, 
 	b.topics[topic] = append(b.topics[topic], &pending{msg: msg})
 	b.stats.published++
 	if b.mirror != nil {
-		m := b.mirror
-		// Mirror synchronously outside our lock would deadlock on shared
-		// clocks in tests; the mirror has its own lock, ordering is
-		// one-directional so this is safe.
-		go func() { _, _ = m.Publish(topic, cp, tags...) }()
+		// Lock order is primary then mirror, here and in Ack, never the
+		// reverse. Payload and tags are never written after publish, so
+		// the copy shares them.
+		b.mirror.mirrorPut(b.nextID, &Message{ID: id, Topic: topic, Payload: cp, Tags: msg.Tags,
+			Enqueued: msg.Enqueued})
 	}
 	return id, nil
+}
+
+// mirrorPut enqueues the primary's message seq on this standby under the
+// primary's ID, and moves the standby's own ID counter past it.
+func (b *Broker) mirrorPut(seq int, msg *Message) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	if b.nextID < seq {
+		b.nextID = seq
+	}
+	b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+	b.stats.published++
+}
+
+// mirrorDrop forgets a mirrored message the primary saw acked. A copy
+// that a consumer of this standby has already leased (an ack that raced a
+// failover) is left to that consumer.
+func (b *Broker) mirrorDrop(topic, id string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	queue := b.topics[topic]
+	for i, p := range queue {
+		if p.msg.ID == id {
+			b.topics[topic] = append(queue[:i], queue[i+1:]...)
+			b.stats.acked++
+			return
+		}
+	}
 }
 
 // Delivery is a leased message; the consumer must Ack or Nack it before
@@ -292,11 +327,15 @@ func (d *Delivery) Ack() error {
 	if err := b.faults.Fire(faultinject.PointQueueAck); err != nil {
 		return fmt.Errorf("queue: ack: %w", err)
 	}
-	if _, ok := b.inflight[d.Tag]; !ok {
+	inf, ok := b.inflight[d.Tag]
+	if !ok {
 		return fmt.Errorf("%w: %s (already acked, nacked, or expired)", ErrUnknown, d.Tag)
 	}
 	delete(b.inflight, d.Tag)
 	b.stats.acked++
+	if b.mirror != nil {
+		b.mirror.mirrorDrop(inf.msg.Topic, inf.msg.ID)
+	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package webserver
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -42,32 +41,29 @@ func (s *Server) handleRoster(w http.ResponseWriter, r *http.Request, u *User) {
 	err := s.db.View(func(tx *db.Tx) error {
 		// Seed rows from attempts and submissions so only students with
 		// activity appear (the paper: "all students with a submission
-		// attempt for the Lab").
-		tx.Scan("attempts", func(k string, raw json.RawMessage) bool {
-			var a AttemptRec
-			if json.Unmarshal(raw, &a) == nil && a.LabID == l.ID {
-				row := rows[a.UserID]
-				if row == nil {
-					row = &RosterRow{UserID: a.UserID, MaxGrade: l.MaxPoints()}
-					rows[a.UserID] = row
-				}
-				row.Attempts++
+		// attempt for the Lab"). The lab's index ranges carry owner and
+		// ID, so attempts are counted without being read and only each
+		// student's latest submission is decoded.
+		rowFor := func(userID string) *RosterRow {
+			row := rows[userID]
+			if row == nil {
+				row = &RosterRow{UserID: userID, MaxGrade: l.MaxPoints()}
+				rows[userID] = row
 			}
-			return true
+			return row
+		}
+		scanLab(tx, "attempts", l.ID, func(userID, _ string) { rowFor(userID).Attempts++ })
+		latest := map[string]string{} // user -> last submission ID
+		scanLab(tx, "submissions", l.ID, func(userID, id string) {
+			rowFor(userID).Submissions++
+			latest[userID] = id
 		})
-		tx.Scan("submissions", func(k string, raw json.RawMessage) bool {
+		for uid, id := range latest {
 			var sub SubmissionRec
-			if json.Unmarshal(raw, &sub) == nil && sub.LabID == l.ID {
-				row := rows[sub.UserID]
-				if row == nil {
-					row = &RosterRow{UserID: sub.UserID, MaxGrade: l.MaxPoints()}
-					rows[sub.UserID] = row
-				}
-				row.Submissions++
-				row.LastSubmitted = sub.At.Format("2006-01-02 15:04:05")
+			if err := tx.Get("submissions", id, &sub); err == nil {
+				rows[uid].LastSubmitted = sub.At.Format("2006-01-02 15:04:05")
 			}
-			return true
-		})
+		}
 		for uid, row := range rows {
 			var usr User
 			if err := tx.Get("users", uid, &usr); err == nil {
@@ -107,6 +103,7 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 	var student User
 	var history []CodeRec
 	var submissions []SubmissionRec
+	var attempts []AttemptRec
 	var answers AnswersRec
 	var grade *grader.Grade
 	var comments []CommentRec
@@ -114,34 +111,15 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		if err := tx.Get("users", userID, &student); err != nil {
 			return err
 		}
-		prefix := userID + "|" + l.ID + "|"
-		for _, k := range tx.Keys("history") {
-			if len(k) > len(prefix) && k[:len(prefix)] == prefix {
-				var rec CodeRec
-				if err := tx.Get("history", k, &rec); err == nil {
-					history = append(history, rec)
-				}
-			}
-		}
-		tx.Scan("submissions", func(k string, raw json.RawMessage) bool {
-			var sub SubmissionRec
-			if json.Unmarshal(raw, &sub) == nil && sub.UserID == userID && sub.LabID == l.ID {
-				submissions = append(submissions, sub)
-			}
-			return true
-		})
+		history = loadRecords[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(userID, l.ID)+"|"))
+		submissions = loadRecords[SubmissionRec](tx, "submissions", ownedIDs(tx, "submissions", l.ID, userID))
+		attempts = loadRecords[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, userID))
 		_ = tx.Get("answers", codeKey(userID, l.ID), &answers)
 		var g grader.Grade
 		if err := tx.Get("grades", codeKey(userID, l.ID), &g); err == nil {
 			grade = &g
 		}
-		tx.Scan("comments", func(k string, raw json.RawMessage) bool {
-			var c CommentRec
-			if json.Unmarshal(raw, &c) == nil && c.UserID == userID && c.LabID == l.ID {
-				comments = append(comments, c)
-			}
-			return true
-		})
+		comments = loadRecords[CommentRec](tx, "comments", ownedIDs(tx, "comments", l.ID, userID))
 		return nil
 	})
 	if errors.Is(err, db.ErrNotFound) {
@@ -152,14 +130,12 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
 		return
 	}
-	sort.Slice(history, func(i, j int) bool { return history[i].Rev < history[j].Rev })
-	sort.Slice(submissions, func(i, j int) bool { return submissions[i].ID < submissions[j].ID })
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"student":     student,
 		"lab":         l.ID,
 		"history":     history,
 		"submissions": submissions,
-		"attempts":    s.attemptsFor(userID, l.ID),
+		"attempts":    attempts,
 		"answers":     answers,
 		"grade":       grade,
 		"comments":    comments,
@@ -219,7 +195,7 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, u *User) 
 		At:         s.clock(),
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
-		return tx.Put("comments", c.ID, c)
+		return putIndexed(tx, "comments", c.LabID, c.UserID, c.ID, c)
 	}); err != nil {
 		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
 		return
@@ -245,14 +221,11 @@ func (s *Server) handleAssignReviews(w http.ResponseWriter, r *http.Request, u *
 	}
 	var students []string
 	_ = s.db.View(func(tx *db.Tx) error {
-		seen := map[string]bool{}
-		tx.Scan("submissions", func(k string, raw json.RawMessage) bool {
-			var sub SubmissionRec
-			if json.Unmarshal(raw, &sub) == nil && sub.LabID == l.ID && !seen[sub.UserID] {
-				seen[sub.UserID] = true
-				students = append(students, sub.UserID)
+		// The index range groups a lab's submissions by user.
+		scanLab(tx, "submissions", l.ID, func(userID, _ string) {
+			if n := len(students); n == 0 || students[n-1] != userID {
+				students = append(students, userID)
 			}
-			return true
 		})
 		return nil
 	})

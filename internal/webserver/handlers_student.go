@@ -2,12 +2,10 @@ package webserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"html"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -231,21 +229,14 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) 
 	if !ok {
 		return
 	}
-	var out []CodeRec
+	var total int
+	var revs []CodeRec
 	_ = s.db.View(func(tx *db.Tx) error {
-		prefix := u.ID + "|" + l.ID + "|"
-		for _, k := range tx.Keys("history") {
-			if len(k) > len(prefix) && k[:len(prefix)] == prefix {
-				var rec CodeRec
-				if err := tx.Get("history", k, &rec); err == nil {
-					out = append(out, rec)
-				}
-			}
-		}
+		// histKey pads the revision, so key order is revision order.
+		total, revs = readPage[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(u.ID, l.ID)+"|"), p)
 		return nil
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Rev < out[j].Rev })
-	writeJSON(w, http.StatusOK, paginated(out, p))
+	writeJSON(w, http.StatusOK, paginated(total, revs, p))
 }
 
 // ---- Compile / attempt / submit ---------------------------------------------------
@@ -386,7 +377,7 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 		att.Outcome = &labs.Outcome{LabID: l.ID, DatasetID: datasetID, CompileError: res.Error}
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
-		return tx.Put("attempts", att.ID, att)
+		return putIndexed(tx, "attempts", l.ID, u.ID, att.ID, att)
 	}); err != nil {
 		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
 		return
@@ -403,24 +394,13 @@ func (s *Server) handleAttempts(w http.ResponseWriter, r *http.Request, u *User)
 	if !ok {
 		return
 	}
-	out := s.attemptsFor(u.ID, l.ID)
-	writeJSON(w, http.StatusOK, paginated(out, p))
-}
-
-func (s *Server) attemptsFor(userID, labID string) []AttemptRec {
-	var out []AttemptRec
+	var total int
+	var attempts []AttemptRec
 	_ = s.db.View(func(tx *db.Tx) error {
-		tx.Scan("attempts", func(k string, raw json.RawMessage) bool {
-			var a AttemptRec
-			if err := json.Unmarshal(raw, &a); err == nil && a.UserID == userID && a.LabID == labID {
-				out = append(out, a)
-			}
-			return true
-		})
+		total, attempts = readPage[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, u.ID), p)
 		return nil
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	writeJSON(w, http.StatusOK, paginated(total, attempts, p))
 }
 
 func (s *Server) handleAnswerQuestions(w http.ResponseWriter, r *http.Request, u *User) {
@@ -513,7 +493,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		sub.Late = true
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
-		if err := tx.Put("submissions", sub.ID, sub); err != nil {
+		if err := putIndexed(tx, "submissions", l.ID, u.ID, sub.ID, sub); err != nil {
 			return err
 		}
 		return tx.Put("grades", codeKey(u.ID, l.ID), g)
@@ -556,16 +536,16 @@ func (s *Server) handleHints(w http.ResponseWriter, r *http.Request, u *User) {
 		return
 	}
 	source := s.loadSource(u.ID, l)
-	attempts := s.attemptsFor(u.ID, l.ID)
-	var last *labs.Outcome
-	var lastAttemptID string
-	if len(attempts) > 0 {
-		last = attempts[len(attempts)-1].Outcome
-		lastAttemptID = attempts[len(attempts)-1].ID
-	}
+	var last AttemptRec
+	_ = s.db.View(func(tx *db.Tx) error {
+		if ids := ownedIDs(tx, "attempts", l.ID, u.ID); len(ids) > 0 {
+			return tx.Get("attempts", ids[len(ids)-1], &last)
+		}
+		return nil
+	})
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"attempt": lastAttemptID,
-		"hints":   feedback.Analyze(l, source, last),
+		"attempt": last.ID,
+		"hints":   feedback.Analyze(l, source, last.Outcome),
 	})
 }
 

@@ -567,9 +567,11 @@ func parsePage(w http.ResponseWriter, r *http.Request) (page, bool) {
 	return p, true
 }
 
-// paginated renders a limit/offset window over items with the total count.
-func paginated[T any](items []T, p page) map[string]interface{} {
-	total := len(items)
+// readPage reads one limit/offset page over the rows of a table named,
+// in order, by keys: only the rows inside the window are read and
+// decoded; the rest are counted.
+func readPage[T any](tx *db.Tx, table string, keys []string, p page) (total int, window []T) {
+	total = len(keys)
 	lo := p.Offset
 	if lo > total {
 		lo = total
@@ -578,7 +580,11 @@ func paginated[T any](items []T, p page) map[string]interface{} {
 	if p.Limit > 0 && lo+p.Limit < hi {
 		hi = lo + p.Limit
 	}
-	window := items[lo:hi]
+	return total, loadRecords[T](tx, table, keys[lo:hi])
+}
+
+// paginated renders a page with the total count of the listing.
+func paginated[T any](total int, window []T, p page) map[string]interface{} {
 	if window == nil {
 		window = []T{}
 	}
@@ -588,6 +594,18 @@ func paginated[T any](items []T, p page) map[string]interface{} {
 		"offset": p.Offset,
 		"items":  window,
 	}
+}
+
+// loadRecords decodes the named rows of a table, in the order given.
+func loadRecords[T any](tx *db.Tx, table string, keys []string) []T {
+	var out []T
+	for _, k := range keys {
+		var rec T
+		if err := tx.Get(table, k, &rec); err == nil {
+			out = append(out, rec)
+		}
+	}
+	return out
 }
 
 func readJSON(r *http.Request, v interface{}) error {
@@ -690,6 +708,58 @@ func codeKey(userID, labID string) string { return userID + "|" + labID }
 
 func histKey(userID, labID string, rev int) string {
 	return fmt.Sprintf("%s|%s|%08d", userID, labID, rev)
+}
+
+// prefixKeys returns, in order, the keys of a table that start with
+// prefix (a user|lab| range of history, a lab|user| range of an index).
+func prefixKeys(tx *db.Tx, table, prefix string) []string {
+	var keys []string
+	tx.ScanPrefix(table, prefix, func(k string) bool {
+		keys = append(keys, k)
+		return true
+	})
+	return keys
+}
+
+// The attempts, submissions and comments tables are keyed by record ID,
+// but every page reads them by lab and student. Each therefore has a
+// by-lab index table, written in the same transaction as the record,
+// whose keys are lab|user|id and whose rows are empty: a lab's roster is
+// the lab| range, one student's page the lab|user| range, and the record
+// ID is the tail of the key. No read decodes another student's rows.
+const byLab = "_by_lab"
+
+// putIndexed stores a record under its ID together with its by-lab index
+// row. Re-putting a record (sharing an attempt) needs only tx.Put: the
+// index row never changes.
+func putIndexed(tx *db.Tx, table, labID, userID, id string, rec interface{}) error {
+	if err := tx.Put(table, id, rec); err != nil {
+		return err
+	}
+	return tx.Put(table+byLab, labID+"|"+userID+"|"+id, struct{}{})
+}
+
+// ownedIDs returns, in ID order, the IDs of the table's records that
+// belong to one student on one lab.
+func ownedIDs(tx *db.Tx, table, labID, userID string) []string {
+	prefix := labID + "|" + userID + "|"
+	ids := prefixKeys(tx, table+byLab, prefix)
+	for i, k := range ids {
+		ids[i] = k[len(prefix):]
+	}
+	return ids
+}
+
+// scanLab calls fn with the owner and ID of every record of the table on
+// the lab, grouped by user and in ID order within a user.
+func scanLab(tx *db.Tx, table, labID string, fn func(userID, id string)) {
+	prefix := labID + "|"
+	tx.ScanPrefix(table+byLab, prefix, func(k string) bool {
+		if sep := strings.LastIndexByte(k, '|'); sep >= len(prefix) {
+			fn(k[len(prefix):sep], k[sep+1:])
+		}
+		return true
+	})
 }
 
 // loadSource returns the student's current saved code, or the skeleton.

@@ -29,7 +29,7 @@ func fakeDispatcher() Dispatcher {
 }
 
 type fixture struct {
-	t      *testing.T
+	t      testing.TB
 	srv    *Server
 	ts     *httptest.Server
 	now    time.Time
