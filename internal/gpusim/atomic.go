@@ -117,8 +117,6 @@ func (tc *ThreadCtx) AtomicExchInt32(p Ptr, idx int, val int32) (int32, error) {
 // the block's shared memory and returns the old value.
 func (tc *ThreadCtx) SharedAtomicAddInt32(idx int, val int32) (int32, error) {
 	bc := tc.block
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
 	off := idx * 4
 	if off < 0 || off+4 > len(bc.shared) {
 		return 0, ErrIllegalAccess
@@ -133,8 +131,6 @@ func (tc *ThreadCtx) SharedAtomicAddInt32(idx int, val int32) (int32, error) {
 // of the block's shared memory and returns the old value.
 func (tc *ThreadCtx) SharedAtomicAddFloat32(idx int, val float32) (float32, error) {
 	bc := tc.block
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
 	off := idx * 4
 	if off < 0 || off+4 > len(bc.shared) {
 		return 0, ErrIllegalAccess

@@ -23,15 +23,17 @@ type LaunchConfig struct {
 	SharedMemBytes int
 
 	// NoBarriers declares that the kernel never calls SyncThreads, letting
-	// the simulator run a block's threads sequentially on one goroutine
-	// instead of one goroutine per thread — a large speedup for the
-	// map-style kernels most labs start with. A SyncThreads call under
-	// this flag is reported as an error. The minicuda launcher sets it
-	// automatically from the compiled program.
+	// Launch call each thread of a block inline, one after the other,
+	// instead of giving every thread a coroutine it can park at a barrier
+	// from — a large speedup for the map-style kernels most labs start
+	// with. A SyncThreads call under this flag is reported as an error.
+	// The minicuda launcher sets it automatically from the compiled
+	// program. LaunchWarp ignores it: a warp kernel that never parks is
+	// all a barrier-free launch is.
 	NoBarriers bool
 
-	// SchedSeed permutes the order in which a serial (NoBarriers) block
-	// executes its threads. Zero keeps the natural flattened-index order.
+	// SchedSeed permutes the order in which a NoBarriers block calls its
+	// threads under Launch. Zero keeps the natural flattened-index order.
 	// Any thread ordering is a legal schedule for independent threads, so
 	// a kernel whose output changes with the seed has an order-dependent
 	// bug (a data race); the kernelcheck differential guard uses this to
@@ -64,21 +66,27 @@ func (d *Device) validateLaunch(cfg LaunchConfig) error {
 }
 
 // blockCtx holds the per-block state shared by the threads of one block:
-// the shared-memory arena, the cyclic barrier, and the warp-level cost
-// accounting tables.
+// the shared-memory arena, the barrier counters, and the launch's abort
+// flag. A block runs on one goroutine (runTasks): its tasks take turns, so
+// nothing here is locked; only aborted and abortErr are shared with the
+// other blocks of the launch.
 type blockCtx struct {
 	dev      *Device
 	blockIdx Dim3
 	cfg      LaunchConfig
 	shared   []byte
+	cache    allocCache
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	participants int // threads that have not yet exited
-	arrived      int // threads waiting at the current barrier
-	generation   int
-	divergence   bool
-	serial       bool
+	live       int // threads that have not yet retired
+	parked     int // threads waiting at the current barrier
+	generation int
+	divergence bool
+
+	tasks   []task
+	cur     int // the running task
+	pending int // tasks not yet done
+
+	pass func(parked bool) // thread coroutines: end this thread's turn, start the next one's
 
 	aborted  *atomic.Bool
 	abortErr *onceErr
@@ -107,92 +115,148 @@ func (o *onceErr) get() error {
 	return o.err
 }
 
-func newBlockCtx(dev *Device, blockIdx Dim3, cfg LaunchConfig, shared int, aborted *atomic.Bool, abortErr *onceErr) *blockCtx {
-	bc := &blockCtx{
-		dev:          dev,
-		blockIdx:     blockIdx,
-		cfg:          cfg,
-		shared:       make([]byte, shared),
-		participants: cfg.Block.Count(),
-		aborted:      aborted,
-		abortErr:     abortErr,
+func newBlockCtx(dev *Device, blockIdx Dim3, cfg LaunchConfig, aborted *atomic.Bool, abortErr *onceErr) *blockCtx {
+	return &blockCtx{
+		dev:      dev,
+		blockIdx: blockIdx,
+		cfg:      cfg,
+		shared:   make([]byte, cfg.SharedMemBytes),
+		live:     cfg.Block.Count(),
+		aborted:  aborted,
+		abortErr: abortErr,
 	}
-	bc.cond = sync.NewCond(&bc.mu)
-	return bc
 }
 
-// barrier implements __syncthreads. All live threads of the block must
-// arrive before any proceeds. If a thread exits while others wait the
-// simulator releases the waiters but flags barrier divergence, which the
-// launch reports as an error: this is the class of bug (divergent
-// __syncthreads) the course's tiled labs teach students to avoid.
-//
-// Divergence is a property of the program, not of the interleaving: a
-// thread that has already retired will never reach this barrier, whether
-// it retired while others waited (threadExit flags that) or before the
-// first of them arrived — in which case the arrivals would otherwise
-// complete the shrunken participant set among themselves and release
-// cleanly, on some schedules only.
-func (bc *blockCtx) barrier() error {
-	if bc.serial {
-		return fmt.Errorf("%w: SyncThreads called in a launch declared NoBarriers",
-			ErrInvalidLaunch)
-	}
+// The block barrier (__syncthreads) is three operations on the counters
+// above, shared by the thread and warp paths. Divergence is a property of
+// the program, decided here and nowhere else: a block diverges iff a
+// thread retires while another is parked at a barrier, or a thread arrives
+// after any thread of the block has retired — that is, iff its threads
+// retire with unequal barrier counts. A diverged barrier still releases
+// (the parked threads are all that is left), and every thread it releases,
+// then or later, is handed ErrBarrierDivergence: the class of bug the
+// course's tiled labs teach students to avoid.
+
+// arrive registers n threads at the barrier. released reports that they
+// completed it and run on; otherwise they are parked until poll(gen) says
+// the barrier has released.
+func (bc *blockCtx) arrive(n int) (gen int, released bool, err error) {
 	if bc.aborted.Load() {
-		return bc.abortErr.get()
+		return 0, false, bc.abortErr.get()
 	}
-	bc.mu.Lock()
-	if bc.participants < bc.cfg.Block.Count() {
+	if bc.live < bc.cfg.Block.Count() {
 		bc.divergence = true
 	}
-	gen := bc.generation
-	bc.arrived++
-	if bc.arrived == bc.participants {
-		bc.arrived = 0
-		bc.generation++
-		bc.cond.Broadcast()
+	gen = bc.generation
+	bc.parked += n
+	if bc.parked < bc.live {
+		return gen, false, nil
 	}
-	for gen == bc.generation && !bc.aborted.Load() {
-		bc.cond.Wait()
-	}
-	diverged := bc.divergence
-	bc.mu.Unlock()
-	if bc.aborted.Load() {
-		return bc.abortErr.get()
-	}
-	if diverged {
-		return ErrBarrierDivergence
-	}
-	return nil
+	bc.parked = 0
+	bc.generation++
+	_, err = bc.poll(gen)
+	return gen, true, err
 }
 
-// threadExit removes a finished thread from the barrier's participant set.
-func (bc *blockCtx) threadExit() {
-	if bc.serial {
-		// Serial blocks run on one goroutine and reject barriers, so there
-		// is nothing to wake and no lock to take.
-		bc.participants--
-		return
+// poll reports whether barrier generation gen has released, with the error
+// the released threads observe: the launch's abort first, then divergence.
+func (bc *blockCtx) poll(gen int) (released bool, err error) {
+	switch {
+	case bc.aborted.Load():
+		return true, bc.abortErr.get()
+	case gen == bc.generation:
+		return false, nil
+	case bc.divergence:
+		return true, ErrBarrierDivergence
 	}
-	bc.mu.Lock()
-	bc.participants--
-	if bc.arrived > 0 {
-		// Some threads are blocked at a barrier this thread will never
-		// reach: divergence.
+	return true, nil
+}
+
+// retire removes n finished threads (n > 0) from the barrier's participant
+// set.
+func (bc *blockCtx) retire(n int) {
+	bc.live -= n
+	if bc.parked > 0 {
 		bc.divergence = true
-		if bc.arrived == bc.participants {
-			bc.arrived = 0
+		if bc.parked == bc.live {
+			bc.parked = 0
 			bc.generation++
-			bc.cond.Broadcast()
 		}
 	}
-	bc.mu.Unlock()
 }
 
-func (bc *blockCtx) abortWake() {
-	bc.mu.Lock()
-	bc.cond.Broadcast()
-	bc.mu.Unlock()
+// abort ends the launch with err; the first error reported wins.
+func (bc *blockCtx) abort(err error) {
+	bc.abortErr.set(err)
+	bc.aborted.Store(true)
+}
+
+// recoverTrap, deferred around kernel code, turns a panic (a native
+// kernel's out-of-range index, say) into the launch's illegal-access abort.
+func (bc *blockCtx) recoverTrap() {
+	if r := recover(); r != nil {
+		bc.abort(fmt.Errorf("%w: %v", ErrIllegalAccess, r))
+	}
+}
+
+// A block's tasks — warps under LaunchWarp, threads under Launch — take
+// turns on the block's goroutine, in ascending order: a task runs until it
+// is parked at the block barrier or done, then the next runnable one does.
+// A parked task is runnable again once the barrier generation it parked at
+// has released, or the launch has aborted and it must unwind. So a block's
+// result is a function of the program alone; what this cannot do is
+// satisfy a thread that spin-waits on a sibling of its block, which runs
+// into the step limit instead.
+type task struct {
+	state uint8
+	gen   int // barrier generation a parked task waits on
+}
+
+const (
+	taskFresh uint8 = iota
+	taskParked
+	taskDone
+)
+
+// turn ends the running task's turn (there is none before the first call),
+// parked at the barrier or else done, and returns the task that runs next:
+// -1 when all are done. The scan always finds a runnable task among the
+// pending ones, because a barrier all of whose live threads are parked has
+// released.
+func (bc *blockCtx) turn(parked bool) int {
+	if bc.cur >= 0 {
+		t := &bc.tasks[bc.cur]
+		if parked {
+			t.state, t.gen = taskParked, bc.generation
+		} else {
+			t.state = taskDone
+			bc.pending--
+		}
+	}
+	for bc.pending > 0 {
+		bc.cur = (bc.cur + 1) % len(bc.tasks)
+		t := &bc.tasks[bc.cur]
+		aborted := bc.aborted.Load()
+		switch {
+		case t.state == taskDone:
+		case t.state == taskFresh && aborted:
+			// Never started: contributes empty stats.
+			t.state = taskDone
+			bc.pending--
+		case t.state == taskParked && t.gen == bc.generation && !aborted:
+		default:
+			return bc.cur
+		}
+	}
+	return -1
+}
+
+// runTasks runs the block's n tasks to completion when a task's turn is a
+// call that returns: step(i) runs task i until it is parked (true) or done.
+func (bc *blockCtx) runTasks(n int, step func(i int) (parked bool)) {
+	bc.tasks, bc.cur, bc.pending = make([]task, n), -1, n
+	for i := bc.turn(false); i >= 0; i = bc.turn(step(i)) {
+	}
 }
 
 // ThreadCtx is the execution context of a single simulated GPU thread. It
@@ -211,7 +275,7 @@ type ThreadCtx struct {
 	gEvents []gEvent // per-thread global-access log, indexed by access ordinal
 	sEvents []sEvent // per-thread shared-access log
 
-	cache *allocCache
+	resume chan struct{} // wakes the thread's coroutine; nil when called inline or as a warp lane
 }
 
 // allocCacheSize is the number of allocations an access cache holds; course
@@ -221,9 +285,8 @@ const allocCacheSize = 4
 // allocCache is a small direct cache of allocation backing stores: kernels
 // overwhelmingly hammer the same few buffers, so remembering them skips the
 // device mutex and map lookup on the hot path. alloc ids are never reused
-// within a device, so a hit cannot alias a freed buffer. On the serial
-// (barrier-free) block path one cache is shared by the whole block; on the
-// concurrent path each thread owns one.
+// within a device, so a hit cannot alias a freed buffer. A block owns one,
+// shared by its threads: they run one at a time.
 type allocCache struct {
 	ids  [allocCacheSize]uint64
 	data [allocCacheSize][]byte
@@ -231,19 +294,13 @@ type allocCache struct {
 }
 
 // blockScratch holds the working arrays of one block run, recycled across
-// blocks and launches through scratchPool: the ThreadCtx backing array
-// dominates a launch's allocation volume, and blocks are short-lived, so
-// reuse keeps the GC off the hot path. State-carrying arrays (ctxs,
-// backing, caches) are cleared before reuse — caches in particular must
-// not survive, since allocation ids are only unique within one device.
-// The event slabs are reused as-is: carved logs start at length zero, so
-// stale events are never observed.
+// blocks and launches through scratchPool: the ThreadCtx backing array and
+// the per-thread event logs dominate a launch's allocation volume, and
+// blocks are short-lived, so reuse keeps the GC off the hot path. runBlock
+// resets every slot before use and keeps only the capacity of its logs.
 type blockScratch struct {
 	ctxs    []*ThreadCtx
 	backing []ThreadCtx
-	caches  []allocCache
-	slabG   []gEvent
-	slabS   []sEvent
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -278,10 +335,24 @@ func (tc *ThreadCtx) GlobalThreadID() int {
 	return tc.FlatBlockIdx()*tc.BlockDim.Count() + tc.FlatThreadIdx()
 }
 
-// SyncThreads implements __syncthreads.
+// SyncThreads implements __syncthreads: all live threads of the block must
+// arrive before any proceeds. A thread that does not complete the barrier
+// passes the turn on and waits to be resumed.
 func (tc *ThreadCtx) SyncThreads() error {
 	tc.stats.barriers++
-	return tc.block.barrier()
+	if tc.resume == nil {
+		return fmt.Errorf("%w: SyncThreads called in a launch declared NoBarriers",
+			ErrInvalidLaunch)
+	}
+	bc := tc.block
+	gen, released, err := bc.arrive(1)
+	if released || err != nil {
+		return err
+	}
+	bc.pass(true)
+	<-tc.resume
+	_, err = bc.poll(gen)
+	return err
 }
 
 // Shared returns the block's shared-memory arena (static + dynamic).
@@ -313,13 +384,11 @@ func (tc *ThreadCtx) Aborted() bool { return tc.block.aborted.Load() }
 
 func (tc *ThreadCtx) globalAccess(p Ptr, size int, store bool) ([]byte, error) {
 	var data []byte
-	ac := tc.cache
-	if ac != nil {
-		for i, id := range ac.ids {
-			if id == p.alloc {
-				data = ac.data[i]
-				break
-			}
+	ac := &tc.block.cache
+	for i, id := range ac.ids {
+		if id == p.alloc {
+			data = ac.data[i]
+			break
 		}
 	}
 	if data == nil {
@@ -328,12 +397,10 @@ func (tc *ThreadCtx) globalAccess(p Ptr, size int, store bool) ([]byte, error) {
 			return nil, err
 		}
 		data = a.data
-		if ac != nil {
-			slot := ac.next
-			ac.ids[slot] = p.alloc
-			ac.data[slot] = data
-			ac.next = (slot + 1) % allocCacheSize
-		}
+		slot := ac.next
+		ac.ids[slot] = p.alloc
+		ac.data[slot] = data
+		ac.next = (slot + 1) % allocCacheSize
 	}
 	if p.Off < 0 || size < 0 || p.Off+size > len(data) {
 		return nil, fmt.Errorf("%w: offset %d size %d in allocation of %d bytes",
@@ -510,20 +577,68 @@ type LaunchStats struct {
 
 // Launch executes kernel k over the configured grid and blocks synchronously
 // (like a launch followed by cudaDeviceSynchronize) and returns statistics.
-// Blocks are scheduled over the device's SMs; threads within a block run
-// concurrently and may synchronize with SyncThreads.
+// Blocks are scheduled over the device's SMs and run concurrently; within
+// a block the threads run one at a time, in ascending order, each until it
+// finishes or parks at SyncThreads.
 func (d *Device) Launch(name string, cfg LaunchConfig, k KernelFunc) (*LaunchStats, error) {
-	var aborted atomic.Bool
-	abortErr := &onceErr{}
-	return d.launchRun(name, cfg, &aborted, abortErr, func(bc *blockCtx) blockResult {
-		return d.runBlock(bc, cfg, k, &aborted, abortErr)
+	return d.launchRun(name, cfg, func(bc *blockCtx, ctxs []*ThreadCtx) {
+		runThread := func(tc *ThreadCtx) {
+			defer bc.retire(1)
+			defer bc.recoverTrap()
+			if err := k(tc); err != nil {
+				bc.abort(err)
+			}
+		}
+		if cfg.NoBarriers {
+			var order []int
+			if cfg.SchedSeed != 0 {
+				order = schedOrder(len(ctxs), cfg.SchedSeed, uint64(bc.blockIdx.X)|uint64(bc.blockIdx.Y)<<21|uint64(bc.blockIdx.Z)<<42)
+			}
+			bc.runTasks(len(ctxs), func(i int) bool {
+				if order != nil {
+					i = order[i]
+				}
+				runThread(ctxs[i])
+				return false
+			})
+			return
+		}
+		// A thread that may park needs a stack of its own, so each runs as a
+		// coroutine, started on its first turn. Exactly one holds the baton
+		// and runs at any time; it passes the baton straight to the next
+		// thread when it parks or finishes, and the last one out hands it
+		// back to this goroutine.
+		done := make(chan struct{})
+		bc.tasks, bc.cur, bc.pending = make([]task, len(ctxs)), -1, len(ctxs)
+		bc.pass = func(parked bool) {
+			i := bc.turn(parked)
+			if i < 0 {
+				close(done)
+				return
+			}
+			tc := ctxs[i]
+			if tc.resume != nil {
+				tc.resume <- struct{}{}
+				return
+			}
+			// Buffered, so that a thread the abort leaves as the only one
+			// pending can pass the baton to itself.
+			tc.resume = make(chan struct{}, 1)
+			go func() {
+				runThread(tc)
+				bc.pass(false)
+			}()
+		}
+		bc.pass(false)
+		<-done
 	})
 }
 
 // launchRun is the launch scheduler shared by the per-thread and per-warp
 // entry points: it validates the configuration, drains the grid's blocks
 // over the simulated SMs, and folds block results into launch statistics.
-func (d *Device) launchRun(name string, cfg LaunchConfig, aborted *atomic.Bool, abortErr *onceErr, runBlock func(*blockCtx) blockResult) (*LaunchStats, error) {
+// run executes one block's threads, given their contexts in flat order.
+func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx, ctxs []*ThreadCtx)) (*LaunchStats, error) {
 	if err := d.validateLaunch(cfg); err != nil {
 		return nil, err
 	}
@@ -546,7 +661,8 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, aborted *atomic.Bool, 
 		Threads: numBlocks * threadsPerBlock,
 	}
 
-	// SM scheduler: each simulated SM is a goroutine draining a block queue.
+	// SM scheduler: each simulated SM is a goroutine taking the next block
+	// off a shared counter.
 	sms := d.props.MultiprocessorCount
 	if sms <= 0 {
 		sms = 1
@@ -558,27 +674,24 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, aborted *atomic.Bool, 
 		hostPar = 2 * n
 	}
 
-	blockCh := make(chan int, numBlocks)
-	for b := 0; b < numBlocks; b++ {
-		blockCh <- b
-	}
-	close(blockCh)
-
+	var aborted atomic.Bool
+	abortErr := &onceErr{}
+	var nextBlock atomic.Int64
 	smCycles := make([]int64, sms)
 	var statsMu sync.Mutex
 	var wg sync.WaitGroup
 
 	for sm := 0; sm < hostPar; sm++ {
 		wg.Add(1)
-		go func(smHome int) {
+		go func() {
 			defer wg.Done()
-			for flat := range blockCh {
-				if aborted.Load() {
-					continue
+			for !aborted.Load() {
+				flat := int(nextBlock.Add(1)) - 1
+				if flat >= numBlocks {
+					return
 				}
-				blockIdx := unflatten(flat, cfg.Grid)
-				bc := newBlockCtx(d, blockIdx, cfg, cfg.SharedMemBytes, aborted, abortErr)
-				bs := runBlock(bc)
+				bc := newBlockCtx(d, unflatten(flat, cfg.Grid), cfg, &aborted, abortErr)
+				bs := d.runBlock(bc, run)
 				statsMu.Lock()
 				// Round-robin blocks over the *simulated* SM count so the
 				// simulated time reflects the device, not the host.
@@ -599,7 +712,7 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, aborted *atomic.Bool, 
 				}
 				statsMu.Unlock()
 			}
-		}(sm)
+		}()
 	}
 	wg.Wait()
 
@@ -636,153 +749,50 @@ type blockResult struct {
 	divergence                                bool
 }
 
-func (d *Device) runBlock(bc *blockCtx, cfg LaunchConfig, k KernelFunc, aborted *atomic.Bool, abortErr *onceErr) blockResult {
+// runBlock executes one block on the calling goroutine: it lays out the
+// block's thread contexts on pooled scratch, lets run drive them, and
+// aggregates what they did.
+func (d *Device) runBlock(bc *blockCtx, run func(bc *blockCtx, ctxs []*ThreadCtx)) blockResult {
+	cfg := bc.cfg
 	threads := cfg.Block.Count()
-	warpSize := d.props.WarpSize
-	if warpSize <= 0 {
-		warpSize = 32
-	}
-	bc.serial = cfg.NoBarriers
+	warpSize := d.warpSize()
 
 	scr := scratchPool.Get().(*blockScratch)
-	if cap(scr.ctxs) < threads {
-		scr.ctxs = make([]*ThreadCtx, threads)
-	}
 	if cap(scr.backing) < threads {
+		scr.ctxs = make([]*ThreadCtx, threads)
 		scr.backing = make([]ThreadCtx, threads)
 	}
 	ctxs := scr.ctxs[:threads]
-	backing := scr.backing[:threads]
-	clear(ctxs)
-	clear(backing)
-	runThread := func(tc *ThreadCtx) {
-		defer bc.threadExit()
-		defer func() {
-			if r := recover(); r != nil {
-				abortErr.set(fmt.Errorf("%w: %v", ErrIllegalAccess, r))
-				aborted.Store(true)
-				bc.abortWake()
-			}
-		}()
-		if err := k(tc); err != nil {
-			abortErr.set(err)
-			aborted.Store(true)
-			bc.abortWake()
+	for t := range ctxs {
+		tc := &scr.backing[t]
+		// A slot keeps the capacity of its event logs from one block to the
+		// next (threads of a kernel log about as much as each other), which
+		// is what makes the steady-state launch allocation-free; everything
+		// else is reset.
+		*tc = ThreadCtx{
+			Dev:       d,
+			ThreadIdx: unflatten(t, cfg.Block),
+			BlockIdx:  bc.blockIdx,
+			BlockDim:  cfg.Block,
+			GridDim:   cfg.Grid,
+			block:     bc,
+			warp:      t / warpSize,
+			gEvents:   tc.gEvents[:0],
+			sEvents:   tc.sEvents[:0],
 		}
-	}
-	if cfg.NoBarriers {
-		// Barrier-free kernels: run the block's threads sequentially on
-		// this goroutine. Results are identical because threads cannot
-		// interact except through atomics, which remain atomic.
-		hintG, hintS := 0, 0
-		var slabG []gEvent // event logs for threads 1..n-1, carved per thread
-		var slabS []sEvent
-		// Pooled slabs may each be handed out at most once per block, or a
-		// second draw would alias carves already in use by earlier threads.
-		slabGBuf, slabSBuf := scr.slabG, scr.slabS
-		var ac allocCache // one goroutine runs the whole block: share the cache
-		var order []int
-		if cfg.SchedSeed != 0 {
-			order = schedOrder(threads, cfg.SchedSeed, uint64(bc.blockIdx.X)|uint64(bc.blockIdx.Y)<<21|uint64(bc.blockIdx.Z)<<42)
-		}
-		for i := 0; i < threads; i++ {
-			if aborted.Load() {
-				break
-			}
-			t := i
-			if order != nil {
-				t = order[i]
-			}
-			// backing[t] is freshly zeroed; set only the non-zero fields.
-			tc := &backing[t]
-			tc.Dev = d
-			tc.ThreadIdx = unflatten(t, cfg.Block)
-			tc.BlockIdx = bc.blockIdx
-			tc.BlockDim = cfg.Block
-			tc.GridDim = cfg.Grid
-			tc.block = bc
-			tc.warp = t / warpSize
-			tc.cache = &ac
-			// Threads in a block usually perform the same accesses, so the
-			// first thread's event counts size the logs of the rest, carved
-			// out of one block-wide slab. A thread that overflows its carve
-			// reallocates on append, leaving the slab untouched.
-			if hintG > 0 {
-				if len(slabG) < hintG {
-					need := hintG * (threads - i)
-					if cap(slabGBuf) >= need {
-						slabG = slabGBuf[:need]
-					} else {
-						slabG = make([]gEvent, need)
-						scr.slabG = slabG // keep the fresh slab for reuse
-					}
-					slabGBuf = nil
-				}
-				tc.gEvents = slabG[0:0:hintG]
-				slabG = slabG[hintG:]
-			}
-			if hintS > 0 {
-				if len(slabS) < hintS {
-					need := hintS * (threads - i)
-					if cap(slabSBuf) >= need {
-						slabS = slabSBuf[:need]
-					} else {
-						slabS = make([]sEvent, need)
-						scr.slabS = slabS
-					}
-					slabSBuf = nil
-				}
-				tc.sEvents = slabS[0:0:hintS]
-				slabS = slabS[hintS:]
-			}
-			ctxs[t] = tc
-			runThread(tc)
-			if i == 0 {
-				hintG, hintS = len(tc.gEvents), len(tc.sEvents)
-			}
-		}
-		// Unstarted threads contribute empty stats.
-		for t := range ctxs {
-			if ctxs[t] == nil {
-				tc := &backing[t]
-				tc.Dev = d
-				tc.block = bc
-				tc.warp = t / warpSize
-				ctxs[t] = tc
-			}
-		}
-		res := d.collectBlock(bc, ctxs, warpSize)
-		scratchPool.Put(scr)
-		return res
-	}
-
-	var wg sync.WaitGroup
-	if cap(scr.caches) < threads {
-		scr.caches = make([]allocCache, threads)
-	}
-	caches := scr.caches[:threads]
-	clear(caches)
-	for t := 0; t < threads; t++ {
-		tc := &backing[t]
-		tc.Dev = d
-		tc.ThreadIdx = unflatten(t, cfg.Block)
-		tc.BlockIdx = bc.blockIdx
-		tc.BlockDim = cfg.Block
-		tc.GridDim = cfg.Grid
-		tc.block = bc
-		tc.warp = t / warpSize
-		tc.cache = &caches[t]
 		ctxs[t] = tc
-		wg.Add(1)
-		go func(tc *ThreadCtx) {
-			defer wg.Done()
-			runThread(tc)
-		}(tc)
 	}
-	wg.Wait()
+	run(bc, ctxs)
 	res := d.collectBlock(bc, ctxs, warpSize)
 	scratchPool.Put(scr)
 	return res
+}
+
+func (d *Device) warpSize() int {
+	if w := d.props.WarpSize; w > 0 {
+		return w
+	}
+	return 32
 }
 
 // collectBlock aggregates per-thread statistics into the block result.

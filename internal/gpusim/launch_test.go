@@ -3,7 +3,6 @@ package gpusim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -184,33 +183,35 @@ func TestBarrierDivergenceDetected(t *testing.T) {
 	}
 }
 
-// TestBarrierDivergenceWhateverTheSchedule forces the interleaving that
-// used to hide a divergent barrier (the TestDiffEdgeCases/case07 flake):
-// every thread that skips the barrier has retired before the one thread
-// that takes it arrives, so the arrival completes the participant set by
-// itself. The verdict must be the one TestBarrierDivergenceDetected gets.
+// TestBarrierDivergenceWhateverTheSchedule: a barrier only one thread of
+// the block takes is divergent in either order of events — the taker
+// arrives first and the others retire while it is parked (thread 0), or
+// everyone else has retired before it arrives and its arrival completes
+// the shrunken participant set by itself (the last thread; the order that
+// used to hide the divergence, the TestDiffEdgeCases/case07 flake). Which
+// thread takes the barrier fixes the order: a block's threads run in
+// ascending order, each until it parks or finishes.
 func TestBarrierDivergenceWhateverTheSchedule(t *testing.T) {
-	d := NewDefaultDevice()
-	cfg := LaunchConfig{Grid: D1(1), Block: D1(4)}
-	var atBarrier error
-	_, err := d.Launch("diverge-late", cfg, func(tc *ThreadCtx) error {
-		if tc.ThreadIdx.X != 0 {
-			return nil
-		}
-		for { // until threads 1..3 have exited
-			tc.block.mu.Lock()
-			alone := tc.block.participants == 1
-			tc.block.mu.Unlock()
-			if alone {
-				break
+	const threads = 4
+	for _, taker := range []int{0, threads - 1} {
+		t.Run(fmt.Sprintf("thread%d", taker), func(t *testing.T) {
+			d := NewDefaultDevice()
+			cfg := LaunchConfig{Grid: D1(1), Block: D1(threads)}
+			var atBarrier error
+			stats, err := d.Launch("diverge", cfg, func(tc *ThreadCtx) error {
+				if tc.ThreadIdx.X != taker {
+					return nil
+				}
+				atBarrier = tc.SyncThreads()
+				return atBarrier
+			})
+			if !errors.Is(atBarrier, ErrBarrierDivergence) || !errors.Is(err, ErrBarrierDivergence) {
+				t.Errorf("SyncThreads = %v, Launch = %v; want ErrBarrierDivergence from both", atBarrier, err)
 			}
-			runtime.Gosched()
-		}
-		atBarrier = tc.SyncThreads()
-		return atBarrier
-	})
-	if !errors.Is(atBarrier, ErrBarrierDivergence) || !errors.Is(err, ErrBarrierDivergence) {
-		t.Errorf("SyncThreads = %v, Launch = %v; want ErrBarrierDivergence from both", atBarrier, err)
+			if !stats.Divergence || stats.Barriers != 1 {
+				t.Errorf("Divergence = %v, Barriers = %d; want true, 1", stats.Divergence, stats.Barriers)
+			}
+		})
 	}
 }
 

@@ -25,10 +25,12 @@ import (
 //	//GUARD: expect=trap|nondet kernel=<name> grid=<G> block=<B> n=<N>
 //
 // Guard kernels use the (float *in, float *out, int n) skeleton. Only
-// barrier-free kernels may carry expect=nondet: they run on the serial
-// per-block path where SchedSeed permutes thread order without creating
-// Go-level data races (a barrier kernel runs one goroutine per thread,
-// and a racy one would trip `go test -race` itself).
+// barrier-free kernels may carry expect=nondet: SchedSeed permutes the
+// order in which a block's threads are called, and it is only the
+// barrier-free launch whose threads are called one after the other. (A
+// barrier kernel's threads take turns in ascending order, so a race in one
+// is reproducible, not schedule-dependent, and shows no nondeterminism to
+// expect.)
 
 var guardRe = regexp.MustCompile(`//GUARD:\s*expect=(trap|nondet)\s+kernel=(\w+)\s+grid=(\d+)\s+block=(\d+)\s+n=(\d+)`)
 

@@ -2,11 +2,16 @@ package labs
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"webgpu/internal/progcache"
 )
+
+// compileOnceRuns numbers the runs of TestRunAllCompilesOnce in this
+// process, so that go test -count=N hands each a source of its own.
+var compileOnceRuns int
 
 // TestRunAllCompilesOnce asserts, via the program-cache counters, that a
 // full grading run over every dataset of a multi-dataset lab performs
@@ -16,8 +21,9 @@ func TestRunAllCompilesOnce(t *testing.T) {
 	if l.NumDatasets < 2 {
 		t.Fatalf("need a multi-dataset lab, got %d datasets", l.NumDatasets)
 	}
-	// A source unique to this test so earlier tests cannot have warmed it.
-	src := l.Reference + "\n// compile-once probe (TestRunAllCompilesOnce)\n"
+	// A source unique to this run so that nothing earlier can have warmed it.
+	compileOnceRuns++
+	src := l.Reference + fmt.Sprintf("\n// compile-once probe (TestRunAllCompilesOnce run %d)\n", compileOnceRuns)
 	before := progcache.Default.Stats()
 	outs := RunAll(context.Background(), l, src, NewDeviceSet(1), 0)
 	after := progcache.Default.Stats()

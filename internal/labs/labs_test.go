@@ -478,3 +478,45 @@ func TestConvolutionSameOnLazyConstMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelStatsRepeatable: replaying a reference solution on a dataset
+// gives every launch the same counters, SimCycles included — a block's
+// warps take turns in a fixed order, so what a block costs is a function
+// of the program and its input, not of the host's scheduling. Blocks still
+// run concurrently, and the one launch whose blocks race each other for
+// output slots (input-binning's scatterBin claims them with a global
+// atomicAdd, so which addresses a warp stores to, and how they coalesce,
+// depends on which block got there first) is compared without the two
+// counters that follow the addresses.
+func TestKernelStatsRepeatable(t *testing.T) {
+	if os.Getenv("MINICUDA_INTERP") == "tree" {
+		t.Skip("pins the warp engine")
+	}
+	const replays = 20
+	for _, l := range All() {
+		prog, err := minicuda.Compile(l.Reference, l.Dialect)
+		if err != nil {
+			t.Fatalf("%s: %v", l.ID, err)
+		}
+		for ds := 0; ds < l.NumDatasets; ds++ {
+			var want []KernelStats
+			for r := 0; r < replays; r++ {
+				o := RunCompiled(context.Background(), l, prog, ds, NewDeviceSet(maxI(l.NumGPUs, 1)), 0)
+				if !o.Correct {
+					t.Fatalf("%s dataset %d: %s %s", l.ID, ds, o.RuntimeError, o.CheckMessage)
+				}
+				for i := range o.Kernels {
+					if k := &o.Kernels[i]; k.Name == "scatterBin" {
+						k.GlobalTx, k.SimCycles = 0, 0
+					}
+				}
+				if r == 0 {
+					want = o.Kernels
+				} else if !reflect.DeepEqual(o.Kernels, want) {
+					t.Errorf("%s dataset %d, replay %d:\n got %+v\nwant %+v", l.ID, ds, r, o.Kernels, want)
+					break
+				}
+			}
+		}
+	}
+}

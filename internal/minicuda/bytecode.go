@@ -191,12 +191,11 @@ type atomSpec struct {
 
 // bytecodeProgram is the lowered artifact cached on a Program.
 type bytecodeProgram struct {
-	code        []instr
-	funcs       map[*Function]*bcFunc
-	calls       []*callSpec
-	atomics     []*atomSpec
-	traps       []error
-	usesBarrier bool
+	code    []instr
+	funcs   map[*Function]*bcFunc
+	calls   []*callSpec
+	atomics []*atomSpec
+	traps   []error
 }
 
 // loc names a virtual register.
@@ -267,12 +266,6 @@ func lowerProgram(p *Program) (bc *bytecodeProgram, ok bool) {
 			panic("minicuda: internal: unbound bytecode label")
 		}
 		bc.code[pt.at].aux = tgt
-	}
-	for i := range bc.code {
-		if bc.code[i].op == opSync {
-			bc.usesBarrier = true
-			break
-		}
 	}
 	return bc, true
 }

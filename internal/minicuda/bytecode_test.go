@@ -36,36 +36,6 @@ func TestBytecodeArtifactMetadata(t *testing.T) {
 	}
 }
 
-// TestBytecodeNoBarriersMatchesSema: the warp launch path derives NoBarriers
-// from a static scan of the lowered code; it must agree with the semantic
-// pass's answer so the simulator picks the same execution path under both
-// engines.
-func TestBytecodeNoBarriersMatchesSema(t *testing.T) {
-	for _, src := range []string{
-		bcTestVecAdd,
-		`__global__ void k(float *s) {
-  __shared__ float tile[32];
-  tile[threadIdx.x] = s[threadIdx.x];
-  __syncthreads();
-  s[threadIdx.x] = tile[31 - threadIdx.x];
-}`,
-	} {
-		prog, err := Compile(src, DialectCUDA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp := prog.warpcode()
-		if wp == nil {
-			t.Fatal("program should lower to bytecode")
-		}
-		bc := wp.bc
-		if bc.usesBarrier != prog.usesBarrier {
-			t.Fatalf("usesBarrier: bytecode %v, sema %v\n%s",
-				bc.usesBarrier, prog.usesBarrier, src)
-		}
-	}
-}
-
 // TestTrapSentinels: the warp engine must return the interpreter's sentinel
 // errors (not lookalikes) so errors.Is-based handling in the worker keeps
 // working.

@@ -463,7 +463,7 @@ type namedDiffCase struct {
 // two engines must agree bit-for-bit on outputs and stats. Shared with
 // codec_test.go.
 func warpDivergenceCases() []namedDiffCase {
-	return []namedDiffCase{
+	cases := []namedDiffCase{
 		{"nested-divergent-branches", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 32,
 			src: `__global__ void k(int *iout, float *fout) {
   int t = threadIdx.x;
@@ -572,6 +572,110 @@ __global__ void k(int *iout, float *fout) {
   if (t & 1) { atomicAdd(&iout[0], t); } else { atomicAdd(&iout[1], 1); }
   atomicMax(&iout[2], (t * 7) % 31);
 }`}},
+	}
+	for _, v := range barrierVerdictCases {
+		cases = append(cases, v.namedDiffCase)
+	}
+	return cases
+}
+
+// barrierVerdictCases: one block of two warps around a barrier not every
+// thread takes. The two cross-warp kernels are the two orders in which a
+// skipped barrier can play out — the takers arrive first and the others
+// retire while they are parked, or the others have retired before the
+// first taker arrives — and used to be graded by whichever warp's
+// goroutine the Go scheduler ran first.
+var barrierVerdictCases = []struct {
+	namedDiffCase
+	diverges bool
+	barriers int64
+}{
+	{namedDiffCase{"barrier-skipped-by-upper-warp", diffCase{kernel: "k", block: gpusim.D1(64), nInt: 64,
+		src: `__global__ void k(int *iout, float *fout) {
+  if (threadIdx.x < 32) { __syncthreads(); }
+  iout[threadIdx.x] = threadIdx.x + 1;
+}`}}, true, 32},
+	{namedDiffCase{"barrier-skipped-by-lower-warp", diffCase{kernel: "k", block: gpusim.D1(64), nInt: 64,
+		src: `__global__ void k(int *iout, float *fout) {
+  if (threadIdx.x >= 32) { __syncthreads(); }
+  iout[threadIdx.x] = threadIdx.x + 1;
+}`}}, true, 32},
+	{namedDiffCase{"barrier-taken-by-one-lane", diffCase{kernel: "k", block: gpusim.D1(64), nInt: 64,
+		src: `__global__ void k(int *iout, float *fout) {
+  if (threadIdx.x == 0) { __syncthreads(); }
+  iout[threadIdx.x] = threadIdx.x + 1;
+}`}}, true, 1},
+	{namedDiffCase{"barrier-taken-by-all", diffCase{kernel: "k", block: gpusim.D1(64), nInt: 64,
+		src: `__global__ void k(int *iout, float *fout) {
+  __syncthreads();
+  iout[threadIdx.x] = threadIdx.x + 1;
+}`}}, false, 64},
+}
+
+// TestBarrierVerdictIsThePrograms: a kernel has one barrier verdict — the
+// error, LaunchStats.Divergence, the barrier count and what reached memory
+// — on every launch and on both engines.
+func TestBarrierVerdictIsThePrograms(t *testing.T) {
+	for _, v := range barrierVerdictCases {
+		c := v.c.withDefaults()
+		t.Run(v.name, func(t *testing.T) {
+			prog, err := Compile(c.src, DialectCUDA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantErr := ""
+			if v.diverges {
+				wantErr = gpusim.ErrBarrierDivergence.Error()
+			}
+			var want engineRun
+			for _, eng := range []Engine{EngineTree, EngineWarp} {
+				for i := 0; i < 100; i++ {
+					got := runOnEngine(t, prog, c, eng)
+					if got.errStr != wantErr || got.stats.Divergence != v.diverges || got.stats.Barriers != v.barriers {
+						t.Fatalf("engine %d, launch %d: err %q, Divergence %v, Barriers %d; want %q, %v, %d",
+							eng, i, got.errStr, got.stats.Divergence, got.stats.Barriers, wantErr, v.diverges, v.barriers)
+					}
+					if eng == EngineTree && i == 0 {
+						want = got
+					} else if !reflect.DeepEqual(got.ints, want.ints) {
+						t.Fatalf("engine %d, launch %d: output %v, want %v", eng, i, got.ints, want.ints)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSharedRaceReplaysIdentically: a barrier kernel with a real race on
+// shared memory across its two warps (a read of another warp's element
+// with no barrier between the write and it) is still a function of its
+// input on each engine — a block's warps and threads take turns, they do
+// not run concurrently — and, for the same reason, not a Go-level data race
+// that go test -race would report.
+func TestSharedRaceReplaysIdentically(t *testing.T) {
+	c := diffCase{kernel: "k", grid: gpusim.D1(3), block: gpusim.D1(64), nInt: 192,
+		src: `__global__ void k(int *iout, float *fout) {
+  __shared__ int s[64];
+  int t = threadIdx.x;
+  s[t] = blockIdx.x * 100 + t + 1;
+  int seen = s[(t + 33) % 64];
+  __syncthreads();
+  iout[blockIdx.x * 64 + t] = seen + s[63 - t];
+}`}.withDefaults()
+	prog, err := Compile(c.src, DialectCUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{EngineTree, EngineWarp} {
+		want := runOnEngine(t, prog, c, eng)
+		if want.errStr != "" {
+			t.Fatalf("engine %d: %s", eng, want.errStr)
+		}
+		for i := 1; i < 50; i++ {
+			if got := runOnEngine(t, prog, c, eng); !reflect.DeepEqual(got, want) {
+				t.Fatalf("engine %d, replay %d:\n got %+v\nwant %+v", eng, i, got, want)
+			}
+		}
 	}
 }
 

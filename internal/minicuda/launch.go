@@ -109,7 +109,7 @@ type LaunchOpts struct {
 	SharedMemBytes int    // dynamic shared memory, beyond static __shared__
 	MaxSteps       int64  // per-thread interpreter step budget; 0 = default
 	Engine         Engine // execution engine; EngineAuto honors MINICUDA_INTERP
-	SchedSeed      uint64 // serial-path thread-order permutation seed; 0 = natural order
+	SchedSeed      uint64 // barrier-free thread-order permutation seed; 0 = natural order
 }
 
 // DefaultMaxSteps bounds per-thread interpretation; it corresponds to the
@@ -170,8 +170,7 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 	if eng == EngineWarp && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
 		if wp := p.warpcode(); wp != nil {
 			kfn := wp.bc.funcs[fn]
-			cfg.NoBarriers = !wp.bc.usesBarrier
-			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) error {
+			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) (bool, error) {
 				return wp.run(wc, kfn, bound, maxSteps)
 			})
 		}

@@ -297,7 +297,8 @@ const (
 	ctlExit        // the strand's lanes returned from the kernel
 )
 
-// warpExec is the per-run execution context of one warp.
+// warpExec is the execution context of one warp for the length of a
+// launch; it lives in the warp's WarpCtx.State between turns.
 type warpExec struct {
 	wp       *warpProgram
 	ws       *warpState
@@ -305,23 +306,36 @@ type warpExec struct {
 	bound    []Value
 	maxSteps int64
 
+	runnable, waiting []*strand // waiting: parked at a barrier
+
 	split            *strand // strand produced by a divergent branch
 	jumpBuf, stayBuf []int32 // branch partition scratch
 }
 
-// run executes kernel kfn across one warp.
-func (wp *warpProgram) run(wc *gpusim.WarpCtx, kfn *bcFunc, bound []Value, maxSteps int64) error {
-	ws := warpStatePool.Get().(*warpState)
-	ws.init(wc)
-	wx := &warpExec{wp: wp, ws: ws, wc: wc, bound: bound, maxSteps: maxSteps}
-	err := wx.run(kfn)
-	ws.flush()
-	warpStatePool.Put(ws)
-	return err
+// run gives one warp of kernel kfn its turn (gpusim.WarpKernelFunc): the
+// first call sets the warp up, every call runs it until all its live lanes
+// are parked at the block barrier or the warp is finished.
+func (wp *warpProgram) run(wc *gpusim.WarpCtx, kfn *bcFunc, bound []Value, maxSteps int64) (parked bool, err error) {
+	wx, _ := wc.State.(*warpExec)
+	if wx == nil {
+		ws := warpStatePool.Get().(*warpState)
+		ws.init(wc)
+		wx = &warpExec{wp: wp, ws: ws, wc: wc, bound: bound, maxSteps: maxSteps}
+		wx.start(kfn)
+		wc.State = wx
+	}
+	parked, err = wx.resume()
+	if !parked {
+		wx.ws.flush()
+		warpStatePool.Put(wx.ws)
+	}
+	return parked, err
 }
 
-func (wx *warpExec) run(kfn *bcFunc) error {
-	ws, wc := wx.ws, wx.wc
+// start loads the kernel arguments and makes the whole warp one runnable
+// strand at the kernel's entry.
+func (wx *warpExec) start(kfn *bcFunc) {
+	ws := wx.ws
 	W := ws.W
 	ws.ints = grow(ws.ints, int(kfn.numI)*W)
 	ws.floats = grow(ws.floats, int(kfn.numF)*W)
@@ -352,65 +366,57 @@ func (wx *warpExec) run(kfn *bcFunc) error {
 		root.lanes = append(root.lanes, int32(l))
 		root.base[l] = 0
 	}
+	wx.runnable = append(wx.runnable, root)
+}
 
-	runnable := []*strand{root}
-	var waiting []*strand
+// resume schedules the warp's strands until none is runnable: parked is
+// true when the rest wait on a barrier only other warps can complete,
+// false when every lane has exited (or on a trap, returned as the error).
+func (wx *warpExec) resume() (parked bool, err error) {
+	ws, wc := wx.ws, wx.wc
 	for {
 		// Unpark strands whose barrier released (possibly by our own
 		// arrivals or lane exits).
-		if len(waiting) > 0 {
-			kept := waiting[:0]
-			for _, s := range waiting {
+		if len(wx.waiting) > 0 {
+			kept := wx.waiting[:0]
+			for _, s := range wx.waiting {
 				rel, err := wc.SyncPoll(s.gen)
 				if err != nil {
-					return err
+					return false, err
 				}
 				if rel {
-					runnable = append(runnable, s)
+					wx.runnable = append(wx.runnable, s)
 				} else {
 					kept = append(kept, s)
 				}
 			}
-			waiting = kept
+			wx.waiting = kept
 		}
-		if len(runnable) == 0 {
-			if len(waiting) == 0 {
-				return nil // every lane exited
-			}
-			// The whole warp is parked: progress depends on other warps.
-			gmin := waiting[0].gen
-			for _, s := range waiting[1:] {
-				if s.gen < gmin {
-					gmin = s.gen
-				}
-			}
-			if err := wc.SyncWait(gmin); err != nil {
-				return err
-			}
-			continue
+		if len(wx.runnable) == 0 {
+			return len(wx.waiting) > 0, nil
 		}
 
 		// Pick the min-pc strand (ties by first lane, for determinism) and
 		// merge every strand that reconverged with it.
 		si := 0
-		for i := 1; i < len(runnable); i++ {
-			s, b := runnable[i], runnable[si]
+		for i := 1; i < len(wx.runnable); i++ {
+			s, b := wx.runnable[i], wx.runnable[si]
 			if s.pc < b.pc || (s.pc == b.pc && s.lanes[0] < b.lanes[0]) {
 				si = i
 			}
 		}
-		s := runnable[si]
-		for i := len(runnable) - 1; i >= 0; i-- {
-			if runnable[i] != s && sameFrame(s, runnable[i]) {
-				ws.mergeInto(s, runnable[i])
-				runnable[i] = runnable[len(runnable)-1]
-				runnable = runnable[:len(runnable)-1]
+		s := wx.runnable[si]
+		for i := len(wx.runnable) - 1; i >= 0; i-- {
+			if wx.runnable[i] != s && sameFrame(s, wx.runnable[i]) {
+				ws.mergeInto(s, wx.runnable[i])
+				wx.runnable[i] = wx.runnable[len(wx.runnable)-1]
+				wx.runnable = wx.runnable[:len(wx.runnable)-1]
 			}
 		}
 		// Watermark: the next parked pc ahead of s. Running past it would
 		// skip a merge opportunity, so the strand yields there.
 		watermark := int32(math.MaxInt32)
-		for _, o := range runnable {
+		for _, o := range wx.runnable {
 			if o != s && o.pc > s.pc && o.pc < watermark {
 				watermark = o.pc
 			}
@@ -418,18 +424,18 @@ func (wx *warpExec) run(kfn *bcFunc) error {
 
 		ctl, err := wx.runStrand(s, watermark)
 		if err != nil {
-			return err
+			return false, err
 		}
 		switch ctl {
 		case ctlSplit:
-			runnable = append(runnable, wx.split)
+			wx.runnable = append(wx.runnable, wx.split)
 			wx.split = nil
 		case ctlSync:
-			runnable = removeStrand(runnable, s)
-			waiting = append(waiting, s)
+			wx.runnable = removeStrand(wx.runnable, s)
+			wx.waiting = append(wx.waiting, s)
 		case ctlExit:
 			wc.ExitLanes(len(s.lanes))
-			runnable = removeStrand(runnable, s)
+			wx.runnable = removeStrand(wx.runnable, s)
 			ws.freeStrand(s)
 		}
 	}

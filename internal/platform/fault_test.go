@@ -9,6 +9,8 @@ import (
 
 	"webgpu/internal/faultinject"
 	"webgpu/internal/labs"
+	"webgpu/internal/metrics"
+	"webgpu/internal/queue"
 	"webgpu/internal/worker"
 )
 
@@ -128,5 +130,61 @@ func TestAdminDeadLettersNotImplementedOnV1(t *testing.T) {
 	}
 	if code, _ := prof.do("POST", "/api/v1/admin/deadletters/redrive", nil, nil); code != http.StatusNotImplemented {
 		t.Errorf("v1 redrive = %d, want 501", code)
+	}
+}
+
+// TestRouterSettlesResultWhenAckFails: an ack that fails on a result the
+// router has already delivered must not leave that result leased for the
+// router's one-minute visibility — the drain (depth 0, nothing
+// unaccounted) has to finish promptly, with the waiter served exactly
+// once. One failure is absorbed by the retry; when every retry fails the
+// router hands the result back and its redelivery is dropped as a
+// duplicate.
+func TestRouterSettlesResultWhenAckFails(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		fault      faultinject.Fault
+		duplicates float64
+	}{
+		{"retry", faultinject.Fault{Once: true}, 0},
+		{"give-up", faultinject.Fault{Count: ackAttempts}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := faultinject.New(1)
+			reg.Enable(faultinject.PointQueueAck, tc.fault)
+			b := queue.NewBroker()
+			b.SetFaults(reg)
+			m := metrics.NewRegistry()
+			rr := newResultRouter(b, nil, m)
+			defer rr.stop()
+
+			ch := rr.register("job-1")
+			start := time.Now()
+			if _, err := b.Publish(worker.TopicResults, worker.EncodeResult(&worker.Result{JobID: "job-1"})); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case res := <-ch:
+				if res.JobID != "job-1" {
+					t.Fatalf("delivered %+v", res)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("result never delivered")
+			}
+			for b.Depth(worker.TopicResults) != 0 && time.Since(start) < time.Second {
+				time.Sleep(time.Millisecond)
+			}
+			if d, u := b.Depth(worker.TopicResults), b.Unaccounted(); d != 0 || u != 0 {
+				t.Fatalf("after %v: depth = %d, unaccounted = %d; want 0, 0", time.Since(start), d, u)
+			}
+			if got := m.Counter("broker_duplicate_results"); got != tc.duplicates {
+				t.Errorf("broker_duplicate_results = %v, want %v", got, tc.duplicates)
+			}
+			select {
+			case res := <-ch:
+				t.Errorf("second delivery: %+v", res)
+			default:
+			}
+		})
 	}
 }

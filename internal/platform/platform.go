@@ -513,7 +513,7 @@ func (rr *resultRouter) loop() {
 		// per job ID counts; duplicates are acked and dropped.
 		if !rr.dedup.Accept(res.JobID, res.Attempt) {
 			rr.metrics.Inc("broker_duplicate_results", 1)
-			_ = d.Ack()
+			rr.ack(d)
 			continue
 		}
 		rr.mu.Lock()
@@ -525,8 +525,26 @@ func (rr *resultRouter) loop() {
 		if found {
 			ch <- res
 		}
-		_ = d.Ack()
+		rr.ack(d)
 	}
+}
+
+// ackAttempts bounds how often the router retries a failing ack.
+const ackAttempts = 3
+
+// ack settles a result the router is done with. An ack can fail while its
+// handle is still good (a broker fault, injected or real); left at that,
+// the result would stay leased for the full minute and keep the topic's
+// depth above zero. So the ack is retried, and on giving up the result is
+// handed straight back: its redelivery is a duplicate, which the dedup
+// window drops and acks again.
+func (rr *resultRouter) ack(d *queue.Delivery) {
+	for i := 0; i < ackAttempts; i++ {
+		if err := d.Ack(); err == nil || errors.Is(err, queue.ErrUnknown) {
+			return // settled, or the lease is no longer ours to settle
+		}
+	}
+	_ = d.Nack() // if this fails too, the lease runs out
 }
 
 func (rr *resultRouter) stop() {

@@ -220,7 +220,7 @@ func (s *Server) handleAssignReviews(w http.ResponseWriter, r *http.Request, u *
 		req.PerStudent = 3 // the paper's second offering
 	}
 	var students []string
-	_ = s.db.View(func(tx *db.Tx) error {
+	err := s.db.View(func(tx *db.Tx) error {
 		// The index range groups a lab's submissions by user.
 		scanLab(tx, "submissions", l.ID, func(userID, _ string) {
 			if n := len(students); n == 0 || students[n-1] != userID {
@@ -229,6 +229,10 @@ func (s *Server) handleAssignReviews(w http.ResponseWriter, r *http.Request, u *
 		})
 		return nil
 	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	sort.Strings(students)
 	as, err := peerreview.AssignRandom(l.ID, students, req.PerStudent, rand.New(rand.NewSource(req.Seed)))
 	if err != nil {

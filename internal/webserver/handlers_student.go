@@ -231,11 +231,15 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) 
 	}
 	var total int
 	var revs []CodeRec
-	_ = s.db.View(func(tx *db.Tx) error {
+	err := s.db.View(func(tx *db.Tx) error {
 		// histKey pads the revision, so key order is revision order.
 		total, revs = readPage[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(u.ID, l.ID)+"|"), p)
 		return nil
 	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, paginated(total, revs, p))
 }
 
@@ -396,10 +400,14 @@ func (s *Server) handleAttempts(w http.ResponseWriter, r *http.Request, u *User)
 	}
 	var total int
 	var attempts []AttemptRec
-	_ = s.db.View(func(tx *db.Tx) error {
+	err := s.db.View(func(tx *db.Tx) error {
 		total, attempts = readPage[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, u.ID), p)
 		return nil
 	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, paginated(total, attempts, p))
 }
 
@@ -459,7 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 
 	// Count answered questions for the rubric.
 	answered := 0
-	_ = s.db.View(func(tx *db.Tx) error {
+	err = s.db.View(func(tx *db.Tx) error {
 		var rec AnswersRec
 		if err := tx.Get("answers", codeKey(u.ID, l.ID), &rec); err == nil {
 			for _, a := range rec.Answers {
@@ -470,6 +478,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		}
 		return nil
 	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 
 	gradeSpan := tr.StartSpan("grade")
 	g := grader.Score(l, source, res.Outcomes, answered)
@@ -537,12 +549,16 @@ func (s *Server) handleHints(w http.ResponseWriter, r *http.Request, u *User) {
 	}
 	source := s.loadSource(u.ID, l)
 	var last AttemptRec
-	_ = s.db.View(func(tx *db.Tx) error {
+	err := s.db.View(func(tx *db.Tx) error {
 		if ids := ownedIDs(tx, "attempts", l.ID, u.ID); len(ids) > 0 {
 			return tx.Get("attempts", ids[len(ids)-1], &last)
 		}
 		return nil
 	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"attempt": last.ID,
 		"hints":   feedback.Analyze(l, source, last.Outcome),
