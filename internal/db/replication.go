@@ -48,7 +48,6 @@ type Replica struct {
 	mu       sync.Mutex
 	applied  uint64
 	gapSeen  bool
-	resyncs  int
 	stopped  bool
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -145,7 +144,6 @@ func (r *Replica) resync() {
 	r.indexGen.Store(gen)
 	r.applied = fresh.seq
 	r.gapSeen = false
-	r.resyncs++
 	r.mu.Unlock()
 }
 
@@ -198,13 +196,6 @@ func (r *Replica) WaitCaughtUp(timeout time.Duration) bool {
 		time.Sleep(time.Millisecond)
 	}
 	return r.Lag() == 0
-}
-
-// Resyncs reports how many full snapshot resynchronizations occurred.
-func (r *Replica) Resyncs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.resyncs
 }
 
 // Stop detaches the replica from the primary.

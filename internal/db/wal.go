@@ -103,15 +103,7 @@ func (d *DB) Replay(r io.Reader) error {
 func (d *DB) Compact(snapshot io.Writer, newWAL *WAL) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	doc := snapshotDoc{Seq: d.seq, Tables: map[string]map[string]string{}}
-	for name, t := range d.tables {
-		rows := make(map[string]string, len(t.rows))
-		for k, v := range t.rows {
-			rows[k] = string(v)
-		}
-		doc.Tables[name] = rows
-	}
-	if err := json.NewEncoder(snapshot).Encode(doc); err != nil {
+	if err := json.NewEncoder(snapshot).Encode(d.snapshotLocked()); err != nil {
 		return fmt.Errorf("db: compact snapshot: %w", err)
 	}
 	d.wal = newWAL
@@ -129,6 +121,12 @@ type snapshotDoc struct {
 func (d *DB) Snapshot(w io.Writer) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return json.NewEncoder(w).Encode(d.snapshotLocked())
+}
+
+// snapshotLocked copies the whole database into its serialized form; the
+// caller holds d.mu.
+func (d *DB) snapshotLocked() snapshotDoc {
 	doc := snapshotDoc{Seq: d.seq, Tables: map[string]map[string]string{}}
 	for name, t := range d.tables {
 		rows := make(map[string]string, len(t.rows))
@@ -137,8 +135,7 @@ func (d *DB) Snapshot(w io.Writer) error {
 		}
 		doc.Tables[name] = rows
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return doc
 }
 
 // LoadSnapshot replaces the database contents with a snapshot. Index

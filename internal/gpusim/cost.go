@@ -72,9 +72,9 @@ type gSeg struct {
 // slot, with small reused slices instead of maps: a warp holds at most 32
 // threads, so linear-scan dedup beats hashing and allocates nothing.
 func aggregateCost(ctxs []*ThreadCtx, warpSize int) (globalTx, sharedTx int64) {
-	// ctxs is ordered by flattened thread index and runBlock assigns
-	// tc.warp = t/warpSize, so each warp is a contiguous run of ctxs —
-	// slice it directly instead of regrouping into per-warp slices.
+	// ctxs is ordered by flattened thread index and thread t is in warp
+	// t/warpSize, so each warp is a contiguous run of ctxs — slice it
+	// directly instead of regrouping into per-warp slices.
 
 	// Global: count distinct (warp, seq, alloc, segment) tuples — i.e. for
 	// each warp's k-th access slot, the distinct (alloc, segment) pairs.

@@ -104,6 +104,7 @@ var (
 	ErrIllegalAccess     = errors.New("gpusim: an illegal memory access was encountered")
 	ErrInvalidLaunch     = errors.New("gpusim: invalid launch configuration")
 	ErrBarrierDivergence = errors.New("gpusim: barrier divergence: __syncthreads not reached by all threads")
+	ErrBarrierStall      = errors.New("gpusim: barrier stall: a warp parked without arriving all its lanes")
 	ErrDeviceClosed      = errors.New("gpusim: device has been reset")
 )
 
@@ -293,15 +294,6 @@ func (d *Device) Memset(p Ptr, b byte, n int) error {
 		v[i] = b
 	}
 	return nil
-}
-
-// AllocSize returns the size in bytes of the allocation behind p.
-func (d *Device) AllocSize(p Ptr) (int, error) {
-	a, err := d.lookup(p)
-	if err != nil {
-		return 0, err
-	}
-	return len(a.data), nil
 }
 
 // CopyToConst copies host bytes into constant memory at byte offset off.

@@ -220,9 +220,12 @@ const (
 
 // turn ends the running task's turn (there is none before the first call),
 // parked at the barrier or else done, and returns the task that runs next:
-// -1 when all are done. The scan always finds a runnable task among the
-// pending ones, because a barrier all of whose live threads are parked has
-// released.
+// -1 when all are done. The scan finds a runnable task among the pending
+// ones, because a barrier all of whose live threads are parked has
+// released — unless a WarpKernelFunc broke its contract and parked without
+// arriving all its lanes. Then a full ring goes by with every pending task
+// parked at the unreleased generation, and the launch aborts with
+// ErrBarrierStall (which makes the parked tasks runnable, to unwind).
 func (bc *blockCtx) turn(parked bool) int {
 	if bc.cur >= 0 {
 		t := &bc.tasks[bc.cur]
@@ -233,7 +236,10 @@ func (bc *blockCtx) turn(parked bool) int {
 			bc.pending--
 		}
 	}
-	for bc.pending > 0 {
+	for scanned := 0; bc.pending > 0; scanned++ {
+		if scanned == len(bc.tasks) {
+			bc.abort(ErrBarrierStall)
+		}
 		bc.cur = (bc.cur + 1) % len(bc.tasks)
 		t := &bc.tasks[bc.cur]
 		aborted := bc.aborted.Load()
@@ -270,7 +276,6 @@ type ThreadCtx struct {
 	GridDim   Dim3
 
 	block   *blockCtx
-	warp    int
 	stats   threadStats
 	gEvents []gEvent // per-thread global-access log, indexed by access ordinal
 	sEvents []sEvent // per-thread shared-access log
@@ -375,10 +380,6 @@ func (tc *ThreadCtx) CountBranches(n int) { tc.stats.branches += int64(n) }
 // CountBarriers charges n barrier arrivals at once (the warp executor's
 // batched equivalent of the SyncThreads-internal charge).
 func (tc *ThreadCtx) CountBarriers(n int) { tc.stats.barriers += int64(n) }
-
-// Aborted reports whether the launch has been aborted by another thread's
-// error; long-running native kernels should poll it inside loops.
-func (tc *ThreadCtx) Aborted() bool { return tc.block.aborted.Load() }
 
 // --- Global memory access ------------------------------------------------
 
@@ -776,7 +777,6 @@ func (d *Device) runBlock(bc *blockCtx, run func(bc *blockCtx, ctxs []*ThreadCtx
 			BlockDim:  cfg.Block,
 			GridDim:   cfg.Grid,
 			block:     bc,
-			warp:      t / warpSize,
 			gEvents:   tc.gEvents[:0],
 			sEvents:   tc.sEvents[:0],
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // vecAddKernel is the canonical first CUDA kernel of the course.
@@ -210,6 +211,64 @@ func TestBarrierDivergenceWhateverTheSchedule(t *testing.T) {
 			}
 			if !stats.Divergence || stats.Barriers != 1 {
 				t.Errorf("Divergence = %v, Barriers = %d; want true, 1", stats.Divergence, stats.Barriers)
+			}
+		})
+	}
+}
+
+// TestBarrierStallAborts: a WarpKernelFunc that says "parked" while lanes
+// of its warp have neither arrived nor retired leaves the block with
+// nothing runnable; the launch must end with ErrBarrierStall, not spin.
+func TestBarrierStallAborts(t *testing.T) {
+	// honest arrives all its lanes, then waits for the release.
+	honest := func(wc *WarpCtx) (bool, error) {
+		gen, arrived := wc.State.(int)
+		if !arrived {
+			g, released, err := wc.SyncArrive(len(wc.Lanes))
+			if released || err != nil {
+				return false, err
+			}
+			wc.State, gen = g, g
+		}
+		released, err := wc.SyncPoll(gen)
+		return !released, err
+	}
+	for _, tc := range []struct {
+		name   string
+		block  int
+		kernel WarpKernelFunc
+		want   error
+	}{
+		{"control", 64, honest, nil},
+		{"never arrives, ignores the abort", 32, func(wc *WarpCtx) (bool, error) { return true, nil }, ErrBarrierStall},
+		{"arrives all lanes but one", 32, func(wc *WarpCtx) (bool, error) {
+			if wc.State == nil {
+				wc.State, _, _ = wc.SyncArrive(len(wc.Lanes) - 1)
+				return true, nil
+			}
+			released, err := wc.SyncPoll(wc.State.(int))
+			return !released, err
+		}, ErrBarrierStall},
+		{"one warp of two never arrives", 64, func(wc *WarpCtx) (bool, error) {
+			if wc.Lanes[0].ThreadIdx.X == 0 {
+				return honest(wc)
+			}
+			return true, nil
+		}, ErrBarrierStall},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewDefaultDevice().LaunchWarp("stall", LaunchConfig{Grid: D1(4), Block: D1(tc.block)}, tc.kernel)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Errorf("err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("launch still spinning after 10 s")
 			}
 		})
 	}

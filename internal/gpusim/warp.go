@@ -70,11 +70,14 @@ func (d *Device) LaunchWarp(name string, cfg LaunchConfig, wk WarpKernelFunc) (*
 		bc.runTasks(len(wcs), func(w int) (parked bool) {
 			wc := &wcs[w]
 			defer bc.recoverTrap()
+			unwinding := bc.aborted.Load()
 			parked, err := wk(wc)
 			if err != nil {
 				bc.abort(err)
 			}
-			if parked && err == nil {
+			// A turn that began in an aborted launch was the warp's call to
+			// unwind; one that still says parked is ended here.
+			if parked && err == nil && !unwinding {
 				return true
 			}
 			// Retire the lanes the kernel did not exit itself (the error

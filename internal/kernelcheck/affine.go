@@ -94,9 +94,6 @@ func (a *affine) clone() *affine {
 
 func (a *affine) isConst() bool { return a != nil && len(a.terms) == 0 }
 
-// constVal returns the constant value; only meaningful when isConst.
-func (a *affine) constVal() int64 { return a.c }
-
 func (a *affine) addTerm(t term, coeff int64) {
 	if coeff == 0 {
 		return

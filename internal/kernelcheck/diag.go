@@ -127,18 +127,6 @@ func MetricName(ruleID string) string {
 	return "kernelcheck_fire_" + strings.ToLower(strings.ReplaceAll(ruleID, "-", "_"))
 }
 
-// MaxSeverity returns the most severe level present, or "" when the
-// slice is empty.
-func MaxSeverity(diags []Diagnostic) Severity {
-	var best Severity
-	for _, d := range diags {
-		if d.Severity.rank() > best.rank() {
-			best = d.Severity
-		}
-	}
-	return best
-}
-
 // ErrorCount counts error-severity diagnostics.
 func ErrorCount(diags []Diagnostic) int {
 	n := 0

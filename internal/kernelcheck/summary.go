@@ -39,22 +39,6 @@ func argIndex(f string) (int, bool) {
 	return n, true
 }
 
-// hasArgTerms reports whether any factor of any term is a parameter
-// placeholder.
-func hasArgTerms(a *affine) bool {
-	if a == nil {
-		return false
-	}
-	for _, tc := range a.terms {
-		for _, f := range strings.Split(tc.t.u, "*") {
-			if _, ok := argIndex(f); ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // effect is one memory access a device function performs through a
 // pointer parameter, in caller-substitutable form.
 type effect struct {

@@ -32,12 +32,16 @@ func (e *exprBase) Tok() Token        { return e.tok }
 func (e *exprBase) ResultType() *Type { return e.typ }
 
 // IntLit is an integer literal. val is the boxed runtime value, computed
-// once by sema so the interpreter's hot path returns it without re-boxing.
+// once by box so the interpreter's hot path returns it without re-boxing.
+// The box methods are the one definition of a literal's value; sema and
+// the program decoder both call them.
 type IntLit struct {
 	exprBase
 	Val int64
 	val Value
 }
+
+func (n *IntLit) box() { n.val = intValue(n.typ, n.Val) }
 
 // FloatLit is a floating literal.
 type FloatLit struct {
@@ -46,11 +50,20 @@ type FloatLit struct {
 	val Value
 }
 
+func (n *FloatLit) box() { n.val = floatValue(n.Val) }
+
 // BoolLit is true/false.
 type BoolLit struct {
 	exprBase
 	Val bool
 	val Value
+}
+
+func (n *BoolLit) box() {
+	n.val = Value{T: TypeBool}
+	if n.Val {
+		n.val.I = 1
+	}
 }
 
 // VarRef is a resolved reference to a declared name.
@@ -62,8 +75,8 @@ type VarRef struct {
 
 // BuiltinVarRef is threadIdx/blockIdx/blockDim/gridDim member access, e.g.
 // threadIdx.x. Dim is 0, 1, or 2 for .x, .y, .z. baseID is the Base string
-// resolved to a small index by sema so the interpreter's hot path avoids
-// string comparison.
+// resolved to a small index (builtinBaseID) so the interpreter's hot path
+// avoids string comparison.
 type BuiltinVarRef struct {
 	exprBase
 	Base   string // "threadIdx", ...
@@ -78,6 +91,22 @@ const (
 	baseBlockDim
 	baseGridDim
 )
+
+// builtinBaseID resolves the name of a builtin dim3 variable to its
+// baseID; ok is false for any other name.
+func builtinBaseID(name string) (id uint8, ok bool) {
+	switch name {
+	case "threadIdx":
+		return baseThreadIdx, true
+	case "blockIdx":
+		return baseBlockIdx, true
+	case "blockDim":
+		return baseBlockDim, true
+	case "gridDim":
+		return baseGridDim, true
+	}
+	return 0, false
+}
 
 // Unary is a prefix unary operation: + - ! ~ * (deref) & (addr) ++ --.
 type Unary struct {

@@ -24,10 +24,10 @@ package minicuda
 //
 // Expressions and statements are tagged unions carrying their full
 // source Token, so runtime traps and diagnostics on a decoded program
-// format identically to the compiled original. Sema-computed scalar
-// caches that are pure functions of encoded fields (literal value boxes,
-// builtin-variable base IDs) are recomputed during decode rather than
-// stored.
+// format identically to the compiled original. Per-node caches that are
+// pure functions of encoded fields (literal value boxes, builtin-variable
+// base IDs) are not stored: the decoder refills them through the same
+// helpers sema uses (box, builtinBaseID in ast.go).
 //
 // The decoder trusts nothing: every index is bounds-checked, counts are
 // sanity-capped against the input size, recursion is depth-limited, and
@@ -93,35 +93,31 @@ const (
 
 // ---- Encoder ---------------------------------------------------------------
 
-type typeRec struct {
-	kind  Kind
-	elem  uint64 // 1-based index into the type table; 0 = none
-	n     int
-	space MemSpace
-}
-
-type symRec struct {
-	name  uint64
-	kind  SymKind
-	typ   uint64 // 1-based type ref; 0 = nil
-	slot  int
-	off   int
-	isArg bool
+// encTable is one of the stream's three tables under construction:
+// entries are appended in their stream encoding as they are interned.
+type encTable struct {
+	n    uint64
+	data []byte
 }
 
 type progEncoder struct {
 	tree []byte
 
-	strs   []string
-	strIdx map[string]uint64
+	strs, types, syms encTable
 
-	typeRecs []typeRec
-	typeIdx  map[*Type]uint64
+	strIdx  map[string]uint64  // 0-based
+	typeIdx map[*Type]uint64   // 1-based; 0 = nil
+	symIdx  map[*Symbol]uint64 // 1-based; 0 = nil
+	fnIdx   map[*Function]uint64
+}
 
-	symRecs []symRec
-	symIdx  map[*Symbol]uint64
-
-	fnIdx map[*Function]uint64
+func newProgEncoder() *progEncoder {
+	return &progEncoder{
+		strIdx:  map[string]uint64{},
+		typeIdx: map[*Type]uint64{},
+		symIdx:  map[*Symbol]uint64{},
+		fnIdx:   map[*Function]uint64{},
+	}
 }
 
 // EncodeProgram serializes a compiled program. The program must have
@@ -131,12 +127,7 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	if p == nil {
 		return nil, errors.New("minicuda: cannot encode nil program")
 	}
-	e := &progEncoder{
-		strIdx:  map[string]uint64{},
-		typeIdx: map[*Type]uint64{},
-		symIdx:  map[*Symbol]uint64{},
-		fnIdx:   map[*Function]uint64{},
-	}
+	e := newProgEncoder()
 	// Pre-number every function so Call.Fn references resolve regardless
 	// of definition order.
 	for i, f := range p.Funcs {
@@ -150,11 +141,7 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	for _, f := range p.Funcs {
 		e.function(f)
 	}
-	e.u(uint64(len(p.Globals)))
-	for _, g := range p.Globals {
-		e.str(g.Qual)
-		e.varDecl(g.Decl)
-	}
+	e.globals(p.Globals)
 
 	var out []byte
 	out = append(out, codecMagic...)
@@ -162,36 +149,19 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(p.Dialect))
 	out = appendBool(out, p.usesBarrier)
 	out = binary.AppendUvarint(out, uint64(p.constSize))
+	out = e.appendTables(out)
+	return append(out, e.tree...), nil
+}
 
-	out = binary.AppendUvarint(out, uint64(len(e.strs)))
-	for _, s := range e.strs {
-		out = binary.AppendUvarint(out, uint64(len(s)))
-		out = append(out, s...)
+// appendTables appends the string, type and symbol tables interned so
+// far, in stream layout. The program stream and the structural hashes
+// (hash.go) both take them from here.
+func (e *progEncoder) appendTables(out []byte) []byte {
+	for _, t := range []*encTable{&e.strs, &e.types, &e.syms} {
+		out = binary.AppendUvarint(out, t.n)
+		out = append(out, t.data...)
 	}
-	out = binary.AppendUvarint(out, uint64(len(e.typeRecs)))
-	for _, t := range e.typeRecs {
-		out = binary.AppendUvarint(out, uint64(t.kind))
-		switch t.kind {
-		case KPtr:
-			out = binary.AppendUvarint(out, t.elem)
-			out = binary.AppendUvarint(out, uint64(t.space))
-		case KArray:
-			out = binary.AppendUvarint(out, t.elem)
-			out = binary.AppendUvarint(out, uint64(t.n))
-			out = binary.AppendUvarint(out, uint64(t.space))
-		}
-	}
-	out = binary.AppendUvarint(out, uint64(len(e.symRecs)))
-	for _, s := range e.symRecs {
-		out = binary.AppendUvarint(out, s.name)
-		out = binary.AppendUvarint(out, uint64(s.kind))
-		out = binary.AppendUvarint(out, s.typ)
-		out = binary.AppendUvarint(out, uint64(s.slot))
-		out = binary.AppendUvarint(out, uint64(s.off))
-		out = appendBool(out, s.isArg)
-	}
-	out = append(out, e.tree...)
-	return out, nil
+	return out
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -208,16 +178,20 @@ func (e *progEncoder) f64(v float64) {
 	e.tree = binary.LittleEndian.AppendUint64(e.tree, math.Float64bits(v))
 }
 
-// str interns s and writes its table index.
-func (e *progEncoder) str(s string) {
+// strRef interns s and returns its table index.
+func (e *progEncoder) strRef(s string) uint64 {
 	idx, ok := e.strIdx[s]
 	if !ok {
-		idx = uint64(len(e.strs))
+		idx = e.strs.n
 		e.strIdx[s] = idx
-		e.strs = append(e.strs, s)
+		e.strs.n++
+		e.strs.data = binary.AppendUvarint(e.strs.data, uint64(len(s)))
+		e.strs.data = append(e.strs.data, s...)
 	}
-	e.u(idx)
+	return idx
 }
+
+func (e *progEncoder) str(s string) { e.u(e.strRef(s)) }
 
 // typeRef interns t (by pointer — shared types share one entry, scalar
 // singletons collapse at decode) and returns its 1-based ref; 0 is nil.
@@ -232,10 +206,20 @@ func (e *progEncoder) typeRef(t *Type) uint64 {
 	if t.Elem != nil {
 		elem = e.typeRef(t.Elem) // interned first: elem index < own index
 	}
-	idx := uint64(len(e.typeRecs)) + 1
-	e.typeIdx[t] = idx
-	e.typeRecs = append(e.typeRecs, typeRec{kind: t.Kind, elem: elem, n: t.Len, space: t.Space})
-	return idx
+	e.types.n++
+	e.typeIdx[t] = e.types.n
+	d := binary.AppendUvarint(e.types.data, uint64(t.Kind))
+	switch t.Kind {
+	case KPtr:
+		d = binary.AppendUvarint(d, elem)
+		d = binary.AppendUvarint(d, uint64(t.Space))
+	case KArray:
+		d = binary.AppendUvarint(d, elem)
+		d = binary.AppendUvarint(d, uint64(t.Len))
+		d = binary.AppendUvarint(d, uint64(t.Space))
+	}
+	e.types.data = d
+	return e.types.n
 }
 
 func (e *progEncoder) typ(t *Type) { e.u(e.typeRef(t)) }
@@ -248,20 +232,16 @@ func (e *progEncoder) symRef(sym *Symbol) uint64 {
 	if idx, ok := e.symIdx[sym]; ok {
 		return idx
 	}
-	typ := e.typeRef(sym.Type)
-	nameIdx, ok := e.strIdx[sym.Name]
-	if !ok {
-		nameIdx = uint64(len(e.strs))
-		e.strIdx[sym.Name] = nameIdx
-		e.strs = append(e.strs, sym.Name)
-	}
-	idx := uint64(len(e.symRecs)) + 1
-	e.symIdx[sym] = idx
-	e.symRecs = append(e.symRecs, symRec{
-		name: nameIdx, kind: sym.Kind, typ: typ,
-		slot: sym.Slot, off: sym.Off, isArg: sym.IsArg,
-	})
-	return idx
+	name, typ := e.strRef(sym.Name), e.typeRef(sym.Type)
+	e.syms.n++
+	e.symIdx[sym] = e.syms.n
+	d := binary.AppendUvarint(e.syms.data, name)
+	d = binary.AppendUvarint(d, uint64(sym.Kind))
+	d = binary.AppendUvarint(d, typ)
+	d = binary.AppendUvarint(d, uint64(sym.Slot))
+	d = binary.AppendUvarint(d, uint64(sym.Off))
+	e.syms.data = appendBool(d, sym.IsArg)
+	return e.syms.n
 }
 
 func (e *progEncoder) sym(sym *Symbol) { e.u(e.symRef(sym)) }
@@ -289,6 +269,14 @@ func (e *progEncoder) function(f *Function) {
 		e.varDecl(p)
 	}
 	e.stmt(f.Body)
+}
+
+func (e *progEncoder) globals(gs []*GlobalVar) {
+	e.u(uint64(len(gs)))
+	for _, g := range gs {
+		e.str(g.Qual)
+		e.varDecl(g.Decl)
+	}
 }
 
 func (e *progEncoder) varDecl(d *VarDecl) {
@@ -367,6 +355,9 @@ func (e *progEncoder) expr(x Expr) {
 		e.str(n.Name)
 		e.str(n.Builtin)
 		if n.Fn != nil {
+			// A structural hash (hash.go) encodes one function with an
+			// empty fnIdx: every resolved callee writes 1 there and is
+			// told apart by Name alone.
 			e.u(e.fnIdx[n.Fn] + 1)
 		} else {
 			e.u(0)
@@ -511,30 +502,15 @@ func DecodeProgram(data []byte) (p *Program, err error) {
 	d.types = make([]*Type, 0, n)
 	for i := 0; i < n; i++ {
 		kind := Kind(d.u())
-		switch kind {
-		case KVoid:
-			d.types = append(d.types, TypeVoid)
-		case KBool:
-			d.types = append(d.types, TypeBool)
-		case KChar:
-			d.types = append(d.types, TypeChar)
-		case KUChar:
-			d.types = append(d.types, TypeUChar)
-		case KInt:
-			d.types = append(d.types, TypeInt)
-		case KUInt:
-			d.types = append(d.types, TypeUInt)
-		case KFloat:
-			d.types = append(d.types, TypeFloat)
-		case KPtr:
+		switch {
+		case kind >= 0 && int(kind) < len(scalarTypes):
+			d.types = append(d.types, scalarTypes[kind])
+		case kind == KPtr:
 			elem := d.typeAt(d.u())
-			space := MemSpace(d.u())
-			d.types = append(d.types, &Type{Kind: KPtr, Elem: elem, Space: space})
-		case KArray:
-			elem := d.typeAt(d.u())
-			ln := int(d.u())
-			space := MemSpace(d.u())
-			d.types = append(d.types, &Type{Kind: KArray, Elem: elem, Len: ln, Space: space})
+			d.types = append(d.types, PtrTo(elem, MemSpace(d.u())))
+		case kind == KArray:
+			elem, ln := d.typeAt(d.u()), int(d.u())
+			d.types = append(d.types, ArrayOf(elem, ln, MemSpace(d.u())))
 		default:
 			d.fail("unknown type kind %d", kind)
 		}
@@ -773,21 +749,15 @@ func (d *progDecoder) expr() Expr {
 	switch tag {
 	case tagIntLit:
 		n := &IntLit{exprBase: base, Val: d.i()}
-		// Recomputed caches: sema boxes literals once so the hot path
-		// avoids re-boxing; the formulas are pure over encoded fields.
-		n.val = intValue(n.ResultType(), n.Val)
+		n.box()
 		return n
 	case tagFloatLit:
 		n := &FloatLit{exprBase: base, Val: d.f64()}
-		n.val = floatValue(n.Val)
+		n.box()
 		return n
 	case tagBoolLit:
 		n := &BoolLit{exprBase: base, Val: d.b()}
-		var i int64
-		if n.Val {
-			i = 1
-		}
-		n.val = intValue(TypeBool, i)
+		n.box()
 		return n
 	case tagVarRef:
 		n := &VarRef{exprBase: base, Name: d.str(), Sym: d.symRef()}
@@ -797,15 +767,9 @@ func (d *progDecoder) expr() Expr {
 		return n
 	case tagBuiltinVarRef:
 		n := &BuiltinVarRef{exprBase: base, Base: d.str(), Dim: int(d.u())}
-		switch n.Base { // same resolution as sema
-		case "threadIdx":
-			n.baseID = baseThreadIdx
-		case "blockIdx":
-			n.baseID = baseBlockIdx
-		case "blockDim":
-			n.baseID = baseBlockDim
-		default:
-			n.baseID = baseGridDim
+		var ok bool
+		if n.baseID, ok = builtinBaseID(n.Base); !ok {
+			d.fail("unknown builtin variable %q", n.Base)
 		}
 		return n
 	case tagUnary:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"webgpu/internal/gpusim"
@@ -207,5 +208,34 @@ __global__ void k(int *iout, float *fout, int a) {
 	bad[len(codecMagic)] = 0x7f // version varint
 	if _, err := DecodeProgram(bad); err == nil {
 		t.Fatal("decode accepted bumped version")
+	}
+}
+
+// TestCodecRejectsTargetedCorruption: streams that are well-formed up to
+// one wrong field must fail the decode with the named reason.
+func TestCodecRejectsTargetedCorruption(t *testing.T) {
+	prog, err := Compile(`__global__ void k(int *iout) { iout[threadIdx.x] = 1; }`, DialectCUDA)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	data, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	cases := []struct {
+		name    string
+		mutate  func([]byte) []byte
+		wantErr string
+	}{
+		{"unknown builtin base", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("threadIdx"), []byte("threadIdy"), 1)
+		}, `unknown builtin variable "threadIdy"`},
+		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, "1 trailing bytes"},
+	}
+	for _, c := range cases {
+		_, err := DecodeProgram(c.mutate(append([]byte(nil), data...)))
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: decode error = %v, want one containing %q", c.name, err, c.wantErr)
+		}
 	}
 }

@@ -1,243 +1,46 @@
 package minicuda
 
-// Stable structural content hashing of resolved functions, for
-// function-granular incremental analysis. The hash covers everything a
-// per-function analysis result can depend on: the shape of the AST,
-// names, operators, literal values, resolved types, symbol layout
-// (slots, shared-arena offsets), and token positions — positions are
-// included deliberately, so a cached diagnostic (which embeds "line:col"
-// in both its Pos and its message text) is verbatim-valid whenever the
-// hash matches.
+// Structural content hashing for function-granular incremental analysis.
+// A hash is the SHA-256 of what the MCPG encoder (codec.go) writes for the
+// thing hashed, so the encoder is the one place that says which fields of
+// a resolved node matter: resolved types, symbol layout (slots, arena
+// offsets) and full source tokens. Positions are part of a token, so a
+// cached diagnostic (which embeds "line:col" in its Pos and its message)
+// is verbatim-valid whenever the hash matches. A node kind the encoder
+// does not know panics here exactly as it does in EncodeProgram.
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"strconv"
 )
 
-type structHasher struct {
-	h   hash.Hash
-	buf [8]byte
-}
-
-func newStructHasher() *structHasher { return &structHasher{h: sha256.New()} }
-
-func (s *structHasher) str(tag, v string) {
-	s.h.Write([]byte(tag))
-	s.int(int64(len(v)))
-	s.h.Write([]byte(v))
-}
-
-func (s *structHasher) int(v int64) {
-	binary.LittleEndian.PutUint64(s.buf[:], uint64(v))
-	s.h.Write(s.buf[:])
-}
-
-func (s *structHasher) boolean(v bool) {
-	if v {
-		s.h.Write([]byte{1})
-	} else {
-		s.h.Write([]byte{0})
-	}
-}
-
-func (s *structHasher) tok(t Token) {
-	s.int(int64(t.Line)<<32 | int64(t.Col))
-}
-
-func (s *structHasher) typ(t *Type) {
-	if t == nil {
-		s.str("T", "<nil>")
-		return
-	}
-	s.str("T", t.String())
-	s.str("sp", spaceName(t))
-}
-
-// spaceName renders the memory-space chain of a type (String ignores it,
-// but the analyzer's shared/global distinction depends on it).
-func spaceName(t *Type) string {
-	out := ""
-	for ; t != nil; t = t.Elem {
-		out += strconv.Itoa(int(t.Space)) + ","
-	}
-	return out
-}
-
-func (s *structHasher) sym(sy *Symbol) {
-	if sy == nil {
-		s.str("S", "<nil>")
-		return
-	}
-	s.str("S", sy.Name)
-	s.int(int64(sy.Kind))
-	s.int(int64(sy.Slot))
-	s.int(int64(sy.Off))
-	s.boolean(sy.IsArg)
-	s.typ(sy.Type)
-}
-
-func (s *structHasher) expr(e Expr) {
-	if e == nil {
-		s.str("E", "<nil>")
-		return
-	}
-	s.tok(e.Tok())
-	switch x := e.(type) {
-	case *IntLit:
-		s.str("E", "int")
-		s.int(x.Val)
-	case *FloatLit:
-		s.str("E", "float")
-		s.str("v", strconv.FormatFloat(x.Val, 'g', -1, 64))
-	case *BoolLit:
-		s.str("E", "bool")
-		s.boolean(x.Val)
-	case *VarRef:
-		s.str("E", "var")
-		s.sym(x.Sym)
-	case *BuiltinVarRef:
-		s.str("E", "builtin")
-		s.str("b", x.Base)
-		s.int(int64(x.Dim))
-	case *Unary:
-		s.str("E", "unary")
-		s.str("op", x.Op)
-		s.expr(x.X)
-	case *Postfix:
-		s.str("E", "postfix")
-		s.str("op", x.Op)
-		s.expr(x.X)
-	case *Binary:
-		s.str("E", "binary")
-		s.str("op", x.Op)
-		s.expr(x.L)
-		s.expr(x.R)
-	case *Assign:
-		s.str("E", "assign")
-		s.str("op", x.Op)
-		s.expr(x.L)
-		s.expr(x.R)
-	case *Ternary:
-		s.str("E", "ternary")
-		s.expr(x.Cond)
-		s.expr(x.Then)
-		s.expr(x.Else)
-	case *Index:
-		s.str("E", "index")
-		s.expr(x.Base)
-		s.expr(x.Idx)
-	case *Call:
-		s.str("E", "call")
-		s.str("n", x.Name)
-		s.str("bi", x.Builtin)
-		s.int(int64(len(x.Args)))
-		for _, ar := range x.Args {
-			s.expr(ar)
-		}
-	case *Cast:
-		s.str("E", "cast")
-		s.typ(x.To)
-		s.expr(x.X)
-	default:
-		s.str("E", "other")
-	}
-}
-
-func (s *structHasher) stmt(st Stmt) {
-	if st == nil {
-		s.str("St", "<nil>")
-		return
-	}
-	s.tok(st.Tok())
-	switch x := st.(type) {
-	case *Block:
-		s.str("St", "block")
-		s.int(int64(len(x.Stmts)))
-		for _, sub := range x.Stmts {
-			s.stmt(sub)
-		}
-	case *DeclStmt:
-		s.str("St", "decl")
-		s.int(int64(len(x.Decls)))
-		for _, d := range x.Decls {
-			s.decl(d)
-		}
-	case *ExprStmt:
-		s.str("St", "expr")
-		s.expr(x.X)
-	case *IfStmt:
-		s.str("St", "if")
-		s.expr(x.Cond)
-		s.stmt(x.Then)
-		s.stmt(x.Else)
-	case *ForStmt:
-		s.str("St", "for")
-		s.stmt(x.Init)
-		s.expr(x.Cond)
-		s.expr(x.Post)
-		s.stmt(x.Body)
-	case *WhileStmt:
-		s.str("St", "while")
-		s.boolean(x.DoFirst)
-		s.expr(x.Cond)
-		s.stmt(x.Body)
-	case *ReturnStmt:
-		s.str("St", "return")
-		s.expr(x.X)
-	case *BreakStmt:
-		s.str("St", "break")
-	case *ContinueStmt:
-		s.str("St", "continue")
-	case *EmptyStmt:
-		s.str("St", "empty")
-	default:
-		s.str("St", "other")
-	}
-}
-
-func (s *structHasher) decl(d *VarDecl) {
-	s.str("D", d.Name)
-	s.tok(d.Tok())
-	s.typ(d.Type)
-	s.boolean(d.Shared)
-	s.sym(d.Sym)
-	s.expr(d.Init)
+// sum hashes the tables interned so far followed by the tree bytes.
+func (e *progEncoder) sum() string {
+	h := sha256.New()
+	h.Write(e.appendTables(nil))
+	h.Write(e.tree)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // StructuralHash returns a stable content hash of a resolved function:
 // identical source (including position) hashes identically across
-// compiles; any edit to the function's text, layout, or resolved types
-// changes the hash. Callee bodies are NOT included — combine with the
-// callees' own hashes to key interprocedural results.
+// compiles and across an encode/decode round trip; any edit to the
+// function's text, layout, or resolved types changes the hash. Callees
+// are identified by name only (the encoder has no function table here),
+// their bodies are NOT included — combine with the callees' own hashes to
+// key interprocedural results.
 func (f *Function) StructuralHash() string {
-	s := newStructHasher()
-	s.str("fn", f.Name)
-	s.tok(f.Tok())
-	s.boolean(f.IsKernel)
-	s.typ(f.Ret)
-	s.int(int64(f.NumSlots))
-	s.int(int64(f.SharedUse))
-	s.int(int64(len(f.Params)))
-	for _, p := range f.Params {
-		s.decl(p)
-	}
-	s.stmt(f.Body)
-	return hex.EncodeToString(s.h.Sum(nil))
+	e := newProgEncoder()
+	e.function(f)
+	return e.sum()
 }
 
 // PreludeHash hashes the program-level context a function analysis can
 // observe besides its own body and callees: the dialect and the layout
 // of file-scope (__constant__) globals.
 func (p *Program) PreludeHash() string {
-	s := newStructHasher()
-	s.int(int64(p.Dialect))
-	s.int(int64(len(p.Globals)))
-	for _, g := range p.Globals {
-		s.str("g", g.Qual)
-		s.decl(g.Decl)
-	}
-	return hex.EncodeToString(s.h.Sum(nil))
+	e := newProgEncoder()
+	e.u(uint64(p.Dialect))
+	e.globals(p.Globals)
+	return e.sum()
 }

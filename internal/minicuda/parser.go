@@ -28,8 +28,7 @@ type parser struct {
 	dialect Dialect
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() Token { return p.toks[p.pos] }
 
 func (p *parser) next() Token {
 	t := p.toks[p.pos]
@@ -883,11 +882,8 @@ func (p *parser) parsePostfix() (Expr, error) {
 }
 
 func isBuiltinDim3(name string) bool {
-	switch name {
-	case "threadIdx", "blockIdx", "blockDim", "gridDim":
-		return true
-	}
-	return false
+	_, ok := builtinBaseID(name)
+	return ok
 }
 
 func dimIndex(m string) (int, bool) {

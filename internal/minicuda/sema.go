@@ -285,17 +285,13 @@ func convertible(from, to *Type) bool {
 func (a *analyzer) expr(e Expr) (*Type, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		x.val = intValue(x.ResultType(), x.Val)
+		x.box()
 		return e.ResultType(), nil
 	case *FloatLit:
-		x.val = floatValue(x.Val)
+		x.box()
 		return e.ResultType(), nil
 	case *BoolLit:
-		var i int64
-		if x.Val {
-			i = 1
-		}
-		x.val = intValue(TypeBool, i)
+		x.box()
 		return e.ResultType(), nil
 	case *VarRef:
 		if isBuiltinDim3(x.Name) {
@@ -310,16 +306,7 @@ func (a *analyzer) expr(e Expr) (*Type, error) {
 		return sym.Type, nil
 	case *BuiltinVarRef:
 		x.typ = TypeInt
-		switch x.Base {
-		case "threadIdx":
-			x.baseID = baseThreadIdx
-		case "blockIdx":
-			x.baseID = baseBlockIdx
-		case "blockDim":
-			x.baseID = baseBlockDim
-		default:
-			x.baseID = baseGridDim
-		}
+		x.baseID, _ = builtinBaseID(x.Base) // the parser admits no other base
 		return TypeInt, nil
 	case *Unary:
 		t, err := a.expr(x.X)

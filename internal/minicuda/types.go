@@ -64,6 +64,10 @@ var (
 	TypeInt   = &Type{Kind: KInt}
 	TypeUInt  = &Type{Kind: KUInt}
 	TypeFloat = &Type{Kind: KFloat}
+
+	// scalarTypes maps a scalar Kind to its singleton.
+	scalarTypes = [...]*Type{KVoid: TypeVoid, KBool: TypeBool, KChar: TypeChar, KUChar: TypeUChar,
+		KInt: TypeInt, KUInt: TypeUInt, KFloat: TypeFloat}
 )
 
 // PtrTo returns a pointer type to elem in the given space.
@@ -93,9 +97,6 @@ func (t *Type) IsInteger() bool {
 	}
 	return false
 }
-
-// IsFloat reports whether t is the float scalar.
-func (t *Type) IsFloat() bool { return t.Kind == KFloat }
 
 // IsPtr reports whether t is a pointer.
 func (t *Type) IsPtr() bool { return t.Kind == KPtr }

@@ -10,6 +10,7 @@ package queue
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -178,7 +179,7 @@ func (b *Broker) mirrorDrop(topic, id string) {
 	queue := b.topics[topic]
 	for i, p := range queue {
 		if p.msg.ID == id {
-			b.topics[topic] = append(queue[:i], queue[i+1:]...)
+			b.topics[topic] = slices.Delete(queue, i, i+1)
 			b.stats.acked++
 			return
 		}
@@ -217,8 +218,9 @@ func (b *Broker) Poll(topic, consumer string, caps map[string]bool, visibility t
 		if !tagsSatisfied(p.msg.Tags, caps) {
 			continue
 		}
-		// Lease it.
-		b.topics[topic] = append(append([]*pending{}, queue[:i]...), queue[i+1:]...)
+		// Lease it, removing it in place: a topic's slice is reachable
+		// only through b.topics under b.mu, so nobody holds the old view.
+		b.topics[topic] = slices.Delete(queue, i, i+1)
 		p.msg.Attempts++
 		tag := fmt.Sprintf("%s#%d", p.msg.ID, p.msg.Attempts)
 		b.inflight[tag] = &inflight{msg: p.msg, deadline: now.Add(visibility), consumer: consumer}

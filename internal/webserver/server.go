@@ -643,8 +643,14 @@ func (s *Server) auth(h authedHandler) http.HandlerFunc {
 			}
 			return tx.Get("users", sess.UserID, &u)
 		})
-		if err != nil {
+		if errors.Is(err, db.ErrNotFound) {
 			writeErr(w, http.StatusUnauthorized, ErrCodeUnauthorized, "invalid session")
+			return
+		}
+		if err != nil {
+			// The store failed, not the session: clients retry a 503 and
+			// log the student out on a 401.
+			writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "session lookup: %v", err)
 			return
 		}
 		h(w, r, &u)
