@@ -2,6 +2,7 @@ package labs
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -517,6 +518,56 @@ func TestKernelStatsRepeatable(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// TestOutcomeJSONRoundTrip: the fields an outcome leaves out of its JSON
+// when they are zero come back as zero, so what the broker carries and the
+// database stores decodes to what the worker produced — for a passing run
+// (whose error fields and most shared/atomic counters are absent), a
+// compile error and a cancelled dataset.
+func TestOutcomeJSONRoundTrip(t *testing.T) {
+	l := ByID("vector-add")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name   string
+		o      *Outcome
+		absent []string // keys the encoding must not carry
+	}{
+		{"passing", Run(context.Background(), l, l.Reference, 0, NewDeviceSet(1), 0),
+			[]string{"CompileError", "RuntimeError", "Canceled", "SharedOps", "Atomics"}},
+		{"compile error", CompileOnly(l, "__global__ void broken( {"),
+			[]string{"RuntimeError", "Canceled"}},
+		{"cancelled", Run(canceled, l, l.Reference, 0, NewDeviceSet(1), 0),
+			[]string{"CompileError"}},
+	}
+	if o := cases[0].o; !o.Correct || len(o.Kernels) == 0 {
+		t.Fatalf("passing case did not pass: %+v", o)
+	}
+	if o := cases[1].o; o.CompileError == "" {
+		t.Fatalf("compile-error case compiled: %+v", o)
+	}
+	if o := cases[2].o; !o.Canceled {
+		t.Fatalf("cancelled case ran: %+v", o)
+	}
+	for _, tc := range cases {
+		raw, err := json.Marshal(tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, key := range tc.absent {
+			if strings.Contains(string(raw), `"`+key+`"`) {
+				t.Errorf("%s: encoding carries the empty field %s: %s", tc.name, key, raw)
+			}
+		}
+		var back Outcome
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(&back, tc.o) {
+			t.Errorf("%s: round trip changed the outcome:\n got %+v\nwant %+v", tc.name, &back, tc.o)
 		}
 	}
 }

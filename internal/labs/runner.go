@@ -14,17 +14,20 @@ import (
 )
 
 // Outcome is the result of running one submission against one dataset —
-// the payload a worker node returns to the web tier (§III-C).
+// the payload a worker node returns to the web tier (§III-C). Every
+// outcome crosses the broker as JSON and is then stored per submission and
+// attempt, so the fields that are empty on a passing run are left out of
+// the encoding; readers decode through this type and see the zero value.
 type Outcome struct {
 	LabID        string
 	DatasetID    int
 	Compiled     bool
-	CompileError string
+	CompileError string `json:",omitempty"`
 	Ran          bool
-	RuntimeError string
+	RuntimeError string `json:",omitempty"`
 	Correct      bool
 	CheckMessage string
-	Canceled     bool // the job's context expired before this dataset ran
+	Canceled     bool `json:",omitempty"` // the job's context expired before this dataset ran
 	Trace        string
 	SimTime      time.Duration // simulated GPU time across launches
 	WallTime     time.Duration
@@ -37,13 +40,13 @@ type KernelStats struct {
 	Name         string
 	Blocks       int
 	Threads      int
-	GlobalLoads  int64
-	GlobalStores int64
-	GlobalTx     int64
-	SharedOps    int64
-	SharedTx     int64
-	Atomics      int64
-	Barriers     int64
+	GlobalLoads  int64 `json:",omitempty"`
+	GlobalStores int64 `json:",omitempty"`
+	GlobalTx     int64 `json:",omitempty"`
+	SharedOps    int64 `json:",omitempty"`
+	SharedTx     int64 `json:",omitempty"`
+	Atomics      int64 `json:",omitempty"`
+	Barriers     int64 `json:",omitempty"`
 	SimCycles    int64
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"webgpu/internal/labs"
 	"webgpu/internal/trace"
@@ -59,6 +60,11 @@ func traceFlow(t *testing.T, p *Platform) {
 	names := map[string]bool{}
 	for _, sp := range data.Spans {
 		names[sp.Name] = true
+		// The first job of an idle v2 fleet is picked up because the broker
+		// woke a driver, not because a poll interval ran out.
+		if p.Arch == V2 && sp.Name == "queue_wait" && sp.Attrs["wake"] != "publish" {
+			t.Errorf("queue_wait wake = %q, want publish (attrs %v)", sp.Attrs["wake"], sp.Attrs)
+		}
 	}
 	for _, want := range []string{"dispatch", "queue_wait", "admission", "compile", "exec[dataset=0]", "grade"} {
 		if !names[want] {
@@ -105,5 +111,21 @@ func TestTraceEndToEndV1(t *testing.T) {
 func TestTraceEndToEndV2(t *testing.T) {
 	p := New(Options{Arch: V2, Workers: 2})
 	defer p.Close()
+	// Stretch the drivers' fallback tick to a second, and wait until their
+	// 5 ms ticks have stopped, so the flow's job cannot land in the instant
+	// between a tick and its poll and be reported as wake=tick.
+	cfg, _ := p.ConfigServer.Get()
+	cfg.PollInterval = time.Second
+	p.ConfigServer.Update(cfg)
+	for last := -1.0; ; time.Sleep(20 * time.Millisecond) {
+		ticks := p.Metrics().Counter("driver_idle_ticks")
+		if ticks == last {
+			break
+		}
+		last = ticks
+	}
 	traceFlow(t, p)
+	if got := p.Metrics().Counter("driver_wakeups"); got < 1 {
+		t.Errorf("driver_wakeups = %v after a submit to an idle fleet", got)
+	}
 }

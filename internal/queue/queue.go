@@ -1,7 +1,8 @@
 // Package queue implements the message broker of the WebGPU 2.0
 // architecture (§VI-A): topics of durable messages that worker nodes
 // *poll* (rather than having jobs pushed at them), requirement tags so a
-// lab needing MPI or multiple GPUs is only handed to a capable worker,
+// lab needing MPI or multiple GPUs is only handed to a capable worker, a
+// per-topic wake signal so an idle poller blocks instead of sleeping,
 // visibility timeouts with redelivery for at-least-once semantics, a
 // dead-letter queue for poison messages, and mirroring of the unacked
 // messages to a standby broker in another availability zone.
@@ -55,7 +56,8 @@ type Broker struct {
 	closed      bool
 	nextID      int
 	topics      map[string][]*pending
-	inflight    map[string]*inflight // delivery tag -> message
+	wake        map[string]chan struct{} // topic -> channel Wait handed out, closed by wakeLocked
+	inflight    map[string]*inflight     // delivery tag -> message
 	dead        []*Message
 	maxAttempts int
 	clock       func() time.Time
@@ -77,6 +79,7 @@ type Broker struct {
 func NewBroker() *Broker {
 	return &Broker{
 		topics:      map[string][]*pending{},
+		wake:        map[string]chan struct{}{},
 		inflight:    map[string]*inflight{},
 		maxAttempts: DefaultMaxAttempts,
 		clock:       time.Now,
@@ -119,11 +122,54 @@ func (b *Broker) Mirror(standby *Broker) {
 	b.mirror = standby
 }
 
-// Close shuts the broker down.
+// Close shuts the broker down and releases every waiter, so a consumer
+// blocked on a dying primary sees ErrClosed from its next Poll at once.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
+	for topic := range b.wake {
+		b.wakeLocked(topic)
+	}
+}
+
+// Wait returns a channel that is closed the next time a message becomes
+// visible on the topic — a publish, a mirrored publish on a standby, a
+// nack, an expired lease found by a later call, a dead-letter redrive —
+// or the broker closes. A consumer takes it *before* Poll and blocks on it
+// only after that Poll came back empty: an event between the two closes
+// the channel it already holds, so no wake-up is lost. Every waiter on the
+// topic is released, whatever its capabilities; one that finds nothing it
+// may lease waits again. On a closed broker the channel is already closed.
+func (b *Broker) Wait(topic string) <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ch, ok := b.wake[topic]
+	if !ok {
+		ch = make(chan struct{})
+		if b.closed {
+			close(ch)
+		} else {
+			b.wake[topic] = ch
+		}
+	}
+	return ch
+}
+
+// enqueueLocked makes msg visible on its topic and releases the topic's
+// waiters: the one place a message enters b.topics.
+func (b *Broker) enqueueLocked(msg *Message) {
+	b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+	b.wakeLocked(msg.Topic)
+}
+
+// wakeLocked releases the topic's waiters. The channel is made by Wait,
+// so a topic nobody waits on costs a failed map lookup per message.
+func (b *Broker) wakeLocked(topic string) {
+	if ch, ok := b.wake[topic]; ok {
+		close(ch)
+		delete(b.wake, topic)
+	}
 }
 
 // Publish enqueues a payload on a topic with requirement tags, returning
@@ -143,7 +189,7 @@ func (b *Broker) Publish(topic string, payload []byte, tags ...string) (string, 
 	copy(cp, payload)
 	msg := &Message{ID: id, Topic: topic, Payload: cp, Tags: append([]string(nil), tags...),
 		Enqueued: b.clock()}
-	b.topics[topic] = append(b.topics[topic], &pending{msg: msg})
+	b.enqueueLocked(msg)
 	b.stats.published++
 	if b.mirror != nil {
 		// Lock order is primary then mirror, here and in Ack, never the
@@ -166,7 +212,7 @@ func (b *Broker) mirrorPut(seq int, msg *Message) {
 	if b.nextID < seq {
 		b.nextID = seq
 	}
-	b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+	b.enqueueLocked(msg)
 	b.stats.published++
 }
 
@@ -316,7 +362,7 @@ func (b *Broker) requeueLocked(msg *Message) {
 		b.stats.deadLetters++
 		return
 	}
-	b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+	b.enqueueLocked(msg)
 }
 
 // Ack completes a delivery; the message is gone. A failed Ack (network
@@ -409,7 +455,7 @@ func (b *Broker) RedriveDeadLetters() int {
 	n := len(b.dead)
 	for _, msg := range b.dead {
 		msg.Attempts = 0
-		b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+		b.enqueueLocked(msg)
 	}
 	b.dead = nil
 	return n

@@ -35,6 +35,12 @@ const DefaultVisibility = 2 * time.Minute
 // configuration system ... allows all worker nodes to be remotely
 // configured uniformly. A change in the remote configuration triggers the
 // worker node to restart the main driver").
+//
+// PollInterval is the longest an idle driver sleeps, not a floor on a
+// job's latency: the broker wakes a blocked driver when a job becomes
+// visible. The interval is what bounds everything the broker does not
+// announce — a config change, a pause, a lease whose expiry only a later
+// call discovers — and the back-off after a failed poll.
 type Config struct {
 	PollInterval time.Duration
 	Visibility   time.Duration
@@ -154,6 +160,9 @@ func (d *Driver) loop(cfg Config) {
 	defer close(d.doneCh)
 	caps := d.node.Capabilities()
 	broker := d.broker
+	timer := time.NewTimer(time.Hour) // reused by every sleep of this loop
+	timer.Stop()
+	wokenBy := "" // how the idle wait before this poll ended; "" if there was none
 	for {
 		select {
 		case <-d.stopCh:
@@ -168,11 +177,14 @@ func (d *Driver) loop(cfg Config) {
 			caps = d.node.Capabilities()
 		}
 		if cfg.Paused {
-			if !sleepOrStop(d.stopCh, cfg.PollInterval) {
+			if _, alive := sleepOrWake(d.stopCh, nil, timer, cfg.PollInterval); !alive {
 				return
 			}
 			continue
 		}
+		// The wake channel is taken before the poll: a job that becomes
+		// visible after an empty poll has already closed it.
+		wake := broker.Wait(TopicJobs)
 		delivery, ok, err := broker.Poll(TopicJobs, d.node.ID, caps, cfg.Visibility)
 		if err != nil {
 			if errors.Is(err, queue.ErrClosed) {
@@ -189,17 +201,29 @@ func (d *Driver) loop(cfg Config) {
 			}
 			// Transient poll failure (network blip, injected fault): back
 			// off one interval and retry rather than dying.
-			if !sleepOrStop(d.stopCh, cfg.PollInterval) {
+			if _, alive := sleepOrWake(d.stopCh, nil, timer, cfg.PollInterval); !alive {
 				return
 			}
 			continue
 		}
 		if !ok {
-			if !sleepOrStop(d.stopCh, cfg.PollInterval) {
+			// Idle: block until the broker has something, for at most one
+			// interval so the config watch above keeps its latency.
+			woken, alive := sleepOrWake(d.stopCh, wake, timer, cfg.PollInterval)
+			if !alive {
 				return
+			}
+			if woken {
+				wokenBy = "publish"
+				d.node.Metrics().Inc("driver_wakeups", 1)
+			} else {
+				wokenBy = "tick"
+				d.node.Metrics().Inc("driver_idle_ticks", 1)
 			}
 			continue
 		}
+		pickup := wokenBy
+		wokenBy = ""
 		job, derr := DecodeJob(delivery.Msg.Payload)
 		if derr != nil {
 			_ = delivery.Nack() // poison message heads to the DLQ
@@ -221,9 +245,16 @@ func (d *Driver) loop(cfg Config) {
 		var tr *trace.Trace
 		if traceID != "" {
 			tr = trace.New(traceID)
+			attrs := map[string]string{"worker": d.node.ID, "arch": "v2",
+				"attempts": strconv.Itoa(delivery.Msg.Attempts)}
+			if pickup != "" {
+				// publish: the broker woke this driver for the job; tick: the
+				// fallback interval found it; absent: the driver came straight
+				// from its previous job and the message waited for a driver.
+				attrs["wake"] = pickup
+			}
 			tr.Add(trace.Span{Name: "queue_wait", Start: delivery.Msg.Enqueued,
-				Dur: brokerWait, Attrs: map[string]string{"worker": d.node.ID, "arch": "v2",
-					"attempts": strconv.Itoa(delivery.Msg.Attempts)}})
+				Dur: brokerWait, Attrs: attrs})
 			ctx = trace.NewContext(ctx, tr)
 		}
 		res := d.node.Execute(ctx, job)
@@ -276,13 +307,23 @@ func (d *Driver) loop(cfg Config) {
 	}
 }
 
-func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
+// sleepOrWake blocks until d has passed, wake is closed (a nil wake never
+// is) or stop is; alive is false on stop. t must be stopped and drained on
+// entry and is again on return, so one timer serves a whole loop instead of
+// a time.After per sleep, which go 1.22 keeps alive until it fires.
+func sleepOrWake(stop, wake <-chan struct{}, t *time.Timer, d time.Duration) (woken, alive bool) {
+	t.Reset(d)
 	select {
+	case <-t.C:
+		return false, true
+	case <-wake:
+		woken, alive = true, true
 	case <-stop:
-		return false
-	case <-time.After(d):
-		return true
 	}
+	if !t.Stop() {
+		<-t.C
+	}
+	return woken, alive
 }
 
 // Fleet manages a set of v2 drivers, the unit the autoscaler adds and
