@@ -104,32 +104,6 @@ func BenchmarkKeys10k(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexLookup(b *testing.B) {
-	d := New()
-	d.CreateIndex("t", "role")
-	_ = d.Update(func(tx *Tx) error {
-		for i := 0; i < 4096; i++ {
-			role := "student"
-			if i%64 == 0 {
-				role = "instructor"
-			}
-			if err := tx.Put("t", fmt.Sprintf("k%d", i), benchRec{Role: role}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.View(func(tx *Tx) error {
-			if got := tx.IndexLookup("t", "role", "instructor"); len(got) != 64 {
-				b.Fatalf("lookup = %d", len(got))
-			}
-			return nil
-		})
-	}
-}
-
 func BenchmarkWALAppendAndReplay(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		var buf bytes.Buffer

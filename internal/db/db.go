@@ -2,9 +2,10 @@
 // web tier, standing in for the MySQL (v1) and Aurora/replicated (v2)
 // databases of §III-B and §VI-A. It stores JSON-encoded records in named
 // tables, provides serializable read-write transactions, ordered key and
-// prefix-range scans, write-ahead-log persistence with snapshots,
-// secondary indexes, streaming replication to read replicas, and a
-// bounded connection pool.
+// prefix-range scans, write-ahead-log persistence with snapshots, and
+// streaming replication to read replicas. Sorted keys are the only index:
+// a lookup by anything but the primary key is a row in another table whose
+// key is the value looked up, written in the record's transaction.
 package db
 
 import (
@@ -14,16 +15,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Errors.
 var (
-	ErrNotFound   = errors.New("db: record not found")
-	ErrConflict   = errors.New("db: transaction conflict")
-	ErrClosed     = errors.New("db: database closed")
-	ErrBadRecord  = errors.New("db: record is not a JSON object")
-	ErrPoolClosed = errors.New("db: connection pool closed")
+	ErrNotFound  = errors.New("db: record not found")
+	ErrClosed    = errors.New("db: database closed")
+	ErrBadRecord = errors.New("db: record is not a JSON object")
 )
 
 // Entry is one committed mutation, the unit of the WAL and of replication.
@@ -42,8 +40,6 @@ type table struct {
 	// keys is the sorted key set of rows, so ordered reads and prefix
 	// ranges need no per-call sort.
 	keys []string
-	// indexes: field name -> value -> set of keys
-	indexes map[string]map[string]map[string]struct{}
 }
 
 // insertKey adds a key not yet in the table. Monotonic IDs, the common
@@ -76,20 +72,6 @@ func (t *table) prefixRange(prefix string) []string {
 	return t.keys[lo : lo+n]
 }
 
-// reindex rebuilds the table's secondary indexes from its rows.
-func (t *table) reindex(fields []string) {
-	t.indexes = make(map[string]map[string]map[string]struct{}, len(fields))
-	for _, field := range fields {
-		idx := map[string]map[string]struct{}{}
-		t.indexes[field] = idx
-		for key, raw := range t.rows {
-			if v, ok := extractField(raw, field); ok {
-				addToIndex(idx, v, key)
-			}
-		}
-	}
-}
-
 // DB is the store. All methods are safe for concurrent use; writes are
 // serialized (single writer), reads run under a shared lock.
 type DB struct {
@@ -97,13 +79,6 @@ type DB struct {
 	tables map[string]*table
 	seq    uint64
 	closed bool
-
-	// indexDecls (table -> indexed fields) outlives the tables themselves:
-	// LoadSnapshot and a replica resync replace every table and rebuild
-	// the declared indexes from the new rows. indexGen counts declarations
-	// so a replica can tell cheaply that it has missed one.
-	indexDecls map[string][]string
-	indexGen   atomic.Uint64
 
 	wal *WAL
 
@@ -113,7 +88,7 @@ type DB struct {
 
 // New creates an empty in-memory database.
 func New() *DB {
-	return &DB{tables: map[string]*table{}, indexDecls: map[string][]string{}}
+	return &DB{tables: map[string]*table{}}
 }
 
 // Close marks the database closed; in-flight readers finish, new
@@ -137,71 +112,13 @@ func (d *DB) Seq() uint64 {
 	return d.seq
 }
 
-// CreateIndex declares a secondary index on a string (or stringable)
-// field of a table's records. Existing rows are indexed immediately, and
-// the declaration survives LoadSnapshot, WAL replay and replication.
-func (d *DB) CreateIndex(tableName, field string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, f := range d.indexDecls[tableName] {
-		if f == field {
-			return
-		}
-	}
-	d.indexDecls[tableName] = append(d.indexDecls[tableName], field)
-	d.indexGen.Add(1)
-	d.tableLocked(tableName).reindex(d.indexDecls[tableName])
-}
-
 func (d *DB) tableLocked(name string) *table {
 	t, ok := d.tables[name]
 	if !ok {
 		t = &table{rows: map[string][]byte{}}
-		t.reindex(d.indexDecls[name])
 		d.tables[name] = t
 	}
 	return t
-}
-
-func extractField(raw []byte, field string) (string, bool) {
-	var m map[string]interface{}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return "", false
-	}
-	v, ok := m[field]
-	if !ok {
-		return "", false
-	}
-	switch x := v.(type) {
-	case string:
-		return x, true
-	case float64:
-		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", x), "0"), "."), true
-	case bool:
-		if x {
-			return "true", true
-		}
-		return "false", true
-	}
-	return "", false
-}
-
-func addToIndex(idx map[string]map[string]struct{}, value, key string) {
-	set, ok := idx[value]
-	if !ok {
-		set = map[string]struct{}{}
-		idx[value] = set
-	}
-	set[key] = struct{}{}
-}
-
-func removeFromIndex(idx map[string]map[string]struct{}, value, key string) {
-	if set, ok := idx[value]; ok {
-		delete(set, key)
-		if len(set) == 0 {
-			delete(idx, value)
-		}
-	}
 }
 
 // ---- Transactions ------------------------------------------------------------
@@ -279,14 +196,7 @@ func (d *DB) commitLocked(tx *Tx) error {
 // subscribers and its replicas all hold the same slice.
 func (d *DB) applyLocked(e Entry) {
 	t := d.tableLocked(e.Table)
-	old, existed := t.rows[e.Key]
-	if existed {
-		for field, idx := range t.indexes {
-			if v, ok := extractField(old, field); ok {
-				removeFromIndex(idx, v, e.Key)
-			}
-		}
-	}
+	_, existed := t.rows[e.Key]
 	if e.Value == nil {
 		if existed {
 			delete(t.rows, e.Key)
@@ -297,11 +207,6 @@ func (d *DB) applyLocked(e Entry) {
 	t.rows[e.Key] = e.Value
 	if !existed {
 		t.insertKey(e.Key)
-	}
-	for field, idx := range t.indexes {
-		if v, ok := extractField(e.Value, field); ok {
-			addToIndex(idx, v, e.Key)
-		}
 	}
 }
 
@@ -446,26 +351,6 @@ func (tx *Tx) Scan(tableName string, fn func(key string, raw json.RawMessage) bo
 		}
 		return fn(k, raw)
 	})
-}
-
-// IndexLookup returns the sorted keys whose indexed field equals value
-// (committed state only; indexes update at commit).
-func (tx *Tx) IndexLookup(tableName, field, value string) []string {
-	t, ok := tx.db.tables[tableName]
-	if !ok {
-		return nil
-	}
-	idx, ok := t.indexes[field]
-	if !ok {
-		return nil
-	}
-	set := idx[value]
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Count returns the number of records in the table.

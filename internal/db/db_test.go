@@ -111,59 +111,6 @@ func TestKeysAndScan(t *testing.T) {
 	})
 }
 
-func TestSecondaryIndex(t *testing.T) {
-	d := New()
-	d.CreateIndex("users", "role")
-	_ = d.Update(func(tx *Tx) error {
-		_ = tx.Put("users", "u1", user{Name: "Ada", Role: "student"})
-		_ = tx.Put("users", "u2", user{Name: "Bob", Role: "instructor"})
-		_ = tx.Put("users", "u3", user{Name: "Cat", Role: "student"})
-		return nil
-	})
-	_ = d.View(func(tx *Tx) error {
-		got := tx.IndexLookup("users", "role", "student")
-		if len(got) != 2 || got[0] != "u1" || got[1] != "u3" {
-			t.Errorf("students = %v", got)
-		}
-		return nil
-	})
-	// Update moves the record between index buckets.
-	_ = d.Update(func(tx *Tx) error {
-		return tx.Put("users", "u1", user{Name: "Ada", Role: "instructor"})
-	})
-	_ = d.View(func(tx *Tx) error {
-		if got := tx.IndexLookup("users", "role", "student"); len(got) != 1 {
-			t.Errorf("students after role change = %v", got)
-		}
-		if got := tx.IndexLookup("users", "role", "instructor"); len(got) != 2 {
-			t.Errorf("instructors = %v", got)
-		}
-		return nil
-	})
-	// Delete removes from the index.
-	_ = d.Update(func(tx *Tx) error { return tx.Delete("users", "u2") })
-	_ = d.View(func(tx *Tx) error {
-		if got := tx.IndexLookup("users", "role", "instructor"); len(got) != 1 {
-			t.Errorf("instructors after delete = %v", got)
-		}
-		return nil
-	})
-}
-
-func TestIndexOnExistingRows(t *testing.T) {
-	d := New()
-	_ = d.Update(func(tx *Tx) error {
-		return tx.Put("users", "u1", user{Role: "student"})
-	})
-	d.CreateIndex("users", "role")
-	_ = d.View(func(tx *Tx) error {
-		if got := tx.IndexLookup("users", "role", "student"); len(got) != 1 {
-			t.Errorf("existing rows not indexed: %v", got)
-		}
-		return nil
-	})
-}
-
 func TestNonObjectRejected(t *testing.T) {
 	d := New()
 	err := d.Update(func(tx *Tx) error { return tx.Put("t", "k", 42) })
@@ -412,54 +359,4 @@ func TestReplicaPromote(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestPool(t *testing.T) {
-	d := New()
-	p := NewPool(d, 2)
-	c1, err := p.Get(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := p.Get(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.InUse() != 2 {
-		t.Errorf("InUse = %d", p.InUse())
-	}
-	// Third Get times out.
-	if _, err := p.Get(20 * time.Millisecond); err == nil {
-		t.Error("over-capacity Get succeeded")
-	}
-	if err := c1.Update(func(tx *Tx) error { return tx.Put("t", "k", user{Name: "x"}) }); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(c1)
-	p.Put(c1) // double release is safe
-	if p.InUse() != 1 {
-		t.Errorf("InUse after release = %d", p.InUse())
-	}
-	c3, err := p.Get(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c3.View(func(tx *Tx) error {
-		if !tx.Exists("t", "k") {
-			return errors.New("missing")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(c2)
-	p.Put(c3)
-	acq, waits, _ := p.Stats()
-	if acq != 3 || waits < 1 {
-		t.Errorf("stats: acquired=%d waits=%d", acq, waits)
-	}
-	// A released connection no longer works.
-	if err := c3.View(func(tx *Tx) error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Errorf("released conn usable: %v", err)
-	}
 }

@@ -39,18 +39,6 @@ func (m model) keys(table, prefix string) []string {
 	return keys
 }
 
-func (m model) lookup(table, field, value string) []string {
-	keys := []string{}
-	for k, raw := range m[table] {
-		var rec map[string]interface{}
-		if json.Unmarshal([]byte(raw), &rec) == nil && rec[field] == value {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 var (
 	propTables   = []string{"history", "attempts"}
 	propPrefixes = []string{"", "u", "u1|", "u1|l2|", "u2|l0|03", "u3", "zzz", "u1|l2}"}
@@ -58,9 +46,8 @@ var (
 )
 
 // checkReads asserts that every read of tx equals the model: visible is
-// what the transaction should see (committed plus its own writes),
-// committed what the indexes reflect.
-func checkReads(t *testing.T, where string, tx *Tx, visible, committed model) {
+// what the transaction should see (committed plus its own writes).
+func checkReads(t *testing.T, where string, tx *Tx, visible model) {
 	t.Helper()
 	for _, table := range propTables {
 		want := visible.keys(table, "")
@@ -91,12 +78,6 @@ func checkReads(t *testing.T, where string, tx *Tx, visible, committed model) {
 				t.Fatalf("%s: ScanPrefix(%s, %q) = %v, want %v", where, table, prefix, got, want)
 			}
 		}
-		for _, role := range propRoles {
-			got := tx.IndexLookup(table, "role", role)
-			if want := committed.lookup(table, "role", role); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: IndexLookup(%s, role, %s) = %v, want %v", where, table, role, got, want)
-			}
-		}
 	}
 	// ScanPrefix stops when asked to.
 	if all := visible.keys("history", ""); len(all) > 1 {
@@ -111,7 +92,7 @@ func checkReads(t *testing.T, where string, tx *Tx, visible, committed model) {
 // TestReadPathMatchesModel drives random interleavings of transactions
 // (committed and rolled back), snapshot round trips, WAL reopens and
 // forced replica resyncs, and after every step compares Keys, Scan,
-// Count, ScanPrefix and IndexLookup — inside transactions with
+// Count and ScanPrefix — inside transactions with
 // uncommitted writes, after commit, and on the replica — with the model.
 func TestReadPathMatchesModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -125,12 +106,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				d.AttachWAL(NewWAL(&wal))
-				rep := NewReplica(d)
-				// Declared after the replica attached, as the web tier does.
-				for _, table := range propTables {
-					d.CreateIndex(table, "role")
-				}
-				return d, rep
+				return d, NewReplica(d)
 			}
 			d, rep := open()
 			defer func() { rep.Stop() }()
@@ -164,7 +140,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 								}
 								pendingModel[table][key] = string(raw)
 							}
-							checkReads(t, where+" in tx", tx, pendingModel, committed)
+							checkReads(t, where+" in tx", tx, pendingModel)
 						}
 						if !commit {
 							return rollback
@@ -193,7 +169,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 					rep.resync()
 				}
 				if err := d.View(func(tx *Tx) error {
-					checkReads(t, where, tx, committed, committed)
+					checkReads(t, where, tx, committed)
 					return nil
 				}); err != nil {
 					t.Fatal(err)
@@ -202,7 +178,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 					t.Fatalf("%s: replica lag %d", where, rep.Lag())
 				}
 				if err := rep.View(func(tx *Tx) error {
-					checkReads(t, where+" on replica", tx, committed, committed)
+					checkReads(t, where+" on replica", tx, committed)
 					return nil
 				}); err != nil {
 					t.Fatal(err)
@@ -211,83 +187,12 @@ func TestReadPathMatchesModel(t *testing.T) {
 			// A promoted replica is a primary: same reads, and writable.
 			promoted := rep.Promote()
 			if err := promoted.View(func(tx *Tx) error {
-				checkReads(t, "promoted", tx, committed, committed)
+				checkReads(t, "promoted", tx, committed)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestIndexesSurviveSnapshotAndFailover is the regression test for
-// indexes that vanished whenever a table set was replaced wholesale:
-// after LoadSnapshot, after a replica resync and after Promote every
-// IndexLookup returned nothing.
-func TestIndexesSurviveSnapshotAndFailover(t *testing.T) {
-	d := New()
-	d.CreateIndex("users", "email")
-	put := func(d *DB, key, email string) {
-		t.Helper()
-		if err := d.Update(func(tx *Tx) error {
-			return tx.Put("users", key, user{Name: key, Email: email})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lookup := func(view func(func(*Tx) error) error, email string) []string {
-		t.Helper()
-		var keys []string
-		if err := view(func(tx *Tx) error {
-			keys = tx.IndexLookup("users", "email", email)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return keys
-	}
-	put(d, "u1", "ada@example.edu")
-
-	var snap bytes.Buffer
-	if err := d.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LoadSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := lookup(d.View, "ada@example.edu"); !reflect.DeepEqual(got, []string{"u1"}) {
-		t.Fatalf("after LoadSnapshot: lookup = %v, want [u1]", got)
-	}
-	put(d, "u2", "bob@example.edu") // the rebuilt index is maintained
-	if got := lookup(d.View, "bob@example.edu"); !reflect.DeepEqual(got, []string{"u2"}) {
-		t.Fatalf("write after LoadSnapshot: lookup = %v, want [u2]", got)
-	}
-
-	rep := NewReplica(d)
-	d.CreateIndex("users", "name") // declared while the replica streams
-	put(d, "u3", "cy@example.edu")
-	rep.resync()
-	if !rep.WaitCaughtUp(5 * time.Second) {
-		t.Fatal("replica did not catch up")
-	}
-	if got := lookup(rep.View, "cy@example.edu"); !reflect.DeepEqual(got, []string{"u3"}) {
-		t.Fatalf("replica after resync: lookup = %v, want [u3]", got)
-	}
-	promoted := rep.Promote()
-	if got := lookup(promoted.View, "ada@example.edu"); !reflect.DeepEqual(got, []string{"u1"}) {
-		t.Fatalf("promoted: lookup = %v, want [u1]", got)
-	}
-	var byName []string
-	_ = promoted.View(func(tx *Tx) error {
-		byName = tx.IndexLookup("users", "name", "u3")
-		return nil
-	})
-	if !reflect.DeepEqual(byName, []string{"u3"}) {
-		t.Fatalf("promoted: index declared after attach: lookup = %v, want [u3]", byName)
-	}
-	put(promoted, "u4", "di@example.edu")
-	if got := lookup(promoted.View, "di@example.edu"); !reflect.DeepEqual(got, []string{"u4"}) {
-		t.Fatalf("write after Promote: lookup = %v, want [u4]", got)
 	}
 }
 

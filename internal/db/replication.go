@@ -2,7 +2,6 @@ package db
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,10 +39,6 @@ func (d *DB) Subscribe(buffer int) (<-chan Entry, func()) {
 type Replica struct {
 	db      *DB
 	primary *DB
-
-	// indexGen is the primary's index-declaration count the replica has
-	// caught up with; see syncIndexes.
-	indexGen atomic.Uint64
 
 	mu       sync.Mutex
 	applied  uint64
@@ -103,74 +98,38 @@ func (r *Replica) stream(ch <-chan Entry) {
 	}
 }
 
-// indexDeclsLocked returns a copy of the index declarations.
-func (d *DB) indexDeclsLocked() map[string][]string {
-	decls := make(map[string][]string, len(d.indexDecls))
-	for name, fields := range d.indexDecls {
-		decls[name] = append([]string(nil), fields...)
-	}
-	return decls
-}
-
 // clone returns a point-in-time copy of the database that shares the
-// (immutable) row bytes with it: tables, key order, sequence number and
-// index declarations, with the indexes rebuilt over the copied rows.
-func (d *DB) clone() (*DB, uint64) {
+// (immutable) row bytes with it: tables, key order and sequence number.
+func (d *DB) clone() *DB {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	c := New()
 	c.seq = d.seq
-	c.indexDecls = d.indexDeclsLocked()
 	for name, t := range d.tables {
 		ct := &table{rows: make(map[string][]byte, len(t.rows)), keys: append([]string(nil), t.keys...)}
 		for k, v := range t.rows {
 			ct.rows[k] = v
 		}
-		ct.reindex(c.indexDecls[name])
 		c.tables[name] = ct
 	}
-	return c, d.indexGen.Load()
+	return c
 }
 
 // resync replaces the replica's state with the primary's current one.
 func (r *Replica) resync() {
-	fresh, gen := r.primary.clone()
+	fresh := r.primary.clone()
 	r.mu.Lock()
 	r.db.mu.Lock()
 	r.db.tables = fresh.tables
-	r.db.indexDecls = fresh.indexDecls
 	r.db.seq = fresh.seq
 	r.db.mu.Unlock()
-	r.indexGen.Store(gen)
 	r.applied = fresh.seq
 	r.gapSeen = false
 	r.mu.Unlock()
 }
 
-// syncIndexes declares on the replica every index the primary declared
-// after the replica attached (the web tier calls CreateIndex once the
-// replica is already streaming), so a lookup on the replica, or on the
-// database Promote returns, answers like the primary's.
-func (r *Replica) syncIndexes() {
-	p := r.primary
-	gen := p.indexGen.Load()
-	if gen == r.indexGen.Load() {
-		return
-	}
-	p.mu.RLock()
-	decls := p.indexDeclsLocked()
-	p.mu.RUnlock()
-	for name, fields := range decls {
-		for _, field := range fields {
-			r.db.CreateIndex(name, field)
-		}
-	}
-	r.indexGen.Store(gen)
-}
-
 // View runs a read-only transaction on the replica.
 func (r *Replica) View(fn func(tx *Tx) error) error {
-	r.syncIndexes()
 	return r.db.View(fn)
 }
 
@@ -217,6 +176,5 @@ func (r *Replica) Stop() {
 // first.
 func (r *Replica) Promote() *DB {
 	r.Stop()
-	r.syncIndexes()
 	return r.db
 }

@@ -138,8 +138,7 @@ func (d *DB) snapshotLocked() snapshotDoc {
 	return doc
 }
 
-// LoadSnapshot replaces the database contents with a snapshot. Index
-// declarations are kept and the indexes rebuilt over the loaded rows.
+// LoadSnapshot replaces the database contents with a snapshot.
 func (d *DB) LoadSnapshot(r io.Reader) error {
 	var doc snapshotDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -155,7 +154,6 @@ func (d *DB) LoadSnapshot(r io.Reader) error {
 			t.keys = append(t.keys, k)
 		}
 		sort.Strings(t.keys)
-		t.reindex(d.indexDecls[name])
 		d.tables[name] = t
 	}
 	d.seq = doc.Seq

@@ -148,20 +148,6 @@ func Analyze(prog *minicuda.Program) []Diagnostic {
 	return analyzeProgram(prog, nil).Diagnostics
 }
 
-// AnalyzeIntra runs the passes with calls treated opaquely (the
-// pre-summary behavior): a call only closes a barrier interval and
-// taints its result. Kept for the CLI's -interprocedural=false mode and
-// for triaging whether a finding depends on summary substitution.
-func AnalyzeIntra(prog *minicuda.Program) []Diagnostic {
-	var diags []Diagnostic
-	sums := summarizeFlags(prog)
-	for _, fn := range prog.Funcs {
-		diags = append(diags, analyzeFunc(prog, fn, sums, false)...)
-	}
-	sortDiags(diags)
-	return diags
-}
-
 // analyzeProgram is the shared full/incremental pipeline. With a nil
 // engine every function is analyzed from scratch; with an engine,
 // functions whose cache key matches reuse both their summary and their
@@ -211,7 +197,7 @@ func analyzeProgram(prog *minicuda.Program, inc *Incremental) Result {
 			res.Reused++
 			continue
 		}
-		d := analyzeFunc(prog, fn, sums, true)
+		d := analyzeFunc(prog, fn, sums)
 		diags = append(diags, d...)
 		res.Analyzed++
 		if inc != nil && cacheable[fn] {
@@ -240,7 +226,7 @@ func AnalyzeSource(src string, dialect minicuda.Dialect) ([]Diagnostic, error) {
 	return Analyze(prog), nil
 }
 
-func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary, interp bool) (diags []Diagnostic) {
+func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary) (diags []Diagnostic) {
 	defer func() {
 		if r := recover(); r != nil {
 			diags = append(diags, Diagnostic{
@@ -254,7 +240,6 @@ func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicu
 	}()
 	if fn.IsKernel {
 		a := newAnalyzer(prog, fn, sums)
-		a.interp = interp
 		a.run()
 		diags = append(diags, a.diags...)
 	}

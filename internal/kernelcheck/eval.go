@@ -395,11 +395,11 @@ func (a *analyzer) evalCall(x *minicuda.Call) ev {
 	}
 	if x.Fn != nil {
 		if s := a.sums[x.Fn]; s != nil {
-			if a.interp && s.precise {
+			if s.precise {
 				return a.applyCall(x, s, argEvs)
 			}
-			// Opaque fallback: cycle members (or intraprocedural mode)
-			// keep the flags-only treatment.
+			// Opaque fallback: cycle members keep the flags-only
+			// treatment.
 			if s.usesBarrier {
 				a.callBarrier(x.Tok(), x.Name, barrierInfo{})
 			}

@@ -179,7 +179,6 @@ func buildEffects(prog *minicuda.Program, fn *minicuda.Function, sums map[*minic
 
 	a := newAnalyzer(prog, fn, sums)
 	a.quiet = true
-	a.interp = true
 	a.trackSummary = true
 	paramIdx := make(map[*minicuda.Symbol]int, len(fn.Params))
 	for i, p := range fn.Params {

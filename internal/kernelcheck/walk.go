@@ -143,7 +143,6 @@ type analyzer struct {
 	anyDepth int // enclosing conditions of any kind
 	record   bool
 	quiet    bool // suppress diagnostics (summary runs record accesses only)
-	interp   bool // replay precise callee summaries at call sites
 	exitWarn bool // a thread-dependent early return has occurred
 	nonnegT  map[string]bool
 	attained map[string]bool // uniform terms whose minimum 0 is attained

@@ -19,6 +19,8 @@ import (
 // has passed (submit reads the student's answers only after the job has
 // run, so there it goes away while the job is out) and the handler's own
 // read must report it; the second finds it already closed, and auth must.
+// A bodiless attempt grades the saved source: when that cannot be read no
+// job may go out, least of all one carrying the empty string.
 func TestReadHandlersReportAClosedDB(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -30,13 +32,18 @@ func TestReadHandlersReportAClosedDB(t *testing.T) {
 		{"history", "GET", "", func(s *Server) authedHandler { return s.handleHistory }, false},
 		{"attempts", "GET", "", func(s *Server) authedHandler { return s.handleAttempts }, false},
 		{"hints", "GET", "", func(s *Server) authedHandler { return s.handleHints }, false},
+		{"grade", "GET", "", func(s *Server) authedHandler { return s.handleGetGrade }, false},
+		{"code", "GET", "", func(s *Server) authedHandler { return s.handleGetCode }, false},
+		{"attempt", "POST", "", func(s *Server) authedHandler { return s.handleAttempt }, false},
 		{"reviews/assign", "POST", "{}", func(s *Server) authedHandler { return s.handleAssignReviews }, false},
 		{"submit", "POST", `{"source":"__global__ void vecAdd() {}"}`, func(s *Server) authedHandler { return s.handleSubmit }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t)
 			token := f.register("prof@example.edu", "instructor")
+			dispatched := 0
 			f.srv.dispatch = DispatcherFunc(func(ctx context.Context, job *worker.Job) (*worker.Result, error) {
+				dispatched++
 				f.srv.db.Close()
 				return &worker.Result{JobID: job.ID}, nil
 			})
@@ -63,6 +70,9 @@ func TestReadHandlersReportAClosedDB(t *testing.T) {
 				if w.Code != http.StatusServiceUnavailable || body.Error.Code != ErrCodeInternal {
 					t.Errorf("%s: status %d, code %q (%s); want 503, %q", who, w.Code, body.Error.Code, body.Error.Message, ErrCodeInternal)
 				}
+			}
+			if !tc.midJob && dispatched != 0 {
+				t.Errorf("dispatched %d jobs over a closed database", dispatched)
 			}
 		})
 	}

@@ -114,7 +114,9 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		history = loadRecords[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(userID, l.ID)+"|"))
 		submissions = loadRecords[SubmissionRec](tx, "submissions", ownedIDs(tx, "submissions", l.ID, userID))
 		attempts = loadRecords[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, userID))
-		_ = tx.Get("answers", codeKey(userID, l.ID), &answers)
+		if err := tx.Get("answers", codeKey(userID, l.ID), &answers); err != nil && !errors.Is(err, db.ErrNotFound) {
+			return err
+		}
 		var g grader.Grade
 		if err := tx.Get("grades", codeKey(userID, l.ID), &g); err == nil {
 			grade = &g

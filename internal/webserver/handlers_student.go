@@ -21,6 +21,8 @@ import (
 
 // ---- Accounts ------------------------------------------------------------------
 
+var errEmailTaken = errors.New("email already registered")
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Name  string `json:"name"`
@@ -41,8 +43,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var token string
 	var user User
 	err := s.db.Update(func(tx *db.Tx) error {
-		if keys := tx.IndexLookup("users", "email", req.Email); len(keys) > 0 {
-			return fmt.Errorf("email already registered")
+		if tx.Exists(usersByEmail, req.Email) {
+			return errEmailTaken
 		}
 		user = User{
 			ID:     s.newID("user"),
@@ -54,11 +56,18 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if err := tx.Put("users", user.ID, user); err != nil {
 			return err
 		}
+		if err := tx.Put(usersByEmail, user.Email, emailRef{ID: user.ID}); err != nil {
+			return err
+		}
 		token = randToken()
 		return tx.Put("sessions", token, sessionRec{Token: token, UserID: user.ID})
 	})
-	if err != nil {
+	if errors.Is(err, errEmailTaken) {
 		writeErr(w, http.StatusConflict, ErrCodeConflict, "%v", err)
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]interface{}{"user": user, "token": token})
@@ -75,11 +84,11 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	var token string
 	var user User
 	err := s.db.Update(func(tx *db.Tx) error {
-		keys := tx.IndexLookup("users", "email", req.Email)
-		if len(keys) == 0 {
-			return db.ErrNotFound
+		var ref emailRef
+		if err := tx.Get(usersByEmail, req.Email, &ref); err != nil {
+			return err
 		}
-		if err := tx.Get("users", keys[0], &user); err != nil {
+		if err := tx.Get("users", ref.ID, &user); err != nil {
 			return err
 		}
 		token = randToken()
@@ -90,7 +99,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"user": user, "token": token})
@@ -125,6 +134,11 @@ func (s *Server) handleGetLab(w http.ResponseWriter, r *http.Request, u *User) {
 	if l == nil {
 		return
 	}
+	source, err := s.loadSource(u.ID, l)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	datasets := make([]string, l.NumDatasets)
 	for i := range datasets {
 		datasets[i] = fmt.Sprintf("Dataset %d", i)
@@ -134,7 +148,7 @@ func (s *Server) handleGetLab(w http.ResponseWriter, r *http.Request, u *User) {
 		"name":            l.Name,
 		"description_md":  l.Description,
 		"description":     markdown.Render(l.Description),
-		"code":            s.loadSource(u.ID, l),
+		"code":            source,
 		"skeleton":        l.Skeleton,
 		"datasets":        datasets,
 		"questions":       l.Questions,
@@ -149,6 +163,11 @@ func (s *Server) handleGetLab(w http.ResponseWriter, r *http.Request, u *User) {
 func (s *Server) handleLabPage(w http.ResponseWriter, r *http.Request, u *User) {
 	l := s.labFromPath(w, r)
 	if l == nil {
+		return
+	}
+	source, err := s.loadSource(u.ID, l)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -171,7 +190,7 @@ func (s *Server) handleLabPage(w http.ResponseWriter, r *http.Request, u *User) 
 <textarea id="editor" rows="30" cols="100">%s</textarea>
 </section>
 </body></html>
-`, html.EscapeString(s.loadSource(u.ID, l)))
+`, html.EscapeString(source))
 }
 
 // ---- Code editing (§IV-A action 1: autosave + history) ---------------------------
@@ -217,7 +236,12 @@ func (s *Server) handleGetCode(w http.ResponseWriter, r *http.Request, u *User) 
 	if l == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"source": s.loadSource(u.ID, l)})
+	source, err := s.loadSource(u.ID, l)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"source": source})
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) {
@@ -257,7 +281,7 @@ func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (string, e
 		_ = readJSON(r, &req) // empty body is fine
 	}
 	if req.Source == "" {
-		return s.loadSource(u.ID, l), nil
+		return s.loadSource(u.ID, l)
 	}
 	err := s.db.Update(func(tx *db.Tx) error {
 		key := codeKey(u.ID, l.ID)
@@ -327,7 +351,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request, u *User) 
 	defer tr.Finish()
 	source, err := s.currentSource(r, u, l)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	res, err := s.runJob(ctx, u, l, source, worker.DatasetCompileOnly)
@@ -357,7 +381,7 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 	defer tr.Finish()
 	source, err := s.currentSource(r, u, l)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	res, err := s.runJob(ctx, u, l, source, datasetID)
@@ -456,7 +480,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	defer tr.Finish()
 	source, err := s.currentSource(r, u, l)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
 	res, err := s.runJob(ctx, u, l, source, worker.DatasetAll)
@@ -536,6 +560,10 @@ func (s *Server) handleGetGrade(w http.ResponseWriter, r *http.Request, u *User)
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "no grade yet")
 		return
 	}
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, g)
 }
 
@@ -547,9 +575,13 @@ func (s *Server) handleHints(w http.ResponseWriter, r *http.Request, u *User) {
 	if l == nil {
 		return
 	}
-	source := s.loadSource(u.ID, l)
+	source, err := s.loadSource(u.ID, l)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+		return
+	}
 	var last AttemptRec
-	err := s.db.View(func(tx *db.Tx) error {
+	err = s.db.View(func(tx *db.Tx) error {
 		if ids := ownedIDs(tx, "attempts", l.ID, u.ID); len(ids) > 0 {
 			return tx.Get("attempts", ids[len(ids)-1], &last)
 		}

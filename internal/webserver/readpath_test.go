@@ -82,9 +82,10 @@ func oracleHints(s *Server, userID string, l *labs.Lab) map[string]interface{} {
 		last = attempts[len(attempts)-1].Outcome
 		lastAttemptID = attempts[len(attempts)-1].ID
 	}
+	source, _ := s.loadSource(userID, l)
 	return map[string]interface{}{
 		"attempt": lastAttemptID,
-		"hints":   feedback.Analyze(l, s.loadSource(userID, l), last),
+		"hints":   feedback.Analyze(l, source, last),
 	}
 }
 
@@ -367,6 +368,26 @@ func TestIndexedReadsMatchScanOracle(t *testing.T) {
 	for _, l := range c.labs {
 		same(l.ID+" roster", get("/api/v1/instructor/roster/"+l.ID, c.instructor), encoded(oracleRoster(c.srv, l)))
 	}
+	// Login's index against a scan of the users table: one users_by_email
+	// row per user, under that user's address, and none left dangling.
+	_ = c.srv.db.View(func(tx *db.Tx) error {
+		users := 0
+		tx.Scan("users", func(id string, raw json.RawMessage) bool {
+			users++
+			var usr User
+			var ref emailRef
+			if err := json.Unmarshal(raw, &usr); err != nil {
+				t.Errorf("user %s: %v", id, err)
+			} else if err := tx.Get(usersByEmail, usr.Email, &ref); err != nil || ref.ID != id {
+				t.Errorf("user %s: users_by_email[%q] = %q, %v", id, usr.Email, ref.ID, err)
+			}
+			return true
+		})
+		if n := tx.Count(usersByEmail); n != users || users != len(c.users)+1 {
+			t.Errorf("%d users_by_email rows for %d users (%d registered)", n, users, len(c.users)+1)
+		}
+		return nil
+	})
 	// The fill must actually have exercised the ranges.
 	if attempts < 200 || revisions < 400 {
 		t.Fatalf("fill too small to mean anything: %d attempts, %d revisions", attempts, revisions)

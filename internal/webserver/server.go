@@ -199,7 +199,6 @@ func New(cfg Config) *Server {
 	// raises pressure, which sheds reads first, then drafts themselves.
 	s.overload.SetDraftLoad(s.devsessions.Active)
 	s.limiter.SetClock(cfg.Clock)
-	s.db.CreateIndex("users", "email")
 	s.routes()
 	return s
 }
@@ -426,6 +425,15 @@ type User struct {
 type sessionRec struct {
 	Token  string `json:"token"`
 	UserID string `json:"user_id"`
+}
+
+// usersByEmail is login's index: the key is the e-mail itself (an exact
+// Get, so no separator an address could contain), the row names the user.
+// It is written in the register transaction.
+const usersByEmail = "users_by_email"
+
+type emailRef struct {
+	ID string `json:"id"`
 }
 
 // CodeRec is the current editor contents for (user, lab).
@@ -768,14 +776,16 @@ func scanLab(tx *db.Tx, table, labID string, fn func(userID, id string)) {
 	})
 }
 
-// loadSource returns the student's current saved code, or the skeleton.
-func (s *Server) loadSource(userID string, l *labs.Lab) string {
+// loadSource returns the student's current saved code, or the skeleton
+// when nothing is saved. Any other failure is the store's and is returned:
+// an empty string here would be graded as the student's program.
+func (s *Server) loadSource(userID string, l *labs.Lab) (string, error) {
 	var rec CodeRec
 	err := s.db.View(func(tx *db.Tx) error {
 		return tx.Get("code", codeKey(userID, l.ID), &rec)
 	})
 	if errors.Is(err, db.ErrNotFound) {
-		return l.Skeleton
+		return l.Skeleton, nil
 	}
-	return rec.Source
+	return rec.Source, err
 }

@@ -4,14 +4,12 @@
 // advisories, hygiene), usable locally before pushing a lab or example.
 //
 // Usage: kernelcheck [-dialect auto|cuda|opencl] [-fail-on error|warn|never]
-// [-json] [-interprocedural=false] <file|dir>...
+// [-json] <file|dir>...
 //
 // Directories are walked for .cu and .cl files. -json prints one JSON
 // object per file (stable field order: file, compile_error, diagnostics;
 // each diagnostic carries its rule ID, severity, and position) instead
-// of the human lines. -interprocedural=false falls back to treating
-// device-function calls opaquely, for triaging whether a finding depends
-// on effect-summary substitution.
+// of the human lines.
 //
 // The exit code is 1 when any file fails to compile or produces a
 // diagnostic at or above the -fail-on severity (default: error), 2 on
@@ -55,10 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"minimum severity that makes the exit code nonzero: error, warn, or never")
 	jsonOut := fl.Bool("json", false,
 		"emit one JSON object per file instead of human-readable lines")
-	interp := fl.Bool("interprocedural", true,
-		"analyze device-function calls through effect summaries (false: calls are opaque)")
 	fl.Usage = func() {
-		fmt.Fprintln(stderr, "usage: kernelcheck [-dialect auto|cuda|opencl] [-fail-on error|warn|never] [-json] [-interprocedural=false] <file|dir>...")
+		fmt.Fprintln(stderr, "usage: kernelcheck [-dialect auto|cuda|opencl] [-fail-on error|warn|never] [-json] <file|dir>...")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
@@ -101,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		src := string(raw)
-		diags, err := analyzeSource(src, pickDialect(*dialectFlag, path, src), *interp)
+		diags, err := kernelcheck.AnalyzeSource(src, pickDialect(*dialectFlag, path, src))
 		if *jsonOut {
 			res := fileResult{File: path, Diagnostics: diags}
 			if res.Diagnostics == nil {
@@ -139,19 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// analyzeSource compiles and analyzes one source, interprocedurally or
-// with opaque calls.
-func analyzeSource(src string, dialect minicuda.Dialect, interp bool) ([]kernelcheck.Diagnostic, error) {
-	if interp {
-		return kernelcheck.AnalyzeSource(src, dialect)
-	}
-	prog, err := minicuda.Compile(src, dialect)
-	if err != nil {
-		return nil, err
-	}
-	return kernelcheck.AnalyzeIntra(prog), nil
 }
 
 // collect expands the arguments into a sorted, de-duplicated list of
