@@ -14,9 +14,11 @@
 // job pipeline cannot serve, so robustness is part of the design:
 //
 //   - Coalescing: drafts arriving faster than analysis are latest-wins.
-//     A short server-side debounce window batches a keystroke burst into
-//     one pickup, and a draft that arrives while an analysis is in flight
-//     cancels the stale analysis.
+//     A session picks drafts up at most once per debounce window: a draft
+//     into a quiet session (the client-debounced edit) is analyzed at
+//     once, the rest of a keystroke burst coalesces into one pickup when
+//     the window closes, and a draft that arrives while an analysis is in
+//     flight cancels the stale analysis.
 //   - Rate limits: per-user and per-session token buckets bound how fast
 //     any client can push drafts, independent of coalescing.
 //   - Bounded registry: the manager holds at most MaxSessions sessions
@@ -94,8 +96,11 @@ type Config struct {
 	MaxPerUser  int
 	// IdleTimeout evicts sessions with no drafts and no subscribers.
 	IdleTimeout time.Duration
-	// Debounce is the server-side window a draft pickup waits, so a
-	// keystroke burst coalesces into one analysis. Negative disables.
+	// Debounce is the minimum spacing between two draft pickups of one
+	// session, measured from the previous pickup: a draft arriving later
+	// than that is picked up at once, one arriving inside the window waits
+	// for its remainder, and a keystroke burst coalesces into that one
+	// trailing pickup. Negative disables (every draft is picked up at once).
 	Debounce time.Duration
 	// EventBuffer is the per-session ring (and per-subscriber channel)
 	// depth backing Last-Event-ID resume.
@@ -184,6 +189,7 @@ func NewManager(cfg Config) *Manager {
 		"devsession_drafts", "devsession_draft_coalesced",
 		"devsession_draft_cancelled", "devsession_rate_limited",
 		"devsession_draft_shed",
+		"devsession_pickups_leading", "devsession_pickups_trailing",
 		"kernelcheck_incremental_runs", "kernelcheck_incremental_analyzed",
 		"kernelcheck_incremental_reused",
 	} {

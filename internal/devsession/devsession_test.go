@@ -42,6 +42,16 @@ func waitFor(t testing.TB, ch <-chan Event, what string, want func(Event) bool) 
 	}
 }
 
+// awaitDiagnostics reads events until the draft's diagnostics arrive.
+func awaitDiagnostics(t testing.TB, ch <-chan Event, seq int64) DiagnosticsPayload {
+	t.Helper()
+	ev := waitFor(t, ch, fmt.Sprintf("diagnostics of draft %d", seq), func(e Event) bool {
+		dp, ok := e.Data.(DiagnosticsPayload)
+		return ok && dp.Draft == seq
+	})
+	return ev.Data.(DiagnosticsPayload)
+}
+
 // poll spins until cond holds (5s budget).
 func poll(t testing.TB, what string, cond func() bool) {
 	t.Helper()
@@ -108,9 +118,10 @@ func TestDraftCompileErrorEmitted(t *testing.T) {
 	}
 }
 
-// TestCoalescingLatestWins is the core coalescing contract: a burst of
-// drafts landing inside the debounce window produces exactly one analysis,
-// of the newest source.
+// TestCoalescingLatestWins is the core coalescing contract: the first
+// draft into a quiet session is picked up at once (the leading edge), and
+// a burst landing inside the window that pickup opened produces exactly
+// one more analysis — of the newest source, when the window closes.
 func TestCoalescingLatestWins(t *testing.T) {
 	l := refLab(t)
 	var mu sync.Mutex
@@ -122,46 +133,62 @@ func TestCoalescingLatestWins(t *testing.T) {
 		mu.Unlock()
 		return minicuda.Compile(src, d)
 	})
+	const window = 150 * time.Millisecond
 	reg := metrics.NewRegistry()
-	m := NewManager(Config{Cache: cache, Metrics: reg, Debounce: 150 * time.Millisecond, DraftInterval: -1})
+	m := NewManager(Config{Cache: cache, Metrics: reg, Debounce: window, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 	_, ch, unsub, _ := s.Subscribe(0)
 	defer unsub()
 
 	const n = 5
+	pushed := time.Now()
+	first, coalesced, err := s.PushDraft(l.Reference)
+	if err != nil || coalesced {
+		t.Fatalf("first push = %d, %v, %v", first, coalesced, err)
+	}
+	awaitDiagnostics(t, ch, first)
+	lead := time.Since(pushed)
+	if lead >= window {
+		t.Fatalf("first draft's diagnostics took %v: it sat out the %v window", lead, window)
+	}
+
+	// The rest of the burst lands inside the window the pickup opened.
 	var lastSeq int64
 	var lastSrc string
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		src := l.Reference + strings.Repeat("\n", i)
 		seq, coalesced, err := s.PushDraft(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantCo := i > 0; coalesced != wantCo {
+		if wantCo := i > 1; coalesced != wantCo {
 			t.Fatalf("push %d coalesced = %v, want %v", i, coalesced, wantCo)
 		}
 		lastSeq, lastSrc = seq, src
 	}
-
-	ev := waitFor(t, ch, "compile event", func(e Event) bool { return e.Type == EventCompile })
-	cp := ev.Data.(CompilePayload)
-	if cp.Draft != lastSeq {
-		t.Fatalf("analyzed draft %d, want the latest (%d)", cp.Draft, lastSeq)
+	dp := awaitDiagnostics(t, ch, lastSeq)
+	if since := time.Since(pushed); since < window {
+		t.Fatalf("trailing pickup's event came %v after the first push, before the %v window closed", since, window)
 	}
-	waitFor(t, ch, "diagnostics event", func(e Event) bool { return e.Type == EventDiagnostics })
+	if dp.WaitedMS <= 0 {
+		t.Fatalf("trailing draft waited_ms = %v, want > 0", dp.WaitedMS)
+	}
 
 	mu.Lock()
 	got := append([]string(nil), compiled...)
 	mu.Unlock()
-	if len(got) != 1 || got[0] != lastSrc {
-		t.Fatalf("compiled %d sources, want only the latest once", len(got))
+	if len(got) != 2 || got[0] != l.Reference || got[1] != lastSrc {
+		t.Fatalf("compiled %d sources, want the first draft and the latest, once each", len(got))
 	}
-	if c := reg.Counter("devsession_draft_coalesced"); c != n-1 {
-		t.Fatalf("devsession_draft_coalesced = %v, want %d", c, n-1)
+	if c := reg.Counter("devsession_draft_coalesced"); c != n-2 {
+		t.Fatalf("devsession_draft_coalesced = %v, want %d", c, n-2)
 	}
 	if c := reg.Counter("devsession_drafts"); c != n {
 		t.Fatalf("devsession_drafts = %v, want %d", c, n)
+	}
+	if lead, trail := reg.Counter("devsession_pickups_leading"), reg.Counter("devsession_pickups_trailing"); lead != 1 || trail != 1 {
+		t.Fatalf("pickups leading/trailing = %v/%v, want 1/1", lead, trail)
 	}
 }
 
@@ -561,11 +588,7 @@ __global__ void kB(float *in, float *out, int n) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := waitFor(t, ch, "diagnostics event", func(e Event) bool {
-			dp, ok := e.Data.(DiagnosticsPayload)
-			return ok && dp.Draft == seq
-		})
-		return ev.Data.(DiagnosticsPayload)
+		return awaitDiagnostics(t, ch, seq)
 	}
 
 	if dp := push(srcA); dp.Analyzed != 2 || dp.Reused != 0 {

@@ -27,12 +27,16 @@ type Event struct {
 	Data interface{} `json:"data"`
 }
 
-// CompilePayload is the data of a "compile" event.
+// CompilePayload is the data of a "compile" event. WaitedMS is the time
+// from the push to the draft's pickup (the spacing window, on the manager's
+// clock); ElapsedMS runs from the pickup, so the two add up to the
+// server-side share of the student's wait.
 type CompilePayload struct {
 	Draft     int64   `json:"draft"`
 	Cache     string  `json:"cache"` // hit | miss | coalesced
 	OK        bool    `json:"ok"`
 	Error     string  `json:"error,omitempty"`
+	WaitedMS  float64 `json:"waited_ms"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
@@ -47,6 +51,7 @@ type DiagnosticsPayload struct {
 	Diagnostics []kernelcheck.Diagnostic `json:"diagnostics"`
 	Analyzed    int                      `json:"analyzed"`
 	Reused      int                      `json:"reused"`
+	WaitedMS    float64                  `json:"waited_ms"` // push → pickup, as in CompilePayload
 	ElapsedMS   float64                  `json:"elapsed_ms"`
 }
 
@@ -298,38 +303,68 @@ func (s *Session) close(reason string) {
 }
 
 // loop is the per-session analysis worker: one draft signal → one
-// debounce window → one latest-wins pickup. A draft pushed while an
-// analysis runs re-arms notify (capacity 1), so the loop comes straight
-// back around; every pickup passes through the debounce window, which is
-// what turns a keystroke burst into a single analysis.
+// latest-wins pickup. Debounce is the minimum spacing between two pickups,
+// measured from the previous pickup: the timer is armed when a draft is
+// picked up and drained before the next one is. A draft that lands in a
+// session whose last pickup is a window old (a client-debounced edit, the
+// first draft) is therefore picked up at once — the leading edge — and a
+// draft that lands inside the window waits for the window's remainder,
+// with everything pushed meanwhile coalescing into that one trailing
+// pickup. Two bounds hold, the same two a sleep after every draft gave:
+//
+//   - a session starts at most one analysis per window;
+//   - no draft waits longer than one window before it is picked up or
+//     replaced by a newer one.
+//
+// What the leading edge costs is that a keystroke burst into a quiet
+// session is analyzed twice, its first draft and its latest, not once.
 func (s *Session) loop() {
+	window := s.m.cfg.Debounce
+	var timer *time.Timer // armed at each pickup; nil until the first
+	armed := false        // timer.C not drained since the last pickup
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-s.notify:
 		}
-		if d := s.m.cfg.Debounce; d > 0 {
-			// Let the rest of a keystroke burst land; everything that
-			// arrives in the window coalesces into one pickup.
+		pickup := "leading"
+		if armed {
 			select {
-			case <-s.ctx.Done():
-				return
-			case <-time.After(d):
+			case <-timer.C: // the window was over before this draft came
+			default:
+				pickup = "trailing"
+				select {
+				case <-s.ctx.Done():
+					return
+				case <-timer.C:
+				}
 			}
+			armed = false
 		}
 		s.mu.Lock()
 		d := s.latest
 		s.latest = nil
 		if d == nil {
+			// A wake-up whose draft an earlier pickup already took, or an
+			// unsubscribe dropped. Nothing was picked up, so the timer
+			// stays unarmed and the next draft is a leading pickup.
 			s.mu.Unlock()
 			continue
 		}
 		ctx, cancel := context.WithCancel(s.ctx)
 		s.inflightCancel = cancel
 		s.mu.Unlock()
+		if window > 0 {
+			if timer == nil {
+				timer = time.NewTimer(window)
+			} else {
+				timer.Reset(window) // drained above, so no stale tick
+			}
+			armed = true
+		}
 
-		s.runDraft(ctx, d)
+		s.runDraft(ctx, d, pickup)
 
 		s.mu.Lock()
 		s.inflightCancel = nil
@@ -337,6 +372,9 @@ func (s *Session) loop() {
 		cancel()
 	}
 }
+
+// ms is a duration in the payloads' unit, fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // pipelineOut is what one draft's compile+analysis produces.
 type pipelineOut struct {
@@ -360,11 +398,18 @@ type pipelineOut struct {
 // goroutine and the draft abandons the wait on cancellation — the
 // compile keeps going and still warms the cache for the next draft or
 // an eventual submission.
-func (s *Session) runDraft(ctx context.Context, d *draft) {
+func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	start := s.m.now()
+	// Push → pickup: what the draft spent behind the spacing window (and
+	// the loop's wake-up). The elapsed_ms figures start here and hide it.
+	waited := start.Sub(d.queuedAt)
+	waitedMS := ms(waited)
+	s.m.cfg.Metrics.Inc("devsession_pickups_"+pickup, 1)
+	s.m.cfg.Metrics.ObserveDuration("devsession_pickup_wait_ms", waited)
 	tr := s.m.cfg.Traces.NewTrace()
 	sp := tr.StartSpan("draft",
-		"session", s.ID, "lab", s.LabID, "draft", strconv.FormatInt(d.seq, 10))
+		"session", s.ID, "lab", s.LabID, "draft", strconv.FormatInt(d.seq, 10),
+		"pickup", pickup, "waited_ms", strconv.FormatFloat(waitedMS, 'f', 3, 64))
 	done := make(chan pipelineOut, 1)
 	go func() {
 		var out pipelineOut
@@ -393,8 +438,7 @@ func (s *Session) runDraft(ctx context.Context, d *draft) {
 		return
 	case out := <-done:
 		elapsed := s.m.now().Sub(start)
-		ms := float64(elapsed) / float64(time.Millisecond)
-		compile := CompilePayload{Draft: d.seq, Cache: out.status.String(), OK: out.err == nil, ElapsedMS: ms}
+		compile := CompilePayload{Draft: d.seq, Cache: out.status.String(), OK: out.err == nil, WaitedMS: waitedMS, ElapsedMS: ms(elapsed)}
 		if out.err != nil {
 			compile.Error = out.err.Error()
 		}
@@ -409,7 +453,8 @@ func (s *Session) runDraft(ctx context.Context, d *draft) {
 				Diagnostics: diags,
 				Analyzed:    out.analyzed,
 				Reused:      out.reused,
-				ElapsedMS:   float64(s.m.now().Sub(start)) / float64(time.Millisecond),
+				WaitedMS:    waitedMS,
+				ElapsedMS:   ms(s.m.now().Sub(start)),
 			})
 			s.m.cfg.Metrics.Inc("kernelcheck_incremental_runs", 1)
 			s.m.cfg.Metrics.Inc("kernelcheck_incremental_analyzed", float64(out.analyzed))

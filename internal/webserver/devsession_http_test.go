@@ -229,6 +229,13 @@ func TestSSEStreamsDraftEvents(t *testing.T) {
 	if diag.ID <= comp.ID {
 		t.Fatalf("diagnostics id %d not after compile id %d", diag.ID, comp.ID)
 	}
+	// Both events say how long the draft waited for its pickup, which
+	// elapsed_ms (counted from the pickup) leaves out.
+	for _, ev := range []sseEvent{comp, diag} {
+		if w, ok := ev.Data["waited_ms"].(float64); !ok || w < 0 {
+			t.Fatalf("%s event waited_ms = %v, want a number >= 0", ev.Type, ev.Data["waited_ms"])
+		}
+	}
 }
 
 // TestSSEDisconnectCancelsInflightAnalysis: dropping the SSE connection
@@ -312,8 +319,10 @@ func TestSSELastEventIDResume(t *testing.T) {
 	}
 }
 
-// TestDraftCoalescingOverHTTP: a rapid burst of pushes inside the debounce
-// window triggers exactly one analysis — of the last draft.
+// TestDraftCoalescingOverHTTP: the first draft into a quiet session is
+// analyzed at once; a rapid burst of pushes inside the window it opened
+// triggers exactly one more analysis — of the last draft, when the window
+// closes.
 func TestDraftCoalescingOverHTTP(t *testing.T) {
 	var mu sync.Mutex
 	var compiled []string
@@ -324,45 +333,66 @@ func TestDraftCoalescingOverHTTP(t *testing.T) {
 		mu.Unlock()
 		return minicuda.Compile(src, d)
 	})
-	df := newDevFixture(t, devsession.Config{Cache: cache, Debounce: 250 * time.Millisecond, DraftInterval: -1})
+	const window = 250 * time.Millisecond
+	df := newDevFixture(t, devsession.Config{Cache: cache, Debounce: window, DraftInterval: -1})
 	tok := df.register("burst@x", "student")
 	_, eventsURL, draftURL := df.openSession(tok, "vector-add")
 	st := openSSE(t, df.ts.URL+eventsURL, tok, "")
 	st.NextOfType(t, "status")
+	diagnosticsFor := func(seq int64) {
+		t.Helper()
+		for int64(st.NextOfType(t, "diagnostics").Data["draft"].(float64)) != seq {
+		}
+	}
 
+	const n = 4
 	ref := labs.ByID("vector-add").Reference
+	pushed := time.Now()
+	first, coalesced := df.pushDraft(tok, draftURL, ref)
+	if coalesced {
+		t.Fatal("first draft reported coalesced")
+	}
+	diagnosticsFor(first)
+	if lead := time.Since(pushed); lead >= window {
+		t.Fatalf("first draft's diagnostics took %v: it sat out the %v window", lead, window)
+	}
+
+	// The rest of the burst lands inside the window the pickup opened.
 	var lastSeq int64
 	var lastSrc string
-	for i := 0; i < 4; i++ {
+	for i := 1; i < n; i++ {
 		src := ref + strings.Repeat("\n", i)
 		seq, coalesced := df.pushDraft(tok, draftURL, src)
-		if wantCo := i > 0; coalesced != wantCo {
+		if wantCo := i > 1; coalesced != wantCo {
 			t.Fatalf("push %d coalesced = %v, want %v", i, coalesced, wantCo)
 		}
 		lastSeq, lastSrc = seq, src
 	}
-
-	comp := st.NextOfType(t, "compile")
-	if int64(comp.Data["draft"].(float64)) != lastSeq {
-		t.Fatalf("analyzed draft %v, want the latest (%d)", comp.Data["draft"], lastSeq)
+	diagnosticsFor(lastSeq)
+	if since := time.Since(pushed); since < window {
+		t.Fatalf("trailing pickup's event came %v after the first push, before the %v window closed", since, window)
 	}
-	st.NextOfType(t, "diagnostics")
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(compiled) != 1 || compiled[0] != lastSrc {
-		t.Fatalf("compiled %d sources, want exactly the latest once", len(compiled))
+	if len(compiled) != 2 || compiled[0] != ref || compiled[1] != lastSrc {
+		t.Fatalf("compiled %d sources, want the first draft and the latest, once each", len(compiled))
 	}
-	if c := df.reg.Counter("devsession_draft_coalesced"); c != 3 {
-		t.Fatalf("devsession_draft_coalesced = %v, want 3", c)
+	if c := df.reg.Counter("devsession_draft_coalesced"); c != n-2 {
+		t.Fatalf("devsession_draft_coalesced = %v, want %d", c, n-2)
+	}
+	if c := df.reg.Counter("devsession_drafts"); c != n {
+		t.Fatalf("devsession_drafts = %v, want %d", c, n)
 	}
 }
 
 // TestWarmIncrementalLatencyBudget: with the progcache hot, a repeated
 // draft must round-trip push → diagnostics event in under 50ms, end to end
-// over HTTP. Best-of-three damps scheduler noise.
+// over HTTP, at the debounce production runs: the pushes are a window
+// apart, as a client-debounced editor's are, so each is a leading pickup.
+// Best-of-three damps scheduler noise.
 func TestWarmIncrementalLatencyBudget(t *testing.T) {
-	df := newDevFixture(t, devsession.Config{Debounce: -1, DraftInterval: -1})
+	df := newDevFixture(t, devsession.Config{DraftInterval: -1})
 	tok := df.register("warm@x", "student")
 	_, eventsURL, draftURL := df.openSession(tok, "vector-add")
 	st := openSSE(t, df.ts.URL+eventsURL, tok, "")
@@ -375,6 +405,7 @@ func TestWarmIncrementalLatencyBudget(t *testing.T) {
 
 	best := time.Hour
 	for i := 0; i < 3; i++ {
+		time.Sleep(devsession.DefaultDebounce)
 		start := time.Now()
 		seq, _ := df.pushDraft(tok, draftURL, ref)
 		for {
@@ -393,6 +424,7 @@ func TestWarmIncrementalLatencyBudget(t *testing.T) {
 	}
 
 	// The warm path must actually be a cache hit, not a recompile.
+	time.Sleep(devsession.DefaultDebounce)
 	seq, _ := df.pushDraft(tok, draftURL, ref)
 	for {
 		ev := st.NextOfType(t, "compile")

@@ -174,6 +174,13 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request, u *
 				return
 			}
 			writeSSEEvent(w, ev)
+			// One flush per burst: a draft's compile and diagnostics are
+			// emitted back to back, so the second is usually queued by now.
+			// This handler is ch's only receiver, so a non-zero len cannot
+			// block; a close behind the queued events is seen next time round.
+			for len(ch) > 0 {
+				writeSSEEvent(w, <-ch)
+			}
 			fl.Flush()
 		case <-ticker.C:
 			fmt.Fprint(w, ": heartbeat\n\n")

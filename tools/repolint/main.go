@@ -13,6 +13,13 @@
 //     both allocate or backtrack in code that runs per AST node per
 //     draft keystroke.
 //
+//   - Request-path timers: the dispatch and live-session packages
+//     (internal/devsession, internal/queue, internal/worker,
+//     internal/platform) must not call time.After inside a for body in
+//     non-test files. Each call allocates a timer that lives until it
+//     fires, and a wait taken on every turn of a loop is how a sleep
+//     ends up as the floor of a latency; reuse one time.Timer.
+//
 // Usage: repolint [dir]... (default "."). Directories are walked for
 // .go files; testdata and vendor trees are skipped. Exit code 1 when
 // any finding is reported, 2 on usage or I/O problems.
@@ -38,6 +45,15 @@ var clockPkgs = []string{
 	"internal/overload",
 	"internal/devsession",
 	"internal/macrobench",
+}
+
+// timerPkgs are the directories whose loops serve requests (draft pickup,
+// broker dispatch, worker drivers) and must reuse one timer.
+var timerPkgs = []string{
+	"internal/devsession",
+	"internal/queue",
+	"internal/worker",
+	"internal/platform",
 }
 
 const hotpathMarker = "//kernelcheck:hotpath"
@@ -103,8 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	var out []finding
 	slash := filepath.ToSlash(path)
-	if inClockPkg(slash) {
+	if inPkg(slash, clockPkgs) {
 		out = append(out, checkClockCalls(fset, f)...)
+	}
+	if inPkg(slash, timerPkgs) {
+		out = append(out, checkLoopTimers(fset, f)...)
 	}
 	if isHotpath(f) {
 		out = append(out, checkHotpath(fset, f)...)
@@ -112,8 +131,9 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	return out
 }
 
-func inClockPkg(slash string) bool {
-	for _, pkg := range clockPkgs {
+// inPkg reports whether the file lies in one of the listed directories.
+func inPkg(slash string, pkgs []string) bool {
+	for _, pkg := range pkgs {
 		if strings.Contains(slash, pkg+"/") || strings.HasSuffix(filepath.Dir(slash), pkg) {
 			return true
 		}
@@ -140,6 +160,24 @@ func importName(f *ast.File, importPath string) string {
 	return ""
 }
 
+// pkgCall reports whether n is a call pkg.Name(...) through the file's
+// import of pkg (not a local variable of that name), and returns it with
+// the selected name.
+func pkgCall(n ast.Node, pkg string) (*ast.CallExpr, string) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return nil, ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg || id.Obj != nil {
+		return nil, ""
+	}
+	return call, sel.Sel.Name
+}
+
 // checkClockCalls flags direct time.Now()/time.Since() call expressions.
 // A bare reference (assigning time.Now to a clock field) does not match:
 // only the CallExpr form defeats the injected clock.
@@ -150,24 +188,46 @@ func checkClockCalls(fset *token.FileSet, f *ast.File) []finding {
 	}
 	var out []finding
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != timeName || id.Obj != nil {
-			return true
-		}
-		if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
+		if call, name := pkgCall(n, timeName); name == "Now" || name == "Since" {
 			out = append(out, finding{
 				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("direct time.%s call in a deterministic-clock package; route it through the package's clock seam", sel.Sel.Name),
+				msg: fmt.Sprintf("direct time.%s call in a deterministic-clock package; route it through the package's clock seam", name),
 			})
 		}
+		return true
+	})
+	return out
+}
+
+// checkLoopTimers flags time.After calls lexically inside a for or range
+// body.
+func checkLoopTimers(fset *token.FileSet, f *ast.File) []finding {
+	timeName := importName(f, "time")
+	if timeName == "" {
+		return nil
+	}
+	seen := map[token.Pos]bool{} // a call in nested loops is one finding
+	var out []finding
+	ast.Inspect(f, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch loop := n.(type) {
+		case *ast.ForStmt:
+			body = loop.Body
+		case *ast.RangeStmt:
+			body = loop.Body
+		default:
+			return true
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			if call, name := pkgCall(n, timeName); name == "After" && !seen[call.Pos()] {
+				seen[call.Pos()] = true
+				out = append(out, finding{
+					pos: fset.Position(call.Pos()),
+					msg: "time.After call inside a loop on a request path; arm one reusable time.Timer instead",
+				})
+			}
+			return true
+		})
 		return true
 	})
 	return out
@@ -201,19 +261,7 @@ func checkHotpath(fset *token.FileSet, f *ast.File) []finding {
 		return out
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != fmtName || id.Obj != nil {
-			return true
-		}
-		if sel.Sel.Name == "Sprintf" {
+		if call, name := pkgCall(n, fmtName); name == "Sprintf" {
 			out = append(out, finding{
 				pos: fset.Position(call.Pos()),
 				msg: "fmt.Sprintf call in a //kernelcheck:hotpath file; build the string with strconv/Builder",

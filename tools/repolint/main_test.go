@@ -141,6 +141,81 @@ func f(n int) string { return fmt.Sprintf("%d", n) }
 	}
 }
 
+// TestLoopTimerRule: time.After inside a for or range body is banned in
+// the request-path packages, once per call however deep the nesting; the
+// same call outside a loop, in a test file or in another package is fine.
+func TestLoopTimerRule(t *testing.T) {
+	const loopSrc = `
+
+import "time"
+
+func f(stop chan struct{}, xs []int) {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-time.After(time.Millisecond):
+		}
+		for range xs {
+			<-time.After(time.Millisecond)
+		}
+	}
+}
+`
+	rows := []struct {
+		name, path, src string
+		want            int
+	}{
+		{"devsession loop", "internal/devsession/loop.go", "package devsession" + loopSrc, 2},
+		{"queue loop", "internal/queue/loop.go", "package queue" + loopSrc, 2},
+		{"worker loop", "internal/worker/loop.go", "package worker" + loopSrc, 2},
+		{"platform loop", "internal/platform/loop.go", "package platform" + loopSrc, 2},
+		{"test file", "internal/queue/loop_test.go", "package queue" + loopSrc, 0},
+		{"unlisted package", "internal/mpi/loop.go", "package mpi" + loopSrc, 0},
+		{"outside a loop", "internal/worker/once.go", `package worker
+
+import "time"
+
+func f(done chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(time.Second):
+		return false
+	}
+}
+`, 0},
+		{"reused timer", "internal/devsession/timer.go", `package devsession
+
+import "time"
+
+func f(stop chan struct{}) {
+	t := time.NewTimer(time.Millisecond)
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			t.Reset(time.Millisecond)
+		}
+	}
+}
+`, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{row.path: row.src})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "time.After call inside a loop"); n != row.want {
+				t.Fatalf("want %d loop-timer findings, got %d:\n%s", row.want, n, out)
+			}
+			if (code == 1) != (row.want > 0) || code > 1 {
+				t.Fatalf("exit = %d with %d findings wanted\n%s", code, row.want, out)
+			}
+		})
+	}
+}
+
 func TestBadPathExitsTwo(t *testing.T) {
 	if code, _ := runLint(t, filepath.Join(t.TempDir(), "missing")); code != 2 {
 		t.Fatal("unreadable root should exit 2")
