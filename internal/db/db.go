@@ -5,7 +5,10 @@
 // prefix-range scans, write-ahead-log persistence with snapshots, and
 // streaming replication to read replicas. Sorted keys are the only index:
 // a lookup by anything but the primary key is a row in another table whose
-// key is the value looked up, written in the record's transaction.
+// key is the value looked up, written in the record's transaction. A row
+// is read decoded (Tx.Get) or as the bytes it was committed as
+// (Tx.AppendRow, a copy onto the caller's buffer): a response that lists
+// rows serves them without decoding one.
 package db
 
 import (
@@ -256,33 +259,47 @@ func (tx *Tx) buffer(tableName, key string, raw json.RawMessage) {
 	t[key] = raw
 }
 
-// Get unmarshals table/key into out, honouring the transaction's buffered
-// writes.
-func (tx *Tx) Get(tableName, key string, out interface{}) error {
-	if t, ok := tx.writes[tableName]; ok {
-		if raw, seen := t[key]; seen {
-			if raw == nil {
-				return ErrNotFound
-			}
-			return json.Unmarshal(raw, out)
-		}
+// row returns the bytes stored under table/key as the transaction sees
+// them: its own buffered write, else the committed row. The slice is the
+// store's (see table.rows); callers decode or copy it, never hand it out.
+func (tx *Tx) row(tableName, key string) ([]byte, bool) {
+	if raw, seen := tx.writes[tableName][key]; seen {
+		return raw, raw != nil
 	}
 	t, ok := tx.db.tables[tableName]
 	if !ok {
-		return ErrNotFound
+		return nil, false
 	}
 	raw, ok := t.rows[key]
+	return raw, ok
+}
+
+// Get unmarshals table/key into out, honouring the transaction's buffered
+// writes.
+func (tx *Tx) Get(tableName, key string, out interface{}) error {
+	raw, ok := tx.row(tableName, key)
 	if !ok {
 		return ErrNotFound
 	}
 	return json.Unmarshal(raw, out)
 }
 
+// AppendRow appends the stored JSON of table/key to dst, undecoded, and
+// returns the extended buffer; ErrNotFound (and dst unchanged) as Get. The
+// bytes are what Put marshaled, so a caller whose response is that same
+// struct's encoding serves them as they are.
+func (tx *Tx) AppendRow(dst []byte, tableName, key string) ([]byte, error) {
+	raw, ok := tx.row(tableName, key)
+	if !ok {
+		return dst, ErrNotFound
+	}
+	return append(dst, raw...), nil
+}
+
 // Exists reports whether table/key exists.
 func (tx *Tx) Exists(tableName, key string) bool {
-	var raw json.RawMessage
-	err := tx.Get(tableName, key, &raw)
-	return err == nil
+	_, ok := tx.row(tableName, key)
+	return ok
 }
 
 // ScanPrefix calls fn, in key order, for every key of the table that
@@ -290,8 +307,8 @@ func (tx *Tx) Exists(tableName, key string) bool {
 // own buffered writes (a buffered delete hides the committed key); fn
 // returning false stops the scan. The committed range is found by binary
 // search, so the cost is O(log n + matches) however large the table is.
-// Only keys are handed out: a caller Gets the rows it wants, which is how
-// a paginated page decodes its window and merely counts the rest.
+// Only keys are handed out: a caller reads the rows it wants, which is how
+// a paginated page copies its window and merely counts the rest.
 func (tx *Tx) ScanPrefix(tableName, prefix string, fn func(key string) bool) {
 	var committed []string
 	if t, ok := tx.db.tables[tableName]; ok {
@@ -345,8 +362,8 @@ func (tx *Tx) Keys(tableName string) []string {
 // false stops the scan. raw is the caller's own copy of the record.
 func (tx *Tx) Scan(tableName string, fn func(key string, raw json.RawMessage) bool) {
 	tx.ScanPrefix(tableName, "", func(k string) bool {
-		var raw json.RawMessage
-		if err := tx.Get(tableName, k, &raw); err != nil {
+		raw, err := tx.AppendRow(nil, tableName, k)
+		if err != nil {
 			return true
 		}
 		return fn(k, raw)

@@ -68,6 +68,28 @@ func checkReads(t *testing.T, where string, tx *Tx, visible model) {
 		if !reflect.DeepEqual(scanned, want) {
 			t.Fatalf("%s: Scan(%s) visited %v, want %v", where, table, scanned, want)
 		}
+		// Every key the test can generate, through the undecoded accessor:
+		// present rows (committed, or written by this transaction) come
+		// back appended to the caller's bytes, absent ones (never written,
+		// or deleted by this transaction) leave the buffer alone.
+		for u := 0; u < 4; u++ {
+			for l := 0; l < 3; l++ {
+				for n := 0; n < 6; n++ {
+					k := fmt.Sprintf("u%d|l%d|%02d", u, l, n)
+					row, present := visible[table][k]
+					got, err := tx.AppendRow([]byte("["), table, k)
+					if present && (err != nil || string(got) != "["+row) {
+						t.Fatalf("%s: AppendRow(%s, %s) = %s, %v; want [%s", where, table, k, got, err, row)
+					}
+					if !present && (!errors.Is(err, ErrNotFound) || string(got) != "[") {
+						t.Fatalf("%s: AppendRow(%s, %s) of an absent row = %s, %v", where, table, k, got, err)
+					}
+					if tx.Exists(table, k) != present {
+						t.Fatalf("%s: Exists(%s, %s) = %v", where, table, k, !present)
+					}
+				}
+			}
+		}
 		for _, prefix := range propPrefixes {
 			got := []string{}
 			tx.ScanPrefix(table, prefix, func(k string) bool {
@@ -92,7 +114,7 @@ func checkReads(t *testing.T, where string, tx *Tx, visible model) {
 // TestReadPathMatchesModel drives random interleavings of transactions
 // (committed and rolled back), snapshot round trips, WAL reopens and
 // forced replica resyncs, and after every step compares Keys, Scan,
-// Count and ScanPrefix — inside transactions with
+// Count, ScanPrefix, AppendRow and Exists — inside transactions with
 // uncommitted writes, after commit, and on the replica — with the model.
 func TestReadPathMatchesModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -111,6 +133,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 			d, rep := open()
 			defer func() { rep.Stop() }()
 			committed := model{}
+			deletedInTx := 0 // committed rows a transaction deleted, then read
 			randKey := func() string {
 				return fmt.Sprintf("u%d|l%d|%02d", rng.Intn(4), rng.Intn(3), rng.Intn(6))
 			}
@@ -127,6 +150,9 @@ func TestReadPathMatchesModel(t *testing.T) {
 							if rng.Intn(3) == 0 {
 								if err := tx.Delete(table, key); err != nil {
 									return err
+								}
+								if _, wasThere := committed[table][key]; wasThere {
+									deletedInTx++
 								}
 								delete(pendingModel[table], key)
 							} else {
@@ -184,6 +210,9 @@ func TestReadPathMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if deletedInTx < 10 {
+				t.Fatalf("only %d reads of a committed row the transaction had deleted", deletedInTx)
+			}
 			// A promoted replica is a primary: same reads, and writable.
 			promoted := rep.Promote()
 			if err := promoted.View(func(tx *Tx) error {
@@ -221,6 +250,15 @@ func TestReadersCannotCorruptStoredRows(t *testing.T) {
 			scribble(raw)
 			return true
 		})
+		row, err := tx.AppendRow(nil, "t", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(row)
+		// Appending to a buffer with room to spare writes into the
+		// caller's array, never the store's.
+		row, _ = tx.AppendRow(make([]byte, 1, 256), "t", "k")
+		scribble(row)
 		return nil
 	})
 	if !rep.WaitCaughtUp(5 * time.Second) {

@@ -3,10 +3,13 @@ package labs
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"webgpu/internal/gpusim"
 	"webgpu/internal/progcache"
+	"webgpu/internal/wb"
 )
 
 // compileOnceRuns numbers the runs of TestRunAllCompilesOnce in this
@@ -148,6 +151,141 @@ func TestRunAllCompileErrorShape(t *testing.T) {
 		}
 		if o.DatasetID != i {
 			t.Errorf("outs[%d].DatasetID = %d", i, o.DatasetID)
+		}
+	}
+}
+
+// TestDatasetFilesParsedOnce: a dataset file is decoded by the first run
+// that loads it and never again, every load is the caller's own copy (a
+// harness may write into its inputs), and every loader of the harness
+// layer returns what the wb parser returns.
+func TestDatasetFilesParsedOnce(t *testing.T) {
+	l := ByID("vector-add")
+	entry := l.dataset(0)
+	if entry.err != nil {
+		t.Fatal(entry.err)
+	}
+	data := entry.ds.Input("input0.raw")
+	parses := 0
+	counting := func(d []byte) ([]float32, error) { parses++; return wb.ParseVector(d) }
+	var files parsedFiles
+	for run := 0; run < 3; run++ {
+		rc := &RunContext{Dataset: entry.ds, files: &files}
+		if _, err := parsed(rc, data, counting); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := parsed(&RunContext{Dataset: entry.ds}, data, counting); err != nil {
+		t.Fatal(err)
+	}
+	if parses != 2 {
+		t.Errorf("3 runs sharing a cache and 1 without parsed the file %d times, want 1 + 1", parses)
+	}
+	// The same blob read as another type is parsed as that type, not
+	// served the cached one.
+	if ints, err := parseIntVector(&RunContext{files: &files}, wb.IntVectorBytes([]int32{7, 8})); err != nil || len(ints) != 2 {
+		t.Errorf("int vector = %v, %v", ints, err)
+	}
+	if _, err := parsed(&RunContext{files: &files}, data, wb.ParseIntVector); err == nil {
+		t.Error("a float vector parsed as an int vector")
+	}
+
+	rc := &RunContext{Dataset: entry.ds, files: &entry.files}
+	want, err := wb.ParseVector(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		got, err := loadVectorInput(rc, "input0.raw")
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: loadVectorInput = %v, %v; want %v", run, got, err, want)
+		}
+		for i := range got {
+			got[i] = -1 // a harness scribbling on its input
+		}
+	}
+
+	// Every loader against its wb parser, on every file of every lab:
+	// first load (parsed) and second (copied from the cache).
+	for _, l := range All() {
+		for id := 0; id < l.NumDatasets; id++ {
+			entry := l.dataset(id)
+			if entry.err != nil {
+				t.Fatal(entry.err)
+			}
+			rc := &RunContext{Dataset: entry.ds, files: &parsedFiles{}}
+			for _, f := range append(append([]wb.File{}, entry.ds.Inputs...), entry.ds.Expected) {
+				for load := 0; load < 2; load++ {
+					where := fmt.Sprintf("%s dataset %d %s load %d", l.ID, id, f.Name, load)
+					if v, err := wb.ParseVector(f.Data); err == nil {
+						if got, err := parseVector(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: parseVector differs from wb.ParseVector (%v)", where, err)
+						}
+					}
+					if v, err := wb.ParseIntVector(f.Data); err == nil {
+						if got, err := parseIntVector(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: parseIntVector differs from wb.ParseIntVector (%v)", where, err)
+						}
+					}
+					if v, r, c, err := wb.ParseMatrix(f.Data); err == nil {
+						if got, gr, gc, err := parseMatrix(rc, f.Data); err != nil || gr != r || gc != c || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: parseMatrix differs from wb.ParseMatrix (%v)", where, err)
+						}
+					}
+					if v, w, h, err := wb.ParseImage(f.Data); err == nil {
+						if got, gw, gh, err := parseImage(rc, f.Data); err != nil || gw != w || gh != h || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: parseImage differs from wb.ParseImage (%v)", where, err)
+						}
+					}
+					if v, err := wb.ParseCSR(f.Data); err == nil {
+						if got, err := parseCSR(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: parseCSR differs from wb.ParseCSR (%v)", where, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelStatsCoverLaunchStats: every integer counter gpusim reports
+// for a launch reaches KernelStats under the same name, or is listed here
+// as one the Attempts view deliberately leaves out — so a counter gpusim
+// grows is a decision, not an omission.
+func TestKernelStatsCoverLaunchStats(t *testing.T) {
+	unreported := map[string]bool{"ALUOps": true, "SpecialOps": true, "Branches": true, "ConstLoads": true,
+		"SimTime": true, "WallTime": true} // the durations are summed into Outcome.SimTime / measured per run
+	var s gpusim.LaunchStats
+	sv := reflect.ValueOf(&s).Elem()
+	s.Name = "k"
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.CanInt() {
+			f.SetInt(int64(100 + i))
+		}
+	}
+	kv := reflect.ValueOf(kernelStatsOf(&s))
+	if kv.FieldByName("Name").String() != "k" {
+		t.Errorf("Name = %q", kv.FieldByName("Name").String())
+	}
+	for i := 0; i < sv.NumField(); i++ {
+		name, f := sv.Type().Field(i).Name, sv.Field(i)
+		if !f.CanInt() {
+			continue
+		}
+		kf := kv.FieldByName(name)
+		switch {
+		case unreported[name] && kf.IsValid():
+			t.Errorf("%s is listed as unreported but KernelStats has it", name)
+		case unreported[name]:
+		case !kf.IsValid():
+			t.Errorf("LaunchStats.%s has no KernelStats counterpart and is not listed as unreported", name)
+		case kf.Int() != f.Int():
+			t.Errorf("KernelStats.%s = %d, LaunchStats.%s = %d: kernelStatsOf drops it", name, kf.Int(), name, f.Int())
+		}
+	}
+	for i := 0; i < kv.NumField(); i++ {
+		if name := kv.Type().Field(i).Name; !sv.FieldByName(name).IsValid() {
+			t.Errorf("KernelStats.%s has no LaunchStats source", name)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package labs
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"webgpu/internal/gpusim"
 	"webgpu/internal/minicuda"
@@ -15,13 +17,86 @@ import (
 // ceilDiv is the grid-sizing helper every lab uses.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// parsedFiles holds the decoded form of a dataset's files, keyed by the
+// file's blob.
+type parsedFiles struct {
+	mu sync.Mutex
+	m  map[*byte]interface{}
+}
+
+// parsed returns parse(data) for one file of the run's dataset. The blobs
+// are generated once per process and never written (Lab.Dataset), so a
+// file is decoded by the first run that asks and the result kept beside
+// it; the typed wrappers below hand each run its own copy, because
+// harnesses write into what they load. A file read as two types, a parse
+// error, or a context without a cache parses every time.
+func parsed[T any](rc *RunContext, data []byte, parse func([]byte) (T, error)) (T, error) {
+	if rc.files == nil || len(data) == 0 {
+		return parse(data)
+	}
+	rc.files.mu.Lock()
+	defer rc.files.mu.Unlock()
+	if v, ok := rc.files.m[&data[0]].(T); ok {
+		return v, nil
+	}
+	v, err := parse(data)
+	if err == nil {
+		if rc.files.m == nil {
+			rc.files.m = map[*byte]interface{}{}
+		}
+		rc.files.m[&data[0]] = v
+	}
+	return v, err
+}
+
+func parseVector(rc *RunContext, data []byte) ([]float32, error) {
+	v, err := parsed(rc, data, wb.ParseVector)
+	return slices.Clone(v), err
+}
+
+func parseIntVector(rc *RunContext, data []byte) ([]int32, error) {
+	v, err := parsed(rc, data, wb.ParseIntVector)
+	return slices.Clone(v), err
+}
+
+// grid is a parsed matrix or image: elements and the two header numbers.
+type grid[E any] struct {
+	elems []E
+	a, b  int
+}
+
+func parseMatrix(rc *RunContext, data []byte) ([]float32, int, int, error) {
+	g, err := parsed(rc, data, func(d []byte) (grid[float32], error) {
+		m, rows, cols, err := wb.ParseMatrix(d)
+		return grid[float32]{m, rows, cols}, err
+	})
+	return slices.Clone(g.elems), g.a, g.b, err
+}
+
+func parseImage(rc *RunContext, data []byte) ([]byte, int, int, error) {
+	g, err := parsed(rc, data, func(d []byte) (grid[byte], error) {
+		pix, w, h, err := wb.ParseImage(d)
+		return grid[byte]{pix, w, h}, err
+	})
+	return slices.Clone(g.elems), g.a, g.b, err
+}
+
+func parseCSR(rc *RunContext, data []byte) (*wb.CSR, error) {
+	m, err := parsed(rc, data, wb.ParseCSR)
+	if err != nil {
+		return nil, err
+	}
+	return &wb.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: slices.Clone(m.RowPtr),
+		ColIdx: slices.Clone(m.ColIdx), Vals: slices.Clone(m.Vals)}, nil
+}
+
 // loadVectorInput parses a named float-vector input of the dataset.
 func loadVectorInput(rc *RunContext, name string) ([]float32, error) {
 	data := rc.Dataset.Input(name)
 	if data == nil {
 		return nil, fmt.Errorf("labs: dataset %q missing input %s", rc.Dataset.Name, name)
 	}
-	return wb.ParseVector(data)
+	return parseVector(rc, data)
 }
 
 // loadMatrixInput parses a named float-matrix input of the dataset.
@@ -30,12 +105,12 @@ func loadMatrixInput(rc *RunContext, name string) ([]float32, int, int, error) {
 	if data == nil {
 		return nil, 0, 0, fmt.Errorf("labs: dataset %q missing input %s", rc.Dataset.Name, name)
 	}
-	return wb.ParseMatrix(data)
+	return parseMatrix(rc, data)
 }
 
 // expectedVector parses the dataset's expected float-vector output.
 func expectedVector(rc *RunContext) ([]float32, error) {
-	return wb.ParseVector(rc.Dataset.Expected.Data)
+	return parseVector(rc, rc.Dataset.Expected.Data)
 }
 
 // toDevice allocates and fills a float buffer on the primary GPU, timing

@@ -147,11 +147,11 @@ __global__ void bfsLevel(int *rowPtr, int *colIdx, int *levels,
 		if err := requireKernel(rc, "bfsLevel"); err != nil {
 			return wb.CheckResult{}, err
 		}
-		rowPtr, err := wb.ParseIntVector(rc.Dataset.Input("rowptr.raw"))
+		rowPtr, err := parseIntVector(rc, rc.Dataset.Input("rowptr.raw"))
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		colIdx, err := wb.ParseIntVector(rc.Dataset.Input("colidx.raw"))
+		colIdx, err := parseIntVector(rc, rc.Dataset.Input("colidx.raw"))
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
@@ -213,7 +213,7 @@ __global__ void bfsLevel(int *rowPtr, int *colIdx, int *levels,
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, err := wb.ParseIntVector(rc.Dataset.Expected.Data)
+		want, err := parseIntVector(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

@@ -152,7 +152,7 @@ __global__ void convolution2D(float *in, float *out, int height, int width) {
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, _, _, err := wb.ParseMatrix(rc.Dataset.Expected.Data)
+		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

@@ -71,7 +71,7 @@ __global__ void deviceQuery(int *out, int len) {
 		if err := requireKernel(rc, "deviceQuery"); err != nil {
 			return wb.CheckResult{}, err
 		}
-		in, err := wb.ParseIntVector(rc.Dataset.Input("input0.raw"))
+		in, err := parseIntVector(rc, rc.Dataset.Input("input0.raw"))
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
@@ -90,7 +90,7 @@ __global__ void deviceQuery(int *out, int len) {
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, err := wb.ParseIntVector(rc.Dataset.Expected.Data)
+		want, err := parseIntVector(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

@@ -117,7 +117,7 @@ __global__ void equalize(unsigned char *input, unsigned char *output,
 				return wb.CheckResult{}, err
 			}
 		}
-		pix, w, h, err := wb.ParseImage(rc.Dataset.Input("input0.ppm"))
+		pix, w, h, err := parseImage(rc, rc.Dataset.Input("input0.ppm"))
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
@@ -174,7 +174,7 @@ __global__ void equalize(unsigned char *input, unsigned char *output,
 		if err := rc.Dev().MemcpyDtoH(got, outP); err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, _, _, err := wb.ParseImage(rc.Dataset.Expected.Data)
+		want, _, _, err := parseImage(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

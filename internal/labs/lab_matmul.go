@@ -86,7 +86,7 @@ func matMulHarness(kernel string, block int) Harness {
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, _, _, err := wb.ParseMatrix(rc.Dataset.Expected.Data)
+		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

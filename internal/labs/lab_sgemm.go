@@ -144,7 +144,7 @@ __global__ void sgemm(float *A, float *B, float *C, int n) {
 		if err != nil {
 			return wb.CheckResult{}, err
 		}
-		want, _, _, err := wb.ParseMatrix(rc.Dataset.Expected.Data)
+		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

@@ -89,7 +89,7 @@ and control divergence — the JDS format covered in lecture addresses this.
 		if err := requireKernel(rc, "spmvCSR"); err != nil {
 			return wb.CheckResult{}, err
 		}
-		m, err := wb.ParseCSR(rc.Dataset.Input("matrix.csr"))
+		m, err := parseCSR(rc, rc.Dataset.Input("matrix.csr"))
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

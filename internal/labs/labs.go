@@ -66,6 +66,10 @@ type RunContext struct {
 	Dataset  *wb.Dataset
 	Trace    *wb.Trace
 	MaxSteps int64
+
+	// files is where the dataset's decoded files are kept between runs
+	// (see parsed); nil for a context built outside RunCompiled.
+	files *parsedFiles
 }
 
 // Dev returns the primary GPU.
@@ -102,15 +106,17 @@ type Lab struct {
 	// Dataset cache: generators are deterministic (seeded by
 	// rng(labID, datasetID)) and datasets are immutable byte blobs the
 	// harnesses only parse, so each instructor dataset is materialized
-	// once per process and shared by every subsequent run.
+	// once per process and shared by every subsequent run; what a harness
+	// parses out of it is kept beside it (dsEntry.files).
 	dsMu   sync.Mutex
 	dsOnce map[int]*dsEntry
 	dsGens int64
 }
 
 type dsEntry struct {
-	ds  *wb.Dataset
-	err error
+	ds    *wb.Dataset
+	err   error
+	files parsedFiles
 }
 
 // Dataset returns the lab's dataset with the given ID, generating it on
@@ -119,18 +125,25 @@ func (l *Lab) Dataset(id int) (*wb.Dataset, error) {
 	if id < 0 || id >= l.NumDatasets {
 		return nil, fmt.Errorf("labs: dataset %d out of range [0,%d)", id, l.NumDatasets)
 	}
+	e := l.dataset(id)
+	return e.ds, e.err
+}
+
+// dataset returns the cache entry of an in-range dataset ID.
+func (l *Lab) dataset(id int) *dsEntry {
 	l.dsMu.Lock()
 	defer l.dsMu.Unlock()
 	if l.dsOnce == nil {
 		l.dsOnce = make(map[int]*dsEntry, l.NumDatasets)
 	}
-	if e, ok := l.dsOnce[id]; ok {
-		return e.ds, e.err
+	e, ok := l.dsOnce[id]
+	if !ok {
+		ds, err := l.Generate(id)
+		l.dsGens++
+		e = &dsEntry{ds: ds, err: err}
+		l.dsOnce[id] = e
 	}
-	ds, err := l.Generate(id)
-	l.dsGens++
-	l.dsOnce[id] = &dsEntry{ds: ds, err: err}
-	return ds, err
+	return e
 }
 
 // DatasetGenerations reports how many times the underlying generator ran

@@ -50,6 +50,25 @@ type KernelStats struct {
 	SimCycles    int64
 }
 
+// kernelStatsOf is the one place a launch's counters become the reported
+// ones; TestKernelStatsCoverLaunchStats fails when gpusim grows a counter
+// this neither copies nor is listed there as deliberately unreported.
+func kernelStatsOf(s *gpusim.LaunchStats) KernelStats {
+	return KernelStats{
+		Name:         s.Name,
+		Blocks:       s.Blocks,
+		Threads:      s.Threads,
+		GlobalLoads:  s.GlobalLoads,
+		GlobalStores: s.GlobalStores,
+		GlobalTx:     s.GlobalTx,
+		SharedOps:    s.SharedOps,
+		SharedTx:     s.SharedTx,
+		Atomics:      s.Atomics,
+		Barriers:     s.Barriers,
+		SimCycles:    s.SimCycles,
+	}
+}
+
 // CompileOnly compiles a submission without running it (the "Compile"
 // button of the code view, §IV-A action 2). Compilation goes through the
 // process-wide program cache, so the deadline-spike pattern of repeated
@@ -111,9 +130,9 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 		o.RuntimeError = fmt.Sprintf("labs: dataset %d out of range [0,%d)", datasetID, l.NumDatasets)
 		return o
 	}
-	ds, err := l.Dataset(datasetID)
-	if err != nil {
-		o.RuntimeError = err.Error()
+	entry := l.dataset(datasetID)
+	if entry.err != nil {
+		o.RuntimeError = entry.err.Error()
 		return o
 	}
 	if len(devices) == 0 {
@@ -130,8 +149,8 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 	}
 
 	trace := wb.NewTrace()
-	rc := &RunContext{Devices: devices[:need], Program: prog, Dataset: ds,
-		Trace: trace, MaxSteps: maxSteps}
+	rc := &RunContext{Devices: devices[:need], Program: prog, Dataset: entry.ds,
+		Trace: trace, MaxSteps: maxSteps, files: &entry.files}
 
 	before := make([]int, len(rc.Devices))
 	for i, d := range rc.Devices {
@@ -143,19 +162,7 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 	for i, d := range rc.Devices {
 		for _, s := range d.Launches()[before[i]:] {
 			o.SimTime += s.SimTime
-			o.Kernels = append(o.Kernels, KernelStats{
-				Name:         s.Name,
-				Blocks:       s.Blocks,
-				Threads:      s.Threads,
-				GlobalLoads:  s.GlobalLoads,
-				GlobalStores: s.GlobalStores,
-				GlobalTx:     s.GlobalTx,
-				SharedOps:    s.SharedOps,
-				SharedTx:     s.SharedTx,
-				Atomics:      s.Atomics,
-				Barriers:     s.Barriers,
-				SimCycles:    s.SimCycles,
-			})
+			o.Kernels = append(o.Kernels, kernelStatsOf(s))
 		}
 		d.Reset() // free the job's allocations, as the container teardown does
 	}

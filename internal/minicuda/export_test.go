@@ -43,3 +43,7 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
 	}
 	return srcs
 }
+
+// LexReference hands the pre-rewrite lexer (lexref_test.go) to the
+// external tests that compare Lex with it over the lab sources.
+var LexReference = lexReference

@@ -50,7 +50,7 @@ __global__ void sibling(int *out) { out[0] = 1; }
 
 // hashCorpus is the differential corpus, the lab references, the example
 // kernels and editBase.
-func hashCorpus(t *testing.T) []hashSource {
+func hashCorpus(t testing.TB) []hashSource {
 	t.Helper()
 	corpus := []hashSource{{"editBase", editBase, minicuda.DialectCUDA}}
 	for i, src := range minicuda.DiffCorpusSources() {

@@ -17,7 +17,6 @@ package minicuda
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // TokKind classifies a token.
@@ -90,15 +89,6 @@ var keywords = map[string]bool{
 	"__kernel": true, "__global": true, "__local": true, "__private": true,
 }
 
-// multi-character punctuation, longest first per leading byte.
-var punctTable = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
-	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
-	"(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
-}
-
 // CompileError is a positioned diagnostic, formatted the way the web UI
 // shows compilation failures to students.
 type CompileError struct {
@@ -115,58 +105,60 @@ func errAt(t Token, format string, args ...interface{}) error {
 	return &CompileError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
 }
 
+// tokenBytes is the source bytes per token Lex reserves for. Preprocessed,
+// the 15 lab references measure 2.6–4.2 bytes a token and their
+// comment-heavy skeletons 4.4–9.2, so a dense program grows the slice once
+// at most and a sparse one reserves under 3× the tokens it has.
+const tokenBytes = 3
+
 // Lex tokenizes source, stripping // and /* */ comments and preprocessor
 // lines (#include, #define of simple constants is handled by Preprocess).
+// Columns count bytes: the column of src[i] is i-lineStart+1.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
-	line, col := 1, 1
-	i := 0
 	n := len(src)
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i] == '\n' {
+	toks := make([]Token, 0, n/tokenBytes+1)
+	line, lineStart := 1, 0
+	// newlines accounts for the line breaks of src[from:to], a region
+	// (block comment, literal) consumed in one step.
+	newlines := func(from, to int) {
+		for k := from; k < to; k++ {
+			if src[k] == '\n' {
 				line++
-				col = 1
-			} else {
-				col++
+				lineStart = k + 1
 			}
-			i++
 		}
 	}
-	for i < n {
+	errAtByte := func(i int, msg string) error {
+		return &CompileError{Line: line, Col: i - lineStart + 1, Msg: msg}
+	}
+	for i := 0; i < n; {
 		c := src[i]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				advance(1)
+		case c == '\n':
+			i++
+			line++
+			lineStart = i
+		case c == ' ' || c == '\t' || c == '\r':
+			i++
+		case c == '#' || c == '/' && i+1 < n && src[i+1] == '/':
+			// A line comment, or a preprocessor directive (these reach the
+			// lexer only if Preprocess was skipped): blank to end of line.
+			if k := strings.IndexByte(src[i:], '\n'); k >= 0 {
+				i += k
+			} else {
+				i = n
 			}
 		case c == '/' && i+1 < n && src[i+1] == '*':
-			startLine, startCol := line, col
-			advance(2)
-			closed := false
-			for i+1 < n {
-				if src[i] == '*' && src[i+1] == '/' {
-					advance(2)
-					closed = true
-					break
-				}
-				advance(1)
+			k := strings.Index(src[i+2:], "*/")
+			if k < 0 {
+				return nil, errAtByte(i, "unterminated block comment")
 			}
-			if !closed {
-				return nil, &CompileError{Line: startLine, Col: startCol, Msg: "unterminated block comment"}
-			}
-		case c == '#':
-			// Preprocessor directives reach the lexer only if Preprocess was
-			// skipped; treat the rest of the line as blank.
-			for i < n && src[i] != '\n' {
-				advance(1)
-			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			startLine, startCol := line, col
-			j := i
-			for j < n && (isIdentChar(src[j])) {
+			end := i + 2 + k + 2
+			newlines(i, end)
+			i = end
+		case isIdentStart(c):
+			j := i + 1
+			for j < n && isIdentChar(src[j]) {
 				j++
 			}
 			text := src[i:j]
@@ -174,67 +166,101 @@ func Lex(src string) ([]Token, error) {
 			if keywords[text] {
 				kind = TokKeyword
 			}
-			toks = append(toks, Token{Kind: kind, Text: text, Line: startLine, Col: startCol})
-			advance(j - i)
-		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
-			tok, adv, err := lexNumber(src[i:], line, col)
-			if err != nil {
-				return nil, err
-			}
+			toks = append(toks, Token{Kind: kind, Text: text, Line: line, Col: i - lineStart + 1})
+			i = j
+		case c >= '0' && c <= '9' || c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9':
+			tok := lexNumber(src[i:], line, i-lineStart+1)
 			toks = append(toks, tok)
-			advance(adv)
-		case c == '"':
-			startLine, startCol := line, col
+			i += len(tok.Text)
+		case c == '"' || c == '\'':
+			// The literal runs to the next unescaped quote, line breaks
+			// included; Text is what is between the quotes.
 			j := i + 1
-			for j < n && src[j] != '"' {
+			for j < n && src[j] != c {
 				if src[j] == '\\' {
 					j++
 				}
 				j++
 			}
-			if j >= n {
-				return nil, &CompileError{Line: startLine, Col: startCol, Msg: "unterminated string literal"}
-			}
-			toks = append(toks, Token{Kind: TokStringLit, Text: src[i+1 : j], Line: startLine, Col: startCol})
-			advance(j - i + 1)
-		case c == '\'':
-			startLine, startCol := line, col
-			j := i + 1
-			for j < n && src[j] != '\'' {
-				if src[j] == '\\' {
-					j++
-				}
-				j++
+			kind, what := TokStringLit, "string"
+			if c == '\'' {
+				kind, what = TokCharLit, "character"
 			}
 			if j >= n {
-				return nil, &CompileError{Line: startLine, Col: startCol, Msg: "unterminated character literal"}
+				return nil, errAtByte(i, "unterminated "+what+" literal")
 			}
-			toks = append(toks, Token{Kind: TokCharLit, Text: src[i+1 : j], Line: startLine, Col: startCol})
-			advance(j - i + 1)
+			toks = append(toks, Token{Kind: kind, Text: src[i+1 : j], Line: line, Col: i - lineStart + 1})
+			newlines(i, j)
+			i = j + 1
 		default:
-			matched := false
-			for _, p := range punctTable {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, Token{Kind: TokPunct, Text: p, Line: line, Col: col})
-					advance(len(p))
-					matched = true
-					break
-				}
+			k := punctLen(src[i:])
+			if k == 0 {
+				return nil, errAtByte(i, fmt.Sprintf("unexpected character %q", c))
 			}
-			if !matched {
-				return nil, &CompileError{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
-			}
+			toks = append(toks, Token{Kind: TokPunct, Text: src[i : i+k], Line: line, Col: i - lineStart + 1})
+			i += k
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
+	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: n - lineStart + 1})
 	return toks, nil
+}
+
+// punctLen is the length of the punctuation token s starts with, longest
+// match, or 0 if s[0] starts none.
+func punctLen(s string) int {
+	var c1, c2 byte
+	if len(s) > 1 {
+		c1 = s[1]
+	}
+	if len(s) > 2 {
+		c2 = s[2]
+	}
+	switch c := s[0]; c {
+	case '<', '>': // < <= << <<=
+		switch {
+		case c1 == c && c2 == '=':
+			return 3
+		case c1 == c || c1 == '=':
+			return 2
+		}
+		return 1
+	case '.':
+		if c1 == '.' && c2 == '.' {
+			return 3
+		}
+		return 1
+	case '+', '&', '|': // + += ++
+		if c1 == c || c1 == '=' {
+			return 2
+		}
+		return 1
+	case '-': // - -= -- ->
+		if c1 == '-' || c1 == '=' || c1 == '>' {
+			return 2
+		}
+		return 1
+	case '=', '!', '*', '/', '%', '^': // = ==
+		if c1 == '=' {
+			return 2
+		}
+		return 1
+	case '~', '(', ')', '{', '}', '[', ']', ';', ',', '?', ':':
+		return 1
+	}
+	return 0
+}
+
+// isIdentStart is ASCII on purpose, like isIdentChar: a byte of a
+// multi-byte UTF-8 letter is an unexpected character, not an identifier.
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
 func isIdentChar(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
-func lexNumber(s string, line, col int) (Token, int, error) {
+func lexNumber(s string, line, col int) Token {
 	j := 0
 	n := len(s)
 	isFloat := false
@@ -246,7 +272,7 @@ func lexNumber(s string, line, col int) (Token, int, error) {
 		for j < n && (s[j] == 'u' || s[j] == 'U' || s[j] == 'l' || s[j] == 'L') {
 			j++
 		}
-		return Token{Kind: TokIntLit, Text: s[:j], Line: line, Col: col}, j, nil
+		return Token{Kind: TokIntLit, Text: s[:j], Line: line, Col: col}
 	}
 	for j < n && s[j] >= '0' && s[j] <= '9' {
 		j++
@@ -282,7 +308,7 @@ func lexNumber(s string, line, col int) (Token, int, error) {
 	if isFloat {
 		kind = TokFloatLit
 	}
-	return Token{Kind: kind, Text: s[:j], Line: line, Col: col}, j, nil
+	return Token{Kind: kind, Text: s[:j], Line: line, Col: col}
 }
 
 func isHexDigit(c byte) bool {
@@ -417,8 +443,8 @@ func expandMacros(line string, macros map[string]string) string {
 	i := 0
 	for i < len(line) {
 		c := line[i]
-		if unicode.IsLetter(rune(c)) || c == '_' {
-			j := i
+		if isIdentStart(c) {
+			j := i + 1
 			for j < len(line) && isIdentChar(line[j]) {
 				j++
 			}

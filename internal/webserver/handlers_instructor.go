@@ -1,6 +1,7 @@
 package webserver
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -101,19 +102,16 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		return
 	}
 	var student User
-	var history []CodeRec
-	var submissions []SubmissionRec
-	var attempts []AttemptRec
+	var history, submissions, attempts, comments []json.RawMessage
 	var answers AnswersRec
 	var grade *grader.Grade
-	var comments []CommentRec
 	err := s.db.View(func(tx *db.Tx) error {
 		if err := tx.Get("users", userID, &student); err != nil {
 			return err
 		}
-		history = loadRecords[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(userID, l.ID)+"|"))
-		submissions = loadRecords[SubmissionRec](tx, "submissions", ownedIDs(tx, "submissions", l.ID, userID))
-		attempts = loadRecords[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, userID))
+		history = rawRecords(tx, "history", prefixKeys(tx, "history", codeKey(userID, l.ID)+"|"))
+		submissions = rawRecords(tx, "submissions", ownedIDs(tx, "submissions", l.ID, userID))
+		attempts = rawRecords(tx, "attempts", ownedIDs(tx, "attempts", l.ID, userID))
 		if err := tx.Get("answers", codeKey(userID, l.ID), &answers); err != nil && !errors.Is(err, db.ErrNotFound) {
 			return err
 		}
@@ -121,7 +119,7 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		if err := tx.Get("grades", codeKey(userID, l.ID), &g); err == nil {
 			grade = &g
 		}
-		comments = loadRecords[CommentRec](tx, "comments", ownedIDs(tx, "comments", l.ID, userID))
+		comments = rawRecords(tx, "comments", ownedIDs(tx, "comments", l.ID, userID))
 		return nil
 	})
 	if errors.Is(err, db.ErrNotFound) {

@@ -253,18 +253,10 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) 
 	if !ok {
 		return
 	}
-	var total int
-	var revs []CodeRec
-	err := s.db.View(func(tx *db.Tx) error {
-		// histKey pads the revision, so key order is revision order.
-		total, revs = readPage[CodeRec](tx, "history", prefixKeys(tx, "history", codeKey(u.ID, l.ID)+"|"), p)
-		return nil
+	// histKey pads the revision, so key order is revision order.
+	s.servePage(w, "history", p, func(tx *db.Tx) []string {
+		return prefixKeys(tx, "history", codeKey(u.ID, l.ID)+"|")
 	})
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, paginated(total, revs, p))
 }
 
 // ---- Compile / attempt / submit ---------------------------------------------------
@@ -422,17 +414,9 @@ func (s *Server) handleAttempts(w http.ResponseWriter, r *http.Request, u *User)
 	if !ok {
 		return
 	}
-	var total int
-	var attempts []AttemptRec
-	err := s.db.View(func(tx *db.Tx) error {
-		total, attempts = readPage[AttemptRec](tx, "attempts", ownedIDs(tx, "attempts", l.ID, u.ID), p)
-		return nil
+	s.servePage(w, "attempts", p, func(tx *db.Tx) []string {
+		return ownedIDs(tx, "attempts", l.ID, u.ID)
 	})
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, paginated(total, attempts, p))
 }
 
 func (s *Server) handleAnswerQuestions(w http.ResponseWriter, r *http.Request, u *User) {
@@ -552,9 +536,10 @@ func (s *Server) handleGetGrade(w http.ResponseWriter, r *http.Request, u *User)
 	if l == nil {
 		return
 	}
-	var g grader.Grade
-	err := s.db.View(func(tx *db.Tx) error {
-		return tx.Get("grades", codeKey(u.ID, l.ID), &g)
+	var body []byte
+	err := s.db.View(func(tx *db.Tx) (err error) {
+		body, err = tx.AppendRow(nil, "grades", codeKey(u.ID, l.ID))
+		return err
 	})
 	if errors.Is(err, db.ErrNotFound) {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "no grade yet")
@@ -564,7 +549,7 @@ func (s *Server) handleGetGrade(w http.ResponseWriter, r *http.Request, u *User)
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, g)
+	writeBody(w, append(body, '\n'))
 }
 
 // handleHints implements the paper's §VIII future work — "on-demand

@@ -412,6 +412,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- Records ------------------------------------------------------------------
+//
+// CodeRec, AttemptRec, SubmissionRec and CommentRec (and grader.Grade) have
+// one encoding: the bytes tx.Put marshals are the bytes the history,
+// attempts, grade and student-view responses carry (servePage,
+// rawRecords) — no handler decodes a row in order to list it. These
+// structs are therefore the API representation; a field that must not be
+// served does not belong in them.
 
 // User is a registered account.
 type User struct {
@@ -575,42 +582,81 @@ func parsePage(w http.ResponseWriter, r *http.Request) (page, bool) {
 	return p, true
 }
 
-// readPage reads one limit/offset page over the rows of a table named,
-// in order, by keys: only the rows inside the window are read and
-// decoded; the rest are counted.
-func readPage[T any](tx *db.Tx, table string, keys []string, p page) (total int, window []T) {
-	total = len(keys)
-	lo := p.Offset
-	if lo > total {
-		lo = total
+// servePage answers one limit/offset page over the rows of a table named,
+// in order, by keys(tx). The body is assembled inside the transaction
+// from the rows' committed bytes (see Records): only the window is copied,
+// the rest are counted, and a key whose row is missing (a dangling index
+// row) is counted and skipped. The envelope is written by hand in the
+// sorted-key order encoding/json gives a map, newline included.
+func (s *Server) servePage(w http.ResponseWriter, table string, p page, keys func(tx *db.Tx) []string) {
+	buf := pageBufs.Get().(*[]byte)
+	body := (*buf)[:0]
+	err := s.db.View(func(tx *db.Tx) error {
+		ks := keys(tx)
+		lo := min(p.Offset, len(ks))
+		hi := len(ks)
+		if p.Limit > 0 && lo+p.Limit < hi {
+			hi = lo + p.Limit
+		}
+		body = append(body, `{"items":[`...)
+		empty := len(body)
+		for _, k := range ks[lo:hi] {
+			mark := len(body)
+			if mark > empty {
+				body = append(body, ',')
+			}
+			row, err := tx.AppendRow(body, table, k)
+			if err != nil {
+				body = body[:mark]
+				continue
+			}
+			body = row
+		}
+		body = append(body, `],"limit":`...)
+		body = strconv.AppendInt(body, int64(p.Limit), 10)
+		body = append(body, `,"offset":`...)
+		body = strconv.AppendInt(body, int64(p.Offset), 10)
+		body = append(body, `,"total":`...)
+		body = strconv.AppendInt(body, int64(len(ks)), 10)
+		body = append(body, "}\n"...)
+		return nil
+	})
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+	} else {
+		writeBody(w, body)
 	}
-	hi := total
-	if p.Limit > 0 && lo+p.Limit < hi {
-		hi = lo + p.Limit
+	if cap(body) <= maxPooledPage {
+		*buf = body
+		pageBufs.Put(buf)
 	}
-	return total, loadRecords[T](tx, table, keys[lo:hi])
 }
 
-// paginated renders a page with the total count of the listing.
-func paginated[T any](total int, window []T, p page) map[string]interface{} {
-	if window == nil {
-		window = []T{}
-	}
-	return map[string]interface{}{
-		"total":  total,
-		"limit":  p.Limit,
-		"offset": p.Offset,
-		"items":  window,
-	}
+// pageBufs recycles servePage's buffers (Write has copied the body by the
+// time it returns): a page is tens of kilobytes, and growing a fresh slice
+// to that size on every request cost more than copying the rows — the
+// Attempts handler on a 41 kB page measured 65–100 µs without, 25–32 with.
+// A buffer that a page of huge sources grew past maxPooledPage is dropped.
+var pageBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+const maxPooledPage = 1 << 20
+
+// writeBody sends a 200 whose body is already JSON, newline-terminated as
+// writeJSON's is.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
-// loadRecords decodes the named rows of a table, in the order given.
-func loadRecords[T any](tx *db.Tx, table string, keys []string) []T {
-	var out []T
+// rawRecords returns the named rows of a table as stored, in the order
+// given; nil when there are none.
+func rawRecords(tx *db.Tx, table string, keys []string) []json.RawMessage {
+	var out []json.RawMessage
 	for _, k := range keys {
-		var rec T
-		if err := tx.Get(table, k, &rec); err == nil {
-			out = append(out, rec)
+		if row, err := tx.AppendRow(nil, table, k); err == nil {
+			out = append(out, row)
 		}
 	}
 	return out
