@@ -27,8 +27,6 @@ func main() {
 	course := flag.String("course", "HPP", "course: HPP, 408, 598, or PUMPS")
 	cacheDir := flag.String("cache-dir", os.Getenv("WEBGPU_CACHE_DIR"),
 		"durable artifact store directory (default $WEBGPU_CACHE_DIR; empty = memory-only)")
-	preload := flag.Int("preload-hottest", envInt("WEBGPU_CACHE_PRELOAD", 256),
-		"eagerly warm-start the store's N hottest programs at boot (0 = lazy only)")
 	cacheMax := flag.Int64("cache-max-bytes", envInt64("WEBGPU_CACHE_MAX_BYTES", 0),
 		"artifact store size bound in bytes (0 = unbounded)")
 	flag.Parse()
@@ -38,19 +36,16 @@ func main() {
 		a = platform.V1
 	}
 	p := platform.New(platform.Options{
-		Arch:           a,
-		Workers:        *workers,
-		GPUsPerWorker:  *gpus,
-		Course:         labs.Course(*course),
-		CacheDir:       *cacheDir,
-		CacheMaxBytes:  *cacheMax,
-		PreloadHottest: *preload,
+		Arch:          a,
+		Workers:       *workers,
+		GPUsPerWorker: *gpus,
+		Course:        labs.Course(*course),
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMax,
 	})
 	defer p.Close()
 	if store := p.ArtifactStore(); store != nil {
-		st := p.ProgCache().Stats()
-		log.Printf("artifact store: %s (%d objects on disk, %d programs preloaded)",
-			store.Dir(), store.Stats().Objects, st.Preloaded)
+		log.Printf("artifact store: %s (%d objects on disk)", store.Dir(), store.Stats().Objects)
 	}
 
 	// Default deadlines: weekly Thursdays from now, one per lab, matching
@@ -77,15 +72,8 @@ func main() {
 	}
 }
 
-// envInt reads an integer environment variable, falling back on absence
+// envInt64 reads an integer environment variable, falling back on absence
 // or a parse failure.
-func envInt(name string, def int) int {
-	if v, err := strconv.Atoi(os.Getenv(name)); err == nil {
-		return v
-	}
-	return def
-}
-
 func envInt64(name string, def int64) int64 {
 	if v, err := strconv.ParseInt(os.Getenv(name), 10, 64); err == nil {
 		return v

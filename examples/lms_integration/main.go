@@ -11,9 +11,9 @@ import (
 	"log"
 	"time"
 
+	"webgpu/examples/lms_integration/openedx"
 	"webgpu/internal/grader"
 	"webgpu/internal/labs"
-	"webgpu/internal/openedx"
 )
 
 func main() {

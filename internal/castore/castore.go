@@ -8,7 +8,6 @@
 //
 //	objects/<key[:2]>/<key>.<blob>   one artifact file per (key, blob)
 //	quarantine/<name>                hash-mismatched files, moved aside
-//	manifest.log                     append-only access log driving GC
 //
 // Durability and integrity:
 //
@@ -20,16 +19,15 @@
 //     header is what catches torn writes and bit rot. A failed check
 //     quarantines the file and reports a miss — corruption degrades to a
 //     recompile, never a crash or a wrong artifact.
-//   - The manifest is opened O_APPEND; records are small enough that
-//     concurrent appenders (two platforms on one directory) interleave
-//     whole lines on any POSIX filesystem, and replay skips torn tails.
 //
-// Garbage collection is least-recently-accessed: when a Put pushes the
-// object bytes over Options.MaxBytes, the store drops the
-// longest-unaccessed entries until it is back under budget. Access order
-// and heat come from replaying the manifest at Open and tracking gets in
-// memory afterwards; HottestKeys exposes the most-accessed keys so a
-// booting worker can eagerly warm the entries most likely to be hit.
+// Garbage collection is least-recently-used, and the files' own
+// modification times are the recency index (as in Go's build cache):
+// Open seeds one in-memory stamp per entry from the ModTime its walk
+// stats anyway, Get and Put bump the stamp, and a Get writes it back to
+// the file only when the store is bounded and the file's time is more
+// than touchInterval old. When a Put pushes the object bytes over
+// Options.MaxBytes, the store drops the longest-unused entries down to
+// 7/8 of the budget, so the sort is paid once per batch of Puts.
 package castore
 
 import (
@@ -37,12 +35,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"webgpu/internal/faultinject"
 	"webgpu/internal/metrics"
@@ -53,6 +53,11 @@ const (
 	fileVersion = 1
 	// headerSize = magic + version byte + sha256 + 8-byte payload length.
 	headerSize = 4 + 1 + sha256.Size + 8
+
+	// touchInterval bounds how stale a used file's ModTime may get: a Get
+	// rewrites it only when it is at least this old, so a hot entry costs
+	// one inode update an hour and recency on disk is exact to the hour.
+	touchInterval = time.Hour
 )
 
 // Options configures a store.
@@ -80,10 +85,10 @@ type Stats struct {
 	Objects      int64 // current entry count
 }
 
-// access is the per-entry recency/heat record behind GC and preloading.
-type access struct {
-	seq   int64 // last access order; higher = hotter recency
-	count int64 // total accesses over the manifest's lifetime
+// entry is what the store remembers of one artifact file.
+type entry struct {
+	size int64 // on-disk size, header included
+	used int64 // recency stamp (Store.tickLocked): ModTime at Open, then last Get/Put
 }
 
 // Store is a persistent content-addressed artifact store. All methods are
@@ -93,17 +98,15 @@ type Store struct {
 	opts Options
 
 	mu       sync.Mutex
-	manifest *os.File
-	seq      int64
-	accesses map[string]*access // keyed "key.blob"
-	sizes    map[string]int64   // on-disk size per "key.blob"
+	entries  map[string]entry // keyed "key.blob"
+	clock    int64            // last stamp handed out
 	stats    Stats
 	diskFull bool
-	closed   bool
 }
 
 // Open opens (creating if needed) a store rooted at dir, sweeps leftover
-// temp files from crashed writers, and replays the access manifest.
+// temp files from crashed writers, and takes each entry's size and
+// recency from the file itself.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("castore: empty directory")
@@ -114,14 +117,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "quarantine"), 0o755); err != nil {
 		return nil, fmt.Errorf("castore: %w", err)
 	}
+	// Stores written before file times became the recency index kept an
+	// access journal here; nothing reads it any more.
+	os.Remove(filepath.Join(dir, "manifest.log"))
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		accesses: map[string]*access{},
-		sizes:    map[string]int64{},
+		dir:     dir,
+		opts:    opts,
+		entries: map[string]entry{},
 	}
-	// Inventory the objects tree: footprint for the GC budget, and sweep
-	// temp files a crashed writer left behind.
 	err := filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
@@ -129,21 +132,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		if strings.HasSuffix(path, ".tmp") {
 			return os.Remove(path)
 		}
-		s.sizes[filepath.Base(path)] = info.Size()
+		s.entries[filepath.Base(path)] = entry{size: info.Size(), used: info.ModTime().UnixNano()}
 		s.stats.DiskBytes += info.Size()
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("castore: scan objects: %w", err)
 	}
-	s.stats.Objects = int64(len(s.sizes))
-	s.replayManifest()
-	mf, err := os.OpenFile(filepath.Join(dir, "manifest.log"),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("castore: open manifest: %w", err)
-	}
-	s.manifest = mf
+	s.stats.Objects = int64(len(s.entries))
 	if opts.Metrics != nil {
 		opts.Metrics.AddCollector(func(r *metrics.Registry) {
 			st := s.Stats()
@@ -163,30 +159,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// replayManifest rebuilds access order and heat. Torn tails (a crashed
-// appender) and records for since-deleted entries are skipped silently.
-func (s *Store) replayManifest() {
-	data, err := os.ReadFile(filepath.Join(s.dir, "manifest.log"))
-	if err != nil {
-		return
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 || (fields[0] != "get" && fields[0] != "put") {
-			continue
-		}
-		s.seq++
-		a := s.accesses[fields[1]]
-		if a == nil {
-			a = &access{}
-			s.accesses[fields[1]] = a
-		}
-		a.seq = s.seq
-		a.count++
-	}
-}
-
-// entryName is the manifest/size-map key for one artifact file.
+// entryName is the entries-map key, and the file name, of one artifact.
 func entryName(key, blob string) string { return key + "." + blob }
 
 // validName rejects anything that could escape the fanout layout; keys
@@ -214,22 +187,46 @@ func (s *Store) objectPath(key, blob string) string {
 	return filepath.Join(s.dir, "objects", key[:2], entryName(key, blob))
 }
 
-// note records an access (under s.mu) and appends it to the manifest.
-func (s *Store) note(op, key, blob string) {
-	s.seq++
-	name := entryName(key, blob)
-	a := s.accesses[name]
-	if a == nil {
-		a = &access{}
-		s.accesses[name] = a
+// tickLocked returns the stamp of an access happening now: wall-clock
+// nanoseconds, the unit Open's ModTimes are in, pushed forward where the
+// clock has not advanced (or stepped back) so that in-process order is
+// never lost.
+func (s *Store) tickLocked() int64 {
+	now := time.Now().UnixNano()
+	if now <= s.clock {
+		now = s.clock + 1
 	}
-	a.seq = s.seq
-	a.count++
-	if s.manifest != nil {
-		// An append failure (disk full) only costs manifest history —
-		// GC order degrades, correctness doesn't.
-		fmt.Fprintf(s.manifest, "%s %s\n", op, name)
+	s.clock = now
+	return now
+}
+
+// miss counts an absent (or unreadable) entry.
+func (s *Store) miss() ([]byte, bool) {
+	s.mu.Lock()
+	s.stats.Misses++
+	s.mu.Unlock()
+	return nil, false
+}
+
+// readObject is os.ReadFile that also hands back the ModTime of the fstat
+// it sizes its buffer with, so the touch decision in Get costs no syscall.
+func readObject(path string) ([]byte, time.Time, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, time.Time{}, err
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	// Object files are renamed into place whole and never rewritten, so
+	// the size is exact and one read takes it all.
+	data := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, time.Time{}, err
+	}
+	return data, info.ModTime(), nil
 }
 
 // Get returns the payload stored under (key, blob). The second result is
@@ -240,30 +237,36 @@ func (s *Store) Get(key, blob string) ([]byte, bool) {
 		return nil, false
 	}
 	if err := s.opts.Faults.Fire(faultinject.PointCAStoreRead); err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false
+		return s.miss()
 	}
 	path := s.objectPath(key, blob)
-	data, err := os.ReadFile(path)
+	data, mtime, err := readObject(path)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false
+		return s.miss()
 	}
 	payload, verr := verify(data)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if verr != nil {
 		s.stats.Corruptions++
 		s.quarantineLocked(key, blob, path)
+		s.mu.Unlock()
 		return nil, false
 	}
 	s.stats.Hits++
 	s.stats.BytesRead += int64(len(payload))
-	s.note("get", key, blob)
+	now := s.tickLocked()
+	name := entryName(key, blob)
+	if e, ok := s.entries[name]; ok {
+		e.used = now
+		s.entries[name] = e
+	}
+	s.mu.Unlock()
+	// Recency only matters to GC, so an unbounded store never writes on a
+	// read. Best effort: a file GC removed meanwhile has no time to keep.
+	if s.opts.MaxBytes > 0 && now-mtime.UnixNano() >= int64(touchInterval) {
+		t := time.Unix(0, now)
+		os.Chtimes(path, t, t)
+	}
 	return payload, true
 }
 
@@ -308,12 +311,11 @@ func (s *Store) quarantineLocked(key, blob, path string) {
 }
 
 func (s *Store) dropEntryLocked(name string) {
-	if sz, ok := s.sizes[name]; ok {
-		s.stats.DiskBytes -= sz
+	if e, ok := s.entries[name]; ok {
+		s.stats.DiskBytes -= e.size
 		s.stats.Objects--
-		delete(s.sizes, name)
+		delete(s.entries, name)
 	}
-	delete(s.accesses, name)
 }
 
 // Put persists payload under (key, blob) with an atomic temp-file +
@@ -362,18 +364,14 @@ func (s *Store) Put(key, blob string, payload []byte) error {
 
 	name := entryName(key, blob)
 	s.mu.Lock()
-	if old, ok := s.sizes[name]; ok {
-		s.stats.DiskBytes -= old
-		s.stats.Objects--
-	}
-	s.sizes[name] = int64(len(buf))
+	s.dropEntryLocked(name) // an overwrite replaces the old file's footprint
+	s.entries[name] = entry{size: int64(len(buf)), used: s.tickLocked()}
 	s.stats.DiskBytes += int64(len(buf))
 	s.stats.Objects++
 	s.stats.Puts++
 	s.stats.BytesWritten += int64(len(payload))
 	s.diskFull = false
-	s.note("put", key, blob)
-	s.gcLocked()
+	s.gcLocked(name)
 	s.mu.Unlock()
 	return nil
 }
@@ -404,29 +402,30 @@ func (s *Store) Discard(key, blob string) {
 	}
 }
 
-// gcLocked enforces the MaxBytes budget by evicting the least recently
-// accessed entries. Entries present on disk but absent from the manifest
-// (history lost) count as oldest.
-func (s *Store) gcLocked() {
+// gcLocked enforces the MaxBytes budget after a Put of entry written: once
+// over it, the least recently used entries go until the store is down to
+// 7/8 of the budget, so the next Puts fit without another pass. Stopping
+// at the budget itself would sort every entry, under s.mu, on each Put of
+// a full store.
+func (s *Store) gcLocked(written string) {
 	if s.opts.MaxBytes <= 0 || s.stats.DiskBytes <= s.opts.MaxBytes {
 		return
 	}
 	type victim struct {
 		name string
-		seq  int64
+		used int64
 	}
-	victims := make([]victim, 0, len(s.sizes))
-	for name := range s.sizes {
-		var seq int64
-		if a := s.accesses[name]; a != nil {
-			seq = a.seq
+	victims := make([]victim, 0, len(s.entries))
+	for name, e := range s.entries {
+		if name != written {
+			victims = append(victims, victim{name, e.used})
 		}
-		victims = append(victims, victim{name, seq})
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].used < victims[j].used })
+	target := s.opts.MaxBytes - s.opts.MaxBytes/8
 	for _, v := range victims {
-		if s.stats.DiskBytes <= s.opts.MaxBytes || v.seq == s.seq {
-			break // under budget, or down to the entry just written
+		if s.stats.DiskBytes <= target {
+			break
 		}
 		path := filepath.Join(s.dir, "objects", v.name[:2], v.name)
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -435,58 +434,6 @@ func (s *Store) gcLocked() {
 		s.stats.GCRemoved++
 		s.dropEntryLocked(v.name)
 	}
-}
-
-// HottestKeys returns up to n distinct store keys ordered by total access
-// count (ties broken by recency), for eager warm-start preloading.
-func (s *Store) HottestKeys(n int) []string {
-	if s == nil || n <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	type heat struct {
-		key        string
-		count, seq int64
-	}
-	byKey := map[string]*heat{}
-	for name, a := range s.accesses {
-		if _, ok := s.sizes[name]; !ok {
-			continue // manifest record for a deleted entry
-		}
-		dot := strings.IndexByte(name, '.')
-		if dot <= 0 {
-			continue
-		}
-		key := name[:dot]
-		h := byKey[key]
-		if h == nil {
-			h = &heat{key: key}
-			byKey[key] = h
-		}
-		h.count += a.count
-		if a.seq > h.seq {
-			h.seq = a.seq
-		}
-	}
-	s.mu.Unlock()
-	heats := make([]*heat, 0, len(byKey))
-	for _, h := range byKey {
-		heats = append(heats, h)
-	}
-	sort.Slice(heats, func(i, j int) bool {
-		if heats[i].count != heats[j].count {
-			return heats[i].count > heats[j].count
-		}
-		return heats[i].seq > heats[j].seq
-	})
-	if len(heats) > n {
-		heats = heats[:n]
-	}
-	keys := make([]string, len(heats))
-	for i, h := range heats {
-		keys[i] = h.key
-	}
-	return keys
 }
 
 // Stats returns a snapshot of the counters.
@@ -528,16 +475,7 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Close flushes and closes the manifest. The store must not be used after.
-func (s *Store) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.manifest == nil {
-		return nil
-	}
-	s.closed = true
-	return s.manifest.Close()
-}
+// Close ends the store's use. It holds no descriptor between calls, so
+// there is nothing to release; the method stays for callers that pair it
+// with Open.
+func (s *Store) Close() error { return nil }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"webgpu/internal/faultinject"
 	"webgpu/internal/metrics"
@@ -327,60 +328,221 @@ func TestGCBound(t *testing.T) {
 	}
 }
 
-// TestHottestKeys checks manifest-driven heat ordering survives reopen.
-func TestHottestKeys(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	for i := 0; i < 5; i++ {
-		if err := s.Put(key(i), "prog", []byte("p")); err != nil {
+// TestGCEvictsInBatches: a full store does not order every entry on every
+// Put. One pass evicts down to 7/8 of the budget, the following Puts fit,
+// and the budget holds whenever a Put has returned.
+func TestGCEvictsInBatches(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 1000)
+	perEntry := int64(len(payload) + headerSize)
+	const budget, n = 32, 64
+	s := mustOpen(t, t.TempDir(), Options{MaxBytes: budget * perEntry})
+	for i := 0; i < budget; i++ {
+		if err := s.Put(key(i), "prog", payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Heat: key 3 hottest, then 1, then the rest.
-	for i := 0; i < 5; i++ {
-		s.Get(key(3), "prog")
+	if st := s.Stats(); st.GCRemoved != 0 || st.Objects != budget {
+		t.Fatalf("a store at its budget evicted: %+v", st)
 	}
-	for i := 0; i < 3; i++ {
-		s.Get(key(1), "prog")
+	passes := 0
+	for i := budget; i < budget+n; i++ {
+		before := s.Stats().GCRemoved
+		if err := s.Put(key(i), "prog", payload); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.GCRemoved > before {
+			passes++
+		}
+		if st.DiskBytes > budget*perEntry {
+			t.Fatalf("put %d returned with %d B on disk, budget %d", i, st.DiskBytes, budget*perEntry)
+		}
+		if _, ok := s.Get(key(i), "prog"); !ok {
+			t.Fatalf("put %d evicted the entry it wrote", i)
+		}
 	}
-	want := []string{key(3), key(1)}
-	got := s.HottestKeys(2)
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("hottest = %v, want %v", got, want)
-	}
-	s.Close()
-	// Reopen: heat comes from manifest replay.
-	s2 := mustOpen(t, dir, Options{})
-	got = s2.HottestKeys(2)
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("hottest after reopen = %v, want %v", got, want)
+	if passes == 0 || passes >= n/2 {
+		t.Fatalf("%d of %d over-budget puts ran an eviction pass, want a few batches", passes, n)
 	}
 }
 
-// TestTornManifestTail: a crash mid-append leaves a partial line; replay
-// must skip it and keep every whole record.
-func TestTornManifestTail(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	if err := s.Put(key(1), "prog", []byte("p")); err != nil {
+// backdate sets an object file's times to age ago and returns its path.
+func backdate(t *testing.T, dir string, i int, age time.Duration) string {
+	t.Helper()
+	path := filepath.Join(dir, "objects", key(i)[:2], key(i)+".prog")
+	at := time.Now().Add(-age)
+	if err := os.Chtimes(path, at, at); err != nil {
 		t.Fatal(err)
 	}
-	s.Get(key(1), "prog")
-	s.Close()
-	mf, err := os.OpenFile(filepath.Join(dir, "manifest.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	return path
+}
+
+func modTime(t *testing.T, path string) time.Time {
+	t.Helper()
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mf.WriteString("get " + key(1)[:17]); err != nil { // no newline, torn key
+	return info.ModTime()
+}
+
+// TestRecencySurvivesReopen: file times are the only recency record. A Get
+// of the oldest entry is written back to its file, so the store opened
+// next evicts the second-oldest instead.
+func TestRecencySurvivesReopen(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 1000)
+	perEntry := int64(len(payload) + headerSize)
+	// Room for three entries, and one eviction brings four back to three.
+	opts := Options{MaxBytes: 3*perEntry + perEntry/2}
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 3; i++ {
+		if err := s.Put(key(i), "prog", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	backdate(t, dir, 0, 6*time.Hour)
+	backdate(t, dir, 1, 4*time.Hour)
+	backdate(t, dir, 2, 2*time.Hour)
+
+	s = mustOpen(t, dir, opts)
+	if _, ok := s.Get(key(0), "prog"); !ok {
+		t.Fatal("oldest entry missing")
+	}
+	s.Close()
+
+	s = mustOpen(t, dir, opts)
+	if err := s.Put(key(3), "prog", payload); err != nil {
 		t.Fatal(err)
 	}
-	mf.Close()
-	s2 := mustOpen(t, dir, Options{})
-	if got := s2.HottestKeys(1); len(got) != 1 || got[0] != key(1) {
-		t.Fatalf("replay with torn tail = %v", got)
+	if st := s.Stats(); st.GCRemoved != 1 || st.Objects != 3 {
+		t.Fatalf("stats after the fourth put = %+v, want one eviction", st)
 	}
-	if got, ok := s2.Get(key(1), "prog"); !ok || string(got) != "p" {
-		t.Fatalf("entry lost after torn manifest: %q, %v", got, ok)
+	if _, ok := s.Get(key(1), "prog"); ok {
+		t.Fatal("second-oldest entry survived: the earlier store's Get of the oldest was not recorded")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if _, ok := s.Get(key(i), "prog"); !ok {
+			t.Fatalf("entry %d was evicted", i)
+		}
+	}
+}
+
+// TestTouchIsBounded: a Get rewrites a file's time only when the store is
+// bounded and the time is older than touchInterval.
+func TestTouchIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		age      time.Duration
+		touched  bool
+	}{
+		{"bounded, young file", 1 << 20, touchInterval / 2, false},
+		{"bounded, old file", 1 << 20, 5 * touchInterval, true},
+		{"unbounded, old file", 0, 5 * touchInterval, false},
+	} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{MaxBytes: tc.maxBytes})
+		if err := s.Put(key(1), "prog", []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+		path := backdate(t, dir, 1, tc.age)
+		before := modTime(t, path)
+		for i := 0; i < 3; i++ {
+			if _, ok := s.Get(key(1), "prog"); !ok {
+				t.Fatalf("%s: get missed", tc.name)
+			}
+		}
+		after := modTime(t, path)
+		if touched := !after.Equal(before); touched != tc.touched {
+			t.Errorf("%s: ModTime %v -> %v, touched = %v, want %v", tc.name, before, after, touched, tc.touched)
+		}
+		if tc.touched && time.Since(after) > time.Minute {
+			t.Errorf("%s: touched to %v, want now", tc.name, after)
+		}
+	}
+}
+
+// TestTouchBesideSharedGC: two bounded stores on one directory read,
+// overwrite and evict the same back-dated files at once, so the touch of
+// one races the other's GC and rename. A Get is a right payload or a miss.
+func TestTouchBesideSharedGC(t *testing.T) {
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 1000) }
+	perEntry := int64(1000 + headerSize)
+	dir := t.TempDir()
+	seedStore := mustOpen(t, dir, Options{})
+	for i := 0; i < 16; i++ {
+		if err := seedStore.Put(key(i), "prog", payload(i)); err != nil {
+			t.Fatal(err)
+		}
+		backdate(t, dir, i, time.Duration(2+i)*touchInterval)
+	}
+	// Every store opens before any writes: Open sweeps *.tmp files, a live
+	// neighbour's included.
+	stores := make([]*Store, 4)
+	for g := range stores {
+		stores[g] = mustOpen(t, dir, Options{MaxBytes: 12 * perEntry})
+	}
+	var wg sync.WaitGroup
+	for g, s := range stores {
+		wg.Add(1)
+		go func(g int, s *Store) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (n*7 + g) % 24
+				if n%4 == g%4 {
+					if err := s.Put(key(i), "prog", payload(i)); err != nil {
+						t.Errorf("put: %v", err)
+					}
+				} else if got, ok := s.Get(key(i), "prog"); ok && !bytes.Equal(got, payload(i)) {
+					t.Errorf("wrong payload for entry %d", i)
+				}
+			}
+		}(g, s)
+	}
+	wg.Wait()
+	for g, s := range stores {
+		if st := s.Stats(); st.Corruptions != 0 {
+			t.Errorf("store %d: a racing touch or eviction looked like corruption: %+v", g, st)
+		}
+	}
+}
+
+// TestLeftoverJournalRemoved: a directory written by a store that still
+// kept manifest.log — whole, or torn by a crash mid-append — opens
+// cleanly, serves every entry, and holds only objects/ and quarantine/.
+func TestLeftoverJournalRemoved(t *testing.T) {
+	for name, tail := range map[string]string{"whole": "", "torn": "get " + key(1)[:17]} {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		journal := ""
+		for i := 0; i < 4; i++ {
+			if err := s.Put(key(i), "prog", []byte(fmt.Sprintf("p%d", i))); err != nil {
+				t.Fatal(err)
+			}
+			journal += fmt.Sprintf("put %s.prog\nget %s.prog\n", key(i), key(i))
+		}
+		s.Close()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.log"), []byte(journal+tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s = mustOpen(t, dir, Options{})
+		for i := 0; i < 4; i++ {
+			if got, ok := s.Get(key(i), "prog"); !ok || string(got) != fmt.Sprintf("p%d", i) {
+				t.Fatalf("%s: entry %d = %q, %v", name, i, got, ok)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name() != "objects" && e.Name() != "quarantine" {
+				t.Errorf("%s: %s left in the store directory after Open", name, e.Name())
+			}
+		}
 	}
 }
 
@@ -404,7 +566,6 @@ func TestConcurrentAccess(t *testing.T) {
 						t.Errorf("wrong payload %q for %s", got, k)
 					}
 				}
-				s.HottestKeys(5)
 				s.Stats()
 				s.Health()
 			}

@@ -85,10 +85,6 @@ type Scenario struct {
 	// scenarios use a fresh temp dir removed after the run; others stay
 	// memory-only).
 	CacheDir string
-	// PreloadHottest eagerly warm-starts this many programs at boot
-	// (restart scenarios default to half the working set, so both the
-	// eager-preload and lazy read-through paths are exercised).
-	PreloadHottest int
 
 	Timeout time.Duration
 }
@@ -243,15 +239,14 @@ func newPlatform(s Scenario, reg *faultinject.Registry) *platform.Platform {
 	lim := sandbox.DefaultLimits()
 	lim.SubmitInterval = time.Millisecond
 	return platform.New(platform.Options{
-		Arch:           s.Arch,
-		Workers:        s.Workers,
-		GPUsPerWorker:  s.GPUsPerWorker,
-		Faults:         reg,
-		Limits:         lim,
-		CacheDir:       s.CacheDir,
-		PreloadHottest: s.PreloadHottest,
-		DispatchWait:   5 * time.Second,        // chaos: bound a lost dispatch, client retries
-		Visibility:     250 * time.Millisecond, // fast redelivery of crash-abandoned leases
+		Arch:          s.Arch,
+		Workers:       s.Workers,
+		GPUsPerWorker: s.GPUsPerWorker,
+		Faults:        reg,
+		Limits:        lim,
+		CacheDir:      s.CacheDir,
+		DispatchWait:  5 * time.Second,        // chaos: bound a lost dispatch, client retries
+		Visibility:    250 * time.Millisecond, // fast redelivery of crash-abandoned leases
 		Overload: &overload.Config{
 			// Backlog at one full pool's worth of jobs = saturated: while
 			// the spike keeps the workers busy the broker backlog pins

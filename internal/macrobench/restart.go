@@ -51,10 +51,6 @@ func runRestartStorm(s Scenario) (Result, error) {
 	for i := range sources {
 		sources[i] = fmt.Sprintf("// restart-storm variant %d\n%s", i, ref)
 	}
-	preload := s.PreloadHottest
-	if preload == 0 {
-		preload = len(sources) / 2
-	}
 
 	deadline := now().Add(s.Timeout)
 	start := now()
@@ -62,10 +58,8 @@ func runRestartStorm(s Scenario) (Result, error) {
 	// Phase A: first boot. The cold pass compiles and persists every
 	// program; the warm re-pass sets the pre-restart latency baseline
 	// (memory-cache hits, the steady state the reboot must match).
-	sA := s
-	sA.CacheDir = dir
-	sA.PreloadHottest = 0
-	p1 := newPlatform(sA, nil)
+	s.CacheDir = dir
+	p1 := newPlatform(s, nil)
 	ts1 := httptest.NewServer(p1.Handler())
 	hc1 := ts1.Client()
 	hc1.Timeout = s.Timeout
@@ -98,12 +92,8 @@ func runRestartStorm(s Scenario) (Result, error) {
 	close1()
 
 	// Phase B: the restart. A fresh platform on the same store directory
-	// eagerly preloads half the working set and lazily reads through for
-	// the rest; either way, nothing may recompile.
-	sB := s
-	sB.CacheDir = dir
-	sB.PreloadHottest = preload
-	p2 := newPlatform(sB, nil)
+	// reads every program through from disk; nothing may recompile.
+	p2 := newPlatform(s, nil)
 	defer p2.Close()
 	ts2 := httptest.NewServer(p2.Handler())
 	defer ts2.Close()
@@ -133,11 +123,12 @@ func runRestartStorm(s Scenario) (Result, error) {
 	res.DurationMs = float64(now().Sub(start)) / float64(time.Millisecond)
 
 	if res.Recompiles != 0 {
-		return fail("rebooted platform recompiled %d sources (want 0; %d disk hits, %d preloaded, %d objects persisted)",
-			res.Recompiles, res.DiskHits, stats.Preloaded, persisted)
+		return fail("rebooted platform recompiled %d sources (want 0; %d disk hits, %d objects persisted)",
+			res.Recompiles, res.DiskHits, persisted)
 	}
-	if stats.DiskHits+stats.Preloaded == 0 {
-		return fail("rebooted platform never touched the durable store (%d objects persisted)", persisted)
+	if res.DiskHits != int64(len(sources)) {
+		return fail("rebooted platform read %d programs from the durable store, want each of the %d sources once (%d objects persisted)",
+			res.DiskHits, len(sources), persisted)
 	}
 	// Near-warm bound: 2× the pre-restart warm median, with a small
 	// absolute floor so sub-millisecond medians don't flake the ratio.

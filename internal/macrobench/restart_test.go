@@ -31,8 +31,8 @@ func TestRestartStorm(t *testing.T) {
 		if res.Recompiles != 0 {
 			t.Errorf("recompiles = %d after restart, want 0 (seed %d)", res.Recompiles, seed)
 		}
-		if res.DiskHits == 0 {
-			t.Errorf("disk_hits = 0: the rebooted platform never read the store (seed %d)", seed)
+		if res.DiskHits != int64(res.Submissions) {
+			t.Errorf("disk_hits = %d, want one per source (%d) (seed %d)", res.DiskHits, res.Submissions, seed)
 		}
 		if res.ColdP50Ms == 0 || res.PostRestartP50Ms == 0 {
 			t.Errorf("phase medians missing: cold %.2f post %.2f (seed %d)",

@@ -71,26 +71,17 @@ func (s Status) Render() string {
 	fmt.Fprintf(&sb, "gradebook rows: %d\n", s.GradebookRows)
 	fmt.Fprintf(&sb, "prog cache:     %d hits, %d misses, %d coalesced, %d evicted, %d cached\n",
 		s.ProgCache.Hits, s.ProgCache.Misses, s.ProgCache.Coalesced, s.ProgCache.Evictions, s.ProgCache.Size)
-	// Enumerate every artifact kind the cache can serve, zeros included:
-	// a kind that never appears on the dashboard cannot be told apart
-	// from one that was never wired up.
-	hitsByKind := map[string]int64{
-		"ast":           s.ProgCache.HitsAST,
-		"bytecode-warp": s.ProgCache.HitsBytecodeWarp,
-		"diagnostics":   s.ProgCache.HitsDiagnostics,
-	}
-	parts := make([]string, 0, len(hitsByKind))
-	for _, kind := range progcache.ArtifactKinds() {
-		parts = append(parts, fmt.Sprintf("%d %s hits", hitsByKind[kind], kind))
-	}
-	fmt.Fprintf(&sb, "prog artifacts: %s, %d bytecode bytes cached\n",
-		strings.Join(parts, ", "), s.ProgCache.BytecodeBytes)
+	// Every artifact kind the cache can serve, zeros included: a kind
+	// that never appears on the dashboard cannot be told apart from one
+	// that was never wired up.
+	fmt.Fprintf(&sb, "prog artifacts: %d ast hits, %d bytecode-warp hits, %d diagnostics hits, %d bytecode bytes cached\n",
+		s.ProgCache.HitsAST, s.ProgCache.HitsBytecodeWarp, s.ProgCache.HitsDiagnostics, s.ProgCache.BytecodeBytes)
 	fmt.Fprintf(&sb, "kernelcheck:    %d analyses, %d diagnostic hits\n",
 		s.ProgCache.Analyzes, s.ProgCache.HitsDiagnostics)
 	if s.HasArtifacts {
-		fmt.Fprintf(&sb, "artifact store: %d objects (%d B), %d hits, %d misses, %d disk-warm programs (%d preloaded), %d corrupt quarantined, %d gc-removed\n",
+		fmt.Fprintf(&sb, "artifact store: %d objects (%d B), %d hits, %d misses, %d disk-warm programs, %d corrupt quarantined, %d gc-removed\n",
 			s.Artifacts.Objects, s.Artifacts.DiskBytes, s.Artifacts.Hits, s.Artifacts.Misses,
-			s.ProgCache.DiskHits, s.ProgCache.Preloaded, s.Artifacts.Quarantined, s.Artifacts.GCRemoved)
+			s.ProgCache.DiskHits, s.Artifacts.Quarantined, s.Artifacts.GCRemoved)
 	} else {
 		fmt.Fprintf(&sb, "artifact store: absent (memory-only cache)\n")
 	}

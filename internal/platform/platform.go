@@ -59,8 +59,6 @@ type Options struct {
 	Workers       int
 	GPUsPerWorker int
 	Course        labs.Course
-	ScanMode      sandbox.ScanMode
-	ReviewWeight  float64
 	DispatchWait  time.Duration // v2: how long to wait for a result
 	Visibility    time.Duration // v2: job lease duration (0 = default)
 
@@ -85,18 +83,14 @@ type Options struct {
 	// store (internal/castore) at this path and wires the progcache
 	// through it: misses read through to disk before compiling,
 	// successful compiles write through, and a restart against the same
-	// directory warm-starts instead of recompiling the course's working
-	// set. Deployments (or shards) sharing a directory share compiles.
+	// directory decodes the course's working set instead of recompiling
+	// it. Deployments (or shards) sharing a directory share compiles.
 	CacheDir string
 
 	// CacheMaxBytes bounds the artifact store's on-disk footprint
 	// (least-recently-accessed entries are collected first); 0 disables
 	// the bound.
 	CacheMaxBytes int64
-
-	// PreloadHottest eagerly decodes the store's N most-accessed
-	// programs into memory at boot; 0 relies on lazy read-through only.
-	PreloadHottest int
 }
 
 // Platform is a running WebGPU deployment.
@@ -148,14 +142,15 @@ func New(opts Options) *Platform {
 		opts.DispatchWait = 2 * time.Minute
 	}
 
+	reg := metrics.NewRegistry()
 	p := &Platform{
 		Arch:      opts.Arch,
 		DB:        db.New(),
 		Gradebook: grader.NewCourseraBook(string(opts.Course)),
-		Reviews:   peerreview.NewStore(opts.ReviewWeight),
+		Reviews:   peerreview.NewStore(0), // reviews carry no grade weight
 		opts:      opts,
-		progs:     progcache.New(progcache.DefaultCapacity, nil),
-		metrics:   metrics.NewRegistry(),
+		progs:     progcache.New(progcache.DefaultCapacity, reg),
+		metrics:   reg,
 		traces:    trace.NewStore(0),
 	}
 	if opts.CacheDir != "" {
@@ -173,25 +168,10 @@ func New(opts Options) *Platform {
 		} else {
 			p.store = store
 			p.progs.SetStore(store)
-			if n := opts.PreloadHottest; n > 0 {
-				p.progs.WarmStart(n)
-			}
 		}
 	}
-	// Lazy gauges: subsystems with their own stats structs refresh on
-	// each metrics export instead of pushing on every event.
+	// A lazy gauge, like the caches' own: refreshed on each metrics export.
 	p.metrics.AddCollector(func(r *metrics.Registry) {
-		s := p.progs.Stats()
-		r.Set("progcache_entries", float64(s.Size))
-		r.Set("progcache_evictions", float64(s.Evictions))
-		r.Set("progcache_hits_bytecode_warp", float64(s.HitsBytecodeWarp))
-		r.Set("progcache_hits_ast", float64(s.HitsAST))
-		r.Set("progcache_hits_diagnostics", float64(s.HitsDiagnostics))
-		r.Set("progcache_bytecode_bytes", float64(s.BytecodeBytes))
-		r.Set("progcache_disk_hits", float64(s.DiskHits))
-		r.Set("progcache_disk_diag_hits", float64(s.DiskDiagHits))
-		r.Set("progcache_preloaded", float64(s.Preloaded))
-		r.Set("kernelcheck_analyzes", float64(s.Analyzes))
 		r.Set("workers", float64(p.Workers()))
 	})
 
@@ -229,7 +209,7 @@ func New(opts Options) *Platform {
 		p.Fleet.Scale(opts.Workers)
 		p.Replica = db.NewReplica(p.DB)
 		p.router = newResultRouter(p.Broker, p.StandbyBroker, p.metrics)
-		// Broker gauges refresh per scrape, like the progcache ones above.
+		// Broker gauges refresh per scrape too.
 		p.metrics.AddCollector(func(r *metrics.Registry) {
 			bs := p.Broker.Stats()
 			r.Set("broker_published", float64(bs.Published))
@@ -285,7 +265,6 @@ func New(opts Options) *Platform {
 func (p *Platform) newNode(i int) *worker.Node {
 	cfg := worker.DefaultNodeConfig(fmt.Sprintf("worker-%03d", i))
 	cfg.GPUs = p.opts.GPUsPerWorker
-	cfg.ScanMode = p.opts.ScanMode
 	cfg.ProgCache = p.progs
 	cfg.Metrics = p.metrics
 	cfg.Faults = p.opts.Faults

@@ -129,3 +129,47 @@ func TestTraceEndToEndV2(t *testing.T) {
 		t.Errorf("driver_wakeups = %v after a submit to an idle fleet", got)
 	}
 }
+
+// TestCacheSeriesNames pins the names the compiled-program cache's
+// collector (and the platform's one gauge beside it) exports from the
+// first scrape, before any job; dashboards are written against them. The
+// worker's own progcache_hits / _misses / _coalesced counters appear with
+// the first job and are not part of the set.
+func TestCacheSeriesNames(t *testing.T) {
+	p := New(Options{Arch: V2, Workers: 1, CacheDir: t.TempDir()})
+	defer p.Close()
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	prof := newClient(t, ts.URL)
+	prof.register("Prof", "prof@example.edu", "instructor")
+	code, body := prof.do("GET", "/api/v1/admin/metrics", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d", code)
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE webgpu_")
+		if !ok {
+			continue
+		}
+		name, _, _ = strings.Cut(name, " ")
+		if strings.HasPrefix(name, "progcache_") || name == "kernelcheck_analyzes" || name == "workers" {
+			got[name] = true
+		}
+	}
+	want := []string{
+		"progcache_entries", "progcache_evictions",
+		"progcache_hits_ast", "progcache_hits_bytecode_warp", "progcache_hits_diagnostics",
+		"progcache_bytecode_bytes", "progcache_disk_hits", "progcache_disk_diag_hits",
+		"progcache_store_errors", "kernelcheck_analyzes", "workers",
+	}
+	for _, name := range want {
+		if !got[name] {
+			t.Errorf("metrics export is missing %s", name)
+		}
+		delete(got, name)
+	}
+	if len(got) != 0 {
+		t.Errorf("metrics export has unexpected series %v", keysOf(got))
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +67,7 @@ type Stats struct {
 	Analyzes         int64 // kernelcheck runs (first request per entry)
 	DiskHits         int64 // programs decoded from the durable store instead of compiled
 	DiskDiagHits     int64 // diagnostics decoded from the durable store instead of analyzed
-	Preloaded        int64 // programs eagerly warm-started from the store at boot
+	StoreErrors      int64 // write-throughs the durable store refused (artifact kept in memory only)
 	Size             int   // entries currently cached
 	BytecodeBytes    int64 // lowered-bytecode bytes held by cached entries
 }
@@ -83,47 +82,6 @@ const ProgBlob = "prog"
 // kernelcheck.RulesetVersion orphans stale persisted diagnostics
 // instead of serving findings an older ruleset produced.
 var DiagBlob = "diag-" + kernelcheck.RulesetVersion
-
-// artifactSpec registers one cacheable artifact kind: the name used for
-// metrics and dashboards, and the castore blob it persists into.
-type artifactSpec struct {
-	kind string
-	blob string
-}
-
-// artifactSpecs is the single registration table every kind-derived
-// surface comes from — ArtifactKinds, hitMetric, and the store blob
-// mapping. Adding a persisted artifact kind here is the whole
-// registration; nothing else can silently drift.
-var artifactSpecs = []artifactSpec{
-	{kind: "ast", blob: ProgBlob},
-	{kind: "bytecode-warp", blob: ProgBlob},
-	{kind: "diagnostics", blob: DiagBlob},
-}
-
-// hitMetrics maps each registered kind to its counter series name; kinds
-// may contain hyphens ("bytecode-warp") but metric names stay snake_case.
-var hitMetrics = func() map[string]string {
-	m := make(map[string]string, len(artifactSpecs))
-	for _, s := range artifactSpecs {
-		m[s.kind] = "progcache_hits_" + strings.ReplaceAll(s.kind, "-", "_")
-	}
-	return m
-}()
-
-// ArtifactKinds enumerates every per-kind hit counter the cache can
-// emit, so dashboards and metric registration see the full set up front
-// instead of series appearing lazily on first hit.
-func ArtifactKinds() []string {
-	kinds := make([]string, len(artifactSpecs))
-	for i, s := range artifactSpecs {
-		kinds[i] = s.kind
-	}
-	return kinds
-}
-
-// hitMetric maps an artifact kind to its hit-counter series name.
-func hitMetric(kind string) string { return hitMetrics[kind] }
 
 type entry struct {
 	key     string
@@ -160,7 +118,6 @@ type Cache struct {
 	lru      *list.List // front = most recently used
 	inflight map[string]*flight
 	compile  CompileFunc
-	reg      *metrics.Registry
 	store    *castore.Store // optional durable tier; nil = memory only
 	stats    Stats
 }
@@ -170,25 +127,34 @@ type Cache struct {
 var Default = New(DefaultCapacity, nil)
 
 // New creates a cache holding at most capacity compiled programs
-// (capacity <= 0 means unbounded). When reg is non-nil the cache mirrors
-// its counters into it under progcache_* names.
+// (capacity <= 0 means unbounded). When reg is non-nil the cache registers
+// a collector on it, as castore.Options.Metrics does: every export reads
+// Stats once, so each series is present from the first scrape and the hot
+// path touches no registry.
 func New(capacity int, reg *metrics.Registry) *Cache {
-	if reg != nil {
-		// Register every artifact-kind series at zero immediately: a
-		// dashboard scraping a fresh worker sees the complete set rather
-		// than series popping into existence at their first hit.
-		for _, kind := range ArtifactKinds() {
-			reg.Inc(hitMetric(kind), 0)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		entries:  map[string]*entry{},
 		lru:      list.New(),
 		inflight: map[string]*flight{},
 		compile:  minicuda.Compile,
-		reg:      reg,
 	}
+	if reg != nil {
+		reg.AddCollector(func(r *metrics.Registry) {
+			s := c.Stats()
+			r.Set("progcache_entries", float64(s.Size))
+			r.Set("progcache_evictions", float64(s.Evictions))
+			r.Set("progcache_hits_bytecode_warp", float64(s.HitsBytecodeWarp))
+			r.Set("progcache_hits_ast", float64(s.HitsAST))
+			r.Set("progcache_hits_diagnostics", float64(s.HitsDiagnostics))
+			r.Set("progcache_bytecode_bytes", float64(s.BytecodeBytes))
+			r.Set("progcache_disk_hits", float64(s.DiskHits))
+			r.Set("progcache_disk_diag_hits", float64(s.DiskDiagHits))
+			r.Set("progcache_store_errors", float64(s.StoreErrors))
+			r.Set("kernelcheck_analyzes", float64(s.Analyzes))
+		})
+	}
+	return c
 }
 
 // SetCompileFunc overrides the underlying compiler (tests use this to
@@ -243,22 +209,18 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.stats.Hits++
-		c.inc("progcache_hits")
 		// Split the hit by the executable artifact the program runs on, so
 		// a worker serving programs at tree-walker speed is observable.
 		if e.prog != nil && e.prog.ArtifactKind() == "bytecode-warp" {
 			c.stats.HitsBytecodeWarp++
-			c.inc(hitMetric("bytecode-warp"))
 		} else {
 			c.stats.HitsAST++
-			c.inc(hitMetric("ast"))
 		}
 		c.mu.Unlock()
 		return e.prog, Hit, e.err
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.stats.Coalesced++
-		c.inc("progcache_coalesced")
 		c.mu.Unlock()
 		<-f.done
 		return f.prog, Coalesced, f.err
@@ -266,7 +228,6 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.stats.Misses++
-	c.inc("progcache_misses")
 	store := c.store
 	c.mu.Unlock()
 
@@ -295,7 +256,7 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 		// that wrote it).
 		if err == nil && prog != nil && store != nil {
 			if data, eerr := minicuda.EncodeProgram(prog); eerr == nil {
-				_ = store.Put(key, ProgBlob, data)
+				c.persist(store, key, ProgBlob, data)
 			}
 		}
 	}
@@ -303,7 +264,6 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	c.mu.Lock()
 	if fromDisk {
 		c.stats.DiskHits++
-		c.inc("progcache_disk_hits")
 	} else {
 		c.stats.Compiles++
 	}
@@ -322,12 +282,6 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 		delete(c.entries, old.key)
 		c.stats.BytecodeBytes -= old.bcBytes
 		c.stats.Evictions++
-		c.inc("progcache_evictions")
-	}
-	c.stats.Size = len(c.entries)
-	if c.reg != nil {
-		c.reg.Set("progcache_size", float64(len(c.entries)))
-		c.reg.Set("progcache_bytecode_bytes", float64(c.stats.BytecodeBytes))
 	}
 	c.mu.Unlock()
 
@@ -393,7 +347,7 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck
 		e.diags = kernelcheck.Analyze(e.prog)
 		if store != nil {
 			if data, merr := json.Marshal(e.diags); merr == nil {
-				_ = store.Put(key, DiagBlob, data)
+				c.persist(store, key, DiagBlob, data)
 			}
 		}
 	})
@@ -401,12 +355,10 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck
 	switch {
 	case fromDisk:
 		c.stats.DiskDiagHits++
-		c.inc("progcache_disk_diag_hits")
 	case analyzed:
 		c.stats.Analyzes++
 	default:
 		c.stats.HitsDiagnostics++
-		c.inc("progcache_hits_diagnostics")
 	}
 	c.mu.Unlock()
 	return e.diags, nil
@@ -428,7 +380,6 @@ func (c *Cache) CachedDiagnostics(src string, dialect minicuda.Dialect) ([]kerne
 	}
 	c.mu.Lock()
 	c.stats.HitsDiagnostics++
-	c.inc("progcache_hits_diagnostics")
 	c.mu.Unlock()
 	return e.diags, true
 }
@@ -452,66 +403,22 @@ func (c *Cache) PutDiagnostics(src string, dialect minicuda.Dialect, diags []ker
 		e.diags = diags
 		if store != nil {
 			if data, merr := json.Marshal(diags); merr == nil {
-				_ = store.Put(key, DiagBlob, data)
+				c.persist(store, key, DiagBlob, data)
 			}
 		}
 	})
 }
 
-// WarmStart eagerly decodes up to n of the store's hottest program
-// artifacts into the cache and returns how many loaded. Preloaded entries
-// enter at the cold end of the LRU so live traffic always outranks them.
-// Callers without a feel for n can pass DefaultCapacity; with no store
-// attached WarmStart is a no-op. The remaining (or all) entries still
-// warm lazily through the read-through miss path.
-func (c *Cache) WarmStart(n int) int {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
-	if store == nil || n <= 0 {
-		return 0
-	}
-	loaded := 0
-	for _, key := range store.HottestKeys(n) {
+// persist writes an artifact through to the durable store, best effort: a
+// refused write leaves the artifact in memory only and is counted, so a
+// store that has stopped taking writes shows up before the next restart
+// recompiles everything. Called without c.mu.
+func (c *Cache) persist(store *castore.Store, key, blob string, data []byte) {
+	if err := store.Put(key, blob, data); err != nil {
 		c.mu.Lock()
-		_, exists := c.entries[key]
-		c.mu.Unlock()
-		if exists {
-			continue
-		}
-		data, ok := store.Get(key, ProgBlob)
-		if !ok {
-			continue
-		}
-		prog, err := minicuda.DecodeProgram(data)
-		if err != nil {
-			store.Discard(key, ProgBlob)
-			continue
-		}
-		c.mu.Lock()
-		if c.capacity > 0 && c.lru.Len() >= c.capacity {
-			// Preloading must never evict live entries; a full cache
-			// means the remaining hot set warms lazily instead.
-			c.mu.Unlock()
-			break
-		}
-		if _, exists := c.entries[key]; !exists {
-			e := &entry{key: key, prog: prog, bcBytes: int64(prog.BytecodeBytes())}
-			e.elem = c.lru.PushBack(e)
-			c.entries[key] = e
-			c.stats.BytecodeBytes += e.bcBytes
-			c.stats.Preloaded++
-			c.inc("progcache_preloaded")
-			loaded++
-			c.stats.Size = len(c.entries)
-			if c.reg != nil {
-				c.reg.Set("progcache_size", float64(len(c.entries)))
-				c.reg.Set("progcache_bytecode_bytes", float64(c.stats.BytecodeBytes))
-			}
-		}
+		c.stats.StoreErrors++
 		c.mu.Unlock()
 	}
-	return loaded
 }
 
 // Stats snapshots the counters.
@@ -528,13 +435,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// inc mirrors a counter into the attached metrics registry. Called with
-// c.mu held; the registry has its own lock and never calls back into the
-// cache, so the nesting is safe.
-func (c *Cache) inc(name string) {
-	if c.reg != nil {
-		c.reg.Inc(name, 1)
-	}
 }

@@ -94,11 +94,12 @@ func TestLRUEviction(t *testing.T) {
 	if s.Evictions != 2 || s.Size != 2 { // b evicted by d, then a or d evicted by b's recompile
 		t.Errorf("stats = %+v", s)
 	}
-	if got := reg.Counter("progcache_evictions"); got != 2 {
+	reg.Collect()
+	if got := reg.Gauge("progcache_evictions"); got != 2 {
 		t.Errorf("metrics evictions = %g", got)
 	}
-	if got := reg.Gauge("progcache_size"); got != 2 {
-		t.Errorf("metrics size gauge = %g", got)
+	if got := reg.Gauge("progcache_entries"); got != 2 {
+		t.Errorf("metrics entries gauge = %g", got)
 	}
 }
 
@@ -226,9 +227,10 @@ func TestArtifactStats(t *testing.T) {
 		if s.HitsBytecodeWarp != 1 {
 			t.Fatalf("stats = %+v, want the hit counted as bytecode-warp", s)
 		}
-		if reg.Counter("progcache_hits_bytecode_warp") != 1 {
+		reg.Collect()
+		if reg.Gauge("progcache_hits_bytecode_warp") != 1 {
 			t.Fatalf("progcache_hits_bytecode_warp = %v, want 1",
-				reg.Counter("progcache_hits_bytecode_warp"))
+				reg.Gauge("progcache_hits_bytecode_warp"))
 		}
 	}
 

@@ -2,10 +2,12 @@ package progcache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"webgpu/internal/castore"
 	"webgpu/internal/faultinject"
+	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
 )
 
@@ -133,65 +135,48 @@ func TestDiagnosticsReadThrough(t *testing.T) {
 	}
 }
 
-// TestWarmStartPreload: a new cache eagerly loads the store's hottest
-// entries and serves them as memory hits with zero compiles.
-func TestWarmStartPreload(t *testing.T) {
-	dir := t.TempDir()
-	c1 := New(16, nil)
-	c1.SetStore(openStore(t, dir))
-	const n = 6
-	for i := 0; i < n; i++ {
-		if _, err := c1.Compile(variantSrc(i), minicuda.DialectCUDA); err != nil {
-			t.Fatal(err)
-		}
+// TestLostWriteThroughIsCounted: a store that refuses a write costs the
+// artifact its durability, not the compile — and the loss is visible.
+func TestLostWriteThroughIsCounted(t *testing.T) {
+	faults := faultinject.New(7)
+	faults.Enable(faultinject.PointCAStoreWrite, faultinject.Fault{})
+	store, err := castore.Open(t.TempDir(), castore.Options{Faults: faults})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Heat variants 0 and 1 (every access after boot re-reads nothing from
-	// disk, so heat the store directly through a second cache's misses).
-	c1b := New(16, nil)
-	c1b.SetStore(openStore(t, dir))
-	for i := 0; i < 4; i++ {
-		if _, err := c1b.Compile(variantSrc(0), minicuda.DialectCUDA); err != nil {
-			t.Fatal(err)
-		}
+	defer store.Close()
+	reg := metrics.NewRegistry()
+	c := New(16, reg)
+	c.SetStore(store)
+	if !strings.Contains(reg.PrometheusText(), "webgpu_progcache_store_errors 0\n") {
+		t.Fatal("progcache_store_errors is not exported at 0 before the first error")
 	}
 
-	c2 := New(16, nil)
-	c2.SetStore(openStore(t, dir))
-	c2.SetCompileFunc(func(src string, d minicuda.Dialect) (*minicuda.Program, error) {
-		t.Fatalf("preloaded cache compiled %q", src[:20])
-		return nil, nil
-	})
-	loaded := c2.WarmStart(3)
-	if loaded != 3 {
-		t.Fatalf("warm start loaded %d, want 3", loaded)
+	prog, status, err := c.CompileStatus(variantSrc(0), minicuda.DialectCUDA)
+	if err != nil || prog == nil || status != Miss {
+		t.Fatalf("compile with a failing store: prog=%v status=%v err=%v", prog, status, err)
 	}
-	st := c2.Stats()
-	if st.Preloaded != 3 || st.Size != 3 {
-		t.Fatalf("stats after warm start = %+v", st)
+	reg.Collect()
+	if st := c.Stats(); st.StoreErrors != 1 || reg.Gauge("progcache_store_errors") != 1 {
+		t.Fatalf("StoreErrors = %d, gauge = %v, want 1 each", st.StoreErrors, reg.Gauge("progcache_store_errors"))
 	}
-	// The hottest variant is among the preloads and serves as a pure hit.
-	if _, status, err := c2.CompileStatus(variantSrc(0), minicuda.DialectCUDA); err != nil || status != Hit {
-		t.Fatalf("hottest after preload: status=%v err=%v", status, err)
+	if st := store.Stats(); st.Puts != 0 || st.Objects != 0 {
+		t.Fatalf("store holds something after a failed write: %+v", st)
 	}
-}
 
-// TestWarmStartRespectsCapacity: preload never evicts, it stops.
-func TestWarmStartRespectsCapacity(t *testing.T) {
-	dir := t.TempDir()
-	c1 := New(16, nil)
-	c1.SetStore(openStore(t, dir))
-	for i := 0; i < 8; i++ {
-		if _, err := c1.Compile(variantSrc(i), minicuda.DialectCUDA); err != nil {
-			t.Fatal(err)
-		}
+	// The diagnostics write-throughs count the same way.
+	if _, err := c.Diagnostics(variantSrc(0), minicuda.DialectCUDA); err != nil {
+		t.Fatal(err)
 	}
-	c2 := New(4, nil)
-	c2.SetStore(openStore(t, dir))
-	if loaded := c2.WarmStart(100); loaded != 4 {
-		t.Fatalf("warm start into capacity-4 cache loaded %d", loaded)
+	if _, err := c.Compile(variantSrc(1), minicuda.DialectCUDA); err != nil {
+		t.Fatal(err)
 	}
-	if st := c2.Stats(); st.Evictions != 0 || st.Size != 4 {
-		t.Fatalf("stats = %+v (preload must not evict)", st)
+	c.PutDiagnostics(variantSrc(1), minicuda.DialectCUDA, nil)
+	if st := c.Stats(); st.StoreErrors != 4 {
+		t.Fatalf("StoreErrors = %d after two programs and two diagnostics, want 4", st.StoreErrors)
+	}
+	if st := store.Stats(); st.Objects != 0 {
+		t.Fatalf("store holds %d objects, want 0", st.Objects)
 	}
 }
 

@@ -1,15 +1,12 @@
 // Package sandbox implements WebGPU's security model (§III-D): a
 // compile-time blacklist of dangerous constructs scanned over student
 // source, a runtime whitelist of permitted system calls (the seccomp-bpf
-// analogue, instructor-configurable per lab), per-job resource limits, and
-// per-job isolated workspaces owned by an unprivileged user (the setuid
-// analogue).
+// analogue, instructor-configurable per lab) and per-job resource limits.
 package sandbox
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,7 +19,6 @@ var (
 	ErrSyscallDenied = errors.New("sandbox: system call not in whitelist")
 	ErrRateLimited   = errors.New("sandbox: submission rate limit exceeded")
 	ErrOutputLimit   = errors.New("sandbox: output size limit exceeded")
-	ErrNotOwner      = errors.New("sandbox: workspace access by wrong user")
 )
 
 // ---- Compile-time blacklist -------------------------------------------------
@@ -306,95 +302,4 @@ func (r *RateLimiter) Admit(user string) error {
 	}
 	r.last[user] = now
 	return nil
-}
-
-// ---- Per-job workspaces -----------------------------------------------------------
-
-// Workspace models the unique temporary directory each compilation runs
-// in, writable only by the unprivileged job user (§III-D setuid model).
-type Workspace struct {
-	ID    string
-	Owner string
-	mu    sync.Mutex
-	files map[string][]byte
-	freed bool
-}
-
-// WorkspaceManager creates and tears down per-job workspaces.
-type WorkspaceManager struct {
-	mu     sync.Mutex
-	nextID int
-	live   map[string]*Workspace
-}
-
-// NewWorkspaceManager creates an empty manager.
-func NewWorkspaceManager() *WorkspaceManager {
-	return &WorkspaceManager{live: map[string]*Workspace{}}
-}
-
-// Create makes a fresh workspace owned by the given (unprivileged) user.
-func (wm *WorkspaceManager) Create(owner string) *Workspace {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	wm.nextID++
-	ws := &Workspace{
-		ID:    fmt.Sprintf("/tmp/webgpu-job-%06d", wm.nextID),
-		Owner: owner,
-		files: map[string][]byte{},
-	}
-	wm.live[ws.ID] = ws
-	return ws
-}
-
-// Destroy removes a workspace and all its files.
-func (wm *WorkspaceManager) Destroy(ws *Workspace) {
-	wm.mu.Lock()
-	delete(wm.live, ws.ID)
-	wm.mu.Unlock()
-	ws.mu.Lock()
-	ws.freed = true
-	ws.files = nil
-	ws.mu.Unlock()
-}
-
-// LiveCount reports how many workspaces exist (leak detection between
-// jobs).
-func (wm *WorkspaceManager) LiveCount() int {
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	return len(wm.live)
-}
-
-// Write stores a file; only the owner may write, and paths may not escape
-// the workspace.
-func (ws *Workspace) Write(user, name string, data []byte) error {
-	if user != ws.Owner {
-		return fmt.Errorf("%w: %s writing to %s's workspace", ErrNotOwner, user, ws.Owner)
-	}
-	if strings.Contains(name, "..") || strings.HasPrefix(name, "/") {
-		return fmt.Errorf("%w: path %q escapes the workspace", ErrNotOwner, name)
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.freed {
-		return errors.New("sandbox: workspace destroyed")
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	ws.files[name] = cp
-	return nil
-}
-
-// Read retrieves a file; only the owner may read.
-func (ws *Workspace) Read(user, name string) ([]byte, error) {
-	if user != ws.Owner {
-		return nil, fmt.Errorf("%w: %s reading %s's workspace", ErrNotOwner, user, ws.Owner)
-	}
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	data, ok := ws.files[name]
-	if !ok {
-		return nil, fmt.Errorf("sandbox: no such file %q", name)
-	}
-	return data, nil
 }

@@ -148,51 +148,6 @@ func TestLimitsClampOutput(t *testing.T) {
 	}
 }
 
-func TestWorkspaceIsolation(t *testing.T) {
-	wm := NewWorkspaceManager()
-	ws := wm.Create("jobuser1")
-	if err := ws.Write("jobuser1", "solution.cu", []byte("code")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ws.Read("jobuser1", "solution.cu")
-	if err != nil || string(got) != "code" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	// Another user may not touch it.
-	if err := ws.Write("jobuser2", "x", nil); !errors.Is(err, ErrNotOwner) {
-		t.Errorf("cross-user write = %v", err)
-	}
-	if _, err := ws.Read("jobuser2", "solution.cu"); !errors.Is(err, ErrNotOwner) {
-		t.Errorf("cross-user read = %v", err)
-	}
-	// Paths may not escape.
-	if err := ws.Write("jobuser1", "../etc/passwd", nil); !errors.Is(err, ErrNotOwner) {
-		t.Errorf("path escape = %v", err)
-	}
-	if err := ws.Write("jobuser1", "/abs", nil); !errors.Is(err, ErrNotOwner) {
-		t.Errorf("absolute path = %v", err)
-	}
-}
-
-func TestWorkspaceLifecycle(t *testing.T) {
-	wm := NewWorkspaceManager()
-	a := wm.Create("u1")
-	b := wm.Create("u1")
-	if a.ID == b.ID {
-		t.Error("workspace ids collide")
-	}
-	if wm.LiveCount() != 2 {
-		t.Errorf("live = %d", wm.LiveCount())
-	}
-	wm.Destroy(a)
-	if wm.LiveCount() != 1 {
-		t.Errorf("live after destroy = %d", wm.LiveCount())
-	}
-	if err := a.Write("u1", "f", nil); err == nil {
-		t.Error("write to destroyed workspace succeeded")
-	}
-}
-
 func TestDefaultLimitsSane(t *testing.T) {
 	l := DefaultLimits()
 	if l.MaxSteps <= 0 || l.RunTimeout <= 0 || l.SubmitInterval <= 0 {

@@ -20,6 +20,12 @@
 //     fires, and a wait taken on every turn of a loop is how a sleep
 //     ends up as the floor of a latency; reuse one time.Timer.
 //
+//   - Lost write-throughs: under internal/, a file that imports
+//     internal/castore must not drop the result of a Store.Put, with
+//     `_ =` or as a bare statement. The store is best effort, but a
+//     refused write is the only sign that the next restart will
+//     recompile; count it (progcache's Stats.StoreErrors) or return it.
+//
 // Usage: repolint [dir]... (default "."). Directories are walked for
 // .go files; testdata and vendor trees are skipped. Exit code 1 when
 // any finding is reported, 2 on usage or I/O problems.
@@ -57,6 +63,8 @@ var timerPkgs = []string{
 }
 
 const hotpathMarker = "//kernelcheck:hotpath"
+
+const castorePath = "webgpu/internal/castore"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -127,6 +135,9 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	}
 	if isHotpath(f) {
 		out = append(out, checkHotpath(fset, f)...)
+	}
+	if inPkg(slash, []string{"internal"}) && importName(f, castorePath) != "" {
+		out = append(out, checkDroppedPuts(fset, f)...)
 	}
 	return out
 }
@@ -228,6 +239,40 @@ func checkLoopTimers(fset *token.FileSet, f *ast.File) []finding {
 			}
 			return true
 		})
+		return true
+	})
+	return out
+}
+
+// checkDroppedPuts flags x.Put(key, blob, payload) calls whose error is
+// thrown away. There is no type information here, so the receiver is
+// recognised by the file's castore import and the method's name and
+// arity. db.Tx.Put shares both, so in a file that imports castore a
+// dropped commit error is reported as well; it deserves no less.
+func checkDroppedPuts(fset *token.FileSet, f *ast.File) []finding {
+	var out []finding
+	ast.Inspect(f, func(n ast.Node) bool {
+		var dropped ast.Expr
+		switch st := n.(type) {
+		case *ast.ExprStmt:
+			dropped = st.X
+		case *ast.AssignStmt:
+			if len(st.Lhs) == 1 && len(st.Rhs) == 1 {
+				if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
+					dropped = st.Rhs[0]
+				}
+			}
+		}
+		call, ok := dropped.(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: "Put result dropped in a file that writes through to castore; count the lost write or return the error",
+			})
+		}
 		return true
 	})
 	return out

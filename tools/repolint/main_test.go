@@ -216,6 +216,64 @@ func f(stop chan struct{}) {
 	}
 }
 
+// TestDroppedPutRule: a castore write-through whose error nobody looks at
+// is flagged under internal/ in either spelling; a checked Put, another
+// package's Put, and the same code outside internal/ are fine.
+func TestDroppedPutRule(t *testing.T) {
+	const imports = `
+
+import "webgpu/internal/castore"
+
+`
+	rows := []struct {
+		name, path, src string
+		want            int
+	}{
+		{"blank assign and bare call", "internal/progcache/bad.go", "package progcache" + imports + `
+func f(s *castore.Store, k string, b []byte) {
+	_ = s.Put(k, "prog", b)
+	s.Put(k, "diag", b)
+}
+`, 2},
+		{"checked", "internal/progcache/ok.go", "package progcache" + imports + `
+func f(s *castore.Store, k string, b []byte) error {
+	if err := s.Put(k, "prog", b); err != nil {
+		return err
+	}
+	failed := s.Put(k, "diag", b) != nil
+	_ = failed
+	return nil
+}
+`, 0},
+		{"no castore import", "internal/db/tx.go", `package db
+
+type tx struct{}
+
+func (tx) Put(table, key string, v []byte) error { return nil }
+
+func f(t tx) { _ = t.Put("a", "b", nil) }
+`, 0},
+		{"outside internal", "examples/demo/main.go", "package main" + imports + `
+func f(s *castore.Store) { _ = s.Put("k", "prog", nil) }
+`, 0},
+		{"test file", "internal/progcache/x_test.go", "package progcache" + imports + `
+func f(s *castore.Store) { _ = s.Put("k", "prog", nil) }
+`, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{row.path: row.src})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "Put result dropped"); n != row.want {
+				t.Fatalf("want %d dropped-put findings, got %d:\n%s", row.want, n, out)
+			}
+			if (code == 1) != (row.want > 0) || code > 1 {
+				t.Fatalf("exit = %d with %d findings wanted\n%s", code, row.want, out)
+			}
+		})
+	}
+}
+
 func TestBadPathExitsTwo(t *testing.T) {
 	if code, _ := runLint(t, filepath.Join(t.TempDir(), "missing")); code != 2 {
 		t.Fatal("unreadable root should exit 2")
