@@ -1,37 +1,27 @@
 // Command webgpu-bench regenerates every table and figure of the WebGPU
-// paper plus the derived ablations, and runs the whole-pipeline macro
-// benchmark suite. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// paper plus the derived ablations. See DESIGN.md for the experiment
+// index and EXPERIMENTS.md for the paper-vs-measured record. The
+// performance benchmark is bench/ (`go run -C bench .`).
 //
 // Usage:
 //
 //	webgpu-bench -list
 //	webgpu-bench -exp table1
 //	webgpu-bench -exp all
-//	webgpu-bench -macro list
-//	webgpu-bench -macro all -out BENCH_macro.json -benchfmt macro.txt
-//	webgpu-bench -macro chaos-spike -seed 42
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"webgpu/internal/experiments"
-	"webgpu/internal/macrobench"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list available experiments and macro scenarios")
+	list := flag.Bool("list", false, "list available experiments")
 	exp := flag.String("exp", "", "experiment id to run, or 'all'")
-	macro := flag.String("macro", "", "macro scenario to run, 'all', or 'list'")
-	seed := flag.Int64("seed", 0, "macro: override every scenario's seed (0 = scenario defaults)")
-	out := flag.String("out", "", "macro: write the BENCH_macro.json trajectory here")
-	benchfmt := flag.String("benchfmt", "", "macro: also write Go benchmark format (for benchstat) here")
 	flag.Parse()
 
 	if *list {
@@ -39,13 +29,6 @@ func main() {
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-14s %s\n", e.ID, e.Name)
 		}
-		fmt.Println("macro scenarios (-macro):")
-		listMacro(os.Stdout)
-		return
-	}
-
-	if *macro != "" {
-		runMacro(*macro, *seed, *out, *benchfmt)
 		return
 	}
 
@@ -71,76 +54,4 @@ func main() {
 		os.Exit(1)
 	}
 	run(*e)
-}
-
-// listMacro prints the scenario table shared by -list and -macro list.
-func listMacro(w io.Writer) {
-	for _, s := range macrobench.Scenarios(0) {
-		mode := fmt.Sprintf("chaos=%v", s.Chaos)
-		if s.Restart {
-			mode = "restart (durable artifact store)"
-		}
-		fmt.Fprintf(w, "  %-14s %.0f× capacity, %d readers, %d drafters, %s\n",
-			s.Name, s.Multiplier, s.Readers, s.Drafters, mode)
-	}
-	fmt.Fprintf(w, "  %-14s run every scenario above\n", "all")
-}
-
-// runMacro executes the selected macro scenarios and writes the JSON
-// trajectory (and optional benchfmt lines). A failed scenario prints its
-// replayable error and exits nonzero; the trajectory written so far is
-// still flushed, so CI archives the partial evidence. An unknown scenario
-// name is a usage error: exit 2 with the valid names.
-func runMacro(name string, seed int64, outPath, benchPath string) {
-	if name == "list" {
-		fmt.Println("macro scenarios:")
-		listMacro(os.Stdout)
-		return
-	}
-	var scenarios []macrobench.Scenario
-	if name == "all" {
-		scenarios = macrobench.Scenarios(seed)
-	} else {
-		s, ok := macrobench.ByName(name, seed)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown macro scenario %q; valid scenarios:\n", name)
-			listMacro(os.Stderr)
-			os.Exit(2)
-		}
-		scenarios = []macrobench.Scenario{s}
-	}
-
-	file := macrobench.File{Schema: macrobench.Schema, Note: macrobench.Note()}
-	failed := false
-	for _, s := range scenarios {
-		start := time.Now()
-		res, err := macrobench.Run(s)
-		if err != nil {
-			failed = true
-			fmt.Fprintf(os.Stderr, "FAIL %v\n", err)
-		}
-		file.Scenarios = append(file.Scenarios, res)
-		fmt.Printf("%s\n[%s completed in %v]\n\n",
-			res, s.Name, time.Since(start).Round(time.Millisecond))
-	}
-
-	flush := func(path string, data []byte) {
-		if path == "" {
-			return
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-			failed = true
-		}
-	}
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "marshal trajectory: %v\n", err)
-		os.Exit(1)
-	}
-	flush(outPath, append(data, '\n'))
-	flush(benchPath, []byte(macrobench.Benchfmt(file)))
-	if failed {
-		os.Exit(1)
-	}
 }

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkWarmDraftCheck measures one warm incremental draft check: the
 // student re-pushes source already in the program cache, and the loop
 // serves compile + diagnostics as pure cache hits. This is the steady-state
-// cost of the live development loop (and the benchgate-guarded budget
-// backing TestWarmIncrementalLatencyBudget).
+// cost of the live development loop (the budget
+// TestWarmIncrementalLatencyBudget asserts).
 func BenchmarkWarmDraftCheck(b *testing.B) {
 	l := refLab(b)
 	m := NewManager(Config{Debounce: -1, DraftInterval: -1})

@@ -51,10 +51,6 @@ var (
 	ErrUserSessionLimit = errors.New("devsession: per-user session limit reached")
 	// ErrRateLimited means a draft push exceeded the user or session budget.
 	ErrRateLimited = errors.New("devsession: draft rate limit exceeded")
-	// ErrShed means the platform is under overload and draft analyses are
-	// being shed to protect submission capacity (ROADMAP item 5: drafts
-	// shed before the worker pool sheds submissions).
-	ErrShed = errors.New("devsession: draft analysis shed under overload")
 	// ErrClosed means the session was closed or evicted.
 	ErrClosed = errors.New("devsession: session closed")
 )
@@ -70,10 +66,6 @@ const (
 	DefaultEventBuffer   = 256
 	DefaultDraftBurst    = 30
 	DefaultDraftInterval = 50 * time.Millisecond // sustained 20 drafts/s
-
-	// DefaultShedAt matches the overload controller's draft threshold:
-	// drafts shed at 75% pressure, while submissions keep admitting.
-	DefaultShedAt = 0.75
 )
 
 // Config wires a Manager's dependencies and tuning knobs.
@@ -111,16 +103,6 @@ type Config struct {
 	// limiting.
 	DraftBurst    int
 	DraftInterval time.Duration
-
-	// Pressure reports system pressure in [0, ∞) (the overload
-	// controller's figure: broker backlog, submission queue fill). When
-	// set, draft pushes at or above ShedAt are shed with ErrShed before
-	// any bucket is charged — the live loop yields compute to graded
-	// submissions under overload. Nil disables pressure shedding.
-	Pressure func() float64
-	// ShedAt is the pressure threshold for draft shedding; zero with a
-	// non-nil Pressure selects DefaultShedAt.
-	ShedAt float64
 }
 
 func (c Config) withDefaults() Config {
@@ -157,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.DraftInterval == 0 {
 		c.DraftInterval = DefaultDraftInterval
 	}
-	if c.Pressure != nil && c.ShedAt <= 0 {
-		c.ShedAt = DefaultShedAt
-	}
 	return c
 }
 
@@ -171,6 +150,7 @@ type Manager struct {
 	sessions map[string]*Session
 	perUser  map[string]int
 	buckets  map[string]*bucket // per-user draft budgets
+	swept    time.Time          // when buckets was last swept
 	closed   bool
 }
 
@@ -188,7 +168,6 @@ func NewManager(cfg Config) *Manager {
 		"devsession_opened", "devsession_closed", "devsession_evicted",
 		"devsession_drafts", "devsession_draft_coalesced",
 		"devsession_draft_cancelled", "devsession_rate_limited",
-		"devsession_draft_shed",
 		"devsession_pickups_leading", "devsession_pickups_trailing",
 		"kernelcheck_incremental_runs", "kernelcheck_incremental_analyzed",
 		"kernelcheck_incremental_reused",
@@ -316,18 +295,26 @@ func (m *Manager) allowUser(userID string, now time.Time) bool {
 	defer m.mu.Unlock()
 	b := m.buckets[userID]
 	if b == nil {
+		refill := time.Duration(m.cfg.DraftBurst) * m.cfg.DraftInterval
+		if len(m.buckets) >= maxUserBuckets && now.Sub(m.swept) >= refill {
+			m.swept = now
+			for u, old := range m.buckets {
+				if old.level(now) >= old.burst {
+					delete(m.buckets, u)
+				}
+			}
+		}
 		b = newBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now)
 		m.buckets[userID] = b
 	}
 	return b.allow(now)
 }
 
-// shedDraft reports whether draft analyses are currently shed: system
-// pressure at or above the threshold. Checked before any bucket is
-// charged, so a shed push costs the student no draft budget.
-func (m *Manager) shedDraft() bool {
-	return m.cfg.Pressure != nil && m.cfg.Pressure() >= m.cfg.ShedAt
-}
+// maxUserBuckets bounds the per-user bucket map: past it, buckets that
+// have refilled to their burst are swept, at most once per refill time.
+// A full bucket is indistinguishable from a fresh one, so the sweep is
+// lossless (the rule overload applies to its tenant buckets).
+const maxUserBuckets = 16384
 
 func (m *Manager) now() time.Time { return m.cfg.Clock() }
 
@@ -347,18 +334,21 @@ func (b *bucket) allow(now time.Time) bool {
 	if b.interval <= 0 {
 		return true
 	}
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens += float64(dt) / float64(b.interval)
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
+	b.tokens, b.last = b.level(now), now
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// level is the token count at now; it does not advance the bucket.
+func (b *bucket) level(now time.Time) float64 {
+	dt := now.Sub(b.last)
+	if dt <= 0 {
+		return b.tokens
+	}
+	return min(b.burst, b.tokens+float64(dt)/float64(b.interval))
 }
 
 func newSessionID() string {

@@ -371,6 +371,40 @@ func TestDraftRateLimit(t *testing.T) {
 	}
 }
 
+// TestUserBucketsForgetIdleUsers: a course's worth of one-time drafters
+// does not stay in the per-user map, and sweeping the refilled buckets
+// changes nothing for a user who is still short of tokens.
+func TestUserBucketsForgetIdleUsers(t *testing.T) {
+	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
+	m := NewManager(Config{DraftBurst: 2, DraftInterval: 100 * time.Millisecond})
+	defer m.CloseAll()
+	for i := 0; i < 50000; i++ {
+		if !m.allowUser(fmt.Sprintf("user-%06d", i), now) {
+			t.Fatalf("user %d refused its first draft", i)
+		}
+	}
+	now = now.Add(150 * time.Millisecond)
+	if !m.allowUser("live", now) || !m.allowUser("live", now) {
+		t.Fatal("live user refused inside its burst")
+	}
+	now = now.Add(50 * time.Millisecond) // one refill time after the rush
+	if !m.allowUser("late", now) {
+		t.Fatal("late user refused its first draft")
+	}
+	if n := len(m.buckets); n >= maxUserBuckets {
+		t.Fatalf("map holds %d buckets one refill time after the rush, want < %d", n, maxUserBuckets)
+	}
+	// The live user spent both tokens 50 ms ago: half a token has come
+	// back, so the sweep must have kept the bucket.
+	if m.allowUser("live", now) {
+		t.Fatal("live user's spent bucket was swept: a third draft passed 50 ms after two")
+	}
+	now = now.Add(50 * time.Millisecond)
+	if !m.allowUser("live", now) {
+		t.Fatal("live user refused after a full interval")
+	}
+}
+
 func TestIdleEviction(t *testing.T) {
 	l := refLab(t)
 	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)

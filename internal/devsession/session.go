@@ -118,13 +118,6 @@ func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, 
 // analysis. Returns the draft sequence number.
 func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error) {
 	now := s.m.now()
-	if s.m.shedDraft() {
-		// Overload: draft analyses yield to graded submissions. Shed
-		// before charging any bucket, so retries after the spike still
-		// have their full budget.
-		s.m.cfg.Metrics.Inc("devsession_draft_shed", 1)
-		return 0, false, ErrShed
-	}
 	if !s.m.allowUser(s.UserID, now) {
 		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
 		return 0, false, ErrRateLimited

@@ -181,10 +181,3 @@ func blockCycles(p DeviceProps, r blockResult) int64 {
 	}
 	return busy + serial + 200 // fixed block-dispatch overhead
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -289,9 +289,6 @@ func TestOutcomeKernelsOnReusedDevice(t *testing.T) {
 // tree walker, roughly ten times slower and with no tier in between, so
 // every reference solution and example kernel must lower.
 func TestReferencesRunOnWarpEngine(t *testing.T) {
-	if os.Getenv("MINICUDA_INTERP") == "tree" {
-		t.Skip("MINICUDA_INTERP=tree selects the tree walker for every program")
-	}
 	check := func(name, src string, dialect minicuda.Dialect) {
 		prog, err := minicuda.Compile(src, dialect)
 		if err != nil {
@@ -490,9 +487,6 @@ func TestConvolutionSameOnLazyConstMemory(t *testing.T) {
 // depends on which block got there first) is compared without the two
 // counters that follow the addresses.
 func TestKernelStatsRepeatable(t *testing.T) {
-	if os.Getenv("MINICUDA_INTERP") == "tree" {
-		t.Skip("pins the warp engine")
-	}
 	const replays = 20
 	for _, l := range All() {
 		prog, err := minicuda.Compile(l.Reference, l.Dialect)

@@ -3,6 +3,7 @@ package macrobench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,10 +14,11 @@ import (
 
 	"webgpu/internal/faultinject"
 	"webgpu/internal/labs"
+	"webgpu/internal/webserver"
 	"webgpu/internal/worker"
 )
 
-// benchLab is the lab every macro job runs — same as the chaos soak, its
+// benchLab is the lab every job runs — same as the chaos soak, its
 // reference solution compiles and grades quickly.
 const benchLab = "vector-add"
 
@@ -97,25 +99,13 @@ func register(base string, hc *http.Client, name string) (*client, error) {
 	return c, nil
 }
 
-// Run executes one scenario against a freshly booted platform and
-// reports the measured Result. Chaos scenarios finish with the
-// chaostest-style drain: faults off, dead letters redriven, queues
-// empty, then the broker conservation check. The returned error carries
-// the seed for replay.
+// Run drives one spike against a freshly booted platform and reports the
+// Result. It finishes with the chaostest-style drain: faults off, dead
+// letters redriven, queues empty, then the broker conservation check.
+// The returned error carries the seed for replay.
 func Run(s Scenario) (Result, error) {
 	s = s.withDefaults()
-	if s.Restart {
-		return runRestartStorm(s)
-	}
-	res := Result{
-		Name:        s.Name,
-		Seed:        s.Seed,
-		Arch:        s.Arch.String(),
-		Capacity:    s.Capacity(),
-		Submissions: s.Submissions,
-		Chaos:       s.Chaos,
-		FaultRate:   s.FaultRate,
-	}
+	res := Result{Name: s.Name, Submissions: s.Submissions}
 	fail := func(reg *faultinject.Registry, format string, args ...interface{}) (Result, error) {
 		detail := ""
 		if reg != nil {
@@ -133,39 +123,21 @@ func Run(s Scenario) (Result, error) {
 	hc := ts.Client()
 	hc.Timeout = s.Timeout
 
-	deadline := now().Add(s.Timeout)
+	deadline := time.Now().Add(s.Timeout)
 	ref := labs.ByID(benchLab).Reference
 
 	// Population: one account per submitter/reader/drafter, registered
 	// before chaos arms so setup cannot flake.
-	submitters := make([]*client, s.Submissions)
-	for i := range submitters {
-		c, err := register(ts.URL, hc, fmt.Sprintf("%s-sub-%04d", s.Name, i))
-		if err != nil {
-			return fail(nil, "setup: %v", err)
-		}
-		submitters[i] = c
-	}
-	readers := make([]*client, s.Readers)
-	for i := range readers {
-		c, err := register(ts.URL, hc, fmt.Sprintf("%s-read-%02d", s.Name, i))
-		if err != nil {
-			return fail(nil, "setup: %v", err)
-		}
-		readers[i] = c
-	}
-	drafters := make([]*client, s.Drafters)
-	for i := range drafters {
-		c, err := register(ts.URL, hc, fmt.Sprintf("%s-draft-%02d", s.Name, i))
-		if err != nil {
-			return fail(nil, "setup: %v", err)
-		}
-		drafters[i] = c
+	submitters, errS := registerClients(ts.URL, hc, s.Name+"-sub", s.Submissions)
+	readers, errR := registerClients(ts.URL, hc, s.Name+"-read", s.Readers)
+	drafters, errD := registerClients(ts.URL, hc, s.Name+"-draft", s.Drafters)
+	if err := errors.Join(errS, errR, errD); err != nil {
+		return fail(nil, "setup: %v", err)
 	}
 
 	// Warm the compiled-program cache through the real pipeline, so the
-	// timed submissions measure the steady-state (cache-hit) path.
-	if s.WarmCache && len(submitters) > 0 {
+	// spike runs the steady-state (cache-hit) path.
+	if len(submitters) > 0 {
 		status, code, _, err := submitters[0].do("POST", "/api/v1/labs/"+benchLab+"/submit",
 			map[string]string{"source": ref})
 		if err != nil || status != http.StatusOK {
@@ -174,8 +146,8 @@ func Run(s Scenario) (Result, error) {
 	}
 
 	var (
-		readOK, readShed, draftOK, draftShed int64
-		submitShed, submitRetries            int64
+		readShed, draftShed       int64
+		submitShed, submitRetries int64
 	)
 	stopBG := make(chan struct{})
 	var bg sync.WaitGroup
@@ -196,9 +168,7 @@ func Run(s Scenario) (Result, error) {
 				case err != nil:
 					// Transport errors (server shutting down) end the loop.
 					return
-				case status == http.StatusOK:
-					atomic.AddInt64(&readOK, 1)
-				case status == http.StatusTooManyRequests && code == ErrCodeOverloaded:
+				case status == http.StatusTooManyRequests && code == webserver.ErrCodeOverloaded:
 					atomic.AddInt64(&readShed, 1)
 				}
 				time.Sleep(time.Millisecond)
@@ -234,9 +204,7 @@ func Run(s Scenario) (Result, error) {
 				switch {
 				case err != nil:
 					return
-				case status == http.StatusAccepted:
-					atomic.AddInt64(&draftOK, 1)
-				case status == http.StatusTooManyRequests && code == ErrCodeOverloaded:
+				case status == http.StatusTooManyRequests && code == webserver.ErrCodeOverloaded:
 					atomic.AddInt64(&draftShed, 1)
 				}
 				time.Sleep(time.Millisecond)
@@ -255,14 +223,14 @@ func Run(s Scenario) (Result, error) {
 	offsets := jitters(s.Seed, len(submitters), 25*time.Millisecond)
 	latencies := make([]time.Duration, len(submitters))
 	errs := make([]error, len(submitters))
-	start := now()
+	start := time.Now()
 	var wg sync.WaitGroup
 	for i, c := range submitters {
 		wg.Add(1)
 		go func(i int, c *client) {
 			defer wg.Done()
 			time.Sleep(offsets[i])
-			t0 := now()
+			t0 := time.Now()
 			for {
 				status, code, _, err := c.do("POST", "/api/v1/labs/"+benchLab+"/submit",
 					map[string]string{"source": ref})
@@ -270,10 +238,10 @@ func Run(s Scenario) (Result, error) {
 				case err != nil:
 					errs[i] = err
 				case status == http.StatusOK:
-					latencies[i] = now().Sub(t0)
+					latencies[i] = time.Since(t0)
 					errs[i] = nil
 					return
-				case status == http.StatusTooManyRequests && code == ErrCodeOverloaded:
+				case status == http.StatusTooManyRequests && code == webserver.ErrCodeOverloaded:
 					// A shed submission is an acceptance failure; record it
 					// and keep retrying so the drain below still converges.
 					atomic.AddInt64(&submitShed, 1)
@@ -281,7 +249,7 @@ func Run(s Scenario) (Result, error) {
 				default:
 					errs[i] = fmt.Errorf("status %d code %q", status, code)
 				}
-				if now().After(deadline) {
+				if time.Now().After(deadline) {
 					return
 				}
 				atomic.AddInt64(&submitRetries, 1)
@@ -292,7 +260,7 @@ func Run(s Scenario) (Result, error) {
 	wg.Wait()
 	close(stopBG)
 	bg.Wait()
-	res.DurationMs = float64(now().Sub(start)) / float64(time.Millisecond)
+	res.DurationMs = float64(time.Since(start)) / float64(time.Millisecond)
 
 	for _, err := range errs {
 		if err == nil {
@@ -301,9 +269,7 @@ func Run(s Scenario) (Result, error) {
 	}
 	res.SubmitShed = int(atomic.LoadInt64(&submitShed))
 	res.SubmitRetries = int(atomic.LoadInt64(&submitRetries))
-	res.ReadOK = int(atomic.LoadInt64(&readOK))
 	res.ReadShed = int(atomic.LoadInt64(&readShed))
-	res.DraftOK = int(atomic.LoadInt64(&draftOK))
 	res.DraftShed = int(atomic.LoadInt64(&draftShed))
 
 	ok := make([]time.Duration, 0, len(latencies))
@@ -315,32 +281,28 @@ func Run(s Scenario) (Result, error) {
 	res.summarize(ok)
 
 	// Drain: chaos off, redrive whatever dead-lettered, wait for empty
-	// queues, then check conservation. v1 has no broker — conservation is
-	// vacuous there; the submit counts above already prove delivery.
+	// queues, then check conservation.
 	reg.DisableAll()
-	if p.Broker != nil {
-		for {
-			p.Broker.RedriveDeadLetters()
-			if p.Broker.Depth(worker.TopicJobs) == 0 &&
-				p.Broker.Depth(worker.TopicResults) == 0 &&
-				len(p.Broker.DeadLetters()) == 0 {
-				break
-			}
-			if now().After(deadline) {
-				return fail(reg, "drain stalled: jobs depth=%d, results depth=%d, dead=%d",
-					p.Broker.Depth(worker.TopicJobs), p.Broker.Depth(worker.TopicResults),
-					len(p.Broker.DeadLetters()))
-			}
-			time.Sleep(5 * time.Millisecond)
+	for {
+		p.Broker.RedriveDeadLetters()
+		if p.Broker.Depth(worker.TopicJobs) == 0 &&
+			p.Broker.Depth(worker.TopicResults) == 0 &&
+			len(p.Broker.DeadLetters()) == 0 {
+			break
 		}
-		// Leases for redriven/abandoned jobs may still be settling.
-		for p.Broker.Unaccounted() != 0 && !now().After(deadline) {
-			time.Sleep(5 * time.Millisecond)
+		if time.Now().After(deadline) {
+			return fail(reg, "drain stalled: jobs depth=%d, results depth=%d, dead=%d",
+				p.Broker.Depth(worker.TopicJobs), p.Broker.Depth(worker.TopicResults),
+				len(p.Broker.DeadLetters()))
 		}
-		res.LostJobs = p.Broker.Unaccounted()
-		res.DeadLetters = len(p.Broker.DeadLetters())
+		time.Sleep(5 * time.Millisecond)
 	}
-	res.DuplicateResults = p.ResultDuplicates()
+	// Leases for redriven/abandoned jobs may still be settling.
+	for p.Broker.Unaccounted() != 0 && !time.Now().After(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	res.LostJobs = p.Broker.Unaccounted()
+	res.DeadLetters = len(p.Broker.DeadLetters())
 
 	for i, err := range errs {
 		if err != nil {
@@ -353,34 +315,4 @@ func Run(s Scenario) (Result, error) {
 			res.LostJobs)
 	}
 	return res, nil
-}
-
-// ErrCodeOverloaded mirrors webserver.ErrCodeOverloaded without the
-// import cycle risk (macrobench already imports platform, which imports
-// webserver — the constant keeps the client's string comparisons local).
-const ErrCodeOverloaded = "overloaded"
-
-// Benchfmt renders the trajectory in Go test benchmark format, one
-// latency quantile per line, for benchstat comparison in CI:
-//
-//	BenchmarkMacro/<scenario>/p50 1 <ns> ns/op
-func Benchfmt(f File) string {
-	var b bytes.Buffer
-	for _, r := range f.Scenarios {
-		for _, q := range []struct {
-			name string
-			ms   float64
-		}{{"p50", r.P50Ms}, {"p95", r.P95Ms}, {"p99", r.P99Ms}} {
-			fmt.Fprintf(&b, "BenchmarkMacro/%s/%s 1 %.0f ns/op\n",
-				r.Name, q.name, q.ms*float64(time.Millisecond))
-		}
-	}
-	return b.String()
-}
-
-// Note describes the calibration for the JSON trajectory's note field.
-func Note() string {
-	return fmt.Sprintf(
-		"spike multiplier %.1f = Figure 1 peak/trough activity ratio; Table I scale ~36k registrants/offering",
-		SpikeMultiplier())
 }

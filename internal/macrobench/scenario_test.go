@@ -1,22 +1,19 @@
-// Package macrobench is the whole-pipeline macro-benchmark suite behind
-// `webgpu-bench -macro` (ROADMAP item 5: continuous perf CI). Where the
-// micro-benchmarks time one kernel in one engine, a macro scenario boots
-// a full platform — web tier, admission control, broker, worker fleet,
+// Package macrobench holds the whole-platform soak tests: each boots a
+// full deployment — web tier, admission control, broker, worker fleet,
 // grader — and drives it over real HTTP with a population of submitters,
-// readers, and live-draft pushers, recording the end-to-end latency
-// distribution and the overload layer's shed decisions.
+// readers and live-draft pushers, then asserts what a deadline rush may
+// never cost: a shed or lost submission, a dead letter, a recompile after
+// a restart. The package is test files only; it measures nothing that is
+// kept (bench/ is where numbers come from), and the Result line a test
+// logs is there to read a failure by.
 //
 // Scenarios are seeded and deterministic in their decisions (arrival
-// jitter, chaos faults), dolt-style: every run emits a JSON trajectory
-// (`BENCH_macro.json`, schema webgpu-macro/v1) that tools/benchgate
-// compares against checked-in ceilings, so a PR that regresses p99
-// submit latency or loses a job under spike load fails CI the same way a
-// kernel slowdown does.
+// jitter, chaos faults); CHAOS_SEED=<n> replays one.
 //
-// The deadline-spike scenarios are calibrated against the paper's
-// workload models: Table I enrollment (~36k registrants/offering) and
-// the Figure 1 activity envelope, whose Wednesday peak runs ~10× the
-// series mean — that peak-to-mean ratio is the spike multiplier.
+// The deadline spike is calibrated against the paper's workload models:
+// Table I enrollment (~36k registrants/offering) and the Figure 1
+// activity envelope, whose Wednesday peak runs ~10× the series mean —
+// that peak-to-mean ratio is the spike multiplier.
 package macrobench
 
 import (
@@ -33,19 +30,10 @@ import (
 	"webgpu/internal/workload"
 )
 
-// now is the wall-clock seam: scenario timing flows through it so tests
-// can pin it, and tools/repolint bans direct time.Now calls in this
-// package to keep every duration measurement on the seam.
-var now = time.Now
-
-// Schema identifies the BENCH_macro.json layout for benchgate.
-const Schema = "webgpu-macro/v1"
-
-// Scenario configures one macro run.
+// Scenario configures one soak run.
 type Scenario struct {
 	Name          string
 	Seed          int64
-	Arch          platform.Architecture
 	Workers       int
 	GPUsPerWorker int
 
@@ -71,42 +59,16 @@ type Scenario struct {
 	Chaos     bool
 	FaultRate float64
 
-	// WarmCache pre-submits the reference solution once before timing, so
-	// every measured job hits the program cache (the steady-state path).
-	WarmCache bool
-
-	// Restart arms the restart-storm flow: boot against a durable artifact
-	// store, warm it with real traffic, tear the platform down, boot a
-	// second platform on the same directory, and measure the post-restart
-	// submit path. The scenario fails if the rebooted deployment
-	// recompiles any cached source.
-	Restart bool
-	// CacheDir is the durable artifact store directory (empty: restart
-	// scenarios use a fresh temp dir removed after the run; others stay
-	// memory-only).
+	// CacheDir is the durable artifact store directory: runRestartStorm's
+	// temp dir; the spike stays memory-only.
 	CacheDir string
 
 	Timeout time.Duration
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.Arch == 0 {
-		s.Arch = platform.V2
-	}
-	if s.Workers <= 0 {
-		s.Workers = 2
-	}
-	if s.GPUsPerWorker <= 0 {
-		s.GPUsPerWorker = 2
-	}
-	if s.Multiplier <= 0 {
-		s.Multiplier = 1
-	}
 	if s.Submissions <= 0 {
-		s.Submissions = int(math.Ceil(float64(s.Workers*s.GPUsPerWorker) * s.Multiplier))
-	}
-	if s.Chaos && s.FaultRate <= 0 {
-		s.FaultRate = 0.05
+		s.Submissions = int(math.Ceil(float64(s.Capacity()) * s.Multiplier))
 	}
 	if s.Timeout <= 0 {
 		s.Timeout = 120 * time.Second
@@ -117,68 +79,52 @@ func (s Scenario) withDefaults() Scenario {
 // Capacity is the worker pool's concurrent-job capacity.
 func (s Scenario) Capacity() int { return s.Workers * s.GPUsPerWorker }
 
-// Result is one scenario's measured outcome — the JSON row of
-// BENCH_macro.json.
+// Result is one scenario's outcome: what the tests assert on, and the
+// line they log.
 type Result struct {
-	Name        string  `json:"name"`
-	Seed        int64   `json:"seed"`
-	Arch        string  `json:"arch"`
-	Capacity    int     `json:"capacity"`
-	Submissions int     `json:"submissions"`
-	Chaos       bool    `json:"chaos,omitempty"`
-	FaultRate   float64 `json:"fault_rate,omitempty"`
+	Name        string
+	Submissions int
 
 	// Submission-class outcomes: every submission must eventually
 	// succeed; retries count transient 503s absorbed by the client.
-	SubmitOK      int `json:"submit_ok"`
-	SubmitShed    int `json:"submit_shed"`
-	SubmitRetries int `json:"submit_retries"`
+	SubmitOK      int
+	SubmitShed    int
+	SubmitRetries int
 
-	// Low-priority-class outcomes: sheds here are the overload layer
-	// working, not a failure.
-	ReadOK    int `json:"read_ok"`
-	ReadShed  int `json:"read_shed"`
-	DraftOK   int `json:"draft_ok"`
-	DraftShed int `json:"draft_shed"`
+	// Low-priority-class sheds are the overload layer working, not a
+	// failure.
+	ReadShed  int
+	DraftShed int
 
 	// Conservation: LostJobs is Broker.Unaccounted() after the drain
 	// (0 = every published job is accounted for), DeadLetters what
 	// remained parked after redrive (must be 0).
-	LostJobs         int64 `json:"lost_jobs"`
-	DeadLetters      int   `json:"dead_letters"`
-	DuplicateResults int64 `json:"duplicate_results"`
+	LostJobs    int64
+	DeadLetters int
 
 	// Restart-storm phases: submit latency medians for the first boot's
 	// cold pass, its warm re-pass (the pre-restart baseline), and the
 	// rebooted platform's pass against the same store directory — plus how
 	// many cached sources the reboot recompiled (must be 0) and how many
 	// it served from the durable store instead.
-	ColdP50Ms        float64 `json:"cold_p50_ms,omitempty"`
-	PreRestartP50Ms  float64 `json:"pre_restart_p50_ms,omitempty"`
-	PostRestartP50Ms float64 `json:"post_restart_p50_ms,omitempty"`
-	Recompiles       int64   `json:"recompiles,omitempty"`
-	DiskHits         int64   `json:"disk_hits,omitempty"`
+	ColdP50Ms        float64
+	PreRestartP50Ms  float64
+	PostRestartP50Ms float64
+	Recompiles       int64
+	DiskHits         int64
 
 	// End-to-end submission latency over HTTP, milliseconds.
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
+	P50Ms float64
+	P99Ms float64
+	MaxMs float64
 
-	DurationMs float64 `json:"duration_ms"`
+	DurationMs float64
 }
 
 func (r Result) String() string {
 	return fmt.Sprintf("%s: %d/%d submits ok (p50 %.1fms p99 %.1fms max %.1fms), %d read shed, %d draft shed, %d lost, %d retries, %.0fms total",
 		r.Name, r.SubmitOK, r.Submissions, r.P50Ms, r.P99Ms, r.MaxMs,
 		r.ReadShed, r.DraftShed, r.LostJobs, r.SubmitRetries, r.DurationMs)
-}
-
-// File is the BENCH_macro.json trajectory.
-type File struct {
-	Schema    string   `json:"schema"`
-	Note      string   `json:"note,omitempty"`
-	Scenarios []Result `json:"scenarios"`
 }
 
 // SpikeMultiplier is the Figure 1 peak-to-trough activity ratio: the
@@ -195,40 +141,19 @@ func SpikeMultiplier() float64 {
 	return m.Peak / m.Trough
 }
 
-// Scenarios returns the standard suite, smallest first. seed 0 keeps
-// each scenario's own default seed.
-func Scenarios(seed int64) []Scenario {
-	spike := SpikeMultiplier()
-	base := func(name string, s Scenario) Scenario {
-		s.Name = name
-		if seed != 0 {
-			s.Seed = seed
-		} else if s.Seed == 0 {
-			s.Seed = 2015 // the paper's offering year, like workload's default
-		}
-		return s
-	}
-	return []Scenario{
-		base("cold-submit", Scenario{Workers: 2, GPUsPerWorker: 2, Multiplier: 1}),
-		base("warm-submit", Scenario{Workers: 2, GPUsPerWorker: 2, Multiplier: 1, WarmCache: true}),
-		base("deadline-spike", Scenario{Workers: 2, GPUsPerWorker: 2,
-			Multiplier: spike, Readers: 3, Drafters: 3, WarmCache: true}),
-		base("chaos-spike", Scenario{Workers: 2, GPUsPerWorker: 2,
-			Multiplier: spike, Readers: 3, Drafters: 3, WarmCache: true,
-			Chaos: true, FaultRate: 0.05}),
-		base("restart-storm", Scenario{Workers: 2, GPUsPerWorker: 2,
-			Multiplier: 2, Restart: true}),
-	}
+// spike is the deadline rush both soak tests drive: a 2×2 pool, arrivals
+// at SpikeMultiplier() times its capacity, three readers and three
+// drafters competing for admission.
+func spike(name string, seed int64) Scenario {
+	return Scenario{Name: name, Seed: seed, Workers: 2, GPUsPerWorker: 2,
+		Multiplier: SpikeMultiplier(), Readers: 3, Drafters: 3}
 }
 
-// ByName returns the named standard scenario, or false.
-func ByName(name string, seed int64) (Scenario, bool) {
-	for _, s := range Scenarios(seed) {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
+// chaosSpike is the same rush with the fault points armed.
+func chaosSpike(seed int64) Scenario {
+	s := spike("chaos-spike", seed)
+	s.Chaos, s.FaultRate = true, 0.05
+	return s
 }
 
 // newPlatform builds the deployment under test: overload limits sized to
@@ -239,7 +164,6 @@ func newPlatform(s Scenario, reg *faultinject.Registry) *platform.Platform {
 	lim := sandbox.DefaultLimits()
 	lim.SubmitInterval = time.Millisecond
 	return platform.New(platform.Options{
-		Arch:          s.Arch,
 		Workers:       s.Workers,
 		GPUsPerWorker: s.GPUsPerWorker,
 		Faults:        reg,
@@ -303,7 +227,6 @@ func (r *Result) summarize(latencies []time.Duration) {
 	}
 	sort.Float64s(ms)
 	r.P50Ms = quantile(ms, 0.50)
-	r.P95Ms = quantile(ms, 0.95)
 	r.P99Ms = quantile(ms, 0.99)
 	if n := len(ms); n > 0 {
 		r.MaxMs = ms[n-1]

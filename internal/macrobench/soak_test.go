@@ -43,10 +43,7 @@ func TestOverloadSoak(t *testing.T) {
 	for _, seed := range soakSeeds(t) {
 		seed := seed
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
-			s, ok := ByName("chaos-spike", seed)
-			if !ok {
-				t.Fatal("chaos-spike scenario missing from the standard suite")
-			}
+			s := chaosSpike(seed)
 			res, err := Run(s)
 			if err != nil {
 				t.Fatalf("%v\nreplay with CHAOS_SEED=%d", err, seed)
@@ -99,11 +96,7 @@ func TestDeadlineSpikeNoChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-platform spike; skipped in -short")
 	}
-	s, ok := ByName("deadline-spike", 1)
-	if !ok {
-		t.Fatal("deadline-spike scenario missing from the standard suite")
-	}
-	res, err := Run(s)
+	res, err := Run(spike("deadline-spike", 1))
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -121,45 +114,14 @@ func TestDeadlineSpikeNoChaos(t *testing.T) {
 	}
 }
 
-// TestScenarioDefaults pins the suite's calibration so a stray edit to
-// the workload model or scenario table shows up as a test diff, not as a
-// silently weaker benchmark.
+// TestScenarioDefaults pins the calibration so a stray edit to the
+// workload model or the spike shows up as a test diff, not as a silently
+// weaker soak.
 func TestScenarioDefaults(t *testing.T) {
 	if m := SpikeMultiplier(); m < 10 {
 		t.Errorf("SpikeMultiplier() = %.1f, want >= 10 (Figure 1 peak/trough)", m)
 	}
-	names := map[string]bool{}
-	for _, s := range Scenarios(0) {
-		names[s.Name] = true
-		if s.Seed == 0 {
-			t.Errorf("scenario %s has no default seed", s.Name)
-		}
-	}
-	for _, want := range []string{"cold-submit", "warm-submit", "deadline-spike", "chaos-spike", "restart-storm"} {
-		if !names[want] {
-			t.Errorf("standard suite is missing %q", want)
-		}
-	}
-	if _, ok := ByName("no-such-scenario", 0); ok {
-		t.Error("ByName returned a scenario for an unknown name")
-	}
-	s, ok := ByName("chaos-spike", 77)
-	if !ok || s.Seed != 77 {
-		t.Errorf("ByName seed override: got seed %d ok=%v, want 77 true", s.Seed, ok)
-	}
-	if !s.Chaos || s.FaultRate <= 0 {
-		t.Errorf("chaos-spike must arm faults: chaos=%v rate=%v", s.Chaos, s.FaultRate)
-	}
-}
-
-// TestBenchfmt pins the benchstat-compatible emission format.
-func TestBenchfmt(t *testing.T) {
-	f := File{Schema: Schema, Scenarios: []Result{{Name: "x", P50Ms: 1, P95Ms: 2, P99Ms: 3}}}
-	got := Benchfmt(f)
-	want := "BenchmarkMacro/x/p50 1 1000000 ns/op\n" +
-		"BenchmarkMacro/x/p95 1 2000000 ns/op\n" +
-		"BenchmarkMacro/x/p99 1 3000000 ns/op\n"
-	if got != want {
-		t.Errorf("Benchfmt:\n got %q\nwant %q", got, want)
+	if s := chaosSpike(77); s.Seed != 77 || !s.Chaos || s.FaultRate <= 0 {
+		t.Errorf("chaos-spike must arm faults from its seed: seed=%d chaos=%v rate=%v", s.Seed, s.Chaos, s.FaultRate)
 	}
 }

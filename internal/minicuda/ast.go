@@ -327,7 +327,7 @@ func (p *Program) warpcode() *warpProgram {
 // program uses: "bytecode-warp" for the warp engine, "ast" for the tree
 // walker.
 func (p *Program) ArtifactKind() string {
-	if defaultEngine() == EngineWarp && p.warpcode() != nil {
+	if p.warpcode() != nil {
 		return "bytecode-warp"
 	}
 	return "ast"

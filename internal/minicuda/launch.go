@@ -2,8 +2,6 @@ package minicuda
 
 import (
 	"fmt"
-	"os"
-	"sync"
 
 	"webgpu/internal/gpusim"
 )
@@ -44,7 +42,7 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 type Engine uint8
 
 const (
-	// EngineAuto uses the warp engine unless MINICUDA_INTERP=tree.
+	// EngineAuto is the warp engine.
 	EngineAuto Engine = iota
 	// EngineTree forces the tree-walking interpreter, the reference the
 	// warp engine is differentially tested against.
@@ -56,24 +54,6 @@ const (
 	// the tree walker.
 	EngineWarp
 )
-
-var (
-	engineOnce sync.Once
-	engineEnv  Engine
-)
-
-// defaultEngine resolves the process-wide engine choice once:
-// MINICUDA_INTERP=tree runs every EngineAuto launch on the reference
-// interpreter; any other value selects the warp engine.
-func defaultEngine() Engine {
-	engineOnce.Do(func() {
-		engineEnv = EngineWarp
-		if os.Getenv("MINICUDA_INTERP") == "tree" {
-			engineEnv = EngineTree
-		}
-	})
-	return engineEnv
-}
 
 // Arg is a kernel launch argument.
 type Arg struct {
@@ -108,7 +88,7 @@ type LaunchOpts struct {
 	Block          gpusim.Dim3
 	SharedMemBytes int    // dynamic shared memory, beyond static __shared__
 	MaxSteps       int64  // per-thread interpreter step budget; 0 = default
-	Engine         Engine // execution engine; EngineAuto honors MINICUDA_INTERP
+	Engine         Engine // execution engine; EngineAuto is the warp engine
 	SchedSeed      uint64 // barrier-free thread-order permutation seed; 0 = natural order
 }
 
@@ -159,15 +139,11 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 		NoBarriers:     !p.usesBarrier,
 		SchedSeed:      opts.SchedSeed,
 	}
-	eng := opts.Engine
-	if eng == EngineAuto {
-		eng = defaultEngine()
-	}
 	// SchedSeed permutes per-thread serial order, which a lockstep warp
 	// cannot reproduce; overly wide warps exceed the engine's lane
 	// bookkeeping. Both run on the tree walker, as does a program that
 	// could not be lowered.
-	if eng == EngineWarp && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
+	if opts.Engine != EngineTree && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
 		if wp := p.warpcode(); wp != nil {
 			kfn := wp.bc.funcs[fn]
 			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) (bool, error) {

@@ -55,13 +55,6 @@ func (p *parser) expect(text string) (Token, error) {
 	return t, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // qualifier sets gathered before a declaration.
 type quals struct {
 	kernel   bool // __global__ (CUDA) or __kernel (OpenCL)

@@ -278,8 +278,16 @@ type RateLimiter struct {
 	interval time.Duration
 	mu       sync.Mutex
 	last     map[string]time.Time
+	swept    time.Time // when the map was last swept
 	clock    func() time.Time
 }
+
+// maxTrackedUsers bounds the per-user map: past it, entries whose
+// interval has elapsed are swept, at most once per interval. Such an
+// entry admits exactly as an absent one does, so the sweep is lossless
+// (the rule overload applies to its tenant buckets) and the map holds
+// the bound plus the users of the last two intervals at most.
+const maxTrackedUsers = 16384
 
 // NewRateLimiter creates a limiter with the given minimum interval.
 func NewRateLimiter(interval time.Duration) *RateLimiter {
@@ -298,6 +306,13 @@ func (r *RateLimiter) Admit(user string) error {
 	if last, ok := r.last[user]; ok {
 		if wait := r.interval - now.Sub(last); wait > 0 {
 			return fmt.Errorf("%w: retry in %v", ErrRateLimited, wait.Round(time.Second))
+		}
+	} else if len(r.last) >= maxTrackedUsers && now.Sub(r.swept) >= r.interval {
+		r.swept = now
+		for u, last := range r.last {
+			if now.Sub(last) >= r.interval {
+				delete(r.last, u)
+			}
 		}
 	}
 	r.last[user] = now

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,38 @@ func TestRateLimiter(t *testing.T) {
 	now = now.Add(11 * time.Second)
 	if err := rl.Admit("alice"); err != nil {
 		t.Fatalf("after interval: %v", err)
+	}
+}
+
+// TestRateLimiterForgetsElapsedUsers: a course's worth of one-time
+// submitters does not stay in the map, and sweeping them changes nothing
+// for a user still inside the interval.
+func TestRateLimiterForgetsElapsedUsers(t *testing.T) {
+	rl := NewRateLimiter(10 * time.Second)
+	now := time.Unix(1000, 0)
+	rl.SetClock(func() time.Time { return now })
+	for i := 0; i < 50000; i++ {
+		if err := rl.Admit(fmt.Sprintf("user-%06d", i)); err != nil {
+			t.Fatalf("user %d: %v", i, err)
+		}
+	}
+	now = now.Add(7 * time.Second)
+	if err := rl.Admit("live"); err != nil {
+		t.Fatalf("live user: %v", err)
+	}
+	now = now.Add(3 * time.Second) // one interval after the rush
+	if err := rl.Admit("late"); err != nil {
+		t.Fatalf("late user: %v", err)
+	}
+	if n := len(rl.last); n >= maxTrackedUsers {
+		t.Fatalf("map holds %d users one interval after the rush, want < %d", n, maxTrackedUsers)
+	}
+	err := rl.Admit("live")
+	if !errors.Is(err, ErrRateLimited) || !strings.Contains(err.Error(), "retry in 7s") {
+		t.Fatalf("live user after the sweep: %v, want rate limited with 7s left", err)
+	}
+	if err := rl.Admit("user-000000"); err != nil {
+		t.Fatalf("swept user resubmitting after the interval: %v", err)
 	}
 }
 

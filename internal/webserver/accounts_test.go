@@ -112,10 +112,20 @@ func TestAccountsSurviveSnapshotResyncAndPromote(t *testing.T) {
 // TestAccountErrorsSayWhatHappened: a store that fails is reported as
 // internal, never as "email already registered" (409) and never as a page
 // with a part silently missing. Register and login find the database
-// closed; the instructor's student view meets an answers row it cannot
-// decode, which is not the same as no answers.
+// closed; the instructor's student view and a submit meet an answers row
+// they cannot decode, which is not the same as no answers — the submit
+// must not write a grade that scores the questions as unanswered.
 func TestAccountErrorsSayWhatHappened(t *testing.T) {
 	closeDB := func(f *fixture) { f.srv.db.Close() }
+	badAnswers := func(userID string) func(*fixture) {
+		return func(f *fixture) {
+			if err := f.srv.db.Update(func(tx *db.Tx) error {
+				return tx.Put("answers", codeKey(userID, "vector-add"), map[string]string{"answers": "not a list"})
+			}); err != nil {
+				f.t.Fatal(err)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name, method, path, body string
 		damage                   func(*fixture)
@@ -123,13 +133,9 @@ func TestAccountErrorsSayWhatHappened(t *testing.T) {
 	}{
 		{"register", "POST", "/api/v1/register", `{"name":"New","email":"new@example.edu"}`, closeDB, http.StatusServiceUnavailable},
 		{"login", "POST", "/api/v1/login", `{"email":"stu@example.edu"}`, closeDB, http.StatusServiceUnavailable},
-		{"student view", "GET", "/api/v1/instructor/student/user-000001/vector-add", "", func(f *fixture) {
-			if err := f.srv.db.Update(func(tx *db.Tx) error {
-				return tx.Put("answers", codeKey("user-000001", "vector-add"), map[string]string{"answers": "not a list"})
-			}); err != nil {
-				f.t.Fatal(err)
-			}
-		}, http.StatusInternalServerError},
+		{"student view", "GET", "/api/v1/instructor/student/user-000001/vector-add", "", badAnswers("user-000001"), http.StatusInternalServerError},
+		// The requester is the second account registered below.
+		{"submit", "POST", "/api/v1/labs/vector-add/submit", "", badAnswers("user-000002"), http.StatusInternalServerError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t)
@@ -144,6 +150,12 @@ func TestAccountErrorsSayWhatHappened(t *testing.T) {
 			if code != tc.want || body.Error.Code != ErrCodeInternal {
 				t.Errorf("status %d, code %q (%s); want %d, %q", code, body.Error.Code, body.Error.Message, tc.want, ErrCodeInternal)
 			}
+			_ = f.srv.db.View(func(tx *db.Tx) error { // fails on the closed store, which holds no grade either
+				if n := tx.Count("grades"); n != 0 {
+					t.Errorf("%d grade rows written by a request that failed", n)
+				}
+				return nil
+			})
 		})
 	}
 }

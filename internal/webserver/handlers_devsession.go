@@ -75,11 +75,6 @@ func (s *Server) handleSessionDraft(w http.ResponseWriter, r *http.Request, u *U
 	}
 	seq, coalesced, err := sess.PushDraft(req.Source)
 	switch {
-	case errors.Is(err, devsession.ErrShed):
-		// Overload: the draft was shed to protect submission capacity.
-		w.Header().Set("Retry-After", "2")
-		writeErr(w, http.StatusTooManyRequests, ErrCodeOverloaded, "%v", err)
-		return
 	case errors.Is(err, devsession.ErrRateLimited):
 		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
 		return

@@ -473,22 +473,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		return
 	}
 
-	// Count answered questions for the rubric.
-	answered := 0
+	// Count answered questions for the rubric. Only a missing row means
+	// none: a row that cannot be read must not be graded as unanswered.
+	var answers AnswersRec
 	err = s.db.View(func(tx *db.Tx) error {
-		var rec AnswersRec
-		if err := tx.Get("answers", codeKey(u.ID, l.ID), &rec); err == nil {
-			for _, a := range rec.Answers {
-				if a != "" {
-					answered++
-				}
-			}
-		}
-		return nil
+		return tx.Get("answers", codeKey(u.ID, l.ID), &answers)
 	})
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
+	if err != nil && !errors.Is(err, db.ErrNotFound) {
+		status := http.StatusInternalServerError // the row does not decode
+		if errors.Is(err, db.ErrClosed) {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, ErrCodeInternal, "%v", err)
 		return
+	}
+	answered := 0
+	for _, a := range answers.Answers {
+		if a != "" {
+			answered++
+		}
 	}
 
 	gradeSpan := tr.StartSpan("grade")

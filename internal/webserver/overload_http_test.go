@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webgpu/internal/db"
+	"webgpu/internal/devsession"
 	"webgpu/internal/grader"
 	"webgpu/internal/labs"
 	"webgpu/internal/overload"
@@ -127,9 +128,25 @@ func (f *overloadFixture) reqFull(method, path, token string, body interface{}) 
 	return resp.StatusCode, resp.Header, buf
 }
 
+// openSession opens a live session on vector-add and returns its id.
+func (f *overloadFixture) openSession(token string) string {
+	f.t.Helper()
+	code, body := f.req("POST", "/api/v1/labs/vector-add/session", token, nil)
+	if code != http.StatusCreated {
+		f.t.Fatalf("open session: %d %s", code, body)
+	}
+	var sess struct {
+		ID string `json:"session_id"`
+	}
+	if err := json.Unmarshal(body, &sess); err != nil {
+		f.t.Fatalf("open session: %v (%s)", err, body)
+	}
+	return sess.ID
+}
+
 // TestShedPathsReturnUnifiedEnvelope drives every distinct shed path —
-// backpressure, saturation, per-tenant rate limit, devsession pressure
-// shed — through real HTTP and asserts the full contract on each.
+// backpressure, saturation, per-tenant rate limit — through real HTTP and
+// asserts the full contract on each.
 func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -151,17 +168,42 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 			wantCode: ErrCodeOverloaded,
 			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
 				tok := f.register("draft@test.edu", "student")
-				code, body := f.req("POST", "/api/v1/labs/vector-add/session", tok, nil)
-				if code != http.StatusCreated {
-					t.Fatalf("open session: %d %s", code, body)
-				}
-				var sess struct {
-					ID string `json:"session_id"`
-				}
-				_ = json.Unmarshal(body, &sess)
+				sess := f.openSession(tok)
 				f.setDepth(80) // pressure 0.8 >= draft's 0.75
-				return f.reqFull("POST", "/api/v1/sessions/"+sess.ID+"/draft", tok,
+				return f.reqFull("POST", "/api/v1/sessions/"+sess+"/draft", tok,
 					map[string]string{"source": "__global__ void k() {}"})
+			},
+		},
+		{
+			// The class gate is the only pressure check a draft meets:
+			// a burst's worth of shed pushes must leave the user's and the
+			// session's token buckets full (the clock never moves here).
+			name:     "shed draft charges no draft budget",
+			wantCode: ErrCodeOverloaded,
+			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
+				tok := f.register("budget@test.edu", "student")
+				sess := f.openSession(tok)
+				push := func() (int, http.Header, []byte) {
+					return f.reqFull("POST", "/api/v1/sessions/"+sess+"/draft", tok,
+						map[string]string{"source": "__global__ void k() {}"})
+				}
+				f.setDepth(75) // pressure 0.75: at the draft threshold
+				for i := 0; i < devsession.DefaultDraftBurst; i++ {
+					code, headers, body := push()
+					assertShedEnvelope(t, code, headers, body, ErrCodeOverloaded)
+				}
+				f.setDepth(0)
+				for i := 0; i < devsession.DefaultDraftBurst; i++ {
+					if code, _, body := push(); code != http.StatusAccepted {
+						t.Fatalf("draft %d after %d shed pushes: %d %s, want 202 from a full bucket",
+							i+1, devsession.DefaultDraftBurst, code, body)
+					}
+				}
+				if code, _, body := push(); code != http.StatusTooManyRequests || !bytes.Contains(body, []byte(ErrCodeRateLimited)) {
+					t.Fatalf("draft past the burst: %d %s, want 429 %s", code, body, ErrCodeRateLimited)
+				}
+				f.setDepth(80)
+				return push()
 			},
 		},
 		{
@@ -218,14 +260,7 @@ func TestPriorityClassOrdering(t *testing.T) {
 		map[string]string{"source": src}); code != http.StatusOK {
 		t.Fatalf("save: %d %s", code, body)
 	}
-	code, body := f.req("POST", "/api/v1/labs/vector-add/session", tok, nil)
-	if code != http.StatusCreated {
-		t.Fatalf("open session: %d %s", code, body)
-	}
-	var sess struct {
-		ID string `json:"session_id"`
-	}
-	_ = json.Unmarshal(body, &sess)
+	sess := f.openSession(tok)
 	draftBody := map[string]string{"source": src}
 
 	read := func() int {
@@ -233,7 +268,7 @@ func TestPriorityClassOrdering(t *testing.T) {
 		return c
 	}
 	draft := func() int {
-		c, _, _ := f.reqFull("POST", "/api/v1/sessions/"+sess.ID+"/draft", tok, draftBody)
+		c, _, _ := f.reqFull("POST", "/api/v1/sessions/"+sess+"/draft", tok, draftBody)
 		return c
 	}
 	submit := func() int {

@@ -166,11 +166,10 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DevSessions == nil {
 		cfg.DevSessions = devsession.NewManager(devsession.Config{
-			Cache:    cfg.ProgCache,
-			Metrics:  cfg.Metrics,
-			Traces:   cfg.Traces,
-			Clock:    cfg.Clock,
-			Pressure: cfg.Overload.Pressure,
+			Cache:   cfg.ProgCache,
+			Metrics: cfg.Metrics,
+			Traces:  cfg.Traces,
+			Clock:   cfg.Clock,
 		})
 	}
 	if cfg.SSEHeartbeat <= 0 {

@@ -40,7 +40,6 @@ type Registry struct {
 	ttl    time.Duration
 	clock  func() time.Time
 	nodes  map[string]*registered
-	rrSeq  int
 	evicts int64
 
 	faults       *faultinject.Registry

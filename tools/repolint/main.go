@@ -2,11 +2,11 @@
 // toolchain cannot express, using only the stdlib go/ast parser:
 //
 //   - Deterministic clocks: packages that model time through an injected
-//     clock (internal/overload, internal/devsession, internal/macrobench)
-//     must not call time.Now or time.Since directly in non-test files.
-//     Storing the function value (`c.Clock = time.Now`) is allowed —
-//     that IS the seam; calling it directly bypasses the seam and makes
-//     rate limits, eviction, and benchmark trajectories untestable.
+//     clock (internal/overload, internal/devsession) must not call
+//     time.Now or time.Since directly in non-test files. Storing the
+//     function value (`c.Clock = time.Now`) is allowed — that IS the
+//     seam; calling it directly bypasses the seam and makes rate limits
+//     and eviction untestable.
 //
 //   - Hot paths: files marked //kernelcheck:hotpath (the analyzer's
 //     per-expression core) must not call fmt.Sprintf or import regexp;
@@ -26,9 +26,15 @@
 //     refused write is the only sign that the next restart will
 //     recompile; count it (progcache's Stats.StoreErrors) or return it.
 //
-// Usage: repolint [dir]... (default "."). Directories are walked for
-// .go files; testdata and vendor trees are skipped. Exit code 1 when
-// any finding is reported, 2 on usage or I/O problems.
+//   - Orphan packages: when a directory argument is a module root (it
+//     holds go.mod), a package under its internal/ that has non-test
+//     files must be imported by a non-test file outside itself. One that
+//     is not is either test support, whose files belong in _test.go, or
+//     dead; either way nothing that ships can reach it.
+//
+// Usage: repolint [dir]... (default "."; dir/... means dir). Directories
+// are walked for .go files; testdata and vendor trees are skipped. Exit
+// code 1 when any finding is reported, 2 on usage or I/O problems.
 package main
 
 import (
@@ -50,7 +56,6 @@ import (
 var clockPkgs = []string{
 	"internal/overload",
 	"internal/devsession",
-	"internal/macrobench",
 }
 
 // timerPkgs are the directories whose loops serve requests (draft pickup,
@@ -80,7 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		args = []string{"."}
 	}
 	var files []string
+	modules := map[string]string{} // module root -> module path
 	for _, root := range args {
+		if root = strings.TrimSuffix(root, "..."); root == "" {
+			root = "."
+		}
+		if mod := modulePath(root); mod != "" {
+			modules[root] = mod
+		}
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -105,6 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sort.Strings(files)
 
 	var all []finding
+	internalPkgs := map[string]string{} // import path -> its first non-test file
+	imported := map[string]bool{}       // import paths named from another package
 	for _, path := range files {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -113,6 +127,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		all = append(all, lintFile(fset, f, path)...)
+		self := packagePath(modules, path)
+		if strings.Contains(self, "/internal/") && internalPkgs[self] == "" {
+			internalPkgs[self] = path
+		}
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != self {
+				imported[p] = true
+			}
+		}
+	}
+	for _, pkg := range sortedKeys(internalPkgs) {
+		if !imported[pkg] {
+			all = append(all, finding{
+				pos: token.Position{Filename: internalPkgs[pkg]},
+				msg: fmt.Sprintf("package %s has non-test files but no non-test file outside it imports it; move test support into _test.go files or delete it", pkg),
+			})
+		}
 	}
 	for _, fd := range all {
 		fmt.Fprintf(stdout, "%s: %s\n", fd.pos, fd.msg)
@@ -122,6 +153,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// modulePath reads the module line of dir/go.mod, or returns "".
+func modulePath(dir string) string {
+	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	return ""
+}
+
+// packagePath is the import path of the package a file belongs to, or ""
+// when the file was not reached through a module root.
+func packagePath(modules map[string]string, path string) string {
+	for root, mod := range modules {
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			continue
+		}
+		if rel == "." {
+			return mod
+		}
+		return mod + "/" + filepath.ToSlash(rel)
+	}
+	return ""
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {

@@ -274,6 +274,61 @@ func f(s *castore.Store) { _ = s.Put("k", "prog", nil) }
 	}
 }
 
+// TestOrphanPackageRule: under a module root, an internal/ package with
+// non-test files needs a non-test importer in another package. Its own
+// files, its tests and other packages' tests do not count; a package of
+// test files only, a package outside internal/, and a tree that is not a
+// module root are not judged.
+func TestOrphanPackageRule(t *testing.T) {
+	const (
+		gomod  = "module example.test/m\n\ngo 1.22\n"
+		driver = "package soak\n\nfunc Run() {}\n"
+		user   = "package main\n\nimport \"example.test/m/internal/soak\"\n\nfunc main() { soak.Run() }\n"
+	)
+	rows := []struct {
+		name  string
+		files map[string]string
+		want  int
+	}{
+		{"imported by a command", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver, "cmd/tool/main.go": user}, 0},
+		{"imported by a nested module", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver,
+			"bench/go.mod": "module example.test/m/bench\n", "bench/main.go": user}, 0},
+		{"imported by nobody", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver}, 1},
+		{"imported by tests only", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver,
+			"cmd/tool/main_test.go": user}, 1},
+		{"imported by itself only", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver,
+			"internal/soak/again.go": "package soak\n\nimport _ \"example.test/m/internal/soak\"\n"}, 1},
+		{"nested package counted on its own", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": driver, "cmd/tool/main.go": user,
+			"internal/soak/harness/harness.go": "package harness\n"}, 1},
+		{"test files only", map[string]string{
+			"go.mod": gomod, "internal/soak/soak_test.go": driver}, 0},
+		{"outside internal", map[string]string{
+			"go.mod": gomod, "examples/soak/soak.go": driver}, 0},
+		{"not a module root", map[string]string{
+			"internal/soak/soak.go": driver}, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, row.files)
+			for _, arg := range []string{root, root + "/..."} {
+				code, out := runLint(t, arg)
+				if n := strings.Count(out, "no non-test file outside it imports it"); n != row.want {
+					t.Fatalf("%s: want %d orphan findings, got %d:\n%s", arg, row.want, n, out)
+				}
+				if (code == 1) != (row.want > 0) || code > 1 {
+					t.Fatalf("%s: exit = %d with %d findings wanted\n%s", arg, code, row.want, out)
+				}
+			}
+		})
+	}
+}
+
 func TestBadPathExitsTwo(t *testing.T) {
 	if code, _ := runLint(t, filepath.Join(t.TempDir(), "missing")); code != 2 {
 		t.Fatal("unreadable root should exit 2")
