@@ -8,135 +8,103 @@ import (
 // Atomic operations on global and shared memory. Global atomics take a
 // striped lock on the device keyed by the target address so that atomics
 // to distinct words proceed mostly in parallel, as on hardware. Shared
-// atomics lock the block (shared memory is private to a block, and the
-// interpreter issues them rarely enough that one lock suffices).
+// memory is private to a block, whose threads and warps take turns, so
+// shared atomics need no lock.
 
 func (d *Device) atomicLock(p Ptr, idx int) *sync.Mutex {
 	h := (p.alloc*2654435761 + uint64(int64(idx))) % uint64(len(d.atomicLocks))
 	return &d.atomicLocks[h]
 }
 
-// AtomicAddFloat32 atomically adds val to the float32 at element idx of the
-// global allocation behind p and returns the old value (CUDA atomicAdd).
-func (tc *ThreadCtx) AtomicAddFloat32(p Ptr, idx int, val float32) (float32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
+// atomicGlobal replaces the word at element idx of the global allocation
+// behind p with update(old) and returns old.
+func (u *Unit) atomicGlobal(p Ptr, idx int, update func(old uint32) uint32) (uint32, error) {
+	lk := u.dev.atomicLock(p, idx)
 	lk.Lock()
 	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
+	v, err := u.dev.view(p.Offset(idx*4), 4)
 	if err != nil {
 		return 0, err
 	}
-	tc.stats.atomics++
-	old := math.Float32frombits(leU32(v))
-	putLeU32(v, math.Float32bits(old+val))
+	u.stats.atomics++
+	old := leU32(v)
+	putLeU32(v, update(old))
 	return old, nil
+}
+
+// atomicShared is atomicGlobal on element idx of the block's shared memory.
+func (u *Unit) atomicShared(idx int, update func(old uint32) uint32) (uint32, error) {
+	sh := u.block.shared
+	off := idx * 4
+	if off < 0 || off+4 > len(sh) {
+		return 0, ErrIllegalAccess
+	}
+	u.stats.atomics++
+	old := leU32(sh[off:])
+	putLeU32(sh[off:], update(old))
+	return old, nil
+}
+
+func addF32(val float32) func(uint32) uint32 {
+	return func(old uint32) uint32 { return math.Float32bits(math.Float32frombits(old) + val) }
+}
+
+func addI32(val int32) func(uint32) uint32 {
+	return func(old uint32) uint32 { return uint32(int32(old) + val) }
+}
+
+// AtomicAddFloat32 atomically adds val to the float32 at element idx of the
+// global allocation behind p and returns the old value (CUDA atomicAdd).
+func (u *Unit) AtomicAddFloat32(p Ptr, idx int, val float32) (float32, error) {
+	old, err := u.atomicGlobal(p, idx, addF32(val))
+	return math.Float32frombits(old), err
 }
 
 // AtomicAddInt32 atomically adds val to the int32 at element idx.
-func (tc *ThreadCtx) AtomicAddInt32(p Ptr, idx int, val int32) (int32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
-	lk.Lock()
-	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.atomics++
-	old := int32(leU32(v))
-	putLeU32(v, uint32(old+val))
-	return old, nil
+func (u *Unit) AtomicAddInt32(p Ptr, idx int, val int32) (int32, error) {
+	old, err := u.atomicGlobal(p, idx, addI32(val))
+	return int32(old), err
 }
 
 // AtomicMaxInt32 atomically stores max(old, val) and returns old.
-func (tc *ThreadCtx) AtomicMaxInt32(p Ptr, idx int, val int32) (int32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
-	lk.Lock()
-	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.atomics++
-	old := int32(leU32(v))
-	if val > old {
-		putLeU32(v, uint32(val))
-	}
-	return old, nil
+func (u *Unit) AtomicMaxInt32(p Ptr, idx int, val int32) (int32, error) {
+	old, err := u.atomicGlobal(p, idx, func(old uint32) uint32 { return uint32(max(int32(old), val)) })
+	return int32(old), err
 }
 
 // AtomicMinInt32 atomically stores min(old, val) and returns old.
-func (tc *ThreadCtx) AtomicMinInt32(p Ptr, idx int, val int32) (int32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
-	lk.Lock()
-	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.atomics++
-	old := int32(leU32(v))
-	if val < old {
-		putLeU32(v, uint32(val))
-	}
-	return old, nil
+func (u *Unit) AtomicMinInt32(p Ptr, idx int, val int32) (int32, error) {
+	old, err := u.atomicGlobal(p, idx, func(old uint32) uint32 { return uint32(min(int32(old), val)) })
+	return int32(old), err
 }
 
 // AtomicCASInt32 performs compare-and-swap and returns the old value.
-func (tc *ThreadCtx) AtomicCASInt32(p Ptr, idx int, compare, val int32) (int32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
-	lk.Lock()
-	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.atomics++
-	old := int32(leU32(v))
-	if old == compare {
-		putLeU32(v, uint32(val))
-	}
-	return old, nil
+func (u *Unit) AtomicCASInt32(p Ptr, idx int, compare, val int32) (int32, error) {
+	old, err := u.atomicGlobal(p, idx, func(old uint32) uint32 {
+		if int32(old) == compare {
+			return uint32(val)
+		}
+		return old
+	})
+	return int32(old), err
 }
 
 // AtomicExchInt32 atomically swaps in val and returns the old value.
-func (tc *ThreadCtx) AtomicExchInt32(p Ptr, idx int, val int32) (int32, error) {
-	lk := tc.Dev.atomicLock(p, idx)
-	lk.Lock()
-	defer lk.Unlock()
-	v, err := tc.Dev.view(p.Offset(idx*4), 4)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.atomics++
-	old := int32(leU32(v))
-	putLeU32(v, uint32(val))
-	return old, nil
+func (u *Unit) AtomicExchInt32(p Ptr, idx int, val int32) (int32, error) {
+	old, err := u.atomicGlobal(p, idx, func(uint32) uint32 { return uint32(val) })
+	return int32(old), err
 }
 
 // SharedAtomicAddInt32 atomically adds val to the int32 at element idx of
 // the block's shared memory and returns the old value.
-func (tc *ThreadCtx) SharedAtomicAddInt32(idx int, val int32) (int32, error) {
-	bc := tc.block
-	off := idx * 4
-	if off < 0 || off+4 > len(bc.shared) {
-		return 0, ErrIllegalAccess
-	}
-	tc.stats.atomics++
-	old := int32(leU32(bc.shared[off:]))
-	putLeU32(bc.shared[off:], uint32(old+val))
-	return old, nil
+func (u *Unit) SharedAtomicAddInt32(idx int, val int32) (int32, error) {
+	old, err := u.atomicShared(idx, addI32(val))
+	return int32(old), err
 }
 
 // SharedAtomicAddFloat32 atomically adds val to the float32 at element idx
 // of the block's shared memory and returns the old value.
-func (tc *ThreadCtx) SharedAtomicAddFloat32(idx int, val float32) (float32, error) {
-	bc := tc.block
-	off := idx * 4
-	if off < 0 || off+4 > len(bc.shared) {
-		return 0, ErrIllegalAccess
-	}
-	tc.stats.atomics++
-	old := math.Float32frombits(leU32(bc.shared[off:]))
-	putLeU32(bc.shared[off:], math.Float32bits(old+val))
-	return old, nil
+func (u *Unit) SharedAtomicAddFloat32(idx int, val float32) (float32, error) {
+	old, err := u.atomicShared(idx, addF32(val))
+	return math.Float32frombits(old), err
 }

@@ -1,5 +1,11 @@
 package gpusim
 
+import (
+	"cmp"
+	"slices"
+	"time"
+)
+
 // Cost-model constants, in device cycles. The absolute values are loosely
 // based on Kepler-class latencies; what matters for the course labs is the
 // ratio between coalesced/uncoalesced global traffic and shared-memory
@@ -16,6 +22,10 @@ const (
 	segmentBytes         = 128 // coalescing segment
 	numBanks             = 32  // shared-memory banks
 	bankWidthBytes       = 4
+
+	// copyBytesPerSecond is the host↔device bandwidth a cudaMemcpy is
+	// priced at: a PCIe 3.0 x16 link's effective rate.
+	copyBytesPerSecond = 6 << 30
 )
 
 // CostModel exposes the simulator's cost-model constants to tooling that
@@ -43,21 +53,33 @@ func CostParams() CostModel {
 	}
 }
 
-// Memory-access events are recorded lock-free into per-thread logs and
-// aggregated once per block under the warp-synchronous approximation: the
-// k-th global (resp. shared) access of each thread in a warp is treated
-// as issuing together, so the block's transaction count is the number of
-// distinct 128-byte segments (resp. the per-bank conflict degree) among
-// each warp's k-th accesses.
+// CopyTime is the simulated time of a host↔device copy of n bytes: a
+// function of the bytes moved, as a kernel's SimTime is of its counters.
+func CopyTime(n int) time.Duration {
+	return time.Duration(int64(n) * int64(time.Second) / copyBytesPerSecond)
+}
+
+// Memory is priced per warp-wide issue of one memory instruction, as the
+// hardware does: a global instruction costs one transaction per distinct
+// (allocation, 128-byte segment) pair its lanes touch, a shared one the
+// largest number of distinct words its lanes address in any one bank (a
+// broadcast of one word costs 1). LaunchWarp charges at the instruction,
+// from the lane addresses it is handed (warp.go). Launch runs threads one
+// at a time, so each thread logs its accesses and aggregateCost regroups a
+// warp's logs at block end: accesses that carry the same key (ThreadCtx.SetSite)
+// are one instruction. A kernel that sets no key is keyed by ordinal, its
+// k-th access issuing with its warp siblings' k-th.
 
 // gEvent is one global-memory access by one thread.
 type gEvent struct {
+	key          uint64
 	alloc        uint64
 	segLo, segHi int32
 }
 
 // sEvent is one shared-memory access by one thread.
 type sEvent struct {
+	key  uint64
 	word int32
 }
 
@@ -66,100 +88,106 @@ type gSeg struct {
 	seg   int32
 }
 
-// aggregateCost merges the per-thread event logs of one block into
-// transaction counts. The tuple spaces are partitioned by (warp, seq), so
-// distinct counts are accumulated warp by warp, access slot by access
-// slot, with small reused slices instead of maps: a warp holds at most 32
-// threads, so linear-scan dedup beats hashing and allocates nothing.
-func aggregateCost(ctxs []*ThreadCtx, warpSize int) (globalTx, sharedTx int64) {
-	// ctxs is ordered by flattened thread index and thread t is in warp
-	// t/warpSize, so each warp is a contiguous run of ctxs — slice it
-	// directly instead of regrouping into per-warp slices.
+// addSegs adds the segments of the access [off, off+size) of alloc to the
+// set segs.
+func addSegs(segs []gSeg, alloc uint64, off, size int) []gSeg {
+	for s := off / segmentBytes; s <= (off+size-1)/segmentBytes; s++ {
+		segs = addSeg(segs, gSeg{alloc: alloc, seg: int32(s)})
+	}
+	return segs
+}
 
-	// Global: count distinct (warp, seq, alloc, segment) tuples — i.e. for
-	// each warp's k-th access slot, the distinct (alloc, segment) pairs.
-	var segBuf [64]gSeg
-	segs := segBuf[:0]
-	// Shared: for each (warp, seq), the max number of distinct words mapped
-	// to the same bank (the conflict degree; a broadcast of one word costs 1).
-	var wordBuf [numBanks]int32
-	words := wordBuf[:0]
+// addSeg adds k to the set segs. Lanes of one instruction mostly share
+// their neighbour's segment, so the scan runs newest first.
+func addSeg(segs []gSeg, k gSeg) []gSeg {
+	for i := len(segs) - 1; i >= 0; i-- {
+		if segs[i] == k {
+			return segs
+		}
+	}
+	return append(segs, k)
+}
 
+// bankDegree is the SharedTx of one instruction whose lanes address the
+// given words: the largest number of distinct words in one bank, 0 for no
+// lanes. Most instructions are conflict-free — every bank holds one word,
+// however many lanes read it — and cost 1.
+func bankDegree(words []int) int64 {
+	if len(words) == 0 {
+		return 0
+	}
+	var held [numBanks]int32 // 1 + the word a bank holds; 0: none yet
+	for _, w := range words {
+		b := w % numBanks
+		switch held[b] {
+		case 0:
+			held[b] = int32(w) + 1
+		case int32(w) + 1:
+		default:
+			return bankConflicts(words)
+		}
+	}
+	return 1
+}
+
+// bankConflicts is bankDegree for an instruction with a conflict. Only a
+// word that is not the first its bank saw can be a repeat of another, so
+// only those are compared.
+func bankConflicts(words []int) int64 {
+	var distinct [numBanks]int32
+	var first [numBanks]int
+	var moreBuf [64]int
+	more := moreBuf[:0]
+	degree := int32(1)
+	for _, w := range words {
+		b := w % numBanks
+		switch {
+		case distinct[b] == 0:
+			distinct[b], first[b] = 1, w
+		case first[b] == w || slices.Contains(more, w):
+		default:
+			more = append(more, w)
+			distinct[b]++
+			degree = max(degree, distinct[b])
+		}
+	}
+	return int64(degree)
+}
+
+// aggregateCost charges the accesses one block's threads logged under
+// Launch: per warp, the events that share a key are one instruction.
+func aggregateCost(ctxs []*ThreadCtx, warpSize int, scr *blockScratch) (globalTx, sharedTx int64) {
 	for base := 0; base < len(ctxs); base += warpSize {
-		end := base + warpSize
-		if end > len(ctxs) {
-			end = len(ctxs)
-		}
-		wts := ctxs[base:end]
-		maxG, maxS := 0, 0
+		wts := ctxs[base:min(base+warpSize, len(ctxs))]
+		g := scr.gEvents[:0]
+		s := scr.sEvents[:0]
 		for _, tc := range wts {
-			if len(tc.gEvents) > maxG {
-				maxG = len(tc.gEvents)
-			}
-			if len(tc.sEvents) > maxS {
-				maxS = len(tc.sEvents)
-			}
+			g = append(g, tc.gEvents...)
+			s = append(s, tc.sEvents...)
 		}
-		for seq := 0; seq < maxG; seq++ {
-			segs = segs[:0]
-			for _, tc := range wts {
-				if seq >= len(tc.gEvents) {
-					continue
-				}
-				ev := tc.gEvents[seq]
-				for s := ev.segLo; s <= ev.segHi; s++ {
-					key := gSeg{alloc: ev.alloc, seg: s}
-					seen := false
-					for _, e := range segs {
-						if e == key {
-							seen = true
-							break
-						}
-					}
-					if !seen {
-						segs = append(segs, key)
-					}
+		slices.SortFunc(g, func(a, b gEvent) int { return cmp.Compare(a.key, b.key) })
+		slices.SortFunc(s, func(a, b sEvent) int { return cmp.Compare(a.key, b.key) })
+		for i := 0; i < len(g); {
+			segs := scr.segs[:0]
+			key := g[i].key
+			for ; i < len(g) && g[i].key == key; i++ {
+				for seg := g[i].segLo; seg <= g[i].segHi; seg++ {
+					segs = addSeg(segs, gSeg{alloc: g[i].alloc, seg: seg})
 				}
 			}
 			globalTx += int64(len(segs))
+			scr.segs = segs
 		}
-		for seq := 0; seq < maxS; seq++ {
-			words = words[:0]
-			any := false
-			for _, tc := range wts {
-				if seq >= len(tc.sEvents) {
-					continue
-				}
-				any = true
-				w := tc.sEvents[seq].word
-				seen := false
-				for _, x := range words {
-					if x == w {
-						seen = true
-						break
-					}
-				}
-				if !seen {
-					words = append(words, w)
-				}
+		for i := 0; i < len(s); {
+			words := scr.words[:0]
+			key := s[i].key
+			for ; i < len(s) && s[i].key == key; i++ {
+				words = append(words, int(s[i].word))
 			}
-			if !any {
-				continue
-			}
-			var perBank [numBanks]int
-			degree := 1
-			for _, w := range words {
-				bank := w % numBanks
-				if bank < 0 {
-					bank += numBanks
-				}
-				perBank[bank]++
-				if perBank[bank] > degree {
-					degree = perBank[bank]
-				}
-			}
-			sharedTx += int64(degree)
+			sharedTx += bankDegree(words)
+			scr.words = words
 		}
+		scr.gEvents, scr.sEvents = g, s
 	}
 	return globalTx, sharedTx
 }
@@ -167,7 +195,7 @@ func aggregateCost(ctxs []*ThreadCtx, warpSize int) (globalTx, sharedTx int64) {
 // blockCycles estimates the cycles one block occupies its SM, assuming the
 // SM overlaps compute and memory pipelines (the slower one dominates) and
 // pays barrier and atomic latencies serially.
-func blockCycles(p DeviceProps, r blockResult) int64 {
+func blockCycles(p DeviceProps, r *counters) int64 {
 	cores := int64(p.CoresPerSM)
 	if cores <= 0 {
 		cores = 128

@@ -244,8 +244,7 @@ func (d *Device) view(p Ptr, n int) ([]byte, error) {
 		return nil, err
 	}
 	if p.Off < 0 || n < 0 || p.Off+n > len(a.data) {
-		return nil, fmt.Errorf("%w: offset %d size %d in allocation of %d bytes",
-			ErrIllegalAccess, p.Off, n, len(a.data))
+		return nil, outOfBounds(p, n, len(a.data))
 	}
 	return a.data[p.Off : p.Off+n], nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,16 +116,28 @@ func (o *onceErr) get() error {
 	return o.err
 }
 
-func newBlockCtx(dev *Device, blockIdx Dim3, cfg LaunchConfig, aborted *atomic.Bool, abortErr *onceErr) *blockCtx {
-	return &blockCtx{
+// block makes the scratch's block context the one of the block at
+// blockIdx. The task list and the shared arena keep their capacity from
+// the scratch's previous block; the arena is cleared, as a fresh one is.
+func (scr *blockScratch) block(dev *Device, blockIdx Dim3, cfg LaunchConfig, aborted *atomic.Bool, abortErr *onceErr) *blockCtx {
+	shared := scr.bc.shared
+	if cap(shared) < cfg.SharedMemBytes {
+		shared = make([]byte, cfg.SharedMemBytes)
+	} else {
+		shared = shared[:cfg.SharedMemBytes]
+		clear(shared)
+	}
+	scr.bc = blockCtx{
 		dev:      dev,
 		blockIdx: blockIdx,
 		cfg:      cfg,
-		shared:   make([]byte, cfg.SharedMemBytes),
+		shared:   shared,
+		tasks:    scr.bc.tasks,
 		live:     cfg.Block.Count(),
 		aborted:  aborted,
 		abortErr: abortErr,
 	}
+	return &scr.bc
 }
 
 // The block barrier (__syncthreads) is three operations on the counters
@@ -257,30 +270,138 @@ func (bc *blockCtx) turn(parked bool) int {
 	return -1
 }
 
+// startTasks gives the block n fresh tasks, none of them running.
+func (bc *blockCtx) startTasks(n int) {
+	if cap(bc.tasks) < n {
+		bc.tasks = make([]task, n)
+	} else {
+		bc.tasks = bc.tasks[:n]
+		clear(bc.tasks)
+	}
+	bc.cur, bc.pending = -1, n
+}
+
 // runTasks runs the block's n tasks to completion when a task's turn is a
 // call that returns: step(i) runs task i until it is parked (true) or done.
 func (bc *blockCtx) runTasks(n int, step func(i int) (parked bool)) {
-	bc.tasks, bc.cur, bc.pending = make([]task, n), -1, n
+	bc.startTasks(n)
 	for i := bc.turn(false); i >= 0; i = bc.turn(step(i)) {
 	}
+}
+
+// resolve returns the backing store of the allocation behind p through the
+// block's allocation cache.
+func (bc *blockCtx) resolve(p Ptr) ([]byte, error) {
+	ac := &bc.cache
+	for i, id := range ac.ids {
+		if id == p.alloc && id != 0 {
+			return ac.data[i], nil
+		}
+	}
+	a, err := bc.dev.lookup(p)
+	if err != nil {
+		return nil, err
+	}
+	slot := ac.next
+	ac.ids[slot], ac.data[slot] = p.alloc, a.data
+	ac.next = (slot + 1) % allocCacheSize
+	return a.data, nil
+}
+
+// outOfBounds is the trap of a size-byte access at p outside an
+// allocation of n bytes.
+func outOfBounds(p Ptr, size, n int) error {
+	return fmt.Errorf("%w: offset %d size %d in allocation of %d bytes",
+		ErrIllegalAccess, p.Off, size, n)
+}
+
+// sharedOutOfBounds is the trap of a shared access [off, off+size) outside
+// an arena of n bytes.
+func sharedOutOfBounds(off, size, n int) error {
+	return fmt.Errorf("%w: shared memory access [%d,%d) of %d bytes",
+		ErrIllegalAccess, off, off+size, n)
+}
+
+// Unit is the part of an execution context the cost model charges: one
+// thread under Launch, one whole warp under LaunchWarp. LaunchStats reports
+// block sums only, so a warp charges its lanes' work in bulk. Both contexts
+// embed a Unit, which carries the compute counters, constant loads and
+// atomics they share.
+type Unit struct {
+	dev   *Device
+	block *blockCtx
+	stats counters
+}
+
+// counters is the work one Unit, or one block, performed.
+type counters struct {
+	alu, special, branches, barriers, atomics int64
+	gLoads, gStores, gTx                      int64
+	sAccess, sTx, cLoads                      int64
+}
+
+func (c *counters) add(o *counters) {
+	c.alu += o.alu
+	c.special += o.special
+	c.branches += o.branches
+	c.barriers += o.barriers
+	c.atomics += o.atomics
+	c.gLoads += o.gLoads
+	c.gStores += o.gStores
+	c.gTx += o.gTx
+	c.sAccess += o.sAccess
+	c.sTx += o.sTx
+	c.cLoads += o.cLoads
+}
+
+// CountALU charges n single-cycle arithmetic operations.
+func (u *Unit) CountALU(n int) { u.stats.alu += int64(n) }
+
+// CountSpecial charges n special-function-unit operations (sqrt, exp, ...).
+func (u *Unit) CountSpecial(n int) { u.stats.special += int64(n) }
+
+// CountBranch charges a branch instruction.
+func (u *Unit) CountBranch() { u.stats.branches++ }
+
+// CountBranches charges n branch instructions at once.
+func (u *Unit) CountBranches(n int) { u.stats.branches += int64(n) }
+
+// CountBarriers charges n barrier arrivals at once (a warp's lanes arrive
+// together; a thread's SyncThreads charges its own).
+func (u *Unit) CountBarriers(n int) { u.stats.barriers += int64(n) }
+
+// ConstLoadFloat32 loads a float32 from constant memory at element idx.
+func (u *Unit) ConstLoadFloat32(idx int) (float32, error) {
+	w, err := u.ConstLoadInt32(idx)
+	return math.Float32frombits(uint32(w)), err
+}
+
+// ConstLoadInt32 loads an int32 from constant memory at element idx.
+func (u *Unit) ConstLoadInt32(idx int) (int32, error) {
+	w, err := u.dev.constLoad(idx)
+	if err != nil {
+		return 0, err
+	}
+	u.stats.cLoads++
+	return int32(w), nil
 }
 
 // ThreadCtx is the execution context of a single simulated GPU thread. It
 // carries the CUDA builtin indices and provides the memory, barrier, and
 // atomic operations a kernel may perform.
 type ThreadCtx struct {
-	Dev       *Device
+	Unit
 	ThreadIdx Dim3
 	BlockIdx  Dim3
 	BlockDim  Dim3
 	GridDim   Dim3
 
-	block   *blockCtx
-	stats   threadStats
-	gEvents []gEvent // per-thread global-access log, indexed by access ordinal
-	sEvents []sEvent // per-thread shared-access log
+	gEvents []gEvent // global-access log, aggregated at block end
+	sEvents []sEvent // shared-access log
+	site    uint64   // the key of the accesses logged next, once keyed is set
+	keyed   bool
 
-	resume chan struct{} // wakes the thread's coroutine; nil when called inline or as a warp lane
+	resume chan struct{} // wakes the thread's coroutine; nil when called inline
 }
 
 // allocCacheSize is the number of allocations an access cache holds; course
@@ -298,29 +419,49 @@ type allocCache struct {
 	next int
 }
 
-// blockScratch holds the working arrays of one block run, recycled across
-// blocks and launches through scratchPool: the ThreadCtx backing array and
-// the per-thread event logs dominate a launch's allocation volume, and
-// blocks are short-lived, so reuse keeps the GC off the hot path. runBlock
-// resets every slot before use and keeps only the capacity of its logs.
+// blockScratch is what one SM worker of a launch runs its blocks on,
+// recycled across blocks and launches through scratchPool so that a block
+// allocates nothing: the block context with its task list and shared
+// arena, the warp contexts (LaunchWarp), and the thread contexts with their
+// access logs plus the working sets that aggregate them (Launch). Every
+// slot is reset before use and keeps only its capacity.
 type blockScratch struct {
+	bc    blockCtx
+	warps []WarpCtx
+
 	ctxs    []*ThreadCtx
 	backing []ThreadCtx
+	gEvents []gEvent
+	sEvents []sEvent
+	segs    []gSeg
+	words   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-// threadStats counts the work performed by one thread.
-type threadStats struct {
-	alu      int64
-	special  int64
-	branches int64
-	barriers int64
-	atomics  int64
-	gLoads   int64
-	gStores  int64
-	sAccess  int64
-	cLoads   int64
+// threads lays out the thread contexts of block bc in flat order.
+func (scr *blockScratch) threads(bc *blockCtx) []*ThreadCtx {
+	cfg := bc.cfg
+	n := cfg.Block.Count()
+	if cap(scr.backing) < n {
+		scr.ctxs = make([]*ThreadCtx, n)
+		scr.backing = make([]ThreadCtx, n)
+	}
+	ctxs := scr.ctxs[:n]
+	for t := range ctxs {
+		tc := &scr.backing[t]
+		*tc = ThreadCtx{
+			Unit:      Unit{dev: bc.dev, block: bc},
+			ThreadIdx: unflatten(t, cfg.Block),
+			BlockIdx:  bc.blockIdx,
+			BlockDim:  cfg.Block,
+			GridDim:   cfg.Grid,
+			gEvents:   tc.gEvents[:0],
+			sEvents:   tc.sEvents[:0],
+		}
+		ctxs[t] = tc
+	}
+	return ctxs
 }
 
 // FlatThreadIdx returns the linear index of the thread within its block.
@@ -363,49 +504,28 @@ func (tc *ThreadCtx) SyncThreads() error {
 // Shared returns the block's shared-memory arena (static + dynamic).
 func (tc *ThreadCtx) Shared() []byte { return tc.block.shared }
 
-// CountALU charges n single-cycle arithmetic operations to the thread.
-func (tc *ThreadCtx) CountALU(n int) { tc.stats.alu += int64(n) }
+// SetSite keys the thread's memory accesses from here on: the cost model
+// prices the accesses of one warp's threads that carry the same key as one
+// instruction (cost.go). A kernel that never calls it is keyed by ordinal.
+func (tc *ThreadCtx) SetSite(key uint64) { tc.site, tc.keyed = key, true }
 
-// CountSpecial charges n special-function-unit operations (sqrt, exp, ...).
-func (tc *ThreadCtx) CountSpecial(n int) { tc.stats.special += int64(n) }
-
-// CountBranch charges a branch instruction.
-func (tc *ThreadCtx) CountBranch() { tc.stats.branches++ }
-
-// CountBranches charges n branch instructions at once; a warp-level
-// executor batches the per-lane branch charges of a whole launch into one
-// call (only the block-level sum is observable).
-func (tc *ThreadCtx) CountBranches(n int) { tc.stats.branches += int64(n) }
-
-// CountBarriers charges n barrier arrivals at once (the warp executor's
-// batched equivalent of the SyncThreads-internal charge).
-func (tc *ThreadCtx) CountBarriers(n int) { tc.stats.barriers += int64(n) }
+// key is the key of the thread's access with the given ordinal.
+func (tc *ThreadCtx) key(ordinal int) uint64 {
+	if tc.keyed {
+		return tc.site
+	}
+	return uint64(ordinal)
+}
 
 // --- Global memory access ------------------------------------------------
 
 func (tc *ThreadCtx) globalAccess(p Ptr, size int, store bool) ([]byte, error) {
-	var data []byte
-	ac := &tc.block.cache
-	for i, id := range ac.ids {
-		if id == p.alloc {
-			data = ac.data[i]
-			break
-		}
-	}
-	if data == nil {
-		a, err := tc.Dev.lookup(p)
-		if err != nil {
-			return nil, err
-		}
-		data = a.data
-		slot := ac.next
-		ac.ids[slot] = p.alloc
-		ac.data[slot] = data
-		ac.next = (slot + 1) % allocCacheSize
+	data, err := tc.block.resolve(p)
+	if err != nil {
+		return nil, err
 	}
 	if p.Off < 0 || size < 0 || p.Off+size > len(data) {
-		return nil, fmt.Errorf("%w: offset %d size %d in allocation of %d bytes",
-			ErrIllegalAccess, p.Off, size, len(data))
+		return nil, outOfBounds(p, size, len(data))
 	}
 	v := data[p.Off : p.Off+size]
 	if store {
@@ -413,10 +533,8 @@ func (tc *ThreadCtx) globalAccess(p Ptr, size int, store bool) ([]byte, error) {
 	} else {
 		tc.stats.gLoads++
 	}
-	// Warp-synchronous coalescing model: the k-th global access of every
-	// thread in a warp is assumed to issue together; the per-thread log is
-	// aggregated at block end into distinct 128-byte segments.
 	tc.gEvents = append(tc.gEvents, gEvent{
+		key:   tc.key(len(tc.gEvents)),
 		alloc: p.alloc,
 		segLo: int32(p.Off / segmentBytes),
 		segHi: int32((p.Off + size - 1) / segmentBytes),
@@ -485,11 +603,10 @@ func (tc *ThreadCtx) StoreByte(p Ptr, idx int, val byte) error {
 
 func (tc *ThreadCtx) sharedCheck(off, size int) error {
 	if off < 0 || off+size > len(tc.block.shared) {
-		return fmt.Errorf("%w: shared memory access [%d,%d) of %d bytes",
-			ErrIllegalAccess, off, off+size, len(tc.block.shared))
+		return sharedOutOfBounds(off, size, len(tc.block.shared))
 	}
 	tc.stats.sAccess++
-	tc.sEvents = append(tc.sEvents, sEvent{word: int32(off / bankWidthBytes)})
+	tc.sEvents = append(tc.sEvents, sEvent{key: tc.key(len(tc.sEvents)), word: int32(off / bankWidthBytes)})
 	return nil
 }
 
@@ -527,28 +644,6 @@ func (tc *ThreadCtx) SharedStoreInt32(idx int, val int32) error {
 	return nil
 }
 
-// --- Constant memory access ----------------------------------------------
-
-// ConstLoadFloat32 loads a float32 from constant memory at element idx.
-func (tc *ThreadCtx) ConstLoadFloat32(idx int) (float32, error) {
-	w, err := tc.Dev.constLoad(idx)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.cLoads++
-	return math.Float32frombits(w), nil
-}
-
-// ConstLoadInt32 loads an int32 from constant memory at element idx.
-func (tc *ThreadCtx) ConstLoadInt32(idx int) (int32, error) {
-	w, err := tc.Dev.constLoad(idx)
-	if err != nil {
-		return 0, err
-	}
-	tc.stats.cLoads++
-	return int32(w), nil
-}
-
 // --- Launch engine ---------------------------------------------------------
 
 // LaunchStats reports what a kernel launch did and the simulated time it
@@ -582,7 +677,9 @@ type LaunchStats struct {
 // a block the threads run one at a time, in ascending order, each until it
 // finishes or parks at SyncThreads.
 func (d *Device) Launch(name string, cfg LaunchConfig, k KernelFunc) (*LaunchStats, error) {
-	return d.launchRun(name, cfg, func(bc *blockCtx, ctxs []*ThreadCtx) {
+	warpSize := d.warpSize()
+	return d.launchRun(name, cfg, func(bc *blockCtx, scr *blockScratch) counters {
+		ctxs := scr.threads(bc)
 		runThread := func(tc *ThreadCtx) {
 			defer bc.retire(1)
 			defer bc.recoverTrap()
@@ -602,44 +699,50 @@ func (d *Device) Launch(name string, cfg LaunchConfig, k KernelFunc) (*LaunchSta
 				runThread(ctxs[i])
 				return false
 			})
-			return
-		}
-		// A thread that may park needs a stack of its own, so each runs as a
-		// coroutine, started on its first turn. Exactly one holds the baton
-		// and runs at any time; it passes the baton straight to the next
-		// thread when it parks or finishes, and the last one out hands it
-		// back to this goroutine.
-		done := make(chan struct{})
-		bc.tasks, bc.cur, bc.pending = make([]task, len(ctxs)), -1, len(ctxs)
-		bc.pass = func(parked bool) {
-			i := bc.turn(parked)
-			if i < 0 {
-				close(done)
-				return
+		} else {
+			// A thread that may park needs a stack of its own, so each runs
+			// as a coroutine, started on its first turn. Exactly one holds the
+			// baton and runs at any time; it passes the baton straight to the
+			// next thread when it parks or finishes, and the last one out
+			// hands it back to this goroutine.
+			done := make(chan struct{})
+			bc.startTasks(len(ctxs))
+			bc.pass = func(parked bool) {
+				i := bc.turn(parked)
+				if i < 0 {
+					close(done)
+					return
+				}
+				tc := ctxs[i]
+				if tc.resume != nil {
+					tc.resume <- struct{}{}
+					return
+				}
+				// Buffered, so that a thread the abort leaves as the only one
+				// pending can pass the baton to itself.
+				tc.resume = make(chan struct{}, 1)
+				go func() {
+					runThread(tc)
+					bc.pass(false)
+				}()
 			}
-			tc := ctxs[i]
-			if tc.resume != nil {
-				tc.resume <- struct{}{}
-				return
-			}
-			// Buffered, so that a thread the abort leaves as the only one
-			// pending can pass the baton to itself.
-			tc.resume = make(chan struct{}, 1)
-			go func() {
-				runThread(tc)
-				bc.pass(false)
-			}()
+			bc.pass(false)
+			<-done
 		}
-		bc.pass(false)
-		<-done
+		var c counters
+		for _, tc := range ctxs {
+			c.add(&tc.stats)
+		}
+		c.gTx, c.sTx = aggregateCost(ctxs, warpSize, scr)
+		return c
 	})
 }
 
 // launchRun is the launch scheduler shared by the per-thread and per-warp
 // entry points: it validates the configuration, drains the grid's blocks
 // over the simulated SMs, and folds block results into launch statistics.
-// run executes one block's threads, given their contexts in flat order.
-func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx, ctxs []*ThreadCtx)) (*LaunchStats, error) {
+// run executes one block and returns the work its units counted.
+func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx, scr *blockScratch) counters) (*LaunchStats, error) {
 	if err := d.validateLaunch(cfg); err != nil {
 		return nil, err
 	}
@@ -668,62 +771,57 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx,
 	if sms <= 0 {
 		sms = 1
 	}
-	// Don't oversubscribe the host: the simulated-time accounting is
-	// independent of how many blocks run concurrently on the host.
-	hostPar := sms
-	if n := runtime.GOMAXPROCS(0); hostPar > 2*n {
-		hostPar = 2 * n
-	}
+	// Don't oversubscribe the host, and start no worker that would find
+	// the grid already drained: the simulated-time accounting is independent
+	// of how many blocks run concurrently on the host.
+	workers := min(sms, 2*runtime.GOMAXPROCS(0), numBlocks)
 
 	var aborted atomic.Bool
 	abortErr := &onceErr{}
 	var nextBlock atomic.Int64
 	smCycles := make([]int64, sms)
+	var total counters
 	var statsMu sync.Mutex
 	var wg sync.WaitGroup
-
-	for sm := 0; sm < hostPar; sm++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !aborted.Load() {
-				flat := int(nextBlock.Add(1)) - 1
-				if flat >= numBlocks {
-					return
-				}
-				bc := newBlockCtx(d, unflatten(flat, cfg.Grid), cfg, &aborted, abortErr)
-				bs := d.runBlock(bc, run)
-				statsMu.Lock()
-				// Round-robin blocks over the *simulated* SM count so the
-				// simulated time reflects the device, not the host.
-				smCycles[flat%sms] += bs.cycles
-				stats.ALUOps += bs.alu
-				stats.SpecialOps += bs.special
-				stats.Branches += bs.branches
-				stats.Barriers += bs.barriers
-				stats.Atomics += bs.atomics
-				stats.GlobalLoads += bs.gLoads
-				stats.GlobalStores += bs.gStores
-				stats.GlobalTx += bs.gTx
-				stats.SharedOps += bs.sAccess
-				stats.SharedTx += bs.sTx
-				stats.ConstLoads += bs.cLoads
-				if bs.divergence {
-					stats.Divergence = true
-				}
-				statsMu.Unlock()
+	work := func() {
+		defer wg.Done()
+		scr := scratchPool.Get().(*blockScratch)
+		defer scratchPool.Put(scr)
+		for !aborted.Load() {
+			flat := int(nextBlock.Add(1)) - 1
+			if flat >= numBlocks {
+				return
 			}
-		}()
+			bc := scr.block(d, unflatten(flat, cfg.Grid), cfg, &aborted, abortErr)
+			c := run(bc, scr)
+			cycles := blockCycles(d.props, &c)
+			statsMu.Lock()
+			// Round-robin blocks over the *simulated* SM count so the
+			// simulated time reflects the device, not the host.
+			smCycles[flat%sms] += cycles
+			total.add(&c)
+			stats.Divergence = stats.Divergence || bc.divergence
+			statsMu.Unlock()
+		}
+	}
+	wg.Add(workers)
+	for range workers {
+		go work()
 	}
 	wg.Wait()
 
-	var maxSM int64
-	for _, c := range smCycles {
-		if c > maxSM {
-			maxSM = c
-		}
-	}
-	stats.SimCycles = maxSM + launchOverheadCycles
+	stats.ALUOps = total.alu
+	stats.SpecialOps = total.special
+	stats.Branches = total.branches
+	stats.Barriers = total.barriers
+	stats.Atomics = total.atomics
+	stats.GlobalLoads = total.gLoads
+	stats.GlobalStores = total.gStores
+	stats.GlobalTx = total.gTx
+	stats.SharedOps = total.sAccess
+	stats.SharedTx = total.sTx
+	stats.ConstLoads = total.cLoads
+	stats.SimCycles = slices.Max(smCycles) + launchOverheadCycles
 	khz := d.props.ClockRateKHz
 	if khz <= 0 {
 		khz = 1000000
@@ -741,79 +839,11 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx,
 	return stats, nil
 }
 
-// blockResult aggregates the work of one block.
-type blockResult struct {
-	alu, special, branches, barriers, atomics int64
-	gLoads, gStores, gTx                      int64
-	sAccess, sTx, cLoads                      int64
-	cycles                                    int64
-	divergence                                bool
-}
-
-// runBlock executes one block on the calling goroutine: it lays out the
-// block's thread contexts on pooled scratch, lets run drive them, and
-// aggregates what they did.
-func (d *Device) runBlock(bc *blockCtx, run func(bc *blockCtx, ctxs []*ThreadCtx)) blockResult {
-	cfg := bc.cfg
-	threads := cfg.Block.Count()
-	warpSize := d.warpSize()
-
-	scr := scratchPool.Get().(*blockScratch)
-	if cap(scr.backing) < threads {
-		scr.ctxs = make([]*ThreadCtx, threads)
-		scr.backing = make([]ThreadCtx, threads)
-	}
-	ctxs := scr.ctxs[:threads]
-	for t := range ctxs {
-		tc := &scr.backing[t]
-		// A slot keeps the capacity of its event logs from one block to the
-		// next (threads of a kernel log about as much as each other), which
-		// is what makes the steady-state launch allocation-free; everything
-		// else is reset.
-		*tc = ThreadCtx{
-			Dev:       d,
-			ThreadIdx: unflatten(t, cfg.Block),
-			BlockIdx:  bc.blockIdx,
-			BlockDim:  cfg.Block,
-			GridDim:   cfg.Grid,
-			block:     bc,
-			gEvents:   tc.gEvents[:0],
-			sEvents:   tc.sEvents[:0],
-		}
-		ctxs[t] = tc
-	}
-	run(bc, ctxs)
-	res := d.collectBlock(bc, ctxs, warpSize)
-	scratchPool.Put(scr)
-	return res
-}
-
 func (d *Device) warpSize() int {
 	if w := d.props.WarpSize; w > 0 {
 		return w
 	}
 	return 32
-}
-
-// collectBlock aggregates per-thread statistics into the block result.
-func (d *Device) collectBlock(bc *blockCtx, ctxs []*ThreadCtx, warpSize int) blockResult {
-
-	var res blockResult
-	for _, tc := range ctxs {
-		res.alu += tc.stats.alu
-		res.special += tc.stats.special
-		res.branches += tc.stats.branches
-		res.barriers += tc.stats.barriers
-		res.atomics += tc.stats.atomics
-		res.gLoads += tc.stats.gLoads
-		res.gStores += tc.stats.gStores
-		res.sAccess += tc.stats.sAccess
-		res.cLoads += tc.stats.cLoads
-	}
-	res.gTx, res.sTx = aggregateCost(ctxs, warpSize)
-	res.divergence = bc.divergence
-	res.cycles = blockCycles(d.props, res)
-	return res
 }
 
 // schedOrder derives a deterministic permutation of [0,n) from the launch

@@ -224,7 +224,7 @@ func TestBarrierStallAborts(t *testing.T) {
 	honest := func(wc *WarpCtx) (bool, error) {
 		gen, arrived := wc.State.(int)
 		if !arrived {
-			g, released, err := wc.SyncArrive(len(wc.Lanes))
+			g, released, err := wc.SyncArrive(wc.Lanes())
 			if released || err != nil {
 				return false, err
 			}
@@ -243,14 +243,14 @@ func TestBarrierStallAborts(t *testing.T) {
 		{"never arrives, ignores the abort", 32, func(wc *WarpCtx) (bool, error) { return true, nil }, ErrBarrierStall},
 		{"arrives all lanes but one", 32, func(wc *WarpCtx) (bool, error) {
 			if wc.State == nil {
-				wc.State, _, _ = wc.SyncArrive(len(wc.Lanes) - 1)
+				wc.State, _, _ = wc.SyncArrive(wc.Lanes() - 1)
 				return true, nil
 			}
 			released, err := wc.SyncPoll(wc.State.(int))
 			return !released, err
 		}, ErrBarrierStall},
 		{"one warp of two never arrives", 64, func(wc *WarpCtx) (bool, error) {
-			if wc.Lanes[0].ThreadIdx.X == 0 {
+			if wc.ThreadIdx(0).X == 0 {
 				return honest(wc)
 			}
 			return true, nil

@@ -114,10 +114,10 @@ func expectedVector(rc *RunContext) ([]float32, error) {
 }
 
 // toDevice allocates and fills a float buffer on the primary GPU, timing
-// the copy as the labs' wbTime(Copy) does.
+// the copy as the labs' wbTime(Copy) does — at its simulated duration, so
+// the run log is a function of the run, as the compute spans are.
 func toDevice(rc *RunContext, xs []float32) (gpusim.Ptr, error) {
-	rc.Trace.Start(wb.TimeCopy, "Copying input memory to the GPU")
-	defer rc.Trace.Stop(wb.TimeCopy, "Copying input memory to the GPU")
+	rc.Trace.RecordSpan(wb.TimeCopy, "Copying input memory to the GPU", gpusim.CopyTime(4*len(xs)))
 	return rc.Dev().MallocFloat32(len(xs), xs)
 }
 
@@ -134,11 +134,12 @@ func launch(rc *RunContext, kernel string, grid, block gpusim.Dim3, args ...mini
 	return nil
 }
 
-// readBack copies a float result off the device under the Copy timer.
+// readBack copies a float result off the device under the Copy timer,
+// priced as toDevice's copy is.
 func readBack(rc *RunContext, p gpusim.Ptr, n int) ([]float32, error) {
-	rc.Trace.Start(wb.TimeCopy, "Copying output memory to the CPU")
-	defer rc.Trace.Stop(wb.TimeCopy, "Copying output memory to the CPU")
-	return rc.Dev().ReadFloat32(p, n)
+	got, err := rc.Dev().ReadFloat32(p, n)
+	rc.Trace.RecordSpan(wb.TimeCopy, "Copying output memory to the CPU", gpusim.CopyTime(4*n))
+	return got, err
 }
 
 // requireKernel verifies the student's program defines the kernel the

@@ -2,6 +2,7 @@ package labs
 
 import (
 	"fmt"
+	"time"
 
 	"webgpu/internal/gpusim"
 	"webgpu/internal/minicuda"
@@ -123,6 +124,10 @@ sends and receives is the point of this lab.
 			return wb.CheckResult{}, err
 		}
 		results := make([][]float32, mpiStencilRanks)
+		// Each rank keeps its own launch times; they join the run log in
+		// rank order after the world finishes, so the log does not depend
+		// on how the ranks interleaved.
+		spans := make([][]time.Duration, mpiStencilRanks)
 		err = world.Run(func(c *mpi.Comm) error {
 			rank := c.Rank()
 			dev := rc.Devices[rank]
@@ -205,8 +210,7 @@ sends and receives is the point of this lab.
 						Block: gpusim.D1(64), MaxSteps: rc.MaxSteps},
 					minicuda.FloatPtr(inP), minicuda.FloatPtr(outP), minicuda.Int(local))
 				if stats != nil {
-					rc.Trace.RecordSpan(wb.TimeCompute,
-						fmt.Sprintf("rank %d iteration %d", rank, it), stats.SimTime)
+					spans[rank] = append(spans[rank], stats.SimTime)
 				}
 				if err != nil {
 					return err
@@ -220,6 +224,11 @@ sends and receives is the point of this lab.
 			results[rank] = final[1 : local+1]
 			return nil
 		})
+		for rank, times := range spans {
+			for it, d := range times {
+				rc.Trace.RecordSpan(wb.TimeCompute, fmt.Sprintf("rank %d iteration %d", rank, it), d)
+			}
+		}
 		if err != nil {
 			return wb.CheckResult{}, err
 		}

@@ -516,6 +516,35 @@ func TestKernelStatsRepeatable(t *testing.T) {
 	}
 }
 
+// TestTraceRepeatable: the run log an outcome stores is a function of the
+// run — its copy and compute spans are priced by the cost model, not timed
+// — so two replays of a reference store the same text. input-binning is
+// exempt for TestKernelStatsRepeatable's reason: scatterBin's cycles, and
+// so its compute span, depend on how its blocks interleave.
+func TestTraceRepeatable(t *testing.T) {
+	for _, l := range All() {
+		if l.ID == "input-binning" {
+			continue
+		}
+		prog, err := minicuda.Compile(l.Reference, l.Dialect)
+		if err != nil {
+			t.Fatalf("%s: %v", l.ID, err)
+		}
+		for ds := 0; ds < l.NumDatasets; ds++ {
+			run := func() string {
+				o := RunCompiled(context.Background(), l, prog, ds, NewDeviceSet(maxI(l.NumGPUs, 1)), 0)
+				if !o.Correct {
+					t.Fatalf("%s dataset %d: %s %s", l.ID, ds, o.RuntimeError, o.CheckMessage)
+				}
+				return o.Trace
+			}
+			if a, b := run(), run(); a != b {
+				t.Errorf("%s dataset %d: replay's trace differs:\n%s\nvs\n%s", l.ID, ds, a, b)
+			}
+		}
+	}
+}
+
 // TestOutcomeJSONRoundTrip: the fields an outcome leaves out of its JSON
 // when they are zero come back as zero, so what the broker carries and the
 // database stores decodes to what the worker produced — for a passing run

@@ -572,6 +572,42 @@ __global__ void k(int *iout, float *fout) {
   if (t & 1) { atomicAdd(&iout[0], t); } else { atomicAdd(&iout[1], 1); }
   atomicMax(&iout[2], (t * 7) % 31);
 }`}},
+		// Lanes that return from the callee early must not issue the
+		// caller's next access before the lanes still inside it return.
+		{"early-return-from-callee", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 32, nFloat: 64,
+			src: `__device__ float f(float *a, int t) {
+  if (t < 10) { return 1.0f; }
+  float s = 0.0f;
+  for (int i = 0; i < t % 4 + 1; i++) { s += a[t + i]; }
+  return s;
+}
+__global__ void k(int *iout, float *fout) {
+  int t = threadIdx.x;
+  float v = f(fout, t);
+  iout[t] = (int)v + t;
+  fout[t] = v;
+}`}},
+		// Lanes at different recursion depths: each level's store issues
+		// for the lanes that reach it along the same call path, together.
+		{"divergent-recursion", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 128,
+			src: `__device__ int g(int *a, int t, int n) {
+  if (n <= 0) { return 0; }
+  int r = g(a, t, n - 1);
+  a[t * 4 + n] = r + n;
+  return r + 1;
+}
+__global__ void k(int *iout, float *fout) {
+  int t = threadIdx.x;
+  g(iout, t, t % 3 + (t < 16 ? 0 : 1));
+}`}},
+		// Two halves of a warp released by one barrier through two
+		// __syncthreads sites issue what follows together.
+		{"halves-released-by-one-barrier", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 32,
+			src: `__global__ void k(int *iout, float *fout) {
+  int t = threadIdx.x;
+  if (t < 16) { __syncthreads(); } else { __syncthreads(); }
+  iout[t] = t * 2;
+}`}},
 	}
 	for _, v := range barrierVerdictCases {
 		cases = append(cases, v.namedDiffCase)

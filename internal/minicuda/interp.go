@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"webgpu/internal/gpusim"
 )
@@ -141,6 +142,49 @@ type thread struct {
 	maxSteps int64
 	depth    int
 	dyn      int // dynamic shared bytes offset (static shared comes first)
+
+	insts *instances
+	path  uint32 // the dynamic instance of the running frame and loop iteration
+}
+
+// instances numbers the dynamic instances of one tree-walked launch. A
+// memory access's instance is its site plus, for every frame, the call
+// site and the trip counts of the loops around it: the unit a structured
+// SIMT warp issues together, and so the key the cost model prices the
+// access under (gpusim.ThreadCtx.SetSite). Instances form a tree, each
+// numbered the first time any thread of the launch reaches it.
+type instances struct {
+	mu  sync.Mutex
+	ids map[instance]uint32
+}
+
+// instance is a child of parent: call site at, loop at's n-th iteration,
+// or access site at (n: 0 load, 1 store).
+type instance struct {
+	parent uint32
+	at     Node
+	n      int32
+}
+
+func (in *instances) child(parent uint32, at Node, n int32) uint32 {
+	k := instance{parent: parent, at: at, n: n}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	id, ok := in.ids[k]
+	if !ok {
+		id = uint32(len(in.ids)) + 1
+		in.ids[k] = id
+	}
+	return id
+}
+
+// site keys the thread's next access to p, made by the expression at (n:
+// 0 load, 1 store), by its dynamic instance. Only global and shared
+// accesses are priced per instruction.
+func (th *thread) site(at Node, n int32, p Pointer) {
+	if p.Space == SpaceGlobal || p.Space == SpaceShared {
+		th.tc.SetSite(uint64(th.insts.child(th.path, at, n)))
+	}
 }
 
 func (th *thread) step() error {
@@ -201,74 +245,15 @@ func (th *thread) execStmt(fr []Value, s Stmt) (control, error) {
 				return c, err
 			}
 		}
-		for {
-			if st.Cond != nil {
-				cond, err := th.eval(fr, st.Cond)
-				if err != nil {
-					return control{}, err
-				}
-				th.tc.CountBranch()
-				if !cond.truthy() {
-					return control{}, nil
-				}
-			}
-			c, err := th.execStmt(fr, st.Body)
-			if err != nil {
-				return control{}, err
-			}
-			switch c.kind {
-			case ctlReturn:
-				return c, nil
-			case ctlBreak:
-				return control{}, nil
-			}
-			if st.Post != nil {
-				if _, err := th.eval(fr, st.Post); err != nil {
-					return control{}, err
-				}
-			}
-			if err := th.step(); err != nil {
-				return control{}, err
-			}
-		}
+		outer := th.path
+		c, err := th.execFor(fr, st, outer)
+		th.path = outer
+		return c, err
 	case *WhileStmt:
-		first := st.DoFirst
-		for {
-			if !first {
-				cond, err := th.eval(fr, st.Cond)
-				if err != nil {
-					return control{}, err
-				}
-				th.tc.CountBranch()
-				if !cond.truthy() {
-					return control{}, nil
-				}
-			}
-			first = false
-			c, err := th.execStmt(fr, st.Body)
-			if err != nil {
-				return control{}, err
-			}
-			switch c.kind {
-			case ctlReturn:
-				return c, nil
-			case ctlBreak:
-				return control{}, nil
-			}
-			if st.DoFirst {
-				cond, err := th.eval(fr, st.Cond)
-				if err != nil {
-					return control{}, err
-				}
-				th.tc.CountBranch()
-				if !cond.truthy() {
-					return control{}, nil
-				}
-			}
-			if err := th.step(); err != nil {
-				return control{}, err
-			}
-		}
+		outer := th.path
+		c, err := th.execWhile(fr, st, outer)
+		th.path = outer
+		return c, err
 	case *ReturnStmt:
 		var v Value
 		if st.X != nil {
@@ -285,6 +270,85 @@ func (th *thread) execStmt(fr []Value, s Stmt) (control, error) {
 		return control{kind: ctlContinue}, nil
 	}
 	return control{}, fmt.Errorf("minicuda: internal: unknown statement %T", s)
+}
+
+// execFor runs a for loop's iterations, each one its own dynamic instance
+// under outer.
+func (th *thread) execFor(fr []Value, st *ForStmt, outer uint32) (control, error) {
+	for trip := int32(0); ; trip++ {
+		th.path = th.insts.child(outer, st, trip)
+		if st.Cond != nil {
+			cond, err := th.eval(fr, st.Cond)
+			if err != nil {
+				return control{}, err
+			}
+			th.tc.CountBranch()
+			if !cond.truthy() {
+				return control{}, nil
+			}
+		}
+		c, err := th.execStmt(fr, st.Body)
+		if err != nil {
+			return control{}, err
+		}
+		switch c.kind {
+		case ctlReturn:
+			return c, nil
+		case ctlBreak:
+			return control{}, nil
+		}
+		if st.Post != nil {
+			if _, err := th.eval(fr, st.Post); err != nil {
+				return control{}, err
+			}
+		}
+		if err := th.step(); err != nil {
+			return control{}, err
+		}
+	}
+}
+
+// execWhile runs a while or do/while loop's iterations, each one its own
+// dynamic instance under outer.
+func (th *thread) execWhile(fr []Value, st *WhileStmt, outer uint32) (control, error) {
+	first := st.DoFirst
+	for trip := int32(0); ; trip++ {
+		th.path = th.insts.child(outer, st, trip)
+		if !first {
+			cond, err := th.eval(fr, st.Cond)
+			if err != nil {
+				return control{}, err
+			}
+			th.tc.CountBranch()
+			if !cond.truthy() {
+				return control{}, nil
+			}
+		}
+		first = false
+		c, err := th.execStmt(fr, st.Body)
+		if err != nil {
+			return control{}, err
+		}
+		switch c.kind {
+		case ctlReturn:
+			return c, nil
+		case ctlBreak:
+			return control{}, nil
+		}
+		if st.DoFirst {
+			cond, err := th.eval(fr, st.Cond)
+			if err != nil {
+				return control{}, err
+			}
+			th.tc.CountBranch()
+			if !cond.truthy() {
+				return control{}, nil
+			}
+		}
+		if err := th.step(); err != nil {
+			return control{}, err
+		}
+	}
 }
 
 func (th *thread) execDecl(fr []Value, d *VarDecl) error {
@@ -319,9 +383,10 @@ func (th *thread) execDecl(fr []Value, d *VarDecl) error {
 
 // ---- Memory -----------------------------------------------------------------
 
-// loadMem loads the scalar of type t at pointer p. It is shared by the
-// tree-walking interpreter and the warp engine.
-func loadMem(tc *gpusim.ThreadCtx, p Pointer, t *Type) (Value, error) {
+// load loads the scalar of type t at pointer p for the expression at.
+func (th *thread) load(at Node, p Pointer, t *Type) (Value, error) {
+	th.site(at, 0, p)
+	tc := th.tc
 	size := t.Size()
 	switch p.Space {
 	case SpaceGlobal:
@@ -373,22 +438,22 @@ func loadMem(tc *gpusim.ThreadCtx, p Pointer, t *Type) (Value, error) {
 		}
 		return intValue(t, int64(i)), nil
 	case SpaceLocal:
-		idx := p.Off / p.Local.elem.Size()
-		if idx < 0 || idx >= len(p.Local.vals) {
-			return Value{}, fmt.Errorf("%w: local array index %d out of range [0,%d)",
-				gpusim.ErrIllegalAccess, idx, len(p.Local.vals))
+		slot, err := localSlot(p)
+		if err != nil {
+			return Value{}, err
 		}
-		v := p.Local.vals[idx]
+		v := *slot
 		v.T = t
 		return v, nil
 	}
-	return Value{}, fmt.Errorf("%w: unsupported %d-byte access in %s memory",
-		ErrBadAddress, size, p.Space)
+	return Value{}, badAccess(false, size, p.Space)
 }
 
-// storeMem stores scalar v (already converted to t) at pointer p. It is
-// shared by the tree-walking interpreter and the warp engine.
-func storeMem(tc *gpusim.ThreadCtx, p Pointer, t *Type, v Value) error {
+// store stores scalar v (already converted to t) at pointer p for the
+// expression at.
+func (th *thread) store(at Node, p Pointer, t *Type, v Value) error {
+	th.site(at, 1, p)
+	tc := th.tc
 	size := t.Size()
 	switch p.Space {
 	case SpaceGlobal:
@@ -407,17 +472,39 @@ func storeMem(tc *gpusim.ThreadCtx, p Pointer, t *Type, v Value) error {
 		}
 		return tc.SharedStoreInt32(p.Off/4, int32(v.I))
 	case SpaceConst:
-		return fmt.Errorf("%w: constant memory is read-only", gpusim.ErrIllegalAccess)
+		return errConstStore
 	case SpaceLocal:
-		idx := p.Off / p.Local.elem.Size()
-		if idx < 0 || idx >= len(p.Local.vals) {
-			return fmt.Errorf("%w: local array index %d out of range [0,%d)",
-				gpusim.ErrIllegalAccess, idx, len(p.Local.vals))
+		slot, err := localSlot(p)
+		if err != nil {
+			return err
 		}
-		p.Local.vals[idx] = v
+		*slot = v
 		return nil
 	}
-	return fmt.Errorf("%w: unsupported %d-byte store in %s memory", ErrBadAddress, size, p.Space)
+	return badAccess(true, size, p.Space)
+}
+
+// localSlot is the element of a local array p points at.
+func localSlot(p Pointer) (*Value, error) {
+	idx := p.Off / p.Local.elem.Size()
+	if idx < 0 || idx >= len(p.Local.vals) {
+		return nil, fmt.Errorf("%w: local array index %d out of range [0,%d)",
+			gpusim.ErrIllegalAccess, idx, len(p.Local.vals))
+	}
+	return &p.Local.vals[idx], nil
+}
+
+// errConstStore is the trap of a store to constant memory.
+var errConstStore = fmt.Errorf("%w: constant memory is read-only", gpusim.ErrIllegalAccess)
+
+// badAccess is the trap of a size-byte load or store the space does not
+// support.
+func badAccess(store bool, size int, space MemSpace) error {
+	what := "access"
+	if store {
+		what = "store"
+	}
+	return fmt.Errorf("%w: unsupported %d-byte %s in %s memory", ErrBadAddress, size, what, space)
 }
 
 // ---- Lvalues ------------------------------------------------------------------
@@ -519,20 +606,20 @@ func (th *thread) evalAddr(fr []Value, e Expr) (Pointer, error) {
 	return Pointer{}, errAt(e.Tok(), "expression does not designate storage")
 }
 
-func (th *thread) loadLvalue(fr []Value, lv lvalue, t *Type) (Value, error) {
+func (th *thread) loadLvalue(at Node, fr []Value, lv lvalue, t *Type) (Value, error) {
 	if lv.isSlot {
 		return fr[lv.slot], nil
 	}
-	return loadMem(th.tc, lv.ptr, t)
+	return th.load(at, lv.ptr, t)
 }
 
-func (th *thread) storeLvalue(fr []Value, lv lvalue, t *Type, v Value) error {
+func (th *thread) storeLvalue(at Node, fr []Value, lv lvalue, t *Type, v Value) error {
 	cv := convert(v, t)
 	if lv.isSlot {
 		fr[lv.slot] = cv
 		return nil
 	}
-	return storeMem(th.tc, lv.ptr, t, cv)
+	return th.store(at, lv.ptr, t, cv)
 }
 
 // ---- Expression evaluation ---------------------------------------------------
@@ -557,12 +644,12 @@ func (th *thread) eval(fr []Value, e Expr) (Value, error) {
 			if sym.Type.Kind == KArray {
 				return ptrValue(sym.Type, Pointer{Space: SpaceShared, Elem: sym.Type, Off: sym.Off}), nil
 			}
-			return loadMem(th.tc, Pointer{Space: SpaceShared, Off: sym.Off}, sym.Type)
+			return th.load(x, Pointer{Space: SpaceShared, Off: sym.Off}, sym.Type)
 		case SymConst:
 			if sym.Type.Kind == KArray {
 				return ptrValue(sym.Type, Pointer{Space: SpaceConst, Elem: sym.Type, Off: sym.Off}), nil
 			}
-			return loadMem(th.tc, Pointer{Space: SpaceConst, Off: sym.Off}, sym.Type)
+			return th.load(x, Pointer{Space: SpaceConst, Off: sym.Off}, sym.Type)
 		}
 	case *BuiltinVarRef:
 		return intValue(TypeInt, int64(th.builtinDim(x.baseID, x.Dim))), nil
@@ -574,7 +661,7 @@ func (th *thread) eval(fr []Value, e Expr) (Value, error) {
 			return Value{}, err
 		}
 		t := x.X.ResultType()
-		old, err := th.loadLvalue(fr, lv, t)
+		old, err := th.loadLvalue(x, fr, lv, t)
 		if err != nil {
 			return Value{}, err
 		}
@@ -591,7 +678,7 @@ func (th *thread) eval(fr []Value, e Expr) (Value, error) {
 		} else {
 			nv = intValue(t, old.I+delta)
 		}
-		if err := th.storeLvalue(fr, lv, t, nv); err != nil {
+		if err := th.storeLvalue(x, fr, lv, t, nv); err != nil {
 			return Value{}, err
 		}
 		return old, nil
@@ -633,7 +720,7 @@ func (th *thread) eval(fr []Value, e Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return loadMem(th.tc, p, t)
+		return th.load(x, p, t)
 	case *Cast:
 		v, err := th.eval(fr, x.X)
 		if err != nil {
@@ -704,7 +791,7 @@ func (th *thread) evalUnary(fr []Value, x *Unary) (Value, error) {
 		if t.Kind == KArray {
 			return ptrValue(t, p), nil
 		}
-		return loadMem(th.tc, p, t)
+		return th.load(x, p, t)
 	case "&":
 		p, err := th.evalAddr(fr, x.X)
 		if err != nil {
@@ -722,7 +809,7 @@ func (th *thread) evalUnary(fr []Value, x *Unary) (Value, error) {
 			return Value{}, err
 		}
 		t := x.X.ResultType()
-		old, err := th.loadLvalue(fr, lv, t)
+		old, err := th.loadLvalue(x, fr, lv, t)
 		if err != nil {
 			return Value{}, err
 		}
@@ -739,7 +826,7 @@ func (th *thread) evalUnary(fr []Value, x *Unary) (Value, error) {
 		} else {
 			nv = intValue(t, old.I+delta)
 		}
-		if err := th.storeLvalue(fr, lv, t, nv); err != nil {
+		if err := th.storeLvalue(x, fr, lv, t, nv); err != nil {
 			return Value{}, err
 		}
 		return nv, nil
@@ -1027,12 +1114,12 @@ func (th *thread) evalAssign(fr []Value, x *Assign) (Value, error) {
 			return Value{}, err
 		}
 		cv := convert(r, t)
-		if err := th.storeLvalue(fr, lv, t, cv); err != nil {
+		if err := th.storeLvalue(x, fr, lv, t, cv); err != nil {
 			return Value{}, err
 		}
 		return cv, nil
 	}
-	old, err := th.loadLvalue(fr, lv, t)
+	old, err := th.loadLvalue(x, fr, lv, t)
 	if err != nil {
 		return Value{}, err
 	}
@@ -1098,7 +1185,7 @@ func (th *thread) evalAssign(fr []Value, x *Assign) (Value, error) {
 		}
 		nv = intValue(t, i)
 	}
-	if err := th.storeLvalue(fr, lv, t, nv); err != nil {
+	if err := th.storeLvalue(x, fr, lv, t, nv); err != nil {
 		return Value{}, err
 	}
 	return nv, nil
@@ -1121,9 +1208,12 @@ func (th *thread) evalCall(fr []Value, x *Call) (Value, error) {
 			}
 			nf[x.Fn.Params[i].Sym.Slot] = convert(v, x.Fn.Params[i].Type)
 		}
+		caller := th.path
+		th.path = th.insts.child(caller, x, 0)
 		th.depth++
 		c, err := th.execBlock(nf, x.Fn.Body)
 		th.depth--
+		th.path = caller
 		if err != nil {
 			return Value{}, err
 		}
@@ -1263,62 +1353,74 @@ func (th *thread) evalWorkItem(name string, dim int) Value {
 }
 
 func (th *thread) evalAtomic(x *Call, args []Value) (Value, error) {
-	p := args[0].P
-	elem := x.ResultType()
+	spec := atomSpec{tok: x.Tok(), name: x.Builtin, elem: x.ResultType()}
+	var iv2 int64
+	if len(args) > 2 {
+		iv2 = toI(args[2])
+	}
+	return runAtomic(&th.tc.Unit, &spec, args[0].P, toI(args[1]), toF(args[1]), iv2)
+}
+
+// runAtomic performs one thread's (tree) or lane's (warp) atomic on u:
+// memory-space dispatch and trap messages are resolved at run time. iv/fv
+// carry the operand (the lowering reads one of them, per its bank choice);
+// iv2 is the atomicCAS third operand.
+func runAtomic(u *gpusim.Unit, spec *atomSpec, p Pointer, iv int64, fv float64, iv2 int64) (Value, error) {
+	elem := spec.elem
 	switch p.Space {
 	case SpaceGlobal:
-		switch x.Builtin {
+		switch spec.name {
 		case "atomicAdd", "atomicSub":
 			if elem.Kind == KFloat {
-				d := toF(args[1])
-				if x.Builtin == "atomicSub" {
+				d := fv
+				if spec.name == "atomicSub" {
 					d = -d
 				}
-				old, err := th.tc.AtomicAddFloat32(p.Glob, 0, float32(d))
+				old, err := u.AtomicAddFloat32(p.Glob, 0, float32(d))
 				return Value{T: elem, F: float64(old)}, err
 			}
-			d := toI(args[1])
-			if x.Builtin == "atomicSub" {
+			d := iv
+			if spec.name == "atomicSub" {
 				d = -d
 			}
-			old, err := th.tc.AtomicAddInt32(p.Glob, 0, int32(d))
+			old, err := u.AtomicAddInt32(p.Glob, 0, int32(d))
 			return intValue(elem, int64(old)), err
 		case "atomicMax":
-			old, err := th.tc.AtomicMaxInt32(p.Glob, 0, int32(toI(args[1])))
+			old, err := u.AtomicMaxInt32(p.Glob, 0, int32(iv))
 			return intValue(elem, int64(old)), err
 		case "atomicMin":
-			old, err := th.tc.AtomicMinInt32(p.Glob, 0, int32(toI(args[1])))
+			old, err := u.AtomicMinInt32(p.Glob, 0, int32(iv))
 			return intValue(elem, int64(old)), err
 		case "atomicExch":
 			if elem.Kind == KFloat {
-				old, err := th.tc.AtomicExchInt32(p.Glob, 0, int32(math.Float32bits(float32(toF(args[1])))))
+				old, err := u.AtomicExchInt32(p.Glob, 0, int32(math.Float32bits(float32(fv))))
 				return Value{T: elem, F: float64(math.Float32frombits(uint32(old)))}, err
 			}
-			old, err := th.tc.AtomicExchInt32(p.Glob, 0, int32(toI(args[1])))
+			old, err := u.AtomicExchInt32(p.Glob, 0, int32(iv))
 			return intValue(elem, int64(old)), err
 		case "atomicCAS":
-			old, err := th.tc.AtomicCASInt32(p.Glob, 0, int32(toI(args[1])), int32(toI(args[2])))
+			old, err := u.AtomicCASInt32(p.Glob, 0, int32(iv), int32(iv2))
 			return intValue(elem, int64(old)), err
 		}
 	case SpaceShared:
-		switch x.Builtin {
+		switch spec.name {
 		case "atomicAdd", "atomicSub":
 			if elem.Kind == KFloat {
-				d := toF(args[1])
-				if x.Builtin == "atomicSub" {
+				d := fv
+				if spec.name == "atomicSub" {
 					d = -d
 				}
-				old, err := th.tc.SharedAtomicAddFloat32(p.Off/4, float32(d))
+				old, err := u.SharedAtomicAddFloat32(p.Off/4, float32(d))
 				return Value{T: elem, F: float64(old)}, err
 			}
-			d := toI(args[1])
-			if x.Builtin == "atomicSub" {
+			d := iv
+			if spec.name == "atomicSub" {
 				d = -d
 			}
-			old, err := th.tc.SharedAtomicAddInt32(p.Off/4, int32(d))
+			old, err := u.SharedAtomicAddInt32(p.Off/4, int32(d))
 			return intValue(elem, int64(old)), err
 		}
-		return Value{}, errAt(x.Tok(), "%s is not supported on shared memory", x.Builtin)
+		return Value{}, errAt(spec.tok, "%s is not supported on shared memory", spec.name)
 	}
-	return Value{}, errAt(x.Tok(), "atomic on unsupported memory space %s", p.Space)
+	return Value{}, errAt(spec.tok, "atomic on unsupported memory space %s", p.Space)
 }

@@ -151,8 +151,9 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 			})
 		}
 	}
+	insts := &instances{ids: make(map[instance]uint32)}
 	return dev.Launch(kernel, cfg, func(tc *gpusim.ThreadCtx) error {
-		th := &thread{prog: p, tc: tc, maxSteps: maxSteps, dyn: fn.SharedUse}
+		th := &thread{prog: p, tc: tc, maxSteps: maxSteps, dyn: fn.SharedUse, insts: insts}
 		fr := make([]Value, fn.NumSlots)
 		for i, pd := range fn.Params {
 			fr[pd.Sym.Slot] = bound[i]

@@ -5,7 +5,7 @@ package minicuda
 // time, then applied across all active lanes of a strand through the
 // struct-of-arrays register banks in warpstate.go. Divergence is handled
 // by strand splitting: a non-uniform branch partitions the active lanes
-// into two strands, and the scheduler (min-pc first) naturally brings
+// into two strands, and the scheduler (earliest first) naturally brings
 // split strands back together at the join point, where strands with
 // identical control state merge. A fully-uniform branch never splits and
 // stays a single jump, so convergent code pays no divergence tax.
@@ -16,20 +16,29 @@ package minicuda
 // superinstructions executed with one dispatch, one budget check, and one
 // batched ALU charge.
 //
+// Memory is priced where the hardware prices it: every load and store
+// is one warp-wide issue — the strand's active lanes — handed to the
+// gpusim.WarpCtx entry point of its memory class, which moves the data in
+// ascending lane order, traps at the first bad lane and charges the
+// issue's transactions on the spot. Compute (ALU, special, branch,
+// barrier) is charged to the warp in bulk: only block sums are observable.
+//
 // Parity contract (enforced by the differential oracle in diff_test.go):
 // results, LaunchStats, and error strings match the tree walker exactly
-// for race-free kernels. Compute charges (ALU, special, branch, barrier)
-// are batched per warp — only block-level sums are observable. Memory accesses are NEVER batched: each goes through
-// the owning lane's ThreadCtx in ascending lane order, so gpusim's
-// warp-synchronous coalescing model sees per-thread event logs identical
-// to the tree walker's. Step budgets are per-lane exact: a strand
-// carries a shared counter plus per-lane offsets (rebased on merge), and
-// fused superinstructions fall back to component-at-a-time replay when a
-// budget trap could fire inside them. For single-lane launches the warp
-// engine traps at the same point as the tree walker; for multi-lane
-// launches that trap mid-kernel, the set of partially-executed threads may
-// differ from serial per-thread execution (lockstep lanes run together),
-// exactly as concurrent per-thread execution already differs from serial.
+// for race-free kernels. The tree walker keys each access by its dynamic
+// instance (interp.go), and the scheduler keeps exactly the lanes of one
+// instance in one strand when it issues: strands run earliest first in
+// the warp's structured order (before), and one that reaches a later
+// sibling's pc, or changes frame, or leaves a barrier another strand of
+// the warp is also released from, yields so they merge first. Step
+// budgets are per-lane exact: a strand carries a shared counter plus
+// per-lane offsets (rebased on merge), and fused superinstructions fall
+// back to component-at-a-time replay when a budget trap could fire inside
+// them. For single-lane launches the warp engine traps at the same point
+// as the tree walker; for multi-lane launches that trap mid-kernel, the
+// set of partially-executed threads may differ from serial per-thread
+// execution (lockstep lanes run together), exactly as concurrent
+// per-thread execution already differs from serial.
 
 import (
 	"math"
@@ -298,7 +307,8 @@ const (
 )
 
 // warpExec is the execution context of one warp for the length of a
-// launch; it lives in the warp's WarpCtx.State between turns.
+// launch; it lives in the warp's WarpCtx.State between turns, and in its
+// pooled warpState after.
 type warpExec struct {
 	wp       *warpProgram
 	ws       *warpState
@@ -320,14 +330,19 @@ func (wp *warpProgram) run(wc *gpusim.WarpCtx, kfn *bcFunc, bound []Value, maxSt
 	if wx == nil {
 		ws := warpStatePool.Get().(*warpState)
 		ws.init(wc)
-		wx = &warpExec{wp: wp, ws: ws, wc: wc, bound: bound, maxSteps: maxSteps}
+		wx = &ws.wx
+		*wx = warpExec{wp: wp, ws: ws, wc: wc, bound: bound, maxSteps: maxSteps,
+			runnable: wx.runnable[:0], waiting: wx.waiting[:0],
+			jumpBuf: wx.jumpBuf[:0], stayBuf: wx.stayBuf[:0]}
 		wx.start(kfn)
 		wc.State = wx
 	}
 	parked, err = wx.resume()
 	if !parked {
-		wx.ws.flush()
-		warpStatePool.Put(wx.ws)
+		// A trap leaves strands behind; keep them for the next warp.
+		ws := wx.ws
+		ws.strands = append(append(ws.strands, wx.runnable...), wx.waiting...)
+		warpStatePool.Put(ws)
 	}
 	return parked, err
 }
@@ -396,12 +411,11 @@ func (wx *warpExec) resume() (parked bool, err error) {
 			return len(wx.waiting) > 0, nil
 		}
 
-		// Pick the min-pc strand (ties by first lane, for determinism) and
-		// merge every strand that reconverged with it.
+		// Pick the earliest strand and merge every strand that reconverged
+		// with it.
 		si := 0
 		for i := 1; i < len(wx.runnable); i++ {
-			s, b := wx.runnable[i], wx.runnable[si]
-			if s.pc < b.pc || (s.pc == b.pc && s.lanes[0] < b.lanes[0]) {
+			if before(wx.runnable[i], wx.runnable[si]) {
 				si = i
 			}
 		}
@@ -413,14 +427,7 @@ func (wx *warpExec) resume() (parked bool, err error) {
 				wx.runnable = wx.runnable[:len(wx.runnable)-1]
 			}
 		}
-		// Watermark: the next parked pc ahead of s. Running past it would
-		// skip a merge opportunity, so the strand yields there.
-		watermark := int32(math.MaxInt32)
-		for _, o := range wx.runnable {
-			if o != s && o.pc > s.pc && o.pc < watermark {
-				watermark = o.pc
-			}
-		}
+		watermark := wx.watermark(s)
 
 		ctl, err := wx.runStrand(s, watermark)
 		if err != nil {
@@ -441,6 +448,80 @@ func (wx *warpExec) resume() (parked bool, err error) {
 	}
 }
 
+// before reports whether strand a runs before b: the warp's structured
+// order, in which a strand inside a call comes after the call
+// instruction and before the instruction after it, frame by frame; ties
+// go to the lower first lane, for determinism. Running the earliest
+// strand first is what brings split lanes back together before either
+// side issues past the join (and into the next loop trip, or on from a
+// call the other side is still in).
+func before(a, b *strand) bool {
+	n := min(len(a.stack), len(b.stack))
+	for i := 0; i < n; i++ {
+		if x, y := a.stack[i].pc, b.stack[i].pc; x != y {
+			return x < y
+		}
+	}
+	if ka, kb := a.posAt(n), b.posAt(n); ka != kb {
+		return ka < kb
+	}
+	return a.lanes[0] < b.lanes[0]
+}
+
+// posAt is the strand's position in its frame at call depth d: twice the
+// pc there, plus one inside a call (the frame's return pc is the call's
+// pc plus one).
+func (s *strand) posAt(d int) int64 {
+	if d < len(s.stack) {
+		return 2*int64(s.stack[d].pc) - 1
+	}
+	return 2 * int64(s.pc)
+}
+
+// watermark is the pc in s's frame that s, the earliest strand, must not
+// run past before the scheduler looks again: the nearest position a later
+// strand of the same frame holds there. A later strand that is inside a
+// call from s's frame holds the call's return pc. Strands that part from s
+// in an outer frame are met after s returns, and a strand yields when its
+// frame changes.
+func (wx *warpExec) watermark(s *strand) int32 {
+	w := int32(math.MaxInt32)
+	d := len(s.stack)
+	for _, o := range wx.runnable {
+		if o == s || len(o.stack) < d || !samePath(o, s, d) {
+			continue
+		}
+		pc := o.pc
+		if len(o.stack) > d {
+			pc = o.stack[d].pc
+		}
+		if pc > s.pc && pc < w {
+			w = pc
+		}
+	}
+	return w
+}
+
+// samePath reports whether a and b share their first d frames' positions.
+func samePath(a, b *strand, d int) bool {
+	for i := 0; i < d; i++ {
+		if a.stack[i].pc != b.stack[i].pc {
+			return false
+		}
+	}
+	return true
+}
+
+// frameChanged is the control outcome of a call or return: with other
+// strands runnable, the running strand's watermark belonged to the frame
+// it left, so it yields for the scheduler to look again.
+func (wx *warpExec) frameChanged() uint8 {
+	if len(wx.runnable) > 1 {
+		return ctlYield
+	}
+	return ctlNone
+}
+
 func removeStrand(list []*strand, s *strand) []*strand {
 	for i, o := range list {
 		if o == s {
@@ -454,7 +535,7 @@ func removeStrand(list []*strand, s *strand) []*strand {
 // runStrand executes s until it yields: watermark reached, divergent
 // split, barrier park, kernel return, or a trap (returned as the error).
 func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
-	ws := wx.ws
+	wc := wx.wc
 	code := wx.wp.code
 	maxSteps := wx.maxSteps
 	for {
@@ -471,7 +552,7 @@ func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
 				}
 			}
 			if w.alu1 != 0 {
-				ws.acc.alu += int64(w.alu1) * int64(len(s.lanes))
+				wc.CountALU(int(w.alu1) * len(s.lanes))
 			}
 			ctl, err := wx.execInstr(s, &w.in)
 			if err != nil {
@@ -487,8 +568,8 @@ func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
 		total := int64(w.steps1) + int64(w.steps2)
 		if s.steps+total+s.maxBase <= maxSteps {
 			s.steps += total
-			if a := int64(w.alu1) + int64(w.alu2); a != 0 {
-				ws.acc.alu += a * int64(len(s.lanes))
+			if a := int(w.alu1) + int(w.alu2); a != 0 {
+				wc.CountALU(a * len(s.lanes))
 			}
 			ctl, err := wx.execFused(s, w)
 			if err != nil {
@@ -508,7 +589,7 @@ func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
 			}
 		}
 		if w.alu1 != 0 {
-			ws.acc.alu += int64(w.alu1) * int64(len(s.lanes))
+			wc.CountALU(int(w.alu1) * len(s.lanes))
 		}
 		if _, err := wx.execInstr(s, &w.in); err != nil {
 			return 0, err
@@ -520,7 +601,7 @@ func (wx *warpExec) runStrand(s *strand, watermark int32) (uint8, error) {
 			}
 		}
 		if w.alu2 != 0 {
-			ws.acc.alu += int64(w.alu2) * int64(len(s.lanes))
+			wc.CountALU(int(w.alu2) * len(s.lanes))
 		}
 		ctl, err := wx.execInstr(s, &w.in2)
 		if err != nil {
@@ -570,42 +651,17 @@ func (wx *warpExec) execFused(s *strand, w *winstr) (uint8, error) {
 			floats[da+li] = round32(floats[xb+li] + floats[yc+li])
 		}
 		return ctlNone, nil
-	case wLoadIdx:
-		if w.dead {
-			return wx.loadIdxFast(s, w)
-		}
-		ptrs := ws.ptrs
-		pa := int(s.bP+w.in.a) * W
-		pb := int(s.bP+w.in.b) * W
-		ic := int(s.bI+w.in.c) * W
-		ints := ws.ints
-		for _, l := range s.lanes {
-			li := int(l)
-			p := ptrs[pb+li].offset(int(ints[ic+li]) * int(w.in.k))
-			ptrs[pa+li] = p
-			if err := wx.loadLane(s, &w.in2, li, p); err != nil {
+	case wLoadIdx, wStoreIdx:
+		if !w.dead {
+			if _, err := wx.execInstr(s, &w.in); err != nil {
 				return 0, err
 			}
+			return wx.execInstr(s, &w.in2)
 		}
-		return ctlNone, nil
-	case wStoreIdx:
-		if w.dead {
-			return wx.storeIdxFast(s, w)
-		}
-		ptrs := ws.ptrs
-		pa := int(s.bP+w.in.a) * W
-		pb := int(s.bP+w.in.b) * W
-		ic := int(s.bI+w.in.c) * W
-		ints := ws.ints
-		for _, l := range s.lanes {
-			li := int(l)
-			p := ptrs[pb+li].offset(int(ints[ic+li]) * int(w.in.k))
-			ptrs[pa+li] = p
-			if err := wx.storeLane(s, &w.in2, li, p); err != nil {
-				return 0, err
-			}
-		}
-		return ctlNone, nil
+		// The formed pointer is consumed only by this access, so it is never
+		// materialized: each lane's address arithmetic feeds the issue.
+		m := memOperand{pb: int(s.bP+w.in.b) * W, ic: int(s.bI+w.in.c) * W, elem: int(w.in.k), indexed: true}
+		return ctlNone, wx.access(s, s.lanes, &w.in2, m, w.fuse == wStoreIdx)
 	case wCmpJZ:
 		if w.dead {
 			return wx.cmpJZFast(s, w)
@@ -622,150 +678,6 @@ func (wx *warpExec) execFused(s *strand, w *winstr) (uint8, error) {
 	}
 }
 
-// loadIdxFast is the dead-temp path of a fused indexed load: the formed
-// pointer is consumed only by this load, so it is never materialized —
-// the lane's address arithmetic feeds the ThreadCtx entry point directly.
-// Dispatch mirrors loadLane exactly.
-func (wx *warpExec) loadIdxFast(s *strand, w *winstr) (uint8, error) {
-	ws := wx.ws
-	W := ws.W
-	ptrs, ints, floats := ws.ptrs, ws.ints, ws.floats
-	pb := int(s.bP+w.in.b) * W
-	ic := int(s.bI+w.in.c) * W
-	elem := int(w.in.k)
-	in2 := &w.in2
-	switch {
-	case in2.kind == bankF && in2.t.Kind == KFloat:
-		da := int(s.bF+in2.a) * W
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			off := int(ints[ic+li]) * elem
-			switch bp.Space {
-			case SpaceShared:
-				f, err := ws.lanes[li].SharedLoadFloat32((bp.Off + off) / 4)
-				if err != nil {
-					return 0, err
-				}
-				floats[da+li] = float64(f)
-			case SpaceGlobal:
-				f, err := ws.lanes[li].LoadFloat32(bp.Glob.Offset(off), 0)
-				if err != nil {
-					return 0, err
-				}
-				floats[da+li] = float64(f)
-			default:
-				if err := wx.loadLane(s, in2, li, bp.offset(off)); err != nil {
-					return 0, err
-				}
-			}
-		}
-	case in2.kind == bankI && in2.t.Kind != KFloat:
-		size4 := in2.t.Size() == 4
-		da := int(s.bI+in2.a) * W
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			off := int(ints[ic+li]) * elem
-			switch {
-			case bp.Space == SpaceShared:
-				iv, err := ws.lanes[li].SharedLoadInt32((bp.Off + off) / 4)
-				if err != nil {
-					return 0, err
-				}
-				ints[da+li] = truncInt(in2.t, int64(iv))
-			case bp.Space == SpaceGlobal && size4:
-				iv, err := ws.lanes[li].LoadInt32(bp.Glob.Offset(off), 0)
-				if err != nil {
-					return 0, err
-				}
-				ints[da+li] = truncInt(in2.t, int64(iv))
-			default:
-				if err := wx.loadLane(s, in2, li, bp.offset(off)); err != nil {
-					return 0, err
-				}
-			}
-		}
-	default:
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			if err := wx.loadLane(s, in2, li, bp.offset(int(ints[ic+li])*elem)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return ctlNone, nil
-}
-
-// storeIdxFast is the dead-temp path of a fused indexed store, the mirror
-// of loadIdxFast for opStoreI/opStoreF.
-func (wx *warpExec) storeIdxFast(s *strand, w *winstr) (uint8, error) {
-	ws := wx.ws
-	W := ws.W
-	ptrs, ints, floats := ws.ptrs, ws.ints, ws.floats
-	pb := int(s.bP+w.in.b) * W
-	ic := int(s.bI+w.in.c) * W
-	elem := int(w.in.k)
-	in2 := &w.in2
-	switch {
-	case in2.op == opStoreF && in2.t.Kind == KFloat:
-		vc := int(s.bF+in2.c) * W
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			off := int(ints[ic+li]) * elem
-			fv := float32(floats[vc+li])
-			switch bp.Space {
-			case SpaceShared:
-				if err := ws.lanes[li].SharedStoreFloat32((bp.Off+off)/4, fv); err != nil {
-					return 0, err
-				}
-			case SpaceGlobal:
-				if err := ws.lanes[li].StoreFloat32(bp.Glob.Offset(off), 0, fv); err != nil {
-					return 0, err
-				}
-			default:
-				if err := wx.storeLane(s, in2, li, bp.offset(off)); err != nil {
-					return 0, err
-				}
-			}
-		}
-	case in2.op == opStoreI && in2.t.Kind != KFloat:
-		size4 := in2.t.Size() == 4
-		vc := int(s.bI+in2.c) * W
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			off := int(ints[ic+li]) * elem
-			iv := int32(ints[vc+li])
-			switch {
-			case bp.Space == SpaceShared:
-				if err := ws.lanes[li].SharedStoreInt32((bp.Off+off)/4, iv); err != nil {
-					return 0, err
-				}
-			case bp.Space == SpaceGlobal && size4:
-				if err := ws.lanes[li].StoreInt32(bp.Glob.Offset(off), 0, iv); err != nil {
-					return 0, err
-				}
-			default:
-				if err := wx.storeLane(s, in2, li, bp.offset(off)); err != nil {
-					return 0, err
-				}
-			}
-		}
-	default:
-		for _, l := range s.lanes {
-			li := int(l)
-			bp := &ptrs[pb+li]
-			if err := wx.storeLane(s, in2, li, bp.offset(int(ints[ic+li])*elem)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return ctlNone, nil
-}
-
 // cmpJZFast is the dead-temp path of a fused compare-and-branch: the
 // compare result register is consumed only by the jump, so each lane's
 // branch direction is computed directly from the compared operands.
@@ -774,7 +686,7 @@ func (wx *warpExec) cmpJZFast(s *strand, w *winstr) (uint8, error) {
 	W := ws.W
 	ints, floats := ws.ints, ws.floats
 	lanes := s.lanes
-	ws.acc.branches += int64(len(lanes))
+	wx.wc.CountBranches(len(lanes))
 	wantTaken := w.in2.op == opJNZ
 	jb, sb := wx.jumpBuf[:0], wx.stayBuf[:0]
 	switch w.in.op {
@@ -840,92 +752,215 @@ func (wx *warpExec) finishBranch(s *strand, target int32) (uint8, error) {
 	return ctlSplit, nil
 }
 
-// loadLane performs opLoad's per-lane effect with pointer p. 4-byte global
-// and shared scalars take a direct path to the same ThreadCtx entry points
-// loadMem uses, skipping the Value boxing; traps and truncation are
-// identical.
-func (wx *warpExec) loadLane(s *strand, in *instr, li int, p Pointer) error {
-	ws := wx.ws
-	W := ws.W
-	tc := ws.lanes[li]
-	if in.kind == bankF && in.t.Kind == KFloat {
-		if p.Space == SpaceGlobal {
-			f, err := tc.LoadFloat32(p.Glob, 0)
-			if err != nil {
-				return err
-			}
-			ws.floats[int(s.bF+in.a)*W+li] = float64(f)
-			return nil
-		}
-		if p.Space == SpaceShared {
-			f, err := tc.SharedLoadFloat32(p.Off / 4)
-			if err != nil {
-				return err
-			}
-			ws.floats[int(s.bF+in.a)*W+li] = float64(f)
-			return nil
-		}
-	} else if in.kind == bankI && in.t.Kind != KFloat {
-		if p.Space == SpaceGlobal && in.t.Size() == 4 {
-			i, err := tc.LoadInt32(p.Glob, 0)
-			if err != nil {
-				return err
-			}
-			ws.ints[int(s.bI+in.a)*W+li] = truncInt(in.t, int64(i))
-			return nil
-		}
-		if p.Space == SpaceShared {
-			i, err := tc.SharedLoadInt32(p.Off / 4)
-			if err != nil {
-				return err
-			}
-			ws.ints[int(s.bI+in.a)*W+li] = truncInt(in.t, int64(i))
-			return nil
-		}
-	}
-	v, err := loadMem(tc, p, in.t)
-	if err != nil {
-		return err
-	}
-	switch in.kind {
-	case bankI:
-		ws.ints[int(s.bI+in.a)*W+li] = v.I
-	case bankF:
-		ws.floats[int(s.bF+in.a)*W+li] = v.F
-	default:
-		ws.ptrs[int(s.bP+in.a)*W+li] = v.P
-	}
-	return nil
+// memOperand says where a memory instruction's lanes point: lane l at
+// ptrs[pb+l], advanced by ints[ic+l]*elem bytes when indexed (a fused
+// indexed access, whose formed pointer is never materialized).
+type memOperand struct {
+	pb, ic, elem int
+	indexed      bool
 }
 
-// storeLane performs opStoreI/opStoreF's per-lane effect with pointer p,
-// with the same direct paths as loadLane.
-func (wx *warpExec) storeLane(s *strand, in *instr, li int, p Pointer) error {
+// access issues memory instruction in — a load, or a store when store is
+// set — for lanes at operand m, in one warp-wide issue.
+func (wx *warpExec) access(s *strand, lanes []int32, in *instr, m memOperand, store bool) error {
+	if space, ok := wx.gather(lanes, m); ok && space != SpaceLocal {
+		_, err := wx.issue(s, lanes, in, space, store)
+		return err
+	}
+	return wx.accessSplit(s, lanes, in, m, store)
+}
+
+// gather collects the addresses of lanes at operand m, global ones into
+// ws.addrs and shared or constant element indices into ws.idxs, and
+// returns their memory space; ok is false when they address more than one.
+func (wx *warpExec) gather(lanes []int32, m memOperand) (space MemSpace, ok bool) {
+	ws := wx.ws
+	ptrs, ints := ws.ptrs, ws.ints
+	space = ptrs[m.pb+int(lanes[0])].Space
+	for i, l := range lanes {
+		p := &ptrs[m.pb+int(l)]
+		if p.Space != space {
+			return space, false
+		}
+		off := 0
+		if m.indexed {
+			off = int(ints[m.ic+int(l)]) * m.elem
+		}
+		if space == SpaceGlobal {
+			ws.addrs[i] = p.Glob.Offset(off)
+		} else {
+			ws.idxs[i] = (p.Off + off) / 4
+		}
+	}
+	return space, true
+}
+
+// issue runs in for lanes that all address space (not local), whose
+// operands gather collected, and returns how many lanes completed. A load
+// writes what the completed lanes read to in's destination.
+func (wx *warpExec) issue(s *strand, lanes []int32, in *instr, space MemSpace, store bool) (done int, err error) {
+	ws, wc := wx.ws, wx.wc
+	n := len(lanes)
+	words := ws.words[:n]
+	if store {
+		wx.storeWords(s, lanes, in, words)
+	}
+	size := in.t.Size()
+	switch {
+	case space == SpaceGlobal && size != 4 && size != 1:
+		return 0, badAccess(store, size, space)
+	case space == SpaceGlobal && store:
+		done, err = wc.StoreGlobal(size, ws.addrs[:n], words)
+	case space == SpaceGlobal:
+		done, err = wc.LoadGlobal(size, ws.addrs[:n], words)
+	case space == SpaceShared && store:
+		done, err = wc.StoreShared(ws.idxs[:n], words)
+	case space == SpaceShared:
+		done, err = wc.LoadShared(ws.idxs[:n], words)
+	case store:
+		return 0, errConstStore
+	default:
+		for ; done < n; done++ {
+			var w int32
+			if w, err = wc.ConstLoadInt32(ws.idxs[done]); err != nil {
+				break
+			}
+			words[done] = uint32(w)
+		}
+	}
+	if !store {
+		wx.setLoaded(s, lanes[:done], in, words)
+	}
+	return done, err
+}
+
+// accessSplit runs in for lanes that address more than one memory space,
+// or local memory: the lanes of each space issue as one instruction, local
+// lanes one at a time, and of the lanes that trap the lowest reports. (A
+// store's lanes in one space may then complete past a lower lane of
+// another that traps: the lockstep boundary of a mid-kernel trap.)
+func (wx *warpExec) accessSplit(s *strand, lanes []int32, in *instr, m memOperand, store bool) error {
+	var groups [SpaceLocal + 1][maxWarpLanes]int32
+	var sizes [SpaceLocal + 1]int
+	for _, l := range lanes {
+		sp := wx.ws.ptrs[m.pb+int(l)].Space
+		groups[sp][sizes[sp]] = l
+		sizes[sp]++
+	}
+	var first error
+	firstLane := int32(maxWarpLanes)
+	for sp := range groups {
+		group := groups[sp][:sizes[sp]]
+		if len(group) == 0 {
+			continue
+		}
+		var done int
+		var err error
+		if MemSpace(sp) == SpaceLocal {
+			done, err = wx.accessLocal(s, group, in, m, store)
+		} else {
+			wx.gather(group, m)
+			done, err = wx.issue(s, group, in, MemSpace(sp), store)
+		}
+		if err != nil && group[done] < firstLane {
+			first, firstLane = err, group[done]
+		}
+	}
+	return first
+}
+
+// accessLocal runs in lane by lane for lanes addressing their local arrays.
+func (wx *warpExec) accessLocal(s *strand, lanes []int32, in *instr, m memOperand, store bool) (int, error) {
 	ws := wx.ws
 	W := ws.W
-	tc := ws.lanes[li]
-	if in.op == opStoreF {
-		fv := ws.floats[int(s.bF+in.c)*W+li]
-		if in.t.Kind == KFloat {
-			if p.Space == SpaceGlobal {
-				return tc.StoreFloat32(p.Glob, 0, float32(fv))
+	for i, l := range lanes {
+		li := int(l)
+		p := ws.ptrs[m.pb+li]
+		if m.indexed {
+			p = p.offset(int(ws.ints[m.ic+li]) * m.elem)
+		}
+		slot, err := localSlot(p)
+		if err != nil {
+			return i, err
+		}
+		if !store {
+			switch in.kind {
+			case bankI:
+				ws.ints[int(s.bI+in.a)*W+li] = slot.I
+			case bankF:
+				ws.floats[int(s.bF+in.a)*W+li] = slot.F
+			default:
+				ws.ptrs[int(s.bP+in.a)*W+li] = slot.P
 			}
-			if p.Space == SpaceShared {
-				return tc.SharedStoreFloat32(p.Off/4, float32(fv))
+			continue
+		}
+		switch in.op {
+		case opStoreF:
+			*slot = Value{T: in.t, F: ws.floats[int(s.bF+in.c)*W+li]}
+		case opStoreP:
+			*slot = Value{T: in.t, P: ws.ptrs[int(s.bP+in.c)*W+li]}
+		default:
+			*slot = Value{T: in.t, I: ws.ints[int(s.bI+in.c)*W+li]}
+		}
+	}
+	return len(lanes), nil
+}
+
+// storeWords fills words with the value each lane stores, as the 32-bit
+// word of in's type the tree walker's store writes: a float register
+// stored as an integer (or the reverse), and a pointer, store zero.
+func (wx *warpExec) storeWords(s *strand, lanes []int32, in *instr, words []uint32) {
+	ws := wx.ws
+	W := ws.W
+	float := in.t.Kind == KFloat
+	switch {
+	case in.op == opStoreF && float:
+		c := int(s.bF+in.c) * W
+		for i, l := range lanes {
+			words[i] = math.Float32bits(float32(ws.floats[c+int(l)]))
+		}
+	case in.op == opStoreI && !float:
+		c := int(s.bI+in.c) * W
+		for i, l := range lanes {
+			words[i] = uint32(int32(ws.ints[c+int(l)]))
+		}
+	default:
+		clear(words)
+	}
+}
+
+// setLoaded writes the words lanes loaded to in's destination, as the tree
+// walker's load converts them: a float for a float type, else the integer
+// truncated to the type; the other banks read zero.
+func (wx *warpExec) setLoaded(s *strand, lanes []int32, in *instr, words []uint32) {
+	ws := wx.ws
+	W := ws.W
+	float := in.t.Kind == KFloat
+	switch in.kind {
+	case bankF:
+		d := int(s.bF+in.a) * W
+		for i, l := range lanes {
+			f := 0.0
+			if float {
+				f = float64(math.Float32frombits(words[i]))
 			}
+			ws.floats[d+int(l)] = f
 		}
-		return storeMem(tc, p, in.t, Value{T: in.t, F: fv})
+	case bankI:
+		d := int(s.bI+in.a) * W
+		for i, l := range lanes {
+			var v int64
+			if !float {
+				v = truncInt(in.t, int64(int32(words[i])))
+			}
+			ws.ints[d+int(l)] = v
+		}
+	default:
+		d := int(s.bP+in.a) * W
+		for _, l := range lanes {
+			ws.ptrs[d+int(l)] = Pointer{}
+		}
 	}
-	iv := ws.ints[int(s.bI+in.c)*W+li]
-	if in.t.Kind != KFloat {
-		if p.Space == SpaceGlobal && in.t.Size() == 4 {
-			return tc.StoreInt32(p.Glob, 0, int32(iv))
-		}
-		if p.Space == SpaceShared {
-			return tc.SharedStoreInt32(p.Off/4, int32(iv))
-		}
-	}
-	return storeMem(tc, p, in.t, Value{T: in.t, I: iv})
 }
 
 // execInstr applies one bytecode instruction across the active lanes of s.
@@ -1281,43 +1316,43 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 			floats[a+int(l)] = round32(math.Ceil(floats[b+int(l)]))
 		}
 	case opSqrt:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Sqrt(floats[b+int(l)]))
 		}
 	case opRsqrt:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(1 / math.Sqrt(floats[b+int(l)]))
 		}
 	case opExp:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Exp(floats[b+int(l)]))
 		}
 	case opLog:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Log(floats[b+int(l)]))
 		}
 	case opPow:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b, c := int(s.bF+in.a)*W, int(s.bF+in.b)*W, int(s.bF+in.c)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Pow(floats[b+int(l)], floats[c+int(l)]))
 		}
 	case opSin:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Sin(floats[b+int(l)]))
 		}
 	case opCos:
-		ws.acc.special += int64(len(lanes))
+		wx.wc.CountSpecial(len(lanes))
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
 		for _, l := range lanes {
 			floats[a+int(l)] = round32(math.Cos(floats[b+int(l)]))
@@ -1377,33 +1412,17 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 			ints[a+int(l)] = truncInt(TypeInt, int64(ptrDelta(ptrs[b+int(l)], ptrs[c+int(l)])/int(in.k)))
 		}
 	case opLoad:
-		b := int(s.bP+in.b) * W
-		for _, l := range lanes {
-			li := int(l)
-			if err := wx.loadLane(s, in, li, ptrs[b+li]); err != nil {
-				return 0, err
-			}
+		if err := wx.access(s, lanes, in, memOperand{pb: int(s.bP+in.b) * W}, false); err != nil {
+			return 0, err
 		}
-	case opStoreI, opStoreF:
-		b := int(s.bP+in.b) * W
-		for _, l := range lanes {
-			li := int(l)
-			if err := wx.storeLane(s, in, li, ptrs[b+li]); err != nil {
-				return 0, err
-			}
-		}
-	case opStoreP:
-		b, c := int(s.bP+in.b)*W, int(s.bP+in.c)*W
-		for _, l := range lanes {
-			li := int(l)
-			if err := storeMem(ws.lanes[li], ptrs[b+li], in.t, Value{T: in.t, P: ptrs[c+li]}); err != nil {
-				return 0, err
-			}
+	case opStoreI, opStoreF, opStoreP:
+		if err := wx.access(s, lanes, in, memOperand{pb: int(s.bP+in.b) * W}, true); err != nil {
+			return 0, err
 		}
 	case opJmp:
 		s.pc = in.aux
 	case opJZ, opJNZ:
-		ws.acc.branches += int64(len(lanes))
+		wx.wc.CountBranches(len(lanes))
 		jb, sb := wx.jumpBuf[:0], wx.stayBuf[:0]
 		wantTaken := in.op == opJNZ
 		switch in.kind {
@@ -1483,6 +1502,7 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		s.fn = tgt
 		s.pc = wx.wp.callEntry[in.aux]
 		s.depth++
+		return wx.frameChanged(), nil
 	case opRet:
 		if len(s.stack) == 0 {
 			return ctlExit, nil
@@ -1531,14 +1551,20 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		s.fn = fr.fn
 		s.pc = fr.pc
 		s.depth--
+		return wx.frameChanged(), nil
 	case opSync:
 		n := len(lanes)
-		ws.acc.barriers += int64(n)
+		wx.wc.CountBarriers(n)
 		gen, released, err := wx.wc.SyncArrive(n)
 		if err != nil {
 			return 0, err
 		}
 		if released {
+			// Sibling strands parked at this barrier are released too: they
+			// merge with this one before either issues past it.
+			if len(wx.waiting) > 0 {
+				return ctlYield, nil
+			}
 			return ctlNone, nil
 		}
 		s.gen = gen
@@ -1561,7 +1587,7 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 			if spec.name == "atomicCAS" {
 				iv2 = ints[int(s.bI+spec.val2)*W+li]
 			}
-			v, err := laneAtomic(ws.lanes[li], spec, ptrs[pb+li], iv, fv, iv2)
+			v, err := runAtomic(&wx.wc.Unit, spec, ptrs[pb+li], iv, fv, iv2)
 			if err != nil {
 				return 0, err
 			}
@@ -1673,70 +1699,6 @@ func cmpPRes(code int32, a, b Pointer) int64 {
 		return 1
 	}
 	return 0
-}
-
-// laneAtomic mirrors the tree-walker's evalAtomic: memory-space dispatch and
-// trap messages are resolved at run time. iv/fv carry the raw-converted
-// operand (one of them, per the lowering's bank choice); iv2 is the
-// atomicCAS third operand.
-func laneAtomic(tc *gpusim.ThreadCtx, spec *atomSpec, p Pointer, iv int64, fv float64, iv2 int64) (Value, error) {
-	elem := spec.elem
-	switch p.Space {
-	case SpaceGlobal:
-		switch spec.name {
-		case "atomicAdd", "atomicSub":
-			if elem.Kind == KFloat {
-				d := fv
-				if spec.name == "atomicSub" {
-					d = -d
-				}
-				old, err := tc.AtomicAddFloat32(p.Glob, 0, float32(d))
-				return Value{T: elem, F: float64(old)}, err
-			}
-			d := iv
-			if spec.name == "atomicSub" {
-				d = -d
-			}
-			old, err := tc.AtomicAddInt32(p.Glob, 0, int32(d))
-			return intValue(elem, int64(old)), err
-		case "atomicMax":
-			old, err := tc.AtomicMaxInt32(p.Glob, 0, int32(iv))
-			return intValue(elem, int64(old)), err
-		case "atomicMin":
-			old, err := tc.AtomicMinInt32(p.Glob, 0, int32(iv))
-			return intValue(elem, int64(old)), err
-		case "atomicExch":
-			if elem.Kind == KFloat {
-				old, err := tc.AtomicExchInt32(p.Glob, 0, int32(math.Float32bits(float32(fv))))
-				return Value{T: elem, F: float64(math.Float32frombits(uint32(old)))}, err
-			}
-			old, err := tc.AtomicExchInt32(p.Glob, 0, int32(iv))
-			return intValue(elem, int64(old)), err
-		case "atomicCAS":
-			old, err := tc.AtomicCASInt32(p.Glob, 0, int32(iv), int32(iv2))
-			return intValue(elem, int64(old)), err
-		}
-	case SpaceShared:
-		switch spec.name {
-		case "atomicAdd", "atomicSub":
-			if elem.Kind == KFloat {
-				d := fv
-				if spec.name == "atomicSub" {
-					d = -d
-				}
-				old, err := tc.SharedAtomicAddFloat32(p.Off/4, float32(d))
-				return Value{T: elem, F: float64(old)}, err
-			}
-			d := iv
-			if spec.name == "atomicSub" {
-				d = -d
-			}
-			old, err := tc.SharedAtomicAddInt32(p.Off/4, int32(d))
-			return intValue(elem, int64(old)), err
-		}
-		return Value{}, errAt(spec.tok, "%s is not supported on shared memory", spec.name)
-	}
-	return Value{}, errAt(spec.tok, "atomic on unsupported memory space %s", p.Space)
 }
 
 // atomFloatVal reports whether the lowering placed the atomic's value

@@ -51,29 +51,24 @@ type strand struct {
 	gen int // barrier generation while parked at a __syncthreads
 }
 
-// chargeAcc batches the compute-side cost charges of a whole warp. Only
-// block-level sums are observable through LaunchStats (collectBlock sums
-// per-thread stats), so ALU/special/branch/barrier charges accumulate here
-// and flush into one lane's ThreadCtx when the warp finishes. Memory
-// traffic is NOT batched: every access goes through the owning lane's
-// ThreadCtx so the per-thread event logs driving the coalescing cost model
-// stay identical to the per-thread engines.
-type chargeAcc struct {
-	alu, special, branches, barriers int64
-}
-
 // warpState holds the SoA register banks, lane metadata, and strand
-// scratch for one warp. Reused across warps via warpStatePool.
+// scratch for one warp. Reused across warps via warpStatePool, together
+// with the warp's executor.
 type warpState struct {
 	W      int // lane stride (live lanes in this warp)
 	ints   []int64
 	floats []float64
 	ptrs   []Pointer
-	lanes  []*gpusim.ThreadCtx
 	dims   [][12]int // per-lane builtin dims: threadIdx, blockIdx, blockDim, gridDim (x,y,z each)
-	acc    chargeAcc
 
 	strands []*strand // recycle list
+	wx      warpExec
+
+	// One memory instruction's operands, per issuing lane: global
+	// addresses, shared or constant element indices, and the words moved.
+	addrs [maxWarpLanes]gpusim.Ptr
+	idxs  [maxWarpLanes]int
+	words [maxWarpLanes]uint32
 }
 
 var warpStatePool = sync.Pool{New: func() any { return new(warpState) }}
@@ -91,42 +86,17 @@ func grow[T any](s []T, need int) []T {
 
 // init prepares the state for one warp's lanes.
 func (ws *warpState) init(wc *gpusim.WarpCtx) {
-	W := len(wc.Lanes)
+	W := wc.Lanes()
 	ws.W = W
-	ws.lanes = append(ws.lanes[:0], wc.Lanes...)
 	if cap(ws.dims) < W {
 		ws.dims = make([][12]int, W)
 	}
 	ws.dims = ws.dims[:W]
-	for l, tc := range wc.Lanes {
-		d := &ws.dims[l]
-		d[0], d[1], d[2] = tc.ThreadIdx.X, tc.ThreadIdx.Y, tc.ThreadIdx.Z
-		d[3], d[4], d[5] = tc.BlockIdx.X, tc.BlockIdx.Y, tc.BlockIdx.Z
-		d[6], d[7], d[8] = tc.BlockDim.X, tc.BlockDim.Y, tc.BlockDim.Z
-		d[9], d[10], d[11] = tc.GridDim.X, tc.GridDim.Y, tc.GridDim.Z
+	b, bd, g := wc.BlockIdx, wc.BlockDim, wc.GridDim
+	for l := range ws.dims {
+		t := wc.ThreadIdx(l)
+		ws.dims[l] = [12]int{t.X, t.Y, t.Z, b.X, b.Y, b.Z, bd.X, bd.Y, bd.Z, g.X, g.Y, g.Z}
 	}
-	ws.acc = chargeAcc{}
-}
-
-// flush dumps the batched compute charges into one lane's ThreadCtx.
-func (ws *warpState) flush() {
-	if len(ws.lanes) == 0 {
-		return
-	}
-	tc := ws.lanes[0]
-	if ws.acc.alu != 0 {
-		tc.CountALU(int(ws.acc.alu))
-	}
-	if ws.acc.special != 0 {
-		tc.CountSpecial(int(ws.acc.special))
-	}
-	if ws.acc.branches != 0 {
-		tc.CountBranches(int(ws.acc.branches))
-	}
-	if ws.acc.barriers != 0 {
-		tc.CountBarriers(int(ws.acc.barriers))
-	}
-	ws.acc = chargeAcc{}
 }
 
 // newStrand returns a zeroed strand with capacity recycled from earlier
