@@ -13,7 +13,8 @@
 //
 //   - Writes go to a temp file in the final fanout directory and are
 //     renamed into place, so readers only ever observe complete files and
-//     a crash mid-write leaves a .tmp that Open sweeps away.
+//     a crash mid-write leaves a .tmp that a later Open sweeps away once
+//     it is older than any live write.
 //   - Every file carries a header with the payload's SHA-256; reads verify
 //     it. The store key hashes the *source*, not the artifact, so this
 //     header is what catches torn writes and bit rot. A failed check
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -58,6 +60,11 @@ const (
 	// rewrites it only when it is at least this old, so a hot entry costs
 	// one inode update an hour and recency on disk is exact to the hour.
 	touchInterval = time.Hour
+
+	// staleTempAge is how old a temp file must be before Open sweeps it.
+	// A live writer's lasts one Put, milliseconds; a younger one may be a
+	// neighbour's in-flight write, which it is about to rename into place.
+	staleTempAge = 10 * time.Minute
 )
 
 // Options configures a store.
@@ -125,18 +132,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:    opts,
 		entries: map[string]entry{},
 	}
-	err := filepath.Walk(filepath.Join(dir, "objects"), func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if strings.HasSuffix(path, ".tmp") {
-			return os.Remove(path)
-		}
-		s.entries[filepath.Base(path)] = entry{size: info.Size(), used: info.ModTime().UnixNano()}
-		s.stats.DiskBytes += info.Size()
-		return nil
-	})
-	if err != nil {
+	if err := filepath.WalkDir(filepath.Join(dir, "objects"), s.scan); err != nil {
 		return nil, fmt.Errorf("castore: scan objects: %w", err)
 	}
 	s.stats.Objects = int64(len(s.entries))
@@ -157,6 +153,34 @@ func Open(dir string, opts Options) (*Store, error) {
 		})
 	}
 	return s, nil
+}
+
+// scan is Open's visit of one path under objects/: it takes an entry's
+// size and recency from the file and sweeps a temp file old enough to be
+// a crashed writer's. Processes sharing the directory rename, evict and
+// sweep files between the directory read and the stat; a file gone by
+// then is skipped, not an error.
+func (s *Store) scan(path string, d fs.DirEntry, err error) error {
+	if err != nil || d.IsDir() {
+		return ignoreGone(err)
+	}
+	info, err := d.Info()
+	switch {
+	case err != nil:
+	case !strings.HasSuffix(path, ".tmp"):
+		s.entries[filepath.Base(path)] = entry{size: info.Size(), used: info.ModTime().UnixNano()}
+		s.stats.DiskBytes += info.Size()
+	case time.Since(info.ModTime()) > staleTempAge:
+		err = os.Remove(path)
+	}
+	return ignoreGone(err)
+}
+
+func ignoreGone(err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
 }
 
 // entryName is the entries-map key, and the file name, of one artifact.

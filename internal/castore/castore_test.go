@@ -2,7 +2,9 @@ package castore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -217,7 +219,8 @@ func TestCorruptionQuarantine(t *testing.T) {
 }
 
 // TestCrashMidWrite simulates a writer dying between temp-file creation
-// and rename: the next Open sweeps the temp file and the entry is a miss.
+// and rename: an Open after the temp file has gone stale sweeps it and
+// the entry is a miss.
 func TestCrashMidWrite(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -234,6 +237,10 @@ func TestCrashMidWrite(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("WGCA\x01partial garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	crashed := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(tmp, crashed, crashed); err != nil {
+		t.Fatal(err)
+	}
 	s2 := mustOpen(t, dir, Options{})
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("leftover temp file not swept on open")
@@ -243,6 +250,80 @@ func TestCrashMidWrite(t *testing.T) {
 	}
 	if got, ok := s2.Get(key(1), "prog"); !ok || string(got) != "good" {
 		t.Fatalf("intact neighbour lost: %q, %v", got, ok)
+	}
+}
+
+// TestOpenBesideLiveWriter: a process opening a shared directory leaves a
+// neighbour's in-flight temp file alone, so the neighbour's rename still
+// lands and the new store serves the entry.
+func TestOpenBesideLiveWriter(t *testing.T) {
+	dir := t.TempDir()
+	writer := mustOpen(t, dir, Options{})
+	if err := writer.Put(key(1), "prog", []byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	// Stop the writer's Put between its write and its rename: move the
+	// object back to a temp name of the form Put creates.
+	obj := writer.objectPath(key(1), "prog")
+	tmp := obj + ".4242.tmp"
+	if err := os.Rename(obj, tmp); err != nil {
+		t.Fatal(err)
+	}
+	reader := mustOpen(t, dir, Options{})
+	if err := os.Rename(tmp, obj); err != nil { // the rest of the writer's Put
+		t.Fatalf("the neighbour's Open swept a live write: %v", err)
+	}
+	if got, ok := reader.Get(key(1), "prog"); !ok || string(got) != "fresh" {
+		t.Fatalf("entry renamed in after Open = %q, %v", got, ok)
+	}
+}
+
+// TestOpenSkipsFilesGoneMidWalk: a file a neighbour removes between Open's
+// directory read and its stat (an eviction, a swept or renamed temp file)
+// is skipped, and so is a directory that went the same way.
+func TestOpenSkipsFilesGoneMidWalk(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 2; i++ {
+		if err := s.Put(key(i), "prog", []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fan := filepath.Dir(s.objectPath(key(0), "prog"))
+	stale := filepath.Join(fan, key(2)+".prog.77.tmp")
+	if err := os.WriteFile(stale, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crashed := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, crashed, crashed); err != nil {
+		t.Fatal(err)
+	}
+	// The directory read happens, then every file in it goes.
+	ents, err := os.ReadDir(fan)
+	if err != nil || len(ents) != 3 {
+		t.Fatalf("fanout dir holds %d entries (err %v), want 2 objects and a temp file", len(ents), err)
+	}
+	for _, d := range ents {
+		if err := os.Remove(filepath.Join(fan, d.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh := &Store{entries: map[string]entry{}}
+	for _, d := range ents {
+		if err := fresh.scan(filepath.Join(fan, d.Name()), d, nil); err != nil {
+			t.Errorf("%s, gone mid-walk: %v", d.Name(), err)
+		}
+	}
+	gone := &fs.PathError{Op: "open", Path: fan, Err: fs.ErrNotExist}
+	if err := fresh.scan(fan, nil, gone); err != nil {
+		t.Errorf("directory gone mid-walk: %v", err)
+	}
+	if len(fresh.entries) != 0 {
+		t.Errorf("entries of removed files recorded: %v", fresh.entries)
+	}
+	if err := fresh.scan(fan, nil, &fs.PathError{Op: "open", Path: fan, Err: fs.ErrPermission}); !errors.Is(err, fs.ErrPermission) {
+		t.Errorf("an unreadable directory = %v, want its error", err)
 	}
 }
 
@@ -478,8 +559,6 @@ func TestTouchBesideSharedGC(t *testing.T) {
 		}
 		backdate(t, dir, i, time.Duration(2+i)*touchInterval)
 	}
-	// Every store opens before any writes: Open sweeps *.tmp files, a live
-	// neighbour's included.
 	stores := make([]*Store, 4)
 	for g := range stores {
 		stores[g] = mustOpen(t, dir, Options{MaxBytes: 12 * perEntry})

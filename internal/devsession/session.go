@@ -397,10 +397,11 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	// the loop's wake-up). The elapsed_ms figures start here and hide it.
 	waited := start.Sub(d.queuedAt)
 	waitedMS := ms(waited)
-	s.m.cfg.Metrics.Inc("devsession_pickups_"+pickup, 1)
-	s.m.cfg.Metrics.ObserveDuration("devsession_pickup_wait_ms", waited)
+	reg := s.m.cfg.Metrics
+	reg.Inc("devsession_pickups_"+pickup, 1)
+	reg.ObserveDuration("devsession_pickup_wait_ms", waited)
 	tr := s.m.cfg.Traces.NewTrace()
-	sp := tr.StartSpan("draft",
+	sp := tr.StageAt(start, s.m.now, reg, "devsession_draft_ms", "draft",
 		"session", s.ID, "lab", s.LabID, "draft", strconv.FormatInt(d.seq, 10),
 		"pickup", pickup, "waited_ms", strconv.FormatFloat(waitedMS, 'f', 3, 64))
 	done := make(chan pipelineOut, 1)
@@ -424,19 +425,28 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 
 	select {
 	case <-ctx.Done():
-		s.m.cfg.Metrics.Inc("devsession_draft_cancelled", 1)
-		sp.EndAttrs("cancelled", "true")
+		reg.Inc("devsession_draft_cancelled", 1)
+		sp.Abandon("cancelled", "true")
 		tr.Finish()
 		s.emit(EventStatus, StatusPayload{State: "cancelled", Draft: d.seq})
 		return
 	case out := <-done:
-		elapsed := s.m.now().Sub(start)
-		compile := CompilePayload{Draft: d.seq, Cache: out.status.String(), OK: out.err == nil, WaitedMS: waitedMS, ElapsedMS: ms(elapsed)}
+		if out.status == progcache.Hit {
+			sp = sp.Also("devsession_draft_warm_ms")
+		}
+		elapsedMS := ms(sp.End("cache", out.status.String(), "diags", strconv.Itoa(len(out.diags))))
+		tr.Finish()
+		compile := CompilePayload{Draft: d.seq, Cache: out.status.String(), OK: out.err == nil, WaitedMS: waitedMS, ElapsedMS: elapsedMS}
 		if out.err != nil {
 			compile.Error = out.err.Error()
 		}
 		s.emit(EventCompile, compile)
 		if out.err == nil {
+			// Counted before the event that reports it, so a client that
+			// has the event finds the draft in the counters too.
+			reg.Inc("kernelcheck_incremental_runs", 1)
+			reg.Inc("kernelcheck_incremental_analyzed", float64(out.analyzed))
+			reg.Inc("kernelcheck_incremental_reused", float64(out.reused))
 			diags := out.diags
 			if diags == nil {
 				diags = []kernelcheck.Diagnostic{}
@@ -447,17 +457,8 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 				Analyzed:    out.analyzed,
 				Reused:      out.reused,
 				WaitedMS:    waitedMS,
-				ElapsedMS:   ms(s.m.now().Sub(start)),
+				ElapsedMS:   elapsedMS,
 			})
-			s.m.cfg.Metrics.Inc("kernelcheck_incremental_runs", 1)
-			s.m.cfg.Metrics.Inc("kernelcheck_incremental_analyzed", float64(out.analyzed))
-			s.m.cfg.Metrics.Inc("kernelcheck_incremental_reused", float64(out.reused))
 		}
-		s.m.cfg.Metrics.ObserveDuration("devsession_draft_ms", elapsed)
-		if out.status == progcache.Hit {
-			s.m.cfg.Metrics.ObserveDuration("devsession_draft_warm_ms", elapsed)
-		}
-		sp.EndAttrs("cache", out.status.String(), "diags", strconv.Itoa(len(out.diags)))
-		tr.Finish()
 	}
 }

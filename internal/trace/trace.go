@@ -16,6 +16,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"webgpu/internal/metrics"
 )
 
 // Span is one named, timed stage of a job's lifecycle.
@@ -39,8 +41,7 @@ type Trace struct {
 }
 
 // New creates a standalone trace collector with the given ID — the form
-// a worker node builds when a job arrives carrying a trace ID but no
-// in-process trace (the v2 poll path).
+// the v2 driver builds for a polled job that carries a trace ID.
 func New(id string) *Trace {
 	return &Trace{id: id, started: time.Now()}
 }
@@ -62,60 +63,97 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Active is an open span; call End (or EndAttrs) to record it.
+// Active is an open stage of a job, the stage's one instrument: End reads
+// the stage's clock once, and that reading is both the span it records
+// when the job is traced and the sample it observes in the stage's
+// histogram whether it is or not, so no caller asks which. An untraced
+// stage builds no attribute map and allocates nothing.
 type Active struct {
 	tr    *Trace
-	name  string
+	reg   *metrics.Registry
+	hists [2]string // histograms End observes; "" is none
+	name  string    // the span; "" when only the stage's parts have spans
+	now   func() time.Time
 	start time.Time
 	attrs map[string]string
 }
 
-// StartSpan opens a named span. Optional kv pairs become attributes.
-func (t *Trace) StartSpan(name string, kv ...string) *Active {
-	if t == nil {
-		return nil
+// Stage opens a stage of t's job on the wall clock. End records it as the
+// span name on t (unless t is nil or name is "") and as a sample of the
+// histogram hist in reg (unless hist is ""). kv pairs become attributes.
+func (t *Trace) Stage(reg *metrics.Registry, hist, name string, kv ...string) Active {
+	return t.StageAt(time.Now(), time.Now, reg, hist, name, kv...)
+}
+
+// StageAt is Stage for a stage that began at start and is timed by now:
+// a wait that began before this process saw the job (a broker message's
+// enqueue), or a component whose clock is injected.
+func (t *Trace) StageAt(start time.Time, now func() time.Time, reg *metrics.Registry, hist, name string, kv ...string) Active {
+	a := Active{tr: t, reg: reg, hists: [2]string{hist}, name: name, now: now, start: start}
+	if t != nil {
+		a.attrs = addAttrs(nil, kv)
 	}
-	a := &Active{tr: t, name: name, start: time.Now()}
-	a.setAttrs(kv)
 	return a
 }
 
-func (a *Active) setAttrs(kv []string) {
+// StartSpan opens a stage that has a span and no histogram.
+func (t *Trace) StartSpan(name string, kv ...string) Active {
+	return t.Stage(nil, "", name, kv...)
+}
+
+// addAttrs adds kv pairs to m, making it on the first pair; a pair whose
+// value is "" is left out.
+func addAttrs(m map[string]string, kv []string) map[string]string {
 	for i := 0; i+1 < len(kv); i += 2 {
-		if a.attrs == nil {
-			a.attrs = map[string]string{}
+		if kv[i+1] == "" {
+			continue
 		}
-		a.attrs[kv[i]] = kv[i+1]
+		if m == nil {
+			m = map[string]string{}
+		}
+		m[kv[i]] = kv[i+1]
 	}
+	return m
 }
 
-// SetAttr attaches an attribute to an open span.
-func (a *Active) SetAttr(k, v string) *Active {
-	if a == nil {
-		return nil
-	}
-	if a.attrs == nil {
-		a.attrs = map[string]string{}
-	}
-	a.attrs[k] = v
+// Also makes End observe hist as well: a stage that falls in a class (a
+// draft served warm) is a sample of the class's histogram too.
+func (a Active) Also(hist string) Active {
+	a.hists[1] = hist
 	return a
 }
 
-// End closes the span and records it on the trace.
-func (a *Active) End() {
-	if a == nil {
-		return
+// End closes the stage with kv as final attributes and returns how long
+// it took: the span's Dur and the histograms' sample.
+func (a Active) End(kv ...string) time.Duration {
+	d := a.now().Sub(a.start)
+	if a.reg != nil {
+		for _, h := range a.hists {
+			if h != "" {
+				a.reg.ObserveDuration(h, d)
+			}
+		}
 	}
-	a.tr.Add(Span{Name: a.name, Start: a.start, Dur: time.Since(a.start), Attrs: a.attrs})
+	if a.tr != nil && a.name != "" {
+		a.tr.Add(Span{Name: a.name, Start: a.start, Dur: d, Attrs: addAttrs(a.attrs, kv)})
+	}
+	return d
 }
 
-// EndAttrs closes the span with final kv attribute pairs.
-func (a *Active) EndAttrs(kv ...string) {
-	if a == nil {
-		return
+// Abandon closes a stage that was given up (a cancelled wait or draft):
+// its span is recorded, but it is no sample of how long the stage takes.
+func (a Active) Abandon(kv ...string) time.Duration {
+	a.reg = nil
+	return a.End(kv...)
+}
+
+// Part records, on a traced job, a span that starts with the stage and
+// lasts dur: one of the parts the stage fans out to, as the datasets of
+// an exec stage all start together.
+func (a Active) Part(name string, dur time.Duration, kv ...string) {
+	if a.tr != nil {
+		a.tr.Add(Span{Name: name, Start: a.start, Dur: dur, Attrs: addAttrs(nil, kv)})
 	}
-	a.setAttrs(kv)
-	a.End()
 }
 
 // Add records an already-closed span (used to merge spans a remote

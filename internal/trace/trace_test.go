@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"webgpu/internal/metrics"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -13,9 +15,10 @@ func TestNilSafety(t *testing.T) {
 		t.Errorf("nil trace ID = %q", tr.ID())
 	}
 	sp := tr.StartSpan("x", "k", "v")
-	sp.SetAttr("a", "b")
 	sp.End()
-	sp.EndAttrs("c", "d")
+	sp.End("c", "d")
+	sp.Abandon("e", "f")
+	sp.Part("x[0]", time.Millisecond, "g", "h")
 	tr.Add(Span{Name: "y"})
 	tr.AddAll([]Span{{Name: "z"}})
 	tr.Finish()
@@ -36,9 +39,8 @@ func TestSpanRecording(t *testing.T) {
 	tr := New("tr-1")
 	sp := tr.StartSpan("compile", "cache", "miss")
 	time.Sleep(time.Millisecond)
-	sp.SetAttr("image", "cuda")
-	sp.End()
-	tr.StartSpan("grade").EndAttrs("correct", "true")
+	sp.End("image", "cuda")
+	tr.StartSpan("grade").End("correct", "true")
 	tr.AddAll([]Span{{Name: "exec", Dur: 5 * time.Millisecond}})
 	tr.Finish()
 
@@ -117,5 +119,92 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := len(tr.Spans()); got != 400 {
 		t.Errorf("spans = %d, want 400", got)
+	}
+}
+
+// sample is the one value a histogram holds, in milliseconds.
+func sample(t *testing.T, reg *metrics.Registry, name string) float64 {
+	t.Helper()
+	h := reg.Hist(name)
+	if h == nil || h.Count() != 1 {
+		t.Fatalf("%s: want exactly one sample, have %v", name, h)
+	}
+	return h.Sum()
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// TestStageOneReading: a stage's span and its histogram sample are one
+// clock reading, End hands that reading back, and a histogram the stage
+// falls into as well gets the same number. An abandoned stage leaves a
+// span and no sample; an untraced one leaves a sample and no span.
+func TestStageOneReading(t *testing.T) {
+	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { now = now.Add(3 * time.Millisecond); return now }
+	reg := metrics.NewRegistry()
+	tr := New("tr-1")
+
+	start := clock()
+	d := tr.StageAt(start, clock, reg, "stage_draft_ms", "draft", "pickup", "leading", "wake", "").
+		Also("stage_draft_warm_ms").End("cache", "hit")
+	if d != 3*time.Millisecond {
+		t.Errorf("End = %v, want one 3ms tick of the stage's clock", d)
+	}
+	tr.StageAt(clock(), clock, reg, "stage_cancel_ms", "cancelled").Abandon("cancelled", "true")
+	ex := tr.StageAt(clock(), clock, reg, "stage_exec_ms", "")
+	ex.Part("exec[dataset=0]", time.Millisecond, "engine", "warp", "instructions", "")
+	exec := ex.End()
+	var untraced *Trace
+	untraced.Stage(reg, "stage_untraced_ms", "untraced").End()
+
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("spans = %+v, want draft, cancelled and one exec part", spans)
+	}
+	draft, cancelled, part := spans[0], spans[1], spans[2]
+	if draft.Name != "draft" || draft.Start != start || draft.Dur != d {
+		t.Errorf("draft span = %+v, want start %v and dur %v", draft, start, d)
+	}
+	want := map[string]string{"pickup": "leading", "cache": "hit"} // an empty value is left out
+	if fmt.Sprint(draft.Attrs) != fmt.Sprint(want) {
+		t.Errorf("draft attrs = %v, want %v", draft.Attrs, want)
+	}
+	for _, h := range []string{"stage_draft_ms", "stage_draft_warm_ms"} {
+		if got := sample(t, reg, h); got != ms(draft.Dur) {
+			t.Errorf("%s = %v, span says %v", h, got, ms(draft.Dur))
+		}
+	}
+	if cancelled.Name != "cancelled" || cancelled.Attrs["cancelled"] != "true" || reg.Hist("stage_cancel_ms") != nil {
+		t.Errorf("abandoned stage: span %+v, histogram %v; want a span and no sample", cancelled, reg.Hist("stage_cancel_ms"))
+	}
+	if part.Name != "exec[dataset=0]" || part.Dur != time.Millisecond || part.Attrs["engine"] != "warp" || len(part.Attrs) != 1 {
+		t.Errorf("part span = %+v", part)
+	}
+	if got := sample(t, reg, "stage_exec_ms"); got != ms(exec) || part.Start.Add(exec) != now {
+		t.Errorf("exec stage: sample %v, End %v, part start %v, now %v", got, exec, part.Start, now)
+	}
+	if sample(t, reg, "stage_untraced_ms") < 0 {
+		t.Error("untraced stage observed a negative duration")
+	}
+}
+
+// TestUntracedStageAllocatesNothing: instrumenting a stage costs an
+// untraced job no allocation, attributes included.
+func TestUntracedStageAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	reg := metrics.NewRegistry()
+	for i := 0; i < 5000; i++ { // past the histogram's reservoir, so a sample overwrites
+		reg.ObserveDuration("stage_compile_ms", time.Millisecond)
+	}
+	var tr *Trace
+	allocs := testing.AllocsPerRun(100, func() {
+		cs := tr.Stage(reg, "stage_compile_ms", "compile", "worker", "worker-001")
+		cs.Part("compile[0]", time.Millisecond, "k", "v")
+		cs.End("cache", "hit", "ok", "true")
+	})
+	if allocs != 0 {
+		t.Errorf("untraced stage allocates %v times per run, want 0", allocs)
 	}
 }

@@ -3,13 +3,16 @@ package webserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"webgpu/internal/db"
+	"webgpu/internal/grader"
 )
 
 // post sends one JSON body straight to the server's handler.
@@ -156,6 +159,78 @@ func TestAccountErrorsSayWhatHappened(t *testing.T) {
 				}
 				return nil
 			})
+		})
+	}
+}
+
+// failingGradebook refuses every write-back.
+type failingGradebook struct{ nullGradebook }
+
+func (failingGradebook) Record(*grader.Grade) error { return errors.New("gradebook offline") }
+
+// TestInstructorErrorsSayWhatHappened: the instructor's views treat only a
+// missing row as absent. A submission, account or grade row that does not
+// decode fails the roster and the student view with 500 internal instead
+// of leaving a hole in the page, and an override whose gradebook write-back
+// fails says so, as a submit does.
+func TestInstructorErrorsSayWhatHappened(t *testing.T) {
+	const student = "user-000001"
+	put := func(table, key string, v interface{}) func(*fixture) {
+		return func(f *fixture) {
+			if err := f.srv.db.Update(func(tx *db.Tx) error { return tx.Put(table, key, v) }); err != nil {
+				f.t.Fatal(err)
+			}
+		}
+	}
+	submitted := func(rec interface{}) func(*fixture) { // the student's one submission
+		return func(f *fixture) {
+			if err := f.srv.db.Update(func(tx *db.Tx) error {
+				return putIndexed(tx, "submissions", "vector-add", student, "sub-000001", rec)
+			}); err != nil {
+				f.t.Fatal(err)
+			}
+		}
+	}
+	goodSub := SubmissionRec{ID: "sub-000001", UserID: student, LabID: "vector-add"}
+	badGrade := put("grades", codeKey(student, "vector-add"), map[string]string{"total": "not a number"})
+	both := func(ds ...func(*fixture)) func(*fixture) {
+		return func(f *fixture) {
+			for _, d := range ds {
+				d(f)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, method, path, body string
+		damage                   func(*fixture)
+		want                     int
+		message                  string // names the row that failed
+	}{
+		{"roster submission", "GET", "/api/v1/instructor/roster/vector-add", "",
+			submitted(map[string]string{"at": "not a time"}), http.StatusInternalServerError, "parsing time"},
+		{"roster user", "GET", "/api/v1/instructor/roster/vector-add", "",
+			both(submitted(goodSub), put("users", student, map[string]int{"name": 1})), http.StatusInternalServerError, "User.name"},
+		{"roster grade", "GET", "/api/v1/instructor/roster/vector-add", "",
+			both(submitted(goodSub), badGrade), http.StatusInternalServerError, "Grade.total"},
+		{"student view grade", "GET", "/api/v1/instructor/student/" + student + "/vector-add", "",
+			badGrade, http.StatusInternalServerError, "Grade.total"},
+		{"override gradebook", "POST", "/api/v1/instructor/override", `{"user_id":"` + student + `","lab_id":"vector-add","total":5}`,
+			func(f *fixture) {
+				put("grades", codeKey(student, "vector-add"), grader.Grade{UserID: student, LabID: "vector-add"})(f)
+				f.srv.gradebook = failingGradebook{}
+			}, http.StatusInternalServerError, "gradebook offline"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.register("stu@example.edu", "student") // user-000001
+			token := f.register("prof@example.edu", "instructor")
+			tc.damage(f)
+			code, raw := f.reqRaw(tc.method, tc.path, token, tc.body)
+			var body ErrorBody
+			_ = json.Unmarshal(raw, &body)
+			if code != tc.want || body.Error.Code != ErrCodeInternal || !strings.Contains(body.Error.Message, tc.message) {
+				t.Errorf("status %d, body %s; want %d, %q naming %q", code, raw, tc.want, ErrCodeInternal, tc.message)
+			}
 		})
 	}
 }

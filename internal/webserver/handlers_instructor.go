@@ -59,29 +59,40 @@ func (s *Server) handleRoster(w http.ResponseWriter, r *http.Request, u *User) {
 			rowFor(userID).Submissions++
 			latest[userID] = id
 		})
+		// Only a missing row is absent; one that does not decode fails the
+		// page rather than leaving a hole in it.
 		for uid, id := range latest {
 			var sub SubmissionRec
-			if err := tx.Get("submissions", id, &sub); err == nil {
+			switch err := tx.Get("submissions", id, &sub); {
+			case err == nil:
 				rows[uid].LastSubmitted = sub.At.Format("2006-01-02 15:04:05")
+			case !errors.Is(err, db.ErrNotFound):
+				return err
 			}
 		}
 		for uid, row := range rows {
 			var usr User
-			if err := tx.Get("users", uid, &usr); err == nil {
+			switch err := tx.Get("users", uid, &usr); {
+			case err == nil:
 				row.Name, row.Email = usr.Name, usr.Email
+			case !errors.Is(err, db.ErrNotFound):
+				return err
 			}
 			var g grader.Grade
-			if err := tx.Get("grades", codeKey(uid, l.ID), &g); err == nil {
+			switch err := tx.Get("grades", codeKey(uid, l.ID), &g); {
+			case err == nil:
 				row.Grade = &g
 				row.ProgramGrade = g.Compile + g.Datasets + g.Keywords
 				row.QuestionGrade = g.Questions
 				row.TotalGrade = g.Total
+			case !errors.Is(err, db.ErrNotFound):
+				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	out := make([]*RosterRow, 0, len(rows))
@@ -116,8 +127,11 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 			return err
 		}
 		var g grader.Grade
-		if err := tx.Get("grades", codeKey(userID, l.ID), &g); err == nil {
+		switch err := tx.Get("grades", codeKey(userID, l.ID), &g); {
+		case err == nil:
 			grade = &g
+		case !errors.Is(err, db.ErrNotFound):
+			return err
 		}
 		comments = rawRecords(tx, "comments", ownedIDs(tx, "comments", l.ID, userID))
 		return nil
@@ -127,7 +141,7 @@ func (s *Server) handleStudentDetail(w http.ResponseWriter, r *http.Request, u *
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -167,11 +181,14 @@ func (s *Server) handleOverride(w http.ResponseWriter, r *http.Request, u *User)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	if s.gradebook != nil {
-		_ = s.gradebook.Record(&g)
+		if err := s.gradebook.Record(&g); err != nil {
+			writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "gradebook: %v", err)
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, g)
 }

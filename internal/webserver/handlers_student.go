@@ -480,11 +480,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		return tx.Get("answers", codeKey(u.ID, l.ID), &answers)
 	})
 	if err != nil && !errors.Is(err, db.ErrNotFound) {
-		status := http.StatusInternalServerError // the row does not decode
-		if errors.Is(err, db.ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	answered := 0
@@ -497,7 +493,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	gradeSpan := tr.StartSpan("grade")
 	g := grader.Score(l, source, res.Outcomes, answered)
 	grader.AttachDiagnostics(g, res.Diagnostics)
-	gradeSpan.EndAttrs("total", strconv.Itoa(g.Total), "max", strconv.Itoa(g.Max))
+	gradeSpan.End("total", strconv.Itoa(g.Total), "max", strconv.Itoa(g.Max))
 	g.UserID = u.ID
 	sub := SubmissionRec{
 		ID:              s.newID("sub"),

@@ -547,6 +547,16 @@ func writeErr(w http.ResponseWriter, status int, code, format string, args ...in
 	writeJSON(w, status, body)
 }
 
+// writeStoreErr reports a store failure: 503 when the store is closed,
+// 500 when a row it holds does not decode.
+func writeStoreErr(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if errors.Is(err, db.ErrClosed) {
+		status = http.StatusServiceUnavailable
+	}
+	writeErr(w, status, ErrCodeInternal, "%v", err)
+}
+
 // page describes limit/offset pagination parsed from the query string.
 type page struct {
 	Limit  int

@@ -188,52 +188,36 @@ func (n *Node) InflightHighWater() int { return int(n.inflightHW.Load()) }
 // way the v1 web tier queued them behind busy workers).
 //
 // The context carries both cancellation (a done ctx aborts admission
-// waits, compile waits, and the per-dataset fan-out) and, on the v1
-// in-process path, the job's trace. On the v2 path the job arrives with
-// only a TraceID; the node then builds a local span collector and ships
-// the spans back on the Result.
+// waits, compile waits, and the per-dataset fan-out) and the job's trace,
+// which the caller owns: the web tier's on the v1 in-process path, the
+// driver's on the v2 path. An untraced job records no spans.
 func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	res := &Result{JobID: job.ID, WorkerID: n.ID, TraceID: job.TraceID}
 	tr := trace.FromContext(ctx)
-	owned := false // we built the collector, so we must export its spans
-	if tr == nil && job.TraceID != "" {
-		tr = trace.New(job.TraceID)
-		owned = true
-	}
 	if res.TraceID == "" {
 		res.TraceID = tr.ID()
 	}
-	exportSpans := func() {
-		if owned {
-			res.Spans = tr.Spans()
-		}
-	}
 
-	enqueued := time.Now()
-	adm := tr.StartSpan("admission", "worker", n.ID)
+	adm := tr.Stage(n.metrics, "stage_admission_ms", "admission", "worker", n.ID)
 	if done := ctx.Done(); done == nil {
 		n.sem <- struct{}{} // uncancellable ctx: skip the select fast path
 	} else {
 		select {
 		case n.sem <- struct{}{}:
 		case <-done:
-			res.QueueWait = time.Since(enqueued)
+			res.QueueWait = adm.Abandon("canceled", "true")
 			res.Canceled = true
 			res.Error = "worker: " + ctx.Err().Error()
 			res.CompletedAt = time.Now()
-			adm.EndAttrs("canceled", "true")
 			n.metrics.Inc("jobs_canceled", 1)
-			exportSpans()
 			return res
 		}
 	}
 	defer func() { <-n.sem }()
-	res.QueueWait = time.Since(enqueued)
-	adm.End()
-	n.metrics.ObserveDuration("stage_admission_ms", res.QueueWait)
+	res.QueueWait = adm.End()
 
 	cur := n.inflight.Add(1)
 	defer n.inflight.Add(-1)
@@ -250,8 +234,6 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		res.CompletedAt = time.Now()
 		n.metrics.Inc("jobs_total", 1)
 		n.metrics.ObserveDuration("job_exec_ms", res.ExecDuration)
-		n.metrics.ObserveDuration("job_queue_wait_ms", res.QueueWait)
-		exportSpans()
 	}()
 
 	lab := labs.ByID(job.LabID)
@@ -264,9 +246,7 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	// Compile-time blacklist (§III-D).
 	scan := tr.StartSpan("scan")
 	err := n.scanner.Check(job.Source)
-	if scan != nil {
-		scan.EndAttrs("rejected", strconv.FormatBool(err != nil))
-	}
+	scan.End("rejected", strconv.FormatBool(err != nil))
 	if err != nil {
 		res.Rejected = true
 		res.Error = err.Error()
@@ -326,25 +306,17 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 
 	// Compile exactly once per job through the content-addressed program
 	// cache — identical sources across jobs compile once per process.
-	compileStart := time.Now()
+	cs := tr.Stage(n.metrics, "stage_compile_ms", "compile")
 	prog, status, cerr := n.compileSubmission(ctx, job.Source, lab.Dialect)
-	compileWall := time.Since(compileStart)
-	cacheAttr := "miss"
+	compileWall := cs.End("cache", status.String(), "ok", strconv.FormatBool(cerr == nil))
 	switch status {
 	case progcache.Hit:
-		cacheAttr = "hit"
 		n.metrics.Inc("progcache_hits", 1)
 	case progcache.Coalesced:
-		cacheAttr = "coalesced"
 		n.metrics.Inc("progcache_coalesced", 1)
 	default:
 		n.metrics.Inc("progcache_misses", 1)
 	}
-	if tr != nil { // skip building the attr map on untraced jobs
-		tr.Add(trace.Span{Name: "compile", Start: compileStart, Dur: compileWall,
-			Attrs: map[string]string{"cache": cacheAttr, "ok": strconv.FormatBool(cerr == nil)}})
-	}
-	n.metrics.ObserveDuration("stage_compile_ms", compileWall)
 
 	// Static kernel analysis (kernelcheck). Diagnostics are a derived
 	// artifact cached on the program-cache entry, so repeat submissions
@@ -355,30 +327,24 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	// critical path (both only read the compiled program).
 	joinAnalysis := func() {}
 	if cerr == nil && job.AnalysisPolicy != AnalysisOff {
-		kcStart := time.Now()
+		kc := tr.Stage(n.metrics, "stage_kernelcheck_ms", "kernelcheck", "policy", analysisPolicyName(job.AnalysisPolicy))
 		var diags []kernelcheck.Diagnostic
-		var aerr error
 		var kcWall time.Duration
-		finish := func() {
-			n.metrics.ObserveDuration("stage_kernelcheck_ms", kcWall)
-			if aerr == nil {
-				res.Diagnostics = diags
-				for _, dg := range diags {
-					n.metrics.Inc(kernelcheck.MetricName(dg.ID), 1)
-				}
+		analyze := func() {
+			var err error
+			if diags, err = n.progs.Diagnostics(job.Source, lab.Dialect); err != nil {
+				diags = nil // an analysis that failed has no findings
 			}
-			if tr != nil {
-				tr.Add(trace.Span{Name: "kernelcheck", Start: kcStart, Dur: kcWall,
-					Attrs: map[string]string{
-						"findings": strconv.Itoa(len(res.Diagnostics)),
-						"errors":   strconv.Itoa(kernelcheck.ErrorCount(res.Diagnostics)),
-						"policy":   analysisPolicyName(job.AnalysisPolicy),
-					}})
+			kcWall = kc.End("findings", strconv.Itoa(len(diags)), "errors", strconv.Itoa(kernelcheck.ErrorCount(diags)))
+		}
+		finish := func() {
+			res.Diagnostics = diags
+			for _, dg := range diags {
+				n.metrics.Inc(kernelcheck.MetricName(dg.ID), 1)
 			}
 		}
 		if job.AnalysisPolicy == AnalysisFailFast {
-			diags, aerr = n.progs.Diagnostics(job.Source, lab.Dialect)
-			kcWall = time.Since(kcStart)
+			analyze()
 			finish()
 			if kernelcheck.ErrorCount(res.Diagnostics) > 0 {
 				res.AnalysisBlocked = true
@@ -391,8 +357,7 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				diags, aerr = n.progs.Diagnostics(job.Source, lab.Dialect)
-				kcWall = time.Since(kcStart)
+				analyze()
 			}()
 			joinAnalysis = func() {
 				<-done
@@ -410,7 +375,9 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		return res
 	}
 
-	execStart := time.Now()
+	// The datasets run side by side from one start; the stage has a span
+	// per dataset and no span of its own.
+	ex := tr.Stage(n.metrics, "stage_exec_ms", "")
 	switch {
 	case cerr != nil:
 		res.Outcomes = compileErrorOutcomes(lab, job.DatasetID, cerr, compileWall)
@@ -422,33 +389,23 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	default:
 		res.Outcomes = []*labs.Outcome{labs.RunCompiled(ctx, lab, prog, job.DatasetID, ctr.Devices, maxSteps)}
 	}
-	n.metrics.ObserveDuration("stage_exec_ms", time.Since(execStart))
+	ex.End()
 	joinAnalysis()
+	// Which execution engine ran the kernels, and how large the lowered
+	// artifact was.
+	engine, instrs := "tree", ""
+	if prog != nil && prog.ArtifactKind() == "bytecode-warp" {
+		engine, instrs = "warp", strconv.Itoa(prog.InstructionCount())
+	}
 	for _, o := range res.Outcomes {
 		clamped, truncated := n.limits.ClampOutput(o.Trace)
 		if truncated {
 			o.Trace = clamped
 		}
-		if tr != nil && (o.Ran || o.Canceled) {
-			attrs := map[string]string{
-				"correct":  strconv.FormatBool(o.Correct),
-				"canceled": strconv.FormatBool(o.Canceled),
-				"sim_time": o.SimTime.String(),
-			}
-			if prog != nil {
-				// Which execution engine ran the kernels, and how large
-				// the lowered artifact was.
-				if prog.ArtifactKind() == "bytecode-warp" {
-					attrs["engine"] = "warp"
-					attrs["instructions"] = strconv.Itoa(prog.InstructionCount())
-				} else {
-					attrs["engine"] = "tree"
-				}
-			}
-			tr.Add(trace.Span{
-				Name:  fmt.Sprintf("exec[dataset=%d]", o.DatasetID),
-				Start: execStart, Dur: o.WallTime,
-				Attrs: attrs})
+		if o.Ran || o.Canceled {
+			ex.Part(fmt.Sprintf("exec[dataset=%d]", o.DatasetID), o.WallTime,
+				"correct", strconv.FormatBool(o.Correct), "canceled", strconv.FormatBool(o.Canceled),
+				"sim_time", o.SimTime.String(), "engine", engine, "instructions", instrs)
 		}
 		switch {
 		case o.Canceled:

@@ -229,10 +229,6 @@ func (d *Driver) loop(cfg Config) {
 			_ = delivery.Nack() // poison message heads to the DLQ
 			continue
 		}
-		// Broker wait is measured at dequeue (not after execution, which
-		// used to fold the run itself into the queue-wait figure); the
-		// node adds its own admission wait inside Execute.
-		brokerWait := time.Since(delivery.Msg.Enqueued)
 		// The trace ID rides the job (and the message's meta tag as a
 		// fallback); the driver collects the worker-side spans locally
 		// and ships them back on the result for the web tier to merge.
@@ -241,28 +237,22 @@ func (d *Driver) loop(cfg Config) {
 			traceID = queue.TraceTag(delivery.Msg.Tags)
 			job.TraceID = traceID
 		}
-		ctx := context.Background()
 		var tr *trace.Trace
 		if traceID != "" {
 			tr = trace.New(traceID)
-			attrs := map[string]string{"worker": d.node.ID, "arch": "v2",
-				"attempts": strconv.Itoa(delivery.Msg.Attempts)}
-			if pickup != "" {
-				// publish: the broker woke this driver for the job; tick: the
-				// fallback interval found it; absent: the driver came straight
-				// from its previous job and the message waited for a driver.
-				attrs["wake"] = pickup
-			}
-			tr.Add(trace.Span{Name: "queue_wait", Start: delivery.Msg.Enqueued,
-				Dur: brokerWait, Attrs: attrs})
-			ctx = trace.NewContext(ctx, tr)
 		}
-		res := d.node.Execute(ctx, job)
+		// Broker wait ends at dequeue (not after execution, which used to
+		// fold the run itself into the queue-wait figure); the node adds
+		// its own admission wait inside Execute. wake is publish when the
+		// broker woke this driver for the job and tick when the fallback
+		// interval found it; it is absent when the driver came straight
+		// from its previous job and the message waited for a driver.
+		brokerWait := tr.StageAt(delivery.Msg.Enqueued, time.Now, nil, "", "queue_wait",
+			"worker", d.node.ID, "arch", "v2", "attempts", strconv.Itoa(delivery.Msg.Attempts), "wake", pickup).End()
+		res := d.node.Execute(trace.NewContext(context.Background(), tr), job)
 		res.QueueWait += brokerWait
 		res.Attempt = delivery.Msg.Attempts
-		if tr != nil {
-			res.Spans = tr.Spans()
-		}
+		res.Spans = tr.Spans()
 		if res.Transient {
 			// Infrastructure failure, not a verdict on the submission:
 			// nack so a later attempt (possibly elsewhere) retries; the

@@ -26,6 +26,12 @@
 //     refused write is the only sign that the next restart will
 //     recompile; count it (progcache's Stats.StoreErrors) or return it.
 //
+//   - One instrument per stage: outside internal/trace, no Observe or
+//     ObserveDuration call may name a stage histogram (a string literal
+//     stage_<name>_ms). A stage's sample comes from its trace.Active's
+//     End, the same clock reading as its span; a hand-placed observation
+//     is a second instrument that drifts from the first.
+//
 //   - Orphan packages: when a directory argument is a module root (it
 //     holds go.mod), a package under its internal/ that has non-test
 //     files must be imported by a non-test file outside itself. One that
@@ -209,6 +215,38 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	if inPkg(slash, []string{"internal"}) && importName(f, castorePath) != "" {
 		out = append(out, checkDroppedPuts(fset, f)...)
 	}
+	if !inPkg(slash, []string{"internal/trace"}) {
+		out = append(out, checkStageObserves(fset, f)...)
+	}
+	return out
+}
+
+// checkStageObserves flags x.Observe / x.ObserveDuration calls whose name
+// argument is a stage histogram literal, stage_<name>_ms.
+func checkStageObserves(fset *token.FileSet, f *ast.File) []finding {
+	var out []finding
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Observe" && sel.Sel.Name != "ObserveDuration") {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if rest, ok := strings.CutPrefix(name, "stage_"); err == nil && ok && strings.HasSuffix(rest, "_ms") && rest != "_ms" {
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: fmt.Sprintf("%s observed by hand; a stage's histogram is observed by its trace stage's End", name),
+			})
+		}
+		return true
+	})
 	return out
 }
 

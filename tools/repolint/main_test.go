@@ -274,6 +274,52 @@ func f(s *castore.Store) { _ = s.Put("k", "prog", nil) }
 	}
 }
 
+// TestStageObserveRule: a stage histogram observed by hand is flagged
+// anywhere outside internal/trace, in either spelling, as the worker node
+// once observed its admission sample beside the admission span. Another
+// histogram, a name built at run time, a test file and the trace package
+// itself are fine.
+func TestStageObserveRule(t *testing.T) {
+	const node = `package worker
+
+import "time"
+
+type registry interface {
+	Observe(name string, v float64)
+	ObserveDuration(name string, d time.Duration)
+}
+
+func execute(reg registry, wait time.Duration) {
+	reg.ObserveDuration("stage_admission_ms", wait)
+	reg.Observe("stage_exec_ms", 1)
+	reg.ObserveDuration("job_exec_ms", wait)
+	reg.ObserveDuration("stage_ms", wait)
+	reg.ObserveDuration("stage_"+"compile_ms", wait)
+}
+`
+	rows := []struct {
+		name, path, src string
+		want            int
+	}{
+		{"worker node", "internal/worker/node.go", node, 2},
+		{"outside internal", "bench/layers.go", strings.Replace(node, "package worker", "package main", 1), 2},
+		{"test file", "internal/worker/node_test.go", node, 0},
+		{"trace package", "internal/trace/trace.go", strings.Replace(node, "package worker", "package trace", 1), 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{row.path: row.src})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "observed by hand"); n != row.want {
+				t.Fatalf("want %d stage-observe findings, got %d:\n%s", row.want, n, out)
+			}
+			if (code == 1) != (row.want > 0) || code > 1 {
+				t.Fatalf("exit = %d with %d findings wanted\n%s", code, row.want, out)
+			}
+		})
+	}
+}
+
 // TestOrphanPackageRule: under a module root, an internal/ package with
 // non-test files needs a non-test importer in another package. Its own
 // files, its tests and other packages' tests do not count; a package of
