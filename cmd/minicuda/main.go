@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"webgpu/internal/labs"
 	"webgpu/internal/minicuda"
@@ -68,7 +69,11 @@ func main() {
 func runAsSubmission(labID, src string, dataset int) {
 	l := labs.ByID(labID)
 	if l == nil {
-		log.Fatalf("unknown lab %q (see webgpu-bench -exp table2 for the catalog)", labID)
+		var ids []string
+		for _, l := range labs.All() {
+			ids = append(ids, l.ID)
+		}
+		log.Fatalf("unknown lab %q; the catalog is %s", labID, strings.Join(ids, ", "))
 	}
 	gpus := l.NumGPUs
 	if gpus == 0 {

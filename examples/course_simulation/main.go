@@ -1,84 +1,20 @@
 // Course simulation: replay a full Coursera offering against the
 // operational models — the Table I enrollment funnel, the Figure 1 hourly
 // activity series with its Wednesday deadline spikes, and the provisioning
-// policies the paper discusses — then compare elastic WebGPU against a
-// statically provisioned HPC cluster.
+// policies the paper discusses, compared with a statically provisioned
+// HPC cluster. The reports are the ones EXPERIMENTS.md records.
 package main
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"webgpu/internal/autoscale"
-	"webgpu/internal/cluster"
-	"webgpu/internal/workload"
+	"webgpu/internal/experiments"
 )
 
 func main() {
-	fmt.Println("=== 1. Enrollment funnel (Table I) ===")
-	fmt.Println()
-	rng := rand.New(rand.NewSource(7))
-	var rows []workload.YearResult
-	for _, params := range workload.CalibratedYears() {
-		rows = append(rows, params.Simulate(rng))
-	}
-	fmt.Println(workload.FormatTableI(rows))
-
-	fmt.Println("=== 2. Hourly activity over the 2015 offering (Figure 1) ===")
-	fmt.Println()
-	model := workload.Figure1Model()
-	series := model.HourlySeries()
-	stats := workload.Stats(series)
-	fmt.Printf("peak %d active (%s %s), trough %d (%s %s)\n",
-		stats.Max, stats.MaxAt.Format("Jan 2"), stats.MaxAt.Weekday(),
-		stats.Min, stats.MinAt.Format("Jan 2"), stats.MinAt.Weekday())
-	fmt.Println("first three weeks, daily peaks (note the Wednesday spikes):")
-	peaks := workload.DailyPeaks(series)
-	for _, p := range peaks[:21] {
-		fmt.Printf("  %s %s %3d %s\n", p.Time.Format("01/02"),
-			p.Time.Weekday().String()[:3], p.Active, bar(p.Active))
-	}
-	fmt.Println()
-
-	fmt.Println("=== 3. Provisioning the worker fleet for that load ===")
-	fmt.Println()
-	arrivals := workload.SubmissionArrivals(series, 2.0)
-	const svcRate = 30.0
-	peak := 0.0
-	for _, a := range arrivals {
-		if a > peak {
-			peak = a
-		}
-	}
-	staticN := int(peak/svcRate) + 1
-
-	show := func(name string, r autoscale.Result) {
-		fmt.Printf("  %-10s %7.0f worker-hours  p95 wait %5.2fh  utilization %5.1f%%\n",
-			name, r.WorkerHours, r.P95WaitHours, r.UtilizationPct)
-	}
-	show("static", autoscale.Simulate(arrivals, model.Start, svcRate, autoscale.Static{N: staticN}))
-	show("scheduled", autoscale.Simulate(arrivals, model.Start, svcRate, autoscale.Scheduled{
-		Base: staticN / 4, Boost: staticN,
-		BoostDays: map[time.Weekday]bool{time.Wednesday: true, time.Thursday: true}}))
-	show("reactive", autoscale.Simulate(arrivals, model.Start, svcRate,
-		autoscale.Reactive{PerWorkerPerHour: svcRate, TargetHours: 1, Min: 1, Max: staticN}))
-
-	ccfg := cluster.DefaultConfig(0)
-	ccfg.Nodes = cluster.SizeForPeak(arrivals, ccfg)
-	cres := cluster.Simulate(arrivals, ccfg)
-	fmt.Printf("  %-10s %7.0f node-hours    p95 wait %5.2fh  utilization %5.1f%%  (%d-node shared campus cluster)\n",
-		"cluster", cres.NodeHours, cres.P95WaitHours, cres.UtilizationPct, ccfg.Nodes)
-
-	fmt.Println()
+	fmt.Println(experiments.Table1())
+	fmt.Println(experiments.Figure1())
+	fmt.Println(experiments.Provisioning())
 	fmt.Println("the elastic fleet tracks the enrollment decay; the static cluster sized")
 	fmt.Println("for week one sits mostly idle from week four on (§II-C).")
-}
-
-func bar(n int) string {
-	out := make([]byte, n/3)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
 }

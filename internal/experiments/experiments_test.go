@@ -11,8 +11,8 @@ import (
 
 func TestAllRegistered(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("experiments = %d, want 17", len(all))
+	if len(all) != 18 {
+		t.Fatalf("experiments = %d, want 18", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -23,9 +23,6 @@ func TestAllRegistered(t *testing.T) {
 			t.Errorf("duplicate id %q", e.ID)
 		}
 		seen[e.ID] = true
-	}
-	if ByID("table1") == nil || ByID("nope") != nil {
-		t.Error("ByID broken")
 	}
 }
 
@@ -155,8 +152,7 @@ func TestPeerReviewExperiment(t *testing.T) {
 
 func TestSecurityExperiment(t *testing.T) {
 	out := Security()
-	for _, want := range []string{"false positives: raw=2 preprocessed=0", "REJECTED",
-		"scan throughput"} {
+	for _, want := range []string{"false positives: raw=2 preprocessed=0", "REJECTED"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Security missing %q:\n%s", want, out)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -133,7 +134,8 @@ func (r *Registry) evictStaleLocked(now time.Time) {
 	}
 }
 
-// Alive returns the IDs of live workers, after evicting stale ones.
+// Alive returns the IDs of live workers in ascending order, after
+// evicting stale ones.
 func (r *Registry) Alive() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -142,6 +144,7 @@ func (r *Registry) Alive() []string {
 	for id := range r.nodes {
 		out = append(out, id)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -3,6 +3,8 @@ package worker
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -277,6 +279,21 @@ func TestRegistryEvictsSilentWorkers(t *testing.T) {
 	}
 	if r.Evictions() != 1 {
 		t.Errorf("evictions = %d", r.Evictions())
+	}
+}
+
+// Alive is reported in ID order, not in the map's iteration order, so a
+// report that prints the pool is a function of the pool.
+func TestRegistryAliveIsSorted(t *testing.T) {
+	r := NewRegistry(time.Minute)
+	for i := 16; i >= 1; i-- {
+		r.Register(NewNode(DefaultNodeConfig(fmt.Sprintf("w%02d", i))))
+	}
+	for call := 0; call < 20; call++ {
+		alive := r.Alive()
+		if len(alive) != 16 || !sort.StringsAreSorted(alive) {
+			t.Fatalf("call %d: alive = %v, want 16 IDs in ascending order", call, alive)
+		}
 	}
 }
 
