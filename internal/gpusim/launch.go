@@ -34,20 +34,27 @@ type LaunchConfig struct {
 	NoBarriers bool
 
 	// SchedSeed permutes the order in which a NoBarriers block calls its
-	// threads under Launch. Zero keeps the natural flattened-index order.
-	// Any thread ordering is a legal schedule for independent threads, so
-	// a kernel whose output changes with the seed has an order-dependent
-	// bug (a data race); the kernelcheck differential guard uses this to
+	// threads under Launch (LaunchWarp has no such order). Zero keeps the
+	// natural flattened-index order. Any thread ordering is a legal
+	// schedule for independent threads, so a kernel whose output changes
+	// with the seed has an order-dependent bug (a data race); the
+	// kernelcheck differential guard seeds minicuda's oracle with it to
 	// confirm statically-reported races at runtime. Results, traps, and
 	// cost accounting are unaffected for race-free kernels.
 	SchedSeed uint64
 }
 
-// Validate checks the configuration against the device limits.
+// MaxWarpSize is the widest warp a launch accepts: the warp engine keeps
+// a warp's lanes in a 64-bit mask.
+const MaxWarpSize = 64
+
+// validateLaunch checks the configuration against the device limits.
 func (d *Device) validateLaunch(cfg LaunchConfig) error {
 	p := d.props
 	b, g := cfg.Block, cfg.Grid
 	switch {
+	case p.WarpSize > MaxWarpSize:
+		return fmt.Errorf("%w: warp size %d exceeds limit %d", ErrInvalidLaunch, p.WarpSize, MaxWarpSize)
 	case b.X <= 0 || b.Y <= 0 || b.Z <= 0:
 		return fmt.Errorf("%w: non-positive block dimension %v", ErrInvalidLaunch, b)
 	case g.X <= 0 || g.Y <= 0 || g.Z <= 0:

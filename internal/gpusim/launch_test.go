@@ -96,19 +96,29 @@ func TestLaunch2DGrid(t *testing.T) {
 }
 
 func TestLaunchValidation(t *testing.T) {
-	d := NewDefaultDevice()
+	wide := DefaultProps()
+	wide.WarpSize = 2 * MaxWarpSize
 	nop := func(tc *ThreadCtx) error { return nil }
-	cases := []LaunchConfig{
-		{Grid: D1(1), Block: D1(0)},
-		{Grid: D1(0), Block: D1(32)},
-		{Grid: D1(1), Block: D1(2048)},                        // too many threads
-		{Grid: D1(1), Block: Dim3{1, 1, 128}},                 // z too large
-		{Grid: D1(1), Block: D1(32), SharedMemBytes: 1 << 20}, // too much smem
-		{Grid: D1(1), Block: D1(32), SharedMemBytes: -1},
+	warpNop := func(wc *WarpCtx) (bool, error) { return false, nil }
+	cases := []struct {
+		props DeviceProps
+		cfg   LaunchConfig
+	}{
+		{DefaultProps(), LaunchConfig{Grid: D1(1), Block: D1(0)}},
+		{DefaultProps(), LaunchConfig{Grid: D1(0), Block: D1(32)}},
+		{DefaultProps(), LaunchConfig{Grid: D1(1), Block: D1(2048)}},                        // too many threads
+		{DefaultProps(), LaunchConfig{Grid: D1(1), Block: Dim3{1, 1, 128}}},                 // z too large
+		{DefaultProps(), LaunchConfig{Grid: D1(1), Block: D1(32), SharedMemBytes: 1 << 20}}, // too much smem
+		{DefaultProps(), LaunchConfig{Grid: D1(1), Block: D1(32), SharedMemBytes: -1}},
+		{wide, LaunchConfig{Grid: D1(1), Block: D1(32)}}, // warps wider than a lane mask
 	}
-	for i, cfg := range cases {
-		if _, err := d.Launch("bad", cfg, nop); !errors.Is(err, ErrInvalidLaunch) {
-			t.Errorf("case %d: err = %v, want ErrInvalidLaunch", i, err)
+	for i, c := range cases {
+		d := NewDevice(c.props)
+		if _, err := d.Launch("bad", c.cfg, nop); !errors.Is(err, ErrInvalidLaunch) {
+			t.Errorf("case %d: Launch err = %v, want ErrInvalidLaunch", i, err)
+		}
+		if _, err := d.LaunchWarp("bad", c.cfg, warpNop); !errors.Is(err, ErrInvalidLaunch) {
+			t.Errorf("case %d: LaunchWarp err = %v, want ErrInvalidLaunch", i, err)
 		}
 	}
 }

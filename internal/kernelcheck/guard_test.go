@@ -24,9 +24,14 @@ import (
 //
 //	//GUARD: expect=trap|nondet kernel=<name> grid=<G> block=<B> n=<N>
 //
-// Guard kernels use the (float *in, float *out, int n) skeleton. Only
-// barrier-free kernels may carry expect=nondet: SchedSeed permutes the
-// order in which a block's threads are called, and it is only the
+// Guard kernels use the (float *in, float *out, int n) skeleton. An
+// expect=trap kernel must trap on the product's Launch and on the seeded
+// oracle. An expect=nondet kernel runs on the oracle (LaunchTree) under
+// two seeds: the warp engine cannot show such a race, since four of the
+// five launch a single 16-lane block and a lockstep warp issues every
+// lane's store before any lane's load, so no order of warp turns exposes
+// it. Only barrier-free kernels may carry expect=nondet: the seed permutes
+// the order in which a block's threads are called, and it is only the
 // barrier-free launch whose threads are called one after the other. (A
 // barrier kernel's threads take turns in ascending order, so a race in one
 // is reproducible, not schedule-dependent, and shows no nondeterminism to
@@ -68,7 +73,18 @@ func parseGuard(src string) *guardSpec {
 	return &guardSpec{expect: m[1], kernel: m[2], grid: g, block: b, n: n}
 }
 
-func runGuard(t *testing.T, src string, dialect minicuda.Dialect, spec *guardSpec, seed uint64) ([]float32, error) {
+// guardLaunch launches a guard kernel: the product's Launch or a seeded
+// oracle.
+type guardLaunch func(p *minicuda.Program, d *gpusim.Device, kernel string, opts minicuda.LaunchOpts, args ...minicuda.Arg) (*gpusim.LaunchStats, error)
+
+// oracle launches on the tree walker under a scheduler seed.
+func oracle(seed uint64) guardLaunch {
+	return func(p *minicuda.Program, d *gpusim.Device, kernel string, opts minicuda.LaunchOpts, args ...minicuda.Arg) (*gpusim.LaunchStats, error) {
+		return p.LaunchTree(d, kernel, opts, seed, args...)
+	}
+}
+
+func runGuard(t *testing.T, src string, dialect minicuda.Dialect, spec *guardSpec, launch guardLaunch) ([]float32, error) {
 	t.Helper()
 	p, err := minicuda.Compile(src, dialect)
 	if err != nil {
@@ -88,8 +104,8 @@ func runGuard(t *testing.T, src string, dialect minicuda.Dialect, spec *guardSpe
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Launch(d, spec.kernel,
-		minicuda.LaunchOpts{Grid: gpusim.D1(spec.grid), Block: gpusim.D1(spec.block), SchedSeed: seed},
+	_, err = launch(p, d, spec.kernel,
+		minicuda.LaunchOpts{Grid: gpusim.D1(spec.grid), Block: gpusim.D1(spec.block)},
 		minicuda.FloatPtr(ip), minicuda.FloatPtr(op), minicuda.Int(spec.n))
 	if err != nil {
 		return nil, err
@@ -141,17 +157,18 @@ func TestDifferentialGuard(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			switch spec.expect {
 			case "trap":
-				for _, seed := range []uint64{0, 0x9e3779b9} {
-					if _, err := runGuard(t, src, dialect, spec, seed); err == nil {
-						t.Errorf("seed %#x: expected a trap, launch succeeded", seed)
-					}
+				if _, err := runGuard(t, src, dialect, spec, (*minicuda.Program).Launch); err == nil {
+					t.Errorf("Launch: expected a trap, launch succeeded")
+				}
+				if _, err := runGuard(t, src, dialect, spec, oracle(0x9e3779b9)); err == nil {
+					t.Errorf("oracle, seed 0x9e3779b9: expected a trap, launch succeeded")
 				}
 			case "nondet":
-				a, err := runGuard(t, src, dialect, spec, 0)
+				a, err := runGuard(t, src, dialect, spec, oracle(0))
 				if err != nil {
 					t.Fatalf("seed 0: %v", err)
 				}
-				b, err := runGuard(t, src, dialect, spec, 0x9e3779b9)
+				b, err := runGuard(t, src, dialect, spec, oracle(0x9e3779b9))
 				if err != nil {
 					t.Fatalf("seed 0x9e3779b9: %v", err)
 				}

@@ -4,10 +4,7 @@ package minicuda
 // annotates them in place (resolved symbols, slot indices, computed
 // types); the interpreter walks them directly.
 
-import (
-	"sync"
-	"unsafe"
-)
+import "unsafe"
 
 // Node is the common interface of AST nodes, carrying a source token for
 // diagnostics.
@@ -305,42 +302,26 @@ type Program struct {
 	usesBarrier bool
 
 	// Executable artifact for the warp engine: the lowered bytecode plus
-	// the fused warp stream derived from it (nil when some construct could
-	// not be lowered and launches run on the tree-walking interpreter).
-	wpOnce sync.Once
-	wp     *warpProgram
+	// the fused warp stream derived from it. Compile and DecodeProgram
+	// build it and fail when the tree does not lower, so every program
+	// they return has one; one only parsed and analyzed cannot launch.
+	wp *warpProgram
 }
 
-// warpcode returns the program's warp-execution artifact, lowering the
-// tree to bytecode and fusing it on first use. A nil result means
-// launches run on the tree walker.
-func (p *Program) warpcode() *warpProgram {
-	p.wpOnce.Do(func() {
-		if bc, ok := lowerProgram(p); ok {
-			p.wp = buildWarpProgram(bc)
-		}
-	})
-	return p.wp
-}
-
-// ArtifactKind reports which executable artifact a default launch of this
-// program uses: "bytecode-warp" for the warp engine, "ast" for the tree
-// walker.
-func (p *Program) ArtifactKind() string {
-	if p.warpcode() != nil {
-		return "bytecode-warp"
+// lower builds the program's warp-execution artifact, lowering the tree to
+// bytecode and fusing it. Its error is an internal compiler error.
+func (p *Program) lower() error {
+	bc, err := lowerProgram(p)
+	if err != nil {
+		return err
 	}
-	return "ast"
+	p.wp = buildWarpProgram(bc)
+	return nil
 }
 
 // InstructionCount reports the number of instructions in the lowered
-// bytecode, or 0 when the program could not be lowered.
-func (p *Program) InstructionCount() int {
-	if wp := p.warpcode(); wp != nil {
-		return len(wp.bc.code)
-	}
-	return 0
-}
+// bytecode.
+func (p *Program) InstructionCount() int { return len(p.wp.bc.code) }
 
 // BytecodeBytes estimates the in-memory size of the lowered bytecode.
 func (p *Program) BytecodeBytes() int {

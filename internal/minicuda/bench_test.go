@@ -115,9 +115,9 @@ func BenchmarkInterpretVecAdd4K(b *testing.B) {
 
 // benchEngines are the arms of the side-by-side engine benchmarks.
 var benchEngines = []struct {
-	name string
-	eng  Engine
-}{{"warp", EngineWarp}, {"tree", EngineTree}}
+	name   string
+	launch launcher
+}{{"warp", launchWarp}, {"tree", launchTree}}
 
 // BenchmarkWarpVsTreeMatMul runs the tiled matrix multiply under the
 // warp-vectorized engine and the tree-walking oracle, side by side. This
@@ -135,10 +135,10 @@ func BenchmarkWarpVsTreeMatMul(b *testing.B) {
 			a, _ := d.Malloc(n * n * 4)
 			bb, _ := d.Malloc(n * n * 4)
 			c, _ := d.Malloc(n * n * 4)
-			opts := LaunchOpts{Grid: gpusim.D2(n/16, n/16), Block: gpusim.D2(16, 16), Engine: sub.eng}
+			opts := LaunchOpts{Grid: gpusim.D2(n/16, n/16), Block: gpusim.D2(16, 16)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.Launch(d, "matrixMultiplyShared", opts,
+				if _, err := sub.launch(prog, d, "matrixMultiplyShared", opts,
 					FloatPtr(a), FloatPtr(bb), FloatPtr(c),
 					Int(n), Int(n), Int(n)); err != nil {
 					b.Fatal(err)
@@ -152,7 +152,7 @@ func BenchmarkWarpVsTreeMatMul(b *testing.B) {
 // data-dependent loop (Collatz) where lanes diverge immediately and
 // re-converge rarely, so strands shrink toward single lanes and the
 // once-per-warp decode advantage evaporates. The warp engine must still
-// beat the tree walker here, its only fallback.
+// beat the tree-walking oracle here.
 func BenchmarkWarpDivergent(b *testing.B) {
 	src := `__global__ void collatz(int *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -174,10 +174,10 @@ func BenchmarkWarpDivergent(b *testing.B) {
 			d := gpusim.NewDefaultDevice()
 			n := 4096
 			out, _ := d.Malloc(n * 4)
-			opts := LaunchOpts{Grid: gpusim.D1(n / 256), Block: gpusim.D1(256), Engine: sub.eng}
+			opts := LaunchOpts{Grid: gpusim.D1(n / 256), Block: gpusim.D1(256)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.Launch(d, "collatz", opts, IntPtr(out), Int(n)); err != nil {
+				if _, err := sub.launch(prog, d, "collatz", opts, IntPtr(out), Int(n)); err != nil {
 					b.Fatal(err)
 				}
 			}

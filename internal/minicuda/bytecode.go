@@ -3,9 +3,10 @@ package minicuda
 // Bytecode compiler: lowers the type-checked AST into a flat instruction
 // stream over typed virtual registers (an int64 bank, a float64 bank and a
 // Pointer bank). The warp engine in warp.go fuses and executes the stream;
-// the tree-walking interpreter in interp.go remains the semantic oracle. Lowering preserves the oracle's observable behavior
-// exactly: the same gpusim counter charges in the same order, the same
-// step-budget accounting, and the same runtime trap messages.
+// the tree-walking interpreter in interp.go is the semantic oracle.
+// Lowering preserves the oracle's observable behavior exactly: the same
+// gpusim counter charges in the same order, the same step-budget
+// accounting, and the same runtime trap messages.
 //
 // Step accounting uses a "pending steps" scheme: every AST node that the
 // tree-walker charges a step for (each eval/execStmt entry, plus the
@@ -215,8 +216,8 @@ func bankOf(t *Type) uint8 {
 	return bankI
 }
 
-// lowerAbort unwinds lowering on an unsupported construct; the program
-// then falls back to the tree-walking engine.
+// lowerAbort unwinds lowering on a construct the lowerer has no code for;
+// lowerProgram reports it as an internal compiler error.
 type lowerAbort struct{ reason string }
 
 type patch struct {
@@ -237,17 +238,18 @@ type lowerer struct {
 	cont             []int // continue label stack
 }
 
-// lowerProgram compiles every function of an analyzed program. It returns
-// nil when some construct cannot be lowered, in which case launches use
-// the tree-walking interpreter.
-func lowerProgram(p *Program) (bc *bytecodeProgram, ok bool) {
+// lowerProgram compiles every function of an analyzed program. A construct
+// it cannot lower is an internal compiler error at the enclosing function:
+// sema accepted the program, and there is no other engine to run it on.
+func lowerProgram(p *Program) (bc *bytecodeProgram, err error) {
+	var cur *Function
 	defer func() {
 		if r := recover(); r != nil {
-			if _, isAbort := r.(lowerAbort); isAbort {
-				bc, ok = nil, false
-				return
+			a, isAbort := r.(lowerAbort)
+			if !isAbort {
+				panic(r)
 			}
-			panic(r)
+			bc, err = nil, errAt(cur.tok, "internal compiler error: %s in %s", a.reason, cur.Name)
 		}
 	}()
 	bc = &bytecodeProgram{funcs: make(map[*Function]*bcFunc, len(p.Funcs))}
@@ -257,8 +259,8 @@ func lowerProgram(p *Program) (bc *bytecodeProgram, ok bool) {
 		bc.funcs[f] = newShell(f)
 	}
 	lo := &lowerer{prog: p, bc: bc}
-	for _, f := range p.Funcs {
-		lo.lowerFunc(f, bc.funcs[f])
+	for _, cur = range p.Funcs {
+		lo.lowerFunc(cur, bc.funcs[cur])
 	}
 	for _, pt := range lo.patches {
 		tgt := lo.labels[pt.lbl]
@@ -267,7 +269,7 @@ func lowerProgram(p *Program) (bc *bytecodeProgram, ok bool) {
 		}
 		bc.code[pt.at].aux = tgt
 	}
-	return bc, true
+	return bc, nil
 }
 
 // newShell assigns home registers to every local symbol of f and records

@@ -21,18 +21,12 @@ func TestBytecodeArtifactMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.warpcode() == nil {
-		t.Fatal("vecAdd should lower to bytecode")
-	}
 	n := prog.InstructionCount()
 	if n <= 0 {
 		t.Fatalf("InstructionCount = %d, want > 0", n)
 	}
 	if got, want := prog.BytecodeBytes(), n*int(unsafe.Sizeof(instr{})); got != want {
 		t.Fatalf("BytecodeBytes = %d, want %d", got, want)
-	}
-	if k := prog.ArtifactKind(); k != "bytecode-warp" && k != "ast" {
-		t.Fatalf("ArtifactKind = %q", k)
 	}
 }
 
@@ -57,22 +51,18 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prog.warpcode() == nil {
-				t.Fatal("kernel should lower to bytecode")
-			}
 			var msgs [2]string
-			for i, eng := range []Engine{EngineTree, EngineWarp} {
+			for i, e := range engines {
 				dev := gpusim.NewDefaultDevice()
 				o, _ := dev.Malloc(4)
-				_, lerr := prog.Launch(dev, "k",
-					LaunchOpts{Grid: gpusim.D1(1), Block: gpusim.D1(1),
-						MaxSteps: c.maxSteps, Engine: eng},
+				_, lerr := e.launch(prog, dev, "k",
+					LaunchOpts{Grid: gpusim.D1(1), Block: gpusim.D1(1), MaxSteps: c.maxSteps},
 					IntPtr(o), Int(0))
 				if lerr == nil {
-					t.Fatalf("engine %d: expected an error", i)
+					t.Fatalf("%s: expected an error", e.name)
 				}
 				if !errors.Is(lerr, c.sentinel) {
-					t.Fatalf("engine %d: error %v is not %v", i, lerr, c.sentinel)
+					t.Fatalf("%s: error %v is not %v", e.name, lerr, c.sentinel)
 				}
 				msgs[i] = lerr.Error()
 			}
@@ -83,8 +73,8 @@ __global__ void k(int *o, int n) { o[0] = r(n); }`, 0, ErrCallDepth},
 	}
 }
 
-// TestEngineOverride: forcing either engine through LaunchOpts must work
-// regardless of the process default and produce the same result.
+// TestEngineOverride: Launch and the oracle's LaunchTree produce the same
+// result.
 func TestEngineOverride(t *testing.T) {
 	prog, err := Compile(bcTestVecAdd, DialectCUDA)
 	if err != nil {
@@ -92,7 +82,7 @@ func TestEngineOverride(t *testing.T) {
 	}
 	const n = 64
 	var want []int32
-	for _, eng := range []Engine{EngineTree, EngineWarp, EngineAuto} {
+	for _, e := range engines {
 		dev := gpusim.NewDefaultDevice()
 		out, _ := dev.Malloc(n * 4)
 		av := make([]int32, n)
@@ -109,11 +99,11 @@ func TestEngineOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = prog.Launch(dev, "vecAdd",
-			LaunchOpts{Grid: gpusim.D1(2), Block: gpusim.D1(32), Engine: eng},
+		_, err = e.launch(prog, dev, "vecAdd",
+			LaunchOpts{Grid: gpusim.D1(2), Block: gpusim.D1(32)},
 			IntPtr(out), IntPtr(a), IntPtr(b), Int(n))
 		if err != nil {
-			t.Fatalf("engine %d: %v", eng, err)
+			t.Fatalf("%s: %v", e.name, err)
 		}
 		got, _ := dev.ReadInt32(out, n)
 		if want == nil {
@@ -122,7 +112,7 @@ func TestEngineOverride(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("engine %d: out[%d] = %d, want %d", eng, i, got[i], want[i])
+				t.Fatalf("%s: out[%d] = %d, want %d", e.name, i, got[i], want[i])
 			}
 		}
 	}

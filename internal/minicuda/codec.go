@@ -460,9 +460,10 @@ type progDecoder struct {
 // DecodeProgram rebuilds a program from an EncodeProgram stream and
 // eagerly re-lowers it to bytecode and the fused warp stream (exactly
 // what Compile does after analysis), so the decoded program is
-// launch-ready on every engine tier. Any corruption — wrong version,
-// truncation, dangling index — returns an error, never a panic: callers
-// treat a decode failure as a cache miss and recompile from source.
+// launch-ready. Any corruption — wrong version, truncation, dangling
+// index, a tree that does not lower — returns an error, never a panic:
+// callers treat a decode failure as a cache miss and recompile from
+// source.
 func DecodeProgram(data []byte) (p *Program, err error) {
 	defer func() {
 		// The lowerer and validation walk a decoder-built tree; convert
@@ -572,8 +573,11 @@ func DecodeProgram(data []byte) (p *Program, err error) {
 
 	// Re-derive the executable artifacts eagerly, like Compile: the
 	// lowerer is deterministic over the (fully annotated) tree, so the
-	// decoded program's bytecode and warp streams match the original's.
-	prog.warpcode()
+	// decoded program's bytecode and warp streams match the original's. A
+	// tree that does not lower was never compiled: the frame is corrupt.
+	if err := prog.lower(); err != nil {
+		return nil, fmt.Errorf("minicuda: decode program: %w", err)
+	}
 	return prog, nil
 }
 
@@ -711,7 +715,11 @@ func (d *progDecoder) function(f *Function) {
 	n = d.count()
 	f.Params = make([]*VarDecl, 0, n)
 	for i := 0; i < n; i++ {
-		f.Params = append(f.Params, d.varDecl())
+		p := d.varDecl()
+		if p.Type == nil || p.Sym == nil {
+			d.fail("function %q parameter %q without a resolved type", f.Name, p.Name)
+		}
+		f.Params = append(f.Params, p)
 	}
 	body, ok := d.stmt().(*Block)
 	if !ok {

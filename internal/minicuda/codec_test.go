@@ -68,9 +68,9 @@ func runCodecDiff(t *testing.T, c diffCase) {
 			dec.InstructionCount(), prog.InstructionCount())
 	}
 
-	tree := runOnEngine(t, prog, c, EngineTree)
-	requireSameRun(t, "decoded tree", runOnEngine(t, dec, c, EngineTree), tree, c, false)
-	requireSameRun(t, "decoded warp", runOnEngine(t, dec, c, EngineWarp), tree, c, true)
+	tree := runOnEngine(t, prog, c, launchTree)
+	requireSameRun(t, "decoded tree", runOnEngine(t, dec, c, launchTree), tree, c, false)
+	requireSameRun(t, "decoded warp", runOnEngine(t, dec, c, launchWarp), tree, c, true)
 }
 
 // TestCodecDiffRandomExpressions round-trips the 700-kernel random
@@ -153,8 +153,8 @@ func TestCodecOpenCLDialect(t *testing.T) {
 	}
 	c := diffCase{src: src, kernel: "scale", block: gpusim.D1(8), nInt: 8,
 		extra: []Arg{Int(8)}}
-	tree := runOnEngine(t, prog, c, EngineTree)
-	got := runOnEngine(t, dec, c, EngineWarp)
+	tree := runOnEngine(t, prog, c, launchTree)
+	got := runOnEngine(t, dec, c, launchWarp)
 	if got.errStr != tree.errStr || !reflect.DeepEqual(got.ints, tree.ints) {
 		t.Fatalf("opencl decoded divergence: %+v vs %+v", got, tree)
 	}
@@ -214,7 +214,7 @@ __global__ void k(int *iout, float *fout, int a) {
 // TestCodecRejectsTargetedCorruption: streams that are well-formed up to
 // one wrong field must fail the decode with the named reason.
 func TestCodecRejectsTargetedCorruption(t *testing.T) {
-	prog, err := Compile(`__global__ void k(int *iout) { iout[threadIdx.x] = 1; }`, DialectCUDA)
+	prog, err := Compile(`__global__ void k(int *iout) { iout[threadIdx.x] = min(1, 2); }`, DialectCUDA)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -230,6 +230,11 @@ func TestCodecRejectsTargetedCorruption(t *testing.T) {
 		{"unknown builtin base", func(b []byte) []byte {
 			return bytes.Replace(b, []byte("threadIdx"), []byte("threadIdy"), 1)
 		}, `unknown builtin variable "threadIdy"`},
+		// The frame is well-formed, but no engine has the builtin: the
+		// tree would fail only when it reached the call.
+		{"builtin call the lowerer has no code for", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("min"), []byte("mzn"), 1)
+		}, "internal compiler error: unimplemented builtin in k"},
 		{"trailing byte", func(b []byte) []byte { return append(b, 0) }, "1 trailing bytes"},
 	}
 	for _, c := range cases {

@@ -70,10 +70,6 @@ func TestCostClosedForms(t *testing.T) {
   if (v < -1.0f) iout[0] = 1;
 }`}},
 	)
-	engines := []struct {
-		name string
-		eng  Engine
-	}{{"tree", EngineTree}, {"warp", EngineWarp}}
 	for _, r := range rows {
 		c := r.c.withDefaults()
 		prog, err := Compile(c.src, DialectCUDA)
@@ -82,7 +78,7 @@ func TestCostClosedForms(t *testing.T) {
 		}
 		for _, e := range engines {
 			t.Run(r.name+"/"+e.name, func(t *testing.T) {
-				got := runOnDevice(t, prog, c, gpusim.NewDefaultDevice(), LaunchOpts{Engine: e.eng})
+				got := runOnEngine(t, prog, c, e.launch)
 				if got.errStr != "" {
 					t.Fatal(got.errStr)
 				}

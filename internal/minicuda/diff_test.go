@@ -41,14 +41,35 @@ type engineRun struct {
 	errStr string
 }
 
-func runOnEngine(t *testing.T, prog *Program, c diffCase, eng Engine) engineRun {
-	t.Helper()
-	return runOnDevice(t, prog, c, gpusim.NewDefaultDevice(), LaunchOpts{Engine: eng})
+// launcher is one way to launch a program: launchWarp, the product's
+// Launch, or an oracle.
+type launcher func(p *Program, dev *gpusim.Device, kernel string, opts LaunchOpts, args ...Arg) (*gpusim.LaunchStats, error)
+
+// oracle launches on the tree walker under a scheduler seed.
+func oracle(seed uint64) launcher {
+	return func(p *Program, dev *gpusim.Device, kernel string, opts LaunchOpts, args ...Arg) (*gpusim.LaunchStats, error) {
+		return p.LaunchTree(dev, kernel, opts, seed, args...)
+	}
 }
 
-// runOnDevice launches c on dev; opts supplies the engine and scheduling
-// knobs, the case supplies geometry and the step budget.
-func runOnDevice(t *testing.T, prog *Program, c diffCase, dev *gpusim.Device, opts LaunchOpts) engineRun {
+var (
+	launchWarp launcher = (*Program).Launch
+	launchTree          = oracle(0)
+	// engines lists both, the oracle first.
+	engines = []struct {
+		name   string
+		launch launcher
+	}{{"tree", launchTree}, {"warp", launchWarp}}
+)
+
+func runOnEngine(t *testing.T, prog *Program, c diffCase, launch launcher) engineRun {
+	t.Helper()
+	return runOnDevice(t, prog, c, gpusim.NewDefaultDevice(), launch)
+}
+
+// runOnDevice launches c on dev; the case supplies geometry and the step
+// budget.
+func runOnDevice(t *testing.T, prog *Program, c diffCase, dev *gpusim.Device, launch launcher) engineRun {
 	t.Helper()
 	iout, err := dev.Malloc(c.nInt * 4)
 	if err != nil {
@@ -64,8 +85,8 @@ func runOnDevice(t *testing.T, prog *Program, c diffCase, dev *gpusim.Device, op
 		}
 	}
 	args := append([]Arg{IntPtr(iout), FloatPtr(fout)}, c.extra...)
-	opts.Grid, opts.Block, opts.MaxSteps = c.grid, c.block, c.maxSteps
-	stats, lerr := prog.Launch(dev, c.kernel, opts, args...)
+	stats, lerr := launch(prog, dev, c.kernel,
+		LaunchOpts{Grid: c.grid, Block: c.block, MaxSteps: c.maxSteps}, args...)
 	r := engineRun{}
 	if lerr != nil {
 		r.errStr = lerr.Error()
@@ -104,8 +125,8 @@ func runDiff(t *testing.T, c diffCase) {
 	if err != nil {
 		t.Fatalf("compile failed:\n%s\nerror: %v", c.src, err)
 	}
-	tree := runOnEngine(t, prog, c, EngineTree)
-	requireSameRun(t, "warp", runOnEngine(t, prog, c, EngineWarp), tree, c, true)
+	tree := runOnEngine(t, prog, c, launchTree)
+	requireSameRun(t, "warp", runOnEngine(t, prog, c, launchWarp), tree, c, true)
 }
 
 // requireSameRun fails unless got matches the tree walker's run of c.
@@ -664,17 +685,17 @@ func TestBarrierVerdictIsThePrograms(t *testing.T) {
 				wantErr = gpusim.ErrBarrierDivergence.Error()
 			}
 			var want engineRun
-			for _, eng := range []Engine{EngineTree, EngineWarp} {
+			for ei, e := range engines {
 				for i := 0; i < 100; i++ {
-					got := runOnEngine(t, prog, c, eng)
+					got := runOnEngine(t, prog, c, e.launch)
 					if got.errStr != wantErr || got.stats.Divergence != v.diverges || got.stats.Barriers != v.barriers {
-						t.Fatalf("engine %d, launch %d: err %q, Divergence %v, Barriers %d; want %q, %v, %d",
-							eng, i, got.errStr, got.stats.Divergence, got.stats.Barriers, wantErr, v.diverges, v.barriers)
+						t.Fatalf("%s, launch %d: err %q, Divergence %v, Barriers %d; want %q, %v, %d",
+							e.name, i, got.errStr, got.stats.Divergence, got.stats.Barriers, wantErr, v.diverges, v.barriers)
 					}
-					if eng == EngineTree && i == 0 {
+					if ei == 0 && i == 0 {
 						want = got
 					} else if !reflect.DeepEqual(got.ints, want.ints) {
-						t.Fatalf("engine %d, launch %d: output %v, want %v", eng, i, got.ints, want.ints)
+						t.Fatalf("%s, launch %d: output %v, want %v", e.name, i, got.ints, want.ints)
 					}
 				}
 			}
@@ -702,14 +723,14 @@ func TestSharedRaceReplaysIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineTree, EngineWarp} {
-		want := runOnEngine(t, prog, c, eng)
+	for _, e := range engines {
+		want := runOnEngine(t, prog, c, e.launch)
 		if want.errStr != "" {
-			t.Fatalf("engine %d: %s", eng, want.errStr)
+			t.Fatalf("%s: %s", e.name, want.errStr)
 		}
 		for i := 1; i < 50; i++ {
-			if got := runOnEngine(t, prog, c, eng); !reflect.DeepEqual(got, want) {
-				t.Fatalf("engine %d, replay %d:\n got %+v\nwant %+v", eng, i, got, want)
+			if got := runOnEngine(t, prog, c, e.launch); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, replay %d:\n got %+v\nwant %+v", e.name, i, got, want)
 			}
 		}
 	}
@@ -724,23 +745,36 @@ func TestDiffWarpDivergence(t *testing.T) {
 	}
 }
 
-// TestWarpFallbackMatchesTree: launches the warp engine cannot serve
-// exactly — a SchedSeed-permuted thread order, or a device whose warps are
-// wider than maxWarpLanes — run on the tree walker whichever engine was
-// asked for, so outputs, LaunchStats, and error strings equal EngineTree's
-// on the same device and seed. The multi-lane trap case tells the two
-// engines apart: in lockstep no lane reaches the store before lane 5
-// traps, while serial execution completes the threads ordered before it.
+// TestWarpFallbackMatchesTree: the launches the warp engine cannot serve
+// exactly have no fallback to the tree walker. A device whose warps are
+// wider than maxWarpLanes is an invalid launch on both engines. A
+// SchedSeed-permuted thread order exists only on the oracle: a seeded run
+// replays exactly on a fresh device, and its verdict (the error string)
+// is Launch's. The multi-lane trap case is where outputs may differ: in
+// lockstep no lane reaches the store before lane 5 traps, while serial
+// execution completes the threads ordered before it.
 func TestWarpFallbackMatchesTree(t *testing.T) {
 	wide := gpusim.DefaultProps()
 	wide.WarpSize = 2 * maxWarpLanes
 	launches := []struct {
-		name  string
-		props gpusim.DeviceProps
-		seed  uint64
+		name string
+		run  func(t *testing.T, prog *Program, c diffCase)
 	}{
-		{"sched-seed", gpusim.DefaultProps(), 7},
-		{"wide-warp", wide, 0},
+		{"sched-seed", func(t *testing.T, prog *Program, c diffCase) {
+			seeded := runOnEngine(t, prog, c, oracle(7))
+			requireSameRun(t, "replay", runOnEngine(t, prog, c, oracle(7)), seeded, c, false)
+			if got := runOnEngine(t, prog, c, launchWarp); got.errStr != seeded.errStr {
+				t.Fatalf("verdict divergence:\nLaunch: %q\nseeded oracle: %q", got.errStr, seeded.errStr)
+			}
+		}},
+		{"wide-warp", func(t *testing.T, prog *Program, c diffCase) {
+			for _, e := range engines {
+				got := runOnDevice(t, prog, c, gpusim.NewDevice(wide), e.launch)
+				if !strings.HasPrefix(got.errStr, gpusim.ErrInvalidLaunch.Error()) {
+					t.Fatalf("%s: error %q, want %v", e.name, got.errStr, gpusim.ErrInvalidLaunch)
+				}
+			}
+		}},
 	}
 	cases := []namedDiffCase{
 		{"multi-lane-trap", diffCase{kernel: "k", block: gpusim.D1(32), nInt: 32,
@@ -760,13 +794,7 @@ func TestWarpFallbackMatchesTree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(eng Engine) engineRun {
-					return runOnDevice(t, prog, c, gpusim.NewDevice(l.props),
-						LaunchOpts{Engine: eng, SchedSeed: l.seed})
-				}
-				tree := run(EngineTree)
-				requireSameRun(t, "auto", run(EngineAuto), tree, c, false)
-				requireSameRun(t, "warp", run(EngineWarp), tree, c, false)
+				l.run(t, prog, c)
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package minicuda
 import (
 	"fmt"
 	"math/rand"
+	"testing"
 )
 
 // DiffCorpusSources hands the differential corpus (the random expression
@@ -35,6 +36,13 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
   iout[0] = v0 + v1 + v2 + v3 + arr[0]; fout[0] = f0 + f1;
 }`, sg.block(2+rng.Intn(2), false)))
 	}
+	return append(srcs, DiffEdgeSources()...)
+}
+
+// DiffEdgeSources is the curated tail of the differential corpus: the edge
+// cases and the divergence cases.
+func DiffEdgeSources() []string {
+	var srcs []string
 	for _, c := range diffEdgeCases() {
 		srcs = append(srcs, c.src)
 	}
@@ -42,6 +50,23 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
 		srcs = append(srcs, c.c.src)
 	}
 	return srcs
+}
+
+// RequireEnginesAgree launches kernel k of prog, when it has the
+// differential skeleton k(int *iout, float *fout), on Launch and on the
+// oracle — one thread, where the engines agree exactly even on a racy or
+// trapping kernel, and a small step budget — and fails unless the runs are
+// requireSameRun-equal.
+func RequireEnginesAgree(t *testing.T, src string, prog *Program) {
+	t.Helper()
+	k := prog.Kernel("k")
+	if k == nil || len(k.Params) != 2 ||
+		!k.Params[0].Type.Equal(PtrTo(TypeInt, SpaceGlobal)) ||
+		!k.Params[1].Type.Equal(PtrTo(TypeFloat, SpaceGlobal)) {
+		return
+	}
+	c := diffCase{src: src, kernel: "k", maxSteps: 1 << 12}.withDefaults()
+	requireSameRun(t, "warp", runOnEngine(t, prog, c, launchWarp), runOnEngine(t, prog, c, launchTree), c, true)
 }
 
 // LexReference hands the pre-rewrite lexer (lexref_test.go) to the

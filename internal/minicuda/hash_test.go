@@ -56,6 +56,13 @@ func hashCorpus(t testing.TB) []hashSource {
 	for i, src := range minicuda.DiffCorpusSources() {
 		corpus = append(corpus, hashSource{fmt.Sprintf("diff%04d", i), src, minicuda.DialectCUDA})
 	}
+	return append(corpus, referencesAndExamples(t)...)
+}
+
+// referencesAndExamples is the lab references and the example kernels.
+func referencesAndExamples(t testing.TB) []hashSource {
+	t.Helper()
+	var corpus []hashSource
 	for _, l := range labs.All() {
 		corpus = append(corpus, hashSource{l.ID, l.Reference, l.Dialect})
 	}

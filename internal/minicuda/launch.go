@@ -33,27 +33,13 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 	}
 	// Lower to the fused warp stream eagerly so the artifact is built once
 	// at compile time (and cached alongside the AST in the program cache)
-	// rather than on the first launch.
-	prog.warpcode()
+	// rather than on the first launch. A tree the lowerer cannot take is an
+	// internal compiler error: the warp engine is the only one Launch runs.
+	if err := prog.lower(); err != nil {
+		return nil, err
+	}
 	return prog, nil
 }
-
-// Engine selects the kernel execution engine for a launch.
-type Engine uint8
-
-const (
-	// EngineAuto is the warp engine.
-	EngineAuto Engine = iota
-	// EngineTree forces the tree-walking interpreter, the reference the
-	// warp engine is differentially tested against.
-	EngineTree
-	// EngineWarp forces the warp-vectorized bytecode engine, which decodes
-	// each instruction once per warp instead of once per thread. Launches
-	// the warp engine cannot serve exactly (SchedSeed-permuted serial
-	// order, warps wider than maxWarpLanes, lowering failure) fall back to
-	// the tree walker.
-	EngineWarp
-)
 
 // Arg is a kernel launch argument.
 type Arg struct {
@@ -86,71 +72,42 @@ func Float(f float32) Arg { return Arg{v: floatValue(float64(f))} }
 type LaunchOpts struct {
 	Grid           gpusim.Dim3
 	Block          gpusim.Dim3
-	SharedMemBytes int    // dynamic shared memory, beyond static __shared__
-	MaxSteps       int64  // per-thread interpreter step budget; 0 = default
-	Engine         Engine // execution engine; EngineAuto is the warp engine
-	SchedSeed      uint64 // barrier-free thread-order permutation seed; 0 = natural order
+	SharedMemBytes int   // dynamic shared memory, beyond static __shared__
+	MaxSteps       int64 // per-thread interpreter step budget; 0 = default
 }
 
 // DefaultMaxSteps bounds per-thread interpretation; it corresponds to the
 // per-job execution time limit the platform enforces (§III-C).
 const DefaultMaxSteps = 4 << 20
 
-// Launch runs the named kernel on dev. Argument count and types must match
-// the kernel's parameters (scalars convert; pointers must point to the
-// declared element type).
+// Launch runs the named kernel on dev on the warp engine, which decodes
+// each instruction once per warp instead of once per thread. Argument
+// count and types must match the kernel's parameters (scalars convert;
+// pointers must point to the declared element type).
 func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, args ...Arg) (*gpusim.LaunchStats, error) {
-	fn := p.Kernel(kernel)
-	if fn == nil {
-		return nil, fmt.Errorf("minicuda: no kernel named %q (have %v)", kernel, p.Kernels())
+	fn, bound, cfg, err := p.bind(kernel, opts, args)
+	if err != nil {
+		return nil, err
 	}
-	if len(args) != len(fn.Params) {
-		return nil, fmt.Errorf("minicuda: kernel %q takes %d arguments, got %d",
-			kernel, len(fn.Params), len(args))
+	kfn, maxSteps := p.wp.bc.funcs[fn], opts.maxSteps()
+	return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) (bool, error) {
+		return p.wp.run(wc, kfn, bound, maxSteps)
+	})
+}
+
+// LaunchTree runs the named kernel like Launch, on the tree-walking
+// interpreter: the reference the warp engine is differentially tested
+// against, about ten times slower. A nonzero seed permutes the order in
+// which a barrier-free block calls its threads (gpusim.LaunchConfig's
+// SchedSeed), an order a lockstep warp does not have; zero keeps
+// ascending order.
+func (p *Program) LaunchTree(dev *gpusim.Device, kernel string, opts LaunchOpts, seed uint64, args ...Arg) (*gpusim.LaunchStats, error) {
+	fn, bound, cfg, err := p.bind(kernel, opts, args)
+	if err != nil {
+		return nil, err
 	}
-	bound := make([]Value, len(args))
-	for i, a := range args {
-		pt := fn.Params[i].Type
-		av := a.v
-		if pt.Kind == KPtr {
-			if av.T == nil || av.T.Kind != KPtr {
-				return nil, fmt.Errorf("minicuda: argument %d of %q must be a pointer (%s)",
-					i+1, kernel, pt)
-			}
-			if !av.T.Elem.Equal(pt.Elem) && pt.Elem.Kind != KVoid {
-				return nil, fmt.Errorf("minicuda: argument %d of %q: have %s, want %s",
-					i+1, kernel, av.T, pt)
-			}
-			q := av.P
-			q.Elem = pt.Elem
-			bound[i] = ptrValue(pt, q)
-		} else {
-			bound[i] = convert(av, pt)
-		}
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	cfg := gpusim.LaunchConfig{
-		Grid:           opts.Grid,
-		Block:          opts.Block,
-		SharedMemBytes: fn.SharedUse + opts.SharedMemBytes,
-		NoBarriers:     !p.usesBarrier,
-		SchedSeed:      opts.SchedSeed,
-	}
-	// SchedSeed permutes per-thread serial order, which a lockstep warp
-	// cannot reproduce; overly wide warps exceed the engine's lane
-	// bookkeeping. Both run on the tree walker, as does a program that
-	// could not be lowered.
-	if opts.Engine != EngineTree && opts.SchedSeed == 0 && dev.Props().WarpSize <= maxWarpLanes {
-		if wp := p.warpcode(); wp != nil {
-			kfn := wp.bc.funcs[fn]
-			return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) (bool, error) {
-				return wp.run(wc, kfn, bound, maxSteps)
-			})
-		}
-	}
+	cfg.SchedSeed = seed
+	maxSteps := opts.maxSteps()
 	insts := &instances{ids: make(map[instance]uint32)}
 	return dev.Launch(kernel, cfg, func(tc *gpusim.ThreadCtx) error {
 		th := &thread{prog: p, tc: tc, maxSteps: maxSteps, dyn: fn.SharedUse, insts: insts}
@@ -161,6 +118,56 @@ func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, arg
 		_, err := th.execBlock(fr, fn.Body)
 		return err
 	})
+}
+
+// maxSteps is the per-thread step budget: MaxSteps, or DefaultMaxSteps
+// when that is unset.
+func (o LaunchOpts) maxSteps() int64 {
+	if o.MaxSteps > 0 {
+		return o.MaxSteps
+	}
+	return DefaultMaxSteps
+}
+
+// bind resolves a launch against the program: the kernel, its arguments
+// converted to the parameter types, and the simulator configuration.
+func (p *Program) bind(kernel string, opts LaunchOpts, args []Arg) (*Function, []Value, gpusim.LaunchConfig, error) {
+	var cfg gpusim.LaunchConfig
+	fn := p.Kernel(kernel)
+	if fn == nil {
+		return nil, nil, cfg, fmt.Errorf("minicuda: no kernel named %q (have %v)", kernel, p.Kernels())
+	}
+	if len(args) != len(fn.Params) {
+		return nil, nil, cfg, fmt.Errorf("minicuda: kernel %q takes %d arguments, got %d",
+			kernel, len(fn.Params), len(args))
+	}
+	bound := make([]Value, len(args))
+	for i, a := range args {
+		pt := fn.Params[i].Type
+		av := a.v
+		if pt.Kind == KPtr {
+			if av.T == nil || av.T.Kind != KPtr {
+				return nil, nil, cfg, fmt.Errorf("minicuda: argument %d of %q must be a pointer (%s)",
+					i+1, kernel, pt)
+			}
+			if !av.T.Elem.Equal(pt.Elem) && pt.Elem.Kind != KVoid {
+				return nil, nil, cfg, fmt.Errorf("minicuda: argument %d of %q: have %s, want %s",
+					i+1, kernel, av.T, pt)
+			}
+			q := av.P
+			q.Elem = pt.Elem
+			bound[i] = ptrValue(pt, q)
+		} else {
+			bound[i] = convert(av, pt)
+		}
+	}
+	cfg = gpusim.LaunchConfig{
+		Grid:           opts.Grid,
+		Block:          opts.Block,
+		SharedMemBytes: fn.SharedUse + opts.SharedMemBytes,
+		NoBarriers:     !p.usesBarrier,
+	}
+	return fn, bound, cfg, nil
 }
 
 // LoadConstant copies host data into the device constant memory backing the

@@ -47,8 +47,8 @@ import (
 )
 
 // maxWarpLanes bounds the lane count the warp engine supports (lane masks
-// and scratch assume it); devices with wider warps run on the tree walker.
-const maxWarpLanes = 64
+// and scratch assume it); gpusim refuses to launch on wider warps.
+const maxWarpLanes = gpusim.MaxWarpSize
 
 // wOp tags a winstr with its fusion kind.
 type wOp uint8

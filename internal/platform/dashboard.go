@@ -71,11 +71,8 @@ func (s Status) Render() string {
 	fmt.Fprintf(&sb, "gradebook rows: %d\n", s.GradebookRows)
 	fmt.Fprintf(&sb, "prog cache:     %d hits, %d misses, %d coalesced, %d evicted, %d cached\n",
 		s.ProgCache.Hits, s.ProgCache.Misses, s.ProgCache.Coalesced, s.ProgCache.Evictions, s.ProgCache.Size)
-	// Every artifact kind the cache can serve, zeros included: a kind
-	// that never appears on the dashboard cannot be told apart from one
-	// that was never wired up.
-	fmt.Fprintf(&sb, "prog artifacts: %d ast hits, %d bytecode-warp hits, %d diagnostics hits, %d bytecode bytes cached\n",
-		s.ProgCache.HitsAST, s.ProgCache.HitsBytecodeWarp, s.ProgCache.HitsDiagnostics, s.ProgCache.BytecodeBytes)
+	fmt.Fprintf(&sb, "prog artifacts: %d diagnostics hits, %d bytecode bytes cached\n",
+		s.ProgCache.HitsDiagnostics, s.ProgCache.BytecodeBytes)
 	fmt.Fprintf(&sb, "kernelcheck:    %d analyses, %d diagnostic hits\n",
 		s.ProgCache.Analyzes, s.ProgCache.HitsDiagnostics)
 	if s.HasArtifacts {

@@ -183,8 +183,7 @@ func TestCacheSeriesNames(t *testing.T) {
 		}
 	}
 	want := []string{
-		"progcache_entries", "progcache_evictions",
-		"progcache_hits_ast", "progcache_hits_bytecode_warp", "progcache_hits_diagnostics",
+		"progcache_entries", "progcache_evictions", "progcache_hits_diagnostics",
 		"progcache_bytecode_bytes", "progcache_disk_hits", "progcache_disk_diag_hits",
 		"progcache_store_errors", "kernelcheck_analyzes", "workers",
 	}
@@ -270,7 +269,7 @@ func TestExportedSeriesNames(t *testing.T) {
 		"overload_shed_reason_backpressure", "overload_shed_reason_cancelled", "overload_shed_reason_queue_full",
 		"overload_shed_reason_queue_timeout", "overload_shed_reason_rate_limited", "overload_shed_reason_saturated",
 		"progcache_bytecode_bytes", "progcache_disk_diag_hits", "progcache_disk_hits", "progcache_entries",
-		"progcache_evictions", "progcache_hits_ast", "progcache_hits_bytecode_warp", "progcache_hits_diagnostics",
+		"progcache_evictions", "progcache_hits_diagnostics",
 		"progcache_misses", "progcache_store_errors",
 		"stage_admission_ms", "stage_compile_ms", "stage_exec_ms", "stage_kernelcheck_ms",
 		"web_jobs_dispatched", "workers",

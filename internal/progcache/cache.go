@@ -56,20 +56,18 @@ const DefaultCapacity = 4096
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits             int64 // served from the cache
-	HitsAST          int64 // hits on programs executed by the tree walker
-	HitsBytecodeWarp int64 // hits on programs executed by the warp engine
-	HitsDiagnostics  int64 // diagnostics served without re-analysis
-	Misses           int64 // absent from memory (disk or compile filled it)
-	Coalesced        int64 // waited on a concurrent identical compile
-	Evictions        int64 // entries dropped by the LRU bound
-	Compiles         int64 // underlying compile executions (== Misses - DiskHits)
-	Analyzes         int64 // kernelcheck runs (first request per entry)
-	DiskHits         int64 // programs decoded from the durable store instead of compiled
-	DiskDiagHits     int64 // diagnostics decoded from the durable store instead of analyzed
-	StoreErrors      int64 // write-throughs the durable store refused (artifact kept in memory only)
-	Size             int   // entries currently cached
-	BytecodeBytes    int64 // lowered-bytecode bytes held by cached entries
+	Hits            int64 // served from the cache
+	HitsDiagnostics int64 // diagnostics served without re-analysis
+	Misses          int64 // absent from memory (disk or compile filled it)
+	Coalesced       int64 // waited on a concurrent identical compile
+	Evictions       int64 // entries dropped by the LRU bound
+	Compiles        int64 // underlying compile executions (== Misses - DiskHits)
+	Analyzes        int64 // kernelcheck runs (first request per entry)
+	DiskHits        int64 // programs decoded from the durable store instead of compiled
+	DiskDiagHits    int64 // diagnostics decoded from the durable store instead of analyzed
+	StoreErrors     int64 // write-throughs the durable store refused (artifact kept in memory only)
+	Size            int   // entries currently cached
+	BytecodeBytes   int64 // lowered-bytecode bytes held by cached entries
 }
 
 // ProgBlob is the castore blob name for the serialized program: both
@@ -144,8 +142,6 @@ func New(capacity int, reg *metrics.Registry) *Cache {
 			s := c.Stats()
 			r.Set("progcache_entries", float64(s.Size))
 			r.Set("progcache_evictions", float64(s.Evictions))
-			r.Set("progcache_hits_bytecode_warp", float64(s.HitsBytecodeWarp))
-			r.Set("progcache_hits_ast", float64(s.HitsAST))
 			r.Set("progcache_hits_diagnostics", float64(s.HitsDiagnostics))
 			r.Set("progcache_bytecode_bytes", float64(s.BytecodeBytes))
 			r.Set("progcache_disk_hits", float64(s.DiskHits))
@@ -209,13 +205,6 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.stats.Hits++
-		// Split the hit by the executable artifact the program runs on, so
-		// a worker serving programs at tree-walker speed is observable.
-		if e.prog != nil && e.prog.ArtifactKind() == "bytecode-warp" {
-			c.stats.HitsBytecodeWarp++
-		} else {
-			c.stats.HitsAST++
-		}
 		c.mu.Unlock()
 		return e.prog, Hit, e.err
 	}

@@ -217,21 +217,9 @@ func TestArtifactStats(t *testing.T) {
 	if _, st, _ := c.CompileStatus(src, minicuda.DialectCUDA); st != Hit {
 		t.Fatalf("status = %v, want Hit", st)
 	}
-	s = c.Stats()
-	split := s.HitsBytecodeWarp + s.HitsAST
-	if split != 1 || split != s.Hits {
-		t.Fatalf("hit split %d+%d does not cover %d hits",
-			s.HitsBytecodeWarp, s.HitsAST, s.Hits)
-	}
-	if p.ArtifactKind() == "bytecode-warp" {
-		if s.HitsBytecodeWarp != 1 {
-			t.Fatalf("stats = %+v, want the hit counted as bytecode-warp", s)
-		}
-		reg.Collect()
-		if reg.Gauge("progcache_hits_bytecode_warp") != 1 {
-			t.Fatalf("progcache_hits_bytecode_warp = %v, want 1",
-				reg.Gauge("progcache_hits_bytecode_warp"))
-		}
+	reg.Collect()
+	if got := reg.Gauge("progcache_bytecode_bytes"); got != float64(p.BytecodeBytes()) {
+		t.Fatalf("progcache_bytecode_bytes = %v, want %d", got, p.BytecodeBytes())
 	}
 
 	// Evicting an entry releases its artifact bytes.

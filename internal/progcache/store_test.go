@@ -1,6 +1,7 @@
 package progcache
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -180,38 +181,75 @@ func TestLostWriteThroughIsCounted(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreEntryRecompiles: a castore-level corruption (caught by
-// hash verification) degrades to one recompile; the rewritten artifact
-// then serves the next restart.
+// TestCorruptStoreEntryRecompiles: an artifact the store cannot serve
+// degrades to one recompile. A read fault means "disk said no" (the
+// castore tests cover literal byte corruption, caught by hash
+// verification); a frame that decodes but does not lower is discarded,
+// never run.
 func TestCorruptStoreEntryRecompiles(t *testing.T) {
-	dir := t.TempDir()
-	c1 := New(16, nil)
-	store1 := openStore(t, dir)
-	c1.SetStore(store1)
-	if _, err := c1.Compile(variantSrc(0), minicuda.DialectCUDA); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the artifact on disk via a read fault — simpler than path
-	// math here; the castore tests cover literal byte corruption. A read
-	// fault means "disk said no": the cache must compile.
-	faults := faultinject.New(7)
-	faults.Enable(faultinject.PointCAStoreRead, faultinject.Fault{})
-	store2, err := castore.Open(dir, castore.Options{Faults: faults})
+	// A builtin call renamed in the frame's string table: well-formed,
+	// but no engine has the builtin.
+	const src = `__global__ void k(int *out) { out[threadIdx.x] = min(1, 2); }`
+	prog, err := minicuda.Compile(src, minicuda.DialectCUDA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store2.Close()
-	c2 := New(16, nil)
-	c2.SetStore(store2)
-	prog, status, err := c2.CompileStatus(variantSrc(0), minicuda.DialectCUDA)
-	if err != nil || prog == nil {
-		t.Fatalf("compile under read faults: %v", err)
+	frame, err := minicuda.EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if status != Miss {
-		t.Fatalf("status = %v", status)
+	frame = bytes.Replace(frame, []byte("min"), []byte("mzn"), 1)
+
+	rows := []struct {
+		name        string
+		src         string
+		seed        func(t *testing.T, dir string)
+		readFault   bool
+		wantDiscard int64
+	}{
+		{"read fault", variantSrc(0), func(t *testing.T, dir string) {
+			c := New(16, nil)
+			c.SetStore(openStore(t, dir))
+			if _, err := c.Compile(variantSrc(0), minicuda.DialectCUDA); err != nil {
+				t.Fatal(err)
+			}
+		}, true, 0},
+		{"frame that does not lower", src, func(t *testing.T, dir string) {
+			if err := openStore(t, dir).Put(Key(src, minicuda.DialectCUDA), ProgBlob, frame); err != nil {
+				t.Fatal(err)
+			}
+		}, false, 1},
 	}
-	if st := c2.Stats(); st.Compiles != 1 || st.DiskHits != 0 {
-		t.Fatalf("stats = %+v (read fault must mean compile)", st)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r.seed(t, dir)
+			var faults *faultinject.Registry
+			if r.readFault {
+				faults = faultinject.New(7)
+				faults.Enable(faultinject.PointCAStoreRead, faultinject.Fault{})
+			}
+			store, err := castore.Open(dir, castore.Options{Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			c := New(16, nil)
+			c.SetStore(store)
+			prog, status, err := c.CompileStatus(r.src, minicuda.DialectCUDA)
+			if err != nil || prog == nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if status != Miss {
+				t.Fatalf("status = %v", status)
+			}
+			if st := c.Stats(); st.Compiles != 1 || st.DiskHits != 0 {
+				t.Fatalf("stats = %+v (the entry must mean a compile)", st)
+			}
+			if got := store.Stats().Discards; got != r.wantDiscard {
+				t.Fatalf("store discards = %d, want %d", got, r.wantDiscard)
+			}
+		})
 	}
 }
 

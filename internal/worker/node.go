@@ -391,11 +391,10 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 	ex.End()
 	joinAnalysis()
-	// Which execution engine ran the kernels, and how large the lowered
-	// artifact was.
-	engine, instrs := "tree", ""
-	if prog != nil && prog.ArtifactKind() == "bytecode-warp" {
-		engine, instrs = "warp", strconv.Itoa(prog.InstructionCount())
+	// How large the lowered artifact the kernels ran was.
+	instrs := ""
+	if prog != nil {
+		instrs = strconv.Itoa(prog.InstructionCount())
 	}
 	for _, o := range res.Outcomes {
 		clamped, truncated := n.limits.ClampOutput(o.Trace)
@@ -405,7 +404,7 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		if o.Ran || o.Canceled {
 			ex.Part(fmt.Sprintf("exec[dataset=%d]", o.DatasetID), o.WallTime,
 				"correct", strconv.FormatBool(o.Correct), "canceled", strconv.FormatBool(o.Canceled),
-				"sim_time", o.SimTime.String(), "engine", engine, "instructions", instrs)
+				"sim_time", o.SimTime.String(), "instructions", instrs)
 		}
 		switch {
 		case o.Canceled:

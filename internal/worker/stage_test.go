@@ -87,7 +87,7 @@ func TestTracedJobSpanNames(t *testing.T) {
 		"kernelcheck": "errors,findings,policy",
 	}
 	for i := 0; i < labs.ByID("vector-add").NumDatasets; i++ {
-		want[fmt.Sprintf("exec[dataset=%d]", i)] = "canceled,correct,engine,instructions,sim_time"
+		want[fmt.Sprintf("exec[dataset=%d]", i)] = "canceled,correct,instructions,sim_time"
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("spans (name → attribute keys)\n got %v\nwant %v", got, want)
