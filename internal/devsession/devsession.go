@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
 	"webgpu/internal/progcache"
@@ -79,8 +80,9 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Traces records one trace per analyzed draft (nil: private ring).
 	Traces *trace.Store
-	// Clock is the time source for rate limits and idle eviction (tests).
-	Clock func() time.Time
+	// Clock times rate limits, idle eviction and the pickup window
+	// (tests inject a clock.Manual); nil means clock.Real.
+	Clock clock.Clock
 
 	// MaxSessions bounds the registry deployment-wide; MaxPerUser bounds
 	// one student's sessions. Zero means the default; negative disables.
@@ -116,7 +118,7 @@ func (c Config) withDefaults() Config {
 		c.Traces = trace.NewStore(0)
 	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = clock.Real
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = DefaultMaxSessions
@@ -146,21 +148,25 @@ func (c Config) withDefaults() Config {
 type Manager struct {
 	cfg Config
 
+	// userDrafts and sessionDrafts are the draft budgets, keyed by user
+	// and by session ID; nil when rate limiting is off.
+	userDrafts, sessionDrafts *clock.Limiter
+
 	mu       sync.Mutex
 	sessions map[string]*Session
 	perUser  map[string]int
-	buckets  map[string]*bucket // per-user draft budgets
-	swept    time.Time          // when buckets was last swept
 	closed   bool
 }
 
 // NewManager builds a manager from the config (zero fields take defaults).
 func NewManager(cfg Config) *Manager {
+	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:      cfg.withDefaults(),
-		sessions: map[string]*Session{},
-		perUser:  map[string]int{},
-		buckets:  map[string]*bucket{},
+		cfg:           cfg,
+		userDrafts:    clock.NewLimiter(cfg.DraftBurst, cfg.DraftInterval, cfg.Clock),
+		sessionDrafts: clock.NewLimiter(cfg.DraftBurst, cfg.DraftInterval, cfg.Clock),
+		sessions:      map[string]*Session{},
+		perUser:       map[string]int{},
 	}
 	// Register the series at zero so dashboards scraping a fresh server
 	// see the whole devsession_* set, not counters popping in on first use.
@@ -181,7 +187,7 @@ func NewManager(cfg Config) *Manager {
 // Open creates a session for (userID, labID), evicting idle sessions
 // first. The returned session is live: its draft loop is running.
 func (m *Manager) Open(userID, labID string, dialect minicuda.Dialect) (*Session, error) {
-	now := m.cfg.Clock()
+	now := m.cfg.Clock.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -248,7 +254,7 @@ func (m *Manager) CloseAll() {
 
 // Sweep evicts idle sessions now (also runs on every Open).
 func (m *Manager) Sweep() {
-	now := m.cfg.Clock()
+	now := m.cfg.Clock.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sweepLocked(now)
@@ -284,71 +290,6 @@ func (m *Manager) dropLocked(s *Session, reason string) {
 	}
 	m.cfg.Metrics.Inc("devsession_closed", 1)
 	m.cfg.Metrics.Set("devsession_active", float64(len(m.sessions)))
-}
-
-// allowUser charges one draft against the user's token bucket.
-func (m *Manager) allowUser(userID string, now time.Time) bool {
-	if m.cfg.DraftInterval <= 0 {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b := m.buckets[userID]
-	if b == nil {
-		refill := time.Duration(m.cfg.DraftBurst) * m.cfg.DraftInterval
-		if len(m.buckets) >= maxUserBuckets && now.Sub(m.swept) >= refill {
-			m.swept = now
-			for u, old := range m.buckets {
-				if old.level(now) >= old.burst {
-					delete(m.buckets, u)
-				}
-			}
-		}
-		b = newBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now)
-		m.buckets[userID] = b
-	}
-	return b.allow(now)
-}
-
-// maxUserBuckets bounds the per-user bucket map: past it, buckets that
-// have refilled to their burst are swept, at most once per refill time.
-// A full bucket is indistinguishable from a fresh one, so the sweep is
-// lossless (the rule overload applies to its tenant buckets).
-const maxUserBuckets = 16384
-
-func (m *Manager) now() time.Time { return m.cfg.Clock() }
-
-// bucket is a deterministic token bucket driven by the manager's clock.
-type bucket struct {
-	tokens   float64
-	burst    float64
-	interval time.Duration // time to refill one token
-	last     time.Time
-}
-
-func newBucket(burst int, interval time.Duration, now time.Time) *bucket {
-	return &bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
-}
-
-func (b *bucket) allow(now time.Time) bool {
-	if b.interval <= 0 {
-		return true
-	}
-	b.tokens, b.last = b.level(now), now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// level is the token count at now; it does not advance the bucket.
-func (b *bucket) level(now time.Time) float64 {
-	dt := now.Sub(b.last)
-	if dt <= 0 {
-		return b.tokens
-	}
-	return min(b.burst, b.tokens+float64(dt)/float64(b.interval))
 }
 
 func newSessionID() string {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/labs"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
@@ -340,12 +341,10 @@ func TestSessionLimits(t *testing.T) {
 
 func TestDraftRateLimit(t *testing.T) {
 	l := refLab(t)
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
 	reg := metrics.NewRegistry()
 	m := NewManager(Config{
-		Clock: clock, Metrics: reg,
+		Clock: clk, Metrics: reg,
 		DraftBurst: 2, DraftInterval: 100 * time.Millisecond, Debounce: -1,
 	})
 	defer m.CloseAll()
@@ -363,61 +362,56 @@ func TestDraftRateLimit(t *testing.T) {
 		t.Fatalf("devsession_rate_limited = %v, want 1", c)
 	}
 
-	mu.Lock()
-	now = now.Add(time.Second) // refills both buckets
-	mu.Unlock()
+	clk.Advance(time.Second) // refills both buckets
 	if _, _, err := s.PushDraft(l.Reference); err != nil {
 		t.Fatalf("post-refill push: %v", err)
 	}
 }
 
 // TestUserBucketsForgetIdleUsers: a course's worth of one-time drafters
-// does not stay in the per-user map, and sweeping the refilled buckets
+// does not stay in the per-user budget, and sweeping the refilled buckets
 // changes nothing for a user who is still short of tokens.
 func TestUserBucketsForgetIdleUsers(t *testing.T) {
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	m := NewManager(Config{DraftBurst: 2, DraftInterval: 100 * time.Millisecond})
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
+	m := NewManager(Config{Clock: clk, DraftBurst: 2, DraftInterval: 100 * time.Millisecond})
 	defer m.CloseAll()
+	allow := func(user string) bool { return m.userDrafts.Take(user) == 0 }
 	for i := 0; i < 50000; i++ {
-		if !m.allowUser(fmt.Sprintf("user-%06d", i), now) {
+		if !allow(fmt.Sprintf("user-%06d", i)) {
 			t.Fatalf("user %d refused its first draft", i)
 		}
 	}
-	now = now.Add(150 * time.Millisecond)
-	if !m.allowUser("live", now) || !m.allowUser("live", now) {
+	clk.Advance(150 * time.Millisecond)
+	if !allow("live") || !allow("live") {
 		t.Fatal("live user refused inside its burst")
 	}
-	now = now.Add(50 * time.Millisecond) // one refill time after the rush
-	if !m.allowUser("late", now) {
+	clk.Advance(50 * time.Millisecond) // one refill time after the rush
+	if !allow("late") {
 		t.Fatal("late user refused its first draft")
 	}
-	if n := len(m.buckets); n >= maxUserBuckets {
-		t.Fatalf("map holds %d buckets one refill time after the rush, want < %d", n, maxUserBuckets)
+	if n := m.userDrafts.Len(); n != 2 {
+		t.Fatalf("budget holds %d users one refill time after the rush, want live and late", n)
 	}
 	// The live user spent both tokens 50 ms ago: half a token has come
 	// back, so the sweep must have kept the bucket.
-	if m.allowUser("live", now) {
+	if allow("live") {
 		t.Fatal("live user's spent bucket was swept: a third draft passed 50 ms after two")
 	}
-	now = now.Add(50 * time.Millisecond)
-	if !m.allowUser("live", now) {
+	clk.Advance(50 * time.Millisecond)
+	if !allow("live") {
 		t.Fatal("live user refused after a full interval")
 	}
 }
 
 func TestIdleEviction(t *testing.T) {
 	l := refLab(t)
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
 	reg := metrics.NewRegistry()
-	m := NewManager(Config{Clock: clock, Metrics: reg, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
+	m := NewManager(Config{Clock: clk, Metrics: reg, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
+	clk.Advance(2 * time.Minute)
 	m.Sweep()
 	if m.Get(s.ID) != nil || m.Active() != 0 {
 		t.Fatalf("session survived the sweep")
@@ -437,18 +431,14 @@ func TestIdleEviction(t *testing.T) {
 
 func TestSubscriberKeepsSessionAlive(t *testing.T) {
 	l := refLab(t)
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	m := NewManager(Config{Clock: clock, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
+	m := NewManager(Config{Clock: clk, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 	_, _, unsub, _ := s.Subscribe(0)
 	defer unsub()
 
-	mu.Lock()
-	now = now.Add(time.Hour)
-	mu.Unlock()
+	clk.Advance(time.Hour)
 	m.Sweep()
 	if m.Get(s.ID) == nil {
 		t.Fatal("session with a live subscriber was evicted")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/kernelcheck"
 	"webgpu/internal/minicuda"
 	"webgpu/internal/progcache"
@@ -92,7 +93,6 @@ type Session struct {
 	latest         *draft // pending draft, replaced latest-wins
 	inflightCancel context.CancelFunc
 	lastActive     time.Time
-	bucket         *bucket
 }
 
 func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, now time.Time) *Session {
@@ -106,7 +106,6 @@ func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, 
 		inc:        kernelcheck.NewIncremental(),
 		subs:       map[int]chan Event{},
 		lastActive: now,
-		bucket:     newBucket(m.cfg.DraftBurst, m.cfg.DraftInterval, now),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s
@@ -117,8 +116,8 @@ func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, 
 // true), and a push while an analysis is in flight cancels that stale
 // analysis. Returns the draft sequence number.
 func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error) {
-	now := s.m.now()
-	if !s.m.allowUser(s.UserID, now) {
+	now := s.m.cfg.Clock.Now()
+	if s.m.userDrafts.Take(s.UserID) > 0 {
 		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
 		return 0, false, ErrRateLimited
 	}
@@ -127,7 +126,7 @@ func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error
 		s.mu.Unlock()
 		return 0, false, ErrClosed
 	}
-	if !s.bucket.allow(now) {
+	if s.m.sessionDrafts.Take(s.ID) > 0 {
 		s.mu.Unlock()
 		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
 		return 0, false, ErrRateLimited
@@ -163,7 +162,7 @@ func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error
 // The returned cancel is idempotent; dropping the last subscriber cancels
 // any in-flight analysis and discards the pending draft.
 func (s *Session) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, cancel func(), err error) {
-	now := s.m.now()
+	now := s.m.cfg.Clock.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -187,7 +186,7 @@ func (s *Session) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, ca
 		if ok {
 			delete(s.subs, id)
 		}
-		s.lastActive = s.m.now()
+		s.lastActive = s.m.cfg.Clock.Now()
 		var stale context.CancelFunc
 		if len(s.subs) == 0 && !s.closed {
 			// Nobody is listening: stop the in-flight analysis and drop
@@ -248,7 +247,7 @@ func (s *Session) emit(typ string, data interface{}) {
 		return
 	}
 	s.seq++
-	ev := Event{Seq: s.seq, Type: typ, At: s.m.now(), Data: data}
+	ev := Event{Seq: s.seq, Type: typ, At: s.m.cfg.Clock.Now(), Data: data}
 	s.events = append(s.events, ev)
 	if n := len(s.events) - s.m.cfg.EventBuffer; n > 0 {
 		s.events = append(s.events[:0], s.events[n:]...)
@@ -279,7 +278,7 @@ func (s *Session) close(reason string) {
 	// Record the terminal event in the ring before flipping closed, so a
 	// client that reconnects (to a dead session) at least sees why.
 	s.seq++
-	ev := Event{Seq: s.seq, Type: EventStatus, At: s.m.now(), Data: StatusPayload{State: reason}}
+	ev := Event{Seq: s.seq, Type: EventStatus, At: s.m.cfg.Clock.Now(), Data: StatusPayload{State: reason}}
 	s.events = append(s.events, ev)
 	for id, c := range s.subs {
 		select {
@@ -303,7 +302,10 @@ func (s *Session) close(reason string) {
 // first draft) is therefore picked up at once — the leading edge — and a
 // draft that lands inside the window waits for the window's remainder,
 // with everything pushed meanwhile coalescing into that one trailing
-// pickup. Two bounds hold, the same two a sleep after every draft gave:
+// pickup. The pickup is trailing when its draft was pushed before the
+// window closed, as the timer's firing time says, so the label is a
+// function of the clock's readings, not of when the loop got to run.
+// Two bounds hold, the same two a sleep after every draft gave:
 //
 //   - a session starts at most one analysis per window;
 //   - no draft waits longer than one window before it is picked up or
@@ -312,49 +314,41 @@ func (s *Session) close(reason string) {
 // What the leading edge costs is that a keystroke burst into a quiet
 // session is analyzed twice, its first draft and its latest, not once.
 func (s *Session) loop() {
-	window := s.m.cfg.Debounce
-	var timer *time.Timer // armed at each pickup; nil until the first
-	armed := false        // timer.C not drained since the last pickup
+	var window *clock.Timer // armed at a pickup, nil once it has fired
+	var windowEnd time.Time // when the last window closed
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-s.notify:
 		}
-		pickup := "leading"
-		if armed {
+		if window != nil {
 			select {
-			case <-timer.C: // the window was over before this draft came
-			default:
-				pickup = "trailing"
-				select {
-				case <-s.ctx.Done():
-					return
-				case <-timer.C:
-				}
+			case <-s.ctx.Done():
+				return
+			case windowEnd = <-window.C:
 			}
-			armed = false
+			window = nil
 		}
 		s.mu.Lock()
 		d := s.latest
 		s.latest = nil
 		if d == nil {
 			// A wake-up whose draft an earlier pickup already took, or an
-			// unsubscribe dropped. Nothing was picked up, so the timer
-			// stays unarmed and the next draft is a leading pickup.
+			// unsubscribe dropped. Nothing was picked up, so no window is
+			// armed and the next draft is picked up at once.
 			s.mu.Unlock()
 			continue
 		}
 		ctx, cancel := context.WithCancel(s.ctx)
 		s.inflightCancel = cancel
 		s.mu.Unlock()
-		if window > 0 {
-			if timer == nil {
-				timer = time.NewTimer(window)
-			} else {
-				timer.Reset(window) // drained above, so no stale tick
-			}
-			armed = true
+		pickup := "leading"
+		if d.queuedAt.Before(windowEnd) {
+			pickup = "trailing"
+		}
+		if s.m.cfg.Debounce > 0 {
+			window = s.m.cfg.Clock.NewTimer(s.m.cfg.Debounce)
 		}
 
 		s.runDraft(ctx, d, pickup)
@@ -392,7 +386,7 @@ type pipelineOut struct {
 // compile keeps going and still warms the cache for the next draft or
 // an eventual submission.
 func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
-	start := s.m.now()
+	start := s.m.cfg.Clock.Now()
 	// Push → pickup: what the draft spent behind the spacing window (and
 	// the loop's wake-up). The elapsed_ms figures start here and hide it.
 	waited := start.Sub(d.queuedAt)
@@ -401,7 +395,7 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	reg.Inc("devsession_pickups_"+pickup, 1)
 	reg.ObserveDuration("devsession_pickup_wait_ms", waited)
 	tr := s.m.cfg.Traces.NewTrace()
-	sp := tr.StageAt(start, s.m.now, reg, "devsession_draft_ms", "draft",
+	sp := tr.StageAt(start, s.m.cfg.Clock, reg, "devsession_draft_ms", "draft",
 		"session", s.ID, "lab", s.LabID, "draft", strconv.FormatInt(d.seq, 10),
 		"pickup", pickup, "waited_ms", strconv.FormatFloat(waitedMS, 'f', 3, 64))
 	done := make(chan pipelineOut, 1)

@@ -7,27 +7,32 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
 	"webgpu/internal/progcache"
 )
 
-// spacingRig is one session on real timers, with the compile of its first
-// draft optionally held so a test can push into an in-flight analysis.
+// spacingRig is one session on a clock the test moves with advance, with
+// the compile of its first draft optionally held so a test can push into
+// an in-flight analysis.
 type spacingRig struct {
 	t       *testing.T
+	m       *Manager
 	s       *Session
 	ch      <-chan Event
+	unsub   func()
 	reg     *metrics.Registry
 	ref     string
 	pushes  int
+	advance func(time.Duration)
 	started chan struct{} // first compile entered (holdFirst rigs)
 	release chan struct{} // lets the held first compile return
 }
 
-func newSpacingRig(t *testing.T, debounce time.Duration, holdFirst bool) *spacingRig {
+func newSpacingRig(t *testing.T, clk clock.Clock, advance func(time.Duration), debounce time.Duration, holdFirst bool) *spacingRig {
 	l := refLab(t)
-	r := &spacingRig{t: t, reg: metrics.NewRegistry(), ref: l.Reference,
+	r := &spacingRig{t: t, reg: metrics.NewRegistry(), ref: l.Reference, advance: advance,
 		started: make(chan struct{}, 1), release: make(chan struct{})}
 	cache := progcache.New(16, nil)
 	var first sync.Once
@@ -40,9 +45,8 @@ func newSpacingRig(t *testing.T, debounce time.Duration, holdFirst bool) *spacin
 		}
 		return minicuda.Compile(src, d)
 	})
-	m := NewManager(Config{Cache: cache, Metrics: r.reg, Debounce: debounce, DraftInterval: -1})
-	t.Cleanup(m.CloseAll)
-	s, err := m.Open("u1", l.ID, l.Dialect)
+	r.m = NewManager(Config{Cache: cache, Metrics: r.reg, Clock: clk, Debounce: debounce, DraftInterval: -1})
+	s, err := r.m.Open("u1", l.ID, l.Dialect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,153 +54,128 @@ func newSpacingRig(t *testing.T, debounce time.Duration, holdFirst bool) *spacin
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(unsub)
-	r.s, r.ch = s, ch
+	r.s, r.ch, r.unsub = s, ch, unsub
 	return r
 }
 
-// pushed is one push: the draft number, and two readings of the test's
-// clock that bracket the manager's (the draft's queuedAt lies between).
-type pushed struct {
-	seq           int64
-	before, after time.Time
+// newManualRig is a spacing rig on a clock.Manual, closed at cleanup.
+func newManualRig(t *testing.T, debounce time.Duration, holdFirst bool) (*spacingRig, *clock.Manual) {
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
+	r := newSpacingRig(t, clk, clk.Advance, debounce, holdFirst)
+	t.Cleanup(r.close)
+	return r, clk
 }
 
-// push sends the next distinct source.
-func (r *spacingRig) push() pushed {
+func (r *spacingRig) close() {
+	r.unsub()
+	r.m.CloseAll()
+}
+
+// push sends the next distinct source and returns its draft number.
+func (r *spacingRig) push() int64 {
 	r.t.Helper()
 	src := r.ref + strings.Repeat("\n", r.pushes)
 	r.pushes++
-	p := pushed{before: time.Now()}
 	seq, _, err := r.s.PushDraft(src)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	p.seq, p.after = seq, time.Now()
-	return p
+	return seq
 }
 
-// await returns the draft's diagnostics payload and when it arrived.
-func (r *spacingRig) await(seq int64) (DiagnosticsPayload, time.Time) {
+// await returns the draft's diagnostics payload.
+func (r *spacingRig) await(seq int64) DiagnosticsPayload {
 	r.t.Helper()
-	return awaitDiagnostics(r.t, r.ch, seq), time.Now()
+	return awaitDiagnostics(r.t, r.ch, seq)
 }
 
-func (r *spacingRig) pickups() (leading, trailing float64) {
-	return r.reg.Counter("devsession_pickups_leading"), r.reg.Counter("devsession_pickups_trailing")
-}
-
-// TestPickupSpacing pins where the debounce window is anchored: at the
-// previous pickup, not at each draft's arrival. Real timers; every bound
-// that separates the two anchorings leaves at least 150 ms for a slow host.
-func TestPickupSpacing(t *testing.T) {
-	const (
-		immediate = 250 * time.Millisecond // "at once" on a loaded 2-vCPU host
-		window    = 600 * time.Millisecond
-		gap       = 300 * time.Millisecond
-	)
-	rows := []struct {
-		name      string
-		debounce  time.Duration
-		holdFirst bool
-		run       func(t *testing.T, r *spacingRig)
-	}{
-		{"isolated draft is picked up at once", time.Second, false, func(t *testing.T, r *spacingRig) {
-			p := r.push()
-			dp, got := r.await(p.seq)
-			if d := got.Sub(p.before); d >= immediate {
-				t.Fatalf("diagnostics after %v, want < %v: the draft sat out the window", d, immediate)
-			}
-			if dp.WaitedMS < 0 || dp.WaitedMS >= ms(immediate) {
-				t.Fatalf("waited_ms = %v, want ≈ 0", dp.WaitedMS)
-			}
-			if lead, trail := r.pickups(); lead != 1 || trail != 0 {
-				t.Fatalf("pickups leading/trailing = %v/%v, want 1/0", lead, trail)
-			}
-		}},
-		{"a draft after the window is leading again", window, false, func(t *testing.T, r *spacingRig) {
-			// Leading a, then b and c inside a's window: c's pickup leaves
-			// b's wake-up token behind, so the loop wakes once more with
-			// nothing pending. That wake may neither leave the timer armed
-			// (d would block) nor re-arm it (d would wait a window).
-			r.await(r.push().seq)
-			r.push()
-			r.await(r.push().seq)
-			time.Sleep(window + gap)
-			d := r.push()
-			dp, got := r.await(d.seq)
-			if lat := got.Sub(d.before); lat >= immediate {
-				t.Fatalf("draft after a quiet window took %v, want < %v", lat, immediate)
-			}
-			if dp.WaitedMS >= ms(immediate) {
-				t.Fatalf("waited_ms = %v, want ≈ 0", dp.WaitedMS)
-			}
-			if lead, trail := r.pickups(); lead != 2 || trail != 1 {
-				t.Fatalf("pickups leading/trailing = %v/%v, want 2/1", lead, trail)
-			}
-		}},
-		{"a draft inside the window waits for that pickup's window, not its own", window, false, func(t *testing.T, r *spacingRig) {
-			a := r.push()
-			r.await(a.seq)
-			time.Sleep(gap)
-			b := r.push()
-			dp, got := r.await(b.seq)
-			// a was picked up no earlier than a.before, so b's pickup may
-			// not come before a.before+window: b waits at least the
-			// remainder …
-			remainder := ms(window - b.after.Sub(a.before))
-			if since := got.Sub(a.before); since < window {
-				t.Fatalf("second pickup's event %v after the first push, inside the %v window", since, window)
-			}
-			if dp.WaitedMS < remainder {
-				t.Fatalf("waited_ms = %.1f, want >= the window's remainder %.1f", dp.WaitedMS, remainder)
-			}
-			// … and only the remainder: a window anchored at b's own
-			// arrival would make it wait the whole of it.
-			if max := ms(window - gap/2); dp.WaitedMS >= max {
-				t.Fatalf("waited_ms = %.1f, want ≈ %.1f (the remainder), < %.1f", dp.WaitedMS, remainder, max)
-			}
-			if lead, trail := r.pickups(); lead != 1 || trail != 1 {
-				t.Fatalf("pickups leading/trailing = %v/%v, want 1/1", lead, trail)
-			}
-		}},
-		{"a push that cancels an in-flight analysis still waits out the window", window, true, func(t *testing.T, r *spacingRig) {
-			a := r.push()
-			select {
-			case <-r.started:
-			case <-time.After(5 * time.Second):
-				t.Fatal("first compile never started")
-			}
-			b := r.push() // cancels a, whose compile is still held
-			close(r.release)
-			_, got := r.await(b.seq)
-			if since := got.Sub(a.before); since < window {
-				t.Fatalf("replacement picked up %v after the cancelled draft's push, inside the %v window", since, window)
-			}
-			if c := r.reg.Counter("devsession_draft_cancelled"); c != 1 {
-				t.Fatalf("devsession_draft_cancelled = %v, want 1", c)
-			}
-			if lead, trail := r.pickups(); lead != 1 || trail != 1 {
-				t.Fatalf("pickups leading/trailing = %v/%v, want 1/1", lead, trail)
-			}
-		}},
-		{"negative debounce picks every draft up at once", -1, false, func(t *testing.T, r *spacingRig) {
-			for i := 0; i < 3; i++ {
-				p := r.push()
-				if _, got := r.await(p.seq); got.Sub(p.before) >= immediate {
-					t.Fatalf("draft %d took %v with the debounce off", p.seq, got.Sub(p.before))
-				}
-			}
-			if lead, trail := r.pickups(); lead != 3 || trail != 0 {
-				t.Fatalf("pickups leading/trailing = %v/%v, want 3/0", lead, trail)
-			}
-		}},
+// waited asserts the draft's push → pickup time.
+func (r *spacingRig) waited(seq int64, want time.Duration) {
+	r.t.Helper()
+	if got := r.await(seq).WaitedMS; got != ms(want) {
+		r.t.Fatalf("draft %d: waited_ms = %v, want %v", seq, got, ms(want))
 	}
-	for _, row := range rows {
+}
+
+func (r *spacingRig) pickups(lead, trail float64) {
+	r.t.Helper()
+	l, tr := r.reg.Counter("devsession_pickups_leading"), r.reg.Counter("devsession_pickups_trailing")
+	if l != lead || tr != trail {
+		r.t.Fatalf("pickups leading/trailing = %v/%v, want %v/%v", l, tr, lead, trail)
+	}
+}
+
+const (
+	spacingWindow = 600 * time.Millisecond
+	spacingGap    = 250 * time.Millisecond
+)
+
+// spacingRows pin where the debounce window is anchored: at the previous
+// pickup, not at each draft's arrival. Every wait is exact, because the
+// session's clock moves only when the row advances it.
+var spacingRows = []struct {
+	name      string
+	debounce  time.Duration
+	holdFirst bool
+	run       func(t *testing.T, r *spacingRig)
+}{
+	{"isolated draft is picked up at once", spacingWindow, false, func(t *testing.T, r *spacingRig) {
+		r.waited(r.push(), 0)
+		r.pickups(1, 0)
+	}},
+	{"a draft after the window is leading again", spacingWindow, false, func(t *testing.T, r *spacingRig) {
+		// Leading a, then b and c inside a's window: c's pickup may leave
+		// b's wake-up token behind, so the loop wakes once more with
+		// nothing pending. That wake may neither leave the timer armed
+		// (d would block) nor re-arm it (d would wait a window).
+		r.waited(r.push(), 0)
+		r.push()
+		c := r.push()
+		r.advance(spacingWindow)
+		r.waited(c, spacingWindow)
+		r.advance(spacingWindow + spacingGap)
+		r.waited(r.push(), 0)
+		r.pickups(2, 1)
+	}},
+	{"a draft inside the window waits for that pickup's window, not its own", spacingWindow, false, func(t *testing.T, r *spacingRig) {
+		r.waited(r.push(), 0)
+		r.advance(spacingGap)
+		b := r.push()
+		r.advance(spacingWindow - spacingGap)
+		r.waited(b, spacingWindow-spacingGap) // the remainder, not the window
+		r.pickups(1, 1)
+	}},
+	{"a push that cancels an in-flight analysis still waits out the window", spacingWindow, true, func(t *testing.T, r *spacingRig) {
+		r.push()
+		select {
+		case <-r.started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("first compile never started")
+		}
+		b := r.push() // cancels a, whose compile is still held
+		close(r.release)
+		r.advance(spacingWindow)
+		r.waited(b, spacingWindow)
+		if c := r.reg.Counter("devsession_draft_cancelled"); c != 1 {
+			t.Fatalf("devsession_draft_cancelled = %v, want 1", c)
+		}
+		r.pickups(1, 1)
+	}},
+	{"negative debounce picks every draft up at once", -1, false, func(t *testing.T, r *spacingRig) {
+		for i := 0; i < 3; i++ {
+			r.waited(r.push(), 0)
+		}
+		r.pickups(3, 0)
+	}},
+}
+
+func TestPickupSpacing(t *testing.T) {
+	for _, row := range spacingRows {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			t.Parallel() // the rows mostly sleep
-			row.run(t, newSpacingRig(t, row.debounce, row.holdFirst))
+			t.Parallel()
+			r, _ := newManualRig(t, row.debounce, row.holdFirst)
+			row.run(t, r)
 		})
 	}
 }
@@ -210,25 +189,31 @@ func TestBurstStartsAtMostOneAnalysisPerWindow(t *testing.T) {
 		drafts  = 200
 		spacing = 5 * time.Millisecond
 	)
-	r := newSpacingRig(t, window, false)
-	begin := time.Now()
-	var last int64
-	for i := 0; i < drafts; i++ {
-		last = r.push().seq
-		time.Sleep(spacing)
+	r, clk := newManualRig(t, window, false)
+	begin := clk.Now()
+	last := r.push()
+	clk.BlockUntil(1) // the first draft is picked up on its own
+	for i := 1; i < drafts; i++ {
+		clk.Advance(spacing)
+		last = r.push()
 	}
-	_, end := r.await(last)
+	// The last draft waits for one more window at most: the one armed at
+	// the pickup before it, which may not be armed yet.
+	clk.BlockUntil(1)
+	clk.Advance(window)
+	r.await(last)
+	elapsed := clk.Now().Sub(begin)
 
-	lead, trail := r.pickups()
+	lead, trail := r.reg.Counter("devsession_pickups_leading"), r.reg.Counter("devsession_pickups_trailing")
 	started := r.reg.Counter("kernelcheck_incremental_runs") + r.reg.Counter("devsession_draft_cancelled")
 	if started != lead+trail {
 		t.Fatalf("analyses finished or cancelled = %v, pickups = %v", started, lead+trail)
 	}
-	bound := math.Ceil(float64(end.Sub(begin))/float64(window)) + 1
+	bound := math.Ceil(float64(elapsed)/float64(window)) + 1
 	t.Logf("%d drafts in %v: %v analyses started (%v leading, %v trailing), bound %v",
-		drafts, end.Sub(begin), started, lead, trail, bound)
+		drafts, elapsed, started, lead, trail, bound)
 	if started > bound {
-		t.Fatalf("%v analyses started in %v, more than one per %v window (+1)", started, end.Sub(begin), window)
+		t.Fatalf("%v analyses started in %v, more than one per %v window (+1)", started, elapsed, window)
 	}
 	if started < 2 {
 		t.Fatalf("%v analyses started, want the first draft and the last at least", started)

@@ -1,34 +1,35 @@
 package devsession
 
 import (
-	"sync"
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 	"webgpu/internal/progcache"
 	"webgpu/internal/trace"
 )
+
+// tickClock reads a millisecond later at every Now.
+type tickClock struct{ *clock.Manual }
+
+func (c tickClock) Now() time.Time {
+	c.Advance(time.Millisecond)
+	return c.Manual.Now()
+}
 
 // TestDraftStageIsOneNumber: a draft's span, its devsession_draft_ms and
 // devsession_draft_warm_ms samples and the elapsed_ms its events carry are
 // one reading of the manager's clock.
 func TestDraftStageIsOneNumber(t *testing.T) {
 	l := refLab(t)
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { // every reading is a millisecond later
-		mu.Lock()
-		defer mu.Unlock()
-		now = now.Add(time.Millisecond)
-		return now
-	}
+	clk := tickClock{clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))}
 	cache := progcache.New(progcache.DefaultCapacity, nil)
 	if _, err := cache.Compile(l.Reference, l.Dialect); err != nil {
 		t.Fatal(err)
 	}
 	reg, traces := metrics.NewRegistry(), trace.NewStore(0)
-	m := NewManager(Config{Cache: cache, Metrics: reg, Traces: traces, Clock: clock, Debounce: -1, DraftInterval: -1})
+	m := NewManager(Config{Cache: cache, Metrics: reg, Traces: traces, Clock: clk, Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 	_, ch, unsub, _ := s.Subscribe(0)

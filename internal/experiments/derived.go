@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/gpusim"
 	"webgpu/internal/labs"
 	"webgpu/internal/minicuda"
@@ -123,14 +124,14 @@ func Dispatch() string {
 
 	// v2: lease a job, "crash" the worker (never ack), watch redelivery.
 	b := queue.NewBroker()
-	bnow := time.Unix(0, 0)
-	b.SetClock(func() time.Time { return bnow })
+	bclk := clock.NewManual(time.Unix(0, 0))
+	b.SetClock(bclk)
 	job := &worker.Job{ID: "job-1", LabID: "vector-add",
 		Source: labs.ByID("vector-add").Reference, DatasetID: 0}
 	_, _ = b.Publish(worker.TopicJobs, worker.EncodeJob(job))
 	d1, ok, _ := b.Poll(worker.TopicJobs, "doomed-worker", map[string]bool{"cuda": true}, 30*time.Second)
 	fmt.Fprintf(&sb, "v2: doomed worker leased the job: %v (attempt %d)\n", ok, d1.Msg.Attempts)
-	bnow = bnow.Add(31 * time.Second) // the worker died; its lease expires
+	bclk.Advance(31 * time.Second) // the worker died; its lease expires
 	d2, ok, _ := b.Poll(worker.TopicJobs, "healthy-worker", map[string]bool{"cuda": true}, 30*time.Second)
 	fmt.Fprintf(&sb, "v2: after lease expiry a healthy worker received it: %v (attempt %d)\n", ok, d2.Msg.Attempts)
 	node := worker.NewNode(worker.DefaultNodeConfig("healthy-worker"))
@@ -142,12 +143,21 @@ func Dispatch() string {
 	// v1: the registry evicts silent workers; jobs dispatched meanwhile
 	// fail fast with no automatic retry.
 	reg := worker.NewRegistry(30 * time.Second)
-	now := time.Unix(0, 0)
-	reg.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(0, 0))
+	reg.SetClock(clk)
 	reg.Register(worker.NewNode(worker.DefaultNodeConfig("w1")))
 	fmt.Fprintf(&sb, "v1: pool = %v\n", reg.Alive())
-	now = now.Add(45 * time.Second) // w1 stops sending health checks
-	_, err := reg.Dispatch(context.Background(), job)
+	clk.Advance(45 * time.Second) // w1 stops sending health checks
+	errc := make(chan error, 1)
+	go func() {
+		_, err := reg.Dispatch(context.Background(), job)
+		errc <- err
+	}()
+	for i := 0; i < worker.DefaultDispatchRetries; i++ {
+		clk.BlockUntil(1)        // a retry's backoff, on the registry's clock
+		clk.Advance(time.Second) // past the longest backoff
+	}
+	err := <-errc
 	fmt.Fprintf(&sb, "v1: after missed health checks, pool = %v, dispatch error: %v\n",
 		reg.Alive(), err)
 	fmt.Fprintf(&sb, "v1: evictions = %d; the web tier must retry the job itself\n", reg.Evictions())
@@ -297,17 +307,16 @@ func Limits() string {
 	sb.WriteString("== D7: submission-rate and execution-time limits (§III-C) ==\n\n")
 
 	// Rate limit: an abusive client hammers submit.
-	rl := sandbox.NewRateLimiter(10 * time.Second)
-	now := time.Unix(0, 0)
-	rl.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(0, 0))
+	rl := sandbox.Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
 	admitted, rejected := 0, 0
 	for i := 0; i < 60; i++ {
-		if rl.Admit("abuser") == nil {
+		if sandbox.AdmitSubmit(rl, "abuser") == nil {
 			admitted++
 		} else {
 			rejected++
 		}
-		now = now.Add(time.Second)
+		clk.Advance(time.Second)
 	}
 	fmt.Fprintf(&sb, "60 submissions in 60s against a 10s interval: %d admitted, %d rejected\n",
 		admitted, rejected)

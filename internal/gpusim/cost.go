@@ -156,19 +156,23 @@ func bankConflicts(words []int) int64 {
 
 // aggregateCost charges the accesses one block's threads logged under
 // Launch: per warp, the events that share a key are one instruction.
-func aggregateCost(ctxs []*ThreadCtx, warpSize int, scr *blockScratch) (globalTx, sharedTx int64) {
+func aggregateCost(ctxs []*ThreadCtx, warpSize int) (globalTx, sharedTx int64) {
+	var (
+		g     []gEvent
+		s     []sEvent
+		segs  []gSeg
+		words []int
+	)
 	for base := 0; base < len(ctxs); base += warpSize {
-		wts := ctxs[base:min(base+warpSize, len(ctxs))]
-		g := scr.gEvents[:0]
-		s := scr.sEvents[:0]
-		for _, tc := range wts {
+		g, s = g[:0], s[:0]
+		for _, tc := range ctxs[base:min(base+warpSize, len(ctxs))] {
 			g = append(g, tc.gEvents...)
 			s = append(s, tc.sEvents...)
 		}
 		slices.SortFunc(g, func(a, b gEvent) int { return cmp.Compare(a.key, b.key) })
 		slices.SortFunc(s, func(a, b sEvent) int { return cmp.Compare(a.key, b.key) })
 		for i := 0; i < len(g); {
-			segs := scr.segs[:0]
+			segs = segs[:0]
 			key := g[i].key
 			for ; i < len(g) && g[i].key == key; i++ {
 				for seg := g[i].segLo; seg <= g[i].segHi; seg++ {
@@ -176,18 +180,15 @@ func aggregateCost(ctxs []*ThreadCtx, warpSize int, scr *blockScratch) (globalTx
 				}
 			}
 			globalTx += int64(len(segs))
-			scr.segs = segs
 		}
 		for i := 0; i < len(s); {
-			words := scr.words[:0]
+			words = words[:0]
 			key := s[i].key
 			for ; i < len(s) && s[i].key == key; i++ {
 				words = append(words, int(s[i].word))
 			}
 			sharedTx += bankDegree(words)
-			scr.words = words
 		}
-		scr.gEvents, scr.sEvents = g, s
 	}
 	return globalTx, sharedTx
 }

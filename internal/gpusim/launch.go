@@ -427,46 +427,32 @@ type allocCache struct {
 }
 
 // blockScratch is what one SM worker of a launch runs its blocks on,
-// recycled across blocks and launches through scratchPool so that a block
-// allocates nothing: the block context with its task list and shared
-// arena, the warp contexts (LaunchWarp), and the thread contexts with their
-// access logs plus the working sets that aggregate them (Launch). Every
-// slot is reset before use and keeps only its capacity.
+// recycled across blocks and launches through scratchPool so that a warp
+// tier block allocates nothing: the block context with its task list and
+// shared arena, and the warp contexts. Every slot is reset before use and
+// keeps only its capacity. The oracle (Launch) allocates its thread
+// contexts per block: it is the simple path, not the fast one.
 type blockScratch struct {
 	bc    blockCtx
 	warps []WarpCtx
-
-	ctxs    []*ThreadCtx
-	backing []ThreadCtx
-	gEvents []gEvent
-	sEvents []sEvent
-	segs    []gSeg
-	words   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // threads lays out the thread contexts of block bc in flat order.
-func (scr *blockScratch) threads(bc *blockCtx) []*ThreadCtx {
+func threads(bc *blockCtx) []*ThreadCtx {
 	cfg := bc.cfg
-	n := cfg.Block.Count()
-	if cap(scr.backing) < n {
-		scr.ctxs = make([]*ThreadCtx, n)
-		scr.backing = make([]ThreadCtx, n)
-	}
-	ctxs := scr.ctxs[:n]
-	for t := range ctxs {
-		tc := &scr.backing[t]
-		*tc = ThreadCtx{
+	backing := make([]ThreadCtx, cfg.Block.Count())
+	ctxs := make([]*ThreadCtx, len(backing))
+	for t := range backing {
+		backing[t] = ThreadCtx{
 			Unit:      Unit{dev: bc.dev, block: bc},
 			ThreadIdx: unflatten(t, cfg.Block),
 			BlockIdx:  bc.blockIdx,
 			BlockDim:  cfg.Block,
 			GridDim:   cfg.Grid,
-			gEvents:   tc.gEvents[:0],
-			sEvents:   tc.sEvents[:0],
 		}
-		ctxs[t] = tc
+		ctxs[t] = &backing[t]
 	}
 	return ctxs
 }
@@ -686,7 +672,7 @@ type LaunchStats struct {
 func (d *Device) Launch(name string, cfg LaunchConfig, k KernelFunc) (*LaunchStats, error) {
 	warpSize := d.warpSize()
 	return d.launchRun(name, cfg, func(bc *blockCtx, scr *blockScratch) counters {
-		ctxs := scr.threads(bc)
+		ctxs := threads(bc)
 		runThread := func(tc *ThreadCtx) {
 			defer bc.retire(1)
 			defer bc.recoverTrap()
@@ -740,7 +726,7 @@ func (d *Device) Launch(name string, cfg LaunchConfig, k KernelFunc) (*LaunchSta
 		for _, tc := range ctxs {
 			c.add(&tc.stats)
 		}
-		c.gTx, c.sTx = aggregateCost(ctxs, warpSize, scr)
+		c.gTx, c.sTx = aggregateCost(ctxs, warpSize)
 		return c
 	})
 }

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 )
 
@@ -212,9 +213,9 @@ func defaultSLO(c Class) SLOConfig {
 
 // Config wires a Controller.
 type Config struct {
-	// Clock is the time source for buckets and burn windows (tests
-	// inject a fake); nil means time.Now.
-	Clock func() time.Time
+	// Clock times the tenant buckets, the burn windows and the queue
+	// timeout (tests inject a clock.Manual); nil means clock.Real.
+	Clock clock.Clock
 	// Metrics receives overload_* counters, gauges, and histograms;
 	// nil creates a private registry.
 	Metrics *metrics.Registry
@@ -241,7 +242,7 @@ type Config struct {
 // Controller makes admission decisions. One controller guards one web
 // tier; all methods are safe for concurrent use.
 type Controller struct {
-	clock   func() time.Time
+	clock   clock.Clock
 	metrics *metrics.Registry
 
 	queueDepthLimit int
@@ -253,20 +254,7 @@ type Controller struct {
 
 	gates [numClasses]*gate
 	slos  [numClasses]*burnTracker
-
-	bkMu    sync.Mutex
-	buckets map[bucketKey]*bucket
 }
-
-type bucketKey struct {
-	class  Class
-	tenant string
-}
-
-// maxTenantBuckets bounds the per-tenant bucket map; past it, fully
-// refilled (idle) buckets are swept. A bucket at full burst is
-// indistinguishable from a fresh one, so sweeping them is lossless.
-const maxTenantBuckets = 16384
 
 // New builds a controller. Zero-value Config fields take defaults; the
 // result is usable immediately and pre-registers its metric series at
@@ -279,10 +267,9 @@ func New(cfg Config) *Controller {
 		draftLoad:       cfg.DraftLoad,
 		queueDepthLimit: cfg.QueueDepthLimit,
 		draftLoadLimit:  cfg.DraftLoadLimit,
-		buckets:         map[bucketKey]*bucket{},
 	}
 	if c.clock == nil {
-		c.clock = time.Now
+		c.clock = clock.Real
 	}
 	if c.metrics == nil {
 		c.metrics = metrics.NewRegistry()
@@ -307,7 +294,7 @@ func New(cfg Config) *Controller {
 		if lim.RetryAfter <= 0 {
 			lim.RetryAfter = defaultLimit(cl).RetryAfter
 		}
-		c.gates[cl] = &gate{limit: lim}
+		c.gates[cl] = &gate{limit: lim, tenants: clock.NewLimiter(lim.TenantBurst, lim.TenantInterval, c.clock)}
 
 		slo := defaultSLO(cl)
 		if o, ok := cfg.SLO[cl]; ok && o.Target > 0 {
@@ -351,14 +338,6 @@ func (c *Controller) SetDraftLoad(fn func() int) {
 	c.sigMu.Lock()
 	c.draftLoad = fn
 	c.sigMu.Unlock()
-}
-
-// Limit returns the class's effective limit.
-func (c *Controller) Limit(cl Class) ClassLimit {
-	if cl <= ClassNone || cl >= numClasses {
-		return ClassLimit{}
-	}
-	return c.gates[cl].limit
 }
 
 // Pressure reports system pressure in [0, ∞): the max of the normalized
@@ -412,7 +391,6 @@ func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*T
 	if c == nil || cl <= ClassNone || cl >= numClasses {
 		return &Ticket{free: func() {}}, nil
 	}
-	now := c.clock()
 	g := c.gates[cl]
 
 	// Backpressure first: it is the cheapest check and the whole point of
@@ -425,14 +403,12 @@ func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*T
 
 	// Per-tenant token buckets: a spike from one tenant must not admit
 	// its way past everyone else's budget.
-	if g.limit.TenantBurst > 0 && g.limit.TenantInterval > 0 {
-		for _, tenant := range tenants {
-			if tenant == "" {
-				continue
-			}
-			if wait, ok := c.chargeTenant(cl, tenant, now); !ok {
-				return nil, c.shed(cl, ReasonRateLimited, wait)
-			}
+	for _, tenant := range tenants {
+		if tenant == "" {
+			continue
+		}
+		if wait := g.tenants.Take(tenant); wait > 0 {
+			return nil, c.shed(cl, ReasonRateLimited, wait)
 		}
 	}
 
@@ -460,32 +436,30 @@ func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*T
 	g.waiters = append(g.waiters, w)
 	g.mu.Unlock()
 
-	timer := time.NewTimer(g.limit.QueueTimeout)
+	start := c.clock.Now()
+	timer := c.clock.NewTimer(g.limit.QueueTimeout)
 	defer timer.Stop()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := now
 	select {
 	case <-w.ch:
-		c.admitted(cl, g, c.clock().Sub(start))
-		return &Ticket{free: func() { c.release(cl, g) }}, nil
 	case <-ctx.Done():
 		if g.abandon(w) {
 			return nil, c.shed(cl, ReasonCancelled, g.limit.RetryAfter)
 		}
 		// Grant raced the cancellation: the slot is ours, hand it back.
-		c.admitted(cl, g, c.clock().Sub(start))
-		t := &Ticket{free: func() { c.release(cl, g) }}
-		t.Release()
+		c.admitted(cl, g, c.clock.Now().Sub(start))
+		c.release(cl, g)
 		return nil, c.shed(cl, ReasonCancelled, g.limit.RetryAfter)
 	case <-timer.C:
 		if g.abandon(w) {
 			return nil, c.shed(cl, ReasonQueueTimeout, g.limit.RetryAfter)
 		}
-		c.admitted(cl, g, c.clock().Sub(start))
-		return &Ticket{free: func() { c.release(cl, g) }}, nil
+		// A grant raced the timeout: the slot is ours.
 	}
+	c.admitted(cl, g, c.clock.Now().Sub(start))
+	return &Ticket{free: func() { c.release(cl, g) }}, nil
 }
 
 // backpressureRetry scales the retry hint with pressure, clamped to
@@ -496,36 +470,6 @@ func (c *Controller) backpressureRetry(lim ClassLimit, pressure float64) time.Du
 		d = 30 * time.Second
 	}
 	return d
-}
-
-// chargeTenant takes one token from (class, tenant)'s bucket, reporting
-// the wait until the next token when the bucket is dry.
-func (c *Controller) chargeTenant(cl Class, tenant string, now time.Time) (time.Duration, bool) {
-	lim := c.gates[cl].limit
-	key := bucketKey{class: cl, tenant: tenant}
-	c.bkMu.Lock()
-	defer c.bkMu.Unlock()
-	b := c.buckets[key]
-	if b == nil {
-		if len(c.buckets) >= maxTenantBuckets {
-			c.sweepBucketsLocked(now)
-		}
-		b = newBucket(lim.TenantBurst, lim.TenantInterval, now)
-		c.buckets[key] = b
-	}
-	if b.allow(now) {
-		return 0, true
-	}
-	return b.nextToken(now), false
-}
-
-// sweepBucketsLocked drops fully-refilled buckets (idle tenants).
-func (c *Controller) sweepBucketsLocked(now time.Time) {
-	for k, b := range c.buckets {
-		if b.full(now) {
-			delete(c.buckets, k)
-		}
-	}
 }
 
 // admitted records a successful admission.
@@ -539,7 +483,7 @@ func (c *Controller) admitted(cl Class, g *gate, queued time.Duration) {
 	inflight := g.inflight
 	g.mu.Unlock()
 	c.setInflight(cl, g, inflight)
-	c.slos[cl].record(c.clock(), true)
+	c.slos[cl].record(c.clock.Now(), true)
 }
 
 // release returns a slot, handing it to the oldest waiter if any.
@@ -577,13 +521,15 @@ func (c *Controller) shed(cl Class, reason string, retryAfter time.Duration) err
 	}
 	c.metrics.Inc("overload_shed_"+cl.String(), 1)
 	c.metrics.Inc("overload_shed_reason_"+reason, 1)
-	c.slos[cl].record(c.clock(), false)
+	c.slos[cl].record(c.clock.Now(), false)
 	return &ShedError{Class: cl, Reason: reason, RetryAfter: retryAfter}
 }
 
-// gate is one class's concurrency gate with a FIFO waiter queue.
+// gate is one class's concurrency gate with a FIFO waiter queue, and its
+// tenants' token buckets (nil when the class has none).
 type gate struct {
 	limit    ClassLimit
+	tenants  *clock.Limiter
 	mu       sync.Mutex
 	inflight int
 	waiters  []*waiter
@@ -626,7 +572,7 @@ type SLOStatus struct {
 // SLOStatuses snapshots every class's burn rates and counters, in
 // priority order.
 func (c *Controller) SLOStatuses() []SLOStatus {
-	now := c.clock()
+	now := c.clock.Now()
 	out := make([]SLOStatus, 0, len(Classes()))
 	for _, cl := range Classes() {
 		t := c.slos[cl]
@@ -652,59 +598,11 @@ func (c *Controller) SLOStatuses() []SLOStatus {
 // Collect refreshes the lazily-computed gauges (burn rates, pressure) on
 // a registry; wire it with Registry.AddCollector.
 func (c *Controller) Collect(r *metrics.Registry) {
-	now := c.clock()
+	now := c.clock.Now()
 	for _, cl := range Classes() {
 		fast, slow := c.slos[cl].burnRates(now)
 		r.Set("overload_burn_fast_"+cl.String(), fast)
 		r.Set("overload_burn_slow_"+cl.String(), slow)
 	}
 	r.Set("overload_pressure", c.Pressure())
-}
-
-// bucket is a deterministic token bucket driven by the caller's clock.
-type bucket struct {
-	tokens   float64
-	burst    float64
-	interval time.Duration // time to refill one token
-	last     time.Time
-}
-
-func newBucket(burst int, interval time.Duration, now time.Time) *bucket {
-	return &bucket{tokens: float64(burst), burst: float64(burst), interval: interval, last: now}
-}
-
-func (b *bucket) refill(now time.Time) {
-	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens += float64(dt) / float64(b.interval)
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-}
-
-func (b *bucket) allow(now time.Time) bool {
-	if b.interval <= 0 {
-		return true
-	}
-	b.refill(now)
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// nextToken reports how long until one token is available.
-func (b *bucket) nextToken(now time.Time) time.Duration {
-	b.refill(now)
-	if b.tokens >= 1 {
-		return 0
-	}
-	return time.Duration((1 - b.tokens) * float64(b.interval))
-}
-
-func (b *bucket) full(now time.Time) bool {
-	b.refill(now)
-	return b.tokens >= b.burst
 }

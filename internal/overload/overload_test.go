@@ -3,87 +3,58 @@ package overload
 import (
 	"context"
 	"errors"
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 )
 
-// fakeClock is a mutex-guarded manual clock; every timing-sensitive test
-// in this package advances it explicitly — no time.Sleep assertions.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
+// newClock is the manual clock every timing-sensitive test in this
+// package advances explicitly — no time.Sleep assertions.
+func newClock() *clock.Manual {
+	return clock.NewManual(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
 }
 
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
+// TestBucketRefillDeterministic: a class's tenant bucket holds
+// TenantBurst tokens, gets one back every TenantInterval on the
+// controller's clock, and refills to its burst and no further.
 func TestBucketRefillDeterministic(t *testing.T) {
-	clk := newFakeClock()
-	b := newBucket(3, time.Second, clk.Now())
-
-	for i := 0; i < 3; i++ {
-		if !b.allow(clk.Now()) {
-			t.Fatalf("token %d: want allow within burst", i)
+	clk := newClock()
+	c := New(Config{Clock: clk, Limits: map[Class]ClassLimit{
+		ClassDraft: {TenantBurst: 3, TenantInterval: time.Second},
+	}})
+	b := c.gates[ClassDraft].tenants
+	take := func(want time.Duration) {
+		t.Helper()
+		if got := b.Take("x"); got != want {
+			t.Fatalf("at %v: Take = %v, want %v", clk.Now(), got, want)
 		}
 	}
-	if b.allow(clk.Now()) {
-		t.Fatal("bucket dry: want deny")
-	}
-	if got := b.nextToken(clk.Now()); got != time.Second {
-		t.Fatalf("nextToken = %v, want 1s", got)
-	}
-
+	take(0)
+	take(0)
+	take(0)
+	take(time.Second)
 	clk.Advance(500 * time.Millisecond)
-	if b.allow(clk.Now()) {
-		t.Fatal("half a token refilled: want deny")
-	}
-	if got := b.nextToken(clk.Now()); got != 500*time.Millisecond {
-		t.Fatalf("nextToken = %v, want 500ms", got)
-	}
-
+	take(500 * time.Millisecond)
 	clk.Advance(500 * time.Millisecond)
-	if !b.allow(clk.Now()) {
-		t.Fatal("one token refilled: want allow")
-	}
-	if b.allow(clk.Now()) {
-		t.Fatal("token spent again: want deny")
-	}
-
-	// A long idle refills to burst, never beyond.
+	take(0)
+	take(time.Second)
 	clk.Advance(time.Hour)
-	if !b.full(clk.Now()) {
-		t.Fatal("want full after long idle")
-	}
-	for i := 0; i < 3; i++ {
-		if !b.allow(clk.Now()) {
-			t.Fatalf("token %d after refill-to-burst: want allow", i)
-		}
-	}
-	if b.allow(clk.Now()) {
-		t.Fatal("want capped at burst, got extra token")
+	take(0)
+	take(0)
+	take(0)
+	take(time.Second)
+	if c.gates[ClassRead].tenants != nil {
+		t.Fatal("a class without TenantBurst has a bucket")
 	}
 }
 
 func TestTenantBucketShedAndRecovery(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	c := New(Config{
-		Clock: clk.Now,
+		Clock: clk,
 		Limits: map[Class]ClassLimit{
 			ClassSubmission: {MaxConcurrent: 8, TenantBurst: 2, TenantInterval: time.Minute},
 		},
@@ -128,9 +99,9 @@ func TestTenantBucketShedAndRecovery(t *testing.T) {
 }
 
 func TestShedBeforeQueueForLowClasses(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	c := New(Config{
-		Clock: clk.Now,
+		Clock: clk,
 		Limits: map[Class]ClassLimit{
 			ClassRead: {MaxConcurrent: 2}, // MaxQueue 0: shed-before-queue
 		},
@@ -162,9 +133,9 @@ func TestShedBeforeQueueForLowClasses(t *testing.T) {
 }
 
 func TestSubmissionQueueGrantHandoff(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	c := New(Config{
-		Clock: clk.Now,
+		Clock: clk,
 		Limits: map[Class]ClassLimit{
 			ClassSubmission: {MaxConcurrent: 1, MaxQueue: 4, QueueTimeout: time.Minute},
 		},
@@ -187,12 +158,7 @@ func TestSubmissionQueueGrantHandoff(t *testing.T) {
 	}()
 
 	// Wait for the waiter to be queued, then hand the slot over.
-	waitFor(t, func() bool {
-		g := c.gates[ClassSubmission]
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.waiters) == 1
-	})
+	clk.BlockUntil(1) // the waiter is queued and its timeout armed
 	t1.Release()
 
 	r := <-done
@@ -215,10 +181,45 @@ func TestSubmissionQueueGrantHandoff(t *testing.T) {
 	}
 }
 
-func TestQueueFullSheds(t *testing.T) {
-	clk := newFakeClock()
+// TestQueuedSubmissionTimesOut: a queued waiter that no release reaches
+// is shed with queue_timeout once QueueTimeout has passed on the
+// controller's clock, and not before.
+func TestQueuedSubmissionTimesOut(t *testing.T) {
+	clk := newClock()
 	c := New(Config{
-		Clock: clk.Now,
+		Clock: clk,
+		Limits: map[Class]ClassLimit{
+			ClassSubmission: {MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute},
+		},
+	})
+	tk, err := c.Admit(context.Background(), ClassSubmission)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tk.Release()
+	queued := make(chan error, 1)
+	go func() {
+		_, err := c.Admit(context.Background(), ClassSubmission)
+		queued <- err
+	}()
+	clk.BlockUntil(1)
+	clk.Advance(time.Minute - time.Nanosecond)
+	select {
+	case err := <-queued:
+		t.Fatalf("waiter left the queue before its timeout: %v", err)
+	default:
+	}
+	clk.Advance(time.Nanosecond)
+	var se *ShedError
+	if err := <-queued; !errors.As(err, &se) || se.Reason != ReasonQueueTimeout {
+		t.Fatalf("want ReasonQueueTimeout, got %v", err)
+	}
+}
+
+func TestQueueFullSheds(t *testing.T) {
+	clk := newClock()
+	c := New(Config{
+		Clock: clk,
 		Limits: map[Class]ClassLimit{
 			ClassSubmission: {MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Minute},
 		},
@@ -236,12 +237,7 @@ func TestQueueFullSheds(t *testing.T) {
 		_, err := c.Admit(ctx, ClassSubmission)
 		queued <- err
 	}()
-	waitFor(t, func() bool {
-		g := c.gates[ClassSubmission]
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.waiters) == 1
-	})
+	clk.BlockUntil(1) // the waiter is queued and its timeout armed
 
 	// Queue is at MaxQueue: next submission sheds with queue_full.
 	_, err = c.Admit(context.Background(), ClassSubmission)
@@ -265,10 +261,10 @@ func TestQueueFullSheds(t *testing.T) {
 }
 
 func TestBackpressureShedsByClassThreshold(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	depth := 0
 	c := New(Config{
-		Clock:           clk.Now,
+		Clock:           clk,
 		QueueDepth:      func() int { return depth },
 		QueueDepthLimit: 100,
 	})
@@ -318,8 +314,8 @@ func TestBackpressureShedsByClassThreshold(t *testing.T) {
 }
 
 func TestDraftLoadSignalFeedsPressure(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{Clock: clk.Now, DraftLoadLimit: 10})
+	clk := newClock()
+	c := New(Config{Clock: clk, DraftLoadLimit: 10})
 	c.SetDraftLoad(func() int { return 8 })
 	if p := c.Pressure(); p != 0.8 {
 		t.Fatalf("Pressure = %v, want 0.8 from draft load", p)
@@ -327,7 +323,7 @@ func TestDraftLoadSignalFeedsPressure(t *testing.T) {
 }
 
 func TestBurnRateWindowsDeterministic(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	tr := newBurnTracker(SLOConfig{Target: 0.99, FastWindow: 5 * time.Minute, SlowWindow: time.Hour})
 
 	// No traffic: no burn.
@@ -367,7 +363,7 @@ func TestBurnRateWindowsDeterministic(t *testing.T) {
 }
 
 func TestBurnRateRecovery(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	tr := newBurnTracker(SLOConfig{Target: 0.9, FastWindow: time.Minute, SlowWindow: 10 * time.Minute})
 
 	// All shed: burn = 1/(1-0.9) = 10.
@@ -394,10 +390,10 @@ func TestBurnRateRecovery(t *testing.T) {
 }
 
 func TestControllerCollectAndStatuses(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	reg := metrics.NewRegistry()
 	c := New(Config{
-		Clock:   clk.Now,
+		Clock:   clk,
 		Metrics: reg,
 		Limits: map[Class]ClassLimit{
 			ClassRead: {MaxConcurrent: 1},
@@ -443,7 +439,7 @@ func TestControllerCollectAndStatuses(t *testing.T) {
 }
 
 func TestClassNoneAlwaysAdmits(t *testing.T) {
-	c := New(Config{Clock: newFakeClock().Now})
+	c := New(Config{Clock: newClock()})
 	tk, err := c.Admit(context.Background(), ClassNone)
 	if err != nil {
 		t.Fatalf("ClassNone: %v", err)
@@ -458,41 +454,35 @@ func TestClassNoneAlwaysAdmits(t *testing.T) {
 }
 
 func TestBucketSweepDropsIdleTenants(t *testing.T) {
-	clk := newFakeClock()
+	clk := newClock()
 	c := New(Config{
-		Clock: clk.Now,
+		Clock: clk,
 		Limits: map[Class]ClassLimit{
 			ClassRead: {MaxConcurrent: 8, TenantBurst: 2, TenantInterval: time.Second},
 		},
 	})
-	// Touch two tenants, drain one.
-	for i := 0; i < 2; i++ {
-		tk, _ := c.Admit(context.Background(), ClassRead, "user:drained")
+	admit := func(tenant string) error {
+		tk, err := c.Admit(context.Background(), ClassRead, tenant)
 		tk.Release()
+		return err
 	}
-	tk, _ := c.Admit(context.Background(), ClassRead, "user:idle")
-	tk.Release()
-
-	// After refill both buckets are full and sweepable.
-	clk.Advance(time.Minute)
-	c.bkMu.Lock()
-	c.sweepBucketsLocked(clk.Now())
-	n := len(c.buckets)
-	c.bkMu.Unlock()
-	if n != 0 {
-		t.Fatalf("sweep left %d full buckets, want 0", n)
-	}
-}
-
-// waitFor polls a condition; it is used only to synchronize goroutine
-// scheduling (queue membership), never to assert timing.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached")
+	// A course's worth of one-time readers fills the map past its bound,
+	// and one tenant spends its burst.
+	for i := 0; i < 20000; i++ {
+		if err := admit(fmt.Sprintf("user:%05d", i)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	_ = admit("user:drained")
+	_ = admit("user:drained")
+
+	// One refill time later the one-time readers are full and a new
+	// tenant sweeps them; the drained tenant is full too and goes with them.
+	clk.Advance(2 * time.Second)
+	if err := admit("user:late"); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.gates[ClassRead].tenants.Len(); n != 1 {
+		t.Fatalf("sweep left %d buckets, want only the new tenant's", n)
 	}
 }

@@ -186,7 +186,7 @@ func New(opts Options) *Platform {
 		p.v1Count = opts.Workers
 		// In-process workers still send the §III-C health checks so a
 		// long-lived deployment does not evict its own (healthy) pool.
-		p.stopHeartbeat = p.Registry.StartHeartbeats(0)
+		p.stopHeartbeat = p.Registry.StartHeartbeats()
 		dispatcher = webserver.DispatcherFunc(p.Registry.Dispatch)
 	default:
 		p.Broker = queue.NewBroker()

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 // TestTagMatchingMatrix is the table-driven contract for capability
@@ -96,8 +98,7 @@ func TestRedriveThenRepoison(t *testing.T) {
 // next poll redelivers and the original delivery can no longer ack.
 func TestPollZeroVisibility(t *testing.T) {
 	b := NewBroker()
-	now := time.Unix(0, 0)
-	b.SetClock(func() time.Time { return now })
+	b.SetClock(clock.NewManual(time.Unix(0, 0)))
 	_, _ = b.Publish("jobs", []byte("x"))
 	d1, ok, _ := b.Poll("jobs", "w1", anyCaps(), 0)
 	if !ok {

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 )
 
@@ -60,7 +61,7 @@ type Broker struct {
 	inflight    map[string]*inflight     // delivery tag -> message
 	dead        []*Message
 	maxAttempts int
-	clock       func() time.Time
+	clock       clock.Clock
 	faults      *faultinject.Registry
 
 	mirror *Broker // standby in another availability zone
@@ -82,15 +83,15 @@ func NewBroker() *Broker {
 		wake:        map[string]chan struct{}{},
 		inflight:    map[string]*inflight{},
 		maxAttempts: DefaultMaxAttempts,
-		clock:       time.Now,
+		clock:       clock.Real,
 	}
 }
 
 // SetClock overrides the time source (tests).
-func (b *Broker) SetClock(clock func() time.Time) {
+func (b *Broker) SetClock(c clock.Clock) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.clock = clock
+	b.clock = c
 }
 
 // SetFaults attaches a fault-injection registry; nil (the default)
@@ -188,7 +189,7 @@ func (b *Broker) Publish(topic string, payload []byte, tags ...string) (string, 
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	msg := &Message{ID: id, Topic: topic, Payload: cp, Tags: append([]string(nil), tags...),
-		Enqueued: b.clock()}
+		Enqueued: b.clock.Now()}
 	b.enqueueLocked(msg)
 	b.stats.published++
 	if b.mirror != nil {
@@ -254,7 +255,7 @@ func (b *Broker) Poll(topic, consumer string, caps map[string]bool, visibility t
 	if err := b.faults.Fire(faultinject.PointQueuePoll); err != nil {
 		return nil, false, fmt.Errorf("queue: poll: %w", err)
 	}
-	now := b.clock()
+	now := b.clock.Now()
 	b.expireLocked(now)
 	queue := b.topics[topic]
 	for i, p := range queue {
@@ -407,7 +408,7 @@ func (d *Delivery) Nack() error {
 func (b *Broker) Depth(topic string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.expireLocked(b.clock())
+	b.expireLocked(b.clock.Now())
 	n := len(b.topics[topic])
 	for _, inf := range b.inflight {
 		if inf.msg.Topic == topic {
@@ -422,7 +423,7 @@ func (b *Broker) Depth(topic string) int {
 func (b *Broker) Backlog(topic string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.expireLocked(b.clock())
+	b.expireLocked(b.clock.Now())
 	return len(b.topics[topic])
 }
 
@@ -431,7 +432,7 @@ func (b *Broker) Backlog(topic string) int {
 func (b *Broker) OldestAge(topic string) time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.clock()
+	now := b.clock.Now()
 	b.expireLocked(now)
 	var oldest time.Time
 	for _, p := range b.topics[topic] {
@@ -488,7 +489,7 @@ type Stats struct {
 func (b *Broker) Unaccounted() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.expireLocked(b.clock())
+	b.expireLocked(b.clock.Now())
 	visible := 0
 	for _, q := range b.topics {
 		visible += len(q)

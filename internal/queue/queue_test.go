@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 func anyCaps() map[string]bool {
@@ -81,20 +83,20 @@ func TestTagFiltering(t *testing.T) {
 
 func TestVisibilityTimeoutRedelivery(t *testing.T) {
 	b := NewBroker()
-	now := time.Unix(0, 0)
-	b.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(0, 0))
+	b.SetClock(clk)
 	_, _ = b.Publish("jobs", []byte("x"))
 	d, ok, _ := b.Poll("jobs", "w1", anyCaps(), 30*time.Second)
 	if !ok {
 		t.Fatal("no message")
 	}
 	// Before the deadline: invisible.
-	now = now.Add(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if _, ok, _ := b.Poll("jobs", "w2", anyCaps(), 30*time.Second); ok {
 		t.Fatal("leased message visible early")
 	}
 	// After the deadline: redelivered, attempts incremented.
-	now = now.Add(30 * time.Second)
+	clk.Advance(30 * time.Second)
 	d2, ok, _ := b.Poll("jobs", "w2", anyCaps(), 30*time.Second)
 	if !ok {
 		t.Fatal("expired message not redelivered")
@@ -174,8 +176,8 @@ func TestRedriveDeadLetters(t *testing.T) {
 
 func TestDepthAndBacklog(t *testing.T) {
 	b := NewBroker()
-	now := time.Unix(0, 0)
-	b.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(0, 0))
+	b.SetClock(clk)
 	_, _ = b.Publish("jobs", []byte("a"))
 	_, _ = b.Publish("jobs", []byte("b"))
 	if b.Depth("jobs") != 2 || b.Backlog("jobs") != 2 {
@@ -185,7 +187,7 @@ func TestDepthAndBacklog(t *testing.T) {
 	if b.Depth("jobs") != 2 || b.Backlog("jobs") != 1 {
 		t.Errorf("after lease: depth=%d backlog=%d", b.Depth("jobs"), b.Backlog("jobs"))
 	}
-	now = now.Add(45 * time.Second)
+	clk.Advance(45 * time.Second)
 	if got := b.OldestAge("jobs"); got != 45*time.Second {
 		t.Errorf("oldest age = %v", got)
 	}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 func released(ch <-chan struct{}) bool {
@@ -25,7 +27,7 @@ func released(ch <-chan struct{}) bool {
 func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 	type env struct {
 		b, standby *Broker
-		now        time.Time
+		clk        *clock.Manual
 	}
 	// lease publishes one message on "a" and leases it.
 	lease := func(t *testing.T, e *env, visibility time.Duration) *Delivery {
@@ -57,14 +59,14 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 		{name: "lease expiry found by a poll of another topic", arm: func(t *testing.T, e *env) func() {
 			lease(t, e, time.Second)
 			return func() {
-				e.now = e.now.Add(2 * time.Second)
+				e.clk.Advance(2 * time.Second)
 				_, _, _ = e.b.Poll("b", "w", anyCaps(), time.Minute)
 			}
 		}},
 		{name: "lease expiry found by Depth", arm: func(t *testing.T, e *env) func() {
 			lease(t, e, time.Second)
 			return func() {
-				e.now = e.now.Add(2 * time.Second)
+				e.clk.Advance(2 * time.Second)
 				e.b.Depth("b")
 			}
 		}},
@@ -85,8 +87,8 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := &env{b: NewBroker(), standby: NewBroker(), now: time.Unix(0, 0)}
-			e.b.SetClock(func() time.Time { return e.now })
+			e := &env{b: NewBroker(), standby: NewBroker(), clk: clock.NewManual(time.Unix(0, 0))}
+			e.b.SetClock(e.clk)
 			e.b.Mirror(e.standby)
 			event := tc.arm(t, e)
 

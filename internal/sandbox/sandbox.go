@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/minicuda"
 )
 
@@ -273,48 +274,17 @@ func (l Limits) ClampOutput(out string) (string, bool) {
 	return out[:l.MaxOutputBytes] + "\n[output truncated]", true
 }
 
-// RateLimiter enforces the per-user submission interval.
-type RateLimiter struct {
-	interval time.Duration
-	mu       sync.Mutex
-	last     map[string]time.Time
-	swept    time.Time // when the map was last swept
-	clock    func() time.Time
+// SubmitLimiter is the per-user submission interval as a burst-1 token
+// bucket on c: one submission per SubmitInterval, each user on their own.
+func (l Limits) SubmitLimiter(c clock.Clock) *clock.Limiter {
+	return clock.NewLimiter(1, l.SubmitInterval, c)
 }
 
-// maxTrackedUsers bounds the per-user map: past it, entries whose
-// interval has elapsed are swept, at most once per interval. Such an
-// entry admits exactly as an absent one does, so the sweep is lossless
-// (the rule overload applies to its tenant buckets) and the map holds
-// the bound plus the users of the last two intervals at most.
-const maxTrackedUsers = 16384
-
-// NewRateLimiter creates a limiter with the given minimum interval.
-func NewRateLimiter(interval time.Duration) *RateLimiter {
-	return &RateLimiter{interval: interval, last: map[string]time.Time{}, clock: time.Now}
-}
-
-// SetClock overrides the time source (tests).
-func (r *RateLimiter) SetClock(clock func() time.Time) { r.clock = clock }
-
-// Admit records a submission attempt by user; it returns ErrRateLimited
-// (with the remaining wait) if the user submitted too recently.
-func (r *RateLimiter) Admit(user string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.clock()
-	if last, ok := r.last[user]; ok {
-		if wait := r.interval - now.Sub(last); wait > 0 {
-			return fmt.Errorf("%w: retry in %v", ErrRateLimited, wait.Round(time.Second))
-		}
-	} else if len(r.last) >= maxTrackedUsers && now.Sub(r.swept) >= r.interval {
-		r.swept = now
-		for u, last := range r.last {
-			if now.Sub(last) >= r.interval {
-				delete(r.last, u)
-			}
-		}
+// AdmitSubmit charges one submission by user to lim; a refusal is
+// ErrRateLimited, with the wait until the user may submit again.
+func AdmitSubmit(lim *clock.Limiter, user string) error {
+	if wait := lim.Take(user); wait > 0 {
+		return fmt.Errorf("%w: retry in %v", ErrRateLimited, wait.Round(time.Second))
 	}
-	r.last[user] = now
 	return nil
 }

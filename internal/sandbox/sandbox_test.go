@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 func TestBlacklistRejectsAsm(t *testing.T) {
@@ -118,53 +120,51 @@ func TestMonitorErrnoDisposition(t *testing.T) {
 }
 
 func TestRateLimiter(t *testing.T) {
-	rl := NewRateLimiter(10 * time.Second)
-	now := time.Unix(1000, 0)
-	rl.SetClock(func() time.Time { return now })
-	if err := rl.Admit("alice"); err != nil {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	rl := Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
+	if err := AdmitSubmit(rl, "alice"); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	if err := rl.Admit("alice"); !errors.Is(err, ErrRateLimited) {
+	if err := AdmitSubmit(rl, "alice"); !errors.Is(err, ErrRateLimited) || !strings.Contains(err.Error(), "retry in 10s") {
 		t.Fatalf("immediate resubmit: %v", err)
 	}
 	// A different user is unaffected.
-	if err := rl.Admit("bob"); err != nil {
+	if err := AdmitSubmit(rl, "bob"); err != nil {
 		t.Fatalf("other user: %v", err)
 	}
-	now = now.Add(11 * time.Second)
-	if err := rl.Admit("alice"); err != nil {
+	clk.Advance(10 * time.Second) // exactly one interval
+	if err := AdmitSubmit(rl, "alice"); err != nil {
 		t.Fatalf("after interval: %v", err)
 	}
 }
 
 // TestRateLimiterForgetsElapsedUsers: a course's worth of one-time
-// submitters does not stay in the map, and sweeping them changes nothing
-// for a user still inside the interval.
+// submitters does not stay in the limiter, and sweeping them changes
+// nothing for a user still inside the interval.
 func TestRateLimiterForgetsElapsedUsers(t *testing.T) {
-	rl := NewRateLimiter(10 * time.Second)
-	now := time.Unix(1000, 0)
-	rl.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(1000, 0))
+	rl := Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
 	for i := 0; i < 50000; i++ {
-		if err := rl.Admit(fmt.Sprintf("user-%06d", i)); err != nil {
+		if err := AdmitSubmit(rl, fmt.Sprintf("user-%06d", i)); err != nil {
 			t.Fatalf("user %d: %v", i, err)
 		}
 	}
-	now = now.Add(7 * time.Second)
-	if err := rl.Admit("live"); err != nil {
+	clk.Advance(7 * time.Second)
+	if err := AdmitSubmit(rl, "live"); err != nil {
 		t.Fatalf("live user: %v", err)
 	}
-	now = now.Add(3 * time.Second) // one interval after the rush
-	if err := rl.Admit("late"); err != nil {
+	clk.Advance(3 * time.Second) // one interval after the rush
+	if err := AdmitSubmit(rl, "late"); err != nil {
 		t.Fatalf("late user: %v", err)
 	}
-	if n := len(rl.last); n >= maxTrackedUsers {
-		t.Fatalf("map holds %d users one interval after the rush, want < %d", n, maxTrackedUsers)
+	if n := rl.Len(); n != 2 {
+		t.Fatalf("limiter holds %d users one interval after the rush, want live and late", n)
 	}
-	err := rl.Admit("live")
+	err := AdmitSubmit(rl, "live")
 	if !errors.Is(err, ErrRateLimited) || !strings.Contains(err.Error(), "retry in 7s") {
 		t.Fatalf("live user after the sweep: %v, want rate limited with 7s left", err)
 	}
-	if err := rl.Admit("user-000000"); err != nil {
+	if err := AdmitSubmit(rl, "user-000000"); err != nil {
 		t.Fatalf("swept user resubmitting after the interval: %v", err)
 	}
 }

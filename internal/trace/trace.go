@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 )
 
@@ -73,7 +74,7 @@ type Active struct {
 	reg   *metrics.Registry
 	hists [2]string // histograms End observes; "" is none
 	name  string    // the span; "" when only the stage's parts have spans
-	now   func() time.Time
+	clock clock.Clock
 	start time.Time
 	attrs map[string]string
 }
@@ -82,14 +83,14 @@ type Active struct {
 // span name on t (unless t is nil or name is "") and as a sample of the
 // histogram hist in reg (unless hist is ""). kv pairs become attributes.
 func (t *Trace) Stage(reg *metrics.Registry, hist, name string, kv ...string) Active {
-	return t.StageAt(time.Now(), time.Now, reg, hist, name, kv...)
+	return t.StageAt(time.Now(), clock.Real, reg, hist, name, kv...)
 }
 
-// StageAt is Stage for a stage that began at start and is timed by now:
+// StageAt is Stage for a stage that began at start and is timed by clk:
 // a wait that began before this process saw the job (a broker message's
 // enqueue), or a component whose clock is injected.
-func (t *Trace) StageAt(start time.Time, now func() time.Time, reg *metrics.Registry, hist, name string, kv ...string) Active {
-	a := Active{tr: t, reg: reg, hists: [2]string{hist}, name: name, now: now, start: start}
+func (t *Trace) StageAt(start time.Time, clk clock.Clock, reg *metrics.Registry, hist, name string, kv ...string) Active {
+	a := Active{tr: t, reg: reg, hists: [2]string{hist}, name: name, clock: clk, start: start}
 	if t != nil {
 		a.attrs = addAttrs(nil, kv)
 	}
@@ -126,7 +127,7 @@ func (a Active) Also(hist string) Active {
 // End closes the stage with kv as final attributes and returns how long
 // it took: the span's Dur and the histograms' sample.
 func (a Active) End(kv ...string) time.Duration {
-	d := a.now().Sub(a.start)
+	d := a.clock.Now().Sub(a.start)
 	if a.reg != nil {
 		for _, h := range a.hists {
 			if h != "" {

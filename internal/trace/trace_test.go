@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/metrics"
 )
 
@@ -139,20 +140,22 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // falls into as well gets the same number. An abandoned stage leaves a
 // span and no sample; an untraced one leaves a sample and no span.
 func TestStageOneReading(t *testing.T) {
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time { now = now.Add(3 * time.Millisecond); return now }
+	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
 	reg := metrics.NewRegistry()
 	tr := New("tr-1")
 
-	start := clock()
-	d := tr.StageAt(start, clock, reg, "stage_draft_ms", "draft", "pickup", "leading", "wake", "").
-		Also("stage_draft_warm_ms").End("cache", "hit")
+	start := clk.Now()
+	draftStage := tr.StageAt(start, clk, reg, "stage_draft_ms", "draft", "pickup", "leading", "wake", "").
+		Also("stage_draft_warm_ms")
+	clk.Advance(3 * time.Millisecond)
+	d := draftStage.End("cache", "hit")
 	if d != 3*time.Millisecond {
-		t.Errorf("End = %v, want one 3ms tick of the stage's clock", d)
+		t.Errorf("End = %v, want the 3ms the stage's clock moved", d)
 	}
-	tr.StageAt(clock(), clock, reg, "stage_cancel_ms", "cancelled").Abandon("cancelled", "true")
-	ex := tr.StageAt(clock(), clock, reg, "stage_exec_ms", "")
+	tr.StageAt(clk.Now(), clk, reg, "stage_cancel_ms", "cancelled").Abandon("cancelled", "true")
+	ex := tr.StageAt(clk.Now(), clk, reg, "stage_exec_ms", "")
 	ex.Part("exec[dataset=0]", time.Millisecond, "engine", "warp", "instructions", "")
+	clk.Advance(3 * time.Millisecond)
 	exec := ex.End()
 	var untraced *Trace
 	untraced.Stage(reg, "stage_untraced_ms", "untraced").End()
@@ -180,8 +183,8 @@ func TestStageOneReading(t *testing.T) {
 	if part.Name != "exec[dataset=0]" || part.Dur != time.Millisecond || part.Attrs["engine"] != "warp" || len(part.Attrs) != 1 {
 		t.Errorf("part span = %+v", part)
 	}
-	if got := sample(t, reg, "stage_exec_ms"); got != ms(exec) || part.Start.Add(exec) != now {
-		t.Errorf("exec stage: sample %v, End %v, part start %v, now %v", got, exec, part.Start, now)
+	if got := sample(t, reg, "stage_exec_ms"); got != ms(exec) || part.Start.Add(exec) != clk.Now() {
+		t.Errorf("exec stage: sample %v, End %v, part start %v, now %v", got, exec, part.Start, clk.Now())
 	}
 	if sample(t, reg, "stage_untraced_ms") < 0 {
 		t.Error("untraced stage observed a negative duration")

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 // Timer categories, mirroring libwb's wbTime tags.
@@ -45,29 +47,29 @@ type Trace struct {
 	logs   []LogEvent
 	spans  []TimerSpan
 	opened map[string]time.Time
-	clock  func() time.Time
+	clock  clock.Clock
 }
 
 // NewTrace creates an empty trace.
 func NewTrace() *Trace {
-	return &Trace{opened: make(map[string]time.Time), clock: time.Now}
+	return &Trace{opened: make(map[string]time.Time), clock: clock.Real}
 }
 
 // SetClock overrides the time source (tests).
-func (t *Trace) SetClock(clock func() time.Time) { t.clock = clock }
+func (t *Trace) SetClock(c clock.Clock) { t.clock = c }
 
 // Logf records a log line at the given level.
 func (t *Trace) Logf(level, format string, args ...interface{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.logs = append(t.logs, LogEvent{Level: level, Message: fmt.Sprintf(format, args...), At: t.clock()})
+	t.logs = append(t.logs, LogEvent{Level: level, Message: fmt.Sprintf(format, args...), At: t.clock.Now()})
 }
 
 // Start opens a timer span, keyed by category+message as in wbTime_start.
 func (t *Trace) Start(category, message string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.opened[category+"\x00"+message] = t.clock()
+	t.opened[category+"\x00"+message] = t.clock.Now()
 }
 
 // Stop closes a timer span and records its duration. Stopping a span that
@@ -79,7 +81,7 @@ func (t *Trace) Stop(category, message string) {
 	key := category + "\x00" + message
 	var elapsed time.Duration
 	if start, ok := t.opened[key]; ok {
-		elapsed = t.clock().Sub(start)
+		elapsed = t.clock.Now().Sub(start)
 		delete(t.opened, key)
 	}
 	t.spans = append(t.spans, TimerSpan{Category: category, Message: message, Elapsed: elapsed})

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"webgpu/internal/clock"
 )
 
 func TestVectorRoundTrip(t *testing.T) {
@@ -198,13 +200,11 @@ func TestDatasetInput(t *testing.T) {
 
 func TestTrace(t *testing.T) {
 	tr := NewTrace()
-	now := time.Unix(0, 0)
-	tr.SetClock(func() time.Time {
-		now = now.Add(time.Millisecond)
-		return now
-	})
+	clk := clock.NewManual(time.Unix(0, 0))
+	tr.SetClock(clk)
 	tr.Logf(LevelTrace, "The input length is %d", 64)
 	tr.Start(TimeGPU, "Allocating GPU memory")
+	clk.Advance(time.Millisecond)
 	tr.Stop(TimeGPU, "Allocating GPU memory")
 	tr.RecordSpan(TimeCompute, "Performing CUDA computation", 5*time.Millisecond)
 	tr.Stop(TimeCopy, "never started") // lenient zero-length span
@@ -217,7 +217,7 @@ func TestTrace(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("spans = %+v", spans)
 	}
-	if spans[0].Elapsed <= 0 {
+	if spans[0].Elapsed != time.Millisecond {
 		t.Errorf("span elapsed = %v", spans[0].Elapsed)
 	}
 	if spans[2].Elapsed != 0 {

@@ -127,7 +127,7 @@ func TestSubmitFeedbackAndFailFast(t *testing.T) {
 
 	// The next submission of the same racy source is blocked before
 	// execution and the outcomes explain why.
-	f.now = f.now.Add(time.Hour) // clear the submit rate limit
+	f.clk.Advance(time.Hour) // clear the submit rate limit
 	code, body = f.req("POST", "/api/v1/labs/vector-add/submit", stok,
 		map[string]string{"source": racyVecAdd})
 	if code != http.StatusOK {

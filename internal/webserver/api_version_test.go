@@ -108,7 +108,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 func TestShareBeforeDeadlineEnvelope(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("dl@x", "student")
-	f.srv.SetDeadline("vector-add", f.now.Add(24*time.Hour))
+	f.srv.SetDeadline("vector-add", f.clk.Now().Add(24*time.Hour))
 	f.req("POST", "/api/v1/labs/vector-add/save", tok,
 		map[string]string{"source": labs.ByID("vector-add").Reference})
 	code, body := f.req("POST", "/api/v1/labs/vector-add/attempt", tok, map[string]int{"dataset_id": 0})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/devsession"
 	"webgpu/internal/grader"
@@ -35,7 +36,7 @@ type devFixture struct {
 // The manager runs on the real clock (SSE timing is what's under test);
 // the rest of the server keeps the frozen fixture clock.
 func newDevFixture(t *testing.T, dcfg devsession.Config) *devFixture {
-	f := &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	f := &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	reg := metrics.NewRegistry()
 	if dcfg.Cache == nil {
 		dcfg.Cache = progcache.New(64, nil)
@@ -44,17 +45,16 @@ func newDevFixture(t *testing.T, dcfg devsession.Config) *devFixture {
 	mgr := devsession.NewManager(dcfg)
 	t.Cleanup(mgr.CloseAll)
 	f.srv = New(Config{
-		DB:           db.New(),
-		Dispatcher:   fakeDispatcher(),
-		Gradebook:    grader.NewCourseraBook("test"),
-		Reviews:      peerreview.NewStore(0.10),
-		Course:       labs.CourseHPP,
-		Limits:       sandbox.DefaultLimits(),
-		Clock:        func() time.Time { return f.now },
-		Metrics:      reg,
-		ProgCache:    dcfg.Cache,
-		DevSessions:  mgr,
-		SSEHeartbeat: 50 * time.Millisecond,
+		DB:          db.New(),
+		Dispatcher:  fakeDispatcher(),
+		Gradebook:   grader.NewCourseraBook("test"),
+		Reviews:     peerreview.NewStore(0.10),
+		Course:      labs.CourseHPP,
+		Limits:      sandbox.DefaultLimits(),
+		Clock:       f.clk,
+		Metrics:     reg,
+		ProgCache:   dcfg.Cache,
+		DevSessions: mgr,
 	})
 	f.ts = newTestServer(t, f.srv)
 	return &devFixture{fixture: f, reg: reg, cache: dcfg.Cache, mgr: mgr}
@@ -138,8 +138,9 @@ func (st *sseStream) NextOfType(t *testing.T, typ string) sseEvent {
 	}
 }
 
-// openSSE connects to an event stream. Heartbeat comment lines are
-// swallowed; each real event is parsed off the wire (id, event, data).
+// openSSE connects to an event stream. A heartbeat comment line comes
+// through as an event of type "heartbeat"; each real event is parsed off
+// the wire (id, event, data).
 func openSSE(t *testing.T, url, token, lastEventID string) *sseStream {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,7 +189,8 @@ func openSSE(t *testing.T, url, token, lastEventID string) *sseStream {
 					out <- cur
 				}
 				cur, data = sseEvent{}, ""
-			case strings.HasPrefix(line, ":"): // heartbeat comment
+			case line == ": heartbeat":
+				out <- sseEvent{Type: "heartbeat"}
 			case strings.HasPrefix(line, "id: "):
 				cur.ID, _ = strconv.ParseInt(line[4:], 10, 64)
 			case strings.HasPrefix(line, "event: "):
@@ -236,6 +238,19 @@ func TestSSEStreamsDraftEvents(t *testing.T) {
 			t.Fatalf("%s event waited_ms = %v, want a number >= 0", ev.Type, ev.Data["waited_ms"])
 		}
 	}
+}
+
+// TestSSEHeartbeatOnServerClock: a quiet stream's keepalive comment is
+// timed by the server's clock, so advancing it sends one.
+func TestSSEHeartbeatOnServerClock(t *testing.T) {
+	df := newDevFixture(t, devsession.Config{Debounce: -1, DraftInterval: -1})
+	tok := df.register("beat@x", "student")
+	_, eventsURL, _ := df.openSession(tok, "vector-add")
+	st := openSSE(t, df.ts.URL+eventsURL, tok, "")
+	st.NextOfType(t, "status")
+	df.clk.BlockUntil(1) // the stream's heartbeat timer
+	df.clk.Advance(sseHeartbeat)
+	st.NextOfType(t, "heartbeat")
 }
 
 // TestSSEDisconnectCancelsInflightAnalysis: dropping the SSE connection

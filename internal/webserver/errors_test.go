@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/grader"
 	"webgpu/internal/labs"
@@ -32,7 +33,7 @@ func (nullGradebook) Lookup(string, string) (*grader.Grade, error) {
 }
 
 func newBrokenFixture(t *testing.T) *fixture {
-	f := &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	f := &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	f.srv = New(Config{
 		DB:         db.New(),
 		Dispatcher: failingDispatcher(),
@@ -40,7 +41,7 @@ func newBrokenFixture(t *testing.T) *fixture {
 		Reviews:    peerreview.NewStore(0.1),
 		Course:     labs.CourseHPP,
 		Limits:     sandbox.DefaultLimits(),
-		Clock:      func() time.Time { return f.now },
+		Clock:      f.clk,
 	})
 	f.ts = newTestServer(t, f.srv)
 	return f

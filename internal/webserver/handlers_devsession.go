@@ -106,6 +106,10 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request, u *U
 	})
 }
 
+// sseHeartbeat is the server-clock time between keepalive comments on a
+// quiet event stream.
+const sseHeartbeat = 15 * time.Second
+
 // handleSessionEvents is the session's server-sent-event stream
 // (text/event-stream). Every event carries its sequence number as the SSE
 // id field; a reconnecting client sends Last-Event-ID and the buffered
@@ -153,9 +157,8 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request, u *
 	}
 	fl.Flush()
 
-	heartbeat := s.sseHeartbeat
-	ticker := time.NewTicker(heartbeat)
-	defer ticker.Stop()
+	heartbeat := s.clock.NewTimer(sseHeartbeat)
+	defer func() { heartbeat.Stop() }()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -177,9 +180,10 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request, u *
 				writeSSEEvent(w, <-ch)
 			}
 			fl.Flush()
-		case <-ticker.C:
+		case <-heartbeat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()
+			heartbeat = s.clock.NewTimer(sseHeartbeat)
 		}
 	}
 }

@@ -209,12 +209,12 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, u *User) 
 		LabID:      req.LabID,
 		Instructor: u.ID,
 		Text:       req.Text,
-		At:         s.clock(),
+		At:         s.clock.Now(),
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
 		return putIndexed(tx, "comments", c.LabID, c.UserID, c.ID, c)
 	}); err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, c)

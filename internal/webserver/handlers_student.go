@@ -51,7 +51,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			Name:   req.Name,
 			Email:  req.Email,
 			Role:   req.Role,
-			Joined: s.clock().Format(time.RFC3339),
+			Joined: s.clock.Now().Format(time.RFC3339),
 		}
 		if err := tx.Put("users", user.ID, user); err != nil {
 			return err
@@ -216,7 +216,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, u *User) {
 		rec.UserID, rec.LabID = u.ID, l.ID
 		rec.Rev++
 		rec.Source = req.Source
-		rec.SavedAt = s.clock()
+		rec.SavedAt = s.clock.Now()
 		if err := tx.Put("code", key, rec); err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, u *User) {
 		return tx.Put("history", histKey(u.ID, l.ID, rec.Rev), rec)
 	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"rev": rec.Rev, "saved_at": rec.SavedAt})
@@ -284,7 +284,7 @@ func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (string, e
 		rec.UserID, rec.LabID = u.ID, l.ID
 		rec.Rev++
 		rec.Source = req.Source
-		rec.SavedAt = s.clock()
+		rec.SavedAt = s.clock.Now()
 		if err := tx.Put("code", key, rec); err != nil {
 			return err
 		}
@@ -387,7 +387,7 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 		LabID:       l.ID,
 		DatasetID:   datasetID,
 		Source:      source,
-		At:          s.clock(),
+		At:          s.clock.Now(),
 		TraceID:     res.TraceID,
 		Diagnostics: res.Diagnostics,
 	}
@@ -399,7 +399,7 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 	if err := s.db.Update(func(tx *db.Tx) error {
 		return putIndexed(tx, "attempts", l.ID, u.ID, att.ID, att)
 	}); err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, att)
@@ -436,11 +436,11 @@ func (s *Server) handleAnswerQuestions(w http.ResponseWriter, r *http.Request, u
 			len(l.Questions), len(req.Answers))
 		return
 	}
-	rec := AnswersRec{UserID: u.ID, LabID: l.ID, Answers: req.Answers, At: s.clock()}
+	rec := AnswersRec{UserID: u.ID, LabID: l.ID, Answers: req.Answers, At: s.clock.Now()}
 	if err := s.db.Update(func(tx *db.Tx) error {
 		return tx.Put("answers", codeKey(u.ID, l.ID), rec)
 	}); err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
@@ -452,12 +452,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		return
 	}
 	// Submission rate limiting (§III-C).
-	if err := s.limiter.Admit(u.ID); err != nil {
-		if errors.Is(err, sandbox.ErrRateLimited) {
-			writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+	if err := sandbox.AdmitSubmit(s.limiter, u.ID); err != nil {
+		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
 		return
 	}
 	ctx, tr := s.startTrace(w, r)
@@ -502,7 +498,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		Source:          source,
 		Outcomes:        res.Outcomes,
 		Grade:           g,
-		At:              s.clock(),
+		At:              s.clock.Now(),
 		TraceID:         res.TraceID,
 		Diagnostics:     res.Diagnostics,
 		AnalysisBlocked: res.AnalysisBlocked,
@@ -517,7 +513,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		}
 		return tx.Put("grades", codeKey(u.ID, l.ID), g)
 	}); err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	// Automatic write-back to the external gradebook (§IV-F).
@@ -587,8 +583,12 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 	attID := r.PathValue("attempt")
 	var att AttemptRec
 	err := s.db.View(func(tx *db.Tx) error { return tx.Get("attempts", attID, &att) })
-	if err != nil {
+	if errors.Is(err, db.ErrNotFound) {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "no attempt %q", attID)
+		return
+	}
+	if err != nil {
+		writeStoreErr(w, err)
 		return
 	}
 	if att.UserID != u.ID {
@@ -596,7 +596,7 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 		return
 	}
 	dl, ok := s.deadlines[att.LabID]
-	if ok && s.clock().Before(dl) {
+	if ok && s.clock.Now().Before(dl) {
 		writeErr(w, http.StatusForbidden, ErrCodeForbidden,
 			"attempts can be shared only after the lab deadline (%s)", dl.Format(time.RFC3339))
 		return
@@ -609,7 +609,7 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 		}
 		return tx.Put("shares", att.ShareTok, map[string]string{"attempt": att.ID})
 	}); err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		writeStoreErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"url": "/api/v1/share/" + att.ShareTok})

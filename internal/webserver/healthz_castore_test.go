@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"webgpu/internal/castore"
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/grader"
 	"webgpu/internal/labs"
@@ -20,7 +21,7 @@ import (
 // castoreFixture is newFixture plus an attached durable artifact store.
 func castoreFixture(t *testing.T, store *castore.Store) *fixture {
 	t.Helper()
-	f := &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	f := &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	f.srv = New(Config{
 		DB:         db.New(),
 		Dispatcher: fakeDispatcher(),
@@ -28,7 +29,7 @@ func castoreFixture(t *testing.T, store *castore.Store) *fixture {
 		Reviews:    peerreview.NewStore(0.10),
 		Course:     labs.CourseHPP,
 		Limits:     sandbox.DefaultLimits(),
-		Clock:      func() time.Time { return f.now },
+		Clock:      f.clk,
 		Artifacts:  store,
 	})
 	f.ts = newTestServer(t, f.srv)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/devsession"
 	"webgpu/internal/grader"
@@ -23,25 +24,13 @@ import (
 
 // overloadFixture builds a server with an injectable-pressure admission
 // controller, so tests steer the shed decisions deterministically. The
-// clock and the broker-backlog signal are mutex-guarded: background
-// devsession loops read them concurrently with the test mutating them.
+// broker-backlog signal is mutex-guarded: background devsession loops
+// read it concurrently with the test mutating it.
 type overloadFixture struct {
 	*fixture
 	ctrl  *overload.Controller
 	mu    sync.Mutex
 	depth int
-}
-
-func (f *overloadFixture) clock() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *overloadFixture) advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
 }
 
 func (f *overloadFixture) setDepth(n int) {
@@ -52,9 +41,9 @@ func (f *overloadFixture) setDepth(n int) {
 
 func newOverloadFixture(t *testing.T, limits map[overload.Class]overload.ClassLimit) *overloadFixture {
 	of := &overloadFixture{}
-	of.fixture = &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	of.fixture = &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	of.ctrl = overload.New(overload.Config{
-		Clock:  of.clock,
+		Clock:  of.clk,
 		Limits: limits,
 		QueueDepth: func() int {
 			of.mu.Lock()
@@ -72,7 +61,7 @@ func newOverloadFixture(t *testing.T, limits map[overload.Class]overload.ClassLi
 		Reviews:    peerreview.NewStore(0.10),
 		Course:     labs.CourseHPP,
 		Limits:     lim,
-		Clock:      of.clock,
+		Clock:      of.clk,
 		Overload:   of.ctrl,
 	})
 	of.ts = newTestServer(t, of.srv)
@@ -272,7 +261,7 @@ func TestPriorityClassOrdering(t *testing.T) {
 		return c
 	}
 	submit := func() int {
-		f.advance(time.Second) // stay ahead of the §III-C limiter
+		f.clk.Advance(time.Second) // stay ahead of the §III-C limiter
 		c, _, b := f.reqFull("POST", "/api/v1/labs/vector-add/submit", tok, nil)
 		if c != http.StatusOK {
 			t.Logf("submit body: %s", b)
@@ -343,9 +332,9 @@ func TestSubmissionsQueueWhileReadsShed(t *testing.T) {
 		return node.Execute(ctx, job), nil
 	})
 
-	f := &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	f := &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	ctrl := overload.New(overload.Config{
-		Clock: time.Now, // queued-waiter timing is real goroutine scheduling
+		Clock: f.clk,
 		Limits: map[overload.Class]overload.ClassLimit{
 			overload.ClassSubmission: {MaxConcurrent: 1, MaxQueue: 8, QueueTimeout: 30 * time.Second},
 			overload.ClassRead:       {MaxConcurrent: 64, ShedAt: 0.05},
@@ -360,7 +349,7 @@ func TestSubmissionsQueueWhileReadsShed(t *testing.T) {
 		Reviews:    peerreview.NewStore(0.10),
 		Course:     labs.CourseHPP,
 		Limits:     lim,
-		Clock:      func() time.Time { return f.now },
+		Clock:      f.clk,
 		Overload:   ctrl,
 	})
 	f.ts = newTestServer(t, f.srv)
@@ -391,10 +380,9 @@ func TestSubmissionsQueueWhileReadsShed(t *testing.T) {
 		code, _ := f.req("POST", "/api/v1/labs/vector-add/compile", bob, nil)
 		secondDone <- code
 	}()
-	waitForCond(t, func() bool {
-		// Queued waiter raises submission queue fill above read's ShedAt.
-		return ctrl.Pressure() > 0.05
-	})
+	// The queued waiter arms its timeout on the controller's clock; its
+	// queue fill raises pressure above read's ShedAt.
+	f.clk.BlockUntil(1)
 
 	// A read under that queue pressure sheds with the overloaded code.
 	var of overloadFixture

@@ -94,8 +94,8 @@ func TestPagesAreByteIdenticalToReencoding(t *testing.T) {
 	// of the record struct, with its by-lab index row.
 	err := f.srv.db.Update(func(tx *db.Tx) error {
 		for i, src := range sources {
-			f.now = f.now.Add(1234567891 * 7) // sub-second digits, trimmed differently per row
-			rec := CodeRec{UserID: userID, LabID: l.ID, Source: src, Rev: i + 3, SavedAt: f.now}
+			f.clk.Advance(1234567891 * 7) // sub-second digits, trimmed differently per row
+			rec := CodeRec{UserID: userID, LabID: l.ID, Source: src, Rev: i + 3, SavedAt: f.clk.Now()}
 			if err := tx.Put("history", histKey(userID, l.ID, rec.Rev), rec); err != nil {
 				return err
 			}
@@ -104,7 +104,7 @@ func TestPagesAreByteIdenticalToReencoding(t *testing.T) {
 				Kernels: []labs.KernelStats{{Name: "vecAdd", Blocks: 4, Threads: 256, GlobalLoads: 1 << 40, SimCycles: 99}}}
 			diags := []kernelcheck.Diagnostic{{ID: "KC-OOB", Severity: kernelcheck.SevError, Pos: "3:7", Message: "a[i] > n & more"}}
 			att := AttemptRec{ID: f.srv.newID("att"), UserID: userID, LabID: l.ID, DatasetID: i, Source: src,
-				Outcome: outcome, At: f.now, Shared: i == 1, ShareTok: strings.Repeat("t", i%2), TraceID: "tr-1"}
+				Outcome: outcome, At: f.clk.Now(), Shared: i == 1, ShareTok: strings.Repeat("t", i%2), TraceID: "tr-1"}
 			if i%2 == 0 {
 				att.Diagnostics = diags
 			}
@@ -121,19 +121,19 @@ func TestPagesAreByteIdenticalToReencoding(t *testing.T) {
 				}
 			}
 			g := &grader.Grade{UserID: userID, LabID: l.ID, SubmissionID: f.srv.newID("sub"), Total: 70 + i, Max: 100,
-				DatasetPass: []bool{true, false}, GradedAt: f.now, Comment: "<b>late</b> &  ", Feedback: []string{head(src, 30)}}
+				DatasetPass: []bool{true, false}, GradedAt: f.clk.Now(), Comment: "<b>late</b> &  ", Feedback: []string{head(src, 30)}}
 			if i == 2 {
 				g.DatasetPass, g.KeywordsHit = nil, []string{} // null beside []
 			}
 			sub := SubmissionRec{ID: g.SubmissionID, UserID: userID, LabID: l.ID, Source: src,
-				Outcomes: []*labs.Outcome{outcome, nil}, Grade: g, Late: i%2 == 1, At: f.now, Diagnostics: diags}
+				Outcomes: []*labs.Outcome{outcome, nil}, Grade: g, Late: i%2 == 1, At: f.clk.Now(), Diagnostics: diags}
 			if err := putIndexed(tx, "submissions", l.ID, userID, sub.ID, sub); err != nil {
 				return err
 			}
 			if err := tx.Put("grades", codeKey(userID, l.ID), g); err != nil {
 				return err
 			}
-			c := CommentRec{ID: f.srv.newID("cmt"), UserID: userID, LabID: l.ID, Instructor: "prof", Text: src, At: f.now}
+			c := CommentRec{ID: f.srv.newID("cmt"), UserID: userID, LabID: l.ID, Instructor: "prof", Text: src, At: f.clk.Now()}
 			if err := putIndexed(tx, "comments", l.ID, userID, c.ID, c); err != nil {
 				return err
 			}
@@ -269,7 +269,7 @@ func TestPagesAreByteIdenticalToReencoding(t *testing.T) {
 	// which re-encoding writes as the literal U+FFFD. The served row keeps
 	// the escape: the same JSON string, different bytes.
 	l2 := labs.ByID("basic-matmul")
-	cut := CodeRec{UserID: userID, LabID: l2.ID, Source: "cut mid-rune: caf\xc3", Rev: 1, SavedAt: f.now}
+	cut := CodeRec{UserID: userID, LabID: l2.ID, Source: "cut mid-rune: caf\xc3", Rev: 1, SavedAt: f.clk.Now()}
 	if err := f.srv.db.Update(func(tx *db.Tx) error { return tx.Put("history", histKey(userID, l2.ID, 1), cut) }); err != nil {
 		t.Fatal(err)
 	}

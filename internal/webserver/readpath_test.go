@@ -9,11 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/feedback"
 	"webgpu/internal/grader"
@@ -229,6 +229,17 @@ func (c *course) do(method, path, token string, body interface{}, want int) []by
 	return data
 }
 
+// tickClock reads step later at every Now.
+type tickClock struct {
+	*clock.Manual
+	step time.Duration
+}
+
+func (c tickClock) Now() time.Time {
+	c.Advance(c.step)
+	return c.Manual.Now()
+}
+
 // fillCourse registers nUsers students and gives each a seeded, uneven
 // amount of saves, attempts, submissions, shares and comments on each of
 // three labs (none at all on some), in an interleaved order so no table's
@@ -237,8 +248,7 @@ func fillCourse(tb testing.TB, nUsers int, seed int64) *course {
 	c := &course{fixture: &fixture{t: tb}}
 	// Every reading of the clock is a minute later: distinct timestamps,
 	// and the per-user submit rate limit never trips.
-	var clockMu sync.Mutex
-	now := time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)
+	clk := tickClock{clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), time.Minute}
 	c.srv = New(Config{
 		DB:         db.New(),
 		Dispatcher: cannedDispatcher(),
@@ -246,12 +256,7 @@ func fillCourse(tb testing.TB, nUsers int, seed int64) *course {
 		Reviews:    peerreview.NewStore(0.10),
 		Course:     labs.CourseHPP,
 		Limits:     sandbox.DefaultLimits(),
-		Clock: func() time.Time {
-			clockMu.Lock()
-			defer clockMu.Unlock()
-			now = now.Add(time.Minute)
-			return now
-		},
+		Clock:      clk,
 	})
 	c.ts = httptest.NewServer(c.srv.Handler())
 	tb.Cleanup(c.ts.Close)
@@ -404,7 +409,7 @@ func BenchmarkAttemptsPage(b *testing.B) {
 	l := c.labs[0]
 	for i := have; i < 500; i++ {
 		u := &User{ID: c.users[i%len(c.users)]}
-		att := AttemptRec{ID: c.srv.newID("att"), UserID: u.ID, LabID: l.ID, Source: l.Skeleton, At: c.srv.clock()}
+		att := AttemptRec{ID: c.srv.newID("att"), UserID: u.ID, LabID: l.ID, Source: l.Skeleton, At: c.srv.clock.Now()}
 		if err := c.srv.db.Update(func(tx *db.Tx) error {
 			return putIndexed(tx, "attempts", l.ID, u.ID, att.ID, att)
 		}); err != nil {

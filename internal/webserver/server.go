@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"webgpu/internal/castore"
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/devsession"
 	"webgpu/internal/grader"
@@ -70,7 +71,9 @@ type Config struct {
 	Reviews    *peerreview.Store
 	Course     labs.Course
 	Limits     sandbox.Limits
-	Clock      func() time.Time
+	// Clock stamps records and times the submission interval and the
+	// event-stream heartbeat; nil means clock.Real.
+	Clock clock.Clock
 
 	// Metrics is the shared registry /api/v1/admin/metrics dumps; nil
 	// creates a private one. Traces is the ring of recent job traces
@@ -101,32 +104,27 @@ type Config struct {
 	// reads), per-tenant rate limits, and burn-rate SLOs. Nil builds one
 	// with the default (generous) limits on the shared Metrics/Clock.
 	Overload *overload.Controller
-
-	// SSEHeartbeat is the interval between keepalive comments on event
-	// streams (0 = 15s).
-	SSEHeartbeat time.Duration
 }
 
 // Server is the WebGPU web tier.
 type Server struct {
-	db           *db.DB
-	dispatch     Dispatcher
-	gradebook    grader.Gradebook
-	reviews      *peerreview.Store
-	course       labs.Course
-	limiter      *sandbox.RateLimiter
-	clock        func() time.Time
-	mux          *http.ServeMux
-	nextID       atomic.Int64
-	deadlines    map[string]time.Time
-	metrics      *metrics.Registry
-	traces       *trace.Store
-	queue        QueueAdmin
-	progs        *progcache.Cache
-	artifacts    *castore.Store
-	devsessions  *devsession.Manager
-	overload     *overload.Controller
-	sseHeartbeat time.Duration
+	db          *db.DB
+	dispatch    Dispatcher
+	gradebook   grader.Gradebook
+	reviews     *peerreview.Store
+	course      labs.Course
+	limiter     *clock.Limiter
+	clock       clock.Clock
+	mux         *http.ServeMux
+	nextID      atomic.Int64
+	deadlines   map[string]time.Time
+	metrics     *metrics.Registry
+	traces      *trace.Store
+	queue       QueueAdmin
+	progs       *progcache.Cache
+	artifacts   *castore.Store
+	devsessions *devsession.Manager
+	overload    *overload.Controller
 
 	// policies maps lab ID → analysis policy (worker.Analysis*). Unlike
 	// deadlines (set once at course setup), instructors flip these at
@@ -138,7 +136,7 @@ type Server struct {
 // New builds a server.
 func New(cfg Config) *Server {
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		cfg.Clock = clock.Real
 	}
 	if cfg.Limits.SubmitInterval == 0 {
 		cfg.Limits = sandbox.DefaultLimits()
@@ -172,32 +170,27 @@ func New(cfg Config) *Server {
 			Clock:   cfg.Clock,
 		})
 	}
-	if cfg.SSEHeartbeat <= 0 {
-		cfg.SSEHeartbeat = 15 * time.Second
-	}
 	s := &Server{
-		db:           cfg.DB,
-		dispatch:     cfg.Dispatcher,
-		gradebook:    cfg.Gradebook,
-		reviews:      cfg.Reviews,
-		course:       cfg.Course,
-		limiter:      sandbox.NewRateLimiter(cfg.Limits.SubmitInterval),
-		clock:        cfg.Clock,
-		deadlines:    map[string]time.Time{},
-		policies:     map[string]string{},
-		metrics:      cfg.Metrics,
-		traces:       cfg.Traces,
-		queue:        cfg.Queue,
-		progs:        cfg.ProgCache,
-		artifacts:    cfg.Artifacts,
-		devsessions:  cfg.DevSessions,
-		overload:     cfg.Overload,
-		sseHeartbeat: cfg.SSEHeartbeat,
+		db:          cfg.DB,
+		dispatch:    cfg.Dispatcher,
+		gradebook:   cfg.Gradebook,
+		reviews:     cfg.Reviews,
+		course:      cfg.Course,
+		limiter:     cfg.Limits.SubmitLimiter(cfg.Clock),
+		clock:       cfg.Clock,
+		deadlines:   map[string]time.Time{},
+		policies:    map[string]string{},
+		metrics:     cfg.Metrics,
+		traces:      cfg.Traces,
+		queue:       cfg.Queue,
+		progs:       cfg.ProgCache,
+		artifacts:   cfg.Artifacts,
+		devsessions: cfg.DevSessions,
+		overload:    cfg.Overload,
 	}
 	// Live sessions are a backpressure signal: a wall of open draft loops
 	// raises pressure, which sheds reads first, then drafts themselves.
 	s.overload.SetDraftLoad(s.devsessions.Active)
-	s.limiter.SetClock(cfg.Clock)
 	s.routes()
 	return s
 }
@@ -235,12 +228,6 @@ func (s *Server) AnalysisPolicy(labID string) string {
 		return p
 	}
 	return worker.AnalysisWarn
-}
-
-// SetClock replaces the server's time source (tests).
-func (s *Server) SetClock(clock func() time.Time) {
-	s.clock = clock
-	s.limiter.SetClock(clock)
 }
 
 // Handler returns the root HTTP handler.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/db"
 	"webgpu/internal/grader"
 	"webgpu/internal/labs"
@@ -32,12 +33,12 @@ type fixture struct {
 	t      testing.TB
 	srv    *Server
 	ts     *httptest.Server
-	now    time.Time
+	clk    *clock.Manual
 	tokens map[string]string
 }
 
 func newFixture(t *testing.T) *fixture {
-	f := &fixture{t: t, now: time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC), tokens: map[string]string{}}
+	f := &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
 	f.srv = New(Config{
 		DB:         db.New(),
 		Dispatcher: fakeDispatcher(),
@@ -45,7 +46,7 @@ func newFixture(t *testing.T) *fixture {
 		Reviews:    peerreview.NewStore(0.10),
 		Course:     labs.CourseHPP,
 		Limits:     sandbox.DefaultLimits(),
-		Clock:      func() time.Time { return f.now },
+		Clock:      f.clk,
 	})
 	f.ts = httptest.NewServer(f.srv.Handler())
 	t.Cleanup(f.ts.Close)
@@ -153,7 +154,7 @@ func TestSubmitRateLimited(t *testing.T) {
 		t.Fatalf("resubmit = %d %s", code, body)
 	}
 	// After the interval passes it works again.
-	f.now = f.now.Add(time.Minute)
+	f.clk.Advance(time.Minute)
 	if code, _ := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil); code != http.StatusOK {
 		t.Fatalf("post-interval submit = %d", code)
 	}
@@ -161,7 +162,7 @@ func TestSubmitRateLimited(t *testing.T) {
 
 func TestShareOnlyAfterDeadline(t *testing.T) {
 	f := newFixture(t)
-	deadline := f.now.Add(24 * time.Hour)
+	deadline := f.clk.Now().Add(24 * time.Hour)
 	f.srv.SetDeadline("vector-add", deadline)
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
@@ -179,7 +180,7 @@ func TestShareOnlyAfterDeadline(t *testing.T) {
 		t.Fatalf("pre-deadline share = %d", code)
 	}
 	// After the deadline: a public link is issued and world-readable.
-	f.now = deadline.Add(time.Hour)
+	f.clk.Advance(25 * time.Hour) // an hour past the deadline
 	code, body = f.req("POST", "/api/v1/attempts/"+att.ID+"/share", tok, nil)
 	if code != http.StatusOK {
 		t.Fatalf("post-deadline share = %d %s", code, body)
@@ -208,7 +209,7 @@ func TestShareSomeoneElsesAttempt(t *testing.T) {
 
 func TestLateSubmissionFlagged(t *testing.T) {
 	f := newFixture(t)
-	f.srv.SetDeadline("vector-add", f.now.Add(-time.Hour)) // already past
+	f.srv.SetDeadline("vector-add", f.clk.Now().Add(-time.Hour)) // already past
 	tok := f.register("a@x", "student")
 	src := labs.ByID("vector-add").Reference
 	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": src})

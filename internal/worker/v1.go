@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/trace"
 )
@@ -39,7 +40,7 @@ const (
 type Registry struct {
 	mu     sync.Mutex
 	ttl    time.Duration
-	clock  func() time.Time
+	clock  clock.Clock
 	nodes  map[string]*registered
 	evicts int64
 
@@ -62,15 +63,16 @@ func NewRegistry(ttl time.Duration) *Registry {
 	}
 	return &Registry{
 		ttl:          ttl,
-		clock:        time.Now,
+		clock:        clock.Real,
 		nodes:        map[string]*registered{},
 		maxRetries:   DefaultDispatchRetries,
 		retryBackoff: DefaultRetryBackoff,
 	}
 }
 
-// SetClock overrides the time source (tests).
-func (r *Registry) SetClock(clock func() time.Time) { r.clock = clock }
+// SetClock replaces the clock that times health checks, heartbeats and
+// retry backoff (tests).
+func (r *Registry) SetClock(c clock.Clock) { r.clock = c }
 
 // SetFaults attaches a fault-injection registry to the push path.
 func (r *Registry) SetFaults(f *faultinject.Registry) {
@@ -105,7 +107,7 @@ func (r *Registry) Retries() int64 {
 func (r *Registry) Register(n *Node) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.nodes[n.ID] = &registered{node: n, lastBeat: r.clock()}
+	r.nodes[n.ID] = &registered{node: n, lastBeat: r.clock.Now()}
 }
 
 // Deregister removes a worker.
@@ -120,7 +122,7 @@ func (r *Registry) Beat(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if reg, ok := r.nodes[id]; ok {
-		reg.lastBeat = r.clock()
+		reg.lastBeat = r.clock.Now()
 	}
 }
 
@@ -139,7 +141,7 @@ func (r *Registry) evictStaleLocked(now time.Time) {
 func (r *Registry) Alive() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evictStaleLocked(r.clock())
+	r.evictStaleLocked(r.clock.Now())
 	out := make([]string, 0, len(r.nodes))
 	for id := range r.nodes {
 		out = append(out, id)
@@ -161,23 +163,23 @@ func (r *Registry) Size() int { return len(r.Alive()) }
 
 // StartHeartbeats runs the workers' periodic health checks (§III-C: "the
 // worker node [sends] regular health checks to the web-server"): every
-// interval, each registered in-process node reports in. Returns a stop
-// function. Nodes registered later are picked up automatically.
-func (r *Registry) StartHeartbeats(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = r.ttl / 3
-	}
-	done := make(chan struct{})
+// third of the TTL on the registry's clock, each registered in-process
+// node reports in. Returns a stop function, which returns once the last
+// beat is in. Nodes registered later are picked up automatically.
+func (r *Registry) StartHeartbeats() (stop func()) {
+	interval := r.ttl / 3
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
+		defer close(exited)
 		for {
+			timer := r.clock.NewTimer(interval)
 			select {
 			case <-done:
+				timer.Stop()
 				return
-			case <-ticker.C:
+			case <-timer.C:
 				r.mu.Lock()
-				now := r.clock()
+				now := r.clock.Now()
 				for _, reg := range r.nodes {
 					reg.lastBeat = now
 				}
@@ -186,7 +188,10 @@ func (r *Registry) StartHeartbeats(interval time.Duration) (stop func()) {
 		}
 	}()
 	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // Dispatch pushes a job to a live, capable, least-loaded worker and runs
@@ -224,8 +229,12 @@ func (r *Registry) Dispatch(ctx context.Context, job *Job) (*Result, error) {
 		r.mu.Lock()
 		r.retries++
 		r.mu.Unlock()
-		if !sleepCtx(ctx, retryDelay(base, attempt)) {
+		backoff := r.clock.NewTimer(retryDelay(base, attempt))
+		select {
+		case <-ctx.Done():
+			backoff.Stop()
 			return lastRes, ctx.Err()
+		case <-backoff.C:
 		}
 	}
 }
@@ -236,7 +245,7 @@ func (r *Registry) Dispatch(ctx context.Context, job *Job) (*Result, error) {
 func (r *Registry) dispatchOnce(ctx context.Context, job *Job) (res *Result, err error, retryable bool) {
 	r.mu.Lock()
 	faults := r.faults
-	now := r.clock()
+	now := r.clock.Now()
 	r.evictStaleLocked(now)
 	var pick *registered
 	for _, reg := range r.nodes {
@@ -297,16 +306,4 @@ func retryDelay(base time.Duration, attempt int) time.Duration {
 		d = maxRetryBackoff
 	}
 	return d + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// sleepCtx waits d, returning false if ctx expires first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/queue"
 	"webgpu/internal/trace"
@@ -247,7 +248,7 @@ func (d *Driver) loop(cfg Config) {
 		// broker woke this driver for the job and tick when the fallback
 		// interval found it; it is absent when the driver came straight
 		// from its previous job and the message waited for a driver.
-		brokerWait := tr.StageAt(delivery.Msg.Enqueued, time.Now, nil, "", "queue_wait",
+		brokerWait := tr.StageAt(delivery.Msg.Enqueued, clock.Real, nil, "", "queue_wait",
 			"worker", d.node.ID, "arch", "v2", "attempts", strconv.Itoa(delivery.Msg.Attempts), "wake", pickup).End()
 		res := d.node.Execute(trace.NewContext(context.Background(), tr), job)
 		res.QueueWait += brokerWait

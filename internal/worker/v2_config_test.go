@@ -1,31 +1,13 @@
 package worker
 
 import (
-	"sync"
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/queue"
 )
-
-// fakeClock is a mutex-guarded manual clock shared with the broker.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -78,9 +60,9 @@ func TestDriverPauseResume(t *testing.T) {
 // under the old visibility keeps its original deadline, and the job
 // redelivers (and completes) once that expires.
 func TestDriverVisibilityChangeMidFlight(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(0, 0)}
+	clk := clock.NewManual(time.Unix(0, 0))
 	b := queue.NewBroker()
-	b.SetClock(clk.Now)
+	b.SetClock(clk)
 
 	reg := faultinject.New(1)
 	reg.Enable(faultinject.PointDriverCrashBeforeAck, faultinject.Fault{Once: true})

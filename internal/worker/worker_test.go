@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/labs"
 	"webgpu/internal/queue"
 	"webgpu/internal/sandbox"
@@ -266,13 +267,13 @@ func TestRegistryDispatch(t *testing.T) {
 
 func TestRegistryEvictsSilentWorkers(t *testing.T) {
 	r := NewRegistry(30 * time.Second)
-	now := time.Unix(0, 0)
-	r.SetClock(func() time.Time { return now })
+	clk := clock.NewManual(time.Unix(0, 0))
+	r.SetClock(clk)
 	r.Register(NewNode(DefaultNodeConfig("w1")))
 	r.Register(NewNode(DefaultNodeConfig("w2")))
-	now = now.Add(20 * time.Second)
+	clk.Advance(20 * time.Second)
 	r.Beat("w1") // only w1 stays healthy
-	now = now.Add(20 * time.Second)
+	clk.Advance(20 * time.Second)
 	alive := r.Alive()
 	if len(alive) != 1 || alive[0] != "w1" {
 		t.Fatalf("alive = %v", alive)
@@ -299,16 +300,22 @@ func TestRegistryAliveIsSorted(t *testing.T) {
 
 func TestRegistryHeartbeatsKeepWorkersAlive(t *testing.T) {
 	r := NewRegistry(60 * time.Millisecond)
+	clk := clock.NewManual(time.Unix(0, 0))
+	r.SetClock(clk)
 	r.Register(NewNode(DefaultNodeConfig("w1")))
-	stop := r.StartHeartbeats(10 * time.Millisecond)
+	stop := r.StartHeartbeats() // every 20 ms, a third of the TTL
 	defer stop()
-	time.Sleep(150 * time.Millisecond) // > 2x TTL
+	for i := 0; i < 8; i++ { // 160 ms, > 2x TTL
+		clk.BlockUntil(1) // the heartbeat timer is re-armed after each beat
+		clk.Advance(20 * time.Millisecond)
+	}
+	clk.BlockUntil(1)
 	if got := r.Size(); got != 1 {
 		t.Fatalf("worker evicted despite heartbeats: size = %d", got)
 	}
 	stop()
 	stop() // idempotent
-	time.Sleep(150 * time.Millisecond)
+	clk.Advance(150 * time.Millisecond)
 	if got := r.Size(); got != 0 {
 		t.Fatalf("worker survived after heartbeats stopped: size = %d", got)
 	}

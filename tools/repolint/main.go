@@ -1,12 +1,13 @@
 // Command repolint enforces repo-local invariants the general Go
 // toolchain cannot express, using only the stdlib go/ast parser:
 //
-//   - Deterministic clocks: packages that model time through an injected
-//     clock (internal/overload, internal/devsession) must not call
-//     time.Now or time.Since directly in non-test files. Storing the
-//     function value (`c.Clock = time.Now`) is allowed — that IS the
-//     seam; calling it directly bypasses the seam and makes rate limits
-//     and eviction untestable.
+//   - Deterministic clocks: packages whose components all hold a
+//     clock.Clock (internal/queue, internal/overload, internal/devsession,
+//     internal/webserver, internal/wb) must not name time.Now, time.Since
+//     or a wall-clock timer (time.NewTimer, NewTicker, After, AfterFunc,
+//     Sleep, Tick) in non-test files, called or not. Time there comes
+//     from the component's clock, so a test's clock.Manual controls its
+//     windows, heartbeats and timeouts too.
 //
 //   - Hot paths: files marked //kernelcheck:hotpath (the analyzer's
 //     per-expression core) must not call fmt.Sprintf or import regexp;
@@ -57,11 +58,20 @@ import (
 	"strings"
 )
 
-// clockPkgs are the directories (matched as path segments) where direct
-// wall-clock calls are banned in favor of the package's clock seam.
+// clockPkgs are the directories (matched as path segments) where the
+// wall clock is banned in favor of the component's clock.Clock.
 var clockPkgs = []string{
+	"internal/queue",
 	"internal/overload",
 	"internal/devsession",
+	"internal/webserver",
+	"internal/wb",
+}
+
+// wallClock is what the time package offers that bypasses a clock.Clock.
+var wallClock = map[string]bool{
+	"Now": true, "Since": true,
+	"NewTimer": true, "NewTicker": true, "After": true, "AfterFunc": true, "Sleep": true, "Tick": true,
 }
 
 // timerPkgs are the directories whose loops serve requests (draft pickup,
@@ -283,23 +293,27 @@ func importName(f *ast.File, importPath string) string {
 // import of pkg (not a local variable of that name), and returns it with
 // the selected name.
 func pkgCall(n ast.Node, pkg string) (*ast.CallExpr, string) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return nil, ""
+	if call, ok := n.(*ast.CallExpr); ok {
+		return call, pkgSel(call.Fun, pkg)
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg || id.Obj != nil {
-		return nil, ""
-	}
-	return call, sel.Sel.Name
+	return nil, ""
 }
 
-// checkClockCalls flags direct time.Now()/time.Since() call expressions.
-// A bare reference (assigning time.Now to a clock field) does not match:
-// only the CallExpr form defeats the injected clock.
+// pkgSel returns Name when n is the selector pkg.Name through the file's
+// import of pkg, and "" otherwise.
+func pkgSel(n ast.Node, pkg string) string {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg || id.Obj != nil {
+		return ""
+	}
+	return sel.Sel.Name
+}
+
+// checkClockCalls flags every use of a wallClock name, a call or a bare
+// reference (time.Now stored as a clock is the wall clock all the same).
 func checkClockCalls(fset *token.FileSet, f *ast.File) []finding {
 	timeName := importName(f, "time")
 	if timeName == "" {
@@ -307,10 +321,10 @@ func checkClockCalls(fset *token.FileSet, f *ast.File) []finding {
 	}
 	var out []finding
 	ast.Inspect(f, func(n ast.Node) bool {
-		if call, name := pkgCall(n, timeName); name == "Now" || name == "Since" {
+		if name := pkgSel(n, timeName); wallClock[name] {
 			out = append(out, finding{
-				pos: fset.Position(call.Pos()),
-				msg: fmt.Sprintf("direct time.%s call in a deterministic-clock package; route it through the package's clock seam", name),
+				pos: fset.Position(n.Pos()),
+				msg: fmt.Sprintf("time.%s in a deterministic-clock package; use the component's clock.Clock", name),
 			})
 		}
 		return true

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,24 +55,58 @@ func g(t0 time.Time) time.Duration { return time.Since(t0) }
 	}
 }
 
+// TestClockValueReferenceAllowed: a clock package may hold a clock.Clock,
+// default it to clock.Real and use time's types; only the wall clock's
+// own functions are out.
 func TestClockValueReferenceAllowed(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/devsession/ok.go": `package devsession
 
-import "time"
+import (
+	"time"
 
-type cfg struct{ Clock func() time.Time }
+	"webgpu/internal/clock"
+)
+
+type cfg struct {
+	Clock  clock.Clock
+	Window time.Duration
+}
 
 func defaults(c cfg) cfg {
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = clock.Real
 	}
 	return c
 }
+
+func since(c cfg, t0 time.Time) time.Duration { return c.Clock.Now().Sub(t0) }
 `,
 	})
 	if code, out := runLint(t, root); code != 0 {
-		t.Fatalf("value reference flagged: exit = %d\n%s", code, out)
+		t.Fatalf("clock.Clock use flagged: exit = %d\n%s", code, out)
+	}
+}
+
+// TestClockRuleWallClockRows: each row names the wall clock once in a
+// clock package, as a stored function value, a timer or a sleep.
+func TestClockRuleWallClockRows(t *testing.T) {
+	rows := []struct{ name, path, body string }{
+		{"stored time.Now", "internal/devsession/seam.go", `var now = time.Now`},
+		{"timer", "internal/webserver/timer.go", `func f() { <-time.NewTimer(time.Second).C }`},
+		{"ticker", "internal/queue/ticker.go", `func f() *time.Ticker { return time.NewTicker(time.Second) }`},
+		{"sleep", "internal/wb/sleep.go", `func f() { time.Sleep(time.Millisecond) }`},
+		{"after func", "internal/overload/after.go", `func f() { time.AfterFunc(time.Second, func() {}) }`},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			pkg := path.Base(path.Dir(row.path))
+			root := writeTree(t, map[string]string{row.path: "package " + pkg + "\n\nimport \"time\"\n\n" + row.body + "\n"})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "deterministic-clock package"); code != 1 || n != 1 {
+				t.Fatalf("exit = %d, %d clock findings, want 1:\n%s", code, n, out)
+			}
+		})
 	}
 }
 
@@ -185,7 +220,7 @@ func f(done chan struct{}) bool {
 	}
 }
 `, 0},
-		{"reused timer", "internal/devsession/timer.go", `package devsession
+		{"reused timer", "internal/worker/timer.go", `package worker
 
 import "time"
 
