@@ -175,8 +175,7 @@ func NewManager(cfg Config) *Manager {
 		"devsession_drafts", "devsession_draft_coalesced",
 		"devsession_draft_cancelled", "devsession_rate_limited",
 		"devsession_pickups_leading", "devsession_pickups_trailing",
-		"kernelcheck_incremental_runs", "kernelcheck_incremental_analyzed",
-		"kernelcheck_incremental_reused",
+		"kernelcheck_incremental_runs",
 	} {
 		m.cfg.Metrics.Inc(name, 0)
 	}

@@ -572,7 +572,8 @@ func TestDevSessionSoak(t *testing.T) {
 // checks the diagnostics events report the incremental engine's work
 // split: cold draft analyzes everything, a one-function edit re-analyzes
 // only that function, and a revert to an already-analyzed source is
-// served whole from the shared cache.
+// served whole from the shared cache. The program cache counts the same
+// split.
 func TestIncrementalWorkSplit(t *testing.T) {
 	const srcA = `__global__ void kA(float *in, float *out, int n) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -591,7 +592,8 @@ __global__ void kB(float *in, float *out, int n) {
 	srcB := strings.Replace(srcA, "in[i] + 1.0f", "in[i] + 3.0f", 1)
 
 	reg := metrics.NewRegistry()
-	m := NewManager(Config{Debounce: -1, DraftInterval: -1, Metrics: reg})
+	cache := progcache.New(progcache.DefaultCapacity, nil)
+	m := NewManager(Config{Debounce: -1, DraftInterval: -1, Metrics: reg, Cache: cache})
 	defer m.CloseAll()
 	if got := reg.Counter("kernelcheck_incremental_runs"); got != 0 {
 		t.Fatalf("kernelcheck_incremental_runs pre-registered at %v, want 0", got)
@@ -630,10 +632,7 @@ __global__ void kB(float *in, float *out, int n) {
 	if got := reg.Counter("kernelcheck_incremental_runs"); got != 3 {
 		t.Errorf("kernelcheck_incremental_runs = %v, want 3", got)
 	}
-	if got := reg.Counter("kernelcheck_incremental_analyzed"); got != 3 {
-		t.Errorf("kernelcheck_incremental_analyzed = %v, want 3", got)
-	}
-	if got := reg.Counter("kernelcheck_incremental_reused"); got != 3 {
-		t.Errorf("kernelcheck_incremental_reused = %v, want 3", got)
+	if s := cache.Stats(); s.FnAnalyzed != 3 || s.FnReused != 3 {
+		t.Errorf("program cache counted %d functions analyzed and %d reused, want 3 and 3", s.FnAnalyzed, s.FnReused)
 	}
 }

@@ -43,9 +43,9 @@ type CompilePayload struct {
 
 // DiagnosticsPayload is the data of a "diagnostics" event. Diagnostics is
 // never null so clients can always range over it. Analyzed and Reused
-// report the incremental engine's work split for this draft: how many
-// functions were re-analyzed versus spliced from the per-session cache
-// (a draft served whole from the shared program cache reports every
+// report the analysis engine's work split for this draft: how many
+// functions were re-analyzed versus spliced from the program cache's
+// engine (a source the cache has already analyzed reports every
 // function as reused).
 type DiagnosticsPayload struct {
 	Draft       int64                    `json:"draft"`
@@ -81,7 +81,6 @@ type Session struct {
 	ctx    context.Context // closed-session root; inflight ctxs derive from it
 	cancel context.CancelFunc
 	notify chan struct{} // draft-arrival signal, capacity 1
-	inc    *kernelcheck.Incremental
 
 	mu             sync.Mutex
 	closed         bool
@@ -103,7 +102,6 @@ func newSession(m *Manager, id, userID, labID string, dialect minicuda.Dialect, 
 		Dialect:    dialect,
 		m:          m,
 		notify:     make(chan struct{}, 1),
-		inc:        kernelcheck.NewIncremental(),
 		subs:       map[int]chan Event{},
 		lastActive: now,
 	}
@@ -365,26 +363,21 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // pipelineOut is what one draft's compile+analysis produces.
 type pipelineOut struct {
-	status   progcache.Status
-	err      error
-	diags    []kernelcheck.Diagnostic
-	analyzed int
-	reused   int
+	status progcache.Status
+	err    error
+	res    kernelcheck.Result
 }
 
 // runDraft runs one draft through the program cache: compile (content
-// addressed, singleflighted) then kernelcheck through the session's
-// incremental engine — only functions the student actually changed
-// since the previous draft are re-analyzed, the rest splice from the
-// per-session cache. A source the shared cache has already analyzed
-// (a revert, or another student's identical draft) skips even that and
-// reports every function reused; a fresh incremental result seeds the
-// shared cache so a later submission of the same source is a pure hit
-// (sound because the incremental output is byte-identical to a full
-// run). The cache calls are not context-aware, so they run in a
-// goroutine and the draft abandons the wait on cancellation — the
-// compile keeps going and still warms the cache for the next draft or
-// an eventual submission.
+// addressed, singleflighted) then its diagnostics, analyzed through the
+// cache's engine — only functions no earlier source had (in practice,
+// the ones the student just changed) are re-analyzed, the rest splice.
+// A source the cache has already analyzed (a revert, or another
+// student's identical draft) skips even that and reports every function
+// reused, and a later submission of this draft is a pure hit. The cache
+// calls are not context-aware, so they run in a goroutine and the draft
+// abandons the wait on cancellation — the compile keeps going and still
+// warms the cache for the next draft or an eventual submission.
 func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	start := s.m.cfg.Clock.Now()
 	// Push → pickup: what the draft spent behind the spacing window (and
@@ -401,18 +394,9 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	done := make(chan pipelineOut, 1)
 	go func() {
 		var out pipelineOut
-		var prog *minicuda.Program
-		prog, out.status, out.err = s.m.cfg.Cache.CompileStatus(d.source, s.Dialect)
+		_, out.status, out.err = s.m.cfg.Cache.CompileStatus(d.source, s.Dialect)
 		if out.err == nil {
-			if diags, ok := s.m.cfg.Cache.CachedDiagnostics(d.source, s.Dialect); ok {
-				out.diags = diags
-				out.reused = len(prog.Funcs)
-			} else {
-				res := s.inc.Analyze(prog)
-				out.diags = res.Diagnostics
-				out.analyzed, out.reused = res.Analyzed, res.Reused
-				s.m.cfg.Cache.PutDiagnostics(d.source, s.Dialect, res.Diagnostics)
-			}
+			out.res, out.err = s.m.cfg.Cache.Diagnostics(d.source, s.Dialect)
 		}
 		done <- out
 	}()
@@ -428,7 +412,7 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 		if out.status == progcache.Hit {
 			sp = sp.Also("devsession_draft_warm_ms")
 		}
-		elapsedMS := ms(sp.End("cache", out.status.String(), "diags", strconv.Itoa(len(out.diags))))
+		elapsedMS := ms(sp.End("cache", out.status.String(), "diags", strconv.Itoa(len(out.res.Diagnostics))))
 		tr.Finish()
 		compile := CompilePayload{Draft: d.seq, Cache: out.status.String(), OK: out.err == nil, WaitedMS: waitedMS, ElapsedMS: elapsedMS}
 		if out.err != nil {
@@ -439,17 +423,15 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 			// Counted before the event that reports it, so a client that
 			// has the event finds the draft in the counters too.
 			reg.Inc("kernelcheck_incremental_runs", 1)
-			reg.Inc("kernelcheck_incremental_analyzed", float64(out.analyzed))
-			reg.Inc("kernelcheck_incremental_reused", float64(out.reused))
-			diags := out.diags
+			diags := out.res.Diagnostics
 			if diags == nil {
 				diags = []kernelcheck.Diagnostic{}
 			}
 			s.emit(EventDiagnostics, DiagnosticsPayload{
 				Draft:       d.seq,
 				Diagnostics: diags,
-				Analyzed:    out.analyzed,
-				Reused:      out.reused,
+				Analyzed:    out.res.Analyzed,
+				Reused:      out.res.Reused,
 				WaitedMS:    waitedMS,
 				ElapsedMS:   elapsedMS,
 			})

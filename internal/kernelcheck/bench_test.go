@@ -2,7 +2,6 @@ package kernelcheck_test
 
 import (
 	"testing"
-	"time"
 
 	"webgpu/internal/kernelcheck"
 	"webgpu/internal/labs"
@@ -40,6 +39,25 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkColdMiss prices the shared engine on a program none of whose
+// functions it has seen: the keys it computes on top of Analyze's work.
+func BenchmarkColdMiss(b *testing.B) {
+	progs := benchKernels(b)
+	for _, id := range []string{"tiled-matmul", "reduction-scan"} {
+		prog := progs[id]
+		b.Run(id+"/analyze", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelcheck.Analyze(prog)
+			}
+		})
+		b.Run(id+"/cold-engine", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernelcheck.NewIncremental().Analyze(prog)
+			}
+		})
+	}
+}
+
 // BenchmarkCompile times the compile stage the analyzer rides on, for
 // the same kernels, so the two numbers are directly comparable.
 func BenchmarkCompile(b *testing.B) {
@@ -64,48 +82,66 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// TestAnalyzeLatencyBudget keeps the analyzer's raw cost visible and
-// bounded. The fixpoint pass makes a full analysis a small constant
-// multiple of a bare compile for loop-heavy kernels; the <10% cold-job
-// budget is met at the pipeline level instead, where the worker overlaps
-// the analysis with dataset execution under the warn policy (see
-// TestAnalysisOffCriticalPath in internal/worker). The bound here is a
-// regression tripwire: a trip means the analyzer got pathologically
-// slower, not that the machine was busy.
+// TestAnalyzeLatencyBudget bounds the analyzer's work by counting it
+// rather than timing it. A loop's body is walked by up to FixpointCap
+// non-recording passes plus one recording pass, so a statement at loop
+// depth d is visited at most (FixpointCap+1)^d times per analysis — the
+// cost is a fixed multiple of the program's size, whatever the machine.
+// A trip means a pass started re-walking what it already walked.
 func TestAnalyzeLatencyBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	l := labs.ByID("tiled-matmul")
-	const rounds = 51
-	compileMed := median(rounds, func() {
-		if _, err := minicuda.Compile(l.Reference, l.Dialect); err != nil {
+	for _, id := range []string{"tiled-matmul", "reduction-scan"} {
+		l := labs.ByID(id)
+		prog, err := minicuda.Compile(l.Reference, l.Dialect)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	prog, err := minicuda.Compile(l.Reference, l.Dialect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzeMed := median(rounds, func() { kernelcheck.Analyze(prog) })
-	t.Logf("compile median %v, analyze median %v (%.1f%%)",
-		compileMed, analyzeMed, 100*float64(analyzeMed)/float64(compileMed))
-	if analyzeMed > 10*compileMed {
-		t.Errorf("analyzer median %v exceeds 10x compile median %v", analyzeMed, compileMed)
+		depth := map[minicuda.Stmt]int{}
+		for _, fn := range prog.Funcs {
+			loopDepths(fn.Body, 0, depth)
+		}
+		visits := kernelcheck.CountWalks(prog)
+		total := 0
+		for s, n := range visits {
+			d, ok := depth[s]
+			if !ok {
+				t.Fatalf("%s: the walker visited a statement outside every function body", id)
+			}
+			if bound := pow(kernelcheck.FixpointCap+1, d); n > bound {
+				t.Errorf("%s: a statement at loop depth %d was walked %d times, bound %d", id, d, n, bound)
+			}
+			total += n
+		}
+		t.Logf("%s: %d statements, %d visits", id, len(depth), total)
 	}
 }
 
-func median(rounds int, fn func()) time.Duration {
-	ds := make([]time.Duration, rounds)
-	for i := range ds {
-		start := time.Now()
-		fn()
-		ds[i] = time.Since(start)
+// loopDepths records every statement under s with its loop depth: the
+// number of loop bodies enclosing it.
+func loopDepths(s minicuda.Stmt, d int, depth map[minicuda.Stmt]int) {
+	if s == nil {
+		return
 	}
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
+	depth[s] = d
+	switch st := s.(type) {
+	case *minicuda.Block:
+		for _, sub := range st.Stmts {
+			loopDepths(sub, d, depth)
 		}
+	case *minicuda.IfStmt:
+		loopDepths(st.Then, d, depth)
+		loopDepths(st.Else, d, depth)
+	case *minicuda.ForStmt:
+		loopDepths(st.Init, d, depth)
+		loopDepths(st.Body, d+1, depth)
+	case *minicuda.WhileStmt:
+		loopDepths(st.Body, d+1, depth)
 	}
-	return ds[len(ds)/2]
+}
+
+func pow(b, e int) int {
+	n := 1
+	for ; e > 0; e-- {
+		n *= b
+	}
+	return n
 }

@@ -10,7 +10,9 @@ package kernelcheck
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"webgpu/internal/minicuda"
@@ -65,6 +67,25 @@ func (d Diagnostic) String() string {
 	return sb.String()
 }
 
+// citePos renders a position a message cites: "(line:col)". A message
+// cites positions only through it, so moved can find them.
+func citePos(tok minicuda.Token) string { return "(" + tok.Pos() + ")" }
+
+var cited = regexp.MustCompile(`\(\d+:\d+\)`)
+
+// moved returns d with its position, and every position its message
+// cites, delta lines further down.
+func (d Diagnostic) moved(delta int) Diagnostic {
+	move := func(pos string) string {
+		line, col, _ := strings.Cut(pos, ":")
+		l, _ := strconv.Atoi(line)
+		return strconv.Itoa(l+delta) + ":" + col
+	}
+	d.Pos = move(d.Pos)
+	d.Message = cited.ReplaceAllStringFunc(d.Message, func(c string) string { return "(" + move(c[1:len(c)-1]) + ")" })
+	return d
+}
+
 // Rule describes one analyzer rule, for metric registration and docs.
 type Rule struct {
 	ID       string
@@ -76,7 +97,7 @@ type Rule struct {
 // mixed into every incremental cache key and into the progcache
 // diagnostics artifact name, so any change to rules, message text, or
 // summary precision must bump it to invalidate cached results.
-const RulesetVersion = "kc2"
+const RulesetVersion = "kc3"
 
 // Rule IDs.
 const (
@@ -145,70 +166,58 @@ func ErrorCount(diags []Diagnostic) int {
 // into device functions are analyzed interprocedurally through effect
 // summaries (see summary.go).
 func Analyze(prog *minicuda.Program) []Diagnostic {
-	return analyzeProgram(prog, nil).Diagnostics
+	return analyzeProgram(prog, nil, nil).Diagnostics
 }
 
 // analyzeProgram is the shared full/incremental pipeline. With a nil
 // engine every function is analyzed from scratch; with an engine,
-// functions whose cache key matches reuse both their summary and their
+// functions whose cache key it holds reuse both their summary and their
 // diagnostics. Both paths run the exact same per-function passes in the
 // same order, which is what makes incremental output byte-identical to
-// a full run.
-func analyzeProgram(prog *minicuda.Program, inc *Incremental) Result {
+// a full run. walked, when set, sees every statement the walker visits.
+func analyzeProgram(prog *minicuda.Program, inc *Incremental, walked func(minicuda.Stmt)) Result {
 	res := Result{Total: len(prog.Funcs)}
 	sums := summarizeFlags(prog)
 	calls := calleeMap(prog)
 
 	var keys map[*minicuda.Function]string
-	var cacheable map[*minicuda.Function]bool
+	var hits map[*minicuda.Function]*cachedFn
 	if inc != nil {
-		keys, cacheable = computeKeys(prog, calls)
-	}
-	hit := func(fn *minicuda.Function) *cachedFn {
-		if inc == nil || !cacheable[fn] {
-			return nil
-		}
-		if e := inc.funcs[fn.Name]; e != nil && e.key == keys[fn] {
-			return e
-		}
-		return nil
+		keys = computeKeys(prog, calls)
+		hits = inc.lookup(keys)
 	}
 
 	// Summaries, callee-before-caller: cache hits adopt the cached
-	// summary verbatim (its token positions are valid — the structural
-	// hash covers positions), misses recompute.
+	// summary, moved to where the function now starts; misses recompute.
 	for _, fn := range topoOrder(prog, calls) {
-		if e := hit(fn); e != nil {
-			*sums[fn] = *e.sum
+		if e := hits[fn]; e != nil {
+			*sums[fn] = e.summaryAt(fn.Tok().Line)
 			continue
 		}
 		if !fn.IsKernel {
-			buildEffects(prog, fn, sums)
+			buildEffects(prog, fn, sums, walked)
 		}
 	}
 
 	// Per-function diagnostics in declaration order, spliced from the
 	// cache where possible.
 	var diags []Diagnostic
+	var fresh []*cachedFn
 	for _, fn := range prog.Funcs {
-		if e := hit(fn); e != nil {
-			diags = append(diags, e.diags...)
-			e.gen = inc.gen
+		if e := hits[fn]; e != nil {
+			diags = append(diags, e.diagsAt(fn.Tok().Line)...)
 			res.Reused++
 			continue
 		}
-		d := analyzeFunc(prog, fn, sums)
+		d := analyzeFunc(prog, fn, sums, walked)
 		diags = append(diags, d...)
 		res.Analyzed++
-		if inc != nil && cacheable[fn] {
-			sum := *sums[fn]
-			inc.funcs[fn.Name] = &cachedFn{
-				key:   keys[fn],
-				sum:   &sum,
-				diags: append([]Diagnostic(nil), d...),
-				gen:   inc.gen,
-			}
+		if key, ok := keys[fn]; ok {
+			fresh = append(fresh, newCachedFn(key, fn.Tok().Line, sums[fn], d))
 		}
+	}
+	if len(fresh) > 0 {
+		inc.insert(fresh)
 	}
 	sortDiags(diags)
 	res.Diagnostics = diags
@@ -226,7 +235,7 @@ func AnalyzeSource(src string, dialect minicuda.Dialect) ([]Diagnostic, error) {
 	return Analyze(prog), nil
 }
 
-func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary) (diags []Diagnostic) {
+func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary, walked func(minicuda.Stmt)) (diags []Diagnostic) {
 	defer func() {
 		if r := recover(); r != nil {
 			diags = append(diags, Diagnostic{
@@ -240,6 +249,7 @@ func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicu
 	}()
 	if fn.IsKernel {
 		a := newAnalyzer(prog, fn, sums)
+		a.walked = walked
 		a.run()
 		diags = append(diags, a.diags...)
 	}

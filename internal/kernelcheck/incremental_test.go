@@ -84,11 +84,40 @@ func TestIncrementalInvalidation(t *testing.T) {
 	editH := strings.Replace(editB, "p[i] * 2.0f", "p[i] * 4.0f", 1)
 	checkRun(t, inc, compileT(t, editH), 2, 1)
 
-	// Back to the previous draft one run later: the two-generation
-	// retention kept kB's entry warm, but scale/kA were overwritten by
-	// the edited versions (the cache is keyed by function name), so they
-	// recompute.
-	checkRun(t, inc, compileT(t, editB), 2, 1)
+	// Back to the previous draft: entries are keyed by content, not by
+	// name, so the earlier scale/kA are still there beside the edited
+	// ones and nothing recomputes.
+	checkRun(t, inc, compileT(t, editB), 0, 3)
+
+	// The whole file two lines down (a longer header): lines are keyed
+	// relative to each function, so everything is spliced, moved.
+	checkRun(t, inc, compileT(t, "// a\n// header\n"+editB), 0, 3)
+
+	// A line inserted between scale and kA: kA's callee is one line
+	// further away, so kA recomputes; scale and kB only moved.
+	checkRun(t, inc, compileT(t, strings.Replace(editB, "}\n\n__global__ void kA", "}\n\n\n__global__ void kA", 1)), 1, 2)
+
+	// The bound: after more distinct functions than an engine holds, it
+	// holds at most MaxCachedFns, and the program analyzed last is still
+	// served whole.
+	const perProg = 128
+	var last *minicuda.Program
+	for p := 0; p*perProg <= MaxCachedFns; p++ {
+		var sb strings.Builder
+		for k := 0; k < perProg; k++ {
+			fmt.Fprintf(&sb, "__global__ void k%d(int *out) { out[0] = %d; }\n", k, p*perProg+k)
+		}
+		last = compileT(t, sb.String())
+		checkRun(t, inc, last, perProg, 0)
+	}
+	if n := inc.probation.Len() + inc.protected.Len(); n > MaxCachedFns || len(inc.funcs) != n {
+		t.Fatalf("engine holds %d entries (%d keys), bound %d", n, len(inc.funcs), MaxCachedFns)
+	}
+	checkRun(t, inc, last, 0, perProg)
+
+	// That stream of functions seen once went through probation: the
+	// draft whose functions were hit before it is still served whole.
+	checkRun(t, inc, compileT(t, editB), 0, 3)
 }
 
 // TestIncrementalMatchesFullOnCorpusMutations is the byte-identity
@@ -187,31 +216,60 @@ func benchSrc(tag string) string {
 }
 
 // BenchmarkIncrementalReanalyze measures the dev-loop steady state: a
-// student alternates edits to one kernel of an 8-function file, and
-// each re-analysis should splice the other 7 functions from cache.
+// student edits one kernel of an 8-function file, and each re-analysis
+// should splice the other 7 functions from cache. Every draft is new
+// (a revert would splice all 8); drafts compile off the clock.
 func BenchmarkIncrementalReanalyze(b *testing.B) {
-	progA := compileT(b, benchSrc("1.0f"))
-	progB := compileT(b, benchSrc("2.0f"))
 	inc := NewIncremental()
-	inc.Analyze(progA) // warm
+	inc.Analyze(compileT(b, benchSrc("1.0f"))) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
-	analyzed, reused, total := 0, 0, 0
+	analyzed, reused := 0, 0
 	for i := 0; i < b.N; i++ {
-		p := progA
-		if i%2 == 1 {
-			p = progB
-		}
+		b.StopTimer()
+		p := compileT(b, benchSrc(fmt.Sprintf("%d.5f", i)))
+		b.StartTimer()
 		res := inc.Analyze(p)
 		analyzed += res.Analyzed
 		reused += res.Reused
-		total += res.Total
 	}
 	b.StopTimer()
-	if reused == 0 {
-		b.Fatal("no cached function results reused")
+	if analyzed != b.N || reused != 7*b.N {
+		b.Fatalf("analyzed %d and reused %d functions over %d drafts, want 1 and 7 a draft", analyzed, reused, b.N)
 	}
-	if b.N > 1 && analyzed >= total {
-		b.Fatalf("no incremental win: analyzed %d of %d function runs", analyzed, total)
+}
+
+// TestMovedCalleeSummary: a helper spliced one line further down lends
+// its moved summary to a kernel that is re-analyzed (its first line is
+// indented, so its key changes). The kernel's findings cite the helper's
+// tokens, so they render as a fresh Analyze only if the summary's
+// positions moved with the helper.
+func TestMovedCalleeSummary(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "interp_*.cu"))
+	if err != nil || len(files) < 5 {
+		t.Fatalf("interprocedural corpus: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := compileT(t, string(src))
+		kernels := 0
+		for _, fn := range prog.Funcs {
+			if fn.IsKernel {
+				kernels++
+			}
+		}
+		inc := NewIncremental()
+		inc.Analyze(prog)
+		moved := compileT(t, "//\n"+strings.ReplaceAll(string(src), "__global__", " __global__"))
+		res := inc.Analyze(moved)
+		if got, want := renderDiags(res.Diagnostics), renderDiags(Analyze(moved)); got != want {
+			t.Fatalf("%s: moved helpers diverge from a full run:\nincremental:\n%s\nfull:\n%s", f, got, want)
+		}
+		if res.Analyzed != kernels || res.Reused != len(prog.Funcs)-kernels {
+			t.Errorf("%s: analyzed=%d reused=%d, want the %d kernels analyzed and the helpers reused", f, res.Analyzed, res.Reused, kernels)
+		}
 	}
 }

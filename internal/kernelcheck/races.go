@@ -117,13 +117,13 @@ func (a *analyzer) checkPair(xi, yi int, reported map[string]bool) {
 			rule = RuleRaceCall
 		}
 		a.diag(rule, SevError, y.pos,
-			fmt.Sprintf("shared-memory race on %s: %s of %s (%s) and %s (%s) in the same barrier interval; distinct threads touch the same element",
-				name, kind, x.expr, x.pos.Pos(), y.expr, y.pos.Pos()),
+			fmt.Sprintf("shared-memory race on %s: %s of %s %s and %s %s in the same barrier interval; distinct threads touch the same element",
+				name, kind, x.expr, citePos(x.pos), y.expr, citePos(y.pos)),
 			"separate the conflicting accesses with __syncthreads()")
 	} else {
 		a.diag(RuleRaceMaybe, SevWarn, y.pos,
-			fmt.Sprintf("possible shared-memory race on %s: %s of %s (%s) and %s (%s) in the same barrier interval",
-				name, kind, x.expr, x.pos.Pos(), y.expr, y.pos.Pos()),
+			fmt.Sprintf("possible shared-memory race on %s: %s of %s %s and %s %s in the same barrier interval",
+				name, kind, x.expr, citePos(x.pos), y.expr, citePos(y.pos)),
 			"separate the conflicting accesses with __syncthreads(), or show the threads cannot overlap")
 	}
 }

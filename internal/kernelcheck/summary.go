@@ -104,19 +104,6 @@ func summarizeFlags(prog *minicuda.Program) map[*minicuda.Function]*fnSummary {
 	return sums
 }
 
-// summarize computes the full summaries: flags for every function, and
-// effect summaries for device functions in callee-before-caller order.
-func summarize(prog *minicuda.Program) map[*minicuda.Function]*fnSummary {
-	sums := summarizeFlags(prog)
-	calls := calleeMap(prog)
-	for _, fn := range topoOrder(prog, calls) {
-		if !fn.IsKernel {
-			buildEffects(prog, fn, sums)
-		}
-	}
-	return sums
-}
-
 // calleeMap returns each function's direct user-function callees,
 // deduplicated and sorted by name for determinism.
 func calleeMap(prog *minicuda.Program) map[*minicuda.Function][]*minicuda.Function {
@@ -168,7 +155,7 @@ func topoOrder(prog *minicuda.Program, calls map[*minicuda.Function][]*minicuda.
 // placeholder parameter values and converts the recorded accesses into
 // the function's effect summary. A panic (an analyzer bug) leaves the
 // summary imprecise rather than failing the whole analysis.
-func buildEffects(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary) {
+func buildEffects(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicuda.Function]*fnSummary, walked func(minicuda.Stmt)) {
 	s := sums[fn]
 	defer func() {
 		if r := recover(); r != nil {
@@ -178,6 +165,7 @@ func buildEffects(prog *minicuda.Program, fn *minicuda.Function, sums map[*minic
 	}()
 
 	a := newAnalyzer(prog, fn, sums)
+	a.walked = walked
 	a.quiet = true
 	a.trackSummary = true
 	paramIdx := make(map[*minicuda.Symbol]int, len(fn.Params))
@@ -262,9 +250,11 @@ func (a *analyzer) noteBuiltinTerm(f string) {
 
 // localizer renames callee-local opaque terms with a call-site-unique
 // prefix so two different calls (or a call and the caller's own locals)
-// never alias; global uniforms pass through unchanged.
+// never alias; global uniforms pass through unchanged. The call site's
+// line is counted from the function's first line, so the names (which
+// messages show) do not change when the function moves.
 func (a *analyzer) localizer(tok minicuda.Token) func(string) string {
-	prefix := "c" + strconv.Itoa(tok.Line) + "_" + strconv.Itoa(tok.Col) + "~"
+	prefix := "c" + strconv.Itoa(tok.Line-a.fn.Tok().Line) + "_" + strconv.Itoa(tok.Col) + "~"
 	return func(f string) string {
 		if isGlobalUniform(f) {
 			a.noteBuiltinTerm(f)

@@ -154,6 +154,8 @@ type analyzer struct {
 
 	diags []Diagnostic
 
+	walked func(minicuda.Stmt) // sees every statement walkStmt visits; tests count with it
+
 	barrierDivSeen map[siteKey]bool
 	oobSeen        map[siteKey]bool
 	assignedMemo   map[minicuda.Node]map[string]bool
@@ -247,6 +249,9 @@ func (a *analyzer) diag(id string, sev Severity, tok minicuda.Token, msg, hint s
 // walkStmt interprets one statement and reports whether it definitely
 // transfers control out (return/break/continue on every path).
 func (a *analyzer) walkStmt(s minicuda.Stmt) bool {
+	if a.walked != nil {
+		a.walked(s)
+	}
 	switch st := s.(type) {
 	case *minicuda.Block:
 		term := false
@@ -515,15 +520,19 @@ func (a *analyzer) walkWhile(st *minicuda.WhileStmt) {
 	}
 }
 
+// fixpointCap bounds a loop's non-recording passes.
+const fixpointCap = 6
+
 // fixpoint runs body in non-recording mode until the environment
-// stabilizes. A variable whose affine value or bounds change between
-// iterations is not loop-invariant: it sticks to "unknown" so the
-// recording pass models an arbitrary iteration, not the first one.
+// stabilizes, at most fixpointCap times. A variable whose affine value
+// or bounds change between iterations is not loop-invariant: it sticks
+// to "unknown" so the recording pass models an arbitrary iteration, not
+// the first one.
 func (a *analyzer) fixpoint(body func()) {
 	savedRecord := a.record
 	a.record = false
 	sticky := make(map[*minicuda.Symbol]bool)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < fixpointCap; i++ {
 		prev := make(map[*minicuda.Symbol]varInfo, len(a.env))
 		for s, v := range a.env {
 			prev[s] = *v

@@ -109,6 +109,12 @@ type progEncoder struct {
 	typeIdx map[*Type]uint64   // 1-based; 0 = nil
 	symIdx  map[*Symbol]uint64 // 1-based; 0 = nil
 	fnIdx   map[*Function]uint64
+
+	// Position mode of token, for the structural hashes (hash.go): lines
+	// are written relative to lineBase, and omitPos drops positions. The
+	// program stream uses the zero value: absolute positions.
+	lineBase int
+	omitPos  bool
 }
 
 func newProgEncoder() *progEncoder {
@@ -249,7 +255,10 @@ func (e *progEncoder) sym(sym *Symbol) { e.u(e.symRef(sym)) }
 func (e *progEncoder) token(t Token) {
 	e.u(uint64(t.Kind))
 	e.str(t.Text)
-	e.u(uint64(t.Line))
+	if e.omitPos {
+		return
+	}
+	e.u(uint64(t.Line - e.lineBase))
 	e.u(uint64(t.Col))
 }
 

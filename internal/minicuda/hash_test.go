@@ -141,7 +141,10 @@ func TestHashEditSensitivity(t *testing.T) {
 		{name: "swap two statements", old: "out[1] = a; out[2] = tid;", new: "out[2] = tid; out[1] = a;", wantK: true},
 		{name: "while to do-while", old: "while (i < 4) { out[0] += s[i] + tab[i]; i++; }",
 			new: "do { out[0] += s[i] + tab[i]; i++; } while (i < 4);", wantK: true},
-		{name: "shift down one line", old: "__global__ void k(", new: "\n__global__ void k(", wantK: true},
+		{name: "shift down one line", old: "__global__ void k(", new: "\n__global__ void k("},
+		{name: "shift right one column", old: "__global__ void k(", new: " __global__ void k(", wantK: true},
+		{name: "break a line inside k", old: "bool odd = true;", new: "bool odd =\n true;", wantK: true},
+		{name: "shift the constant table down one line", old: "__constant__ int tab[4];", new: "\n__constant__ int tab[4];"},
 		{name: "edit a sibling in place", old: "out[0] = 1;", new: "out[0] = 2;"},
 		{name: "edit the callee in place", old: "n * 3;", new: "n * 5;"},
 		{name: "grow the constant table k reads", old: "tab[4];", new: "tab[8];", wantK: true, wantPrelude: true},

@@ -178,14 +178,15 @@ func TestCacheSeriesNames(t *testing.T) {
 	}
 	got := exportedNames(body)
 	for name := range got {
-		if !strings.HasPrefix(name, "progcache_") && name != "kernelcheck_analyzes" && name != "workers" {
+		if !strings.HasPrefix(name, "progcache_") && !strings.HasPrefix(name, "kernelcheck_fn_") &&
+			name != "kernelcheck_analyzes" && name != "workers" {
 			delete(got, name)
 		}
 	}
 	want := []string{
 		"progcache_entries", "progcache_evictions", "progcache_hits_diagnostics",
 		"progcache_bytecode_bytes", "progcache_disk_hits", "progcache_disk_diag_hits",
-		"progcache_store_errors", "kernelcheck_analyzes", "workers",
+		"progcache_store_errors", "kernelcheck_analyzes", "kernelcheck_fn_analyzed", "kernelcheck_fn_reused", "workers",
 	}
 	for _, name := range want {
 		if !got[name] {
@@ -252,12 +253,13 @@ func TestExportedSeriesNames(t *testing.T) {
 		"driver_idle_ticks", "driver_jobs", "driver_wakeups",
 		"job_exec_ms", "jobs_total",
 		"kernelcheck_analyzes",
+		"kernelcheck_fn_analyzed", "kernelcheck_fn_reused",
 		"kernelcheck_fire_kc_bank", "kernelcheck_fire_kc_barrier_call_div", "kernelcheck_fire_kc_barrier_div",
 		"kernelcheck_fire_kc_barrier_exit", "kernelcheck_fire_kc_coalesce", "kernelcheck_fire_kc_dead_store",
 		"kernelcheck_fire_kc_internal", "kernelcheck_fire_kc_oob", "kernelcheck_fire_kc_oob_maybe",
 		"kernelcheck_fire_kc_race", "kernelcheck_fire_kc_race_call", "kernelcheck_fire_kc_race_maybe",
 		"kernelcheck_fire_kc_unreachable", "kernelcheck_fire_kc_unused",
-		"kernelcheck_incremental_analyzed", "kernelcheck_incremental_reused", "kernelcheck_incremental_runs",
+		"kernelcheck_incremental_runs",
 		"outcomes_correct",
 		"overload_admitted_draft", "overload_admitted_read", "overload_admitted_submission",
 		"overload_burn_fast_draft", "overload_burn_fast_read", "overload_burn_fast_submission",

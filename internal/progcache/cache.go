@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 
 	"webgpu/internal/castore"
 	"webgpu/internal/kernelcheck"
@@ -63,6 +62,8 @@ type Stats struct {
 	Evictions       int64 // entries dropped by the LRU bound
 	Compiles        int64 // underlying compile executions (== Misses - DiskHits)
 	Analyzes        int64 // kernelcheck runs (first request per entry)
+	FnAnalyzed      int64 // functions those runs analyzed
+	FnReused        int64 // functions Diagnostics reported reused: spliced by a run, or all of a hit's
 	DiskHits        int64 // programs decoded from the durable store instead of compiled
 	DiskDiagHits    int64 // diagnostics decoded from the durable store instead of analyzed
 	StoreErrors     int64 // write-throughs the durable store refused (artifact kept in memory only)
@@ -89,11 +90,8 @@ type entry struct {
 	bcBytes int64 // bytecode artifact size, counted into Stats.BytecodeBytes
 
 	// Diagnostics are a derived artifact, computed on first request and
-	// then served from the entry like the program itself. diagsDone flips
-	// inside the Once body so CachedDiagnostics can answer without
-	// racing a concurrent fill.
+	// then served from the entry like the program itself.
 	diagsOnce sync.Once
-	diagsDone atomic.Bool
 	diags     []kernelcheck.Diagnostic
 }
 
@@ -116,7 +114,8 @@ type Cache struct {
 	lru      *list.List // front = most recently used
 	inflight map[string]*flight
 	compile  CompileFunc
-	store    *castore.Store // optional durable tier; nil = memory only
+	store    *castore.Store           // optional durable tier; nil = memory only
+	kc       *kernelcheck.Incremental // every analysis runs through it
 	stats    Stats
 }
 
@@ -136,6 +135,7 @@ func New(capacity int, reg *metrics.Registry) *Cache {
 		lru:      list.New(),
 		inflight: map[string]*flight{},
 		compile:  minicuda.Compile,
+		kc:       kernelcheck.NewIncremental(),
 	}
 	if reg != nil {
 		reg.AddCollector(func(r *metrics.Registry) {
@@ -148,6 +148,8 @@ func New(capacity int, reg *metrics.Registry) *Cache {
 			r.Set("progcache_disk_diag_hits", float64(s.DiskDiagHits))
 			r.Set("progcache_store_errors", float64(s.StoreErrors))
 			r.Set("kernelcheck_analyzes", float64(s.Analyzes))
+			r.Set("kernelcheck_fn_analyzed", float64(s.FnAnalyzed))
+			r.Set("kernelcheck_fn_reused", float64(s.FnReused))
 		})
 	}
 	return c
@@ -280,11 +282,13 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 }
 
 // Diagnostics returns the kernelcheck analysis for the source,
-// compiling it first if needed. The diagnostic slice is a derived
-// artifact cached on the program's entry: analysis runs once per
-// distinct (source, dialect) and every later call is a hit. The
-// returned slice is shared — callers must not mutate it.
-func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck.Diagnostic, error) {
+// compiling it first if needed. The diagnostics are a derived artifact
+// cached on the program's entry: analysis runs once per distinct
+// (source, dialect) and every later call is a hit, which reports every
+// function reused. The one analysis runs through the cache's engine, so
+// a function another source already had is spliced, not re-analyzed.
+// The returned slice is shared — callers must not mutate it.
+func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.Result, error) {
 	// Entry-first lookup: a pipeline that just compiled this source must
 	// not count a second cache hit (the worker's compile and analysis
 	// stages would otherwise double every hit counter).
@@ -295,7 +299,7 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck
 	if e == nil {
 		prog, _, err := c.CompileStatus(src, dialect)
 		if err != nil {
-			return nil, err
+			return kernelcheck.Result{}, err
 		}
 		c.mu.Lock()
 		e = c.entries[key]
@@ -303,22 +307,18 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck
 		if e == nil || e.prog != prog {
 			// Evicted (or replaced) between compile and lookup: analyze
 			// without caching. Rare — only under heavy LRU churn.
-			c.mu.Lock()
-			c.stats.Analyzes++
-			c.mu.Unlock()
-			return kernelcheck.Analyze(prog), nil
+			return c.analyze(prog), nil
 		}
 	}
 	if e.err != nil {
-		return nil, e.err
+		return kernelcheck.Result{}, e.err
 	}
 
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
+	store := c.Store()
+	n := len(e.prog.Funcs)
+	res := kernelcheck.Result{Reused: n, Total: n}
 	analyzed, fromDisk := false, false
 	e.diagsOnce.Do(func() {
-		defer e.diagsDone.Store(true)
 		// Read-through: diagnostics persist as JSON beside the program
 		// artifact. An unparseable entry is discarded and re-analyzed.
 		if store != nil {
@@ -333,69 +333,37 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck
 			}
 		}
 		analyzed = true
-		e.diags = kernelcheck.Analyze(e.prog)
+		res = c.analyze(e.prog)
+		e.diags = res.Diagnostics
 		if store != nil {
 			if data, merr := json.Marshal(e.diags); merr == nil {
 				c.persist(store, key, DiagBlob, data)
 			}
 		}
 	})
-	c.mu.Lock()
-	switch {
-	case fromDisk:
-		c.stats.DiskDiagHits++
-	case analyzed:
-		c.stats.Analyzes++
-	default:
-		c.stats.HitsDiagnostics++
-	}
-	c.mu.Unlock()
-	return e.diags, nil
-}
-
-// CachedDiagnostics returns the already-computed diagnostics for the
-// source if its entry is resident in memory with a finished analysis —
-// no compile, no disk read, no analysis is triggered. Callers that
-// maintain their own analysis engine (the devsession incremental loop)
-// use this to skip work the shared cache already holds, and seed the
-// cache through PutDiagnostics when it does not.
-func (c *Cache) CachedDiagnostics(src string, dialect minicuda.Dialect) ([]kernelcheck.Diagnostic, bool) {
-	key := Key(src, dialect)
-	c.mu.Lock()
-	e := c.entries[key]
-	c.mu.Unlock()
-	if e == nil || e.err != nil || !e.diagsDone.Load() {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.stats.HitsDiagnostics++
-	c.mu.Unlock()
-	return e.diags, true
-}
-
-// PutDiagnostics seeds the entry's diagnostics artifact with an
-// externally computed result (the devsession incremental engine, whose
-// output is byte-identical to Analyze by construction) and persists it
-// to the durable store. A no-op if the entry is absent, failed to
-// compile, or already carries diagnostics.
-func (c *Cache) PutDiagnostics(src string, dialect minicuda.Dialect, diags []kernelcheck.Diagnostic) {
-	key := Key(src, dialect)
-	c.mu.Lock()
-	e := c.entries[key]
-	store := c.store
-	c.mu.Unlock()
-	if e == nil || e.err != nil {
-		return
-	}
-	e.diagsOnce.Do(func() {
-		defer e.diagsDone.Store(true)
-		e.diags = diags
-		if store != nil {
-			if data, merr := json.Marshal(diags); merr == nil {
-				c.persist(store, key, DiagBlob, data)
-			}
+	if !analyzed {
+		c.mu.Lock()
+		if fromDisk {
+			c.stats.DiskDiagHits++
+		} else {
+			c.stats.HitsDiagnostics++
 		}
-	})
+		c.stats.FnReused += int64(n)
+		c.mu.Unlock()
+	}
+	res.Diagnostics = e.diags
+	return res, nil
+}
+
+// analyze runs kernelcheck through the cache's engine and counts the run.
+func (c *Cache) analyze(prog *minicuda.Program) kernelcheck.Result {
+	res := c.kc.Analyze(prog)
+	c.mu.Lock()
+	c.stats.Analyzes++
+	c.stats.FnAnalyzed += int64(res.Analyzed)
+	c.stats.FnReused += int64(res.Reused)
+	c.mu.Unlock()
+	return res
 }
 
 // persist writes an artifact through to the durable store, best effort: a

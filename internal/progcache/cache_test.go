@@ -2,11 +2,13 @@ package progcache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"webgpu/internal/kernelcheck"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
 )
@@ -241,5 +243,93 @@ func TestArtifactStats(t *testing.T) {
 	c.mu.Unlock()
 	if s.BytecodeBytes != total {
 		t.Fatalf("BytecodeBytes = %d, want %d (sum over live entries)", s.BytecodeBytes, total)
+	}
+}
+
+// TestDiagnosticsShareFunctionsAcrossSources: two sources that differ
+// only in a header of another line count have the same functions moved
+// down, so the second analysis splices the first's, and the collector
+// exports the split the results report — a whole-source hit counts all
+// its functions reused.
+func TestDiagnosticsShareFunctionsAcrossSources(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := New(8, reg)
+	src := kernelSrc(1) + "\n" + kernelSrc(2)
+	first, err := c.Diagnostics("// student 1\n"+src, minicuda.DialectCUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondSrc := "// student 2\n// of the next section\n" + src
+	second, err := c.Diagnostics(secondSrc, minicuda.DialectCUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Diagnostics(secondSrc, minicuda.DialectCUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name             string
+		res              kernelcheck.Result
+		analyzed, reused int
+	}{{"first source", first, 2, 0}, {"second source", second, 0, 2}, {"second source again", again, 0, 2}} {
+		if r.res.Analyzed != r.analyzed || r.res.Reused != r.reused || r.res.Total != 2 {
+			t.Errorf("%s: analyzed %d reused %d of %d, want %d/%d of 2", r.name, r.res.Analyzed, r.res.Reused, r.res.Total, r.analyzed, r.reused)
+		}
+	}
+	prog, err := minicuda.Compile(secondSrc, minicuda.DialectCUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(second.Diagnostics), fmt.Sprint(kernelcheck.Analyze(prog)); got != want {
+		t.Errorf("spliced diagnostics differ from a full analysis:\n%v\n%v", got, want)
+	}
+	reg.Collect()
+	if s := c.Stats(); s.Analyzes != 2 || s.HitsDiagnostics != 1 || s.FnAnalyzed != 2 || s.FnReused != 4 {
+		t.Errorf("stats = %+v, want 2 analyzes, 1 diagnostics hit, 2 functions analyzed and 4 reused", s)
+	}
+	if a, r := reg.Gauge("kernelcheck_fn_analyzed"), reg.Gauge("kernelcheck_fn_reused"); a != 2 || r != 4 {
+		t.Errorf("exported kernelcheck_fn_analyzed %v, kernelcheck_fn_reused %v, want 2 and 4", a, r)
+	}
+}
+
+// TestDraftReuseSurvivesFreshBurst: a live draft keeps splicing its
+// unchanged functions while other traffic streams more never-seen
+// functions through the cache than its engine holds between two of its
+// revisions. The draft's functions were hit by its second revision,
+// which protects them; the burst's were seen once and evict each other.
+func TestDraftReuseSurvivesFreshBurst(t *testing.T) {
+	c := New(DefaultCapacity, nil)
+	draft := func(rev int) kernelcheck.Result {
+		t.Helper()
+		res, err := c.Diagnostics(kernelSrc(1)+"\n"+kernelSrc(2)+"\n"+kernelSrc(1000+rev), minicuda.DialectCUDA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := draft(0); res.Analyzed != 3 {
+		t.Fatalf("first draft analyzed %d of 3", res.Analyzed)
+	}
+	if res := draft(1); res.Analyzed != 1 || res.Reused != 2 {
+		t.Fatalf("second draft: analyzed %d reused %d, want 1 and 2", res.Analyzed, res.Reused)
+	}
+	const perSource = 128
+	fresh := 0
+	for rev := 2; rev <= 4; rev++ {
+		// More fresh functions between two drafts than the engine holds.
+		for gap := 0; gap <= kernelcheck.MaxCachedFns; gap += perSource {
+			var sb strings.Builder
+			for k := 0; k < perSource; k++ {
+				fmt.Fprintf(&sb, "__global__ void b%d(int *out) { out[0] = %d; }\n", k, fresh)
+				fresh++
+			}
+			if res, err := c.Diagnostics(sb.String(), minicuda.DialectCUDA); err != nil || res.Analyzed != perSource {
+				t.Fatalf("burst source: analyzed %d of %d, err %v", res.Analyzed, perSource, err)
+			}
+		}
+		if res := draft(rev); res.Analyzed != 1 || res.Reused != 2 {
+			t.Fatalf("draft %d after %d fresh functions: analyzed %d reused %d, want 1 and 2", rev, fresh, res.Analyzed, res.Reused)
+		}
 	}
 }

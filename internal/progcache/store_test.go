@@ -108,19 +108,25 @@ func TestDiagnosticsReadThrough(t *testing.T) {
 }`
 	c1 := New(16, nil)
 	c1.SetStore(openStore(t, dir))
-	want, err := c1.Diagnostics(src, minicuda.DialectCUDA)
+	first, err := c1.Diagnostics(src, minicuda.DialectCUDA)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := first.Diagnostics
 	if st := c1.Stats(); st.Analyzes != 1 || st.DiskDiagHits != 0 {
 		t.Fatalf("first cache stats = %+v", st)
 	}
 
 	c2 := New(16, nil)
 	c2.SetStore(openStore(t, dir))
-	got, err := c2.Diagnostics(src, minicuda.DialectCUDA)
+	second, err := c2.Diagnostics(src, minicuda.DialectCUDA)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := second.Diagnostics
+	if first.Analyzed != 1 || first.Reused != 0 || second.Analyzed != 0 || second.Reused != 1 {
+		t.Fatalf("work split: analyzed %d/%d, reused %d/%d; want the first run to analyze and the disk hit to reuse",
+			first.Analyzed, second.Analyzed, first.Reused, second.Reused)
 	}
 	st := c2.Stats()
 	if st.Analyzes != 0 || st.DiskDiagHits != 1 {
@@ -169,10 +175,9 @@ func TestLostWriteThroughIsCounted(t *testing.T) {
 	if _, err := c.Diagnostics(variantSrc(0), minicuda.DialectCUDA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Compile(variantSrc(1), minicuda.DialectCUDA); err != nil {
+	if _, err := c.Diagnostics(variantSrc(1), minicuda.DialectCUDA); err != nil {
 		t.Fatal(err)
 	}
-	c.PutDiagnostics(variantSrc(1), minicuda.DialectCUDA, nil)
 	if st := c.Stats(); st.StoreErrors != 4 {
 		t.Fatalf("StoreErrors = %d after two programs and two diagnostics, want 4", st.StoreErrors)
 	}

@@ -331,11 +331,13 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		var diags []kernelcheck.Diagnostic
 		var kcWall time.Duration
 		analyze := func() {
-			var err error
-			if diags, err = n.progs.Diagnostics(job.Source, lab.Dialect); err != nil {
-				diags = nil // an analysis that failed has no findings
+			kres, err := n.progs.Diagnostics(job.Source, lab.Dialect)
+			if err != nil {
+				kres = kernelcheck.Result{} // an analysis that failed has no findings
 			}
-			kcWall = kc.End("findings", strconv.Itoa(len(diags)), "errors", strconv.Itoa(kernelcheck.ErrorCount(diags)))
+			diags = kres.Diagnostics
+			kcWall = kc.End("findings", strconv.Itoa(len(diags)), "errors", strconv.Itoa(kernelcheck.ErrorCount(diags)),
+				"analyzed", strconv.Itoa(kres.Analyzed), "reused", strconv.Itoa(kres.Reused))
 		}
 		finish := func() {
 			res.Diagnostics = diags

@@ -84,7 +84,7 @@ func TestTracedJobSpanNames(t *testing.T) {
 		"admission":   "worker",
 		"scan":        "rejected",
 		"compile":     "cache,ok",
-		"kernelcheck": "errors,findings,policy",
+		"kernelcheck": "analyzed,errors,findings,policy,reused",
 	}
 	for i := 0; i < labs.ByID("vector-add").NumDatasets; i++ {
 		want[fmt.Sprintf("exec[dataset=%d]", i)] = "canceled,correct,instructions,sim_time"
