@@ -79,7 +79,15 @@ func main() {
 	}
 
 	caps := map[string]bool{}
-	correct, failed := 0, 0
+	correct, failed, settleErrs := 0, 0, 0
+	// settle reports an ack or nack the broker refused: that result's
+	// lease runs out and it is delivered again.
+	settle := func(what string, err error) {
+		if err != nil {
+			settleErrs++
+			fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		}
+	}
 	for done := 0; done < *jobs; {
 		d, ok, err := broker.Poll(worker.TopicResults, "collector", caps, time.Minute)
 		if err != nil {
@@ -91,7 +99,7 @@ func main() {
 		}
 		res, err := worker.DecodeResult(d.Msg.Payload)
 		if err != nil {
-			_ = d.Nack()
+			settle("nack undecodable result", d.Nack())
 			continue
 		}
 		if res.Correct() {
@@ -100,14 +108,14 @@ func main() {
 			failed++
 			fmt.Fprintf(os.Stderr, "job %s failed: %s\n", res.JobID, res.Error)
 		}
-		_ = d.Ack()
+		settle("ack result of "+res.JobID, d.Ack())
 		done++
 	}
 	elapsed := time.Since(start)
 
 	fmt.Printf("lab:        %s (%s)\n", l.Name, l.ID)
 	fmt.Printf("fleet:      %d workers x %d GPUs\n", *workers, *gpus)
-	fmt.Printf("jobs:       %d total, %d correct, %d failed\n", *jobs, correct, failed)
+	fmt.Printf("jobs:       %d total, %d correct, %d failed, %d unsettled results\n", *jobs, correct, failed, settleErrs)
 	fmt.Printf("wall time:  %v (%.1f jobs/s)\n", elapsed.Round(time.Millisecond),
 		float64(*jobs)/elapsed.Seconds())
 	fmt.Printf("broker:     %+v\n", broker.Stats())

@@ -72,44 +72,20 @@ as a CUDA kernel. The scalar a is passed as a kernel argument.
 				Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(want)},
 			}, nil
 		},
-		Harness: func(rc *labs.RunContext) (wb.CheckResult, error) {
-			av, err := wb.ParseVector(rc.Dataset.Input("a.raw"))
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			x, err := wb.ParseVector(rc.Dataset.Input("x.raw"))
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			y, err := wb.ParseVector(rc.Dataset.Input("y.raw"))
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			dev := rc.Dev()
-			xP, err := dev.MallocFloat32(len(x), x)
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			yP, err := dev.MallocFloat32(len(y), y)
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
+		// The host program, as a libwb lab's main() is: every RunContext
+		// call logs its step, and the first one to fail ends the run.
+		Harness: func(rc *labs.RunContext) wb.CheckResult {
+			a := rc.Vector(rc.Input("a.raw"))[0]
+			x := rc.Vector(rc.Input("x.raw"))
+			y := rc.Vector(rc.Input("y.raw"))
 			n := len(x)
-			if _, err := rc.Program.Launch(dev, "saxpy",
-				rc.Opts(gpusim.D1((n+127)/128), gpusim.D1(128)),
-				minicuda.Float(av[0]), minicuda.FloatPtr(xP), minicuda.FloatPtr(yP),
-				minicuda.Int(n)); err != nil {
-				return wb.CheckResult{}, err
-			}
-			got, err := dev.ReadFloat32(yP, n)
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			want, err := wb.ParseVector(rc.Dataset.Expected.Data)
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
-			return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			xP := rc.ToDevice(x)
+			yP := rc.ToDevice(y)
+			rc.Launch("saxpy", gpusim.D1((n+127)/128), gpusim.D1(128),
+				minicuda.Float(a), minicuda.FloatPtr(xP), minicuda.FloatPtr(yP), minicuda.Int(n))
+			got := rc.ReadBack(yP, n)
+			want := rc.Vector(rc.Dataset.Expected.Data)
+			return wb.CompareFloats(got, want, wb.DefaultTolerance)
 		},
 	}
 
@@ -137,6 +113,7 @@ as a CUDA kernel. The scalar a is passed as a kernel argument.
 }`
 	o := labs.Run(context.Background(), saxpy, buggy, 0, devices, 0)
 	fmt.Printf("  dataset 0: correct=%v — %s\n", o.Correct, o.CheckMessage)
+	fmt.Printf("  its run log:\n%s", o.Trace)
 
 	fmt.Println("\nthe lab is now in the catalog alongside the Table II labs:")
 	for _, l := range labs.ForCourse(labs.CourseECE408) {

@@ -136,7 +136,9 @@ func Dispatch() string {
 	fmt.Fprintf(&sb, "v2: after lease expiry a healthy worker received it: %v (attempt %d)\n", ok, d2.Msg.Attempts)
 	node := worker.NewNode(worker.DefaultNodeConfig("healthy-worker"))
 	res := node.Execute(context.Background(), job)
-	_ = d2.Ack()
+	if err := d2.Ack(); err != nil {
+		fmt.Fprintf(&sb, "v2: ack failed: %v\n", err)
+	}
 	fmt.Fprintf(&sb, "v2: job completed correctly after redelivery: %v\n", res.Correct())
 	fmt.Fprintf(&sb, "v2: broker stats: %+v\n\n", b.Stats())
 

@@ -157,8 +157,8 @@ func TestRunAllCompileErrorShape(t *testing.T) {
 
 // TestDatasetFilesParsedOnce: a dataset file is decoded by the first run
 // that loads it and never again, every load is the caller's own copy (a
-// harness may write into its inputs), and every loader of the harness
-// layer returns what the wb parser returns.
+// harness may write into its inputs), and every parsing method of the
+// host API returns what the wb parser returns.
 func TestDatasetFilesParsedOnce(t *testing.T) {
 	l := ByID("vector-add")
 	entry := l.dataset(0)
@@ -183,8 +183,8 @@ func TestDatasetFilesParsedOnce(t *testing.T) {
 	}
 	// The same blob read as another type is parsed as that type, not
 	// served the cached one.
-	if ints, err := parseIntVector(&RunContext{files: &files}, wb.IntVectorBytes([]int32{7, 8})); err != nil || len(ints) != 2 {
-		t.Errorf("int vector = %v, %v", ints, err)
+	if ints := (&RunContext{files: &files}).IntVector(wb.IntVectorBytes([]int32{7, 8})); len(ints) != 2 {
+		t.Errorf("int vector = %v", ints)
 	}
 	if _, err := parsed(&RunContext{files: &files}, data, wb.ParseIntVector); err == nil {
 		t.Error("a float vector parsed as an int vector")
@@ -196,16 +196,16 @@ func TestDatasetFilesParsedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ {
-		got, err := loadVectorInput(rc, "input0.raw")
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: loadVectorInput = %v, %v; want %v", run, got, err, want)
+		got := rc.Vector(rc.Input("input0.raw"))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Vector = %v; want %v", run, got, want)
 		}
 		for i := range got {
 			got[i] = -1 // a harness scribbling on its input
 		}
 	}
 
-	// Every loader against its wb parser, on every file of every lab:
+	// Every parsing method against its wb parser, on every file of every lab:
 	// first load (parsed) and second (copied from the cache).
 	for _, l := range All() {
 		for id := 0; id < l.NumDatasets; id++ {
@@ -218,28 +218,28 @@ func TestDatasetFilesParsedOnce(t *testing.T) {
 				for load := 0; load < 2; load++ {
 					where := fmt.Sprintf("%s dataset %d %s load %d", l.ID, id, f.Name, load)
 					if v, err := wb.ParseVector(f.Data); err == nil {
-						if got, err := parseVector(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
-							t.Errorf("%s: parseVector differs from wb.ParseVector (%v)", where, err)
+						if got := rc.Vector(f.Data); !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: Vector differs from wb.ParseVector", where)
 						}
 					}
 					if v, err := wb.ParseIntVector(f.Data); err == nil {
-						if got, err := parseIntVector(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
-							t.Errorf("%s: parseIntVector differs from wb.ParseIntVector (%v)", where, err)
+						if got := rc.IntVector(f.Data); !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: IntVector differs from wb.ParseIntVector", where)
 						}
 					}
 					if v, r, c, err := wb.ParseMatrix(f.Data); err == nil {
-						if got, gr, gc, err := parseMatrix(rc, f.Data); err != nil || gr != r || gc != c || !reflect.DeepEqual(got, v) {
-							t.Errorf("%s: parseMatrix differs from wb.ParseMatrix (%v)", where, err)
+						if got, gr, gc := rc.Matrix(f.Data); gr != r || gc != c || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: Matrix differs from wb.ParseMatrix", where)
 						}
 					}
 					if v, w, h, err := wb.ParseImage(f.Data); err == nil {
-						if got, gw, gh, err := parseImage(rc, f.Data); err != nil || gw != w || gh != h || !reflect.DeepEqual(got, v) {
-							t.Errorf("%s: parseImage differs from wb.ParseImage (%v)", where, err)
+						if got, gw, gh := rc.Image(f.Data); gw != w || gh != h || !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: Image differs from wb.ParseImage", where)
 						}
 					}
 					if v, err := wb.ParseCSR(f.Data); err == nil {
-						if got, err := parseCSR(rc, f.Data); err != nil || !reflect.DeepEqual(got, v) {
-							t.Errorf("%s: parseCSR differs from wb.ParseCSR (%v)", where, err)
+						if got := rc.CSR(f.Data); !reflect.DeepEqual(got, v) {
+							t.Errorf("%s: CSR differs from wb.ParseCSR", where)
 						}
 					}
 				}

@@ -10,9 +10,49 @@ import (
 	"webgpu/internal/wb"
 )
 
-// Common harness plumbing shared by the lab drivers. Each helper mirrors a
-// stretch of the libwb main() the paper's labs wrap around student code:
-// import data, allocate GPU memory, copy, launch, copy back, check.
+// The host API a harness is written in. Each method mirrors a stretch of
+// the libwb main() the paper's labs wrap around student code: import
+// data, allocate GPU memory, copy, launch, copy back. A step that fails
+// ends the run, as libwb's wbCheck ends a lab's main: the method panics
+// with a hostFailure, which RunCompiled alone recovers and reports as the
+// outcome's runtime error. So a harness is straight-line code that never
+// checks an error. It must call the methods on its own goroutine, the one
+// RunCompiled recovers on.
+
+// hostFailure is the panic value of a failed host step.
+type hostFailure struct{ err error }
+
+// Fail ends the run with err as its runtime error; a harness calls it for
+// its own checks of what it read (dimensions, sizes).
+func (rc *RunContext) Fail(err error) { panic(hostFailure{err}) }
+
+// check ends the run when a host step failed.
+func check(err error) {
+	if err != nil {
+		panic(hostFailure{err})
+	}
+}
+
+// must is check for a step that also returns a value.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// runHarness runs a harness to its verdict or to its first failed host
+// step. Any other panic is the harness's own bug and propagates.
+func runHarness(h Harness, rc *RunContext) (res wb.CheckResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(hostFailure)
+			if !ok {
+				panic(r)
+			}
+			err = f.err
+		}
+	}()
+	return h(rc), nil
+}
 
 // ceilDiv is the grid-sizing helper every lab uses.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -27,7 +67,7 @@ type parsedFiles struct {
 // parsed returns parse(data) for one file of the run's dataset. The blobs
 // are generated once per process and never written (Lab.Dataset), so a
 // file is decoded by the first run that asks and the result kept beside
-// it; the typed wrappers below hand each run its own copy, because
+// it; the typed methods below hand each run its own copy, because
 // harnesses write into what they load. A file read as two types, a parse
 // error, or a context without a cache parses every time.
 func parsed[T any](rc *RunContext, data []byte, parse func([]byte) (T, error)) (T, error) {
@@ -49,14 +89,23 @@ func parsed[T any](rc *RunContext, data []byte, parse func([]byte) (T, error)) (
 	return v, err
 }
 
-func parseVector(rc *RunContext, data []byte) ([]float32, error) {
-	v, err := parsed(rc, data, wb.ParseVector)
-	return slices.Clone(v), err
+// Input returns the dataset's named input file.
+func (rc *RunContext) Input(name string) []byte {
+	data := rc.Dataset.Input(name)
+	if data == nil {
+		rc.Fail(fmt.Errorf("labs: dataset %q missing input %s", rc.Dataset.Name, name))
+	}
+	return data
 }
 
-func parseIntVector(rc *RunContext, data []byte) ([]int32, error) {
-	v, err := parsed(rc, data, wb.ParseIntVector)
-	return slices.Clone(v), err
+// Vector parses a float vector file.
+func (rc *RunContext) Vector(data []byte) []float32 {
+	return slices.Clone(must(parsed(rc, data, wb.ParseVector)))
+}
+
+// IntVector parses an int vector file.
+func (rc *RunContext) IntVector(data []byte) []int32 {
+	return slices.Clone(must(parsed(rc, data, wb.ParseIntVector)))
 }
 
 // grid is a parsed matrix or image: elements and the two header numbers.
@@ -65,125 +114,128 @@ type grid[E any] struct {
 	a, b  int
 }
 
-func parseMatrix(rc *RunContext, data []byte) ([]float32, int, int, error) {
-	g, err := parsed(rc, data, func(d []byte) (grid[float32], error) {
+// Matrix parses a matrix file into its elements, rows and columns.
+func (rc *RunContext) Matrix(data []byte) ([]float32, int, int) {
+	g := must(parsed(rc, data, func(d []byte) (grid[float32], error) {
 		m, rows, cols, err := wb.ParseMatrix(d)
 		return grid[float32]{m, rows, cols}, err
-	})
-	return slices.Clone(g.elems), g.a, g.b, err
+	}))
+	return slices.Clone(g.elems), g.a, g.b
 }
 
-func parseImage(rc *RunContext, data []byte) ([]byte, int, int, error) {
-	g, err := parsed(rc, data, func(d []byte) (grid[byte], error) {
+// Image parses an image file into its pixels, width and height.
+func (rc *RunContext) Image(data []byte) ([]byte, int, int) {
+	g := must(parsed(rc, data, func(d []byte) (grid[byte], error) {
 		pix, w, h, err := wb.ParseImage(d)
 		return grid[byte]{pix, w, h}, err
-	})
-	return slices.Clone(g.elems), g.a, g.b, err
+	}))
+	return slices.Clone(g.elems), g.a, g.b
 }
 
-func parseCSR(rc *RunContext, data []byte) (*wb.CSR, error) {
-	m, err := parsed(rc, data, wb.ParseCSR)
-	if err != nil {
-		return nil, err
-	}
+// CSR parses a sparse matrix file.
+func (rc *RunContext) CSR(data []byte) *wb.CSR {
+	m := must(parsed(rc, data, wb.ParseCSR))
 	return &wb.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: slices.Clone(m.RowPtr),
-		ColIdx: slices.Clone(m.ColIdx), Vals: slices.Clone(m.Vals)}, nil
+		ColIdx: slices.Clone(m.ColIdx), Vals: slices.Clone(m.Vals)}
 }
 
-// loadVectorInput parses a named float-vector input of the dataset.
-func loadVectorInput(rc *RunContext, name string) ([]float32, error) {
-	data := rc.Dataset.Input(name)
-	if data == nil {
-		return nil, fmt.Errorf("labs: dataset %q missing input %s", rc.Dataset.Name, name)
+// RequireKernel checks that the student's program defines each named
+// kernel, in order, failing with the diagnostic the course staff's
+// harnesses print.
+func (rc *RunContext) RequireKernel(names ...string) {
+	for _, name := range names {
+		if rc.Program.Kernel(name) == nil {
+			rc.Fail(fmt.Errorf("labs: solution must define a __global__ kernel named %q (found %v)",
+				name, rc.Program.Kernels()))
+		}
 	}
-	return parseVector(rc, data)
 }
 
-// loadMatrixInput parses a named float-matrix input of the dataset.
-func loadMatrixInput(rc *RunContext, name string) ([]float32, int, int, error) {
-	data := rc.Dataset.Input(name)
-	if data == nil {
-		return nil, 0, 0, fmt.Errorf("labs: dataset %q missing input %s", rc.Dataset.Name, name)
-	}
-	return parseMatrix(rc, data)
-}
-
-// expectedVector parses the dataset's expected float-vector output.
-func expectedVector(rc *RunContext) ([]float32, error) {
-	return parseVector(rc, rc.Dataset.Expected.Data)
-}
-
-// toDevice allocates and fills a float buffer on the primary GPU, timing
+// ToDevice allocates and fills a float buffer on the primary GPU, timing
 // the copy as the labs' wbTime(Copy) does — at its simulated duration, so
 // the run log is a function of the run, as the compute spans are.
-func toDevice(rc *RunContext, xs []float32) (gpusim.Ptr, error) {
+func (rc *RunContext) ToDevice(xs []float32) gpusim.Ptr {
 	rc.Trace.RecordSpan(wb.TimeCopy, "Copying input memory to the GPU", gpusim.CopyTime(4*len(xs)))
-	return rc.Dev().MallocFloat32(len(xs), xs)
+	return rc.MallocFloat32(len(xs), xs)
 }
 
-// launch runs a kernel on the primary device and records its simulated
-// time under the Compute timer.
-func launch(rc *RunContext, kernel string, grid, block gpusim.Dim3, args ...minicuda.Arg) error {
+// Launch runs a kernel on the primary GPU and records its simulated time
+// under the Compute timer, whether or not it completes.
+func (rc *RunContext) Launch(kernel string, grid, block gpusim.Dim3, args ...minicuda.Arg) {
 	stats, err := rc.Program.Launch(rc.Dev(), kernel, rc.Opts(grid, block), args...)
 	if stats != nil {
 		rc.Trace.RecordSpan(wb.TimeCompute, "Performing CUDA computation ("+kernel+")", stats.SimTime)
 	}
 	if err != nil {
-		return fmt.Errorf("kernel %s: %w", kernel, err)
+		rc.Fail(fmt.Errorf("kernel %s: %w", kernel, err))
 	}
-	return nil
 }
 
-// readBack copies a float result off the device under the Copy timer,
-// priced as toDevice's copy is.
-func readBack(rc *RunContext, p gpusim.Ptr, n int) ([]float32, error) {
+// ReadBack copies a float result off the primary GPU under the Copy
+// timer, priced as ToDevice's copy is.
+func (rc *RunContext) ReadBack(p gpusim.Ptr, n int) []float32 {
 	got, err := rc.Dev().ReadFloat32(p, n)
 	rc.Trace.RecordSpan(wb.TimeCopy, "Copying output memory to the CPU", gpusim.CopyTime(4*n))
-	return got, err
+	return must(got, err)
 }
 
-// requireKernel verifies the student's program defines the kernel the
-// harness will launch, producing the diagnostic the course staff's
-// harnesses print.
-func requireKernel(rc *RunContext, name string) error {
-	if rc.Program.Kernel(name) == nil {
-		return fmt.Errorf("labs: solution must define a __global__ kernel named %q (found %v)",
-			name, rc.Program.Kernels())
-	}
-	return nil
+// The primary GPU's memory calls, unlogged: scratch buffers and the
+// intermediate values a harness reads between launches.
+
+// Malloc allocates size bytes.
+func (rc *RunContext) Malloc(size int) gpusim.Ptr {
+	return must(rc.Dev().Malloc(size))
+}
+
+// MallocFloat32 allocates n floats and copies src (which may be shorter)
+// into them.
+func (rc *RunContext) MallocFloat32(n int, src []float32) gpusim.Ptr {
+	return must(rc.Dev().MallocFloat32(n, src))
+}
+
+// MallocInt32 allocates n ints and copies src (which may be shorter) into
+// them.
+func (rc *RunContext) MallocInt32(n int, src []int32) gpusim.Ptr {
+	return must(rc.Dev().MallocInt32(n, src))
+}
+
+// Memset fills n bytes at p with b.
+func (rc *RunContext) Memset(p gpusim.Ptr, b byte, n int) { check(rc.Dev().Memset(p, b, n)) }
+
+// MemcpyHtoD copies host bytes to p.
+func (rc *RunContext) MemcpyHtoD(p gpusim.Ptr, src []byte) { check(rc.Dev().MemcpyHtoD(p, src)) }
+
+// MemcpyDtoH copies len(dst) bytes at p to the host.
+func (rc *RunContext) MemcpyDtoH(dst []byte, p gpusim.Ptr) { check(rc.Dev().MemcpyDtoH(dst, p)) }
+
+// ReadFloat32 reads n floats at p.
+func (rc *RunContext) ReadFloat32(p gpusim.Ptr, n int) []float32 {
+	return must(rc.Dev().ReadFloat32(p, n))
+}
+
+// ReadInt32 reads n ints at p.
+func (rc *RunContext) ReadInt32(p gpusim.Ptr, n int) []int32 {
+	return must(rc.Dev().ReadInt32(p, n))
+}
+
+// LoadConstant fills the program's __constant__ variable name on the
+// primary GPU.
+func (rc *RunContext) LoadConstant(name string, data []byte) {
+	check(rc.Program.LoadConstant(rc.Dev(), name, data))
 }
 
 // vectorMapHarness builds a harness for the common one-input-vector,
 // one-output-vector shape given the kernel name and a launcher callback.
-func vectorMapHarness(kernel string, run func(rc *RunContext, in gpusim.Ptr, n int, out gpusim.Ptr) error) Harness {
-	return func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, kernel); err != nil {
-			return wb.CheckResult{}, err
-		}
-		in, err := loadVectorInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+func vectorMapHarness(kernel string, run func(rc *RunContext, in gpusim.Ptr, n int, out gpusim.Ptr)) Harness {
+	return func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel(kernel)
+		in := rc.Vector(rc.Input("input0.raw"))
 		rc.Trace.Logf(wb.LevelTrace, "The input length is %d", len(in))
-		inP, err := toDevice(rc, in)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := rc.Dev().Malloc(len(in) * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := run(rc, inP, len(in), outP); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, outP, len(in))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+		inP := rc.ToDevice(in)
+		outP := rc.Malloc(len(in) * 4)
+		run(rc, inP, len(in), outP)
+		got := rc.ReadBack(outP, len(in))
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	}
 }

@@ -98,3 +98,35 @@ func TestHarnessFailurePaths(t *testing.T) {
 		})
 	}
 }
+
+// TestHarnessPanicsPropagate: RunCompiled turns a failed host step into
+// the outcome's runtime error and nothing else; a harness's own panic is
+// a bug and reaches the caller, as it did before harnesses failed by
+// panicking.
+func TestHarnessPanicsPropagate(t *testing.T) {
+	vecAdd := ByID("vector-add")
+	prog, err := minicuda.Compile(vecAdd.Reference, vecAdd.Dialect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func(h Harness) *Lab {
+		return &Lab{ID: "panic-probe", NumDatasets: 1, Harness: h,
+			Generate: func(int) (*wb.Dataset, error) { return &wb.Dataset{Name: "probe"}, nil }}
+	}
+	o := RunCompiled(context.Background(), probe(func(rc *RunContext) wb.CheckResult {
+		rc.Fail(fmt.Errorf("labs: probe check"))
+		return wb.CheckResult{Correct: true}
+	}), prog, 0, NewDeviceSet(1), 0)
+	if o.RuntimeError != "labs: probe check" || o.Ran || o.Correct {
+		t.Errorf("Fail: %+v", o)
+	}
+	defer func() {
+		if r := recover(); r != "harness bug" {
+			t.Errorf("recovered %v, want the harness's own panic", r)
+		}
+	}()
+	RunCompiled(context.Background(), probe(func(rc *RunContext) wb.CheckResult {
+		panic("harness bug")
+	}), prog, 0, NewDeviceSet(1), 0)
+	t.Error("a harness's own panic was swallowed")
+}

@@ -143,80 +143,40 @@ __global__ void bfsLevel(int *rowPtr, int *colIdx, int *levels,
 			Expected: wb.File{Name: "output.raw", Data: wb.IntVectorBytes(want)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "bfsLevel"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		rowPtr, err := parseIntVector(rc, rc.Dataset.Input("rowptr.raw"))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		colIdx, err := parseIntVector(rc, rc.Dataset.Input("colidx.raw"))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("bfsLevel")
+		rowPtr := rc.IntVector(rc.Dataset.Input("rowptr.raw"))
+		colIdx := rc.IntVector(rc.Dataset.Input("colidx.raw"))
 		n := len(rowPtr) - 1
 		rc.Trace.Logf(wb.LevelTrace, "The graph has %d nodes and %d edges", n, len(colIdx))
-		dev := rc.Dev()
-		rowP, err := dev.MallocInt32(len(rowPtr), rowPtr)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		colP, err := dev.MallocInt32(maxI(len(colIdx), 1), colIdx)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		rowP := rc.MallocInt32(len(rowPtr), rowPtr)
+		colP := rc.MallocInt32(maxI(len(colIdx), 1), colIdx)
 		levels := make([]int32, n)
 		for i := range levels {
 			levels[i] = -1
 		}
 		levels[0] = 0
-		levP, err := dev.MallocInt32(n, levels)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		curP, err := dev.MallocInt32(n+1, []int32{0}) // frontier = {src}
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		nextP, err := dev.MallocInt32(n+1, nil)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		sizeP, err := dev.Malloc(4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		levP := rc.MallocInt32(n, levels)
+		curP := rc.MallocInt32(n+1, []int32{0}) // frontier = {src}
+		nextP := rc.MallocInt32(n+1, nil)
+		sizeP := rc.Malloc(4)
 		frontierSize := 1
 		for depth := 1; frontierSize > 0 && depth <= n+1; depth++ {
-			if err := dev.Memset(sizeP, 0, 4); err != nil {
-				return wb.CheckResult{}, err
-			}
-			if err := launch(rc, "bfsLevel",
+			rc.Memset(sizeP, 0, 4)
+			rc.Launch("bfsLevel",
 				gpusim.D1(ceilDiv(frontierSize, 64)), gpusim.D1(64),
 				minicuda.IntPtr(rowP), minicuda.IntPtr(colP), minicuda.IntPtr(levP),
 				minicuda.IntPtr(curP), minicuda.Int(frontierSize),
-				minicuda.IntPtr(nextP), minicuda.IntPtr(sizeP), minicuda.Int(depth)); err != nil {
-				return wb.CheckResult{}, err
-			}
-			sz, err := dev.ReadInt32(sizeP, 1)
-			if err != nil {
-				return wb.CheckResult{}, err
-			}
+				minicuda.IntPtr(nextP), minicuda.IntPtr(sizeP), minicuda.Int(depth))
+			sz := rc.ReadInt32(sizeP, 1)
 			if int(sz[0]) > n {
-				return wb.CheckResult{}, fmt.Errorf("labs: bfs produced frontier of %d > %d nodes", sz[0], n)
+				rc.Fail(fmt.Errorf("labs: bfs produced frontier of %d > %d nodes", sz[0], n))
 			}
 			frontierSize = int(sz[0])
 			curP, nextP = nextP, curP
 		}
-		got, err := dev.ReadInt32(levP, n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := parseIntVector(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareInts(got, want), nil
+		got := rc.ReadInt32(levP, n)
+		want := rc.IntVector(rc.Dataset.Expected.Data)
+		return wb.CompareInts(got, want)
 	},
 })

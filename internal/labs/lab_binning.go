@@ -144,84 +144,37 @@ __global__ void nearest(float *binned, int *starts, int *counts,
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(binningOracle(points, queries))},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		for _, k := range []string{"countBin", "scatterBin", "nearest"} {
-			if err := requireKernel(rc, k); err != nil {
-				return wb.CheckResult{}, err
-			}
-		}
-		points, err := loadVectorInput(rc, "points.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		queries, err := loadVectorInput(rc, "queries.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		dev := rc.Dev()
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("countBin", "scatterBin", "nearest")
+		points := rc.Vector(rc.Input("points.raw"))
+		queries := rc.Vector(rc.Input("queries.raw"))
 		n, nq := len(points), len(queries)
 		rc.Trace.Logf(wb.LevelTrace, "%d points, %d queries, %d bins", n, nq, binCount)
 
-		ptsP, err := toDevice(rc, points)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		countsP, err := dev.Malloc(binCount * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "countBin", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
-			minicuda.FloatPtr(ptsP), minicuda.IntPtr(countsP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		counts, err := dev.ReadInt32(countsP, binCount)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		ptsP := rc.ToDevice(points)
+		countsP := rc.Malloc(binCount * 4)
+		rc.Launch("countBin", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
+			minicuda.FloatPtr(ptsP), minicuda.IntPtr(countsP), minicuda.Int(n))
+		counts := rc.ReadInt32(countsP, binCount)
 		starts := make([]int32, binCount)
 		var run int32
 		for i, c := range counts {
 			starts[i] = run
 			run += c
 		}
-		startsP, err := dev.MallocInt32(binCount, starts)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		cursorsP, err := dev.Malloc(binCount * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		binnedP, err := dev.Malloc(n * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "scatterBin", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
+		startsP := rc.MallocInt32(binCount, starts)
+		cursorsP := rc.Malloc(binCount * 4)
+		binnedP := rc.Malloc(n * 4)
+		rc.Launch("scatterBin", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
 			minicuda.FloatPtr(ptsP), minicuda.IntPtr(startsP), minicuda.IntPtr(cursorsP),
-			minicuda.FloatPtr(binnedP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		qP, err := toDevice(rc, queries)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := dev.Malloc(nq * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "nearest", gpusim.D1(ceilDiv(nq, 64)), gpusim.D1(64),
+			minicuda.FloatPtr(binnedP), minicuda.Int(n))
+		qP := rc.ToDevice(queries)
+		outP := rc.Malloc(nq * 4)
+		rc.Launch("nearest", gpusim.D1(ceilDiv(nq, 64)), gpusim.D1(64),
 			minicuda.FloatPtr(binnedP), minicuda.IntPtr(startsP), minicuda.IntPtr(countsP),
-			minicuda.FloatPtr(qP), minicuda.FloatPtr(outP), minicuda.Int(nq)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, outP, nq)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.FloatPtr(qP), minicuda.FloatPtr(outP), minicuda.Int(nq))
+		got := rc.ReadBack(outP, nq)
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

@@ -115,47 +115,23 @@ __global__ void convolution2D(float *in, float *out, int height, int width) {
 			Expected: wb.File{Name: "output.raw", Data: wb.MatrixBytes(want, h, w)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "convolution2D"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		img, h, w, err := loadMatrixInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		mask, mh, mw, err := loadMatrixInput(rc, "mask.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("convolution2D")
+		img, h, w := rc.Matrix(rc.Input("input0.raw"))
+		mask, mh, mw := rc.Matrix(rc.Input("mask.raw"))
 		if mh != convMaskWidth || mw != convMaskWidth {
-			return wb.CheckResult{}, errDims(mh, convMaskWidth)
+			rc.Fail(errDims(mh, convMaskWidth))
 		}
 		rc.Trace.Logf(wb.LevelTrace, "The image is %d x %d", h, w)
-		if err := rc.Program.LoadConstant(rc.Dev(), "M", gpusim.Float32Bytes(mask)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		inP, err := toDevice(rc, img)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := rc.Dev().Malloc(h * w * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "convolution2D",
+		rc.LoadConstant("M", gpusim.Float32Bytes(mask))
+		inP := rc.ToDevice(img)
+		outP := rc.Malloc(h * w * 4)
+		rc.Launch("convolution2D",
 			gpusim.D2(ceilDiv(w, 8), ceilDiv(h, 8)), gpusim.D2(8, 8),
 			minicuda.FloatPtr(inP), minicuda.FloatPtr(outP),
-			minicuda.Int(h), minicuda.Int(w)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, outP, h*w)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.Int(h), minicuda.Int(w))
+		got := rc.ReadBack(outP, h*w)
+		want, _, _ := rc.Matrix(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

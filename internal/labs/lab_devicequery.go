@@ -67,33 +67,16 @@ __global__ void deviceQuery(int *out, int len) {
 			Expected: wb.File{Name: "output.raw", Data: wb.IntVectorBytes(want)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "deviceQuery"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		in, err := parseIntVector(rc, rc.Dataset.Input("input0.raw"))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		n := len(in)
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("deviceQuery")
+		n := len(rc.IntVector(rc.Dataset.Input("input0.raw")))
 		rc.Trace.Logf(wb.LevelTrace, "Querying device 0")
 		rc.Trace.Logf(wb.LevelInfo, "%s", rc.Dev().QueryString())
-		outP, err := rc.Dev().MallocInt32(n, nil)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "deviceQuery", gpusim.D1(ceilDiv(n, 64)), gpusim.D1(64),
-			minicuda.IntPtr(outP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := rc.Dev().ReadInt32(outP, n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := parseIntVector(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareInts(got, want), nil
+		outP := rc.MallocInt32(n, nil)
+		rc.Launch("deviceQuery", gpusim.D1(ceilDiv(n, 64)), gpusim.D1(64),
+			minicuda.IntPtr(outP), minicuda.Int(n))
+		got := rc.ReadInt32(outP, n)
+		want := rc.IntVector(rc.Dataset.Expected.Data)
+		return wb.CompareInts(got, want)
 	},
 })

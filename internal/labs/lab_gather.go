@@ -78,8 +78,8 @@ array.
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(want)},
 		}, nil
 	},
-	Harness: vectorMapHarness("gatherKernel", func(rc *RunContext, in gpusim.Ptr, n int, out gpusim.Ptr) error {
-		return launch(rc, "gatherKernel", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
+	Harness: vectorMapHarness("gatherKernel", func(rc *RunContext, in gpusim.Ptr, n int, out gpusim.Ptr) {
+		rc.Launch("gatherKernel", gpusim.D1(ceilDiv(n, 128)), gpusim.D1(128),
 			minicuda.FloatPtr(in), minicuda.FloatPtr(out), minicuda.Int(n))
 	}),
 })

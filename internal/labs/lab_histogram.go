@@ -111,38 +111,18 @@ __global__ void equalize(unsigned char *input, unsigned char *output,
 			Expected: wb.File{Name: "output.ppm", Data: wb.ImageBytes(equalizeOracle(pix), w, h)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		for _, k := range []string{"histogram", "equalize"} {
-			if err := requireKernel(rc, k); err != nil {
-				return wb.CheckResult{}, err
-			}
-		}
-		pix, w, h, err := parseImage(rc, rc.Dataset.Input("input0.ppm"))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("histogram", "equalize")
+		pix, w, h := rc.Image(rc.Dataset.Input("input0.ppm"))
 		n := len(pix)
 		rc.Trace.Logf(wb.LevelTrace, "The image is %d x %d", w, h)
 
-		inP, err := rc.Dev().Malloc(n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := rc.Dev().MemcpyHtoD(inP, pix); err != nil {
-			return wb.CheckResult{}, err
-		}
-		binsP, err := rc.Dev().Malloc(256 * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "histogram", gpusim.D1(8), gpusim.D1(128),
-			minicuda.UCharPtr(inP), minicuda.IntPtr(binsP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		bins, err := rc.Dev().ReadInt32(binsP, 256)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		inP := rc.Malloc(n)
+		rc.MemcpyHtoD(inP, pix)
+		binsP := rc.Malloc(256 * 4)
+		rc.Launch("histogram", gpusim.D1(8), gpusim.D1(128),
+			minicuda.UCharPtr(inP), minicuda.IntPtr(binsP), minicuda.Int(n))
+		bins := rc.ReadInt32(binsP, 256)
 
 		// Host-side CDF, as in the course harness.
 		cdf := make([]float32, 256)
@@ -157,28 +137,15 @@ __global__ void equalize(unsigned char *input, unsigned char *output,
 				cdfMin = cdf[i]
 			}
 		}
-		cdfP, err := rc.Dev().MallocFloat32(256, cdf)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := rc.Dev().Malloc(n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "equalize", gpusim.D1(ceilDiv(n, 256)), gpusim.D1(256),
+		cdfP := rc.MallocFloat32(256, cdf)
+		outP := rc.Malloc(n)
+		rc.Launch("equalize", gpusim.D1(ceilDiv(n, 256)), gpusim.D1(256),
 			minicuda.UCharPtr(inP), minicuda.UCharPtr(outP), minicuda.FloatPtr(cdfP),
-			minicuda.Float(cdfMin), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
+			minicuda.Float(cdfMin), minicuda.Int(n))
 		got := make([]byte, n)
-		if err := rc.Dev().MemcpyDtoH(got, outP); err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, _, _, err := parseImage(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		rc.MemcpyDtoH(got, outP)
+		want, _, _ := rc.Image(rc.Dataset.Expected.Data)
 		// +-1 slack absorbs float32-vs-float64 CDF rounding.
-		return wb.CompareBytes(got, want, 1), nil
+		return wb.CompareBytes(got, want, 1)
 	},
 })

@@ -47,50 +47,25 @@ func genMatMulDataset(labID string, datasetID int) (*wb.Dataset, error) {
 }
 
 func matMulHarness(kernel string, block int) Harness {
-	return func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, kernel); err != nil {
-			return wb.CheckResult{}, err
-		}
-		a, ra, ca, err := loadMatrixInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		b, rb, cb, err := loadMatrixInput(rc, "input1.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	return func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel(kernel)
+		a, ra, ca := rc.Matrix(rc.Input("input0.raw"))
+		b, rb, cb := rc.Matrix(rc.Input("input1.raw"))
 		if ca != rb {
-			return wb.CheckResult{}, errDims(ca, rb)
+			rc.Fail(errDims(ca, rb))
 		}
 		rc.Trace.Logf(wb.LevelTrace, "The dimensions of A are %d x %d", ra, ca)
 		rc.Trace.Logf(wb.LevelTrace, "The dimensions of B are %d x %d", rb, cb)
-		aP, err := toDevice(rc, a)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		bP, err := toDevice(rc, b)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		cP, err := rc.Dev().Malloc(ra * cb * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		aP := rc.ToDevice(a)
+		bP := rc.ToDevice(b)
+		cP := rc.Malloc(ra * cb * 4)
 		grid := gpusim.D2(ceilDiv(cb, block), ceilDiv(ra, block))
-		if err := launch(rc, kernel, grid, gpusim.D2(block, block),
+		rc.Launch(kernel, grid, gpusim.D2(block, block),
 			minicuda.FloatPtr(aP), minicuda.FloatPtr(bP), minicuda.FloatPtr(cP),
-			minicuda.Int(ra), minicuda.Int(ca), minicuda.Int(cb)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, cP, ra*cb)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.Int(ra), minicuda.Int(ca), minicuda.Int(cb))
+		got := rc.ReadBack(cP, ra*cb)
+		want, _, _ := rc.Matrix(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	}
 }
 

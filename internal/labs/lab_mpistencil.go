@@ -98,22 +98,17 @@ sends and receives is the point of this lab.
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(mpiStencilOracle(in, mpiStencilIters))},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "stencilStrip"); err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("stencilStrip")
 		if len(rc.Devices) < mpiStencilRanks {
-			return wb.CheckResult{}, fmt.Errorf("labs: mpi-stencil needs %d GPUs, worker has %d",
-				mpiStencilRanks, len(rc.Devices))
+			rc.Fail(fmt.Errorf("labs: mpi-stencil needs %d GPUs, worker has %d",
+				mpiStencilRanks, len(rc.Devices)))
 		}
-		in, err := loadVectorInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		in := rc.Vector(rc.Input("input0.raw"))
 		n := len(in)
 		if n%mpiStencilRanks != 0 {
-			return wb.CheckResult{}, fmt.Errorf("labs: input length %d not divisible by %d ranks",
-				n, mpiStencilRanks)
+			rc.Fail(fmt.Errorf("labs: input length %d not divisible by %d ranks",
+				n, mpiStencilRanks))
 		}
 		local := n / mpiStencilRanks
 		rc.Trace.Logf(wb.LevelTrace, "%d elements over %d ranks (%d each), %d iterations",
@@ -121,7 +116,7 @@ sends and receives is the point of this lab.
 
 		world, err := mpi.NewWorld(mpiStencilRanks)
 		if err != nil {
-			return wb.CheckResult{}, err
+			rc.Fail(err)
 		}
 		results := make([][]float32, mpiStencilRanks)
 		// Each rank keeps its own launch times; they join the run log in
@@ -206,8 +201,7 @@ sends and receives is the point of this lab.
 					return err
 				}
 				stats, err := rc.Program.Launch(dev, "stencilStrip",
-					minicuda.LaunchOpts{Grid: gpusim.D1(ceilDiv(local, 64)),
-						Block: gpusim.D1(64), MaxSteps: rc.MaxSteps},
+					rc.Opts(gpusim.D1(ceilDiv(local, 64)), gpusim.D1(64)),
 					minicuda.FloatPtr(inP), minicuda.FloatPtr(outP), minicuda.Int(local))
 				if stats != nil {
 					spans[rank] = append(spans[rank], stats.SimTime)
@@ -230,16 +224,13 @@ sends and receives is the point of this lab.
 			}
 		}
 		if err != nil {
-			return wb.CheckResult{}, err
+			rc.Fail(err)
 		}
 		var got []float32
 		for _, part := range results {
 			got = append(got, part...)
 		}
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

@@ -67,43 +67,18 @@ from CUDA:
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(want)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "vadd"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		a, err := loadVectorInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		b, err := loadVectorInput(rc, "input1.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		aP, err := toDevice(rc, a)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		bP, err := toDevice(rc, b)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := rc.Dev().Malloc(len(a) * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "vadd", gpusim.D1(ceilDiv(len(a), 64)), gpusim.D1(64),
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("vadd")
+		a := rc.Vector(rc.Input("input0.raw"))
+		b := rc.Vector(rc.Input("input1.raw"))
+		aP := rc.ToDevice(a)
+		bP := rc.ToDevice(b)
+		outP := rc.Malloc(len(a) * 4)
+		rc.Launch("vadd", gpusim.D1(ceilDiv(len(a), 64)), gpusim.D1(64),
 			minicuda.FloatPtr(aP), minicuda.FloatPtr(bP), minicuda.FloatPtr(outP),
-			minicuda.Int(len(a))); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, outP, len(a))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.Int(len(a)))
+		got := rc.ReadBack(outP, len(a))
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

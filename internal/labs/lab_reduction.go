@@ -120,79 +120,37 @@ __global__ void addScannedBlockSums(float *output, float *blockSums, int len) {
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(want)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		for _, k := range []string{"total", "scan", "addScannedBlockSums"} {
-			if err := requireKernel(rc, k); err != nil {
-				return wb.CheckResult{}, err
-			}
-		}
-		in, err := loadVectorInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("total", "scan", "addScannedBlockSums")
+		in := rc.Vector(rc.Input("input0.raw"))
 		n := len(in)
 		rc.Trace.Logf(wb.LevelTrace, "The input length is %d", n)
-		inP, err := toDevice(rc, in)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		inP := rc.ToDevice(in)
 		const blockSize = 256
 		sections := ceilDiv(n, 2*blockSize)
 
-		// Part 1: reduction.
-		totalP, err := rc.Dev().Malloc(4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "total", gpusim.D1(sections), gpusim.D1(blockSize),
-			minicuda.FloatPtr(inP), minicuda.FloatPtr(totalP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		totalV, err := rc.Dev().ReadFloat32(totalP, 1)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+		totalP := rc.Malloc(4)
+		rc.Launch("total", gpusim.D1(sections), gpusim.D1(blockSize),
+			minicuda.FloatPtr(inP), minicuda.FloatPtr(totalP), minicuda.Int(n))
+		total := rc.ReadFloat32(totalP, 1)[0]
 
-		// Part 2: scan with host-side block-sum scan (as the course lab's
-		// harness does for the multi-block case).
-		outP, err := rc.Dev().Malloc(n * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		sumsP, err := rc.Dev().Malloc(sections * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "scan", gpusim.D1(sections), gpusim.D1(blockSize),
+		outP := rc.Malloc(n * 4)
+		sumsP := rc.Malloc(sections * 4)
+		rc.Launch("scan", gpusim.D1(sections), gpusim.D1(blockSize),
 			minicuda.FloatPtr(inP), minicuda.FloatPtr(outP), minicuda.FloatPtr(sumsP),
-			minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		sums, err := rc.Dev().ReadFloat32(sumsP, sections)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+			minicuda.Int(n))
+		sums := rc.ReadFloat32(sumsP, sections)
 		for i := 1; i < len(sums); i++ {
 			sums[i] += sums[i-1]
 		}
-		if err := rc.Dev().MemcpyHtoD(sumsP, gpusim.Float32Bytes(sums)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "addScannedBlockSums",
+		rc.MemcpyHtoD(sumsP, gpusim.Float32Bytes(sums))
+		rc.Launch("addScannedBlockSums",
 			gpusim.D1(ceilDiv(n, blockSize)), gpusim.D1(blockSize),
-			minicuda.FloatPtr(outP), minicuda.FloatPtr(sumsP), minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		scanned, err := readBack(rc, outP, n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+			minicuda.FloatPtr(outP), minicuda.FloatPtr(sumsP), minicuda.Int(n))
+		scanned := rc.ReadBack(outP, n)
 
-		got := append([]float32{totalV[0]}, scanned...)
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+		got := append([]float32{total}, scanned...)
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

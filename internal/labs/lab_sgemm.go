@@ -111,43 +111,18 @@ __global__ void sgemm(float *A, float *B, float *C, int n) {
 			Expected: wb.File{Name: "output.raw", Data: wb.MatrixBytes(want, n, n)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "sgemm"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		a, n, _, err := loadMatrixInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		b, _, _, err := loadMatrixInput(rc, "input1.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		aP, err := toDevice(rc, a)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		bP, err := toDevice(rc, b)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		cP, err := rc.Dev().Malloc(n * n * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "sgemm", gpusim.D2(n/16, n/16), gpusim.D2(8, 8),
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("sgemm")
+		a, n, _ := rc.Matrix(rc.Input("input0.raw"))
+		b, _, _ := rc.Matrix(rc.Input("input1.raw"))
+		aP := rc.ToDevice(a)
+		bP := rc.ToDevice(b)
+		cP := rc.Malloc(n * n * 4)
+		rc.Launch("sgemm", gpusim.D2(n/16, n/16), gpusim.D2(8, 8),
 			minicuda.FloatPtr(aP), minicuda.FloatPtr(bP), minicuda.FloatPtr(cP),
-			minicuda.Int(n)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, cP, n*n)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.Int(n))
+		got := rc.ReadBack(cP, n*n)
+		want, _, _ := rc.Matrix(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

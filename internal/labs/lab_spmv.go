@@ -85,55 +85,23 @@ and control divergence — the JDS format covered in lecture addresses this.
 			Expected: wb.File{Name: "output.raw", Data: wb.VectorBytes(want)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "spmvCSR"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		m, err := parseCSR(rc, rc.Dataset.Input("matrix.csr"))
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		x, err := loadVectorInput(rc, "vector.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("spmvCSR")
+		m := rc.CSR(rc.Dataset.Input("matrix.csr"))
+		x := rc.Vector(rc.Input("vector.raw"))
 		rc.Trace.Logf(wb.LevelTrace, "The matrix is %d x %d with %d non-zeros",
 			m.Rows, m.Cols, len(m.Vals))
-		dev := rc.Dev()
-		rowP, err := dev.MallocInt32(len(m.RowPtr), m.RowPtr)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		colP, err := dev.MallocInt32(maxI(len(m.ColIdx), 1), m.ColIdx)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		valP, err := dev.MallocFloat32(maxI(len(m.Vals), 1), m.Vals)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		xP, err := toDevice(rc, x)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		yP, err := dev.Malloc(m.Rows * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		if err := launch(rc, "spmvCSR", gpusim.D1(ceilDiv(m.Rows, 128)), gpusim.D1(128),
+		rowP := rc.MallocInt32(len(m.RowPtr), m.RowPtr)
+		colP := rc.MallocInt32(maxI(len(m.ColIdx), 1), m.ColIdx)
+		valP := rc.MallocFloat32(maxI(len(m.Vals), 1), m.Vals)
+		xP := rc.ToDevice(x)
+		yP := rc.Malloc(m.Rows * 4)
+		rc.Launch("spmvCSR", gpusim.D1(ceilDiv(m.Rows, 128)), gpusim.D1(128),
 			minicuda.IntPtr(rowP), minicuda.IntPtr(colP), minicuda.FloatPtr(valP),
-			minicuda.FloatPtr(xP), minicuda.FloatPtr(yP), minicuda.Int(m.Rows)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, yP, m.Rows)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, err := expectedVector(rc)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.FloatPtr(xP), minicuda.FloatPtr(yP), minicuda.Int(m.Rows))
+		got := rc.ReadBack(yP, m.Rows)
+		want := rc.Vector(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })
 

@@ -98,37 +98,18 @@ __global__ void stencil2D(float *in, float *out, int height, int width) {
 			Expected: wb.File{Name: "output.raw", Data: wb.MatrixBytes(stencilOracle(in, h, w), h, w)},
 		}, nil
 	},
-	Harness: func(rc *RunContext) (wb.CheckResult, error) {
-		if err := requireKernel(rc, "stencil2D"); err != nil {
-			return wb.CheckResult{}, err
-		}
-		in, h, w, err := loadMatrixInput(rc, "input0.raw")
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		inP, err := toDevice(rc, in)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		outP, err := rc.Dev().Malloc(h * w * 4)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
+	Harness: func(rc *RunContext) wb.CheckResult {
+		rc.RequireKernel("stencil2D")
+		in, h, w := rc.Matrix(rc.Input("input0.raw"))
+		inP := rc.ToDevice(in)
+		outP := rc.Malloc(h * w * 4)
 		const coarsen = 4
 		grid := gpusim.D2(ceilDiv(w, 16), ceilDiv(ceilDiv(h, coarsen), 4))
-		if err := launch(rc, "stencil2D", grid, gpusim.D2(16, 4),
+		rc.Launch("stencil2D", grid, gpusim.D2(16, 4),
 			minicuda.FloatPtr(inP), minicuda.FloatPtr(outP),
-			minicuda.Int(h), minicuda.Int(w)); err != nil {
-			return wb.CheckResult{}, err
-		}
-		got, err := readBack(rc, outP, h*w)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		want, _, _, err := parseMatrix(rc, rc.Dataset.Expected.Data)
-		if err != nil {
-			return wb.CheckResult{}, err
-		}
-		return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+			minicuda.Int(h), minicuda.Int(w))
+		got := rc.ReadBack(outP, h*w)
+		want, _, _ := rc.Matrix(rc.Dataset.Expected.Data)
+		return wb.CompareFloats(got, want, wb.DefaultTolerance)
 	},
 })

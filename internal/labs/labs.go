@@ -81,8 +81,10 @@ func (rc *RunContext) Opts(grid, block gpusim.Dim3) minicuda.LaunchOpts {
 }
 
 // Harness is the host-side driver of a lab: it stands in for the main()
-// that libwb-based labs run around the student's kernels.
-type Harness func(rc *RunContext) (wb.CheckResult, error)
+// that libwb-based labs run around the student's kernels. It takes its
+// host steps through rc's methods (harness.go), the first of which to
+// fail ends the run, and returns the check of what it read back.
+type Harness func(rc *RunContext) wb.CheckResult
 
 // Lab is one catalog entry.
 type Lab struct {

@@ -157,7 +157,7 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 		before[i] = d.LaunchCount()
 	}
 
-	check, err := l.Harness(rc)
+	res, err := runHarness(l.Harness, rc)
 	o.Trace = trace.String()
 	for i, d := range rc.Devices {
 		for _, s := range d.Launches()[before[i]:] {
@@ -171,8 +171,8 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 		return o
 	}
 	o.Ran = true
-	o.Correct = check.Correct
-	o.CheckMessage = check.Message
+	o.Correct = res.Correct
+	o.CheckMessage = res.Message
 	return o
 }
 

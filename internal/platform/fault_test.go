@@ -180,11 +180,37 @@ func TestRouterSettlesResultWhenAckFails(t *testing.T) {
 			if got := m.Counter("broker_duplicate_results"); got != tc.duplicates {
 				t.Errorf("broker_duplicate_results = %v, want %v", got, tc.duplicates)
 			}
+			if got := m.Counter("router_settle_errors"); got != 0 {
+				t.Errorf("router_settle_errors = %v, want 0: the hand-back succeeded", got)
+			}
 			select {
 			case res := <-ch:
 				t.Errorf("second delivery: %+v", res)
 			default:
 			}
 		})
+	}
+}
+
+// TestRouterCountsFailedNacks: a hand-back the broker refuses (here, of a
+// result already settled) is counted, not dropped in silence.
+func TestRouterCountsFailedNacks(t *testing.T) {
+	b := queue.NewBroker()
+	m := metrics.NewRegistry()
+	rr := &resultRouter{broker: b, metrics: m}
+	if _, err := b.Publish(worker.TopicResults, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	d, ok, err := b.Poll(worker.TopicResults, "router", nil, time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("poll = %v, %v", ok, err)
+	}
+	rr.nack(d)
+	if got := m.Counter("router_settle_errors"); got != 0 {
+		t.Fatalf("router_settle_errors = %v after a good nack, want 0", got)
+	}
+	rr.nack(d)
+	if got := m.Counter("router_settle_errors"); got != 1 {
+		t.Errorf("router_settle_errors = %v after nacking a settled delivery, want 1", got)
 	}
 }

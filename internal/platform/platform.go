@@ -501,7 +501,7 @@ func (rr *resultRouter) loop() {
 		}
 		res, derr := worker.DecodeResult(d.Msg.Payload)
 		if derr != nil {
-			_ = d.Nack()
+			rr.nack(d)
 			continue
 		}
 		// At-least-once means a job that redelivered (worker crash after
@@ -540,7 +540,16 @@ func (rr *resultRouter) ack(d *queue.Delivery) {
 			return // settled, or the lease is no longer ours to settle
 		}
 	}
-	_ = d.Nack() // if this fails too, the lease runs out
+	rr.nack(d)
+}
+
+// nack hands a result back to the broker. One that fails leaves the
+// lease to run out, and the result comes back a visibility window late;
+// router_settle_errors counts those.
+func (rr *resultRouter) nack(d *queue.Delivery) {
+	if d.Nack() != nil {
+		rr.metrics.Inc("router_settle_errors", 1)
+	}
 }
 
 func (rr *resultRouter) stop() {

@@ -1,17 +1,17 @@
 // Package wb is the Go equivalent of libwb, the WebGPU support library
 // (https://github.com/abduld/libwb) that course lab harnesses link against.
-// It provides the dataset file formats instructors ship with labs, import
-// and export helpers, the wbTime/wbLog instrumentation students see in
+// It provides the dataset file formats instructors ship with labs, their
+// parsers and renderers, the wbTime/wbLog instrumentation students see in
 // their lab output, and tolerance-based solution checking.
 package wb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // File is a named dataset file (input or expected output).
@@ -40,21 +40,24 @@ func (d *Dataset) Input(name string) []byte {
 }
 
 // ---- Raw text formats --------------------------------------------------------
+//
+// Each format has one parser, Parse*, which returns an error for a
+// malformed file, and one renderer, *Bytes, which dataset generators call.
 
-// ExportVector writes a float vector in the .raw format: a count line then
+// VectorBytes renders a float vector in the .raw format: a count line then
 // one value per line.
-func ExportVector(w io.Writer, xs []float32) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d\n", len(xs))
+func VectorBytes(xs []float32) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d\n", len(xs))
 	for _, x := range xs {
-		fmt.Fprintf(bw, "%g\n", x)
+		fmt.Fprintf(&b, "%g\n", x)
 	}
-	return bw.Flush()
+	return b.Bytes()
 }
 
-// ImportVector reads a .raw float vector.
-func ImportVector(r io.Reader) ([]float32, error) {
-	sc := newScanner(r)
+// ParseVector reads a .raw float vector.
+func ParseVector(data []byte) ([]float32, error) {
+	sc := newScanner(data)
 	n, err := sc.int()
 	if err != nil {
 		return nil, fmt.Errorf("wb: vector header: %w", err)
@@ -73,29 +76,31 @@ func ImportVector(r io.Reader) ([]float32, error) {
 	return xs, nil
 }
 
-// ExportMatrix writes a row-major float matrix with a "rows cols" header.
-func ExportMatrix(w io.Writer, m []float32, rows, cols int) error {
+// MatrixBytes renders a row-major float matrix with a "rows cols" header.
+// Generators are trusted code, so data that does not fill rows x cols is
+// a bug, and it panics rather than render a file no harness can read.
+func MatrixBytes(m []float32, rows, cols int) []byte {
 	if len(m) != rows*cols {
-		return fmt.Errorf("wb: matrix data %d != %d x %d", len(m), rows, cols)
+		panic(fmt.Sprintf("wb: matrix data %d != %d x %d", len(m), rows, cols))
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d\n", rows, cols)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d %d\n", rows, cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c > 0 {
-				bw.WriteByte(' ')
+				b.WriteByte(' ')
 			}
-			fmt.Fprintf(bw, "%g", m[r*cols+c])
+			fmt.Fprintf(&b, "%g", m[r*cols+c])
 		}
-		bw.WriteByte('\n')
+		b.WriteByte('\n')
 	}
-	return bw.Flush()
+	return b.Bytes()
 }
 
-// ImportMatrix reads a row-major float matrix, returning data and its
+// ParseMatrix reads a row-major float matrix, returning data and its
 // dimensions.
-func ImportMatrix(r io.Reader) ([]float32, int, int, error) {
-	sc := newScanner(r)
+func ParseMatrix(data []byte) ([]float32, int, int, error) {
+	sc := newScanner(data)
 	rows, err := sc.int()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("wb: matrix rows: %w", err)
@@ -118,31 +123,32 @@ func ImportMatrix(r io.Reader) ([]float32, int, int, error) {
 	return m, rows, cols, nil
 }
 
-// ExportImage writes a grayscale 8-bit image in a PPM-like text format:
+// ImageBytes renders a grayscale 8-bit image in a PPM-like text format:
 // "width height 255" then one pixel value per whitespace-separated token.
-func ExportImage(w io.Writer, pix []byte, width, height int) error {
+// Like MatrixBytes, it panics on pixels that do not fill width x height.
+func ImageBytes(pix []byte, width, height int) []byte {
 	if len(pix) != width*height {
-		return fmt.Errorf("wb: image data %d != %d x %d", len(pix), width, height)
+		panic(fmt.Sprintf("wb: image data %d != %d x %d", len(pix), width, height))
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d 255\n", width, height)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d %d 255\n", width, height)
 	for i, p := range pix {
 		if i > 0 {
 			if i%width == 0 {
-				bw.WriteByte('\n')
+				b.WriteByte('\n')
 			} else {
-				bw.WriteByte(' ')
+				b.WriteByte(' ')
 			}
 		}
-		fmt.Fprintf(bw, "%d", p)
+		fmt.Fprintf(&b, "%d", p)
 	}
-	bw.WriteByte('\n')
-	return bw.Flush()
+	b.WriteByte('\n')
+	return b.Bytes()
 }
 
-// ImportImage reads the grayscale image format.
-func ImportImage(r io.Reader) ([]byte, int, int, error) {
-	sc := newScanner(r)
+// ParseImage reads the grayscale image format.
+func ParseImage(data []byte) ([]byte, int, int, error) {
+	sc := newScanner(data)
 	w, err := sc.int()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("wb: image width: %w", err)
@@ -172,19 +178,19 @@ func ImportImage(r io.Reader) ([]byte, int, int, error) {
 	return pix, w, h, nil
 }
 
-// ExportIntVector writes an int32 vector (count header then values).
-func ExportIntVector(w io.Writer, xs []int32) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d\n", len(xs))
+// IntVectorBytes renders an int32 vector (count header then values).
+func IntVectorBytes(xs []int32) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d\n", len(xs))
 	for _, x := range xs {
-		fmt.Fprintf(bw, "%d\n", x)
+		fmt.Fprintf(&b, "%d\n", x)
 	}
-	return bw.Flush()
+	return b.Bytes()
 }
 
-// ImportIntVector reads an int32 vector.
-func ImportIntVector(r io.Reader) ([]int32, error) {
-	sc := newScanner(r)
+// ParseIntVector reads an int32 vector.
+func ParseIntVector(data []byte) ([]int32, error) {
+	sc := newScanner(data)
 	n, err := sc.int()
 	if err != nil {
 		return nil, fmt.Errorf("wb: int vector header: %w", err)
@@ -212,29 +218,29 @@ type CSR struct {
 	Vals       []float32
 }
 
-// ExportCSR writes the CSR text format: "rows cols nnz" then the three
+// CSRBytes renders the CSR text format: "rows cols nnz" then the three
 // arrays, one per line group.
-func ExportCSR(w io.Writer, m *CSR) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d %d\n", m.Rows, m.Cols, len(m.Vals))
+func CSRBytes(m *CSR) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%d %d %d\n", m.Rows, m.Cols, len(m.Vals))
 	for _, v := range m.RowPtr {
-		fmt.Fprintf(bw, "%d ", v)
+		fmt.Fprintf(&b, "%d ", v)
 	}
-	bw.WriteByte('\n')
+	b.WriteByte('\n')
 	for _, v := range m.ColIdx {
-		fmt.Fprintf(bw, "%d ", v)
+		fmt.Fprintf(&b, "%d ", v)
 	}
-	bw.WriteByte('\n')
+	b.WriteByte('\n')
 	for _, v := range m.Vals {
-		fmt.Fprintf(bw, "%g ", v)
+		fmt.Fprintf(&b, "%g ", v)
 	}
-	bw.WriteByte('\n')
-	return bw.Flush()
+	b.WriteByte('\n')
+	return b.Bytes()
 }
 
-// ImportCSR reads the CSR text format.
-func ImportCSR(r io.Reader) (*CSR, error) {
-	sc := newScanner(r)
+// ParseCSR reads the CSR text format.
+func ParseCSR(data []byte) (*CSR, error) {
+	sc := newScanner(data)
 	rows, err := sc.int()
 	if err != nil {
 		return nil, fmt.Errorf("wb: csr rows: %w", err)
@@ -295,8 +301,8 @@ type scanner struct {
 	sc *bufio.Scanner
 }
 
-func newScanner(r io.Reader) *scanner {
-	sc := bufio.NewScanner(r)
+func newScanner(data []byte) *scanner {
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	sc.Split(bufio.ScanWords)
 	return &scanner{sc: sc}
@@ -443,64 +449,4 @@ func CompareBytes(got, want []byte, slack int) CheckResult {
 		res.Message = "Solution is correct."
 	}
 	return res
-}
-
-// ParseVector is a convenience wrapper over ImportVector for in-memory data.
-func ParseVector(data []byte) ([]float32, error) {
-	return ImportVector(strings.NewReader(string(data)))
-}
-
-// ParseIntVector parses an in-memory int vector file.
-func ParseIntVector(data []byte) ([]int32, error) {
-	return ImportIntVector(strings.NewReader(string(data)))
-}
-
-// ParseMatrix parses an in-memory matrix file.
-func ParseMatrix(data []byte) ([]float32, int, int, error) {
-	return ImportMatrix(strings.NewReader(string(data)))
-}
-
-// ParseImage parses an in-memory image file.
-func ParseImage(data []byte) ([]byte, int, int, error) {
-	return ImportImage(strings.NewReader(string(data)))
-}
-
-// ParseCSR parses an in-memory CSR file.
-func ParseCSR(data []byte) (*CSR, error) {
-	return ImportCSR(strings.NewReader(string(data)))
-}
-
-// VectorBytes renders a float vector to the .raw format in memory.
-func VectorBytes(xs []float32) []byte {
-	var sb strings.Builder
-	_ = ExportVector(&sb, xs)
-	return []byte(sb.String())
-}
-
-// IntVectorBytes renders an int vector to the .raw format in memory.
-func IntVectorBytes(xs []int32) []byte {
-	var sb strings.Builder
-	_ = ExportIntVector(&sb, xs)
-	return []byte(sb.String())
-}
-
-// MatrixBytes renders a matrix to the .raw format in memory.
-func MatrixBytes(m []float32, rows, cols int) []byte {
-	var sb strings.Builder
-	_ = ExportMatrix(&sb, m, rows, cols)
-	return []byte(sb.String())
-}
-
-// ImageBytes renders an image to its text format in memory.
-func ImageBytes(pix []byte, w, h int) []byte {
-	var sb strings.Builder
-	_ = ExportImage(&sb, pix, w, h)
-	return []byte(sb.String())
-}
-
-// CSRBytes renders a CSR matrix to its text format in memory.
-func CSRBytes(m *CSR) []byte {
-	var sb strings.Builder
-	_ = ExportCSR(&sb, m)
-	return []byte(sb.String())
 }

@@ -70,10 +70,26 @@ func TestMatrixRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMatrixSizeMismatch: a generator whose data does not fill the
+// dimensions it names is stopped where the file is rendered, with the
+// dimensions in the message, not left to surface as a parse error in
+// some later run.
 func TestMatrixSizeMismatch(t *testing.T) {
-	var sb strings.Builder
-	if err := ExportMatrix(&sb, []float32{1, 2, 3}, 2, 2); err == nil {
-		t.Error("size mismatch not detected")
+	for _, tc := range []struct {
+		name, want string
+		render     func()
+	}{
+		{"matrix", "wb: matrix data 3 != 2 x 2", func() { MatrixBytes([]float32{1, 2, 3}, 2, 2) }},
+		{"image", "wb: image data 5 != 3 x 2", func() { ImageBytes(make([]byte, 5), 3, 2) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("%s: panic = %v, want %q", tc.name, r, tc.want)
+				}
+			}()
+			tc.render()
+		}()
 	}
 }
 
@@ -125,11 +141,26 @@ func TestCSRRoundTripAndMulVec(t *testing.T) {
 	}
 }
 
-func TestImportVectorErrors(t *testing.T) {
-	cases := []string{"", "abc", "3\n1.0 2.0", "-1"}
-	for _, c := range cases {
-		if _, err := ParseVector([]byte(c)); err == nil {
-			t.Errorf("ParseVector(%q) succeeded", c)
+func TestParseErrors(t *testing.T) {
+	parsers := map[string]func([]byte) error{
+		"ParseVector":    func(d []byte) error { _, err := ParseVector(d); return err },
+		"ParseIntVector": func(d []byte) error { _, err := ParseIntVector(d); return err },
+		"ParseMatrix":    func(d []byte) error { _, _, _, err := ParseMatrix(d); return err },
+		"ParseImage":     func(d []byte) error { _, _, _, err := ParseImage(d); return err },
+		"ParseCSR":       func(d []byte) error { _, err := ParseCSR(d); return err },
+	}
+	cases := map[string][]string{
+		"ParseVector":    {"", "abc", "3\n1.0 2.0", "-1"},
+		"ParseIntVector": {"", "2\n1 x", "3\n1 2", "-1"},
+		"ParseMatrix":    {"", "2", "2 2\n1 2 3", "-1 2", "1 1\nnan?"},
+		"ParseImage":     {"", "1 1", "1 1 255", "1 1 255\n256", "1 1 128\n0"},
+		"ParseCSR":       {"", "1 1", "1 1 1\n0 1\n0", "-1 0 0"},
+	}
+	for name, inputs := range cases {
+		for _, c := range inputs {
+			if err := parsers[name]([]byte(c)); err == nil {
+				t.Errorf("%s(%q) succeeded", name, c)
+			}
 		}
 	}
 }

@@ -20,37 +20,15 @@ func wbVectorBytes(xs []float32) []byte { return wb.VectorBytes(xs) }
 func minicudaOpenACC() minicuda.Dialect { return minicuda.DialectOpenACC }
 
 // accSaxpyHarness runs the translated saxpy kernel: y = 2x + y.
-func accSaxpyHarness(rc *labs.RunContext) (wb.CheckResult, error) {
-	x, err := wb.ParseVector(rc.Dataset.Input("x.raw"))
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
-	y, err := wb.ParseVector(rc.Dataset.Input("y.raw"))
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
-	dev := rc.Dev()
-	xP, err := dev.MallocFloat32(len(x), x)
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
-	yP, err := dev.MallocFloat32(len(y), y)
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
+func accSaxpyHarness(rc *labs.RunContext) wb.CheckResult {
+	x := rc.Vector(rc.Input("x.raw"))
+	y := rc.Vector(rc.Input("y.raw"))
+	xP := rc.ToDevice(x)
+	yP := rc.ToDevice(y)
 	n := len(x)
-	if _, err := rc.Program.Launch(dev, "saxpy",
-		rc.Opts(gpusim.D1((n+63)/64), gpusim.D1(64)),
-		minicuda.FloatPtr(xP), minicuda.FloatPtr(yP), minicuda.Int(n)); err != nil {
-		return wb.CheckResult{}, err
-	}
-	got, err := dev.ReadFloat32(yP, n)
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
-	want, err := wb.ParseVector(rc.Dataset.Expected.Data)
-	if err != nil {
-		return wb.CheckResult{}, err
-	}
-	return wb.CompareFloats(got, want, wb.DefaultTolerance), nil
+	rc.Launch("saxpy", gpusim.D1((n+63)/64), gpusim.D1(64),
+		minicuda.FloatPtr(xP), minicuda.FloatPtr(yP), minicuda.Int(n))
+	got := rc.ReadBack(yP, n)
+	want := rc.Vector(rc.Dataset.Expected.Data)
+	return wb.CompareFloats(got, want, wb.DefaultTolerance)
 }

@@ -27,6 +27,11 @@
 //     refused write is the only sign that the next restart will
 //     recompile; count it (progcache's Stats.StoreErrors) or return it.
 //
+//   - Settled deliveries: under internal/ and cmd/, no function outside
+//     settleAllowed may drop the error of a queue delivery's Ack() or
+//     Nack(), with `_ =` or as a bare statement. A refused settle leaves
+//     the message leased until its lease runs out; count it or report it.
+//
 //   - One instrument per stage: outside internal/trace, no Observe or
 //     ObserveDuration call may name a stage histogram (a string literal
 //     stage_<name>_ms). A stage's sample comes from its trace.Active's
@@ -86,6 +91,16 @@ var timerPkgs = []string{
 const hotpathMarker = "//kernelcheck:hotpath"
 
 const castorePath = "webgpu/internal/castore"
+
+// settleAllowed lists the functions, as file:Recv.Func, that may drop an
+// Ack or Nack error.
+var settleAllowed = map[string]bool{
+	// The v2 driver's job loop settles on a lease it is about to abandon
+	// anyway: a refused nack or ack leaves the job's lease to expire, and
+	// the redelivery that follows (deduped downstream when the result was
+	// published) is the at-least-once recovery the design counts on.
+	"internal/worker/v2.go:Driver.loop": true,
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -228,7 +243,76 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	if !inPkg(slash, []string{"internal/trace"}) {
 		out = append(out, checkStageObserves(fset, f)...)
 	}
+	if inPkg(slash, []string{"internal", "cmd"}) {
+		out = append(out, checkDroppedSettles(fset, f, slash)...)
+	}
 	return out
+}
+
+// checkDroppedSettles flags dropped x.Ack() / x.Nack() results in every
+// function that settleAllowed does not list.
+func checkDroppedSettles(fset *token.FileSet, f *ast.File, slash string) []finding {
+	var out []finding
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || settleAllowed[settleKey(slash, fn)] {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call := droppedCall(n)
+			if call == nil || len(call.Args) != 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Ack" || sel.Sel.Name == "Nack") {
+				out = append(out, finding{
+					pos: fset.Position(call.Pos()),
+					msg: sel.Sel.Name + " error dropped; a refused settle leaves the message leased, so count or report it",
+				})
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// settleKey names a function for settleAllowed: the file's path from its
+// internal/ or cmd/ directory, then Recv.Func or Func.
+func settleKey(slash string, fn *ast.FuncDecl) string {
+	for _, dir := range []string{"internal/", "cmd/"} {
+		if i := strings.LastIndex(slash, dir); i >= 0 {
+			slash = slash[i:]
+			break
+		}
+	}
+	name := fn.Name.Name
+	if fn.Recv != nil && len(fn.Recv.List) == 1 {
+		t := fn.Recv.List[0].Type
+		if star, ok := t.(*ast.StarExpr); ok {
+			t = star.X
+		}
+		if id, ok := t.(*ast.Ident); ok {
+			name = id.Name + "." + name
+		}
+	}
+	return slash + ":" + name
+}
+
+// droppedCall returns the call whose result n throws away, as a bare
+// statement or assigned to _, or nil.
+func droppedCall(n ast.Node) *ast.CallExpr {
+	var dropped ast.Expr
+	switch st := n.(type) {
+	case *ast.ExprStmt:
+		dropped = st.X
+	case *ast.AssignStmt:
+		if len(st.Lhs) == 1 && len(st.Rhs) == 1 {
+			if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
+				dropped = st.Rhs[0]
+			}
+		}
+	}
+	call, _ := dropped.(*ast.CallExpr)
+	return call
 }
 
 // checkStageObserves flags x.Observe / x.ObserveDuration calls whose name
@@ -374,19 +458,8 @@ func checkLoopTimers(fset *token.FileSet, f *ast.File) []finding {
 func checkDroppedPuts(fset *token.FileSet, f *ast.File) []finding {
 	var out []finding
 	ast.Inspect(f, func(n ast.Node) bool {
-		var dropped ast.Expr
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			dropped = st.X
-		case *ast.AssignStmt:
-			if len(st.Lhs) == 1 && len(st.Rhs) == 1 {
-				if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
-					dropped = st.Rhs[0]
-				}
-			}
-		}
-		call, ok := dropped.(*ast.CallExpr)
-		if !ok || len(call.Args) != 3 {
+		call := droppedCall(n)
+		if call == nil || len(call.Args) != 3 {
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" {

@@ -309,6 +309,78 @@ func f(s *castore.Store) { _ = s.Put("k", "prog", nil) }
 	}
 }
 
+// TestDroppedSettleRule: an Ack or Nack whose error is dropped is flagged
+// under internal/ and cmd/ in either spelling, except in the function the
+// allowlist names; a checked settle, a call with arguments and code
+// outside those trees are fine.
+func TestDroppedSettleRule(t *testing.T) {
+	rows := []struct {
+		name, path, src string
+		want            int
+	}{
+		{"blank assign and bare call", "internal/platform/bad.go", `package platform
+
+type delivery interface{ Ack() error; Nack() error }
+
+func f(d delivery) {
+	_ = d.Nack()
+	d.Ack()
+}
+`, 2},
+		{"command", "cmd/webgpu-worker/main.go", `package main
+
+type delivery interface{ Ack() error }
+
+func main() { var d delivery; _ = d.Ack() }
+`, 1},
+		{"checked", "internal/platform/ok.go", `package platform
+
+type delivery interface{ Ack() error; Nack() error }
+
+func f(d delivery, count func()) error {
+	if d.Nack() != nil {
+		count()
+	}
+	return d.Ack()
+}
+`, 0},
+		{"other arity", "internal/platform/arity.go", `package platform
+
+type peer interface{ Ack(id int) error }
+
+func f(p peer) { _ = p.Ack(1) }
+`, 0},
+		{"allowlisted function", "internal/worker/v2.go", `package worker
+
+type delivery interface{ Ack() error; Nack() error }
+
+type Driver struct{ d delivery }
+
+func (dr *Driver) loop() { _ = dr.d.Nack(); _ = dr.d.Ack() }
+
+func (dr *Driver) other() { _ = dr.d.Ack() }
+`, 1},
+		{"outside internal and cmd", "examples/demo/main.go", `package main
+
+type delivery interface{ Ack() error }
+
+func main() { var d delivery; _ = d.Ack() }
+`, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{row.path: row.src})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "error dropped; a refused settle"); n != row.want {
+				t.Fatalf("want %d dropped-settle findings, got %d:\n%s", row.want, n, out)
+			}
+			if (code == 1) != (row.want > 0) || code > 1 {
+				t.Fatalf("exit = %d with %d findings wanted\n%s", code, row.want, out)
+			}
+		})
+	}
+}
+
 // TestStageObserveRule: a stage histogram observed by hand is flagged
 // anywhere outside internal/trace, in either spelling, as the worker node
 // once observed its admission sample beside the admission span. Another
