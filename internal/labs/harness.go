@@ -89,7 +89,8 @@ func parsed[T any](rc *RunContext, data []byte, parse func([]byte) (T, error)) (
 	return v, err
 }
 
-// Input returns the dataset's named input file.
+// Input returns the dataset's named input file, ending the run when the
+// dataset has none.
 func (rc *RunContext) Input(name string) []byte {
 	data := rc.Dataset.Input(name)
 	if data == nil {
