@@ -2,6 +2,8 @@ package castore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -706,4 +708,48 @@ func TestDiscard(t *testing.T) {
 	if status, _ := s.Health(); status != "ok" {
 		t.Fatalf("discard degraded health: %q", status)
 	}
+}
+
+// FuzzCastoreFrame writes arbitrary bytes as the object file of one key
+// and reads it back. Get never panics and serves a payload only when the
+// file is a WGCA version-1 frame whose header names that payload's length
+// and SHA-256; anything else is a miss that counts one corruption and
+// moves the file to quarantine/. The seeds under testdata/fuzz are a
+// valid frame, a short header, a wrong version, a length mismatch and a
+// flipped payload byte.
+func FuzzCastoreFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{})
+		path := filepath.Join(dir, "objects", key(1)[:2], key(1)+".prog")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key(1), "prog")
+		st := s.Stats()
+		if ok {
+			const hdr = 4 + 1 + sha256.Size + 8
+			sum := sha256.Sum256(got)
+			if len(data) != hdr+len(got) || string(data[:5]) != "WGCA\x01" || !bytes.Equal(data[5:5+sha256.Size], sum[:]) ||
+				binary.BigEndian.Uint64(data[5+sha256.Size:hdr]) != uint64(len(got)) || !bytes.Equal(data[hdr:], got) {
+				t.Fatalf("served %q from a file whose header does not frame it: %q", got, data)
+			}
+			if st.Corruptions != 0 || st.Hits != 1 {
+				t.Fatalf("a served frame counted %+v", st)
+			}
+			return
+		}
+		if st.Corruptions != 1 || st.Quarantined != 1 {
+			t.Fatalf("a refused frame counted %d corruptions, %d quarantined; want 1 each", st.Corruptions, st.Quarantined)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("the refused file is still in objects/ (stat: %v)", err)
+		}
+		if ents, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(ents) != 1 {
+			t.Fatalf("quarantine/ holds %d files (err %v), want the refused one", len(ents), err)
+		}
+	})
 }

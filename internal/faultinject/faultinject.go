@@ -29,33 +29,42 @@ import (
 // (and tests) can detect an injected failure with errors.Is.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// Fault-point catalog: every point the pipeline declares, in one place so
-// chaos scenarios and DESIGN.md stay in sync with the code.
+// The fault points the pipeline declares; Catalog says where each one
+// sits and what it simulates.
 const (
-	// Broker hot path (internal/queue).
-	PointQueuePublish = "queue.publish" // Broker.Publish fails before enqueue
-	PointQueuePoll    = "queue.poll"    // Broker.Poll fails before leasing
-	PointQueueAck     = "queue.ack"     // Delivery.Ack fails (lease will expire)
-
-	// v2 driver (internal/worker, Driver.loop).
-	PointDriverCrashBeforeAck    = "driver.crash_before_ack"    // crash after execute, before the result publish: job re-runs elsewhere
-	PointDriverCrashAfterPublish = "driver.crash_after_publish" // crash between result publish and ack: the duplicate-result hole
-	PointDriverPublishResult     = "driver.publish_result"      // the result publish itself fails: driver nacks and the job retries
-
-	// Worker node pipeline (internal/worker, Node.Execute).
-	PointNodeCompile = "node.compile" // transient compile-infrastructure failure
-	PointNodeExec    = "node.exec"    // transient execution-infrastructure failure
-
-	// v1 push dispatch (internal/worker, Registry.Dispatch).
-	PointV1Push = "v1.push" // the push to the selected worker fails; dispatch backs off and retries
-
-	// Database durability (internal/db).
-	PointWALAppend = "wal.append" // the write-ahead-log append fails; the commit surfaces the error
-
-	// Durable artifact store (internal/castore).
-	PointCAStoreRead  = "castore.read"  // a store read fails mid-flight; the caller treats it as a miss
-	PointCAStoreWrite = "castore.write" // a store write fails before the atomic rename; nothing is persisted
+	PointQueuePublish            = "queue.publish"
+	PointQueuePoll               = "queue.poll"
+	PointQueueAck                = "queue.ack"
+	PointDriverCrashBeforeAck    = "driver.crash_before_ack"
+	PointDriverCrashAfterPublish = "driver.crash_after_publish"
+	PointDriverPublishResult     = "driver.publish_result"
+	PointNodeCompile             = "node.compile"
+	PointNodeExec                = "node.exec"
+	PointV1Push                  = "v1.push"
+	PointWALAppend               = "wal.append"
+	PointCAStoreRead             = "castore.read"
+	PointCAStoreWrite            = "castore.write"
 )
+
+// PointInfo documents one fault point.
+type PointInfo struct{ Name, Layer, Simulates string }
+
+// Catalog lists every fault point, in pipeline order; DESIGN.md's
+// fault-point table is generated from it.
+var Catalog = []PointInfo{
+	{PointQueuePublish, "broker (`Broker.Publish`)", "a lost publish (network partition): fails before enqueue"},
+	{PointQueuePoll, "broker (`Broker.Poll`)", "a transient poll failure, before leasing"},
+	{PointQueueAck, "broker (`Delivery.Ack`)", "an ack lost after processing — the at-least-once hole; the lease expires"},
+	{PointDriverCrashBeforeAck, "v2 driver", "a worker dying after execute, before the result publish: the job re-runs elsewhere"},
+	{PointDriverCrashAfterPublish, "v2 driver", "a worker dying between result publish and ack: a duplicate result"},
+	{PointDriverPublishResult, "v2 driver", "a failed result publish: the driver nacks and the job retries"},
+	{PointNodeCompile, "worker node", "a transient compile-infrastructure failure (`Result.Transient`)"},
+	{PointNodeExec, "worker node", "a transient execution-infrastructure failure (`Result.Transient`)"},
+	{PointV1Push, "v1 registry", "a lost push to the selected worker; dispatch backs off and retries"},
+	{PointWALAppend, "db", "a failed write-ahead-log append (full disk); the commit returns the error"},
+	{PointCAStoreRead, "castore", "a store read failing mid-flight; the caller treats it as a miss"},
+	{PointCAStoreWrite, "castore", "a store write failing before the atomic rename; nothing is persisted"},
+}
 
 // Fault configures one armed fault point.
 type Fault struct {

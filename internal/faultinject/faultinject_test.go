@@ -2,10 +2,17 @@ package faultinject
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"webgpu/internal/markdown"
 )
 
 func TestNilRegistryIsNoOp(t *testing.T) {
@@ -228,4 +235,36 @@ func ExampleRegistry_Fire() {
 	// Output:
 	// true
 	// false
+}
+
+var update = flag.Bool("update", false, "rewrite DESIGN.md's fault-point catalog from Catalog")
+
+// TestCatalogDocumented keeps DESIGN.md's fault-point table equal to
+// Catalog, and Catalog to the Point constants this package declares.
+func TestCatalogDocumented(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "faultinject.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for name, obj := range f.Scope.Objects {
+		if obj.Kind == ast.Con && strings.HasPrefix(name, "Point") {
+			declared[obj.Decl.(*ast.ValueSpec).Values[0].(*ast.BasicLit).Value] = true
+		}
+	}
+	var b strings.Builder
+	b.WriteString("| Point | Layer | Simulates |\n|---|---|---|\n")
+	for _, p := range Catalog {
+		if !declared[strconv.Quote(p.Name)] {
+			t.Errorf("catalog point %q is not a Point constant", p.Name)
+		}
+		delete(declared, strconv.Quote(p.Name))
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", p.Name, p.Layer, p.Simulates)
+	}
+	if len(declared) != 0 {
+		t.Errorf("Point constants missing from Catalog: %v", declared)
+	}
+	if err := markdown.SyncBlock("../../DESIGN.md", "gen:faults", b.String(), *update); err != nil {
+		t.Error(err)
+	}
 }

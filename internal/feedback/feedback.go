@@ -140,7 +140,7 @@ func runtimeHints(l *labs.Lab, clean string, o *labs.Outcome) []Hint {
 		detail := "A thread read or wrote outside an allocation. The most common cause is a missing " +
 			"boundary check: the grid usually launches more threads than there are elements, so " +
 			"guard your accesses with something like `if (i < len)`."
-		if !hasBoundsGuard(clean) {
+		if !boundsGuardRe.MatchString(clean) {
 			conf = 0.95
 			detail = "Your kernel indexes global memory without any boundary check, but the grid is " +
 				"rounded up to whole blocks — the extra threads run too. Compute the global index and " +
@@ -293,14 +293,9 @@ func performanceHints(l *labs.Lab, clean string, o *labs.Outcome) []Hint {
 
 // ---- Source heuristics ----------------------------------------------------------------
 
-var boundsGuardRe = regexp.MustCompile(`if\s*\([^)]*[<>]=?[^)]*\)`)
-
-// hasBoundsGuard reports whether the source contains any comparison-guarded
-// if — the shape of a boundary check.
-func hasBoundsGuard(clean string) bool {
-	return boundsGuardRe.MatchString(clean) ||
-		regexp.MustCompile(`if\s*\([^)]*[<>]`).MatchString(clean)
-}
+// boundsGuardRe matches an if whose condition holds a comparison — the
+// shape of a boundary check.
+var boundsGuardRe = regexp.MustCompile(`if\s*\([^)]*[<>]`)
 
 // usesShared reports whether the source declares shared memory.
 func usesShared(clean string) bool {

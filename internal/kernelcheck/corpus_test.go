@@ -2,16 +2,30 @@ package kernelcheck
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"webgpu/internal/markdown"
 	"webgpu/internal/minicuda"
 )
 
-var update = flag.Bool("update", false, "rewrite golden .diag files from current analyzer output")
+var update = flag.Bool("update", false, "rewrite golden .diag files and DESIGN.md's rule table from current analyzer output")
+
+// TestRulesDocumented keeps DESIGN.md's rule table equal to Rules().
+func TestRulesDocumented(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("| Rule | Severity | Fires on |\n|---|---|---|\n")
+	for _, r := range Rules() {
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", r.ID, r.Severity, r.Summary)
+	}
+	if err := markdown.SyncBlock("../../DESIGN.md", "gen:kernelcheck-rules", b.String(), *update); err != nil {
+		t.Error(err)
+	}
+}
 
 // TestCorpus runs the analyzer over every kernel in testdata and
 // compares the diagnostics against the golden .diag file next to it.

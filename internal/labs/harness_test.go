@@ -20,14 +20,6 @@ import (
 // launch's counters depend on where each block stood when the budget ran
 // out.
 func TestHarnessFailurePaths(t *testing.T) {
-	// These harnesses hand a file's bytes straight to the parser, so a
-	// file that is missing reads as an empty one.
-	emptyFile := map[string]string{
-		"device-query":       "wb: int vector header: unexpected EOF",
-		"image-equalization": "wb: image width: unexpected EOF",
-		"spmv":               "wb: csr rows: unexpected EOF",
-		"bfs-queuing":        "wb: int vector header: unexpected EOF",
-	}
 	missingKernel := regexp.MustCompile(`^labs: solution must define a __global__ kernel named "(\w+)" \(found \[probe\]\)$`)
 	for _, l := range All() {
 		ref, err := minicuda.Compile(l.Reference, l.Dialect)
@@ -65,11 +57,7 @@ func TestHarnessFailurePaths(t *testing.T) {
 			probe := &Lab{ID: l.ID, NumDatasets: 1, NumGPUs: l.NumGPUs, Harness: l.Harness,
 				Generate: func(int) (*wb.Dataset, error) { return &trimmed, nil }}
 			o := RunCompiled(context.Background(), probe, ref, 0, NewDeviceSet(gpus), 0)
-			want, ok := emptyFile[l.ID]
-			if !ok {
-				want = fmt.Sprintf("labs: dataset %q missing input %s", ds.Name, ds.Inputs[0].Name)
-			}
-			if o.RuntimeError != want {
+			if want := fmt.Sprintf("labs: dataset %q missing input %s", ds.Name, ds.Inputs[0].Name); o.RuntimeError != want {
 				t.Fatalf("error = %q, want %q", o.RuntimeError, want)
 			}
 			if o.Ran || len(o.Kernels) != 0 {

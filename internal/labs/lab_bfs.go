@@ -145,8 +145,8 @@ __global__ void bfsLevel(int *rowPtr, int *colIdx, int *levels,
 	},
 	Harness: func(rc *RunContext) wb.CheckResult {
 		rc.RequireKernel("bfsLevel")
-		rowPtr := rc.IntVector(rc.Dataset.Input("rowptr.raw"))
-		colIdx := rc.IntVector(rc.Dataset.Input("colidx.raw"))
+		rowPtr := rc.IntVector(rc.Input("rowptr.raw"))
+		colIdx := rc.IntVector(rc.Input("colidx.raw"))
 		n := len(rowPtr) - 1
 		rc.Trace.Logf(wb.LevelTrace, "The graph has %d nodes and %d edges", n, len(colIdx))
 		rowP := rc.MallocInt32(len(rowPtr), rowPtr)

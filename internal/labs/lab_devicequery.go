@@ -69,7 +69,7 @@ __global__ void deviceQuery(int *out, int len) {
 	},
 	Harness: func(rc *RunContext) wb.CheckResult {
 		rc.RequireKernel("deviceQuery")
-		n := len(rc.IntVector(rc.Dataset.Input("input0.raw")))
+		n := len(rc.IntVector(rc.Input("input0.raw")))
 		rc.Trace.Logf(wb.LevelTrace, "Querying device 0")
 		rc.Trace.Logf(wb.LevelInfo, "%s", rc.Dev().QueryString())
 		outP := rc.MallocInt32(n, nil)

@@ -113,7 +113,7 @@ __global__ void equalize(unsigned char *input, unsigned char *output,
 	},
 	Harness: func(rc *RunContext) wb.CheckResult {
 		rc.RequireKernel("histogram", "equalize")
-		pix, w, h := rc.Image(rc.Dataset.Input("input0.ppm"))
+		pix, w, h := rc.Image(rc.Input("input0.ppm"))
 		n := len(pix)
 		rc.Trace.Logf(wb.LevelTrace, "The image is %d x %d", w, h)
 

@@ -87,7 +87,7 @@ and control divergence — the JDS format covered in lecture addresses this.
 	},
 	Harness: func(rc *RunContext) wb.CheckResult {
 		rc.RequireKernel("spmvCSR")
-		m := rc.CSR(rc.Dataset.Input("matrix.csr"))
+		m := rc.CSR(rc.Input("matrix.csr"))
 		x := rc.Vector(rc.Input("vector.raw"))
 		rc.Trace.Logf(wb.LevelTrace, "The matrix is %d x %d with %d non-zeros",
 			m.Rows, m.Cols, len(m.Vals))

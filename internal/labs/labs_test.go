@@ -3,15 +3,36 @@ package labs
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"webgpu/internal/markdown"
 	"webgpu/internal/minicuda"
 	"webgpu/internal/wb"
 )
+
+var update = flag.Bool("update", false, "rewrite README.md's lab table from All()")
+
+// TestCatalogDocumented keeps README.md's lab table equal to All().
+func TestCatalogDocumented(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("| # | ID | Lab | Courses | Datasets |\n|---|---|---|---|---|\n")
+	for _, l := range All() {
+		courses := make([]string, len(l.Courses))
+		for i, c := range l.Courses {
+			courses[i] = string(c)
+		}
+		fmt.Fprintf(&b, "| %d | `%s` | %s | %s | %d |\n", l.Number, l.ID, l.Name, strings.Join(courses, ", "), l.NumDatasets)
+	}
+	if err := markdown.SyncBlock("../../README.md", "gen:labs", b.String(), *update); err != nil {
+		t.Error(err)
+	}
+}
 
 func TestCatalogComplete(t *testing.T) {
 	all := All()

@@ -1,7 +1,7 @@
-// Package markdown renders the subset of Markdown that WebGPU lab
-// descriptions use (§IV-E: "a file in markdown format. This description
-// can include any text, images, and external links") into HTML for the
-// Description view.
+// Package markdown renders the Markdown subset of lab descriptions into
+// HTML for the Description view, and keeps the repository's generated doc
+// blocks. A description (§IV-E) is "a file in markdown format. This
+// description can include any text, images, and external links".
 //
 // Supported: ATX headings, paragraphs, fenced code blocks, inline code,
 // bold, italics, links, images, unordered and ordered lists, and

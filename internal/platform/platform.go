@@ -1,5 +1,5 @@
-// Package platform composes the WebGPU system in both of the paper's
-// generations:
+// Package platform composes the WebGPU system, in either of the paper's
+// two generations.
 //
 //   - V1 (§III, Figure 2): web server ¬ + database ­ + a registry of
 //     worker nodes ® that the web server pushes jobs to, with worker

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -9,9 +11,12 @@ import (
 	"time"
 
 	"webgpu/internal/labs"
+	"webgpu/internal/markdown"
 	"webgpu/internal/trace"
 	"webgpu/internal/webserver"
 )
+
+var update = flag.Bool("update", false, "rewrite DESIGN.md's metric series and span table")
 
 // traceFlow submits one graded job and follows its trace ID from the
 // submission response to /api/v1/admin/traces/{id}, asserting the span chain
@@ -72,19 +77,19 @@ func traceFlow(t *testing.T, p *Platform) {
 			t.Errorf("trace missing span %q (have %v)", want, keysOf(names))
 		}
 	}
-	// The web tier's and the dispatch path's attribute keys (the worker's
-	// are pinned by worker.TestTracedJobSpanNames).
-	wantKeys := map[string]string{"dispatch": "job,lab", "grade": "max,total", "queue_wait": "arch,worker"}
-	if p.Arch == V2 {
-		wantKeys["queue_wait"] = "arch,attempts,wake,worker"
+	// Every span's attribute keys are its row of DESIGN.md's span table,
+	// but v1's queue_wait, which has no broker to count attempts or wake.
+	golden, err := markdown.Block("../../DESIGN.md", "gen:spans")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, sp := range data.Spans {
-		keys := make(map[string]bool, len(sp.Attrs))
-		for k := range sp.Attrs {
-			keys[k] = true
-		}
-		if want, ok := wantKeys[sp.Name]; ok && strings.Join(sortedKeys(keys), ",") != want {
-			t.Errorf("%s span attributes %v, want keys %s", sp.Name, sp.Attrs, want)
+		if p.Arch == V1 && sp.Name == "queue_wait" {
+			if keys := spanRow(sp); keys != "| `queue_wait` | arch, worker |" {
+				t.Errorf("v1 queue_wait row %s, want keys arch, worker", keys)
+			}
+		} else if row := spanRow(sp); !strings.Contains(golden, row+"\n") {
+			t.Errorf("span row %s is not in DESIGN.md's span table", row)
 		}
 	}
 
@@ -211,17 +216,14 @@ func exportedNames(body string) map[string]bool {
 	return got
 }
 
-// TestExportedSeriesNames pins every series a v2 platform exports after
-// one graded submit and one warm draft. Dashboards are written against
-// these names; the stage histograms among them come from the stages' End,
-// and job_queue_wait_ms, which was stage_admission_ms under a second name,
-// is gone.
-func TestExportedSeriesNames(t *testing.T) {
+// warmPlatform runs one graded submit and one warm draft on a v2
+// platform and returns an instructor's client for it.
+func warmPlatform(t *testing.T) *client {
 	p := New(Options{Arch: V2, Workers: 1})
-	defer p.Close()
-	quietDrivers(p) // driver_wakeups appears with the submit, every run
+	t.Cleanup(p.Close)
+	quietDrivers(p) // driver_wakeups appears with the submit, and queue_wait says wake=publish
 	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	c := newClient(t, ts.URL)
 	c.register("Ada", "ada@example.edu", "student")
 	src := labs.ByID("vector-add").Reference
@@ -239,50 +241,73 @@ func TestExportedSeriesNames(t *testing.T) {
 	}
 	prof := newClient(t, ts.URL)
 	prof.register("Prof", "prof@example.edu", "instructor")
-	code, body := prof.do("GET", "/api/v1/admin/metrics", nil, nil)
+	return prof
+}
+
+// TestExportedSeriesNames keeps DESIGN.md's metric series, one row per
+// family, equal to every series a v2 platform exports after one graded
+// submit and one warm draft. Dashboards are written against these names;
+// the stage histograms among them come from the stages' End.
+func TestExportedSeriesNames(t *testing.T) {
+	code, body := warmPlatform(t).do("GET", "/api/v1/admin/metrics", nil, nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}
-	got := exportedNames(body)
-	want := []string{
-		"broker_acked", "broker_backlog_jobs", "broker_dead_letters", "broker_inflight", "broker_published",
-		"devsession_active", "devsession_closed", "devsession_draft_cancelled", "devsession_draft_coalesced",
-		"devsession_draft_ms", "devsession_draft_warm_ms", "devsession_drafts", "devsession_evicted",
-		"devsession_opened", "devsession_pickup_wait_ms", "devsession_pickups_leading",
-		"devsession_pickups_trailing", "devsession_rate_limited",
-		"driver_idle_ticks", "driver_jobs", "driver_wakeups",
-		"job_exec_ms", "jobs_total",
-		"kernelcheck_analyzes",
-		"kernelcheck_fn_analyzed", "kernelcheck_fn_reused",
-		"kernelcheck_fire_kc_bank", "kernelcheck_fire_kc_barrier_call_div", "kernelcheck_fire_kc_barrier_div",
-		"kernelcheck_fire_kc_barrier_exit", "kernelcheck_fire_kc_coalesce", "kernelcheck_fire_kc_dead_store",
-		"kernelcheck_fire_kc_internal", "kernelcheck_fire_kc_oob", "kernelcheck_fire_kc_oob_maybe",
-		"kernelcheck_fire_kc_race", "kernelcheck_fire_kc_race_call", "kernelcheck_fire_kc_race_maybe",
-		"kernelcheck_fire_kc_unreachable", "kernelcheck_fire_kc_unused",
-		"kernelcheck_incremental_runs",
-		"outcomes_correct",
-		"overload_admitted_draft", "overload_admitted_read", "overload_admitted_submission",
-		"overload_burn_fast_draft", "overload_burn_fast_read", "overload_burn_fast_submission",
-		"overload_burn_slow_draft", "overload_burn_slow_read", "overload_burn_slow_submission",
-		"overload_inflight_draft", "overload_inflight_read", "overload_inflight_submission",
-		"overload_pressure",
-		"overload_saturation_draft", "overload_saturation_read", "overload_saturation_submission",
-		"overload_shed_draft", "overload_shed_read", "overload_shed_submission",
-		"overload_shed_reason_backpressure", "overload_shed_reason_cancelled", "overload_shed_reason_queue_full",
-		"overload_shed_reason_queue_timeout", "overload_shed_reason_rate_limited", "overload_shed_reason_saturated",
-		"progcache_bytecode_bytes", "progcache_disk_diag_hits", "progcache_disk_hits", "progcache_entries",
-		"progcache_evictions", "progcache_hits_diagnostics",
-		"progcache_misses", "progcache_store_errors",
-		"stage_admission_ms", "stage_compile_ms", "stage_exec_ms", "stage_kernelcheck_ms",
-		"web_jobs_dispatched", "workers",
-	}
-	for _, name := range want {
-		if !got[name] {
-			t.Errorf("metrics export is missing %s", name)
+	var b strings.Builder
+	b.WriteString("| family | series (exported as `webgpu_<series>`) |\n|---|---|\n")
+	var families []string
+	series := map[string][]string{}
+	for _, name := range sortedKeys(exportedNames(body)) {
+		f, _, _ := strings.Cut(name, "_")
+		if series[f] == nil {
+			families = append(families, f)
 		}
-		delete(got, name)
+		series[f] = append(series[f], "`"+name+"`")
 	}
-	if len(got) != 0 {
-		t.Errorf("metrics export has unexpected series %v", sortedKeys(got))
+	for _, f := range families {
+		fmt.Fprintf(&b, "| %s | %s |\n", f, strings.Join(series[f], " "))
 	}
+	if err := markdown.SyncBlock("../../DESIGN.md", "gen:metrics", b.String(), *update); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSpanTable keeps DESIGN.md's span table equal to the spans of a
+// traced v2 submit and a live-session draft: one row per span name, in
+// start order, with its attribute keys. The datasets' exec spans are one
+// row.
+func TestSpanTable(t *testing.T) {
+	var listing struct {
+		Traces []trace.Data `json:"traces"`
+	}
+	warmPlatform(t).mustDo("GET", "/api/v1/admin/traces", nil, &listing)
+	var b strings.Builder
+	b.WriteString("| span | attributes |\n|---|---|\n")
+	seen := map[string]bool{}
+	for i := len(listing.Traces) - 1; i >= 0; i-- { // oldest first
+		spans := listing.Traces[i].Spans
+		sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
+		for _, sp := range spans {
+			if row := spanRow(sp); !seen[row] {
+				seen[row] = true
+				b.WriteString(row + "\n")
+			}
+		}
+	}
+	if err := markdown.SyncBlock("../../DESIGN.md", "gen:spans", b.String(), *update); err != nil {
+		t.Error(err)
+	}
+}
+
+// spanRow renders a span as its row of DESIGN.md's span table.
+func spanRow(sp trace.Span) string {
+	name := sp.Name
+	if strings.HasPrefix(name, "exec[dataset=") {
+		name = "exec[dataset=i]"
+	}
+	keys := make(map[string]bool, len(sp.Attrs))
+	for k := range sp.Attrs {
+		keys[k] = true
+	}
+	return fmt.Sprintf("| `%s` | %s |", name, strings.Join(sortedKeys(keys), ", "))
 }

@@ -3,13 +3,36 @@ package webserver
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"webgpu/internal/labs"
+	"webgpu/internal/markdown"
+	"webgpu/internal/overload"
 )
+
+var update = flag.Bool("update", false, "rewrite DESIGN.md's route table from apiRoutes()")
+
+// TestRouteTableDocumented keeps DESIGN.md's /api/v1 route table equal to
+// apiRoutes(): method, pattern, who may call it, admission class.
+func TestRouteTableDocumented(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("| method | route (under `/api/v1`) | access | admission class |\n|---|---|---|---|\n")
+	for _, rt := range newFixture(t).srv.apiRoutes() {
+		class := "—"
+		if rt.Class != overload.ClassNone {
+			class = rt.Class.String()
+		}
+		fmt.Fprintf(&b, "| %s | `%s` | %s | %s |\n", rt.Method, rt.Pattern, rt.Access, class)
+	}
+	if err := markdown.SyncBlock("../../DESIGN.md", "gen:routes", b.String(), *update); err != nil {
+		t.Error(err)
+	}
+}
 
 // samplePath substitutes concrete values for a route pattern's path
 // parameters so the conformance tables can issue real requests.

@@ -23,7 +23,7 @@ import (
 
 var errEmailTaken = errors.New("email already registered")
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, _ *User) {
 	var req struct {
 		Name  string `json:"name"`
 		Email string `json:"email"`
@@ -73,7 +73,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]interface{}{"user": user, "token": token})
 }
 
-func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request, _ *User) {
 	var req struct {
 		Email string `json:"email"`
 	}
@@ -615,7 +615,7 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 	writeJSON(w, http.StatusOK, map[string]string{"url": "/api/v1/share/" + att.ShareTok})
 }
 
-func (s *Server) handleViewShare(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleViewShare(w http.ResponseWriter, r *http.Request, _ *User) {
 	token := r.PathValue("token")
 	var ref map[string]string
 	var att AttemptRec

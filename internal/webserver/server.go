@@ -246,55 +246,63 @@ func (s *Server) Overload() *overload.Controller { return s.overload }
 const APIVersionHeader = "X-WebGPU-API-Version"
 
 // apiRoute is one entry of the API route table. Pattern is the path under
-// the API prefix: the handler is mounted at /api/v1/<pattern>.
+// the API prefix: the handler is mounted at /api/v1/<pattern> behind the
+// route's access check and, unless Class is overload.ClassNone, its
+// admission class. A public route's handler gets a nil user.
 type apiRoute struct {
-	Method  string
-	Pattern string
-	handler http.HandlerFunc
+	Method, Pattern string
+	Access          access
+	Class           overload.Class
+	handler         authedHandler
 }
+
+// access is who may call a route; a student is any signed-in user.
+type access string
+
+const public, student, instructor access = "public", "student", "instructor"
 
 // apiRoutes is the single route table the API surface is generated from.
 // Adding a route here mounts it under /api/v1 and enrolls it in the
 // route-conformance tests.
 func (s *Server) apiRoutes() []apiRoute {
 	return []apiRoute{
-		{Method: "POST", Pattern: "register", handler: s.handleRegister},
-		{Method: "POST", Pattern: "login", handler: s.handleLogin},
-		{Method: "GET", Pattern: "labs", handler: s.auth(s.handleListLabs)},
-		{Method: "GET", Pattern: "labs/{lab}", handler: s.auth(s.handleGetLab)},
-		{Method: "POST", Pattern: "labs/{lab}/save", handler: s.auth(s.handleSave)},
-		{Method: "GET", Pattern: "labs/{lab}/code", handler: s.auth(s.handleGetCode)},
-		{Method: "GET", Pattern: "labs/{lab}/history", handler: s.auth(s.classed(overload.ClassRead, s.handleHistory))},
-		{Method: "POST", Pattern: "labs/{lab}/compile", handler: s.auth(s.classed(overload.ClassSubmission, s.handleCompile))},
-		{Method: "POST", Pattern: "labs/{lab}/attempt", handler: s.auth(s.classed(overload.ClassSubmission, s.handleAttempt))},
-		{Method: "GET", Pattern: "labs/{lab}/attempts", handler: s.auth(s.classed(overload.ClassRead, s.handleAttempts))},
-		{Method: "POST", Pattern: "labs/{lab}/questions", handler: s.auth(s.handleAnswerQuestions)},
-		{Method: "POST", Pattern: "labs/{lab}/submit", handler: s.auth(s.classed(overload.ClassSubmission, s.handleSubmit))},
-		{Method: "GET", Pattern: "labs/{lab}/grade", handler: s.auth(s.classed(overload.ClassRead, s.handleGetGrade))},
-		{Method: "GET", Pattern: "labs/{lab}/hints", handler: s.auth(s.handleHints)},
-		{Method: "POST", Pattern: "attempts/{attempt}/share", handler: s.auth(s.handleShare)},
-		{Method: "GET", Pattern: "share/{token}", handler: s.handleViewShare},
-		{Method: "GET", Pattern: "reviews", handler: s.auth(s.classed(overload.ClassRead, s.handleMyReviews))},
-		{Method: "POST", Pattern: "reviews/complete", handler: s.auth(s.classed(overload.ClassRead, s.handleCompleteReview))},
-		{Method: "GET", Pattern: "instructor/roster/{lab}", handler: s.instructor(s.handleRoster)},
-		{Method: "GET", Pattern: "instructor/student/{user}/{lab}", handler: s.instructor(s.handleStudentDetail)},
-		{Method: "POST", Pattern: "instructor/override", handler: s.instructor(s.handleOverride)},
-		{Method: "POST", Pattern: "instructor/comment", handler: s.instructor(s.handleComment)},
-		{Method: "POST", Pattern: "instructor/reviews/assign/{lab}", handler: s.instructor(s.handleAssignReviews)},
-		{Method: "POST", Pattern: "instructor/labs/{lab}/analysis", handler: s.instructor(s.handleSetAnalysisPolicy)},
-		{Method: "GET", Pattern: "instructor/labs/{lab}/analysis", handler: s.instructor(s.handleGetAnalysisPolicy)},
-		{Method: "GET", Pattern: "instructor/export", handler: s.instructor(s.handleExport)},
-		{Method: "GET", Pattern: "admin/metrics", handler: s.instructor(s.handleAdminMetrics)},
-		{Method: "GET", Pattern: "admin/traces", handler: s.instructor(s.handleAdminTraces)},
-		{Method: "GET", Pattern: "admin/traces/{id}", handler: s.instructor(s.handleAdminTrace)},
-		{Method: "GET", Pattern: "admin/deadletters", handler: s.instructor(s.handleAdminDeadLetters)},
-		{Method: "POST", Pattern: "admin/deadletters/redrive", handler: s.instructor(s.handleAdminRedrive)},
+		{"POST", "register", public, overload.ClassNone, s.handleRegister},
+		{"POST", "login", public, overload.ClassNone, s.handleLogin},
+		{"GET", "labs", student, overload.ClassNone, s.handleListLabs},
+		{"GET", "labs/{lab}", student, overload.ClassNone, s.handleGetLab},
+		{"POST", "labs/{lab}/save", student, overload.ClassNone, s.handleSave},
+		{"GET", "labs/{lab}/code", student, overload.ClassNone, s.handleGetCode},
+		{"GET", "labs/{lab}/history", student, overload.ClassRead, s.handleHistory},
+		{"POST", "labs/{lab}/compile", student, overload.ClassSubmission, s.handleCompile},
+		{"POST", "labs/{lab}/attempt", student, overload.ClassSubmission, s.handleAttempt},
+		{"GET", "labs/{lab}/attempts", student, overload.ClassRead, s.handleAttempts},
+		{"POST", "labs/{lab}/questions", student, overload.ClassNone, s.handleAnswerQuestions},
+		{"POST", "labs/{lab}/submit", student, overload.ClassSubmission, s.handleSubmit},
+		{"GET", "labs/{lab}/grade", student, overload.ClassRead, s.handleGetGrade},
+		{"GET", "labs/{lab}/hints", student, overload.ClassNone, s.handleHints},
+		{"POST", "attempts/{attempt}/share", student, overload.ClassNone, s.handleShare},
+		{"GET", "share/{token}", public, overload.ClassNone, s.handleViewShare},
+		{"GET", "reviews", student, overload.ClassRead, s.handleMyReviews},
+		{"POST", "reviews/complete", student, overload.ClassRead, s.handleCompleteReview},
+		{"GET", "instructor/roster/{lab}", instructor, overload.ClassNone, s.handleRoster},
+		{"GET", "instructor/student/{user}/{lab}", instructor, overload.ClassNone, s.handleStudentDetail},
+		{"POST", "instructor/override", instructor, overload.ClassNone, s.handleOverride},
+		{"POST", "instructor/comment", instructor, overload.ClassNone, s.handleComment},
+		{"POST", "instructor/reviews/assign/{lab}", instructor, overload.ClassNone, s.handleAssignReviews},
+		{"POST", "instructor/labs/{lab}/analysis", instructor, overload.ClassNone, s.handleSetAnalysisPolicy},
+		{"GET", "instructor/labs/{lab}/analysis", instructor, overload.ClassNone, s.handleGetAnalysisPolicy},
+		{"GET", "instructor/export", instructor, overload.ClassNone, s.handleExport},
+		{"GET", "admin/metrics", instructor, overload.ClassNone, s.handleAdminMetrics},
+		{"GET", "admin/traces", instructor, overload.ClassNone, s.handleAdminTraces},
+		{"GET", "admin/traces/{id}", instructor, overload.ClassNone, s.handleAdminTrace},
+		{"GET", "admin/deadletters", instructor, overload.ClassNone, s.handleAdminDeadLetters},
+		{"POST", "admin/deadletters/redrive", instructor, overload.ClassNone, s.handleAdminRedrive},
 
 		// Live development loop.
-		{Method: "POST", Pattern: "labs/{lab}/session", handler: s.auth(s.handleOpenSession)},
-		{Method: "GET", Pattern: "sessions/{id}/events", handler: s.auth(s.handleSessionEvents)},
-		{Method: "POST", Pattern: "sessions/{id}/draft", handler: s.auth(s.classed(overload.ClassDraft, s.handleSessionDraft))},
-		{Method: "DELETE", Pattern: "sessions/{id}", handler: s.auth(s.handleCloseSession)},
+		{"POST", "labs/{lab}/session", student, overload.ClassNone, s.handleOpenSession},
+		{"GET", "sessions/{id}/events", student, overload.ClassNone, s.handleSessionEvents},
+		{"POST", "sessions/{id}/draft", student, overload.ClassDraft, s.handleSessionDraft},
+		{"DELETE", "sessions/{id}", student, overload.ClassNone, s.handleCloseSession},
 	}
 }
 
@@ -309,7 +317,16 @@ func versioned(version string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	for _, rt := range s.apiRoutes() {
-		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", rt.handler))
+		h := rt.handler
+		if rt.Class != overload.ClassNone {
+			h = s.classed(rt.Class, h)
+		}
+		mounted := map[access]http.HandlerFunc{
+			public:     func(w http.ResponseWriter, r *http.Request) { h(w, r, nil) },
+			student:    s.auth(h),
+			instructor: s.instructor(h),
+		}[rt.Access]
+		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", mounted))
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /labs/{lab}/view", s.auth(s.handleLabPage))

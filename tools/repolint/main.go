@@ -1,5 +1,5 @@
 // Command repolint enforces repo-local invariants the general Go
-// toolchain cannot express, using only the stdlib go/ast parser:
+// toolchain cannot express. It uses only the stdlib go/ast parser:
 //
 //   - Deterministic clocks: packages whose components all hold a
 //     clock.Clock (internal/queue, internal/overload, internal/devsession,
@@ -37,6 +37,12 @@
 //     stage_<name>_ms). A stage's sample comes from its trace.Active's
 //     End, the same clock reading as its span; a hand-placed observation
 //     is a second instrument that drifts from the first.
+//
+//   - Stopwatch verdicts: under internal/, cmd/ and tools/, no test
+//     function outside stopwatchAllowed may order-compare an operand that
+//     calls time.Since or a .Sub method or names a time unit: such a
+//     verdict moves with the host's speed. A for condition bounds a wait,
+//     not a result, and is exempt.
 //
 //   - Orphan packages: when a directory argument is a module root (it
 //     holds go.mod), a package under its internal/ that has non-test
@@ -102,6 +108,26 @@ var settleAllowed = map[string]bool{
 	"internal/worker/v2.go:Driver.loop": true,
 }
 
+// stopwatchAllowed lists the test functions, keyed as settleAllowed is,
+// whose stopwatch comparisons stand until the clock they read is injected
+// (ROADMAP items 11 and 16).
+var stopwatchAllowed = map[string]bool{
+	// A bounded store's touch stamps the file with the wall clock's now.
+	"internal/castore/castore_test.go:TestTouchIsBounded": true,
+	// A latency-only fault sleeps on the wall clock: the delay is the point.
+	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true,
+	// Wake-ups beside the v2 driver's fallback tick, a wall-clock timer.
+	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true,
+	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true,
+	"internal/worker/v2_wake_test.go:TestStopReleasesBlockedDriver":     true,
+	// Cold-job medians with and without the overlapped analysis.
+	"internal/worker/analysis_test.go:TestAnalysisOffCriticalPath": true,
+	// v1 QueueWait is read off the wall clock around a held compile.
+	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait": true,
+	// The soak's p99 bound, until the soaks run in virtual time.
+	"internal/macrobench/soak_test.go:TestOverloadSoak": true,
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -135,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				return nil
 			}
-			if strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
+			if strings.HasSuffix(p, ".go") {
 				files = append(files, p)
 			}
 			return nil
@@ -156,6 +182,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, "repolint:", err)
 			return 2
+		}
+		if slash := filepath.ToSlash(path); strings.HasSuffix(slash, "_test.go") {
+			if inPkg(slash, []string{"internal", "cmd", "tools"}) {
+				all = append(all, checkStopwatch(fset, f, slash)...)
+			}
+			continue
 		}
 		all = append(all, lintFile(fset, f, path)...)
 		self := packagePath(modules, path)
@@ -278,7 +310,7 @@ func checkDroppedSettles(fset *token.FileSet, f *ast.File, slash string) []findi
 // settleKey names a function for settleAllowed: the file's path from its
 // internal/ or cmd/ directory, then Recv.Func or Func.
 func settleKey(slash string, fn *ast.FuncDecl) string {
-	for _, dir := range []string{"internal/", "cmd/"} {
+	for _, dir := range []string{"internal/", "cmd/", "tools/"} {
 		if i := strings.LastIndex(slash, dir); i >= 0 {
 			slash = slash[i:]
 			break
@@ -295,6 +327,62 @@ func settleKey(slash string, fn *ast.FuncDecl) string {
 		}
 	}
 	return slash + ":" + name
+}
+
+// timeUnits are the time package's duration constants.
+var timeUnits = map[string]bool{
+	"Nanosecond": true, "Microsecond": true, "Millisecond": true, "Second": true, "Minute": true, "Hour": true,
+}
+
+// checkStopwatch flags ordered comparisons with a stopwatch operand in
+// every test function that stopwatchAllowed does not list; for conditions
+// are skipped.
+func checkStopwatch(fset *token.FileSet, f *ast.File, slash string) []finding {
+	timeName := importName(f, "time")
+	if timeName == "" {
+		return nil
+	}
+	stopwatch := func(e ast.Expr) (found bool) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				found = found || pkgSel(call.Fun, timeName) == "Since" || ok && sel.Sel.Name == "Sub"
+			}
+			found = found || timeUnits[pkgSel(n, timeName)]
+			return !found
+		})
+		return found
+	}
+	var out []finding
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			for _, part := range []ast.Node{n.Init, n.Post, n.Body} {
+				if part != nil {
+					ast.Inspect(part, visit)
+				}
+			}
+			return false
+		case *ast.BinaryExpr:
+			switch n.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ:
+				if stopwatch(n.X) || stopwatch(n.Y) {
+					out = append(out, finding{
+						pos: fset.Position(n.OpPos),
+						msg: "a test compares a stopwatch reading; assert the counted property it stands for",
+					})
+				}
+			}
+		}
+		return true
+	}
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil && !stopwatchAllowed[settleKey(slash, fn)] {
+			ast.Inspect(fn.Body, visit)
+		}
+	}
+	return out
 }
 
 // droppedCall returns the call whose result n throws away, as a bare

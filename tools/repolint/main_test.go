@@ -381,6 +381,127 @@ func main() { var d delivery; _ = d.Ack() }
 	}
 }
 
+// TestStopwatchRule: a test that orders a time.Since, a .Sub or an
+// operand naming a time unit is flagged; a for condition (a wait bound),
+// an equality, a function on the allowlist, a non-test file and a test
+// outside internal/, cmd/ and tools/ are not.
+func TestStopwatchRule(t *testing.T) {
+	rows := []struct {
+		name, path, src string
+		want            int
+	}{
+		{"since, sub and unit", "internal/queue/q_test.go", `package queue
+
+import (
+	"testing"
+	"time"
+)
+
+func TestX(t *testing.T) {
+	start := time.Now()
+	if time.Since(start) > 0 {
+		t.Error("slow")
+	}
+	if time.Now().Sub(start) <= 0 {
+		t.Error("fast")
+	}
+	t.Run("sub", func(t *testing.T) {
+		var waited time.Duration
+		if waited >= 20*time.Millisecond {
+			t.Error("late")
+		}
+	})
+}
+`, 3},
+		{"float of a unit", "cmd/minicuda/m_test.go", `package main
+
+import (
+	"testing"
+	"time"
+)
+
+func TestP99(t *testing.T) {
+	var p99 float64
+	if p99 > float64(5*time.Second/time.Millisecond) {
+		t.Error("p99")
+	}
+}
+`, 1},
+		{"wait bound and equality", "tools/kernelcheck/k_test.go", `package main
+
+import (
+	"testing"
+	"time"
+)
+
+func TestWait(t *testing.T) {
+	for deadline := time.Now().Add(time.Second); time.Since(deadline) < 0; {
+		break
+	}
+	var waited time.Duration
+	if waited != 20*time.Millisecond {
+		t.Error("exact")
+	}
+	if n := 3; n > 2 {
+		t.Log(n)
+	}
+}
+`, 0},
+		{"allowlisted function", "internal/worker/pipeline_test.go", `package worker
+
+import (
+	"testing"
+	"time"
+)
+
+func TestV1DispatchQueueWait(t *testing.T) {
+	var d time.Duration
+	if d < 20*time.Millisecond {
+		t.Error("short")
+	}
+}
+
+func TestOther(t *testing.T) {
+	var d time.Duration
+	if d < 20*time.Millisecond {
+		t.Error("short")
+	}
+}
+`, 1},
+		{"not a test file", "internal/queue/q.go", `package queue
+
+import "time"
+
+func slow(d time.Duration) bool { return d > time.Second }
+`, 0},
+		{"outside internal, cmd and tools", "examples/demo/d_test.go", `package main
+
+import (
+	"testing"
+	"time"
+)
+
+func TestD(t *testing.T) {
+	if time.Since(time.Time{}) > 0 {
+		t.Log("old")
+	}
+}
+`, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{row.path: row.src})
+			code, out := runLint(t, root)
+			if n := strings.Count(out, "compares a stopwatch reading"); n != row.want {
+				t.Fatalf("want %d stopwatch findings, got %d:\n%s", row.want, n, out)
+			}
+			if (code == 1) != (row.want > 0) || code > 1 {
+				t.Fatalf("exit = %d with %d findings wanted\n%s", code, row.want, out)
+			}
+		})
+	}
+}
+
 // TestStageObserveRule: a stage histogram observed by hand is flagged
 // anywhere outside internal/trace, in either spelling, as the worker node
 // once observed its admission sample beside the admission span. Another
