@@ -23,22 +23,20 @@ import (
 	"webgpu/internal/minicuda"
 )
 
-// The flags; README.md's table of them is generated.
 var (
-	flags   = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-	dialect = flags.String("dialect", "cuda", "source dialect: cuda, opencl, or openacc")
-	labID   = flags.String("lab", "", "run the file as a submission for this lab")
-	dataset = flags.Int("dataset", -1, "dataset index (-1 = all datasets)")
+	dialect = flag.String("dialect", "cuda", "source dialect: cuda, opencl, or openacc")
+	labID   = flag.String("lab", "", "run the file as a submission for this lab")
+	dataset = flag.Int("dataset", -1, "dataset index (-1 = all datasets)")
 )
 
 func main() {
-	flags.Parse(os.Args[1:])
+	flag.Parse()
 
-	if flags.NArg() != 1 {
+	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: minicuda [-dialect cuda|opencl] [-lab id [-dataset n]] file.cu")
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flags.Arg(0))
+	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,10 +55,10 @@ func main() {
 	}
 	prog, err := minicuda.Compile(string(src), d)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", flags.Arg(0), err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", flag.Arg(0), err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: compiled OK (%s dialect)\n", flags.Arg(0), d)
+	fmt.Printf("%s: compiled OK (%s dialect)\n", flag.Arg(0), d)
 	for _, name := range prog.Kernels() {
 		fn := prog.Kernel(name)
 		fmt.Printf("  kernel %s: %d parameter(s), %d bytes static __shared__\n",

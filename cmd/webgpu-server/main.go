@@ -19,22 +19,20 @@ import (
 	"webgpu/internal/platform"
 )
 
-// The flags; README.md's table of them is generated.
 var (
-	flags    = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-	addr     = flags.String("addr", ":8080", "listen address")
-	arch     = flags.String("arch", "v2", "architecture: v1 (push) or v2 (broker)")
-	workers  = flags.Int("workers", 2, "initial worker count")
-	gpus     = flags.Int("gpus", 2, "simulated GPUs per worker")
-	course   = flags.String("course", "HPP", "course: HPP, 408, 598, or PUMPS")
-	cacheDir = flags.String("cache-dir", os.Getenv("WEBGPU_CACHE_DIR"),
+	addr     = flag.String("addr", ":8080", "listen address")
+	arch     = flag.String("arch", "v2", "architecture: v1 (push) or v2 (broker)")
+	workers  = flag.Int("workers", 2, "initial worker count")
+	gpus     = flag.Int("gpus", 2, "simulated GPUs per worker")
+	course   = flag.String("course", "HPP", "course: HPP, 408, 598, or PUMPS")
+	cacheDir = flag.String("cache-dir", os.Getenv("WEBGPU_CACHE_DIR"),
 		"durable artifact store directory (default $WEBGPU_CACHE_DIR; empty = memory-only)")
-	cacheMax = flags.Int64("cache-max-bytes", envInt64("WEBGPU_CACHE_MAX_BYTES", 0),
+	cacheMax = flag.Int64("cache-max-bytes", envInt64("WEBGPU_CACHE_MAX_BYTES", 0),
 		"artifact store size bound in bytes (0 = unbounded)")
 )
 
 func main() {
-	flags.Parse(os.Args[1:])
+	flag.Parse()
 
 	a := platform.V2
 	if *arch == "v1" {

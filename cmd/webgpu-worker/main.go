@@ -22,20 +22,18 @@ import (
 	"webgpu/internal/worker"
 )
 
-// The flags; README.md's table of them is generated.
 var (
-	flags    = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
-	workers  = flags.Int("workers", 2, "worker drivers to run")
-	gpus     = flags.Int("gpus", 2, "simulated GPUs per worker")
-	jobs     = flags.Int("jobs", 50, "jobs to push through the broker")
-	labID    = flags.String("lab", "vector-add", "lab whose reference solution to run")
-	dataset  = flags.Int("dataset", 0, "dataset index (-1 = all)")
-	cacheDir = flags.String("cache-dir", os.Getenv("WEBGPU_CACHE_DIR"),
+	workers  = flag.Int("workers", 2, "worker drivers to run")
+	gpus     = flag.Int("gpus", 2, "simulated GPUs per worker")
+	jobs     = flag.Int("jobs", 50, "jobs to push through the broker")
+	labID    = flag.String("lab", "vector-add", "lab whose reference solution to run")
+	dataset  = flag.Int("dataset", 0, "dataset index (-1 = all)")
+	cacheDir = flag.String("cache-dir", os.Getenv("WEBGPU_CACHE_DIR"),
 		"durable artifact store directory shared with other fleets (default $WEBGPU_CACHE_DIR; empty = memory-only)")
 )
 
 func main() {
-	flags.Parse(os.Args[1:])
+	flag.Parse()
 
 	l := labs.ByID(*labID)
 	if l == nil {

@@ -12,7 +12,7 @@ import (
 // error that names the block and quotes its first moved line. Tests own
 // the blocks: each renders a list from the code that holds it.
 func SyncBlock(path, tag, body string, update bool) error {
-	recorded, err := Block(path, tag)
+	recorded, raw, err := Block(path, tag)
 	if err != nil || recorded == body {
 		return err
 	}
@@ -20,43 +20,32 @@ func SyncBlock(path, tag, body string, update bool) error {
 		return fmt.Errorf("%s block %s is stale: %s; if the change is intended, rerun with -update",
 			filepath.Base(path), tag, firstDiff(recorded, body))
 	}
-	raw, err := os.ReadFile(path)
-	if err == nil {
-		open := "<!-- " + tag + " -->\n"
-		err = os.WriteFile(path, []byte(strings.Replace(string(raw), open+recorded, open+body, 1)), 0o644)
-	}
-	return err
+	open := "<!-- " + tag + " -->\n"
+	return os.WriteFile(path, []byte(strings.Replace(raw, open+recorded, open+body, 1)), 0o644)
 }
 
 // Block returns the generated block named tag in the Markdown file at
-// path: the text between a line "<!-- tag -->" and the next
-// "<!-- /tag -->". A test whose list another test documents reads it here.
-func Block(path, tag string) (string, error) {
-	raw, err := os.ReadFile(path)
+// path, the text between a line "<!-- tag -->" and the next
+// "<!-- /tag -->", and the whole file. A test whose list another test
+// documents reads it here.
+func Block(path, tag string) (body, raw string, err error) {
+	b, err := os.ReadFile(path)
 	open, end := "<!-- "+tag+" -->\n", "<!-- /"+tag+" -->"
-	_, after, ok := strings.Cut(string(raw), open)
+	_, after, ok := strings.Cut(string(b), open)
 	body, _, closed := strings.Cut(after, end)
 	if err == nil && (!ok || !closed) {
 		err = fmt.Errorf("%s has no %q ... %q block", filepath.Base(path), open, end)
 	}
-	return body, err
+	return body, string(b), err
 }
 
-// firstDiff counts the lines at which two blocks differ and quotes the
-// first.
+// firstDiff quotes the first line at which two different blocks differ.
 func firstDiff(recorded, now string) string {
 	a, b := strings.Split(recorded, "\n"), strings.Split(now, "\n")
-	for len(a) < len(b) {
-		a = append(a, "")
+	k := 0
+	for k < len(a) && k < len(b) && a[k] == b[k] {
+		k++
 	}
-	for len(b) < len(a) {
-		b = append(b, "")
-	}
-	n, first := 0, 0
-	for k := len(a) - 1; k >= 0; k-- {
-		if a[k] != b[k] {
-			n, first = n+1, k
-		}
-	}
-	return fmt.Sprintf("%d line(s) differ; block line %d: recorded %q, now %q", n, first+1, a[first], b[first])
+	a, b = append(a, ""), append(b, "")
+	return fmt.Sprintf("block line %d: recorded %q, now %q", k+1, a[k], b[k])
 }

@@ -17,8 +17,12 @@ func TestSyncBlock(t *testing.T) {
 		t.Fatalf("matching block: %v", err)
 	}
 	err := SyncBlock(path, "gen:list", "a\nc\n", false)
-	if err == nil || !strings.Contains(err.Error(), "DOC.md block gen:list is stale: 1 line(s) differ; block line 2: recorded \"b\", now \"c\"") {
+	if err == nil || !strings.Contains(err.Error(), "DOC.md block gen:list is stale: block line 2: recorded \"b\", now \"c\"") {
 		t.Fatalf("stale block error = %v", err)
+	}
+	err = SyncBlock(path, "gen:list", "a\nb\nc\n", false)
+	if err == nil || !strings.Contains(err.Error(), "block line 3: recorded \"\", now \"c\"") {
+		t.Fatalf("grown block error = %v", err)
 	}
 	if err := SyncBlock(path, "gen:list", "a\nc\n", true); err != nil {
 		t.Fatal(err)

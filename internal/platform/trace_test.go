@@ -79,7 +79,7 @@ func traceFlow(t *testing.T, p *Platform) {
 	}
 	// Every span's attribute keys are its row of DESIGN.md's span table,
 	// but v1's queue_wait, which has no broker to count attempts or wake.
-	golden, err := markdown.Block("../../DESIGN.md", "gen:spans")
+	golden, _, err := markdown.Block("../../DESIGN.md", "gen:spans")
 	if err != nil {
 		t.Fatal(err)
 	}

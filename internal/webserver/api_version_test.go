@@ -88,6 +88,13 @@ func TestEveryRouteServedUnderV1(t *testing.T) {
 			t.Errorf("%s: unversioned alias = %d, want 404", name, code)
 		}
 	}
+	// Admission is keyed by the user, and a public route has none.
+	defer func() {
+		if recover() == nil {
+			t.Error("a public route with an admission class was mounted")
+		}
+	}()
+	f.srv.mount(apiRoute{"GET", "share/{token}", public, overload.ClassRead, f.srv.handleViewShare})
 }
 
 // TestErrorEnvelopeConformance drives every route in the table down an

@@ -314,19 +314,29 @@ func versioned(version string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// mount wraps a route's handler in its admission class, then its access
+// check. Admission is keyed by the user, so a public route with a class
+// is a table error.
+func (s *Server) mount(rt apiRoute) http.HandlerFunc {
+	h := rt.handler
+	if rt.Class != overload.ClassNone {
+		h = s.classed(rt.Class, h)
+	}
+	switch {
+	case rt.Access == student:
+		return s.auth(h)
+	case rt.Access == instructor:
+		return s.instructor(h)
+	case rt.Class != overload.ClassNone:
+		panic("webserver: public route " + rt.Pattern + " has an admission class")
+	}
+	return func(w http.ResponseWriter, r *http.Request) { h(w, r, nil) }
+}
+
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	for _, rt := range s.apiRoutes() {
-		h := rt.handler
-		if rt.Class != overload.ClassNone {
-			h = s.classed(rt.Class, h)
-		}
-		mounted := map[access]http.HandlerFunc{
-			public:     func(w http.ResponseWriter, r *http.Request) { h(w, r, nil) },
-			student:    s.auth(h),
-			instructor: s.instructor(h),
-		}[rt.Access]
-		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", mounted))
+		s.mux.HandleFunc(rt.Method+" /api/v1/"+rt.Pattern, versioned("v1", s.mount(rt)))
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /labs/{lab}/view", s.auth(s.handleLabPage))

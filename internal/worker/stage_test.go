@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/labs"
 	"webgpu/internal/markdown"
 	"webgpu/internal/metrics"
 	"webgpu/internal/progcache"
@@ -60,34 +61,56 @@ func TestStageSamplesAreTheirSpans(t *testing.T) {
 }
 
 // TestTracedJobSpanNames pins the spans a traced job's worker side records
-// and their attribute keys, which dashboards and bench/ read, to their rows
-// of DESIGN.md's span table (platform.TestSpanTable writes it): the
-// datasets of the exec stage share one start.
+// and their attribute keys, which dashboards and bench/ read, to DESIGN.md's
+// span table (platform.TestSpanTable writes it in start order). The node's
+// stages run after the job leaves the queue and before the web tier grades
+// it, so its rows are exactly those between queue_wait and grade, each
+// recorded once but exec, which has one span per dataset, all sharing one
+// start.
 func TestTracedJobSpanNames(t *testing.T) {
 	_, spans := tracedRun(t)
-	golden, err := markdown.Block("../../DESIGN.md", "gen:spans")
+	golden, _, err := markdown.Block("../../DESIGN.md", "gen:spans")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var execStart time.Time
+	_, after, _ := strings.Cut(golden, "| `queue_wait` |")
+	_, after, _ = strings.Cut(after, "\n")
+	want, _, ok := strings.Cut(after, "| `grade` |")
+	if !ok {
+		t.Fatalf("DESIGN.md's span table has no queue_wait ... grade rows:\n%s", golden)
+	}
+	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
+	var rows []string
+	var exec []trace.Span
+	datasets := map[string]bool{}
 	for _, sp := range spans {
 		name := sp.Name
 		if strings.HasPrefix(name, "exec[") {
-			if !execStart.IsZero() && !sp.Start.Equal(execStart) {
-				t.Errorf("%s starts at %v, the first dataset at %v", sp.Name, sp.Start, execStart)
+			if exec, datasets[name], name = append(exec, sp), true, "exec[dataset=i]"; !sp.Start.Equal(exec[0].Start) {
+				t.Errorf("%s starts at %v, %s at %v", sp.Name, sp.Start, exec[0].Name, exec[0].Start)
 			}
-			execStart, name = sp.Start, "exec[dataset=i]"
 		}
 		keys := make([]string, 0, len(sp.Attrs))
 		for k := range sp.Attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		if row := fmt.Sprintf("| `%s` | %s |\n", name, strings.Join(keys, ", ")); !strings.Contains(golden, row) {
-			t.Errorf("span row %q is not in DESIGN.md's span table", row)
+		row := fmt.Sprintf("| `%s` | %s |\n", name, strings.Join(keys, ", "))
+		if len(exec) > 1 && name == "exec[dataset=i]" && rows[len(rows)-1] == row {
+			continue // the datasets' spans are one row
+		}
+		rows = append(rows, row)
+	}
+	if got := strings.Join(rows, ""); got != want {
+		t.Errorf("the node's span rows, in start order:\n%s\nDESIGN.md's rows between queue_wait and grade:\n%s", got, want)
+	}
+	n := labs.ByID("vector-add").NumDatasets
+	for i := 0; i < n; i++ {
+		if !datasets[fmt.Sprintf("exec[dataset=%d]", i)] {
+			t.Errorf("no exec span for dataset %d", i)
 		}
 	}
-	if execStart.IsZero() {
-		t.Error("the job recorded no exec span")
+	if len(exec) != n {
+		t.Errorf("%d exec spans for %d datasets", len(exec), n)
 	}
 }

@@ -110,22 +110,16 @@ var settleAllowed = map[string]bool{
 
 // stopwatchAllowed lists the test functions, keyed as settleAllowed is,
 // whose stopwatch comparisons stand until the clock they read is injected
-// (ROADMAP items 11 and 16).
+// (ROADMAP items 11 and 16); each line says why.
 var stopwatchAllowed = map[string]bool{
-	// A bounded store's touch stamps the file with the wall clock's now.
-	"internal/castore/castore_test.go:TestTouchIsBounded": true,
-	// A latency-only fault sleeps on the wall clock: the delay is the point.
-	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true,
-	// Wake-ups beside the v2 driver's fallback tick, a wall-clock timer.
-	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true,
-	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true,
-	"internal/worker/v2_wake_test.go:TestStopReleasesBlockedDriver":     true,
-	// Cold-job medians with and without the overlapped analysis.
-	"internal/worker/analysis_test.go:TestAnalysisOffCriticalPath": true,
-	// v1 QueueWait is read off the wall clock around a held compile.
-	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait": true,
-	// The soak's p99 bound, until the soaks run in virtual time.
-	"internal/macrobench/soak_test.go:TestOverloadSoak": true,
+	"internal/castore/castore_test.go:TestTouchIsBounded":               true, // a bounded store's touch stamps the wall clock's now
+	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault":     true, // a latency-only fault sleeps on the wall clock
+	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true, // a wake-up beside the driver's wall-clock tick
+	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true, // as above
+	"internal/worker/v2_wake_test.go:TestStopReleasesBlockedDriver":     true, // as above
+	"internal/worker/analysis_test.go:TestAnalysisOffCriticalPath":      true, // cold-job medians with and without the overlapped analysis
+	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":          true, // v1 QueueWait is read off the wall clock
+	"internal/macrobench/soak_test.go:TestOverloadSoak":                 true, // the soak's p99 bound, until soaks run in virtual time
 }
 
 func main() {
@@ -334,55 +328,50 @@ var timeUnits = map[string]bool{
 	"Nanosecond": true, "Microsecond": true, "Millisecond": true, "Second": true, "Minute": true, "Hour": true,
 }
 
-// checkStopwatch flags ordered comparisons with a stopwatch operand in
-// every test function that stopwatchAllowed does not list; for conditions
-// are skipped.
+// checkStopwatch flags ordered comparisons with a stopwatch operand in the
+// test functions stopwatchAllowed does not list, outside for conditions.
 func checkStopwatch(fset *token.FileSet, f *ast.File, slash string) []finding {
 	timeName := importName(f, "time")
-	if timeName == "" {
-		return nil
-	}
-	stopwatch := func(e ast.Expr) (found bool) {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				found = found || pkgSel(call.Fun, timeName) == "Since" || ok && sel.Sel.Name == "Sub"
-			}
-			found = found || timeUnits[pkgSel(n, timeName)]
-			return !found
-		})
-		return found
-	}
 	var out []finding
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			for _, part := range []ast.Node{n.Init, n.Post, n.Body} {
-				if part != nil {
-					ast.Inspect(part, visit)
-				}
-			}
-			return false
-		case *ast.BinaryExpr:
-			switch n.Op {
-			case token.LSS, token.LEQ, token.GTR, token.GEQ:
-				if stopwatch(n.X) || stopwatch(n.Y) {
-					out = append(out, finding{
-						pos: fset.Position(n.OpPos),
-						msg: "a test compares a stopwatch reading; assert the counted property it stands for",
-					})
-				}
-			}
-		}
-		return true
-	}
 	for _, decl := range f.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil && !stopwatchAllowed[settleKey(slash, fn)] {
-			ast.Inspect(fn.Body, visit)
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || timeName == "" || stopwatchAllowed[settleKey(slash, fn)] {
+			continue
 		}
+		waits := map[ast.Node]bool{} // for conditions: a wait's bound, not a verdict
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if loop, ok := n.(*ast.ForStmt); ok && loop.Cond != nil {
+				waits[loop.Cond] = true
+			}
+			cmp, ok := n.(*ast.BinaryExpr)
+			if !ok || waits[n] {
+				return !waits[n]
+			}
+			switch cmp.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ:
+				if readsStopwatch(cmp.X, timeName) || readsStopwatch(cmp.Y, timeName) {
+					out = append(out, finding{pos: fset.Position(cmp.OpPos),
+						msg: "a test compares a stopwatch reading; assert the counted property it stands for"})
+				}
+			}
+			return true
+		})
 	}
 	return out
+}
+
+// readsStopwatch reports whether e calls time.Since or a Sub method or
+// names a time unit.
+func readsStopwatch(e ast.Expr, timeName string) (found bool) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			found = found || pkgSel(call.Fun, timeName) == "Since" || ok && sel.Sel.Name == "Sub"
+		}
+		found = found || timeUnits[pkgSel(n, timeName)]
+		return !found
+	})
+	return found
 }
 
 // droppedCall returns the call whose result n throws away, as a bare
