@@ -4,7 +4,11 @@ package minicuda
 // annotates them in place (resolved symbols, slot indices, computed
 // types); the interpreter walks them directly.
 
-import "unsafe"
+import (
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
 
 // Node is the common interface of AST nodes, carrying a source token for
 // diagnostics.
@@ -303,29 +307,54 @@ type Program struct {
 
 	// Executable artifact for the warp engine: the lowered bytecode plus
 	// the fused warp stream derived from it. Compile and DecodeProgram
-	// build it and fail when the tree does not lower, so every program
-	// they return has one; one only parsed and analyzed cannot launch.
-	wp *warpProgram
+	// stop short of it, since many programs are only analyzed or cached
+	// and never run; the first Launch or InstructionCount builds it,
+	// once, and publishes it in wp so BytecodeBytes can read what is held
+	// without lowering.
+	lowerOnce sync.Once
+	wp        atomic.Pointer[warpProgram]
+	lowerErr  error
 }
 
-// lower builds the program's warp-execution artifact, lowering the tree to
-// bytecode and fusing it. Its error is an internal compiler error.
-func (p *Program) lower() error {
-	bc, err := lowerProgram(p)
-	if err != nil {
-		return err
-	}
-	p.wp = buildWarpProgram(bc)
-	return nil
+// testHookLowered, when set, runs after each program's one lowering.
+var testHookLowered func()
+
+// warp returns the program's warp-execution artifact, lowering the tree to
+// bytecode and fusing it on the first call. Its error is an internal
+// compiler error, returned by every call.
+func (p *Program) warp() (*warpProgram, error) {
+	p.lowerOnce.Do(func() {
+		bc, err := lowerProgram(p)
+		if err != nil {
+			p.lowerErr = err
+			return
+		}
+		p.wp.Store(buildWarpProgram(bc))
+		if testHookLowered != nil {
+			testHookLowered()
+		}
+	})
+	return p.wp.Load(), p.lowerErr
 }
 
 // InstructionCount reports the number of instructions in the lowered
-// bytecode.
-func (p *Program) InstructionCount() int { return len(p.wp.bc.code) }
+// bytecode, lowering the program if no launch has; 0 if it does not lower.
+func (p *Program) InstructionCount() int {
+	wp, err := p.warp()
+	if err != nil {
+		return 0
+	}
+	return len(wp.bc.code)
+}
 
-// BytecodeBytes estimates the in-memory size of the lowered bytecode.
+// BytecodeBytes estimates the in-memory size of the lowered bytecode the
+// program holds: 0 until its first launch (or InstructionCount) lowers it.
 func (p *Program) BytecodeBytes() int {
-	return p.InstructionCount() * int(unsafe.Sizeof(instr{}))
+	wp := p.wp.Load()
+	if wp == nil {
+		return 0
+	}
+	return len(wp.bc.code) * int(unsafe.Sizeof(instr{}))
 }
 
 // UsesBarrier reports whether any function in the program calls

@@ -6,10 +6,9 @@ package minicuda
 // rebuilds an equivalent Program without re-running the lexer, parser, or
 // semantic analyzer. The bytecode and fused warp streams are NOT
 // serialized — they are riddled with AST-pointer-keyed maps, interned
-// *Type pointers, and error values — instead the decoder re-runs the
-// deterministic lowerer (exactly what Compile does after Analyze), so a
-// decoded Program carries the same ast/bytecode/bytecode-warp artifact
-// set as a freshly compiled one and launches on every engine tier.
+// *Type pointers, and error values. The decoder runs the deterministic
+// lowerer once to check that the tree lowers and drops what it built: a
+// decoded Program, like a compiled one, lowers on its first launch.
 //
 // Format (all integers are varints unless noted):
 //
@@ -467,12 +466,11 @@ type progDecoder struct {
 }
 
 // DecodeProgram rebuilds a program from an EncodeProgram stream and
-// eagerly re-lowers it to bytecode and the fused warp stream (exactly
-// what Compile does after analysis), so the decoded program is
-// launch-ready. Any corruption — wrong version, truncation, dangling
-// index, a tree that does not lower — returns an error, never a panic:
-// callers treat a decode failure as a cache miss and recompile from
-// source.
+// checks that it lowers, keeping none of the lowered code: the decoded
+// program, like a compiled one, lowers on its first launch. Any
+// corruption — wrong version, truncation, dangling index, a tree that
+// does not lower — returns an error, never a panic: callers treat a
+// decode failure as a cache miss and recompile from source.
 func DecodeProgram(data []byte) (p *Program, err error) {
 	defer func() {
 		// The lowerer and validation walk a decoder-built tree; convert
@@ -580,11 +578,10 @@ func DecodeProgram(data []byte) (p *Program, err error) {
 		d.fail("no kernels")
 	}
 
-	// Re-derive the executable artifacts eagerly, like Compile: the
-	// lowerer is deterministic over the (fully annotated) tree, so the
-	// decoded program's bytecode and warp streams match the original's. A
-	// tree that does not lower was never compiled: the frame is corrupt.
-	if err := prog.lower(); err != nil {
+	// A tree that does not lower was never compiled: the frame is
+	// corrupt. The check's bytecode is dropped; a restarted platform
+	// holds its decoded programs, and most of them never launch.
+	if _, err := lowerProgram(prog); err != nil {
 		return nil, fmt.Errorf("minicuda: decode program: %w", err)
 	}
 	return prog, nil

@@ -3,6 +3,7 @@ package minicuda
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -72,3 +73,18 @@ func RequireEnginesAgree(t *testing.T, src string, prog *Program) {
 // LexReference hands the pre-rewrite lexer (lexref_test.go) to the
 // external tests that compare Lex with it over the lab sources.
 var LexReference = lexReference
+
+// Lower lowers prog as its first launch does and returns the internal
+// compiler error, if there is one.
+func Lower(prog *Program) error {
+	_, err := prog.warp()
+	return err
+}
+
+// CountLowerings counts the programs lowered until the test ends.
+func CountLowerings(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	testHookLowered = func() { n.Add(1) }
+	t.Cleanup(func() { testHookLowered = nil })
+	return &n
+}

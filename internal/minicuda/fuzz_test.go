@@ -1,7 +1,6 @@
 package minicuda_test
 
 import (
-	"strings"
 	"testing"
 
 	"webgpu/internal/gpusim"
@@ -18,10 +17,10 @@ func fuzzSeeds(t testing.TB) []hashSource {
 	return seeds
 }
 
-// FuzzCompile: lowering is total over what the front end accepts — Compile
-// never reports an internal compiler error — and a kernel with the
-// differential skeleton k(int *iout, float *fout) runs alike on Launch and
-// on the oracle.
+// FuzzCompile: lowering is total over what the front end accepts — every
+// program Compile returns lowers as its first launch would, without an
+// internal compiler error — and a kernel with the differential skeleton
+// k(int *iout, float *fout) runs alike on Launch and on the oracle.
 func FuzzCompile(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s.src, uint8(s.dialect))
@@ -29,10 +28,10 @@ func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string, dialect uint8) {
 		prog, err := minicuda.Compile(src, minicuda.Dialect(dialect%3))
 		if err != nil {
-			if strings.Contains(err.Error(), "internal compiler error") {
-				t.Fatalf("%v\n%s", err, src)
-			}
 			return
+		}
+		if err := minicuda.Lower(prog); err != nil {
+			t.Fatalf("%v\n%s", err, src)
 		}
 		minicuda.RequireEnginesAgree(t, src, prog)
 	})

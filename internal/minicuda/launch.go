@@ -6,11 +6,13 @@ import (
 	"webgpu/internal/gpusim"
 )
 
-// Compile parses and analyzes source, producing an executable Program.
-// This is the stage a WebGPU worker node runs when a student presses
-// "Compile"; errors are CompileError values formatted like toolchain
-// diagnostics. OpenACC source is first translated to CUDA kernels (the
-// PGI-compiler role on the paper's workers).
+// Compile parses and analyzes source, producing a Program ready to
+// launch. This is the stage a WebGPU worker node runs when a student
+// presses "Compile"; errors are CompileError values formatted like
+// toolchain diagnostics. OpenACC source is first translated to CUDA
+// kernels (the PGI-compiler role on the paper's workers). Compile stops
+// after sema: the program lowers to warp code on its first launch, so a
+// compile-only job or a draft that is never run holds none.
 func Compile(src string, dialect Dialect) (*Program, error) {
 	if dialect == DialectOpenACC {
 		cuda, err := TranslateOpenACC(src)
@@ -29,13 +31,6 @@ func Compile(src string, dialect Dialect) (*Program, error) {
 		return nil, err
 	}
 	if err := Analyze(prog); err != nil {
-		return nil, err
-	}
-	// Lower to the fused warp stream eagerly so the artifact is built once
-	// at compile time (and cached alongside the AST in the program cache)
-	// rather than on the first launch. A tree the lowerer cannot take is an
-	// internal compiler error: the warp engine is the only one Launch runs.
-	if err := prog.lower(); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -83,15 +78,21 @@ const DefaultMaxSteps = 4 << 20
 // Launch runs the named kernel on dev on the warp engine, which decodes
 // each instruction once per warp instead of once per thread. Argument
 // count and types must match the kernel's parameters (scalars convert;
-// pointers must point to the declared element type).
+// pointers must point to the declared element type). The first launch
+// lowers the program; a tree the lowerer cannot take fails every launch
+// with an internal compiler error.
 func (p *Program) Launch(dev *gpusim.Device, kernel string, opts LaunchOpts, args ...Arg) (*gpusim.LaunchStats, error) {
 	fn, bound, cfg, err := p.bind(kernel, opts, args)
 	if err != nil {
 		return nil, err
 	}
-	kfn, maxSteps := p.wp.bc.funcs[fn], opts.maxSteps()
+	wp, err := p.warp()
+	if err != nil {
+		return nil, err
+	}
+	kfn, maxSteps := wp.bc.funcs[fn], opts.maxSteps()
 	return dev.LaunchWarp(kernel, cfg, func(wc *gpusim.WarpCtx) (bool, error) {
-		return p.wp.run(wc, kfn, bound, maxSteps)
+		return wp.run(wc, kfn, bound, maxSteps)
 	})
 }
 

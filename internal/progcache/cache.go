@@ -7,7 +7,8 @@
 // source trigger exactly one compile: every other job waits for the
 // in-flight result instead of redoing the work.
 //
-// Compiled programs are immutable after semantic analysis, so a cached
+// Compiled programs are immutable after semantic analysis (the warp code
+// their first launch builds is built once), so a cached
 // *minicuda.Program is safe to share across concurrent kernel launches;
 // compile *errors* are cached too (compilation is deterministic, so a
 // source that failed once fails identically forever).
@@ -68,12 +69,12 @@ type Stats struct {
 	DiskDiagHits    int64 // diagnostics decoded from the durable store instead of analyzed
 	StoreErrors     int64 // write-throughs the durable store refused (artifact kept in memory only)
 	Size            int   // entries currently cached
-	BytecodeBytes   int64 // lowered-bytecode bytes held by cached entries
+	BytecodeBytes   int64 // lowered-bytecode bytes cached programs hold (0 until a program's first launch)
 }
 
 // ProgBlob is the castore blob name for the serialized program: both
 // program kinds are one stream (the decoded program carries the tree and
-// re-derives the warp artifact).
+// lowers to warp code on its first launch).
 const ProgBlob = "prog"
 
 // DiagBlob is the castore blob name diagnostics persist under as JSON.
@@ -83,11 +84,10 @@ const ProgBlob = "prog"
 var DiagBlob = "diag-" + kernelcheck.RulesetVersion
 
 type entry struct {
-	key     string
-	prog    *minicuda.Program
-	err     error
-	elem    *list.Element
-	bcBytes int64 // bytecode artifact size, counted into Stats.BytecodeBytes
+	key  string
+	prog *minicuda.Program
+	err  error
+	elem *list.Element
 
 	// Diagnostics are a derived artifact, computed on first request and
 	// then served from the entry like the program itself.
@@ -260,18 +260,13 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	}
 	delete(c.inflight, key)
 	e := &entry{key: key, prog: prog, err: err}
-	if prog != nil {
-		e.bcBytes = int64(prog.BytecodeBytes())
-	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
-	c.stats.BytecodeBytes += e.bcBytes
 	for c.capacity > 0 && c.lru.Len() > c.capacity {
 		back := c.lru.Back()
 		old := back.Value.(*entry)
 		c.lru.Remove(back)
 		delete(c.entries, old.key)
-		c.stats.BytecodeBytes -= old.bcBytes
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
@@ -378,12 +373,19 @@ func (c *Cache) persist(store *castore.Store, key, blob string, data []byte) {
 	}
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters. BytecodeBytes is summed over the cached
+// programs at the call: a program lowers on its first launch, not when
+// it is cached.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Size = len(c.entries)
+	for _, e := range c.entries {
+		if e.prog != nil {
+			s.BytecodeBytes += int64(e.prog.BytecodeBytes())
+		}
+	}
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/gpusim"
 	"webgpu/internal/kernelcheck"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
@@ -203,6 +204,24 @@ func TestConcurrentMixedSources(t *testing.T) {
 	}
 }
 
+// launchK runs kernelSrc(tag)'s kernel once, which lowers the program.
+func launchK(t *testing.T, p *minicuda.Program, tag int) {
+	t.Helper()
+	dev := gpusim.NewDefaultDevice()
+	defer dev.Close()
+	out, err := dev.Malloc(32 * 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Launch(dev, fmt.Sprintf("k%d", tag), minicuda.LaunchOpts{Grid: gpusim.D1(1), Block: gpusim.D1(32)},
+		minicuda.FloatPtr(out), minicuda.Int(32)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArtifactStats: BytecodeBytes is the lowered code the cached programs
+// hold: none after a compile, a program's bytes once it has launched, and
+// none of an evicted program's.
 func TestArtifactStats(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := New(2, reg)
@@ -212,9 +231,13 @@ func TestArtifactStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.Stats()
-	if want := int64(p.BytecodeBytes()); s.BytecodeBytes != want || want == 0 {
-		t.Fatalf("BytecodeBytes = %d, want %d (nonzero)", s.BytecodeBytes, want)
+	reg.Collect()
+	if s := c.Stats(); s.BytecodeBytes != 0 || reg.Gauge("progcache_bytecode_bytes") != 0 {
+		t.Fatalf("BytecodeBytes = %d, gauge = %v after a compile; want 0 each", s.BytecodeBytes, reg.Gauge("progcache_bytecode_bytes"))
+	}
+	launchK(t, p, 40)
+	if want := int64(p.BytecodeBytes()); c.Stats().BytecodeBytes != want || want == 0 {
+		t.Fatalf("BytecodeBytes = %d after a launch, want %d (nonzero)", c.Stats().BytecodeBytes, want)
 	}
 	if _, st, _ := c.CompileStatus(src, minicuda.DialectCUDA); st != Hit {
 		t.Fatalf("status = %v, want Hit", st)
@@ -225,24 +248,23 @@ func TestArtifactStats(t *testing.T) {
 	}
 
 	// Evicting an entry releases its artifact bytes.
-	if _, err := c.Compile(kernelSrc(41), minicuda.DialectCUDA); err != nil {
+	p41, err := c.Compile(kernelSrc(41), minicuda.DialectCUDA)
+	if err != nil {
 		t.Fatal(err)
+	}
+	launchK(t, p41, 41)
+	if got, want := c.Stats().BytecodeBytes, int64(p.BytecodeBytes()+p41.BytecodeBytes()); got != want {
+		t.Fatalf("BytecodeBytes = %d, want %d (both launched programs)", got, want)
 	}
 	if _, err := c.Compile(kernelSrc(42), minicuda.DialectCUDA); err != nil {
 		t.Fatal(err)
 	}
-	s = c.Stats()
+	s := c.Stats()
 	if s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
-	var total int64
-	c.mu.Lock()
-	for _, e := range c.entries {
-		total += e.bcBytes
-	}
-	c.mu.Unlock()
-	if s.BytecodeBytes != total {
-		t.Fatalf("BytecodeBytes = %d, want %d (sum over live entries)", s.BytecodeBytes, total)
+	if want := int64(p41.BytecodeBytes()); s.BytecodeBytes != want {
+		t.Fatalf("BytecodeBytes = %d after evicting k40, want %d (k41's; k42 has not launched)", s.BytecodeBytes, want)
 	}
 }
 

@@ -2,12 +2,15 @@ package progcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"webgpu/internal/castore"
 	"webgpu/internal/faultinject"
+	"webgpu/internal/kernelcheck"
 	"webgpu/internal/metrics"
 	"webgpu/internal/minicuda"
 )
@@ -285,4 +288,52 @@ func TestDecodedProgramRunsIdentically(t *testing.T) {
 		orig.ConstSize() != dec.ConstSize() {
 		t.Fatalf("decoded program structure diverges")
 	}
+}
+
+// FuzzDiagBlob: whatever bytes sit under DiagBlob, Diagnostics serves them
+// when they parse as a diagnostics list; otherwise it discards them,
+// analyzes afresh and writes the fresh result through. It never panics.
+func FuzzDiagBlob(f *testing.F) {
+	const src = `__global__ void strided(int *out, int n) {
+  int i = threadIdx.x;
+  out[i * 32] = i;
+}`
+	fresh, err := New(0, nil).Diagnostics(src, minicuda.DialectCUDA)
+	if err != nil {
+		f.Fatal(err)
+	}
+	freshJSON, err := json.Marshal(fresh.Diagnostics)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(freshJSON)
+	key := Key(src, minicuda.DialectCUDA)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store := openStore(t, t.TempDir())
+		if err := store.Put(key, DiagBlob, data); err != nil {
+			t.Fatal(err)
+		}
+		c := New(0, nil)
+		c.SetStore(store)
+		res, err := c.Diagnostics(src, minicuda.DialectCUDA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		var stored []kernelcheck.Diagnostic
+		if json.Unmarshal(data, &stored) == nil {
+			if st.DiskDiagHits != 1 || st.Analyzes != 0 || !reflect.DeepEqual(res.Diagnostics, stored) {
+				t.Fatalf("a parseable blob was not served as stored: %d disk hits, %d analyses, got %+v, want %+v",
+					st.DiskDiagHits, st.Analyzes, res.Diagnostics, stored)
+			}
+			return
+		}
+		if st.DiskDiagHits != 0 || st.Analyzes != 1 || !reflect.DeepEqual(res.Diagnostics, fresh.Diagnostics) {
+			t.Fatalf("an unparseable blob was not re-analyzed: %d disk hits, %d analyses, got %+v, want %+v",
+				st.DiskDiagHits, st.Analyzes, res.Diagnostics, fresh.Diagnostics)
+		}
+		if got, ok := store.Get(key, DiagBlob); !ok || !bytes.Equal(got, freshJSON) {
+			t.Fatalf("the store holds %q (present %v) after the re-analysis, want the fresh %q", got, ok, freshJSON)
+		}
+	})
 }

@@ -393,10 +393,14 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 	ex.End()
 	joinAnalysis()
-	// How large the lowered artifact the kernels ran was.
+	// How large the lowered artifact the kernels ran was. Asked only when
+	// a kernel ran, since the count lowers a program no launch has.
 	instrs := ""
-	if prog != nil {
-		instrs = strconv.Itoa(prog.InstructionCount())
+	for _, o := range res.Outcomes {
+		if o.Ran && prog != nil {
+			instrs = strconv.Itoa(prog.InstructionCount())
+			break
+		}
 	}
 	for _, o := range res.Outcomes {
 		clamped, truncated := n.limits.ClampOutput(o.Trace)
