@@ -7,8 +7,8 @@
 // source trigger exactly one compile: every other job waits for the
 // in-flight result instead of redoing the work.
 //
-// Compiled programs are immutable after semantic analysis (the warp code
-// their first launch builds is built once), so a cached
+// Compiled programs are immutable after semantic analysis, but for the
+// warp code their first launch builds once, so a cached
 // *minicuda.Program is safe to share across concurrent kernel launches;
 // compile *errors* are cached too (compilation is deterministic, so a
 // source that failed once fails identically forever).
