@@ -71,10 +71,10 @@ const (
 
 // Config wires a Manager's dependencies and tuning knobs.
 type Config struct {
-	// Cache is the content-addressed program cache drafts compile and
+	// Cache is the content-addressed program cache drafts check and
 	// analyze through; nil creates a private one. Deployments pass the
-	// cache their workers share so a draft a student later submits is
-	// already warm.
+	// cache their workers share so a draft a student later submits has
+	// its diagnostics warm.
 	Cache *progcache.Cache
 	// Metrics receives devsession_* counters and histograms (nil: private).
 	Metrics *metrics.Registry

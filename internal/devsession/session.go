@@ -368,16 +368,19 @@ type pipelineOut struct {
 	res    kernelcheck.Result
 }
 
-// runDraft runs one draft through the program cache: compile (content
-// addressed, singleflighted) then its diagnostics, analyzed through the
-// cache's engine — only functions no earlier source had (in practice,
-// the ones the student just changed) are re-analyzed, the rest splice.
-// A source the cache has already analyzed (a revert, or another
-// student's identical draft) skips even that and reports every function
-// reused, and a later submission of this draft is a pure hit. The cache
-// calls are not context-aware, so they run in a goroutine and the draft
-// abandons the wait on cancellation — the compile keeps going and still
-// warms the cache for the next draft or an eventual submission.
+// runDraft runs one draft through the program cache: a check (content
+// addressed, singleflighted; the verdict, not the program) then its
+// diagnostics, analyzed through the cache's engine — only functions no
+// earlier source had (in practice, the ones the student just changed)
+// are re-analyzed, the rest splice. A source the cache has already
+// analyzed (a revert, or another student's identical draft) skips even
+// that and reports every function reused. A later submission of this
+// draft finds its verdict and diagnostics warm and rebuilds its program
+// once (a store read, or a compile without a store): a draft's entry
+// keeps no parse tree. The cache calls are not context-aware, so they
+// run in a goroutine and the draft abandons the wait on cancellation —
+// the check keeps going and still warms the cache for the next draft or
+// an eventual submission.
 func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	start := s.m.cfg.Clock.Now()
 	// Push → pickup: what the draft spent behind the spacing window (and
@@ -394,7 +397,7 @@ func (s *Session) runDraft(ctx context.Context, d *draft, pickup string) {
 	done := make(chan pipelineOut, 1)
 	go func() {
 		var out pipelineOut
-		_, out.status, out.err = s.m.cfg.Cache.CompileStatus(d.source, s.Dialect)
+		out.status, out.err = s.m.cfg.Cache.Check(d.source, s.Dialect)
 		if out.err == nil {
 			out.res, out.err = s.m.cfg.Cache.Diagnostics(d.source, s.Dialect)
 		}

@@ -72,11 +72,12 @@ func kernelStatsOf(s *gpusim.LaunchStats) KernelStats {
 // CompileOnly compiles a submission without running it (the "Compile"
 // button of the code view, §IV-A action 2). Compilation goes through the
 // process-wide program cache, so the deadline-spike pattern of repeated
-// identical sources compiles once.
+// identical sources compiles once; it asks for the verdict only
+// (progcache.Check), not the program.
 func CompileOnly(l *Lab, source string) *Outcome {
 	o := &Outcome{LabID: l.ID, DatasetID: -1}
 	start := time.Now()
-	_, err := progcache.Default.Compile(source, l.Dialect)
+	_, err := progcache.Default.Check(source, l.Dialect)
 	o.WallTime = time.Since(start)
 	if err != nil {
 		o.CompileError = err.Error()
@@ -115,8 +116,9 @@ func Run(ctx context.Context, l *Lab, source string, datasetID int, devices []*g
 }
 
 // RunCompiled executes an already-compiled submission against one
-// dataset. Programs are immutable after compilation, so the same program
-// may be running on several device sets concurrently. A context that is
+// dataset. Programs are immutable after sema and build their warp code
+// once, so the same program may be running on several device sets
+// concurrently. A context that is
 // already done short-circuits before any simulated-GPU time is burned.
 func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID int, devices []*gpusim.Device, maxSteps int64) *Outcome {
 	if err := ctx.Err(); err != nil {

@@ -249,8 +249,8 @@ func New(opts Options) *Platform {
 		Limits:     opts.Limits,
 		Metrics:    p.metrics,
 		Traces:     p.traces,
-		// Live dev sessions compile through the same cache the workers use,
-		// so a draft the student later submits is already warm.
+		// Live dev sessions check through the same cache the workers use,
+		// so a draft the student later submits has its diagnostics warm.
 		ProgCache: p.progs,
 		Artifacts: p.store,
 		Overload:  ctrl,

@@ -189,7 +189,7 @@ func TestCacheSeriesNames(t *testing.T) {
 		}
 	}
 	want := []string{
-		"progcache_entries", "progcache_evictions", "progcache_hits_diagnostics",
+		"progcache_entries", "progcache_programs", "progcache_evictions", "progcache_hits_diagnostics",
 		"progcache_bytecode_bytes", "progcache_disk_hits", "progcache_disk_diag_hits",
 		"progcache_store_errors", "kernelcheck_analyzes", "kernelcheck_fn_analyzed", "kernelcheck_fn_reused", "workers",
 	}

@@ -12,6 +12,15 @@
 // *minicuda.Program is safe to share across concurrent kernel launches;
 // compile *errors* are cached too (compilation is deterministic, so a
 // source that failed once fails identically forever).
+//
+// An entry holds a parse tree only once something asks for the program.
+// Most lookups are Compile clicks and drafts, which need a verdict and
+// diagnostics and never run: Check answers them, and once such an
+// entry's diagnostics are cached it keeps the verdict, the function
+// count and the diagnostics, and drops the tree. CompileStatus pins an
+// entry's program for the rest of its life, rebuilding a dropped one
+// first, counted as a miss: a store read when a store is attached, else
+// a compile.
 package progcache
 
 import (
@@ -49,9 +58,10 @@ func (s Status) String() string {
 }
 
 // DefaultCapacity bounds the process-wide Default cache. A compiled lab
-// submission is a few kilobytes of AST, so even thousands of distinct
-// sources stay cheap; the bound exists so an adversarial stream of unique
-// sources cannot grow memory without limit.
+// submission is a few kilobytes of AST, which an entry nothing has asked
+// the program of drops once its diagnostics are cached, so even thousands
+// of distinct sources stay cheap; the bound exists so an adversarial
+// stream of unique sources cannot grow memory without limit.
 const DefaultCapacity = 4096
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -69,6 +79,7 @@ type Stats struct {
 	DiskDiagHits    int64 // diagnostics decoded from the durable store instead of analyzed
 	StoreErrors     int64 // write-throughs the durable store refused (artifact kept in memory only)
 	Size            int   // entries currently cached
+	Programs        int   // entries holding a program (the rest hold a verdict and diagnostics)
 	BytecodeBytes   int64 // lowered-bytecode bytes cached programs hold (0 until a program's first launch)
 }
 
@@ -84,10 +95,17 @@ const ProgBlob = "prog"
 var DiagBlob = "diag-" + kernelcheck.RulesetVersion
 
 type entry struct {
-	key  string
-	prog *minicuda.Program
-	err  error
-	elem *list.Element
+	key    string
+	err    error
+	nfuncs int // the program's function count, kept when its tree is not
+	elem   *list.Element
+
+	// prog is the compiled program, guarded by Cache.mu. It is dropped
+	// once the diagnostics are cached unless pinned, which a caller that
+	// asked for the program (CompileStatus) makes it for the entry's
+	// life. prog == nil implies err != nil or the diagnostics are cached.
+	prog   *minicuda.Program
+	pinned bool
 
 	// Diagnostics are a derived artifact, computed on first request and
 	// then served from the entry like the program itself.
@@ -95,9 +113,11 @@ type entry struct {
 	diags     []kernelcheck.Diagnostic
 }
 
-// flight is one in-progress compile that concurrent callers wait on.
+// flight is one in-progress fill (a compile or a store read) that
+// concurrent callers wait on.
 type flight struct {
 	done chan struct{}
+	e    *entry
 	prog *minicuda.Program
 	err  error
 }
@@ -141,6 +161,7 @@ func New(capacity int, reg *metrics.Registry) *Cache {
 		reg.AddCollector(func(r *metrics.Registry) {
 			s := c.Stats()
 			r.Set("progcache_entries", float64(s.Size))
+			r.Set("progcache_programs", float64(s.Programs))
 			r.Set("progcache_evictions", float64(s.Evictions))
 			r.Set("progcache_hits_diagnostics", float64(s.HitsDiagnostics))
 			r.Set("progcache_bytecode_bytes", float64(s.BytecodeBytes))
@@ -199,22 +220,54 @@ func (c *Cache) Compile(src string, dialect minicuda.Dialect) (*minicuda.Program
 	return prog, err
 }
 
-// CompileStatus is Compile plus how the call was satisfied.
+// CompileStatus is Compile plus how the call was satisfied. The entry
+// keeps the program it returns for the rest of its life. An entry that
+// had dropped its tree rebuilds it first, through the same singleflight
+// as a miss, and counts as one: a store read when a store is attached,
+// else a compile.
 func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.Program, Status, error) {
-	key := Key(src, dialect)
+	_, prog, st, err := c.lookup(Key(src, dialect), src, dialect, true)
+	return prog, st, err
+}
 
+// Check is CompileStatus without the program: the verdict (the compile
+// error, or none) and how it was satisfied. What a compile-only caller
+// asks for: an entry filled by Check drops its tree once its diagnostics
+// are cached, unless a CompileStatus has asked for the program since.
+func (c *Cache) Check(src string, dialect minicuda.Dialect) (Status, error) {
+	_, _, st, err := c.lookup(Key(src, dialect), src, dialect, false)
+	return st, err
+}
+
+// lookup returns key's entry, filling it on a miss, with the program it
+// holds (nil for a verdict-only entry). With pin the caller wants the
+// program: the entry keeps it from then on, and a verdict-only entry
+// rebuilds it first. The entry may have been evicted by the time the
+// caller reads it.
+func (c *Cache) lookup(key, src string, dialect minicuda.Dialect, pin bool) (*entry, *minicuda.Program, Status, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
-		c.stats.Hits++
-		c.mu.Unlock()
-		return e.prog, Hit, e.err
+		if !pin || e.err != nil || e.prog != nil {
+			c.stats.Hits++
+			e.pinned = e.pinned || pin
+			prog := e.prog
+			c.mu.Unlock()
+			return e, prog, Hit, e.err
+		}
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.stats.Coalesced++
 		c.mu.Unlock()
 		<-f.done
-		return f.prog, Coalesced, f.err
+		if pin {
+			// The flight may have been a Check whose entry has since
+			// dropped its tree: give the entry back the one it built.
+			c.mu.Lock()
+			f.e.adopt(f.prog, true)
+			c.mu.Unlock()
+		}
+		return f.e, f.prog, Coalesced, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
@@ -222,35 +275,7 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 	store := c.store
 	c.mu.Unlock()
 
-	// Read-through: a memory miss consults the durable store before
-	// compiling. A decode failure (codec version skew, say) discards the
-	// stale entry and falls through to a fresh compile; the store itself
-	// quarantines hash-mismatched files and reports them as misses, so a
-	// corrupt artifact can only ever cost a recompile.
-	var prog *minicuda.Program
-	var err error
-	fromDisk := false
-	if store != nil {
-		if data, ok := store.Get(key, ProgBlob); ok {
-			if p, derr := minicuda.DecodeProgram(data); derr == nil {
-				prog, fromDisk = p, true
-			} else {
-				store.Discard(key, ProgBlob)
-			}
-		}
-	}
-	if !fromDisk {
-		prog, err = c.compile(src, dialect)
-		// Write-through, best effort: only successful compiles persist
-		// (errors are deterministic and cheap to rediscover, and a
-		// poisoned error entry on shared disk would outlive the process
-		// that wrote it).
-		if err == nil && prog != nil && store != nil {
-			if data, eerr := minicuda.EncodeProgram(prog); eerr == nil {
-				c.persist(store, key, ProgBlob, data)
-			}
-		}
-	}
+	prog, fromDisk, err := c.build(store, key, src, dialect)
 
 	c.mu.Lock()
 	if fromDisk {
@@ -259,30 +284,76 @@ func (c *Cache) CompileStatus(src string, dialect minicuda.Dialect) (*minicuda.P
 		c.stats.Compiles++
 	}
 	delete(c.inflight, key)
-	e := &entry{key: key, prog: prog, err: err}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	for c.capacity > 0 && c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		old := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.entries, old.key)
-		c.stats.Evictions++
+	e := c.entries[key] // present when this flight rebuilt a dropped tree
+	if e == nil {
+		e = &entry{key: key, err: err}
+		if prog != nil {
+			e.nfuncs = len(prog.Funcs)
+		}
+		e.elem = c.lru.PushFront(e)
+		c.entries[key] = e
+		for c.capacity > 0 && c.lru.Len() > c.capacity {
+			back := c.lru.Back()
+			old := back.Value.(*entry)
+			c.lru.Remove(back)
+			delete(c.entries, old.key)
+			c.stats.Evictions++
+		}
 	}
+	e.adopt(prog, pin)
+	f.e, f.prog, f.err = e, prog, err
 	c.mu.Unlock()
-
-	f.prog, f.err = prog, err
 	close(f.done)
-	return prog, Miss, err
+	return e, prog, Miss, err
 }
 
-// Diagnostics returns the kernelcheck analysis for the source,
-// compiling it first if needed. The diagnostics are a derived artifact
-// cached on the program's entry: analysis runs once per distinct
-// (source, dialect) and every later call is a hit, which reports every
-// function reused. The one analysis runs through the cache's engine, so
-// a function another source already had is spliced, not re-analyzed.
-// The returned slice is shared — callers must not mutate it.
+// build fills a miss. Read-through: it consults the durable store before
+// compiling. A decode failure (codec version skew, say) discards the
+// stale entry and falls through to a fresh compile; the store itself
+// quarantines hash-mismatched files and reports them as misses, so a
+// corrupt artifact can only ever cost a recompile.
+func (c *Cache) build(store *castore.Store, key, src string, dialect minicuda.Dialect) (*minicuda.Program, bool, error) {
+	if store != nil {
+		if data, ok := store.Get(key, ProgBlob); ok {
+			if p, derr := minicuda.DecodeProgram(data); derr == nil {
+				return p, true, nil
+			}
+			store.Discard(key, ProgBlob)
+		}
+	}
+	prog, err := c.compile(src, dialect)
+	// Write-through, best effort: only successful compiles persist
+	// (errors are deterministic and cheap to rediscover, and a poisoned
+	// error entry on shared disk would outlive the process that wrote
+	// it).
+	if err == nil && prog != nil && store != nil {
+		if data, eerr := minicuda.EncodeProgram(prog); eerr == nil {
+			c.persist(store, key, ProgBlob, data)
+		}
+	}
+	return prog, false, err
+}
+
+// adopt gives the entry a program a flight built, if it holds none, and
+// pins it for a caller that asked for it. Called with Cache.mu held.
+func (e *entry) adopt(prog *minicuda.Program, pin bool) {
+	if prog == nil {
+		return
+	}
+	if e.prog == nil {
+		e.prog = prog
+	}
+	e.pinned = e.pinned || pin
+}
+
+// Diagnostics returns the kernelcheck analysis for the source, checking
+// it first if needed. The diagnostics are a derived artifact cached on
+// the program's entry: analysis runs once per distinct (source, dialect)
+// and every later call is a hit, which reports every function reused.
+// The one analysis runs through the cache's engine, so a function
+// another source already had is spliced, not re-analyzed. Once they are
+// cached, an entry no CompileStatus has asked the program of drops its
+// tree. The returned slice is shared — callers must not mutate it.
 func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.Result, error) {
 	// Entry-first lookup: a pipeline that just compiled this source must
 	// not count a second cache hit (the worker's compile and analysis
@@ -292,17 +363,9 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.R
 	e := c.entries[key]
 	c.mu.Unlock()
 	if e == nil {
-		prog, _, err := c.CompileStatus(src, dialect)
-		if err != nil {
+		var err error
+		if e, _, _, err = c.lookup(key, src, dialect, false); err != nil {
 			return kernelcheck.Result{}, err
-		}
-		c.mu.Lock()
-		e = c.entries[key]
-		c.mu.Unlock()
-		if e == nil || e.prog != prog {
-			// Evicted (or replaced) between compile and lookup: analyze
-			// without caching. Rare — only under heavy LRU churn.
-			return c.analyze(prog), nil
 		}
 	}
 	if e.err != nil {
@@ -310,8 +373,7 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.R
 	}
 
 	store := c.Store()
-	n := len(e.prog.Funcs)
-	res := kernelcheck.Result{Reused: n, Total: n}
+	res := kernelcheck.Result{Reused: e.nfuncs, Total: e.nfuncs}
 	analyzed, fromDisk := false, false
 	e.diagsOnce.Do(func() {
 		// Read-through: diagnostics persist as JSON beside the program
@@ -328,7 +390,11 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.R
 			}
 		}
 		analyzed = true
-		res = c.analyze(e.prog)
+		// No entry drops its tree before its diagnostics are cached.
+		c.mu.Lock()
+		prog := e.prog
+		c.mu.Unlock()
+		res = c.analyze(prog)
 		e.diags = res.Diagnostics
 		if store != nil {
 			if data, merr := json.Marshal(e.diags); merr == nil {
@@ -336,16 +402,19 @@ func (c *Cache) Diagnostics(src string, dialect minicuda.Dialect) (kernelcheck.R
 			}
 		}
 	})
+	c.mu.Lock()
+	if !e.pinned {
+		e.prog = nil
+	}
 	if !analyzed {
-		c.mu.Lock()
 		if fromDisk {
 			c.stats.DiskDiagHits++
 		} else {
 			c.stats.HitsDiagnostics++
 		}
-		c.stats.FnReused += int64(n)
-		c.mu.Unlock()
+		c.stats.FnReused += int64(e.nfuncs)
 	}
+	c.mu.Unlock()
 	res.Diagnostics = e.diags
 	return res, nil
 }
@@ -373,9 +442,9 @@ func (c *Cache) persist(store *castore.Store, key, blob string, data []byte) {
 	}
 }
 
-// Stats snapshots the counters. BytecodeBytes is summed over the cached
-// programs at the call: a program lowers on its first launch, not when
-// it is cached.
+// Stats snapshots the counters. Programs and BytecodeBytes are summed
+// over the entries at the call: a program lowers on its first launch, not
+// when it is cached.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -383,6 +452,7 @@ func (c *Cache) Stats() Stats {
 	s.Size = len(c.entries)
 	for _, e := range c.entries {
 		if e.prog != nil {
+			s.Programs++
 			s.BytecodeBytes += int64(e.prog.BytecodeBytes())
 		}
 	}

@@ -39,6 +39,12 @@ type Node struct {
 	sem        chan struct{}
 	inflight   atomic.Int32
 	inflightHW atomic.Int32 // high-water mark of concurrent jobs
+
+	// at, set by tests only, is called as a job reaches a point of its
+	// pipeline: "analysis" as the kernelcheck stage starts analyzing,
+	// "analyzed" as it ends, "exec" as the datasets are dispatched. It
+	// may block, holding that stage back.
+	at func(point string)
 }
 
 // NodeConfig configures a worker node.
@@ -305,9 +311,11 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 
 	// Compile exactly once per job through the content-addressed program
-	// cache — identical sources across jobs compile once per process.
+	// cache — identical sources across jobs compile once per process. A
+	// compile-only job asks for the verdict alone, so its entry need not
+	// keep a program nothing will run.
 	cs := tr.Stage(n.metrics, "stage_compile_ms", "compile")
-	prog, status, cerr := n.compileSubmission(ctx, job.Source, lab.Dialect)
+	prog, status, cerr := n.compileSubmission(ctx, job.Source, lab.Dialect, job.DatasetID == DatasetCompileOnly)
 	compileWall := cs.End("cache", status.String(), "ok", strconv.FormatBool(cerr == nil))
 	switch status {
 	case progcache.Hit:
@@ -331,6 +339,8 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		var diags []kernelcheck.Diagnostic
 		var kcWall time.Duration
 		analyze := func() {
+			n.reach("analysis")
+			defer n.reach("analyzed")
 			kres, err := n.progs.Diagnostics(job.Source, lab.Dialect)
 			if err != nil {
 				kres = kernelcheck.Result{} // an analysis that failed has no findings
@@ -380,6 +390,7 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	// The datasets run side by side from one start; the stage has a span
 	// per dataset and no span of its own.
 	ex := tr.Stage(n.metrics, "stage_exec_ms", "")
+	n.reach("exec")
 	switch {
 	case cerr != nil:
 		res.Outcomes = compileErrorOutcomes(lab, job.DatasetID, cerr, compileWall)
@@ -428,14 +439,29 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	return res
 }
 
+// reach calls the test hook at the named point of a job, if one is set.
+func (n *Node) reach(point string) {
+	if n.at != nil {
+		n.at(point)
+	}
+}
+
 // compileSubmission compiles through the node's program cache, enforcing
 // the sandbox.Limits.CompileTimeout (§III-C: "time limits are placed ...
 // on the duration of the compilation"). A timed-out or cancelled compile
 // is abandoned; it still completes in the background and populates the
-// cache.
-func (n *Node) compileSubmission(ctx context.Context, src string, dialect minicuda.Dialect) (*minicuda.Program, progcache.Status, error) {
-	if n.limits.CompileTimeout <= 0 && ctx.Done() == nil {
+// cache. With verdictOnly it asks the cache for the verdict alone
+// (progcache.Check) and returns no program.
+func (n *Node) compileSubmission(ctx context.Context, src string, dialect minicuda.Dialect, verdictOnly bool) (*minicuda.Program, progcache.Status, error) {
+	compile := func() (*minicuda.Program, progcache.Status, error) {
+		if verdictOnly {
+			st, err := n.progs.Check(src, dialect)
+			return nil, st, err
+		}
 		return n.progs.CompileStatus(src, dialect)
+	}
+	if n.limits.CompileTimeout <= 0 && ctx.Done() == nil {
+		return compile()
 	}
 	type compiled struct {
 		prog   *minicuda.Program
@@ -444,7 +470,7 @@ func (n *Node) compileSubmission(ctx context.Context, src string, dialect minicu
 	}
 	ch := make(chan compiled, 1)
 	go func() {
-		p, st, err := n.progs.CompileStatus(src, dialect)
+		p, st, err := compile()
 		ch <- compiled{p, st, err}
 	}()
 	var timeout <-chan time.Time

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -11,8 +12,10 @@ import (
 
 	"webgpu/internal/clock"
 	"webgpu/internal/labs"
+	"webgpu/internal/progcache"
 	"webgpu/internal/queue"
 	"webgpu/internal/sandbox"
+	"webgpu/internal/trace"
 )
 
 func refJob(id, labID string, dataset int) *Job {
@@ -41,6 +44,53 @@ func TestNodeCompileOnly(t *testing.T) {
 	if len(res.Outcomes) != 1 || !res.Outcomes[0].Compiled || res.Outcomes[0].Ran {
 		t.Fatalf("outcomes = %+v", res.Outcomes)
 	}
+}
+
+// TestCompileThenSubmit: a compile-only job leaves its source's entry
+// holding no program, and a submission of the same source then rebuilds
+// it — its compile span says cache=miss — and grades as on a fresh node.
+func TestCompileThenSubmit(t *testing.T) {
+	newNode := func() *Node {
+		cfg := DefaultNodeConfig("w1")
+		cfg.ProgCache = progcache.New(16, nil)
+		return NewNode(cfg)
+	}
+	n := newNode()
+	if res := n.Execute(context.Background(), refJob("j1", "tiled-matmul", DatasetCompileOnly)); len(res.Outcomes) != 1 || !res.Outcomes[0].Compiled {
+		t.Fatalf("compile-only job: %+v", res)
+	}
+	if got := n.progs.Stats().Programs; got != 0 {
+		t.Fatalf("the cache holds %d programs after a compile-only job, want 0", got)
+	}
+
+	tr := trace.New("tr-submit")
+	got := n.Execute(trace.NewContext(context.Background(), tr), refJob("j2", "tiled-matmul", DatasetAll))
+	want := newNode().Execute(context.Background(), refJob("j2", "tiled-matmul", DatasetAll))
+	if g, w := comparableOutcomes(got.Outcomes), comparableOutcomes(want.Outcomes); !reflect.DeepEqual(g, w) {
+		t.Errorf("submission after a compile:\n%+v\na fresh node's:\n%+v", g, w)
+	}
+	var compile []string
+	for _, sp := range tr.Spans() {
+		if sp.Name == "compile" {
+			compile = append(compile, sp.Attrs["cache"])
+		}
+	}
+	if len(compile) != 1 || compile[0] != "miss" {
+		t.Errorf("the submission's compile spans say cache=%v, want one miss", compile)
+	}
+	if s := n.progs.Stats(); s.Programs != 1 || s.Compiles != 2 || s.Analyzes != 1 {
+		t.Errorf("after the submission: %d programs, %d compiles, %d analyses; want 1, 2, 1", s.Programs, s.Compiles, s.Analyzes)
+	}
+}
+
+// comparableOutcomes copies outcomes without their WallTime.
+func comparableOutcomes(outs []*labs.Outcome) []labs.Outcome {
+	cp := make([]labs.Outcome, len(outs))
+	for i, o := range outs {
+		cp[i] = *o
+		cp[i].WallTime = 0
+	}
+	return cp
 }
 
 func TestNodeRunAll(t *testing.T) {

@@ -117,7 +117,6 @@ var stopwatchAllowed = map[string]bool{
 	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true, // a wake-up beside the driver's wall-clock tick
 	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true, // as above
 	"internal/worker/v2_wake_test.go:TestStopReleasesBlockedDriver":     true, // as above
-	"internal/worker/analysis_test.go:TestAnalysisOffCriticalPath":      true, // cold-job medians with and without the overlapped analysis
 	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":          true, // v1 QueueWait is read off the wall clock
 	"internal/macrobench/soak_test.go:TestOverloadSoak":                 true, // the soak's p99 bound, until soaks run in virtual time
 }
