@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/metrics"
 )
@@ -75,6 +76,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Faults arms the castore.read / castore.write injection points.
 	Faults *faultinject.Registry
+	// Clock stamps accesses and ages crashed writers' temp files; nil
+	// means clock.Real.
+	Clock clock.Clock
 }
 
 // Stats is a snapshot of store counters since Open.
@@ -127,6 +131,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Stores written before file times became the recency index kept an
 	// access journal here; nothing reads it any more.
 	os.Remove(filepath.Join(dir, "manifest.log"))
+	if opts.Clock == nil {
+		opts.Clock = clock.Real
+	}
 	s := &Store{
 		dir:     dir,
 		opts:    opts,
@@ -170,7 +177,7 @@ func (s *Store) scan(path string, d fs.DirEntry, err error) error {
 	case !strings.HasSuffix(path, ".tmp"):
 		s.entries[filepath.Base(path)] = entry{size: info.Size(), used: info.ModTime().UnixNano()}
 		s.stats.DiskBytes += info.Size()
-	case time.Since(info.ModTime()) > staleTempAge:
+	case s.opts.Clock.Now().Sub(info.ModTime()) > staleTempAge:
 		err = os.Remove(path)
 	}
 	return ignoreGone(err)
@@ -211,12 +218,12 @@ func (s *Store) objectPath(key, blob string) string {
 	return filepath.Join(s.dir, "objects", key[:2], entryName(key, blob))
 }
 
-// tickLocked returns the stamp of an access happening now: wall-clock
-// nanoseconds, the unit Open's ModTimes are in, pushed forward where the
-// clock has not advanced (or stepped back) so that in-process order is
-// never lost.
+// tickLocked returns the stamp of an access happening now: the store
+// clock's nanoseconds, the unit Open's ModTimes are in, pushed forward
+// where the clock has not advanced (or stepped back) so that in-process
+// order is never lost.
 func (s *Store) tickLocked() int64 {
-	now := time.Now().UnixNano()
+	now := s.opts.Clock.Now().UnixNano()
 	if now <= s.clock {
 		now = s.clock + 1
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/metrics"
 )
@@ -513,7 +514,8 @@ func TestRecencySurvivesReopen(t *testing.T) {
 }
 
 // TestTouchIsBounded: a Get rewrites a file's time only when the store is
-// bounded and the time is older than touchInterval.
+// bounded and the time is older than touchInterval, and then to the store
+// clock's now.
 func TestTouchIsBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -526,11 +528,19 @@ func TestTouchIsBounded(t *testing.T) {
 		{"unbounded, old file", 0, 5 * touchInterval, false},
 	} {
 		dir := t.TempDir()
-		s := mustOpen(t, dir, Options{MaxBytes: tc.maxBytes})
+		start := time.Unix(1_700_000_000, 0)
+		mc := clock.NewManual(start)
+		s := mustOpen(t, dir, Options{MaxBytes: tc.maxBytes, Clock: mc})
 		if err := s.Put(key(1), "prog", []byte("p")); err != nil {
 			t.Fatal(err)
 		}
-		path := backdate(t, dir, 1, tc.age)
+		path := filepath.Join(dir, "objects", key(1)[:2], key(1)+".prog")
+		if err := os.Chtimes(path, start.Add(-tc.age), start.Add(-tc.age)); err != nil {
+			t.Fatal(err)
+		}
+		// The Put stamped start; whole seconds keep the touched time exact
+		// on a file system with coarse file times.
+		mc.Advance(time.Second)
 		before := modTime(t, path)
 		for i := 0; i < 3; i++ {
 			if _, ok := s.Get(key(1), "prog"); !ok {
@@ -541,8 +551,8 @@ func TestTouchIsBounded(t *testing.T) {
 		if touched := !after.Equal(before); touched != tc.touched {
 			t.Errorf("%s: ModTime %v -> %v, touched = %v, want %v", tc.name, before, after, touched, tc.touched)
 		}
-		if tc.touched && time.Since(after) > time.Minute {
-			t.Errorf("%s: touched to %v, want now", tc.name, after)
+		if tc.touched && !after.Equal(mc.Now()) {
+			t.Errorf("%s: touched to %v, want the clock's now %v", tc.name, after, mc.Now())
 		}
 	}
 }

@@ -191,6 +191,50 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
 }`, ie.src, fe.src)
 		runDiff(t, diffCase{src: src, kernel: "probe", extra: scalarArgs(e)})
 	}
+	// The widened pass. Lane t writes iout[2t], iout[2t+1] and fout[t]; a
+	// quotient and a sign of the int result show all 64 bits of the
+	// register that holds it, so a lost int32 wrap cannot hide in the store.
+	rng = rand.New(rand.NewSource(320040))
+	g = &exprGen{rng: rng}
+	for trial := 0; trial < 150; trial++ {
+		body := fmt.Sprintf(`int r = %s;
+  iout[2*t] = r; iout[2*t+1] = r / 7 + (r < 0);
+  fout[t] = %s;`, g.intExpr(3+rng.Intn(2)).src, g.floatExpr(3+rng.Intn(2)).src)
+		runDiffWidened(t, rng, body, 2, 1)
+	}
+}
+
+// runDiffWidened runs body at one full warp and at a full warp plus an
+// 8-lane tail warp, with inputs that vary by lane: body sees the lane index
+// t and locals a, b, x and y, each lane's own (a is a0 + t*k). Every other
+// call guards body with threadIdx.x % 3 != 0, so strands split. Lane t
+// writes only its own nInt and nFloat output slots.
+func runDiffWidened(t *testing.T, rng *rand.Rand, body string, nInt, nFloat int) {
+	t.Helper()
+	e := randEnv(rng)
+	guard := ""
+	if rng.Intn(2) == 0 {
+		guard = "if (threadIdx.x % 3 != 0) "
+	}
+	src := fmt.Sprintf(`
+__global__ void probe(int *iout, float *fout, int a0, int b0, float x0, float y0) {
+  int t = threadIdx.x;
+  int a = a0 + t * %d; int b = b0 - t * %d;
+  float x = x0 + t * 0.25f; float y = y0 - t * 0.5f;
+  %s{
+  %s
+  }
+}`, laneStep(rng), laneStep(rng), guard, body)
+	for _, w := range []int{32, 40} {
+		runDiff(t, diffCase{src: src, kernel: "probe", block: gpusim.D1(w),
+			nInt: nInt * w, nFloat: nFloat * w, extra: scalarArgs(e)})
+	}
+}
+
+// laneStep is how far an int input moves from one lane to the next: by a
+// little, or by enough that the upper lanes' sums and products wrap.
+func laneStep(rng *rand.Rand) int {
+	return []int{1, 3, 1000003, 123456789}[rng.Intn(4)]
 }
 
 // stmtGen renders random statement lists: loops, branches, compound
@@ -305,6 +349,25 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
   fout[0] = f0; fout[1] = f1;
 }`, body)
 		runDiff(t, diffCase{src: src, kernel: "probe", extra: scalarArgs(e)})
+	}
+	// The widened pass: lane t writes iout[6t..6t+5] and fout[2t..2t+1]; the
+	// last two ints are quotients and signs of the locals, which show all 64
+	// bits of the registers that hold them.
+	rng = rand.New(rand.NewSource(71002))
+	sg = &stmtGen{rng: rng, eg: &exprGen{rng: rng}}
+	for trial := 0; trial < 60; trial++ {
+		body := fmt.Sprintf(`int v0 = a; int v1 = b; int v2 = a - b; int v3 = 1;
+  float f0 = x; float f1 = y;
+  int arr[8];
+  for (int z = 0; z < 8; z++) { arr[z] = z * a + b; }
+%s
+  iout[6*t] = v0; iout[6*t+1] = v1; iout[6*t+2] = v2 * 3 + v3;
+  iout[6*t+3] = 0;
+  for (int z = 0; z < 8; z++) { iout[6*t+3] += arr[z]; }
+  iout[6*t+4] = (v0 / 7) ^ (v1 / 5) ^ (v0 < 0) ^ ((v1 < 0) << 1);
+  iout[6*t+5] = (v2 / 3) ^ (v3 / 9) ^ (v2 < 0) ^ ((v3 < 0) << 1);
+  fout[2*t] = f0; fout[2*t+1] = f1;`, sg.block(2+rng.Intn(2), false))
+		runDiffWidened(t, rng, body, 6, 2)
 	}
 }
 

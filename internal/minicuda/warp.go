@@ -16,6 +16,15 @@ package minicuda
 // superinstructions executed with one dispatch, one budget check, and one
 // batched ALU charge.
 //
+// A strand that holds every lane of its warp (len(lanes) == W, so its
+// lanes are 0..W-1) runs the hot ops as loops over the contiguous register
+// windows ints[a:a+W], and takes a uniform JZ/JNZ or compare-and-branch
+// after one early-exit scan, without partitioning lanes. The windows are
+// the cells the lane list names, in its order, and every charge, register
+// write, trap and budget check stays where the lane-list loop has it, so
+// the full-warp path is observationally identical. Partial strands, and
+// ops and types the path leaves out, keep the lane-list loops.
+//
 // Memory is priced where the hardware prices it: every load and store
 // is one warp-wide issue — the strand's active lanes — handed to the
 // gpusim.WarpCtx entry point of its memory class, which moves the data in
@@ -630,6 +639,21 @@ func (wx *warpExec) execFused(s *strand, w *winstr) (uint8, error) {
 		if w.dead {
 			aliasB := w.in2.b == w.in.a
 			aliasC := w.in2.c == w.in.a
+			if len(s.lanes) == W && aliasB != aliasC {
+				d, p, q := floats[da:da+W], floats[mb:mb+W], floats[mc:mc+W]
+				if aliasB {
+					y := floats[yc : yc+W]
+					for i := range d {
+						d[i] = round32(round32(p[i]*q[i]) + y[i])
+					}
+				} else {
+					x := floats[xb : xb+W]
+					for i := range d {
+						d[i] = round32(x[i] + round32(p[i]*q[i]))
+					}
+				}
+				return ctlNone, nil
+			}
 			for _, l := range s.lanes {
 				li := int(l)
 				m := round32(floats[mb+li] * floats[mc+li])
@@ -688,6 +712,17 @@ func (wx *warpExec) cmpJZFast(s *strand, w *winstr) (uint8, error) {
 	lanes := s.lanes
 	wx.wc.CountBranches(len(lanes))
 	wantTaken := w.in2.op == opJNZ
+	if len(lanes) == W && w.in.op != opCmpU {
+		cond := ws.cond[:W]
+		if w.in.op == opCmpI {
+			b, c := int(s.bI+w.in.b)*W, int(s.bI+w.in.c)*W
+			cmpRow(w.in.aux, cond, ints[b:b+W], ints[c:c+W])
+		} else {
+			b, c := int(s.bF+w.in.b)*W, int(s.bF+w.in.c)*W
+			cmpRow(w.in.aux, cond, floats[b:b+W], floats[c:c+W])
+		}
+		return wx.branchFull(s, cond, wantTaken, w.in2.aux)
+	}
 	jb, sb := wx.jumpBuf[:0], wx.stayBuf[:0]
 	switch w.in.op {
 	case opCmpI:
@@ -752,6 +787,33 @@ func (wx *warpExec) finishBranch(s *strand, target int32) (uint8, error) {
 	return ctlSplit, nil
 }
 
+// branchFull resolves a branch of a full strand on its lanes' condition
+// row cond (nonzero is true). A uniform branch — the common case, found by
+// a scan that stops at the first lane that disagrees with lane 0 — jumps or
+// falls through at once; a divergent one partitions the lanes, as the
+// lane-list path does, and splits.
+func (wx *warpExec) branchFull(s *strand, cond []int64, wantTaken bool, target int32) (uint8, error) {
+	first := cond[0] != 0
+	for _, v := range cond[1:] {
+		if (v != 0) != first {
+			jb, sb := wx.jumpBuf[:0], wx.stayBuf[:0]
+			for l, v := range cond {
+				if (v != 0) == wantTaken {
+					jb = append(jb, int32(l))
+				} else {
+					sb = append(sb, int32(l))
+				}
+			}
+			wx.jumpBuf, wx.stayBuf = jb, sb
+			return wx.finishBranch(s, target)
+		}
+	}
+	if first == wantTaken {
+		s.pc = target
+	}
+	return ctlNone, nil
+}
+
 // memOperand says where a memory instruction's lanes point: lane l at
 // ptrs[pb+l], advanced by ints[ic+l]*elem bytes when indexed (a fused
 // indexed access, whose formed pointer is never materialized).
@@ -776,6 +838,9 @@ func (wx *warpExec) access(s *strand, lanes []int32, in *instr, m memOperand, st
 func (wx *warpExec) gather(lanes []int32, m memOperand) (space MemSpace, ok bool) {
 	ws := wx.ws
 	ptrs, ints := ws.ptrs, ws.ints
+	if len(lanes) == ws.W {
+		return wx.gatherFull(m)
+	}
 	space = ptrs[m.pb+int(lanes[0])].Space
 	for i, l := range lanes {
 		p := &ptrs[m.pb+int(l)]
@@ -790,6 +855,35 @@ func (wx *warpExec) gather(lanes []int32, m memOperand) (space MemSpace, ok bool
 			ws.addrs[i] = p.Glob.Offset(off)
 		} else {
 			ws.idxs[i] = (p.Off + off) / 4
+		}
+	}
+	return space, true
+}
+
+// gatherFull is gather for a full strand: lane l is at index l of the
+// pointer row, the index row and the operand arrays.
+func (wx *warpExec) gatherFull(m memOperand) (space MemSpace, ok bool) {
+	ws := wx.ws
+	ps := ws.ptrs[m.pb : m.pb+ws.W]
+	addrs, idxs := ws.addrs[:len(ps)], ws.idxs[:len(ps)]
+	var idx []int64
+	if m.indexed {
+		idx = ws.ints[m.ic : m.ic+len(ps)]
+	}
+	space = ps[0].Space
+	for i := range ps {
+		p := &ps[i]
+		if p.Space != space {
+			return space, false
+		}
+		off := 0
+		if m.indexed {
+			off = int(idx[i]) * m.elem
+		}
+		if space == SpaceGlobal {
+			addrs[i] = p.Glob.Offset(off)
+		} else {
+			idxs[i] = (p.Off + off) / 4
 		}
 	}
 	return space, true
@@ -939,6 +1033,14 @@ func (wx *warpExec) setLoaded(s *strand, lanes []int32, in *instr, words []uint3
 	switch in.kind {
 	case bankF:
 		d := int(s.bF+in.a) * W
+		if float && len(lanes) == W {
+			row := ws.floats[d : d+W]
+			words := words[:len(row)]
+			for i := range row {
+				row[i] = float64(math.Float32frombits(words[i]))
+			}
+			return
+		}
 		for i, l := range lanes {
 			f := 0.0
 			if float {
@@ -948,6 +1050,14 @@ func (wx *warpExec) setLoaded(s *strand, lanes []int32, in *instr, words []uint3
 		}
 	case bankI:
 		d := int(s.bI+in.a) * W
+		if in.t.Kind == KInt && len(lanes) == W {
+			row := ws.ints[d : d+W]
+			words := words[:len(row)]
+			for i := range row {
+				row[i] = int64(int32(words[i]))
+			}
+			return
+		}
 		for i, l := range lanes {
 			var v int64
 			if !float {
@@ -972,10 +1082,15 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 	W := ws.W
 	ints, floats, ptrs := ws.ints, ws.floats, ws.ptrs
 	lanes := s.lanes
+	full := len(lanes) == W
 	switch in.op {
 	case opStep:
 	case opLoadKI:
 		a := int(s.bI+in.a) * W
+		if full {
+			fill(ints[a:a+W], in.k)
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = in.k
 		}
@@ -986,11 +1101,19 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opMovI:
 		a, b := int(s.bI+in.a)*W, int(s.bI+in.b)*W
+		if full {
+			copy(ints[a:a+W], ints[b:b+W])
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = ints[b+int(l)]
 		}
 	case opMovF:
 		a, b := int(s.bF+in.a)*W, int(s.bF+in.b)*W
+		if full {
+			copy(floats[a:a+W], floats[b:b+W])
+			break
+		}
 		for _, l := range lanes {
 			floats[a+int(l)] = floats[b+int(l)]
 		}
@@ -1006,11 +1129,19 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opLeaShared:
 		a := int(s.bP+in.a) * W
+		if full {
+			fill(ptrs[a:a+W], Pointer{Space: SpaceShared, Off: int(in.k)})
+			break
+		}
 		for _, l := range lanes {
 			ptrs[a+int(l)] = Pointer{Space: SpaceShared, Off: int(in.k)}
 		}
 	case opLeaConst:
 		a := int(s.bP+in.a) * W
+		if full {
+			fill(ptrs[a:a+W], Pointer{Space: SpaceConst, Off: int(in.k)})
+			break
+		}
 		for _, l := range lanes {
 			ptrs[a+int(l)] = Pointer{Space: SpaceConst, Off: int(in.k)}
 		}
@@ -1027,6 +1158,14 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opThreadDim:
 		a := int(s.bI+in.a) * W
+		if full {
+			d, k := ints[a:a+W], int(in.aux)
+			dims := ws.dims[:len(d)]
+			for l := range d {
+				d[l] = int64(dims[l][k])
+			}
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = int64(ws.dims[l][in.aux])
 		}
@@ -1085,21 +1224,52 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opAddI:
 		a, b, c := int(s.bI+in.a)*W, int(s.bI+in.b)*W, int(s.bI+in.c)*W
+		if full && in.t.Kind == KInt {
+			d, x, y := ints[a:a+W], ints[b:b+W], ints[c:c+W]
+			for i := range d {
+				d[i] = int64(int32(x[i] + y[i]))
+			}
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = truncInt(in.t, ints[b+int(l)]+ints[c+int(l)])
 		}
 	case opSubI:
 		a, b, c := int(s.bI+in.a)*W, int(s.bI+in.b)*W, int(s.bI+in.c)*W
+		if full && in.t.Kind == KInt {
+			d, x, y := ints[a:a+W], ints[b:b+W], ints[c:c+W]
+			for i := range d {
+				d[i] = int64(int32(x[i] - y[i]))
+			}
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = truncInt(in.t, ints[b+int(l)]-ints[c+int(l)])
 		}
 	case opMulI:
 		a, b, c := int(s.bI+in.a)*W, int(s.bI+in.b)*W, int(s.bI+in.c)*W
+		if full && in.t.Kind == KInt {
+			d, x, y := ints[a:a+W], ints[b:b+W], ints[c:c+W]
+			for i := range d {
+				d[i] = int64(int32(x[i] * y[i]))
+			}
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = truncInt(in.t, ints[b+int(l)]*ints[c+int(l)])
 		}
 	case opDivI:
 		a, b, c := int(s.bI+in.a)*W, int(s.bI+in.b)*W, int(s.bI+in.c)*W
+		if full && in.t.Kind == KInt {
+			d, x, y := ints[a:a+W], ints[b:b+W], ints[c:c+W]
+			for i := range d {
+				if y[i] == 0 {
+					return 0, ErrDivByZero
+				}
+				d[i] = int64(int32(x[i] / y[i]))
+			}
+			break
+		}
 		for _, l := range lanes {
 			cv := ints[c+int(l)]
 			if cv == 0 {
@@ -1176,6 +1346,13 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opAddKI:
 		a, b := int(s.bI+in.a)*W, int(s.bI+in.b)*W
+		if full && in.t.Kind == KInt {
+			d, x := ints[a:a+W], ints[b:b+W]
+			for i := range d {
+				d[i] = int64(int32(x[i] + in.k))
+			}
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = truncInt(in.t, ints[b+int(l)]+in.k)
 		}
@@ -1359,6 +1536,10 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		}
 	case opCmpI:
 		a, b, c := int(s.bI+in.a)*W, int(s.bI+in.b)*W, int(s.bI+in.c)*W
+		if full {
+			cmpRow(in.aux, ints[a:a+W], ints[b:b+W], ints[c:c+W])
+			break
+		}
 		for _, l := range lanes {
 			ints[a+int(l)] = cmpIRes(in.aux, ints[b+int(l)], ints[c+int(l)])
 		}
@@ -1383,6 +1564,20 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		// and this is the hottest pointer op (2-D indexing leaves one
 		// unfused opPAdd per access for the row pointer).
 		a, b, c := int(s.bP+in.a)*W, int(s.bP+in.b)*W, int(s.bI+in.c)*W
+		if full {
+			d, x, idx := ptrs[a:a+W], ptrs[b:b+W], ints[c:c+W]
+			for i := range d {
+				n := int(idx[i]) * int(in.k)
+				p := &d[i]
+				*p = x[i]
+				if p.Space == SpaceGlobal {
+					p.Glob = p.Glob.Offset(n)
+				} else {
+					p.Off += n
+				}
+			}
+			break
+		}
 		for _, l := range lanes {
 			li := int(l)
 			n := int(ints[c+li]) * int(in.k)
@@ -1428,6 +1623,9 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 		switch in.kind {
 		case bankI:
 			b := int(s.bI+in.b) * W
+			if full {
+				return wx.branchFull(s, ints[b:b+W], wantTaken, in.aux)
+			}
 			for _, l := range lanes {
 				if (ints[b+int(l)] != 0) == wantTaken {
 					jb = append(jb, l)
@@ -1603,6 +1801,52 @@ func (wx *warpExec) execInstr(s *strand, in *instr) (uint8, error) {
 	return ctlNone, nil
 }
 
+// fill sets every cell of row to v.
+func fill[T any](row []T, v T) {
+	for i := range row {
+		row[i] = v
+	}
+}
+
+// cmpRow writes comparison code's verdict on x[i], y[i] to d[i], as
+// cmpIRes or cmpFRes would, switching on the code once for the row.
+func cmpRow[T int64 | float64](code int32, d []int64, x, y []T) {
+	x, y = x[:len(d)], y[:len(d)]
+	switch code {
+	case cmpEQ:
+		for i := range d {
+			d[i] = b2i(x[i] == y[i])
+		}
+	case cmpNE:
+		for i := range d {
+			d[i] = b2i(x[i] != y[i])
+		}
+	case cmpLT:
+		for i := range d {
+			d[i] = b2i(x[i] < y[i])
+		}
+	case cmpLE:
+		for i := range d {
+			d[i] = b2i(x[i] <= y[i])
+		}
+	case cmpGT:
+		for i := range d {
+			d[i] = b2i(x[i] > y[i])
+		}
+	default:
+		for i := range d {
+			d[i] = b2i(x[i] >= y[i])
+		}
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Per-lane scalar semantics shared by the plain and fused executors.
 
 func ptrTruthy(p Pointer) bool {
@@ -1627,10 +1871,7 @@ func cmpIRes(code int32, a, b int64) int64 {
 	default:
 		res = a >= b
 	}
-	if res {
-		return 1
-	}
-	return 0
+	return b2i(res)
 }
 
 func cmpURes(code int32, a, b uint32) int64 {
@@ -1649,10 +1890,7 @@ func cmpURes(code int32, a, b uint32) int64 {
 	default:
 		res = a >= b
 	}
-	if res {
-		return 1
-	}
-	return 0
+	return b2i(res)
 }
 
 func cmpFRes(code int32, a, b float64) int64 {
@@ -1671,10 +1909,7 @@ func cmpFRes(code int32, a, b float64) int64 {
 	default:
 		res = a >= b
 	}
-	if res {
-		return 1
-	}
-	return 0
+	return b2i(res)
 }
 
 func cmpPRes(code int32, a, b Pointer) int64 {
@@ -1695,10 +1930,7 @@ func cmpPRes(code int32, a, b Pointer) int64 {
 	default:
 		res = d >= 0
 	}
-	if res {
-		return 1
-	}
-	return 0
+	return b2i(res)
 }
 
 // atomFloatVal reports whether the lowering placed the atomic's value

@@ -69,6 +69,8 @@ type warpState struct {
 	addrs [maxWarpLanes]gpusim.Ptr
 	idxs  [maxWarpLanes]int
 	words [maxWarpLanes]uint32
+	// A full strand's branch conditions, one per lane.
+	cond [maxWarpLanes]int64
 }
 
 var warpStatePool = sync.Pool{New: func() any { return new(warpState) }}

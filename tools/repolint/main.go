@@ -72,6 +72,7 @@ import (
 // clockPkgs are the directories (matched as path segments) where the
 // wall clock is banned in favor of the component's clock.Clock.
 var clockPkgs = []string{
+	"internal/castore",
 	"internal/queue",
 	"internal/overload",
 	"internal/devsession",
@@ -112,7 +113,6 @@ var settleAllowed = map[string]bool{
 // whose stopwatch comparisons stand until the clock they read is injected
 // (ROADMAP items 11 and 16); each line says why.
 var stopwatchAllowed = map[string]bool{
-	"internal/castore/castore_test.go:TestTouchIsBounded":               true, // a bounded store's touch stamps the wall clock's now
 	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault":     true, // a latency-only fault sleeps on the wall clock
 	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true, // a wake-up beside the driver's wall-clock tick
 	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true, // as above
