@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	// A v2 deployment: broker, polling workers, replicated DB.
+	// A v2 deployment: broker, polling workers, DB.
 	p := platform.New(platform.Options{Arch: platform.V2, Workers: 2})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())

@@ -139,17 +139,3 @@ func BenchmarkWALAppendAndReplay(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkReplication(b *testing.B) {
-	primary := New()
-	rep := NewReplica(primary)
-	defer rep.Stop()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = primary.Update(func(tx *Tx) error {
-			return tx.Put("t", fmt.Sprintf("k%d", i%1024), benchRec{Count: i})
-		})
-	}
-	b.StopTimer()
-	rep.WaitCaughtUp(0)
-}

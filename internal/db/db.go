@@ -1,9 +1,10 @@
 // Package db is the embedded transactional record store behind WebGPU's
-// web tier, standing in for the MySQL (v1) and Aurora/replicated (v2)
-// databases of §III-B and §VI-A. It stores JSON-encoded records in named
-// tables, provides serializable read-write transactions, ordered key and
-// prefix-range scans, write-ahead-log persistence with snapshots, and
-// streaming replication to read replicas. Sorted keys are the only index:
+// web tier, standing in for the MySQL (v1) and Aurora (v2) databases of
+// §III-B and §VI-A. It stores JSON-encoded records in named tables and
+// provides serializable read-write transactions, ordered key and
+// prefix-range scans, and write-ahead-log persistence with snapshots.
+// Every row is a JSON object, whether a Put wrote it or a replayed log or
+// snapshot restored it. Sorted keys are the only index:
 // a lookup by anything but the primary key is a row in another table whose
 // key is the value looked up, written in the record's transaction. A row
 // is read decoded (Tx.Get) or as the bytes it was committed as
@@ -27,7 +28,7 @@ var (
 	ErrBadRecord = errors.New("db: record is not a JSON object")
 )
 
-// Entry is one committed mutation, the unit of the WAL and of replication.
+// Entry is one committed mutation, the unit of the WAL.
 type Entry struct {
 	Seq   uint64          `json:"seq"`
 	Table string          `json:"table"`
@@ -38,7 +39,7 @@ type Entry struct {
 type table struct {
 	// rows holds the committed bytes of each record. A committed value is
 	// never written again (an update installs a new slice), which is what
-	// lets the WAL, subscribers and replicas share it without copying.
+	// lets the WAL share it without copying.
 	rows map[string][]byte
 	// keys is the sorted key set of rows, so ordered reads and prefix
 	// ranges need no per-call sort.
@@ -84,9 +85,6 @@ type DB struct {
 	closed bool
 
 	wal *WAL
-
-	subMu sync.Mutex
-	subs  []chan Entry
 }
 
 // New creates an empty in-memory database.
@@ -100,12 +98,6 @@ func (d *DB) Close() {
 	d.mu.Lock()
 	d.closed = true
 	d.mu.Unlock()
-	d.subMu.Lock()
-	for _, ch := range d.subs {
-		close(ch)
-	}
-	d.subs = nil
-	d.subMu.Unlock()
 }
 
 // Seq returns the last committed sequence number.
@@ -148,7 +140,7 @@ func (d *DB) View(fn func(tx *Tx) error) error {
 }
 
 // Update runs fn in a writable transaction; if fn returns nil the buffered
-// writes commit atomically (and reach the WAL and replicas).
+// writes commit atomically (and reach the WAL).
 func (d *DB) Update(fn func(tx *Tx) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -165,38 +157,25 @@ func (d *DB) Update(fn func(tx *Tx) error) error {
 func (d *DB) commitLocked(tx *Tx) error {
 	var entries []Entry
 	for _, ek := range tx.order {
-		val := tx.writes[ek.table][ek.key]
 		d.seq++
-		e := Entry{Seq: d.seq, Table: ek.table, Key: ek.key, Value: val}
+		e := Entry{Seq: d.seq, Table: ek.table, Key: ek.key, Value: tx.writes[ek.table][ek.key]}
 		d.applyLocked(e)
-		entries = append(entries, e)
-	}
-	if d.wal != nil {
-		for _, e := range entries {
-			if err := d.wal.append(e); err != nil {
-				return fmt.Errorf("db: wal append: %w", err)
-			}
+		if d.wal != nil {
+			entries = append(entries, e)
 		}
 	}
-	if len(entries) > 0 {
-		d.subMu.Lock()
-		for _, ch := range d.subs {
-			for _, e := range entries {
-				select {
-				case ch <- e:
-				default: // slow replica: drop; it will resync from snapshot
-				}
-			}
+	for _, e := range entries {
+		if err := d.wal.append(e); err != nil {
+			return fmt.Errorf("db: wal append: %w", err)
 		}
-		d.subMu.Unlock()
 	}
 	return nil
 }
 
 // applyLocked installs one committed entry. It keeps e.Value rather than
 // a copy: the bytes were marshaled (Put) or decoded (Replay) for this
-// entry alone and nothing writes to them afterwards, so the primary, its
-// subscribers and its replicas all hold the same slice.
+// entry alone and nothing writes to them afterwards, so the table and the
+// WAL entry hold the same slice.
 func (d *DB) applyLocked(e Entry) {
 	t := d.tableLocked(e.Table)
 	_, existed := t.rows[e.Key]

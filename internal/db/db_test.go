@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 type user struct {
@@ -119,6 +119,32 @@ func TestNonObjectRejected(t *testing.T) {
 	}
 }
 
+// TestRestoredRowsObeyPut: Replay and LoadSnapshot refuse a row Put would
+// have refused, naming where it sits; a refused snapshot leaves the
+// database as it was.
+func TestRestoredRowsObeyPut(t *testing.T) {
+	for _, value := range []string{`[1,2]`, `"x"`, `null`} {
+		wal := `{"seq":1,"table":"t","key":"a","value":{}}` + "\n" +
+			`{"seq":2,"table":"t","key":"b","value":` + value + "}\n"
+		err := New().Replay(strings.NewReader(wal))
+		if !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "wal line 2") {
+			t.Errorf("replay of value %s: %v", value, err)
+		}
+	}
+	d := New()
+	_ = d.Update(func(tx *Tx) error { return tx.Put("t", "old", user{Name: "x"}) })
+	err := d.LoadSnapshot(strings.NewReader(`{"seq":9,"tables":{"t":{"k":"{"}}}`))
+	if !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "t/k") {
+		t.Errorf("load of a non-JSON row: %v", err)
+	}
+	_ = d.View(func(tx *Tx) error {
+		if d.seq != 1 || !tx.Exists("t", "old") || tx.Exists("t", "k") {
+			t.Errorf("a refused snapshot changed the database: seq %d, keys %v", d.seq, tx.Keys("t"))
+		}
+		return nil
+	})
+}
+
 func TestClosedDB(t *testing.T) {
 	d := New()
 	d.Close()
@@ -141,6 +167,11 @@ func TestWALReplayEquivalence(t *testing.T) {
 		})
 	}
 	_ = d.Update(func(tx *Tx) error { return tx.Delete("t", "k05") })
+	// A delete omits the value; an explicit null would be a row.
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if last := lines[len(lines)-1]; last != `{"seq":21,"table":"t","key":"k05"}` {
+		t.Errorf("delete logged as %s", last)
+	}
 
 	restored := New()
 	if err := restored.Replay(bytes.NewReader(log.Bytes())); err != nil {
@@ -300,63 +331,4 @@ func TestConcurrentUpdates(t *testing.T) {
 	if d.Seq() != 400 {
 		t.Errorf("seq = %d", d.Seq())
 	}
-}
-
-func TestReplicaStreams(t *testing.T) {
-	primary := New()
-	rep := NewReplica(primary)
-	defer rep.Stop()
-	for i := 0; i < 50; i++ {
-		i := i
-		_ = primary.Update(func(tx *Tx) error {
-			return tx.Put("t", fmt.Sprintf("k%d", i), user{Name: "x"})
-		})
-	}
-	if !rep.WaitCaughtUp(2 * time.Second) {
-		t.Fatalf("replica lag = %d", rep.Lag())
-	}
-	_ = rep.View(func(tx *Tx) error {
-		if tx.Count("t") != 50 {
-			t.Errorf("replica count = %d", tx.Count("t"))
-		}
-		return nil
-	})
-}
-
-func TestReplicaSeesPreexistingData(t *testing.T) {
-	primary := New()
-	_ = primary.Update(func(tx *Tx) error { return tx.Put("t", "old", user{Name: "x"}) })
-	rep := NewReplica(primary)
-	defer rep.Stop()
-	if !rep.WaitCaughtUp(time.Second) {
-		t.Fatal("lagging")
-	}
-	_ = rep.View(func(tx *Tx) error {
-		if !tx.Exists("t", "old") {
-			t.Error("initial snapshot missing data")
-		}
-		return nil
-	})
-}
-
-func TestReplicaPromote(t *testing.T) {
-	primary := New()
-	_ = primary.Update(func(tx *Tx) error { return tx.Put("t", "k", user{Name: "x"}) })
-	rep := NewReplica(primary)
-	if !rep.WaitCaughtUp(time.Second) {
-		t.Fatal("lagging")
-	}
-	promoted := rep.Promote()
-	// The promoted DB accepts writes.
-	if err := promoted.Update(func(tx *Tx) error {
-		return tx.Put("t", "k2", user{Name: "y"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_ = promoted.View(func(tx *Tx) error {
-		if !tx.Exists("t", "k") || !tx.Exists("t", "k2") {
-			t.Error("promoted DB missing data")
-		}
-		return nil
-	})
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // model is the brute-force reference of the read path: plain maps, every
@@ -112,26 +111,25 @@ func checkReads(t *testing.T, where string, tx *Tx, visible model) {
 }
 
 // TestReadPathMatchesModel drives random interleavings of transactions
-// (committed and rolled back), snapshot round trips, WAL reopens and
-// forced replica resyncs, and after every step compares Keys, Scan,
-// Count, ScanPrefix, AppendRow and Exists — inside transactions with
-// uncommitted writes, after commit, and on the replica — with the model.
+// (committed and rolled back), snapshot round trips and WAL reopens, and
+// after every step compares Keys, Scan, Count, ScanPrefix, AppendRow and
+// Exists — inside transactions with uncommitted writes and after commit —
+// with the model.
 func TestReadPathMatchesModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			var wal bytes.Buffer
-			open := func() (*DB, *Replica) {
+			open := func() *DB {
 				d := New()
 				if err := d.Replay(bytes.NewReader(wal.Bytes())); err != nil {
 					t.Fatal(err)
 				}
 				d.AttachWAL(NewWAL(&wal))
-				return d, NewReplica(d)
+				return d
 			}
-			d, rep := open()
-			defer func() { rep.Stop() }()
+			d := open()
 			committed := model{}
 			deletedInTx := 0 // committed rows a transaction deleted, then read
 			randKey := func() string {
@@ -139,7 +137,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 			}
 			for step := 0; step < 200; step++ {
 				where := fmt.Sprintf("seed %d step %d", seed, step)
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(8); {
 				case op < 6: // a transaction of a few writes, committed or not
 					pendingModel := committed.clone()
 					rollback := errors.New("rollback")
@@ -187,24 +185,12 @@ func TestReadPathMatchesModel(t *testing.T) {
 					if err := d.LoadSnapshot(&snap); err != nil {
 						t.Fatal(err)
 					}
-				case op < 8: // crash and reopen from the WAL
-					rep.Stop()
+				default: // crash and reopen from the WAL
 					d.Close()
-					d, rep = open()
-				default: // the replica lost entries and resynchronizes
-					rep.resync()
+					d = open()
 				}
 				if err := d.View(func(tx *Tx) error {
 					checkReads(t, where, tx, committed)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if !rep.WaitCaughtUp(5 * time.Second) {
-					t.Fatalf("%s: replica lag %d", where, rep.Lag())
-				}
-				if err := rep.View(func(tx *Tx) error {
-					checkReads(t, where+" on replica", tx, committed)
 					return nil
 				}); err != nil {
 					t.Fatal(err)
@@ -213,25 +199,15 @@ func TestReadPathMatchesModel(t *testing.T) {
 			if deletedInTx < 10 {
 				t.Fatalf("only %d reads of a committed row the transaction had deleted", deletedInTx)
 			}
-			// A promoted replica is a primary: same reads, and writable.
-			promoted := rep.Promote()
-			if err := promoted.View(func(tx *Tx) error {
-				checkReads(t, "promoted", tx, committed)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
 
 // TestReadersCannotCorruptStoredRows: committed bytes are shared by the
-// table, the WAL entry and the replica, so everything handed to a reader
-// must be the reader's own copy.
+// table and the WAL entry, so everything handed to a reader must be the
+// reader's own copy.
 func TestReadersCannotCorruptStoredRows(t *testing.T) {
 	d := New()
-	rep := NewReplica(d)
-	defer rep.Stop()
 	if err := d.Update(func(tx *Tx) error { return tx.Put("t", "k", user{Name: "Ada"}) }); err != nil {
 		t.Fatal(err)
 	}
@@ -261,13 +237,8 @@ func TestReadersCannotCorruptStoredRows(t *testing.T) {
 		scribble(row)
 		return nil
 	})
-	if !rep.WaitCaughtUp(5 * time.Second) {
-		t.Fatal("replica did not catch up")
-	}
-	for name, view := range map[string]func(func(*Tx) error) error{"primary": d.View, "replica": rep.View} {
-		var got user
-		if err := view(func(tx *Tx) error { return tx.Get("t", "k", &got) }); err != nil || got.Name != "Ada" {
-			t.Errorf("%s: row after a reader scribbled on its copy = %+v, %v", name, got, err)
-		}
+	var got user
+	if err := d.View(func(tx *Tx) error { return tx.Get("t", "k", &got) }); err != nil || got.Name != "Ada" {
+		t.Errorf("row after a reader scribbled on its copy = %+v, %v", got, err)
 	}
 }

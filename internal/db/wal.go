@@ -7,13 +7,16 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"webgpu/internal/faultinject"
 )
 
 // WAL is a write-ahead log of committed entries, one JSON document per
 // line. Attaching a WAL to a DB makes every subsequent commit durable;
-// Replay reconstructs a DB from a log stream.
+// Replay reconstructs a DB from a log stream. A line's value is the row
+// Put stored, a JSON object; a delete omits the field (never an explicit
+// null), which is how Replay tells the two apart.
 type WAL struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
@@ -71,7 +74,10 @@ func (d *DB) AttachWAL(wal *WAL) {
 
 // Replay applies a WAL stream to the database (used at startup). Entries
 // with sequence numbers at or below the current sequence are skipped, so a
-// snapshot followed by its WAL tail replays correctly.
+// snapshot followed by its WAL tail replays correctly. A line that is not
+// an entry, or whose value is present but is not what Put stores (a
+// UTF-8 JSON object), stops the replay with an error naming the line;
+// the lines before it stay applied.
 func (d *DB) Replay(r io.Reader) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -86,6 +92,9 @@ func (d *DB) Replay(r io.Reader) error {
 		var e Entry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return fmt.Errorf("db: wal line %d: %w", line, err)
+		}
+		if e.Value != nil && !isRecord(e.Value) {
+			return fmt.Errorf("db: wal line %d: %w", line, ErrBadRecord)
 		}
 		if e.Seq <= d.seq {
 			continue
@@ -138,24 +147,37 @@ func (d *DB) snapshotLocked() snapshotDoc {
 	return doc
 }
 
-// LoadSnapshot replaces the database contents with a snapshot.
+// LoadSnapshot replaces the database contents with a snapshot. A row that
+// is not a JSON object fails the load with an error naming its table and
+// key, and leaves the database as it was.
 func (d *DB) LoadSnapshot(r io.Reader) error {
 	var doc snapshotDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return fmt.Errorf("db: snapshot: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.tables = map[string]*table{}
+	tables := make(map[string]*table, len(doc.Tables))
 	for name, rows := range doc.Tables {
 		t := &table{rows: make(map[string][]byte, len(rows)), keys: make([]string, 0, len(rows))}
 		for k, v := range rows {
+			if !isRecord([]byte(v)) {
+				return fmt.Errorf("db: snapshot row %s/%s: %w", name, k, ErrBadRecord)
+			}
 			t.rows[k] = []byte(v)
 			t.keys = append(t.keys, k)
 		}
 		sort.Strings(t.keys)
-		d.tables[name] = t
+		tables[name] = t
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tables = tables
 	d.seq = doc.Seq
 	return nil
+}
+
+// isRecord reports whether raw is a row Put could have stored: a valid
+// UTF-8 JSON object. json.Valid passes invalid UTF-8 inside strings, which
+// Marshal never writes and a snapshot could not carry back unchanged.
+func isRecord(raw []byte) bool {
+	return len(raw) > 0 && raw[0] == '{' && utf8.Valid(raw) && json.Valid(raw)
 }

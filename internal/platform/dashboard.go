@@ -16,7 +16,6 @@ type Status struct {
 	Architecture  string
 	Workers       int
 	DBSeq         uint64
-	ReplicaLag    uint64 // v2
 	BrokerBacklog int    // v2: jobs waiting
 	BrokerStats   string // v2
 	StandbyDepth  int    // v2: unacked jobs mirrored on the standby broker
@@ -54,7 +53,6 @@ func (p *Platform) Status() Status {
 	case V1:
 		s.Evictions = p.Registry.Evictions()
 	default:
-		s.ReplicaLag = p.Replica.Lag()
 		s.BrokerBacklog = p.Broker.Backlog("jobs")
 		s.BrokerStats = fmt.Sprintf("%+v", p.Broker.Stats())
 		s.StandbyDepth = p.StandbyBroker.Depth("jobs")
@@ -90,7 +88,6 @@ func (s Status) Render() string {
 	if s.BrokerStats != "" {
 		fmt.Fprintf(&sb, "broker backlog: %d (standby mirror depth %d)\n", s.BrokerBacklog, s.StandbyDepth)
 		fmt.Fprintf(&sb, "broker stats:   %s\n", s.BrokerStats)
-		fmt.Fprintf(&sb, "replica lag:    %d commits\n", s.ReplicaLag)
 	} else {
 		fmt.Fprintf(&sb, "evictions:      %d\n", s.Evictions)
 	}

@@ -5,8 +5,8 @@
 //     worker nodes ® that the web server pushes jobs to, with worker
 //     health checks and eviction.
 //   - V2 (§VI, Figures 6-7): front end + replicated message broker that
-//     autoscalable worker fleets poll, a replicated database, and a
-//     remote worker configuration service.
+//     autoscalable worker fleets poll, a database, and a remote worker
+//     configuration service.
 //
 // Both expose the same student/instructor HTTP interface; tests and the
 // benchmark harness run identical flows against either.
@@ -97,7 +97,6 @@ type Options struct {
 type Platform struct {
 	Arch      Architecture
 	DB        *db.DB
-	Replica   *db.Replica // v2 only
 	Server    *webserver.Server
 	Gradebook *grader.CourseraBook
 	Reviews   *peerreview.Store
@@ -207,7 +206,6 @@ func New(opts Options) *Platform {
 		p.Fleet.SetStandby(p.StandbyBroker)
 		p.Fleet.SetFaults(opts.Faults)
 		p.Fleet.Scale(opts.Workers)
-		p.Replica = db.NewReplica(p.DB)
 		p.router = newResultRouter(p.Broker, p.StandbyBroker, p.metrics)
 		// Broker gauges refresh per scrape too.
 		p.metrics.AddCollector(func(r *metrics.Registry) {
@@ -350,9 +348,6 @@ func (p *Platform) Close() {
 	}
 	if p.router != nil {
 		p.router.stop()
-	}
-	if p.Replica != nil {
-		p.Replica.Stop()
 	}
 	if p.Broker != nil {
 		p.Broker.Close()

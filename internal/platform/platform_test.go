@@ -3,14 +3,12 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"webgpu/internal/db"
 	"webgpu/internal/labs"
 	"webgpu/internal/webserver"
 	"webgpu/internal/worker"
@@ -321,27 +319,6 @@ func TestBrokerMirrorsToStandby(t *testing.T) {
 	}
 }
 
-func TestV2ReplicaServesReads(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 1})
-	defer p.Close()
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-	c := newClient(t, ts.URL)
-	c.register("S", "s@example.edu", "student")
-	c.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": "x"}, nil)
-	if !p.Replica.WaitCaughtUp(5 * time.Second) {
-		t.Fatalf("replica lag = %d", p.Replica.Lag())
-	}
-	if err := p.Replica.View(func(tx *db.Tx) error {
-		if tx.Count("history") == 0 {
-			return fmt.Errorf("replica has no history rows")
-		}
-		return nil
-	}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDashboardStatus(t *testing.T) {
 	for _, arch := range []Architecture{V1, V2} {
 		p := New(Options{Arch: arch, Workers: 2})
@@ -366,8 +343,8 @@ func TestDashboardStatus(t *testing.T) {
 		if !strings.Contains(out, "workers:        2") {
 			t.Errorf("%v: render missing workers:\n%s", arch, out)
 		}
-		if arch == V2 && !strings.Contains(out, "replica lag") {
-			t.Errorf("v2 render missing replica lag:\n%s", out)
+		if arch == V2 && !strings.Contains(out, "broker backlog") {
+			t.Errorf("v2 render missing broker backlog:\n%s", out)
 		}
 		if arch == V1 && !strings.Contains(out, "evictions") {
 			t.Errorf("v1 render missing evictions:\n%s", out)

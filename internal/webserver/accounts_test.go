@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"webgpu/internal/db"
 	"webgpu/internal/grader"
@@ -23,54 +21,26 @@ func post(srv *Server, path string, body interface{}) *httptest.ResponseRecorder
 	return w
 }
 
-// TestAccountsSurviveSnapshotResyncAndPromote: login finds an account by
-// its users_by_email row, and a row needs nothing to survive a snapshot,
-// a replica resync or a failover. The replica attaches before the server
-// exists; one account reaches it over the stream, the other two only
-// through a resync. An address may contain the index tables' separator.
-func TestAccountsSurviveSnapshotResyncAndPromote(t *testing.T) {
+// TestAccountsSurviveSnapshotAndReplay: login finds an account by its
+// users_by_email row, and a row needs nothing to survive a snapshot or a
+// rebuild from the WAL. The WAL attaches before the server exists, so the
+// replayed database is rebuilt from every commit the server made. An
+// address may contain the index tables' separator.
+func TestAccountsSurviveSnapshotAndReplay(t *testing.T) {
 	primary := db.New()
-	rep := db.NewReplica(primary)
-	defer rep.Stop()
+	var wal bytes.Buffer
+	primary.AttachWAL(db.NewWAL(&wal))
 	srv := New(Config{DB: primary})
 
 	emails := []string{"ada@example.edu", "bob|vector-add|x@example.edu", "cy@example.edu"}
 	ids := map[string]string{}
-	register := func(email string) {
-		t.Helper()
+	for _, email := range emails {
 		w := post(srv, "/api/v1/register", map[string]string{"name": email, "email": email})
 		var resp struct{ User User }
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusCreated {
 			t.Fatalf("register %s: %d %s", email, w.Code, w.Body)
 		}
 		ids[email] = resp.User.ID
-	}
-	register(emails[0])
-	// While a reader holds the replica, its stream goroutine can take one
-	// entry and then waits for the lock, so more commits than the
-	// subscription buffers (1024) are dropped: the registrations after
-	// the filler never reach the replica over the stream.
-	_ = rep.View(func(*db.Tx) error {
-		for i := 0; i < 1100; i++ {
-			if err := primary.Update(func(tx *db.Tx) error {
-				return tx.Put("filler", fmt.Sprint(i), struct{}{})
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		register(emails[1])
-		register(emails[2])
-		return nil
-	})
-	// The replica sees the gap at the next entry that does reach it, and
-	// resynchronizes; a login commits a session, so log in until it has.
-	for deadline := time.Now().Add(5 * time.Second); !rep.WaitCaughtUp(10 * time.Millisecond); {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica lag %d", rep.Lag())
-		}
-		if w := post(srv, "/api/v1/login", map[string]string{"email": emails[0]}); w.Code != http.StatusOK {
-			t.Fatalf("login on the primary: %d %s", w.Code, w.Body)
-		}
 	}
 
 	var snap bytes.Buffer
@@ -81,13 +51,17 @@ func TestAccountsSurviveSnapshotResyncAndPromote(t *testing.T) {
 	if err := restored.LoadSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
+	replayed := db.New()
+	if err := replayed.Replay(bytes.NewReader(wal.Bytes())); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		db   *db.DB
 	}{
 		{"primary", primary},
 		{"snapshot", restored},
-		{"promoted", rep.Promote()},
+		{"replayed", replayed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := New(Config{DB: tc.db})

@@ -2,12 +2,13 @@
 // toolchain cannot express. It uses only the stdlib go/ast parser:
 //
 //   - Deterministic clocks: packages whose components all hold a
-//     clock.Clock (internal/queue, internal/overload, internal/devsession,
-//     internal/webserver, internal/wb) must not name time.Now, time.Since
-//     or a wall-clock timer (time.NewTimer, NewTicker, After, AfterFunc,
-//     Sleep, Tick) in non-test files, called or not. Time there comes
-//     from the component's clock, so a test's clock.Manual controls its
-//     windows, heartbeats and timeouts too.
+//     clock.Clock (internal/castore, internal/queue, internal/overload,
+//     internal/devsession, internal/webserver, internal/wb), and
+//     internal/db, which reads no clock yet, must not name time.Now,
+//     time.Since or a wall-clock timer (time.NewTimer, NewTicker, After,
+//     AfterFunc, Sleep, Tick) in non-test files, called or not. Time there
+//     comes from the component's clock, so a test's clock.Manual controls
+//     its windows, heartbeats and timeouts too.
 //
 //   - Hot paths: files marked //kernelcheck:hotpath (the analyzer's
 //     per-expression core) must not call fmt.Sprintf or import regexp;
@@ -73,6 +74,7 @@ import (
 // wall clock is banned in favor of the component's clock.Clock.
 var clockPkgs = []string{
 	"internal/castore",
+	"internal/db",
 	"internal/queue",
 	"internal/overload",
 	"internal/devsession",
