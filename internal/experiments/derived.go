@@ -332,11 +332,12 @@ func Limits() string {
 	o := labs.Run(context.Background(), labs.ByID("vector-add"), spin, 0, labs.NewDeviceSet(1), 100000)
 	fmt.Fprintf(&sb, "infinite-loop kernel: compiled=%v, runtime error: %s\n", o.Compiled, o.RuntimeError)
 
-	// Limits are per-lab adjustable.
+	// The limits enforced, and where; one set holds for every lab.
 	l := sandbox.DefaultLimits()
-	fmt.Fprintf(&sb, "\ndefault per-lab limits: compile %v, run %v, %d steps/thread, %dKB output,\n",
-		l.CompileTimeout, l.RunTimeout, l.MaxSteps, l.MaxOutputBytes/1024)
-	fmt.Fprintf(&sb, "submit interval %v — all adjustable per lab (§III-C)\n", l.SubmitInterval)
+	fmt.Fprintf(&sb, "\nenforced limits, the same for every lab: compile %v per job (worker),\n", l.CompileTimeout)
+	fmt.Fprintf(&sb, "%d steps per thread per launch, %dKB of run log per dataset (worker),\n",
+		l.MaxSteps, l.MaxOutputBytes/1024)
+	fmt.Fprintf(&sb, "one submission per %v per user (web tier)\n", l.SubmitInterval)
 	return sb.String()
 }
 

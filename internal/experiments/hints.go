@@ -6,12 +6,15 @@ import (
 	"strings"
 
 	"webgpu/internal/feedback"
+	"webgpu/internal/kernelcheck"
 	"webgpu/internal/labs"
 )
 
 // Hints demonstrates the automated-feedback analyzer (the §VIII future
 // work, implemented in internal/feedback) on a gallery of the classic
-// student mistakes the course staff answered by hand on the forums.
+// student mistakes the course staff answered by hand on the forums. Each
+// attempt is analyzed as the hints route does: its outcome and the
+// kernelcheck diagnostics of its source.
 func Hints() string {
 	var sb strings.Builder
 	sb.WriteString("== E1: automated feedback / on-demand hints (§VIII) ==\n\n")
@@ -24,6 +27,12 @@ func Hints() string {
 		{"missing bounds check", "vector-add", `__global__ void vecAdd(float *in1, float *in2, float *out, int len) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   out[i] = in1[i] + in2[i];
+}`},
+		{"an unrelated if before an unguarded store", "vector-add", `__global__ void vecAdd(float *in1, float *in2, float *out, int len) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  float s = 0.0f;
+  if (len > 0) s = 1.0f;
+  out[i] = in1[i] + in2[i] + 0.0f * s;
 }`},
 		{"__syncthreads in a divergent branch", "vector-add", `__global__ void vecAdd(float *in1, float *in2, float *out, int len) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -61,7 +70,8 @@ func Hints() string {
 	for _, c := range cases {
 		l := labs.ByID(c.labID)
 		o := labs.Run(context.Background(), l, c.src, 0, labs.NewDeviceSet(1), 200000)
-		hints := feedback.Analyze(l, c.src, o)
+		diags, _ := kernelcheck.AnalyzeSource(c.src, l.Dialect)
+		hints := feedback.Analyze(l, o, diags)
 		fmt.Fprintf(&sb, "%s:\n", c.title)
 		if len(hints) == 0 {
 			sb.WriteString("  (no hints)\n")
@@ -72,7 +82,7 @@ func Hints() string {
 		sb.WriteString("\n")
 	}
 	sb.WriteString("hints are served on demand at GET /api/v1/labs/{id}/hints from the\n")
-	sb.WriteString("student's latest attempt and current code.\n")
+	sb.WriteString("student's latest attempt: its outcome's facts and its source's diagnostics.\n")
 	return sb.String()
 }
 

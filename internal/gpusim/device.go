@@ -244,7 +244,7 @@ func (d *Device) view(p Ptr, n int) ([]byte, error) {
 		return nil, err
 	}
 	if p.Off < 0 || n < 0 || p.Off+n > len(a.data) {
-		return nil, outOfBounds(p, n, len(a.data))
+		return nil, &AccessError{Offset: p.Off, Size: n, Alloc: len(a.data)}
 	}
 	return a.data[p.Off : p.Off+n], nil
 }

@@ -315,19 +315,26 @@ func (bc *blockCtx) resolve(p Ptr) ([]byte, error) {
 	return a.data, nil
 }
 
-// outOfBounds is the trap of a size-byte access at p outside an
-// allocation of n bytes.
-func outOfBounds(p Ptr, size, n int) error {
-	return fmt.Errorf("%w: offset %d size %d in allocation of %d bytes",
-		ErrIllegalAccess, p.Off, size, n)
+// AccessError is the trap of a Size-byte access at byte Offset outside a
+// global allocation, or the block's shared arena, of Alloc bytes. It
+// unwraps to ErrIllegalAccess.
+type AccessError struct {
+	Shared bool // the block's shared arena, not a global allocation
+	Offset int
+	Size   int
+	Alloc  int
 }
 
-// sharedOutOfBounds is the trap of a shared access [off, off+size) outside
-// an arena of n bytes.
-func sharedOutOfBounds(off, size, n int) error {
-	return fmt.Errorf("%w: shared memory access [%d,%d) of %d bytes",
-		ErrIllegalAccess, off, off+size, n)
+func (e *AccessError) Error() string {
+	if e.Shared {
+		return fmt.Sprintf("%v: shared memory access [%d,%d) of %d bytes",
+			ErrIllegalAccess, e.Offset, e.Offset+e.Size, e.Alloc)
+	}
+	return fmt.Sprintf("%v: offset %d size %d in allocation of %d bytes",
+		ErrIllegalAccess, e.Offset, e.Size, e.Alloc)
 }
+
+func (e *AccessError) Unwrap() error { return ErrIllegalAccess }
 
 // Unit is the part of an execution context the cost model charges: one
 // thread under Launch, one whole warp under LaunchWarp. LaunchStats reports
@@ -518,7 +525,7 @@ func (tc *ThreadCtx) globalAccess(p Ptr, size int, store bool) ([]byte, error) {
 		return nil, err
 	}
 	if p.Off < 0 || size < 0 || p.Off+size > len(data) {
-		return nil, outOfBounds(p, size, len(data))
+		return nil, &AccessError{Offset: p.Off, Size: size, Alloc: len(data)}
 	}
 	v := data[p.Off : p.Off+size]
 	if store {
@@ -596,7 +603,7 @@ func (tc *ThreadCtx) StoreByte(p Ptr, idx int, val byte) error {
 
 func (tc *ThreadCtx) sharedCheck(off, size int) error {
 	if off < 0 || off+size > len(tc.block.shared) {
-		return sharedOutOfBounds(off, size, len(tc.block.shared))
+		return &AccessError{Shared: true, Offset: off, Size: size, Alloc: len(tc.block.shared)}
 	}
 	tc.stats.sAccess++
 	tc.sEvents = append(tc.sEvents, sEvent{key: tc.key(len(tc.sEvents)), word: int32(off / bankWidthBytes)})

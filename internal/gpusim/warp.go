@@ -101,7 +101,7 @@ func (wc *WarpCtx) global(size int, addrs []Ptr, words []uint32, store bool) (n 
 			cur = p.alloc
 		}
 		if p.Off < 0 || p.Off+size > len(data) {
-			err = outOfBounds(p, size, len(data))
+			err = &AccessError{Offset: p.Off, Size: size, Alloc: len(data)}
 			break
 		}
 		v := data[p.Off:]
@@ -143,7 +143,7 @@ func (wc *WarpCtx) shared(idxs []int, words []uint32, store bool) (n int, err er
 	for i, idx := range idxs {
 		off := idx * 4
 		if off < 0 || off+4 > len(sh) {
-			err = sharedOutOfBounds(off, 4, len(sh))
+			err = &AccessError{Shared: true, Offset: off, Size: 4, Alloc: len(sh)}
 			break
 		}
 		if store {

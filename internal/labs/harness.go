@@ -146,8 +146,7 @@ func (rc *RunContext) CSR(data []byte) *wb.CSR {
 func (rc *RunContext) RequireKernel(names ...string) {
 	for _, name := range names {
 		if rc.Program.Kernel(name) == nil {
-			rc.Fail(fmt.Errorf("labs: solution must define a __global__ kernel named %q (found %v)",
-				name, rc.Program.Kernels()))
+			rc.Fail(missingKernel{name, rc.Program.Kernels()})
 		}
 	}
 }

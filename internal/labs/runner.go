@@ -25,8 +25,11 @@ type Outcome struct {
 	CompileError string `json:",omitempty"`
 	Ran          bool
 	RuntimeError string `json:",omitempty"`
+	Fault        *Fault `json:",omitempty"` // the compile or runtime error as facts (FaultOf)
 	Correct      bool
 	CheckMessage string
+	FirstBad     int  `json:",omitempty"` // a failed check's first wrong element, -1 if the lengths differ
+	Total        int  `json:",omitempty"` // a failed check's expected element count
 	Canceled     bool `json:",omitempty"` // the job's context expired before this dataset ran
 	Trace        string
 	SimTime      time.Duration // simulated GPU time across launches
@@ -80,7 +83,7 @@ func CompileOnly(l *Lab, source string) *Outcome {
 	_, err := progcache.Default.Check(source, l.Dialect)
 	o.WallTime = time.Since(start)
 	if err != nil {
-		o.CompileError = err.Error()
+		o.CompileError, o.Fault = err.Error(), FaultOf(err)
 		return o
 	}
 	o.Compiled = true
@@ -108,7 +111,7 @@ func Run(ctx context.Context, l *Lab, source string, datasetID int, devices []*g
 	prog, err := progcache.Default.Compile(source, l.Dialect)
 	if err != nil {
 		return &Outcome{LabID: l.ID, DatasetID: datasetID, WallTime: time.Since(start),
-			CompileError: err.Error()}
+			CompileError: err.Error(), Fault: FaultOf(err)}
 	}
 	o := RunCompiled(ctx, l, prog, datasetID, devices, maxSteps)
 	o.WallTime = time.Since(start)
@@ -134,7 +137,7 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 	}
 	entry := l.dataset(datasetID)
 	if entry.err != nil {
-		o.RuntimeError = entry.err.Error()
+		o.RuntimeError, o.Fault = entry.err.Error(), FaultOf(entry.err)
 		return o
 	}
 	if len(devices) == 0 {
@@ -169,12 +172,15 @@ func RunCompiled(ctx context.Context, l *Lab, prog *minicuda.Program, datasetID 
 		d.Reset() // free the job's allocations, as the container teardown does
 	}
 	if err != nil {
-		o.RuntimeError = err.Error()
+		o.RuntimeError, o.Fault = err.Error(), FaultOf(err)
 		return o
 	}
 	o.Ran = true
 	o.Correct = res.Correct
 	o.CheckMessage = res.Message
+	if !res.Correct {
+		o.FirstBad, o.Total = res.FirstBad, res.Total
+	}
 	return o
 }
 
@@ -190,7 +196,7 @@ func RunAll(ctx context.Context, l *Lab, source string, devices []*gpusim.Device
 		outs := make([]*Outcome, l.NumDatasets)
 		for i := range outs {
 			outs[i] = &Outcome{LabID: l.ID, DatasetID: i, CompileError: err.Error(),
-				WallTime: time.Since(start)}
+				Fault: FaultOf(err), WallTime: time.Since(start)}
 		}
 		return outs
 	}

@@ -89,13 +89,13 @@ func (a *analyzer) call(x *Call) (*Type, error) {
 
 	sig, ok := builtinTable[x.Name]
 	if !ok {
-		return nil, errAt(x.Tok(), "call to undeclared function %q", x.Name)
+		return nil, errCode(x.Tok(), CodeUndeclared, x.Name, "call to undeclared function %q", x.Name)
 	}
 	if sig.opencl && a.prog.Dialect != DialectOpenCL {
-		return nil, errAt(x.Tok(), "%q is an OpenCL builtin; this lab uses CUDA", x.Name)
+		return nil, errCode(x.Tok(), CodeWrongDialect, x.Name, "%q is an OpenCL builtin; this lab uses CUDA", x.Name)
 	}
 	if sig.cuda && a.prog.Dialect != DialectCUDA {
-		return nil, errAt(x.Tok(), "%q is a CUDA builtin; this lab uses OpenCL", x.Name)
+		return nil, errCode(x.Tok(), CodeWrongDialect, x.Name, "%q is a CUDA builtin; this lab uses OpenCL", x.Name)
 	}
 	maxArgs := sig.maxArgs
 	if maxArgs == 0 && sig.minArgs == 0 {

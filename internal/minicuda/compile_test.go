@@ -1,6 +1,9 @@
 package minicuda
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -190,4 +193,29 @@ __kernel void vadd(__global const float *a, __global const float *b,
 	if _, err := Compile(src, DialectCUDA); err == nil {
 		t.Error("OpenCL source compiled under CUDA dialect")
 	}
+}
+
+// TestCompileErrorKeepsNoSource: a compile error outlives its compile
+// (the program cache keeps it as the source's verdict), so the name it
+// carries must not pin the preprocessed source it was sliced from.
+func TestCompileErrorKeepsNoSource(t *testing.T) {
+	const n, pad = 32, 1 << 16
+	errs := make([]error, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range errs {
+		src := fmt.Sprintf("__global__ void k() {\n%s\n  undeclared%d = 1;\n}", strings.Repeat(" ", pad), i)
+		_, errs[i] = Compile(src, DialectCUDA)
+		var ce *CompileError
+		if !errors.As(errs[i], &ce) || ce.Code != CodeUndeclared || ce.Name != fmt.Sprintf("undeclared%d", i) {
+			t.Fatalf("error %v", errs[i])
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > n*pad/4 {
+		t.Errorf("%d compile errors hold %d bytes of heap; their sources are %d bytes each", n, grew, pad)
+	}
+	runtime.KeepAlive(errs)
 }

@@ -15,6 +15,9 @@ var (
 	ErrDivByZero  = errors.New("minicuda: integer division by zero")
 	ErrBadAddress = errors.New("minicuda: invalid address operation")
 	ErrCallDepth  = errors.New("minicuda: device call stack overflow")
+
+	// ErrConstStore is the trap of a store to constant memory.
+	ErrConstStore = fmt.Errorf("%w: constant memory is read-only", gpusim.ErrIllegalAccess)
 )
 
 // Value is a runtime value: one of a scalar (I or F by type kind) or a
@@ -472,7 +475,7 @@ func (th *thread) store(at Node, p Pointer, t *Type, v Value) error {
 		}
 		return tc.SharedStoreInt32(p.Off/4, int32(v.I))
 	case SpaceConst:
-		return errConstStore
+		return ErrConstStore
 	case SpaceLocal:
 		slot, err := localSlot(p)
 		if err != nil {
@@ -493,9 +496,6 @@ func localSlot(p Pointer) (*Value, error) {
 	}
 	return &p.Local.vals[idx], nil
 }
-
-// errConstStore is the trap of a store to constant memory.
-var errConstStore = fmt.Errorf("%w: constant memory is read-only", gpusim.ErrIllegalAccess)
 
 // badAccess is the trap of a size-byte load or store the space does not
 // support.

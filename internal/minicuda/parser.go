@@ -49,7 +49,7 @@ func (p *parser) accept(text string) bool {
 func (p *parser) expect(text string) (Token, error) {
 	t := p.cur()
 	if t.Text != text {
-		return t, errAt(t, "expected %q, found %s", text, t)
+		return t, errCode(t, CodeExpected, text, "expected %q, found %s", text, t)
 	}
 	p.next()
 	return t, nil

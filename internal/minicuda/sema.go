@@ -295,11 +295,11 @@ func (a *analyzer) expr(e Expr) (*Type, error) {
 		return e.ResultType(), nil
 	case *VarRef:
 		if isBuiltinDim3(x.Name) {
-			return nil, errAt(x.Tok(), "%s must be accessed with .x/.y/.z", x.Name)
+			return nil, errCode(x.Tok(), CodeDim3Member, x.Name, "%s must be accessed with .x/.y/.z", x.Name)
 		}
 		sym := a.lookup(x.Name)
 		if sym == nil {
-			return nil, errAt(x.Tok(), "use of undeclared identifier %q", x.Name)
+			return nil, errCode(x.Tok(), CodeUndeclared, x.Name, "use of undeclared identifier %q", x.Name)
 		}
 		x.Sym = sym
 		x.typ = sym.Type

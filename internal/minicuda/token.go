@@ -90,12 +90,23 @@ var keywords = map[string]bool{
 }
 
 // CompileError is a positioned diagnostic, formatted the way the web UI
-// shows compilation failures to students.
+// shows compilation failures to students. The errors a hint can name
+// also carry a Code and the Name they concern; the rest leave both empty.
 type CompileError struct {
 	Line int
 	Col  int
 	Msg  string
+	Code string
+	Name string
 }
+
+// Codes of the compile errors that carry one, and what Name holds.
+const (
+	CodeUndeclared   = "undeclared"    // the identifier or function
+	CodeExpected     = "expected"      // the expected token's text
+	CodeWrongDialect = "wrong-dialect" // the other dialect's builtin
+	CodeDim3Member   = "dim3-member"   // the dim3 builtin used without .x/.y/.z
+)
 
 func (e *CompileError) Error() string {
 	return fmt.Sprintf("%d:%d: error: %s", e.Line, e.Col, e.Msg)
@@ -103,6 +114,13 @@ func (e *CompileError) Error() string {
 
 func errAt(t Token, format string, args ...interface{}) error {
 	return &CompileError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// errCode is errAt for an error with a code, about name. The name is
+// copied: a token's text slices the source, which a cached compile error
+// would otherwise keep alive.
+func errCode(t Token, code, name, format string, args ...interface{}) error {
+	return &CompileError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...), Code: code, Name: strings.Clone(name)}
 }
 
 // tokenBytes is the source bytes per token Lex reserves for. Preprocessed,

@@ -912,7 +912,7 @@ func (wx *warpExec) issue(s *strand, lanes []int32, in *instr, space MemSpace, s
 	case space == SpaceShared:
 		done, err = wc.LoadShared(ws.idxs[:n], words)
 	case store:
-		return 0, errConstStore
+		return 0, ErrConstStore
 	default:
 		for ; done < n; done++ {
 			var w int32

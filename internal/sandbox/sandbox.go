@@ -240,14 +240,13 @@ func (m *Monitor) Stats() (calls, denied map[string]int) {
 
 // ---- Resource limits ------------------------------------------------------------
 
-// Limits are the per-lab execution bounds (§III-C: "time limits are placed
-// on the submission rate and on the duration of the compilation and
-// execution of user code. The time limits can be adjusted on a per lab
-// basis").
+// Limits are the execution bounds (§III-C: "time limits are placed on the
+// submission rate and on the duration of the compilation and execution of
+// user code. The time limits can be adjusted on a per lab basis"). One set
+// holds for every lab: no lab carries its own.
 type Limits struct {
 	CompileTimeout time.Duration
-	RunTimeout     time.Duration
-	MaxSteps       int64 // per-thread interpreter budget (the run timeout's deterministic form)
+	MaxSteps       int64 // per-thread step budget: the execution time limit, in its deterministic form
 	MaxOutputBytes int
 	MaxMemoryBytes int
 	SubmitInterval time.Duration // minimum time between submissions per user
@@ -257,7 +256,6 @@ type Limits struct {
 func DefaultLimits() Limits {
 	return Limits{
 		CompileTimeout: 10 * time.Second,
-		RunTimeout:     30 * time.Second,
 		MaxSteps:       4 << 20,
 		MaxOutputBytes: 1 << 20,
 		MaxMemoryBytes: 1 << 30,

@@ -183,7 +183,7 @@ func TestLimitsClampOutput(t *testing.T) {
 
 func TestDefaultLimitsSane(t *testing.T) {
 	l := DefaultLimits()
-	if l.MaxSteps <= 0 || l.RunTimeout <= 0 || l.SubmitInterval <= 0 {
+	if l.MaxSteps <= 0 || l.CompileTimeout <= 0 || l.SubmitInterval <= 0 {
 		t.Errorf("defaults: %+v", l)
 	}
 }

@@ -549,19 +549,15 @@ func (s *Server) handleGetGrade(w http.ResponseWriter, r *http.Request, u *User)
 
 // handleHints implements the paper's §VIII future work — "on-demand
 // help/hints during development": the automated-feedback analyzer is run
-// over the student's current code and most recent attempt.
+// over the student's most recent attempt, its outcome and the diagnostics
+// of the source it ran, as stored.
 func (s *Server) handleHints(w http.ResponseWriter, r *http.Request, u *User) {
 	l := s.labFromPath(w, r)
 	if l == nil {
 		return
 	}
-	source, err := s.loadSource(u.ID, l)
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
-		return
-	}
 	var last AttemptRec
-	err = s.db.View(func(tx *db.Tx) error {
+	err := s.db.View(func(tx *db.Tx) error {
 		if ids := ownedIDs(tx, "attempts", l.ID, u.ID); len(ids) > 0 {
 			return tx.Get("attempts", ids[len(ids)-1], &last)
 		}
@@ -573,7 +569,7 @@ func (s *Server) handleHints(w http.ResponseWriter, r *http.Request, u *User) {
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"attempt": last.ID,
-		"hints":   feedback.Analyze(l, source, last.Outcome),
+		"hints":   feedback.Analyze(l, last.Outcome, last.Diagnostics),
 	})
 }
 

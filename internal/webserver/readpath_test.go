@@ -76,16 +76,13 @@ func oraclePaginated[T any](items []T, p page) map[string]interface{} {
 
 func oracleHints(s *Server, userID string, l *labs.Lab) map[string]interface{} {
 	attempts := oracleAttemptsFor(s, userID, l.ID)
-	var last *labs.Outcome
-	var lastAttemptID string
+	var last AttemptRec
 	if len(attempts) > 0 {
-		last = attempts[len(attempts)-1].Outcome
-		lastAttemptID = attempts[len(attempts)-1].ID
+		last = attempts[len(attempts)-1]
 	}
-	source, _ := s.loadSource(userID, l)
 	return map[string]interface{}{
-		"attempt": lastAttemptID,
-		"hints":   feedback.Analyze(l, source, last),
+		"attempt": last.ID,
+		"hints":   feedback.Analyze(l, last.Outcome, last.Diagnostics),
 	}
 }
 

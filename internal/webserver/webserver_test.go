@@ -432,6 +432,24 @@ func TestHintsEndpoint(t *testing.T) {
 	}
 }
 
+// TestHintsDescribeTheAttempt: the hints name an attempt, and describe
+// that attempt alone. Saving other code after the run (here, the fixed
+// kernel) leaves them as they were until the next run.
+func TestHintsDescribeTheAttempt(t *testing.T) {
+	f := newFixture(t)
+	tok := f.register("a@x", "student")
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": `__global__ void vecAdd(float *in1, float *in2, float *out, int len) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  out[i] = in1[i] + in2[i];
+}`})
+	f.req("POST", "/api/v1/labs/vector-add/attempt?dataset=0", tok, nil)
+	_, before := f.req("GET", "/api/v1/labs/vector-add/hints", tok, nil)
+	f.req("POST", "/api/v1/labs/vector-add/save", tok, map[string]string{"source": labs.ByID("vector-add").Reference})
+	if _, after := f.req("GET", "/api/v1/labs/vector-add/hints", tok, nil); string(after) != string(before) {
+		t.Errorf("saving new code changed the last attempt's hints:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
 func TestAttemptStoredOnWorkerError(t *testing.T) {
 	f := newFixture(t)
 	tok := f.register("a@x", "student")

@@ -533,7 +533,7 @@ func analysisBlockedOutcomes(lab *labs.Lab, datasetID int, diags []kernelcheck.D
 func compileErrorOutcomes(lab *labs.Lab, datasetID int, cerr error, wall time.Duration) []*labs.Outcome {
 	mk := func(id int) *labs.Outcome {
 		return &labs.Outcome{LabID: lab.ID, DatasetID: id,
-			CompileError: cerr.Error(), WallTime: wall}
+			CompileError: cerr.Error(), Fault: labs.FaultOf(cerr), WallTime: wall}
 	}
 	if datasetID == DatasetAll {
 		outs := make([]*labs.Outcome, lab.NumDatasets)

@@ -15,6 +15,11 @@
 //     both allocate or backtrack in code that runs per AST node per
 //     draft keystroke.
 //
+//   - Hints from facts: internal/feedback must not import regexp in
+//     non-test files. A hint is a function of the attempt's typed fault,
+//     check result, counters and diagnostics; a pattern over source or
+//     error text is the guesswork those facts replaced.
+//
 //   - Request-path timers: the dispatch and live-session packages
 //     (internal/devsession, internal/queue, internal/worker,
 //     internal/platform) must not call time.After inside a for body in
@@ -263,6 +268,9 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	}
 	if isHotpath(f) {
 		out = append(out, checkHotpath(fset, f)...)
+	}
+	if inPkg(slash, []string{"internal/feedback"}) {
+		out = append(out, regexpImports(fset, f, "regexp imported in internal/feedback; a hint reads the attempt's facts, not its text")...)
 	}
 	if inPkg(slash, []string{"internal"}) && importName(f, castorePath) != "" {
 		out = append(out, checkDroppedPuts(fset, f)...)
@@ -562,18 +570,21 @@ func isHotpath(f *ast.File) bool {
 	return false
 }
 
-// checkHotpath flags fmt.Sprintf calls and any regexp import in files
-// carrying the hotpath marker.
-func checkHotpath(fset *token.FileSet, f *ast.File) []finding {
+// regexpImports flags an import of regexp with msg.
+func regexpImports(fset *token.FileSet, f *ast.File, msg string) []finding {
 	var out []finding
 	for _, imp := range f.Imports {
 		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "regexp" {
-			out = append(out, finding{
-				pos: fset.Position(imp.Pos()),
-				msg: "regexp imported in a //kernelcheck:hotpath file; hand-roll the scan instead",
-			})
+			out = append(out, finding{pos: fset.Position(imp.Pos()), msg: msg})
 		}
 	}
+	return out
+}
+
+// checkHotpath flags fmt.Sprintf calls and any regexp import in files
+// carrying the hotpath marker.
+func checkHotpath(fset *token.FileSet, f *ast.File) []finding {
+	out := regexpImports(fset, f, "regexp imported in a //kernelcheck:hotpath file; hand-roll the scan instead")
 	fmtName := importName(f, "fmt")
 	if fmtName == "" {
 		return out

@@ -162,6 +162,22 @@ func f(n int) string { return fmt.Sprintf("%d", n) }
 	}
 }
 
+func TestFeedbackRegexpFlagged(t *testing.T) {
+	const src = `package feedback
+
+import "regexp"
+
+var re = regexp.MustCompile("x+")
+`
+	code, out := runLint(t, writeTree(t, map[string]string{"internal/feedback/feedback.go": src}))
+	if code != 1 || !strings.Contains(out, "regexp imported in internal/feedback") {
+		t.Fatalf("exit = %d, want 1 with the feedback finding\n%s", code, out)
+	}
+	if code, out := runLint(t, writeTree(t, map[string]string{"internal/feedback/x_test.go": src, "internal/grader/grader.go": "package grader" + src[len("package feedback"):]})); code != 0 {
+		t.Fatalf("a test file or another package flagged: exit = %d\n%s", code, out)
+	}
+}
+
 func TestHotpathRuleNeedsMarker(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/kernelcheck/cold.go": `package kernelcheck
