@@ -34,10 +34,17 @@ var (
 
 func main() {
 	flag.Parse()
+	os.Exit(run())
+}
 
+// run drives the jobs through the fleet and prints the rig's report. It
+// returns the exit status: 1 when the rig could not run, a job failed or
+// a result went unsettled, so a script can rely on it.
+func run() int {
 	l := labs.ByID(*labID)
 	if l == nil {
-		log.Fatalf("unknown lab %q", *labID)
+		log.Printf("unknown lab %q", *labID)
+		return 1
 	}
 
 	// The fleet shares one program cache; with -cache-dir it reads
@@ -49,7 +56,8 @@ func main() {
 		var err error
 		store, err = castore.Open(*cacheDir, castore.Options{})
 		if err != nil {
-			log.Fatalf("artifact store: %v", err)
+			log.Printf("artifact store: %v", err)
+			return 1
 		}
 		defer store.Close()
 		progs.SetStore(store)
@@ -77,7 +85,8 @@ func main() {
 			Requirements: l.Requirements,
 		}
 		if _, err := broker.Publish(worker.TopicJobs, worker.EncodeJob(job), l.Requirements...); err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 	}
 
@@ -92,12 +101,16 @@ func main() {
 		}
 	}
 	for done := 0; done < *jobs; {
+		// The wake channel is taken before the poll, as a driver takes
+		// it: a result published after an empty poll has already closed it.
+		wake := broker.Wait(worker.TopicResults)
 		d, ok, err := broker.Poll(worker.TopicResults, "collector", caps, time.Minute)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		if !ok {
-			time.Sleep(2 * time.Millisecond)
+			<-wake
 			continue
 		}
 		res, err := worker.DecodeResult(d.Msg.Payload)
@@ -128,4 +141,8 @@ func main() {
 	if store != nil {
 		fmt.Printf("artifacts:  %+v\n", store.Stats())
 	}
+	if failed > 0 || settleErrs > 0 {
+		return 1
+	}
+	return 0
 }

@@ -301,7 +301,7 @@ func Figure5() string {
 }
 
 // Figure6 exercises the v2 architecture: broker-queued polling workers
-// with tag routing and a mirrored broker.
+// with tag routing.
 func Figure6() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 6: v2 architecture (broker + polling workers) ==\n\n")
@@ -326,7 +326,6 @@ func Figure6() string {
 	st := p.Broker.Stats()
 	fmt.Fprintf(&sb, "broker: published=%d delivered=%d acked=%d redelivered=%d dead=%d\n",
 		st.Published, st.Delivered, st.Acked, st.Redelivered, st.DeadLetters)
-	fmt.Fprintf(&sb, "standby broker mirrored publishes: %d\n", p.StandbyBroker.Stats().Published)
 	sb.WriteString("\ntag routing: an MPI lab is left for a capable worker —\n")
 	sb.WriteString(tagRoutingDemo())
 	return sb.String()

@@ -45,7 +45,7 @@ func All() []Experiment {
 		{"figure5", "Figure 5: the Roster view", Figure5,
 			"per-student attempts, grades, question grades, submission times"},
 		{"figure6", "Figure 6: v2 broker architecture", Figure6,
-			"workers poll a replicated queue; tag-matched dispatch; standby broker mirror"},
+			"workers poll a broker queue; tag-matched dispatch"},
 		{"figure7", "Figure 7: v2 worker node container pool", Figure7,
 			"driver runs each job in a pooled Docker container mapped to GPUs"},
 		{"gpuratio", "D1: latency vs GPU:student ratio", GPURatio,

@@ -99,7 +99,7 @@ func TestFigure6(t *testing.T) {
 	if strings.Contains(out, "ERROR") {
 		t.Fatalf("Figure6 errored:\n%s", out)
 	}
-	for _, want := range []string{"16/16", "standby broker", "MPI job still queued: 1",
+	for _, want := range []string{"16/16", "broker: published=", "MPI job still queued: 1",
 		"completed 1 job(s); backlog now 0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure6 missing %q:\n%s", want, out)

@@ -1,15 +1,12 @@
 package chaostest
 
 import (
-	"errors"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"webgpu/internal/faultinject"
-	"webgpu/internal/queue"
-	"webgpu/internal/worker"
 )
 
 // soakSeeds returns the seeds to run: CHAOS_SEED=<n> replays exactly one
@@ -120,74 +117,5 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed diverged:\n%q\n%q", a, b)
-	}
-}
-
-// TestV2FailoverToStandby kills the primary broker mid-run and checks
-// the drivers move to the mirror and finish the work from there.
-func TestV2FailoverToStandby(t *testing.T) {
-	primary := queue.NewBroker()
-	standby := queue.NewBroker()
-	primary.Mirror(standby)
-	defer standby.Close()
-
-	// The driver starts paused so the primary dies before it can serve a
-	// single job — otherwise the fast jobs all finish on the primary and
-	// the mirror only ever sees copies.
-	cfg := worker.Config{
-		PollInterval: time.Millisecond,
-		Visibility:   time.Second,
-		Paused:       true,
-	}
-	cfgSrv := worker.NewConfigServer(cfg)
-	node := worker.NewNode(worker.DefaultNodeConfig("failover-w1"))
-	d := worker.NewDriver(node, primary, cfgSrv)
-	d.SetStandby(standby)
-	d.Start()
-	defer d.Stop()
-
-	const jobs = 10
-	for i := 0; i < jobs; i++ {
-		if _, err := primary.Publish(worker.TopicJobs, worker.EncodeJob(chaosJob(i))); err != nil {
-			t.Fatalf("publish: %v", err)
-		}
-	}
-	// Kill the primary out from under the driver and unpause it.
-	primary.Close()
-	if _, err := primary.Publish(worker.TopicJobs, nil); !errors.Is(err, queue.ErrClosed) {
-		t.Fatalf("publish on closed broker: %v", err)
-	}
-	cfg.Paused = false
-	cfgSrv.Update(cfg)
-
-	// No job was acked, so the standby holds and serves all of them; the
-	// results land on the standby too.
-	dedup := worker.NewResultDedup(0)
-	graded := map[string]bool{}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(graded) < jobs {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d jobs finished on the standby (failovers=%d)",
-				len(graded), jobs, d.Failovers())
-		}
-		del, ok, err := standby.Poll(worker.TopicResults, "t", map[string]bool{}, time.Second)
-		if err != nil {
-			t.Fatalf("standby poll: %v", err)
-		}
-		if !ok {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		res, derr := worker.DecodeResult(del.Msg.Payload)
-		if derr != nil {
-			t.Fatalf("decode: %v", derr)
-		}
-		if dedup.Accept(res.JobID, res.Attempt) {
-			graded[res.JobID] = true
-		}
-		_ = del.Ack()
-	}
-	if got := d.Failovers(); got != 1 {
-		t.Errorf("Failovers() = %d, want 1", got)
 	}
 }

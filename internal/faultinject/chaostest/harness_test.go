@@ -130,14 +130,11 @@ func RunV2(s Scenario) (Report, error) {
 	deadline := time.Now().Add(s.Timeout)
 
 	broker := queue.NewBroker()
-	standby := queue.NewBroker()
-	broker.Mirror(standby)
 	broker.SetFaults(reg)
 	if s.MaxAttempts > 0 {
 		broker.SetMaxAttempts(s.MaxAttempts)
 	}
 	defer broker.Close()
-	defer standby.Close()
 
 	cfgSrv := worker.NewConfigServer(worker.Config{
 		PollInterval: s.PollInterval,
@@ -148,7 +145,6 @@ func RunV2(s Scenario) (Report, error) {
 		cfg.Faults = reg
 		return worker.NewNode(cfg)
 	})
-	fleet.SetStandby(standby)
 	fleet.SetFaults(reg)
 	fleet.Scale(s.Workers)
 	defer fleet.Stop()

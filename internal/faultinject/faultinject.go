@@ -9,8 +9,8 @@
 // a seeded PRNG so a chaos run can be replayed by seed.
 //
 // The package exists so the v2 architecture's fault machinery — lease
-// expiry and redelivery, dead-letter queues, the mirrored broker, v1's
-// dispatch retry — is exercised by tests instead of trusted on faith
+// expiry and redelivery, dead-letter queues, v1's dispatch retry — is
+// exercised by tests instead of trusted on faith
 // (§VI-A builds all of it precisely to survive these faults).
 package faultinject
 

@@ -86,7 +86,7 @@ func compileHints(l *labs.Lab, f *labs.Fault, msg string) []Hint {
 		hints = append(hints, Hint{"unbalanced-parens", "Unbalanced parentheses",
 			"Check for a missing closing parenthesis near the reported position: " + msg, 0.85})
 	case f.Code == labs.FaultWrongDialect && l.Dialect.String() == "OpenCL":
-		hints = append(hints, Hint{"wrong-dialect", "CUDA function in an OpenCL lab",
+		hints = append(hints, Hint{"wrong-dialect", "CUDA builtin in an OpenCL lab",
 			"This lab compiles with the OpenCL toolchain. Use get_global_id(0) and friends instead of CUDA builtins.", 0.95})
 	case f.Code == labs.FaultWrongDialect:
 		hints = append(hints, Hint{"wrong-dialect", "OpenCL function in a CUDA lab",

@@ -207,6 +207,23 @@ func TestCompileHints(t *testing.T) {
 	}
 }
 
+// TestCUDAIndexVarInOpenCLLab: CUDA's thread index does not compile in
+// the OpenCL lab, and the student is pointed at get_global_id.
+func TestCUDAIndexVarInOpenCLLab(t *testing.T) {
+	src := `__kernel void vadd(__global const float *a, __global const float *b, __global float *c, int n) {
+  int i = threadIdx.x;
+  if (i < n) c[i] = a[i] + b[i];
+}`
+	o := runAttempt(t, "opencl-vector-add", src)
+	if o.Compiled {
+		t.Fatal("threadIdx.x compiled in the OpenCL lab")
+	}
+	h := requireHint(t, Analyze(labs.ByID("opencl-vector-add"), o, diagsOf("opencl-vector-add", src)), "wrong-dialect")
+	if h.Confidence != 0.95 || !strings.Contains(h.Detail, "get_global_id") {
+		t.Errorf("hint = %+v", h)
+	}
+}
+
 func TestSyncthreadsSpellingHint(t *testing.T) {
 	src := `__global__ void vecAdd(float *a, float *b, float *c, int n) { syncthreads(); }`
 	o := runAttempt(t, "vector-add", src)

@@ -163,6 +163,25 @@ func TestErrOpenCLBuiltinInCUDA(t *testing.T) {
 		"OpenCL builtin")
 }
 
+// TestErrCUDAIndexVarInOpenCL: CUDA's index variables are the wrong
+// dialect in an OpenCL program, whether read through a member or bare.
+func TestErrCUDAIndexVarInOpenCL(t *testing.T) {
+	for _, row := range []struct{ expr, name string }{
+		{"threadIdx.x", "threadIdx"},
+		{"blockIdx.y", "blockIdx"},
+		{"blockDim.z", "blockDim"},
+		{"gridDim.x", "gridDim"},
+		{"threadIdx", "threadIdx"},
+	} {
+		src := "__kernel void k(__global float *a) { int i = " + row.expr + "; a[i] = 0; }"
+		_, err := Compile(src, DialectOpenCL)
+		var ce *CompileError
+		if !errors.As(err, &ce) || ce.Code != CodeWrongDialect || ce.Name != row.name {
+			t.Errorf("%s: error = %v, want %s on %q", row.expr, err, CodeWrongDialect, row.name)
+		}
+	}
+}
+
 func TestErrorsCarryPosition(t *testing.T) {
 	_, err := Compile("__global__ void k(float *a) {\n  a[0] = bogus;\n}", DialectCUDA)
 	ce, ok := err.(*CompileError)

@@ -282,6 +282,13 @@ func convertible(from, to *Type) bool {
 	return false
 }
 
+// errCUDAIndexVar refuses one of CUDA's index variables (threadIdx,
+// blockIdx, blockDim, gridDim) in an OpenCL program, with or without a
+// member.
+func errCUDAIndexVar(t Token, base string) error {
+	return errCode(t, CodeWrongDialect, base, "%q is a CUDA builtin; this lab uses OpenCL", base)
+}
+
 func (a *analyzer) expr(e Expr) (*Type, error) {
 	switch x := e.(type) {
 	case *IntLit:
@@ -295,6 +302,9 @@ func (a *analyzer) expr(e Expr) (*Type, error) {
 		return e.ResultType(), nil
 	case *VarRef:
 		if isBuiltinDim3(x.Name) {
+			if a.prog.Dialect == DialectOpenCL {
+				return nil, errCUDAIndexVar(x.Tok(), x.Name)
+			}
 			return nil, errCode(x.Tok(), CodeDim3Member, x.Name, "%s must be accessed with .x/.y/.z", x.Name)
 		}
 		sym := a.lookup(x.Name)
@@ -305,6 +315,9 @@ func (a *analyzer) expr(e Expr) (*Type, error) {
 		x.typ = sym.Type
 		return sym.Type, nil
 	case *BuiltinVarRef:
+		if a.prog.Dialect == DialectOpenCL {
+			return nil, errCUDAIndexVar(x.Tok(), x.Base)
+		}
 		x.typ = TypeInt
 		x.baseID, _ = builtinBaseID(x.Base) // the parser admits no other base
 		return TypeInt, nil

@@ -18,7 +18,6 @@ type Status struct {
 	DBSeq         uint64
 	BrokerBacklog int    // v2: jobs waiting
 	BrokerStats   string // v2
-	StandbyDepth  int    // v2: unacked jobs mirrored on the standby broker
 	Evictions     int64  // v1: workers dropped for missed health checks
 	GradebookRows int64
 	ProgCache     progcache.Stats // compiled-program cache effectiveness
@@ -55,7 +54,6 @@ func (p *Platform) Status() Status {
 	default:
 		s.BrokerBacklog = p.Broker.Backlog("jobs")
 		s.BrokerStats = fmt.Sprintf("%+v", p.Broker.Stats())
-		s.StandbyDepth = p.StandbyBroker.Depth("jobs")
 	}
 	return s
 }
@@ -86,7 +84,7 @@ func (s Status) Render() string {
 			slo.Name+":", slo.Admitted, slo.Shed, slo.Inflight, slo.FastBurn, slo.SlowBurn, slo.Target)
 	}
 	if s.BrokerStats != "" {
-		fmt.Fprintf(&sb, "broker backlog: %d (standby mirror depth %d)\n", s.BrokerBacklog, s.StandbyDepth)
+		fmt.Fprintf(&sb, "broker backlog: %d\n", s.BrokerBacklog)
 		fmt.Fprintf(&sb, "broker stats:   %s\n", s.BrokerStats)
 	} else {
 		fmt.Fprintf(&sb, "evictions:      %d\n", s.Evictions)

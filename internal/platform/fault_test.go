@@ -155,7 +155,7 @@ func TestRouterSettlesResultWhenAckFails(t *testing.T) {
 			b := queue.NewBroker()
 			b.SetFaults(reg)
 			m := metrics.NewRegistry()
-			rr := newResultRouter(b, nil, m)
+			rr := newResultRouter(b, m)
 			defer rr.stop()
 
 			ch := rr.register("job-1")

@@ -105,11 +105,10 @@ type Platform struct {
 	Registry *worker.Registry
 
 	// v2
-	Broker        *queue.Broker
-	StandbyBroker *queue.Broker
-	ConfigServer  *worker.ConfigServer
-	Fleet         *worker.Fleet
-	router        *resultRouter
+	Broker       *queue.Broker
+	ConfigServer *worker.ConfigServer
+	Fleet        *worker.Fleet
+	router       *resultRouter
 
 	opts          Options
 	progs         *progcache.Cache  // shared by every worker node of this deployment
@@ -189,8 +188,6 @@ func New(opts Options) *Platform {
 		dispatcher = webserver.DispatcherFunc(p.Registry.Dispatch)
 	default:
 		p.Broker = queue.NewBroker()
-		p.StandbyBroker = queue.NewBroker()
-		p.Broker.Mirror(p.StandbyBroker)
 		p.Broker.SetFaults(opts.Faults)
 		wcfg := worker.DefaultConfig()
 		if opts.Visibility > 0 {
@@ -202,11 +199,10 @@ func New(opts Options) *Platform {
 			idx++
 			return p.newNode(idx)
 		})
-		// Standby and faults must be attached before Scale starts drivers.
-		p.Fleet.SetStandby(p.StandbyBroker)
+		// Faults must be attached before Scale starts drivers.
 		p.Fleet.SetFaults(opts.Faults)
 		p.Fleet.Scale(opts.Workers)
-		p.router = newResultRouter(p.Broker, p.StandbyBroker, p.metrics)
+		p.router = newResultRouter(p.Broker, p.metrics)
 		// Broker gauges refresh per scrape too.
 		p.metrics.AddCollector(func(r *metrics.Registry) {
 			bs := p.Broker.Stats()
@@ -352,9 +348,6 @@ func (p *Platform) Close() {
 	if p.Broker != nil {
 		p.Broker.Close()
 	}
-	if p.StandbyBroker != nil {
-		p.StandbyBroker.Close()
-	}
 	if p.store != nil {
 		p.store.Close()
 	}
@@ -401,11 +394,9 @@ func (p *Platform) dispatchV2(ctx context.Context, job *worker.Job) (*worker.Res
 // resultRouter pumps the results topic and hands each result to the
 // goroutine waiting on its job ID. It is also where the platform enforces
 // at-least-once hygiene: a redelivered job's duplicate result is dropped
-// (acked but not delivered) via the dedup window, and when the primary
-// broker closes the router fails over to the standby mirror.
+// (acked but not delivered) via the dedup window.
 type resultRouter struct {
 	broker  *queue.Broker
-	standby *queue.Broker
 	metrics *metrics.Registry
 	dedup   *worker.ResultDedup
 	mu      sync.Mutex
@@ -414,10 +405,9 @@ type resultRouter struct {
 	doneCh  chan struct{}
 }
 
-func newResultRouter(b, standby *queue.Broker, m *metrics.Registry) *resultRouter {
+func newResultRouter(b *queue.Broker, m *metrics.Registry) *resultRouter {
 	rr := &resultRouter{
 		broker:  b,
-		standby: standby,
 		metrics: m,
 		dedup:   worker.NewResultDedup(0),
 		waiters: map[string]chan *worker.Result{},
@@ -445,7 +435,6 @@ func (rr *resultRouter) unregister(jobID string) {
 func (rr *resultRouter) loop() {
 	defer close(rr.doneCh)
 	caps := map[string]bool{}
-	broker := rr.broker
 	// The router sleeps between empty polls rather than blocking on
 	// broker.Wait, so that a student completes at most one job per cycle:
 	// faster than that, the benchmark's frozen request lists run out inside
@@ -469,17 +458,9 @@ func (rr *resultRouter) loop() {
 			return
 		default:
 		}
-		d, ok, err := broker.Poll(worker.TopicResults, "web-tier", caps, time.Minute)
+		d, ok, err := rr.broker.Poll(worker.TopicResults, "web-tier", caps, time.Minute)
 		if err != nil {
 			if errors.Is(err, queue.ErrClosed) {
-				// Primary broker gone: the standby mirror holds a copy of
-				// every result publish (§VI-A), so switch to it rather
-				// than orphaning in-flight waiters.
-				if rr.standby != nil && broker != rr.standby {
-					broker = rr.standby
-					rr.metrics.Inc("router_failovers", 1)
-					continue
-				}
 				return
 			}
 			// Transient poll failure: back off and keep routing.

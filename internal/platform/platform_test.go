@@ -11,7 +11,6 @@ import (
 
 	"webgpu/internal/labs"
 	"webgpu/internal/webserver"
-	"webgpu/internal/worker"
 )
 
 // client is a minimal API client for the integration tests.
@@ -287,35 +286,6 @@ func TestV2SubmissionSurvivesWorkerChurn(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("job never completed after workers joined")
-	}
-}
-
-func TestBrokerMirrorsToStandby(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 1})
-	defer p.Close()
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-	c := newClient(t, ts.URL)
-	c.register("S", "s@example.edu", "student")
-	l := labs.ByID("vector-add")
-	c.mustDo("POST", "/api/v1/labs/vector-add/save", map[string]string{"source": l.Reference}, nil)
-	var att webserver.AttemptRec
-	c.mustDo("POST", "/api/v1/labs/vector-add/attempt?dataset=0", nil, &att)
-
-	if p.StandbyBroker.Stats().Published == 0 {
-		t.Error("standby broker received no mirrored publishes")
-	}
-	// The job and its result are acked on the primary (the router acks
-	// just after it hands the result over), so the standby forgets both.
-	held := func() int {
-		return p.StandbyBroker.Depth(worker.TopicJobs) + p.StandbyBroker.Depth(worker.TopicResults)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for held() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := held(); n != 0 {
-		t.Errorf("standby still holds %d messages of a finished job", n)
 	}
 }
 

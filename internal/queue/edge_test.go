@@ -119,36 +119,6 @@ func TestPollZeroVisibility(t *testing.T) {
 	}
 }
 
-// TestMirrorAfterPrimaryClose: publishes made before the close are on the
-// standby and stay serviceable; the closed primary accepts nothing new
-// and sends nothing new to the mirror. The standby is an independent
-// broker — direct publishes to it keep working.
-func TestMirrorAfterPrimaryClose(t *testing.T) {
-	primary := NewBroker()
-	standby := NewBroker()
-	primary.Mirror(standby)
-	_, _ = primary.Publish("jobs", []byte("before"))
-	primary.Close()
-
-	if _, err := primary.Publish("jobs", []byte("after")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("publish on closed primary = %v", err)
-	}
-	if got := standby.Depth("jobs"); got != 1 {
-		t.Fatalf("standby depth = %d, want 1 (no mirroring after close)", got)
-	}
-	d, ok, _ := standby.Poll("jobs", "w", anyCaps(), time.Minute)
-	if !ok || string(d.Msg.Payload) != "before" {
-		t.Fatalf("standby delivery = %v", d)
-	}
-	_ = d.Ack()
-	if _, err := standby.Publish("jobs", []byte("direct")); err != nil {
-		t.Fatalf("direct standby publish = %v", err)
-	}
-	if u := standby.Unaccounted(); u != 0 {
-		t.Errorf("standby unaccounted = %d", u)
-	}
-}
-
 // TestConservationInvariant drives the broker through every lifecycle
 // transition and checks Unaccounted() == 0 after each step: no operation
 // may lose a message or count one twice.

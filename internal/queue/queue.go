@@ -3,9 +3,8 @@
 // *poll* (rather than having jobs pushed at them), requirement tags so a
 // lab needing MPI or multiple GPUs is only handed to a capable worker, a
 // per-topic wake signal so an idle poller blocks instead of sleeping,
-// visibility timeouts with redelivery for at-least-once semantics, a
-// dead-letter queue for poison messages, and mirroring of the unacked
-// messages to a standby broker in another availability zone.
+// visibility timeouts with redelivery for at-least-once semantics, and a
+// dead-letter queue for poison messages.
 package queue
 
 import (
@@ -64,8 +63,6 @@ type Broker struct {
 	clock       clock.Clock
 	faults      *faultinject.Registry
 
-	mirror *Broker // standby in another availability zone
-
 	stats struct {
 		published   int64
 		delivered   int64
@@ -110,21 +107,8 @@ func (b *Broker) SetMaxAttempts(n int) {
 	b.maxAttempts = n
 }
 
-// Mirror attaches a standby broker that holds a copy of every message
-// this broker has not yet seen acked (§VI-A: the broker "can be
-// replicated across Amazon availability zones — offering resiliency
-// against faults"): a publish is copied under the same message ID, an ack
-// drops the copy, so a failover serves exactly the unfinished work. The
-// standby must not be published to while this broker is live — its own
-// IDs continue after the last mirrored one.
-func (b *Broker) Mirror(standby *Broker) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.mirror = standby
-}
-
 // Close shuts the broker down and releases every waiter, so a consumer
-// blocked on a dying primary sees ErrClosed from its next Poll at once.
+// blocked on it sees ErrClosed from its next Poll at once.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -135,13 +119,13 @@ func (b *Broker) Close() {
 }
 
 // Wait returns a channel that is closed the next time a message becomes
-// visible on the topic — a publish, a mirrored publish on a standby, a
-// nack, an expired lease found by a later call, a dead-letter redrive —
-// or the broker closes. A consumer takes it *before* Poll and blocks on it
-// only after that Poll came back empty: an event between the two closes
-// the channel it already holds, so no wake-up is lost. Every waiter on the
-// topic is released, whatever its capabilities; one that finds nothing it
-// may lease waits again. On a closed broker the channel is already closed.
+// visible on the topic — a publish, a nack, an expired lease found by a
+// later call, a dead-letter redrive — or the broker closes. A consumer
+// takes it *before* Poll and blocks on it only after that Poll came back
+// empty: an event between the two closes the channel it already holds,
+// so no wake-up is lost. Every waiter on the topic is released, whatever
+// its capabilities; one that finds nothing it may lease waits again. On a
+// closed broker the channel is already closed.
 func (b *Broker) Wait(topic string) <-chan struct{} {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -192,45 +176,7 @@ func (b *Broker) Publish(topic string, payload []byte, tags ...string) (string, 
 		Enqueued: b.clock.Now()}
 	b.enqueueLocked(msg)
 	b.stats.published++
-	if b.mirror != nil {
-		// Lock order is primary then mirror, here and in Ack, never the
-		// reverse. Payload and tags are never written after publish, so
-		// the copy shares them.
-		b.mirror.mirrorPut(b.nextID, &Message{ID: id, Topic: topic, Payload: cp, Tags: msg.Tags,
-			Enqueued: msg.Enqueued})
-	}
 	return id, nil
-}
-
-// mirrorPut enqueues the primary's message seq on this standby under the
-// primary's ID, and moves the standby's own ID counter past it.
-func (b *Broker) mirrorPut(seq int, msg *Message) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	if b.nextID < seq {
-		b.nextID = seq
-	}
-	b.enqueueLocked(msg)
-	b.stats.published++
-}
-
-// mirrorDrop forgets a mirrored message the primary saw acked. A copy
-// that a consumer of this standby has already leased (an ack that raced a
-// failover) is left to that consumer.
-func (b *Broker) mirrorDrop(topic, id string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	queue := b.topics[topic]
-	for i, p := range queue {
-		if p.msg.ID == id {
-			b.topics[topic] = slices.Delete(queue, i, i+1)
-			b.stats.acked++
-			return
-		}
-	}
 }
 
 // Delivery is a leased message; the consumer must Ack or Nack it before
@@ -376,15 +322,11 @@ func (d *Delivery) Ack() error {
 	if err := b.faults.Fire(faultinject.PointQueueAck); err != nil {
 		return fmt.Errorf("queue: ack: %w", err)
 	}
-	inf, ok := b.inflight[d.Tag]
-	if !ok {
+	if _, ok := b.inflight[d.Tag]; !ok {
 		return fmt.Errorf("%w: %s (already acked, nacked, or expired)", ErrUnknown, d.Tag)
 	}
 	delete(b.inflight, d.Tag)
 	b.stats.acked++
-	if b.mirror != nil {
-		b.mirror.mirrorDrop(inf.msg.Topic, inf.msg.ID)
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package queue
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -214,141 +213,6 @@ func TestClosedBroker(t *testing.T) {
 	}
 	if _, _, err := b.Poll("jobs", "w", anyCaps(), time.Minute); !errors.Is(err, ErrClosed) {
 		t.Errorf("poll = %v", err)
-	}
-}
-
-func TestMirrorReceivesPublishes(t *testing.T) {
-	primary := NewBroker()
-	standby := NewBroker()
-	primary.Mirror(standby)
-	for i := 0; i < 10; i++ {
-		_, _ = primary.Publish("jobs", []byte{byte(i)}, "cuda")
-	}
-	if got := standby.Depth("jobs"); got != 10 {
-		t.Fatalf("standby depth = %d", got)
-	}
-	// After failover, the standby serves the jobs with tags intact.
-	d, ok, _ := standby.Poll("jobs", "w", anyCaps(), time.Minute)
-	if !ok || len(d.Msg.Tags) != 1 || d.Msg.Tags[0] != "cuda" {
-		t.Errorf("standby delivery = %+v", d)
-	}
-}
-
-// TestMirrorForgetsAckedMessages: the standby holds what the primary has
-// not seen acked, nothing else — it used to keep every message for ever.
-func TestMirrorForgetsAckedMessages(t *testing.T) {
-	primary := NewBroker()
-	standby := NewBroker()
-	primary.Mirror(standby)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if _, err := primary.Publish("jobs", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		job, ok, err := primary.Poll("jobs", "w", anyCaps(), time.Minute)
-		if err != nil || !ok {
-			t.Fatalf("poll %d: %v %v", i, ok, err)
-		}
-		if i%5 == 0 { // a redelivery in between changes nothing
-			_ = job.Nack()
-			job, _, _ = primary.Poll("jobs", "w", anyCaps(), time.Minute)
-		}
-		if _, err := primary.Publish("results", job.Msg.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := job.Ack(); err != nil {
-			t.Fatal(err)
-		}
-		res, ok, _ := primary.Poll("results", "web", anyCaps(), time.Minute)
-		if !ok {
-			t.Fatalf("result %d missing", i)
-		}
-		if got := standby.Depth("jobs") + standby.Depth("results"); got != n-i {
-			t.Fatalf("after job %d: standby holds %d messages, want %d unacked", i, got, n-i)
-		}
-		if err := res.Ack(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := standby.Depth("jobs") + standby.Depth("results"); got != 0 {
-		t.Errorf("standby still holds %d messages after every ack", got)
-	}
-	if got := standby.Stats().Published; got != 2*n {
-		t.Errorf("standby mirrored %d publishes, want %d", got, 2*n)
-	}
-	for name, b := range map[string]*Broker{"primary": primary, "standby": standby} {
-		if u := b.Unaccounted(); u != 0 {
-			t.Errorf("%s Unaccounted = %d", name, u)
-		}
-	}
-}
-
-// TestFailoverServesExactlyTheUnacked: whatever state the primary's
-// unacked messages were in — visible, leased, nacked — the standby serves
-// those and no finished one, under the primary's IDs, and the IDs it
-// issues itself afterwards collide with none of them.
-func TestFailoverServesExactlyTheUnacked(t *testing.T) {
-	primary := NewBroker()
-	standby := NewBroker()
-	primary.Mirror(standby)
-	want := map[string]string{} // unacked ID -> payload
-	for i := 0; i < 12; i++ {
-		payload := fmt.Sprintf("job-%d", i)
-		id, err := primary.Publish("jobs", []byte(payload), "cuda")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = payload
-	}
-	for i := 0; i < 8; i++ {
-		d, ok, _ := primary.Poll("jobs", "w", map[string]bool{"cuda": true}, time.Minute)
-		if !ok {
-			t.Fatal("poll")
-		}
-		switch i % 4 {
-		case 0, 1: // finished
-			if err := d.Ack(); err != nil {
-				t.Fatal(err)
-			}
-			delete(want, d.Msg.ID)
-		case 2: // handed back
-			_ = d.Nack()
-		case 3: // still leased when the primary dies
-		}
-	}
-	primary.Close()
-
-	got := map[string]string{}
-	for {
-		d, ok, err := standby.Poll("jobs", "w2", map[string]bool{"cuda": true}, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if d.Msg.Attempts != 1 {
-			t.Errorf("%s: first standby delivery has Attempts = %d", d.Msg.ID, d.Msg.Attempts)
-		}
-		got[d.Msg.ID] = string(d.Msg.Payload)
-		if err := d.Ack(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("standby served %v\nwant exactly the unacked %v", got, want)
-	}
-	id, err := standby.Publish("jobs", []byte("after failover"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id <= "msg-00000012" {
-		t.Errorf("standby issued %s, which a mirrored message already carried", id)
-	}
-	if u := standby.Unaccounted(); u != 0 {
-		t.Errorf("standby Unaccounted = %d", u)
 	}
 }
 

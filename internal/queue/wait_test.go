@@ -26,8 +26,8 @@ func released(ch <-chan struct{}) bool {
 // blocked.
 func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 	type env struct {
-		b, standby *Broker
-		clk        *clock.Manual
+		b   *Broker
+		clk *clock.Manual
 	}
 	// lease publishes one message on "a" and leases it.
 	lease := func(t *testing.T, e *env, visibility time.Duration) *Delivery {
@@ -45,9 +45,8 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 		name string
 		// arm prepares the broker with nothing visible on "a" and returns
 		// the event that makes a message visible there.
-		arm       func(t *testing.T, e *env) (event func())
-		onStandby bool // the waiters are consumers of the standby
-		wakesAll  bool // the event releases every topic's waiters
+		arm      func(t *testing.T, e *env) (event func())
+		wakesAll bool // the event releases every topic's waiters
 	}{
 		{name: "publish", arm: func(t *testing.T, e *env) func() {
 			return func() { _, _ = e.b.Publish("a", []byte("m")) }
@@ -78,26 +77,18 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 			}
 			return func() { e.b.RedriveDeadLetters() }
 		}},
-		{name: "mirrored publish on the standby", onStandby: true, arm: func(t *testing.T, e *env) func() {
-			return func() { _, _ = e.b.Publish("a", []byte("m")) }
-		}},
 		{name: "close", wakesAll: true, arm: func(t *testing.T, e *env) func() {
 			return func() { e.b.Close() }
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := &env{b: NewBroker(), standby: NewBroker(), clk: clock.NewManual(time.Unix(0, 0))}
+			e := &env{b: NewBroker(), clk: clock.NewManual(time.Unix(0, 0))}
 			e.b.SetClock(e.clk)
-			e.b.Mirror(e.standby)
 			event := tc.arm(t, e)
 
-			on := e.b
-			if tc.onStandby {
-				on = e.standby
-			}
-			onA, onB := on.Wait("a"), on.Wait("b")
-			if _, ok, err := on.Poll("a", "w", anyCaps(), time.Minute); ok || err != nil {
+			onA, onB := e.b.Wait("a"), e.b.Wait("b")
+			if _, ok, err := e.b.Poll("a", "w", anyCaps(), time.Minute); ok || err != nil {
 				t.Fatalf("a message is visible before the event: %v %v", ok, err)
 			}
 			if released(onA) || released(onB) {
@@ -111,15 +102,15 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 				t.Errorf("waiter on another topic released = %v, want %v", !tc.wakesAll, tc.wakesAll)
 			}
 			if tc.wakesAll {
-				if !released(on.Wait("a")) {
+				if !released(e.b.Wait("a")) {
 					t.Error("Wait on a closed broker must return a closed channel")
 				}
 				return
 			}
-			if _, ok, err := on.Poll("a", "w", anyCaps(), time.Minute); !ok || err != nil {
+			if _, ok, err := e.b.Poll("a", "w", anyCaps(), time.Minute); !ok || err != nil {
 				t.Errorf("released, but nothing to lease: %v %v", ok, err)
 			}
-			if next := on.Wait("a"); released(next) {
+			if next := e.b.Wait("a"); released(next) {
 				t.Error("a channel taken after the event is already closed")
 			}
 		})

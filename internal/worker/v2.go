@@ -85,18 +85,16 @@ func (cs *ConfigServer) Update(cfg Config) int64 {
 type Driver struct {
 	node    *Node
 	broker  *queue.Broker
-	standby *queue.Broker // mirror to fail over to when the primary closes
 	faults  *faultinject.Registry
 	cfgSrv  *ConfigServer
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 	started atomic.Bool
 
-	jobsDone  atomic.Int64
-	restarts  atomic.Int64
-	crashes   atomic.Int64 // injected mid-job crashes (abandoned leases)
-	failovers atomic.Int64
-	cfgVer    atomic.Int64
+	jobsDone atomic.Int64
+	restarts atomic.Int64
+	crashes  atomic.Int64 // injected mid-job crashes (abandoned leases)
+	cfgVer   atomic.Int64
 }
 
 // NewDriver wires a node to a broker and configuration service.
@@ -109,12 +107,6 @@ func NewDriver(node *Node, broker *queue.Broker, cfgSrv *ConfigServer) *Driver {
 		doneCh: make(chan struct{}),
 	}
 }
-
-// SetStandby attaches the mirror broker: when the primary reports closed,
-// the driver switches its polling (and result publishing) to the standby
-// instead of exiting — the §VI-A availability-zone failover. Must be
-// called before Start.
-func (d *Driver) SetStandby(standby *queue.Broker) { d.standby = standby }
 
 // SetFaults attaches a fault-injection registry to the driver's own fault
 // points (crashes around publish/ack). Must be called before Start.
@@ -153,14 +145,9 @@ func (d *Driver) Restarts() int64 { return d.restarts.Load() }
 // Crashes reports how many injected crashes abandoned a leased job.
 func (d *Driver) Crashes() int64 { return d.crashes.Load() }
 
-// Failovers reports how many times the driver switched to the standby
-// broker after the primary closed.
-func (d *Driver) Failovers() int64 { return d.failovers.Load() }
-
 func (d *Driver) loop(cfg Config) {
 	defer close(d.doneCh)
 	caps := d.node.Capabilities()
-	broker := d.broker
 	timer := time.NewTimer(time.Hour) // reused by every sleep of this loop
 	timer.Stop()
 	wokenBy := "" // how the idle wait before this poll ended; "" if there was none
@@ -185,19 +172,11 @@ func (d *Driver) loop(cfg Config) {
 		}
 		// The wake channel is taken before the poll: a job that becomes
 		// visible after an empty poll has already closed it.
-		wake := broker.Wait(TopicJobs)
-		delivery, ok, err := broker.Poll(TopicJobs, d.node.ID, caps, cfg.Visibility)
+		wake := d.broker.Wait(TopicJobs)
+		delivery, ok, err := d.broker.Poll(TopicJobs, d.node.ID, caps, cfg.Visibility)
 		if err != nil {
 			if errors.Is(err, queue.ErrClosed) {
-				// Primary gone: fail over to the mirrored standby, which
-				// holds a copy of every publish (§VI-A). Without one, the
-				// driver has nothing left to poll and exits.
-				if d.standby != nil && broker != d.standby {
-					broker = d.standby
-					d.failovers.Add(1)
-					d.node.Metrics().Inc("driver_failovers", 1)
-					continue
-				}
+				// The broker is gone: nothing is left to poll.
 				return
 			}
 			// Transient poll failure (network blip, injected fault): back
@@ -279,7 +258,7 @@ func (d *Driver) loop(cfg Config) {
 			_ = delivery.Nack()
 			continue
 		}
-		if _, err := broker.Publish(TopicResults, EncodeResult(res), tags...); err != nil {
+		if _, err := d.broker.Publish(TopicResults, EncodeResult(res), tags...); err != nil {
 			_ = delivery.Nack()
 			continue
 		}
@@ -322,7 +301,6 @@ func sleepOrWake(stop, wake <-chan struct{}, t *time.Timer, d time.Duration) (wo
 type Fleet struct {
 	mu      sync.Mutex
 	broker  *queue.Broker
-	standby *queue.Broker
 	faults  *faultinject.Registry
 	cfgSrv  *ConfigServer
 	nextID  int
@@ -337,14 +315,6 @@ func NewFleet(broker *queue.Broker, cfgSrv *ConfigServer, mkNode func(id string)
 		mkNode = func(id string) *Node { return NewNode(DefaultNodeConfig(id)) }
 	}
 	return &Fleet{broker: broker, cfgSrv: cfgSrv, drivers: map[string]*Driver{}, mkNode: mkNode}
-}
-
-// SetStandby attaches the mirror broker every driver fails over to when
-// the primary closes. Applies to drivers started by later Scale calls.
-func (f *Fleet) SetStandby(standby *queue.Broker) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.standby = standby
 }
 
 // SetFaults attaches a fault-injection registry to drivers started by
@@ -363,7 +333,6 @@ func (f *Fleet) Scale(n int) {
 		f.nextID++
 		id := nodeID(f.nextID)
 		d := NewDriver(f.mkNode(id), f.broker, f.cfgSrv)
-		d.SetStandby(f.standby)
 		d.SetFaults(f.faults)
 		f.drivers[id] = d
 		d.Start()

@@ -20,8 +20,8 @@ func countPolls(b *queue.Broker) func() int64 {
 }
 
 // nextResult blocks on the broker, as an idle driver does, until a result
-// is published, and returns it with the time it became available.
-func nextResult(t *testing.T, b *queue.Broker) (*Result, time.Time) {
+// is published, and returns it.
+func nextResult(t *testing.T, b *queue.Broker) *Result {
 	t.Helper()
 	timeout := time.After(10 * time.Second)
 	for {
@@ -31,13 +31,12 @@ func nextResult(t *testing.T, b *queue.Broker) (*Result, time.Time) {
 			t.Fatalf("poll results: %v", err)
 		}
 		if ok {
-			at := time.Now()
 			res, err := DecodeResult(del.Msg.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = del.Ack()
-			return res, at
+			return res
 		}
 		select {
 		case <-wake:
@@ -47,15 +46,14 @@ func nextResult(t *testing.T, b *queue.Broker) (*Result, time.Time) {
 	}
 }
 
-// TestIdleDriverIsWokenByPublish: with a one-second poll interval, a job
-// published to a driver that has already polled an empty topic starts
-// within milliseconds, and the driver says the broker woke it — the
-// interval is the longest an idle driver sleeps, not a job's latency.
+// TestIdleDriverIsWokenByPublish: a job published to a driver that has
+// already polled an empty topic is picked up because the broker woke the
+// driver — its poll interval is an hour, so the tick cannot have found it.
 func TestIdleDriverIsWokenByPublish(t *testing.T) {
 	b := queue.NewBroker()
 	polls := countPolls(b)
 	node := NewNode(DefaultNodeConfig("w1"))
-	d := NewDriver(node, b, NewConfigServer(Config{PollInterval: time.Second, Visibility: time.Minute}))
+	d := NewDriver(node, b, NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute}))
 	d.Start()
 	defer d.Stop()
 	waitFor(t, "the driver's first, empty poll", func() bool { return polls() >= 1 })
@@ -65,7 +63,7 @@ func TestIdleDriverIsWokenByPublish(t *testing.T) {
 	if _, err := b.Publish(TopicJobs, EncodeJob(job)); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := nextResult(t, b)
+	res := nextResult(t, b)
 	if !res.Correct() {
 		t.Fatalf("result = %+v", res)
 	}
@@ -75,9 +73,6 @@ func TestIdleDriverIsWokenByPublish(t *testing.T) {
 			continue
 		}
 		found = true
-		if sp.Dur >= 50*time.Millisecond {
-			t.Errorf("job waited %v on the broker for an idle driver, want < 50ms", sp.Dur)
-		}
 		if got := sp.Attrs["wake"]; got != "publish" {
 			t.Errorf("queue_wait wake = %q, want publish", got)
 		}
@@ -91,49 +86,43 @@ func TestIdleDriverIsWokenByPublish(t *testing.T) {
 	}
 }
 
-// TestBlockedDriversFailOverOnClose: two drivers are blocked on an idle
-// primary whose one job is leased to a consumer that died; the standby
-// holds its mirrored copy. Closing the primary releases both at once, and
-// one of them finishes the job from the standby — without waiting out the
-// one-second interval.
-func TestBlockedDriversFailOverOnClose(t *testing.T) {
-	primary, standby := queue.NewBroker(), queue.NewBroker()
-	primary.Mirror(standby)
-	if _, err := primary.Publish(TopicJobs, EncodeJob(refJob("j1", "vector-add", 0))); err != nil {
-		t.Fatal(err)
+// exited waits, for at most a generous safety bound, until ch is closed.
+func exited(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
 	}
-	if _, ok, err := primary.Poll(TopicJobs, "doomed", map[string]bool{}, time.Minute); !ok || err != nil {
-		t.Fatalf("lease for the doomed consumer: %v %v", ok, err)
-	}
+}
 
-	polls := countPolls(primary)
-	cs := NewConfigServer(Config{PollInterval: time.Second, Visibility: time.Minute})
+// TestBlockedDriversExitOnClose: two drivers blocked on an idle broker
+// with an hour's poll interval both end their loops when the broker
+// closes, released by the close rather than by a tick.
+func TestBlockedDriversExitOnClose(t *testing.T) {
+	b := queue.NewBroker()
+	polls := countPolls(b)
+	cs := NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute})
 	var drivers [2]*Driver
 	for i := range drivers {
-		d := NewDriver(NewNode(DefaultNodeConfig(nodeID(i+1))), primary, cs)
-		d.SetStandby(standby)
+		d := NewDriver(NewNode(DefaultNodeConfig(nodeID(i+1))), b, cs)
 		d.Start()
 		defer d.Stop()
 		drivers[i] = d
 	}
-	// A driver polls again only when woken or after a second, so two
-	// polls are one empty poll each.
+	// A driver polls again only when woken or after an hour, so two polls
+	// are one empty poll each.
 	waitFor(t, "both drivers' empty polls", func() bool { return polls() >= 2 })
 
-	closed := time.Now()
-	primary.Close()
-	res, at := nextResult(t, standby)
-	if !res.Correct() || res.JobID != "j1" {
-		t.Fatalf("result = %+v", res)
-	}
-	if took := at.Sub(closed); took >= 100*time.Millisecond {
-		t.Errorf("mirrored job finished %v after the primary closed, want < 100ms", took)
-	}
-	waitFor(t, "both failovers", func() bool {
-		return drivers[0].Failovers() == 1 && drivers[1].Failovers() == 1
-	})
-	if u := standby.Unaccounted(); u != 0 {
-		t.Errorf("standby unaccounted = %d", u)
+	b.Close()
+	for i, d := range drivers {
+		if !exited(d.doneCh) {
+			t.Fatalf("driver %d still running after the broker closed", i+1)
+		}
+		d.Stop()
+		if ticks := d.node.Metrics().Counter("driver_idle_ticks"); ticks != 0 {
+			t.Errorf("driver %d: driver_idle_ticks = %v, want 0", i+1, ticks)
+		}
 	}
 }
 
@@ -169,13 +158,20 @@ func TestBlockedDriverKeepsConfigWatch(t *testing.T) {
 func TestStopReleasesBlockedDriver(t *testing.T) {
 	b := queue.NewBroker()
 	polls := countPolls(b)
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b,
-		NewConfigServer(Config{PollInterval: time.Minute, Visibility: time.Minute}))
+	node := NewNode(DefaultNodeConfig("w1"))
+	d := NewDriver(node, b, NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute}))
 	d.Start()
 	waitFor(t, "the driver's first, empty poll", func() bool { return polls() >= 1 })
-	start := time.Now()
-	d.Stop()
-	if took := time.Since(start); took >= 100*time.Millisecond {
-		t.Errorf("Stop took %v on a driver blocked for a minute", took)
+	stopped := make(chan struct{})
+	go func() {
+		d.Stop()
+		close(stopped)
+	}()
+	if !exited(stopped) {
+		t.Fatal("Stop did not return for a driver blocked on an hour's interval")
+	}
+	m := node.Metrics()
+	if wakeups, ticks := m.Counter("driver_wakeups"), m.Counter("driver_idle_ticks"); wakeups != 0 || ticks != 0 {
+		t.Errorf("driver_wakeups = %v, driver_idle_ticks = %v, want 0 and 0", wakeups, ticks)
 	}
 }

@@ -120,12 +120,9 @@ var settleAllowed = map[string]bool{
 // whose stopwatch comparisons stand until the clock they read is injected
 // (ROADMAP items 11 and 16); each line says why.
 var stopwatchAllowed = map[string]bool{
-	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault":     true, // a latency-only fault sleeps on the wall clock
-	"internal/worker/v2_wake_test.go:TestIdleDriverIsWokenByPublish":    true, // a wake-up beside the driver's wall-clock tick
-	"internal/worker/v2_wake_test.go:TestBlockedDriversFailOverOnClose": true, // as above
-	"internal/worker/v2_wake_test.go:TestStopReleasesBlockedDriver":     true, // as above
-	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":          true, // v1 QueueWait is read off the wall clock
-	"internal/macrobench/soak_test.go:TestOverloadSoak":                 true, // the soak's p99 bound, until soaks run in virtual time
+	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true, // a latency-only fault sleeps on the wall clock
+	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":      true, // v1 QueueWait is read off the wall clock
+	"internal/macrobench/soak_test.go:TestOverloadSoak":             true, // the soak's p99 bound, until soaks run in virtual time
 }
 
 func main() {
