@@ -49,7 +49,7 @@ func main() {
 	l := labs.ByID(launch.LabID)
 	outcomes := labs.RunAll(context.Background(), l, l.Reference, labs.NewDeviceSet(1), 0)
 	grade := grader.Score(l, l.Reference, outcomes, len(l.Questions))
-	grade.UserID = launch.UserID
+	grade.UserID, grade.GradedAt = launch.UserID, time.Now()
 	fmt.Printf("graded: %d/%d points across %d datasets\n",
 		grade.Total, grade.Max, len(outcomes))
 

@@ -151,7 +151,7 @@ func TestLMSRoundTrip(t *testing.T) {
 	l := labs.ByID(launch.LabID)
 	outs := labs.RunAll(context.Background(), l, l.Reference, labs.NewDeviceSet(1), 0)
 	g := grader.Score(l, l.Reference, outs, len(l.Questions))
-	g.UserID = launch.UserID
+	g.UserID, g.GradedAt = launch.UserID, now
 	if err := gb.Record(g); err != nil {
 		t.Fatal(err)
 	}

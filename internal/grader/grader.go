@@ -47,9 +47,11 @@ type Grade struct {
 // Score applies a lab's rubric to the outcomes of a full submission run.
 // questionsAnswered counts the short-answer questions the student filled
 // in (they are not auto-graded — §IV-B: "There is no system for automatic
-// grading of questions" — so completion earns the points).
+// grading of questions" — so completion earns the points). GradedAt is
+// left zero: the caller stamps it from the clock its submission is dated
+// by.
 func Score(l *labs.Lab, source string, outcomes []*labs.Outcome, questionsAnswered int) *Grade {
-	g := &Grade{LabID: l.ID, Max: l.MaxPoints(), GradedAt: time.Now()}
+	g := &Grade{LabID: l.ID, Max: l.MaxPoints()}
 	compiled := len(outcomes) > 0
 	for _, o := range outcomes {
 		if !o.Compiled {

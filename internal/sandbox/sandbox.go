@@ -263,13 +263,16 @@ func DefaultLimits() Limits {
 	}
 }
 
-// ClampOutput truncates job output to the limit, appending a marker, and
-// reports whether truncation happened.
-func (l Limits) ClampOutput(out string) (string, bool) {
-	if l.MaxOutputBytes <= 0 || len(out) <= l.MaxOutputBytes {
-		return out, false
+// ClampOutput truncates one output of a job to what is left of the
+// limit after the job's earlier outputs spent bytes of it, appending a
+// marker. The outputs of one job share the limit: a job that runs N
+// datasets stores at most MaxOutputBytes of output, not N times that.
+func (l Limits) ClampOutput(out string, spent int) string {
+	left := max(l.MaxOutputBytes-spent, 0)
+	if l.MaxOutputBytes <= 0 || len(out) <= left {
+		return out
 	}
-	return out[:l.MaxOutputBytes] + "\n[output truncated]", true
+	return out[:left] + "\n[output truncated]"
 }
 
 // SubmitLimiter is the per-user submission interval as a burst-1 token

@@ -171,13 +171,21 @@ func TestRateLimiterForgetsElapsedUsers(t *testing.T) {
 
 func TestLimitsClampOutput(t *testing.T) {
 	l := Limits{MaxOutputBytes: 10}
-	out, truncated := l.ClampOutput("0123456789ABCDEF")
-	if !truncated || !strings.Contains(out, "truncated") {
-		t.Errorf("out = %q truncated = %v", out, truncated)
-	}
-	out, truncated = l.ClampOutput("short")
-	if truncated || out != "short" {
-		t.Errorf("short output mangled: %q %v", out, truncated)
+	for _, row := range []struct {
+		out   string
+		spent int
+		want  string
+	}{
+		{"0123456789ABCDEF", 0, "0123456789\n[output truncated]"},
+		{"short", 0, "short"},
+		// Later outputs of the same job get what the earlier ones left.
+		{"short", 7, "sho\n[output truncated]"},
+		{"short", 12, "\n[output truncated]"},
+		{"", 12, ""},
+	} {
+		if got := l.ClampOutput(row.out, row.spent); got != row.want {
+			t.Errorf("ClampOutput(%q, %d) = %q, want %q", row.out, row.spent, got, row.want)
+		}
 	}
 }
 

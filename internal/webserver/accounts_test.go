@@ -110,13 +110,13 @@ func TestAccountErrorsSayWhatHappened(t *testing.T) {
 	}{
 		{"register", "POST", "/api/v1/register", `{"name":"New","email":"new@example.edu"}`, closeDB, http.StatusServiceUnavailable},
 		{"login", "POST", "/api/v1/login", `{"email":"stu@example.edu"}`, closeDB, http.StatusServiceUnavailable},
-		{"student view", "GET", "/api/v1/instructor/student/user-000001/vector-add", "", badAnswers("user-000001"), http.StatusInternalServerError},
+		{"student view", "GET", "/api/v1/instructor/student/user-000000000001/vector-add", "", badAnswers("user-000000000001"), http.StatusInternalServerError},
 		// The requester is the second account registered below.
-		{"submit", "POST", "/api/v1/labs/vector-add/submit", "", badAnswers("user-000002"), http.StatusInternalServerError},
+		{"submit", "POST", "/api/v1/labs/vector-add/submit", "", badAnswers("user-000000000002"), http.StatusInternalServerError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t)
-			f.register("stu@example.edu", "student") // user-000001
+			f.register("stu@example.edu", "student") // user-000000000001
 			token := f.register("prof@example.edu", "instructor")
 			tc.damage(f)
 			code, raw := f.reqRaw(tc.method, tc.path, token, tc.body)
@@ -148,7 +148,7 @@ func (failingGradebook) Record(*grader.Grade) error { return errors.New("gradebo
 // of leaving a hole in the page, and an override whose gradebook write-back
 // fails says so, as a submit does.
 func TestInstructorErrorsSayWhatHappened(t *testing.T) {
-	const student = "user-000001"
+	const student = "user-000000000001"
 	put := func(table, key string, v interface{}) func(*fixture) {
 		return func(f *fixture) {
 			if err := f.srv.db.Update(func(tx *db.Tx) error { return tx.Put(table, key, v) }); err != nil {
@@ -196,7 +196,7 @@ func TestInstructorErrorsSayWhatHappened(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t)
-			f.register("stu@example.edu", "student") // user-000001
+			f.register("stu@example.edu", "student") // user-000000000001
 			token := f.register("prof@example.edu", "instructor")
 			tc.damage(f)
 			code, raw := f.reqRaw(tc.method, tc.path, token, tc.body)

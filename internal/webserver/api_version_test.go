@@ -39,7 +39,7 @@ func TestRouteTableDocumented(t *testing.T) {
 func samplePath(pattern string) string {
 	return strings.NewReplacer(
 		"{lab}", "vector-add",
-		"{attempt}", "att-000001",
+		"{attempt}", "att-000000000001",
 		"{token}", "no-such-token",
 		"{user}", "u-000001",
 		"{id}", "no-such-id",

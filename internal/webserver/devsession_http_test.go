@@ -362,14 +362,17 @@ func TestDraftCoalescingOverHTTP(t *testing.T) {
 
 	const n = 4
 	ref := labs.ByID("vector-add").Reference
-	pushed := time.Now()
+	pickups := func() (lead, trail float64) {
+		return df.reg.Counter("devsession_pickups_leading"), df.reg.Counter("devsession_pickups_trailing")
+	}
 	first, coalesced := df.pushDraft(tok, draftURL, ref)
 	if coalesced {
 		t.Fatal("first draft reported coalesced")
 	}
 	diagnosticsFor(first)
-	if lead := time.Since(pushed); lead >= window {
-		t.Fatalf("first draft's diagnostics took %v: it sat out the %v window", lead, window)
+	// Picked up at once, not after the window: a leading pickup.
+	if lead, trail := pickups(); lead != 1 || trail != 0 {
+		t.Fatalf("first draft: pickups leading/trailing = %v/%v, want 1/0", lead, trail)
 	}
 
 	// The rest of the burst lands inside the window the pickup opened.
@@ -384,8 +387,9 @@ func TestDraftCoalescingOverHTTP(t *testing.T) {
 		lastSeq, lastSrc = seq, src
 	}
 	diagnosticsFor(lastSeq)
-	if since := time.Since(pushed); since < window {
-		t.Fatalf("trailing pickup's event came %v after the first push, before the %v window closed", since, window)
+	// The burst waited out the window the first pickup opened.
+	if lead, trail := pickups(); lead != 1 || trail != 1 {
+		t.Fatalf("burst: pickups leading/trailing = %v/%v, want 1/1", lead, trail)
 	}
 
 	mu.Lock()

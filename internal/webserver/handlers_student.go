@@ -397,7 +397,7 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 		att.Outcome = &labs.Outcome{LabID: l.ID, DatasetID: datasetID, CompileError: res.Error}
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
-		return putIndexed(tx, "attempts", l.ID, u.ID, att.ID, att)
+		return putNewest(tx, "attempts", l.ID, u.ID, att.ID, attemptSlot(u.ID, l.ID, datasetID), att, att.superseded())
 	}); err != nil {
 		writeStoreErr(w, err)
 		return
@@ -490,7 +490,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	g := grader.Score(l, source, res.Outcomes, answered)
 	grader.AttachDiagnostics(g, res.Diagnostics)
 	gradeSpan.End("total", strconv.Itoa(g.Total), "max", strconv.Itoa(g.Max))
-	g.UserID = u.ID
+	now := s.clock.Now()
+	g.UserID, g.GradedAt = u.ID, now
 	sub := SubmissionRec{
 		ID:              s.newID("sub"),
 		UserID:          u.ID,
@@ -498,7 +499,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		Source:          source,
 		Outcomes:        res.Outcomes,
 		Grade:           g,
-		At:              s.clock.Now(),
+		At:              now,
 		TraceID:         res.TraceID,
 		Diagnostics:     res.Diagnostics,
 		AnalysisBlocked: res.AnalysisBlocked,
@@ -508,7 +509,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		sub.Late = true
 	}
 	if err := s.db.Update(func(tx *db.Tx) error {
-		if err := putIndexed(tx, "submissions", l.ID, u.ID, sub.ID, sub); err != nil {
+		if err := putNewest(tx, "submissions", l.ID, u.ID, sub.ID, codeKey(u.ID, l.ID), sub, sub.superseded()); err != nil {
 			return err
 		}
 		return tx.Put("grades", codeKey(u.ID, l.ID), g)
@@ -602,6 +603,13 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 	if err := s.db.Update(func(tx *db.Tx) error {
 		if err := tx.Put("attempts", att.ID, att); err != nil {
 			return err
+		}
+		// Still the newest on its dataset: once superseded, it stays whole
+		// too, so the link keeps showing what was shared.
+		if ptr := attemptSlot(att.UserID, att.LabID, att.DatasetID) + "|" + att.ID; tx.Exists("attempts"+newestOf, ptr) {
+			if err := tx.Put("attempts"+newestOf, ptr, att); err != nil {
+				return err
+			}
 		}
 		return tx.Put("shares", att.ShareTok, map[string]string{"attempt": att.ID})
 	}); err != nil {

@@ -481,6 +481,10 @@ type AttemptRec struct {
 	// Diagnostics are the static-analyzer findings for the attempted
 	// source, so the Attempts view can show them next to the outcome.
 	Diagnostics []kernelcheck.Diagnostic `json:"diagnostics,omitempty"`
+
+	// Trimmed marks an attempt a newer one on the same dataset superseded:
+	// its outcome keeps the verdict but not the trace or per-launch stats.
+	Trimmed bool `json:"trimmed,omitempty"`
 }
 
 // SubmissionRec is a final graded submission.
@@ -500,6 +504,11 @@ type SubmissionRec struct {
 	// stopped before execution.
 	Diagnostics     []kernelcheck.Diagnostic `json:"diagnostics,omitempty"`
 	AnalysisBlocked bool                     `json:"analysis_blocked,omitempty"`
+
+	// Trimmed marks a submission a newer one on the same lab superseded:
+	// its outcomes keep their verdicts but not their traces or per-launch
+	// stats, and its grade drops the feedback Diagnostics already holds.
+	Trimmed bool `json:"trimmed,omitempty"`
 }
 
 // AnswersRec stores short-answer responses (§IV-A action 4).
@@ -691,7 +700,9 @@ func readJSON(r *http.Request, v interface{}) error {
 }
 
 func (s *Server) newID(prefix string) string {
-	return fmt.Sprintf("%s-%06d", prefix, s.nextID.Add(1))
+	// Twelve digits keep string order issue order: ownedIDs, the hints
+	// route and the roster all take the last key as the newest record.
+	return fmt.Sprintf("%s-%012d", prefix, s.nextID.Add(1))
 }
 
 func randToken() string {
@@ -820,6 +831,82 @@ func putIndexed(tx *db.Tx, table, labID, userID, id string, rec interface{}) err
 		return err
 	}
 	return tx.Put(table+byLab, labID+"|"+userID+"|"+id, struct{}{})
+}
+
+// A student's newest attempt on a dataset and newest submission on a lab
+// keep their full outcomes. Once a newer one lands, a record is stored as
+// its superseded form, trimmed of traces and per-launch stats, so stored
+// state grows by a verdict per resubmission, not by a trace. The form is
+// built when the record is written, while the struct is at hand, and kept
+// as the slot's one row of a pointer table keyed slot|id: the write that
+// supersedes the record copies those bytes over it and decodes no earlier
+// row, however long the student's history is.
+const newestOf = "_newest"
+
+// putNewest stores rec as the newest record of its slot with putIndexed,
+// stores the record it supersedes as that record's superseded form, and
+// keeps superseded, rec's own form, as the slot's pointer row.
+func putNewest(tx *db.Tx, table, labID, userID, id, slot string, rec, superseded interface{}) error {
+	ptrs := table + newestOf
+	for _, k := range prefixKeys(tx, ptrs, slot+"|") {
+		form, err := tx.AppendRow(nil, ptrs, k)
+		if err != nil {
+			return err
+		}
+		if err := tx.Put(table, k[len(slot)+1:], json.RawMessage(form)); err != nil {
+			return err
+		}
+		if err := tx.Delete(ptrs, k); err != nil {
+			return err
+		}
+	}
+	if err := putIndexed(tx, table, labID, userID, id, rec); err != nil {
+		return err
+	}
+	return tx.Put(ptrs, slot+"|"+id, superseded)
+}
+
+// attemptSlot is the pointer-table slot of a student's attempts on one
+// dataset.
+func attemptSlot(userID, labID string, dataset int) string {
+	return codeKey(userID, labID) + "|" + strconv.Itoa(dataset)
+}
+
+// superseded is the attempt as stored once a newer attempt on its dataset
+// lands: the verdict without the trace or per-launch stats.
+func (a AttemptRec) superseded() AttemptRec {
+	a.Outcome = trimmed(a.Outcome)
+	a.Trimmed = true
+	return a
+}
+
+// superseded is the submission as stored once a newer one on its lab
+// lands: the verdicts without traces or per-launch stats, and a grade
+// without the feedback Diagnostics already holds.
+func (sub SubmissionRec) superseded() SubmissionRec {
+	outs := make([]*labs.Outcome, len(sub.Outcomes))
+	for i, o := range sub.Outcomes {
+		outs[i] = trimmed(o)
+	}
+	sub.Outcomes = outs
+	if sub.Grade != nil {
+		g := *sub.Grade
+		g.Feedback = nil
+		sub.Grade = &g
+	}
+	sub.Trimmed = true
+	return sub
+}
+
+// trimmed returns a copy of the outcome without what it holds beyond its
+// verdict, fault and timings.
+func trimmed(o *labs.Outcome) *labs.Outcome {
+	if o == nil {
+		return nil
+	}
+	c := *o
+	c.Trace, c.Kernels = "", nil
+	return &c
 }
 
 // ownedIDs returns, in ID order, the IDs of the table's records that

@@ -534,3 +534,28 @@ func TestAttemptCarriesTraceID(t *testing.T) {
 		t.Errorf("attempt has no trace_id: %s", body)
 	}
 }
+
+// TestGradeIsDatedByTheServerClock: a submission and its grade carry one
+// reading of the server's clock, in the response and in the grade row.
+func TestGradeIsDatedByTheServerClock(t *testing.T) {
+	f := newFixture(t)
+	token := f.register("ada@example.edu", "student")
+	f.clk.Advance(90 * time.Minute)
+	code, body := f.req("POST", "/api/v1/labs/vector-add/submit", token, nil)
+	if code != http.StatusOK {
+		t.Fatalf("submit = %d %s", code, body)
+	}
+	var sub SubmissionRec
+	if err := json.Unmarshal(body, &sub); err != nil || sub.Grade == nil {
+		t.Fatalf("submit body %s: %v", body, err)
+	}
+	_, body = f.req("GET", "/api/v1/labs/vector-add/grade", token, nil)
+	var g grader.Grade
+	if err := json.Unmarshal(body, &g); err != nil {
+		t.Fatalf("grade body %s: %v", body, err)
+	}
+	now := f.clk.Now()
+	if !sub.At.Equal(now) || !sub.Grade.GradedAt.Equal(now) || !g.GradedAt.Equal(now) {
+		t.Errorf("at %v, graded at %v, grade row %v; want the server clock's %v", sub.At, sub.Grade.GradedAt, g.GradedAt, now)
+	}
+}

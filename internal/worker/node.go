@@ -413,11 +413,10 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 			break
 		}
 	}
+	spent := 0 // the result's outcomes share one output budget
 	for _, o := range res.Outcomes {
-		clamped, truncated := n.limits.ClampOutput(o.Trace)
-		if truncated {
-			o.Trace = clamped
-		}
+		o.Trace = n.limits.ClampOutput(o.Trace, spent)
+		spent += len(o.Trace)
 		if o.Ran || o.Canceled {
 			ex.Part(fmt.Sprintf("exec[dataset=%d]", o.DatasetID), o.WallTime,
 				"correct", strconv.FormatBool(o.Correct), "canceled", strconv.FormatBool(o.Canceled),

@@ -526,3 +526,40 @@ func TestJobRoundTrip(t *testing.T) {
 		t.Error("garbage decoded")
 	}
 }
+
+// TestOutputBudgetIsPerResult: the outcomes of one submission share
+// MaxOutputBytes. With a budget of one and a half datasets' traces, the
+// first trace is whole, the second is cut at what is left and marked,
+// and the rest hold the marker alone.
+func TestOutputBudgetIsPerResult(t *testing.T) {
+	const marker = "\n[output truncated]"
+	full := NewNode(DefaultNodeConfig("w1")).Execute(context.Background(), refJob("j1", "vector-add", DatasetAll))
+	if len(full.Outcomes) < 3 || full.Outcomes[0].Trace == "" || len(full.Outcomes[1].Trace) < 2 {
+		t.Fatalf("want ≥ 3 outcomes with traces, got %+v", full.Outcomes)
+	}
+	first, second := full.Outcomes[0].Trace, full.Outcomes[1].Trace
+	budget := len(first) + len(second)/2
+	cfg := DefaultNodeConfig("w2")
+	cfg.Limits.MaxOutputBytes = budget
+	res := NewNode(cfg).Execute(context.Background(), refJob("j2", "vector-add", DatasetAll))
+	if len(res.Outcomes) != len(full.Outcomes) || !res.Correct() {
+		t.Fatalf("clamped run: %+v", res.Outcomes)
+	}
+	kept := 0
+	for i, o := range res.Outcomes {
+		want := marker
+		switch i {
+		case 0:
+			want = first
+		case 1:
+			want = second[:len(second)/2] + marker
+		}
+		if o.Trace != want {
+			t.Errorf("dataset %d trace = %q, want %q", i, o.Trace, want)
+		}
+		kept += len(strings.TrimSuffix(o.Trace, marker))
+	}
+	if kept != budget {
+		t.Errorf("the traces keep %d bytes between them, want the budget, %d", kept, budget)
+	}
+}

@@ -83,6 +83,7 @@ var clockPkgs = []string{
 	"internal/queue",
 	"internal/overload",
 	"internal/devsession",
+	"internal/grader",
 	"internal/webserver",
 	"internal/wb",
 }
@@ -123,6 +124,10 @@ var stopwatchAllowed = map[string]bool{
 	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true, // a latency-only fault sleeps on the wall clock
 	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":      true, // v1 QueueWait is read off the wall clock
 	"internal/macrobench/soak_test.go:TestOverloadSoak":             true, // the soak's p99 bound, until soaks run in virtual time
+	// A paused driver sleeps one poll interval on its wall-clock timer and
+	// counts nothing, so "an unpause is seen within one interval" has no
+	// counter to be restated by until that timer runs on a clock.Clock.
+	"internal/worker/v2_wake_test.go:TestBlockedDriverKeepsConfigWatch": true,
 }
 
 func main() {
@@ -345,6 +350,7 @@ func checkStopwatch(fset *token.FileSet, f *ast.File, slash string) []finding {
 			continue
 		}
 		waits := map[ast.Node]bool{} // for conditions: a wait's bound, not a verdict
+		held := stopwatchVars(fn.Body, timeName)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			if loop, ok := n.(*ast.ForStmt); ok && loop.Cond != nil {
 				waits[loop.Cond] = true
@@ -355,7 +361,7 @@ func checkStopwatch(fset *token.FileSet, f *ast.File, slash string) []finding {
 			}
 			switch cmp.Op {
 			case token.LSS, token.LEQ, token.GTR, token.GEQ:
-				if readsStopwatch(cmp.X, timeName) || readsStopwatch(cmp.Y, timeName) {
+				if readsStopwatch(cmp.X, timeName, held) || readsStopwatch(cmp.Y, timeName, held) {
 					out = append(out, finding{pos: fset.Position(cmp.OpPos),
 						msg: "a test compares a stopwatch reading; assert the counted property it stands for"})
 				}
@@ -366,18 +372,52 @@ func checkStopwatch(fset *token.FileSet, f *ast.File, slash string) []finding {
 	return out
 }
 
-// readsStopwatch reports whether e calls time.Since or a Sub method or
-// names a time unit.
-func readsStopwatch(e ast.Expr, timeName string) (found bool) {
+// readsStopwatch reports whether e calls time.Since or a Sub method,
+// names a time unit or names a variable held lists.
+func readsStopwatch(e ast.Expr, timeName string, held map[string]bool) (found bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			found = found || pkgSel(call.Fun, timeName) == "Since" || ok && sel.Sel.Name == "Sub"
+		if id, ok := n.(*ast.Ident); ok {
+			found = found || held[id.Name]
 		}
-		found = found || timeUnits[pkgSel(n, timeName)]
+		found = found || timeUnits[pkgSel(n, timeName)] || readsClock(n, timeName)
 		return !found
 	})
 	return found
+}
+
+// readsClock reports whether n is a call of time.Since or of a Sub method.
+func readsClock(n ast.Node, timeName string) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return pkgSel(call.Fun, timeName) == "Since" || ok && sel.Sel.Name == "Sub"
+}
+
+// stopwatchVars returns the names the function assigns a time.Since or
+// Sub reading to, as in took := time.Since(start), so that comparing the
+// variable later counts as comparing the reading.
+func stopwatchVars(body *ast.BlockStmt, timeName string) map[string]bool {
+	held := map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			id, ok := as.Lhs[i].(*ast.Ident)
+			if !ok || id.Name == "_" {
+				continue
+			}
+			ast.Inspect(rhs, func(n ast.Node) bool {
+				held[id.Name] = held[id.Name] || readsClock(n, timeName)
+				return !held[id.Name]
+			})
+		}
+		return true
+	})
+	return held
 }
 
 // droppedCall returns the call whose result n throws away, as a bare

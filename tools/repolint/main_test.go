@@ -397,8 +397,9 @@ func main() { var d delivery; _ = d.Ack() }
 	}
 }
 
-// TestStopwatchRule: a test that orders a time.Since, a .Sub or an
-// operand naming a time unit is flagged; a for condition (a wait bound),
+// TestStopwatchRule: a test that orders a time.Since, a .Sub, a variable
+// the function assigned one of those to, or an operand naming a time
+// unit is flagged; a for condition (a wait bound),
 // an equality, a function on the allowlist, a non-test file and a test
 // outside internal/, cmd/ and tools/ are not.
 func TestStopwatchRule(t *testing.T) {
@@ -429,6 +430,29 @@ func TestX(t *testing.T) {
 	})
 }
 `, 3},
+		{"a reading held in a variable", "internal/worker/w_test.go", `package worker
+
+import (
+	"testing"
+	"time"
+)
+
+func TestHeld(t *testing.T) {
+	const interval = 150 * time.Millisecond
+	start := time.Now()
+	if took := time.Since(start); took >= 2*interval {
+		t.Error("slow")
+	}
+	lag := time.Now().Sub(start)
+	if lag > interval {
+		t.Error("late")
+	}
+	n, m := 3, interval
+	if n > 2 || m > 0 {
+		t.Log(n)
+	}
+}
+`, 2},
 		{"float of a unit", "cmd/minicuda/m_test.go", `package main
 
 import (
