@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"webgpu/internal/castore"
@@ -63,14 +64,31 @@ func run() int {
 		progs.SetStore(store)
 	}
 
-	broker := queue.NewBroker()
-	cfgSrv := worker.NewConfigServer(worker.DefaultConfig())
-	fleet := worker.NewFleet(broker, cfgSrv, func(id string) *worker.Node {
+	mkNode := func(id string) *worker.Node {
 		cfg := worker.DefaultNodeConfig(id)
 		cfg.GPUs = *gpus
 		cfg.ProgCache = progs
 		return worker.NewNode(cfg)
-	})
+	}
+	// Every worker is configured alike, so if one cannot serve the lab
+	// none can, and its jobs would wait on the broker forever.
+	if probe := mkNode("probe"); !probe.CanServe(&worker.Job{LabID: l.ID}) {
+		var missing []string
+		for _, r := range l.Requirements {
+			if !probe.Tags[r] {
+				missing = append(missing, r)
+			}
+		}
+		if l.NumGPUs > probe.GPUs {
+			missing = append(missing, fmt.Sprintf("%d GPUs", l.NumGPUs))
+		}
+		log.Printf("lab %s needs %s, which the fleet's workers lack", l.ID, strings.Join(missing, ", "))
+		return 1
+	}
+
+	broker := queue.NewBroker()
+	cfgSrv := worker.NewConfigServer(worker.DefaultConfig())
+	fleet := worker.NewFleet(broker, cfgSrv, mkNode)
 	fleet.Scale(*workers)
 	defer fleet.Stop()
 

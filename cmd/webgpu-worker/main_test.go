@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"webgpu/internal/markdown"
 )
@@ -32,5 +33,28 @@ func TestFlagsDocumented(t *testing.T) {
 	})
 	if err := markdown.SyncBlock("../../README.md", "gen:flags-webgpu-worker", b.String(), *update); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnservableLabExits: a lab whose requirements no worker of the fleet
+// meets must end the rig with status 1, not leave it waiting for results
+// that never come.
+func TestUnservableLabExits(t *testing.T) {
+	for name, value := range map[string]string{"lab": "mpi-stencil", "gpus": "1", "workers": "1", "jobs": "2"} {
+		old := flag.Lookup(name).Value.String()
+		if err := flag.Set(name, value); err != nil {
+			t.Fatal(err)
+		}
+		defer flag.Set(name, old)
+	}
+	status := make(chan int, 1)
+	go func() { status <- run() }()
+	select {
+	case got := <-status:
+		if got != 1 {
+			t.Errorf("run() = %d, want 1", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run() still waiting after 10s on a lab the fleet cannot serve")
 	}
 }

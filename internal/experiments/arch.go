@@ -150,7 +150,7 @@ func Figure2() string {
 func Figure3() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 3: the Code view (vector-add) ==\n\n")
-	p := platform.New(platform.Options{Arch: platform.V1, Workers: 1})
+	p := platform.New(platform.Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -194,7 +194,7 @@ func Figure3() string {
 func Figure4() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 4: the History view ==\n\n")
-	p := platform.New(platform.Options{Arch: platform.V1, Workers: 1})
+	p := platform.New(platform.Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -243,7 +243,7 @@ func Figure4() string {
 func Figure5() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 5: the Roster view (instructor tools) ==\n\n")
-	p := platform.New(platform.Options{Arch: platform.V1, Workers: 2})
+	p := platform.New(platform.Options{Workers: 2})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()

@@ -89,12 +89,11 @@ const chaosLab = "vector-add"
 func chaosJob(i int) *worker.Job {
 	l := labs.ByID(chaosLab)
 	return &worker.Job{
-		ID:           fmt.Sprintf("chaos-%04d", i),
-		LabID:        l.ID,
-		UserID:       fmt.Sprintf("u%03d", i%7),
-		SubmissionID: fmt.Sprintf("s%04d", i),
-		Source:       l.Reference,
-		DatasetID:    0,
+		ID:        fmt.Sprintf("chaos-%04d", i),
+		LabID:     l.ID,
+		UserID:    fmt.Sprintf("u%03d", i%7),
+		Source:    l.Reference,
+		DatasetID: 0,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,6 +115,65 @@ func TestAdminDeadLetterEndpoints(t *testing.T) {
 	student.register("Stu", "stu@example.edu", "student")
 	if code, _ := student.do("GET", "/api/v1/admin/deadletters", nil, nil); code != http.StatusForbidden {
 		t.Errorf("student access = %d, want 403", code)
+	}
+}
+
+// TestAdminDeadLetterShowsTraceAndRequirements: a traced job published
+// through dispatchV2 and dead-lettered is listed with its trace ID and
+// with exactly its lab's requirements as tags.
+func TestAdminDeadLetterShowsTraceAndRequirements(t *testing.T) {
+	p := New(Options{Arch: V2, Workers: 1, GPUsPerWorker: 1}) // never multi-gpu
+	defer p.Close()
+	p.Broker.SetMaxAttempts(1)
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	prof := newClient(t, ts.URL)
+	prof.register("Prof", "prof3@example.edu", "instructor")
+
+	lab := labs.ByID("mpi-stencil")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = p.dispatchV2(ctx, &worker.Job{ID: "dl-job", LabID: lab.ID, Source: lab.Reference,
+			Requirements: lab.Requirements, TraceID: "tr-deadletter"})
+	}()
+	defer func() { cancel(); <-done }()
+
+	caps := map[string]bool{}
+	for _, r := range lab.Requirements {
+		caps[r] = true
+	}
+	for {
+		wake := p.Broker.Wait(worker.TopicJobs)
+		if d, ok, _ := p.Broker.Poll(worker.TopicJobs, "test", caps, time.Minute); ok {
+			_ = d.Nack() // the only attempt: straight to the dead-letter queue
+			break
+		}
+		select {
+		case <-wake:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the job was never published")
+		}
+	}
+
+	var listing struct {
+		DeadLetters []struct {
+			JobID   string   `json:"job_id"`
+			TraceID string   `json:"trace_id"`
+			Tags    []string `json:"tags"`
+		} `json:"dead_letters"`
+	}
+	prof.mustDo("GET", "/api/v1/admin/deadletters", nil, &listing)
+	if len(listing.DeadLetters) != 1 {
+		t.Fatalf("listing = %+v", listing)
+	}
+	dl := listing.DeadLetters[0]
+	if dl.JobID != "dl-job" || dl.TraceID != "tr-deadletter" {
+		t.Errorf("dead letter = %+v, want job dl-job with trace tr-deadletter", dl)
+	}
+	if !slices.Equal(dl.Tags, lab.Requirements) {
+		t.Errorf("tags = %v, want the lab's requirements %v", dl.Tags, lab.Requirements)
 	}
 }
 

@@ -355,23 +355,19 @@ func (p *Platform) Close() {
 }
 
 // dispatchV2 publishes the job to the broker with the lab's requirement
-// tags (plus the trace ID as a non-constraining meta tag) and waits for
-// the matching result. A cancelled context abandons the wait — the
-// worker-side pipeline observes its own cancellation via the job lease,
-// so the web tier does not block on a job its student abandoned.
+// tags and waits for the matching result. A cancelled context abandons
+// the wait — the worker-side pipeline observes its own cancellation via
+// the job lease, so the web tier does not block on a job its student
+// abandoned.
 func (p *Platform) dispatchV2(ctx context.Context, job *worker.Job) (*worker.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tags := job.Requirements
 	if job.TraceID == "" {
 		job.TraceID = trace.FromContext(ctx).ID()
 	}
-	if job.TraceID != "" {
-		tags = append(append([]string(nil), tags...), queue.MetaTrace(job.TraceID))
-	}
 	waiter := p.router.register(job.ID)
-	if _, err := p.Broker.Publish(worker.TopicJobs, worker.EncodeJob(job), tags...); err != nil {
+	if _, err := p.Broker.Publish(worker.TopicJobs, worker.EncodeJob(job), job.Requirements...); err != nil {
 		p.router.unregister(job.ID)
 		return nil, err
 	}

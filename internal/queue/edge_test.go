@@ -9,8 +9,8 @@ import (
 )
 
 // TestTagMatchingMatrix is the table-driven contract for capability
-// matching: meta tags (trace, attempt) never constrain delivery, real
-// tags always do, in any combination.
+// matching: a message is delivered exactly when its tags are a subset of
+// the consumer's capabilities.
 func TestTagMatchingMatrix(t *testing.T) {
 	cudaOnly := map[string]bool{"cuda": true}
 	cases := []struct {
@@ -20,13 +20,10 @@ func TestTagMatchingMatrix(t *testing.T) {
 		wantDeliver bool
 	}{
 		{"no tags, no caps", nil, map[string]bool{}, true},
-		{"trace tag only", []string{MetaTrace("tr-1")}, map[string]bool{}, true},
-		{"attempt tag only", []string{MetaAttempt(3)}, map[string]bool{}, true},
-		{"both meta tags", []string{MetaTrace("tr-1"), MetaAttempt(2)}, map[string]bool{}, true},
 		{"capability met", []string{"cuda"}, cudaOnly, true},
 		{"capability missing", []string{"mpi"}, cudaOnly, false},
-		{"capability + meta, met", []string{"cuda", MetaTrace("tr-1")}, cudaOnly, true},
-		{"capability + meta, missing", []string{"mpi", MetaAttempt(1)}, cudaOnly, false},
+		{"two requirements, both met", []string{"mpi", "multi-gpu"}, map[string]bool{"mpi": true, "multi-gpu": true, "cuda": true}, true},
+		{"two requirements, one missing", []string{"mpi", "multi-gpu"}, map[string]bool{"mpi": true, "cuda": true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,24 +37,6 @@ func TestTagMatchingMatrix(t *testing.T) {
 				t.Errorf("delivered = %v, want %v", ok, tc.wantDeliver)
 			}
 		})
-	}
-}
-
-func TestAttemptTag(t *testing.T) {
-	cases := []struct {
-		tags []string
-		want int
-	}{
-		{nil, 0},
-		{[]string{"cuda"}, 0},
-		{[]string{MetaAttempt(1)}, 1},
-		{[]string{MetaTrace("tr"), MetaAttempt(7), "cuda"}, 7},
-		{[]string{MetaAttemptPrefix + "notanumber"}, 0},
-	}
-	for _, tc := range cases {
-		if got := AttemptTag(tc.tags); got != tc.want {
-			t.Errorf("AttemptTag(%v) = %d, want %d", tc.tags, got, tc.want)
-		}
 	}
 }
 
@@ -91,6 +70,45 @@ func TestRedriveThenRepoison(t *testing.T) {
 	}
 	if u := b.Unaccounted(); u != 0 {
 		t.Errorf("unaccounted = %d after redrive cycle", u)
+	}
+}
+
+// TestStaleDeliveryAfterRedrive: a redrive resets a message's attempts,
+// so its next lease repeats the attempt number of its first. The delivery
+// from before the redrive must still be stale: its Ack fails and leaves
+// the new lease to settle.
+func TestStaleDeliveryAfterRedrive(t *testing.T) {
+	b := NewBroker()
+	clk := clock.NewManual(time.Unix(0, 0))
+	b.SetClock(clk)
+	b.SetMaxAttempts(1)
+	_, _ = b.Publish("jobs", []byte("x"))
+	a, ok, _ := b.Poll("jobs", "w1", anyCaps(), time.Second)
+	if !ok {
+		t.Fatal("no message")
+	}
+	clk.Advance(2 * time.Second)
+	if n := b.Backlog("jobs"); n != 0 {
+		t.Fatalf("backlog = %d, want the expired message dead-lettered", n)
+	}
+	if n := b.RedriveDeadLetters(); n != 1 {
+		t.Fatalf("redriven = %d, want 1", n)
+	}
+	d, ok, _ := b.Poll("jobs", "w2", anyCaps(), time.Minute)
+	if !ok {
+		t.Fatal("redriven message not delivered")
+	}
+	if a.Msg.Attempts != d.Msg.Attempts {
+		t.Fatalf("attempts %d and %d: the redrive did not reset them", a.Msg.Attempts, d.Msg.Attempts)
+	}
+	if err := a.Ack(); !errors.Is(err, ErrUnknown) {
+		t.Errorf("stale ack = %v, want ErrUnknown", err)
+	}
+	if err := d.Ack(); err != nil {
+		t.Errorf("live ack = %v", err)
+	}
+	if u := b.Unaccounted(); u != 0 {
+		t.Errorf("unaccounted = %d", u)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -39,15 +38,13 @@ type Message struct {
 // many failed deliveries.
 const DefaultMaxAttempts = 5
 
-type pending struct {
-	msg       *Message
-	visibleAt time.Time // zero = visible now
-}
-
-type inflight struct {
-	msg      *Message
+// lease is one delivery of an in-flight message. n numbers every lease
+// the broker grants, so a delivery whose lease expired (and whose message
+// was leased again, even after a redrive reset its attempts) can never
+// settle the lease that replaced it.
+type lease struct {
+	n        uint64
 	deadline time.Time
-	consumer string
 }
 
 // Broker is a topic-based message broker.
@@ -55,9 +52,10 @@ type Broker struct {
 	mu          sync.Mutex
 	closed      bool
 	nextID      int
-	topics      map[string][]*pending
+	nextLease   uint64
+	topics      map[string][]*Message
 	wake        map[string]chan struct{} // topic -> channel Wait handed out, closed by wakeLocked
-	inflight    map[string]*inflight     // delivery tag -> message
+	inflight    map[*Message]lease
 	dead        []*Message
 	maxAttempts int
 	clock       clock.Clock
@@ -76,9 +74,9 @@ type Broker struct {
 // NewBroker creates an empty broker.
 func NewBroker() *Broker {
 	return &Broker{
-		topics:      map[string][]*pending{},
+		topics:      map[string][]*Message{},
 		wake:        map[string]chan struct{}{},
-		inflight:    map[string]*inflight{},
+		inflight:    map[*Message]lease{},
 		maxAttempts: DefaultMaxAttempts,
 		clock:       clock.Real,
 	}
@@ -144,7 +142,7 @@ func (b *Broker) Wait(topic string) <-chan struct{} {
 // enqueueLocked makes msg visible on its topic and releases the topic's
 // waiters: the one place a message enters b.topics.
 func (b *Broker) enqueueLocked(msg *Message) {
-	b.topics[msg.Topic] = append(b.topics[msg.Topic], &pending{msg: msg})
+	b.topics[msg.Topic] = append(b.topics[msg.Topic], msg)
 	b.wakeLocked(msg.Topic)
 }
 
@@ -182,16 +180,16 @@ func (b *Broker) Publish(topic string, payload []byte, tags ...string) (string, 
 // Delivery is a leased message; the consumer must Ack or Nack it before
 // the visibility deadline or it is redelivered.
 type Delivery struct {
-	Msg *Message
-	Tag string
-	b   *Broker
+	Msg   *Message
+	lease uint64
+	b     *Broker
 }
 
-// Poll attempts to lease the oldest visible message on the topic whose
-// tags are all satisfied by the consumer's capability set. It returns
-// (nil, false, nil) when nothing matches — the §VI-A semantics of "worker
-// nodes poll the queue, accepting a job if the node meets the job
-// requirements".
+// Poll attempts to lease the oldest message on the topic whose tags are
+// all in the consumer's capability set. It returns (nil, false, nil) when
+// nothing matches — the §VI-A semantics of "worker nodes poll the queue,
+// accepting a job if the node meets the job requirements". The broker
+// does not read consumer; it names the poller at the call site.
 func (b *Broker) Poll(topic, consumer string, caps map[string]bool, visibility time.Duration) (*Delivery, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -204,86 +202,27 @@ func (b *Broker) Poll(topic, consumer string, caps map[string]bool, visibility t
 	now := b.clock.Now()
 	b.expireLocked(now)
 	queue := b.topics[topic]
-	for i, p := range queue {
-		if p.visibleAt.After(now) {
-			continue
-		}
-		if !tagsSatisfied(p.msg.Tags, caps) {
+	for i, msg := range queue {
+		if !tagsSatisfied(msg.Tags, caps) {
 			continue
 		}
 		// Lease it, removing it in place: a topic's slice is reachable
 		// only through b.topics under b.mu, so nobody holds the old view.
 		b.topics[topic] = slices.Delete(queue, i, i+1)
-		p.msg.Attempts++
-		tag := fmt.Sprintf("%s#%d", p.msg.ID, p.msg.Attempts)
-		b.inflight[tag] = &inflight{msg: p.msg, deadline: now.Add(visibility), consumer: consumer}
+		msg.Attempts++
+		b.nextLease++
+		b.inflight[msg] = lease{n: b.nextLease, deadline: now.Add(visibility)}
 		b.stats.delivered++
-		if p.msg.Attempts > 1 {
+		if msg.Attempts > 1 {
 			b.stats.redelivered++
 		}
-		return &Delivery{Msg: p.msg, Tag: tag, b: b}, true, nil
+		return &Delivery{Msg: msg, lease: b.nextLease, b: b}, true, nil
 	}
 	return nil, false, nil
 }
 
-// MetaPrefix marks informational tags (e.g. a job's trace ID) that ride
-// on a message without constraining which consumer may lease it. Tags
-// with a meta prefix are skipped during capability matching — otherwise a
-// unique-per-job trace tag would make every job undeliverable.
-const MetaPrefix = "trace:"
-
-// MetaAttemptPrefix marks the informational tag carrying the delivery
-// attempt that produced a result message, so consumers of TopicResults
-// can recognise a redelivered job's duplicate result and dedup it.
-const MetaAttemptPrefix = "attempt:"
-
-// metaPrefixes lists every informational prefix exempt from capability
-// matching.
-var metaPrefixes = [...]string{MetaPrefix, MetaAttemptPrefix}
-
-func isMetaTag(tag string) bool {
-	for _, p := range metaPrefixes {
-		if strings.HasPrefix(tag, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// MetaTrace builds the informational tag carrying a trace ID.
-func MetaTrace(id string) string { return MetaPrefix + id }
-
-// TraceTag extracts the trace ID from a message's tags, or "".
-func TraceTag(tags []string) string {
-	for _, t := range tags {
-		if strings.HasPrefix(t, MetaPrefix) {
-			return strings.TrimPrefix(t, MetaPrefix)
-		}
-	}
-	return ""
-}
-
-// MetaAttempt builds the informational tag carrying a delivery attempt.
-func MetaAttempt(n int) string { return fmt.Sprintf("%s%d", MetaAttemptPrefix, n) }
-
-// AttemptTag extracts the delivery attempt from a message's tags, or 0.
-func AttemptTag(tags []string) int {
-	for _, t := range tags {
-		if strings.HasPrefix(t, MetaAttemptPrefix) {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(t, MetaAttemptPrefix), "%d", &n); err == nil {
-				return n
-			}
-		}
-	}
-	return 0
-}
-
 func tagsSatisfied(tags []string, caps map[string]bool) bool {
 	for _, t := range tags {
-		if isMetaTag(t) {
-			continue
-		}
 		if !caps[t] {
 			return false
 		}
@@ -294,12 +233,12 @@ func tagsSatisfied(tags []string, caps map[string]bool) bool {
 // expireLocked returns timed-out in-flight messages to their topics (or
 // the dead-letter queue).
 func (b *Broker) expireLocked(now time.Time) {
-	for tag, inf := range b.inflight {
-		if now.Before(inf.deadline) {
+	for msg, l := range b.inflight {
+		if now.Before(l.deadline) {
 			continue
 		}
-		delete(b.inflight, tag)
-		b.requeueLocked(inf.msg)
+		delete(b.inflight, msg)
+		b.requeueLocked(msg)
 	}
 }
 
@@ -322,10 +261,10 @@ func (d *Delivery) Ack() error {
 	if err := b.faults.Fire(faultinject.PointQueueAck); err != nil {
 		return fmt.Errorf("queue: ack: %w", err)
 	}
-	if _, ok := b.inflight[d.Tag]; !ok {
-		return fmt.Errorf("%w: %s (already acked, nacked, or expired)", ErrUnknown, d.Tag)
+	if !d.leasedLocked() {
+		return fmt.Errorf("%w: %s (already acked, nacked, or expired)", ErrUnknown, d.Msg.ID)
 	}
-	delete(b.inflight, d.Tag)
+	delete(b.inflight, d.Msg)
 	b.stats.acked++
 	return nil
 }
@@ -336,14 +275,20 @@ func (d *Delivery) Nack() error {
 	b := d.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	inf, ok := b.inflight[d.Tag]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknown, d.Tag)
+	if !d.leasedLocked() {
+		return fmt.Errorf("%w: %s", ErrUnknown, d.Msg.ID)
 	}
-	delete(b.inflight, d.Tag)
+	delete(b.inflight, d.Msg)
 	b.stats.nacked++
-	b.requeueLocked(inf.msg)
+	b.requeueLocked(d.Msg)
 	return nil
+}
+
+// leasedLocked reports whether d's lease is still the message's current
+// one.
+func (d *Delivery) leasedLocked() bool {
+	l, ok := d.b.inflight[d.Msg]
+	return ok && l.n == d.lease
 }
 
 // Depth reports visible plus leased messages on a topic.
@@ -352,8 +297,8 @@ func (b *Broker) Depth(topic string) int {
 	defer b.mu.Unlock()
 	b.expireLocked(b.clock.Now())
 	n := len(b.topics[topic])
-	for _, inf := range b.inflight {
-		if inf.msg.Topic == topic {
+	for msg := range b.inflight {
+		if msg.Topic == topic {
 			n++
 		}
 	}
@@ -367,25 +312,6 @@ func (b *Broker) Backlog(topic string) int {
 	defer b.mu.Unlock()
 	b.expireLocked(b.clock.Now())
 	return len(b.topics[topic])
-}
-
-// OldestAge returns how long the oldest visible message has waited, or
-// zero when the topic is empty.
-func (b *Broker) OldestAge(topic string) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.clock.Now()
-	b.expireLocked(now)
-	var oldest time.Time
-	for _, p := range b.topics[topic] {
-		if oldest.IsZero() || p.msg.Enqueued.Before(oldest) {
-			oldest = p.msg.Enqueued
-		}
-	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return now.Sub(oldest)
 }
 
 // RedriveDeadLetters moves dead-lettered messages back onto their topics

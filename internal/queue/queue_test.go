@@ -186,10 +186,6 @@ func TestDepthAndBacklog(t *testing.T) {
 	if b.Depth("jobs") != 2 || b.Backlog("jobs") != 1 {
 		t.Errorf("after lease: depth=%d backlog=%d", b.Depth("jobs"), b.Backlog("jobs"))
 	}
-	clk.Advance(45 * time.Second)
-	if got := b.OldestAge("jobs"); got != 45*time.Second {
-		t.Errorf("oldest age = %v", got)
-	}
 }
 
 func TestTopicsIndependent(t *testing.T) {
@@ -249,37 +245,5 @@ func TestConcurrentConsumersNoDuplicates(t *testing.T) {
 		if v != 1 {
 			t.Errorf("message %s delivered %d times", k, v)
 		}
-	}
-}
-
-func TestMetaTagsDoNotConstrainDelivery(t *testing.T) {
-	b := NewBroker()
-	// A job tagged only with its trace ID must be deliverable by any
-	// worker: meta tags annotate, they do not constrain (§VI-B tags are
-	// capability requirements; trace IDs are not capabilities).
-	_, _ = b.Publish("jobs", []byte("traced-job"), MetaTrace("tr-deadbeef"))
-	d, ok, _ := b.Poll("jobs", "w1", map[string]bool{"cuda": true}, time.Minute)
-	if !ok || string(d.Msg.Payload) != "traced-job" {
-		t.Fatalf("traced job not delivered: %v", d)
-	}
-	if got := TraceTag(d.Msg.Tags); got != "tr-deadbeef" {
-		t.Errorf("TraceTag = %q, want tr-deadbeef", got)
-	}
-	_ = d.Ack()
-
-	// Real capability tags still constrain even when a meta tag rides along.
-	_, _ = b.Publish("jobs", []byte("mpi-traced"), "mpi", MetaTrace("tr-feedface"))
-	if _, ok, _ := b.Poll("jobs", "w1", map[string]bool{"cuda": true}, time.Minute); ok {
-		t.Error("mpi job delivered to a non-mpi worker")
-	}
-	d2, ok, _ := b.Poll("jobs", "w2", anyCaps(), time.Minute)
-	if !ok || string(d2.Msg.Payload) != "mpi-traced" {
-		t.Fatalf("capable worker got %v", d2)
-	}
-}
-
-func TestTraceTagAbsent(t *testing.T) {
-	if got := TraceTag([]string{"mpi", "multi-gpu"}); got != "" {
-		t.Errorf("TraceTag = %q, want empty", got)
 	}
 }

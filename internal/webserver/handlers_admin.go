@@ -41,11 +41,13 @@ func (s *Server) handleAdminTraces(w http.ResponseWriter, r *http.Request, u *Us
 }
 
 // deadLetterView is the admin rendering of one dead-lettered message:
-// enough to see which job poisoned the queue without dumping raw payloads.
+// enough to see which job poisoned the queue, and its trace, without
+// dumping raw payloads. Tags are the job's requirements.
 type deadLetterView struct {
 	ID       string    `json:"id"`
 	Topic    string    `json:"topic"`
 	JobID    string    `json:"job_id,omitempty"`
+	TraceID  string    `json:"trace_id,omitempty"`
 	Tags     []string  `json:"tags,omitempty"`
 	Attempts int       `json:"attempts"`
 	Enqueued time.Time `json:"enqueued"`
@@ -66,7 +68,7 @@ func (s *Server) handleAdminDeadLetters(w http.ResponseWriter, r *http.Request, 
 		v := deadLetterView{ID: m.ID, Topic: m.Topic, Tags: m.Tags,
 			Attempts: m.Attempts, Enqueued: m.Enqueued}
 		if job, err := worker.DecodeJob(m.Payload); err == nil {
-			v.JobID = job.ID
+			v.JobID, v.TraceID = job.ID, job.TraceID
 		}
 		views = append(views, v)
 	}

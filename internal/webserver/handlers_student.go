@@ -207,6 +207,19 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, u *User) {
 		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request: %v", err)
 		return
 	}
+	rec, err := s.saveSource(u, l, req.Source)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]interface{}{"rev": rec.Rev, "saved_at": rec.SavedAt})
+}
+
+// saveSource stores source as the user's next revision of the lab: the
+// current code row and, since every save is kept, a history row ("It
+// automatically saves all student code ... so that a user can backtrack
+// to earlier versions", §III-A).
+func (s *Server) saveSource(u *User, l *labs.Lab, source string) (CodeRec, error) {
 	var rec CodeRec
 	err := s.db.Update(func(tx *db.Tx) error {
 		key := codeKey(u.ID, l.ID)
@@ -215,20 +228,14 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, u *User) {
 		}
 		rec.UserID, rec.LabID = u.ID, l.ID
 		rec.Rev++
-		rec.Source = req.Source
+		rec.Source = source
 		rec.SavedAt = s.clock.Now()
 		if err := tx.Put("code", key, rec); err != nil {
 			return err
 		}
-		// Every save is kept: "It automatically saves all student code ...
-		// so that a user can backtrack to earlier versions" (§III-A).
 		return tx.Put("history", histKey(u.ID, l.ID, rec.Rev), rec)
 	})
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"rev": rec.Rev, "saved_at": rec.SavedAt})
+	return rec, err
 }
 
 func (s *Server) handleGetCode(w http.ResponseWriter, r *http.Request, u *User) {
@@ -275,21 +282,7 @@ func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (string, e
 	if req.Source == "" {
 		return s.loadSource(u.ID, l)
 	}
-	err := s.db.Update(func(tx *db.Tx) error {
-		key := codeKey(u.ID, l.ID)
-		var rec CodeRec
-		if err := tx.Get("code", key, &rec); err != nil && !errors.Is(err, db.ErrNotFound) {
-			return err
-		}
-		rec.UserID, rec.LabID = u.ID, l.ID
-		rec.Rev++
-		rec.Source = req.Source
-		rec.SavedAt = s.clock.Now()
-		if err := tx.Put("code", key, rec); err != nil {
-			return err
-		}
-		return tx.Put("history", histKey(u.ID, l.ID, rec.Rev), rec)
-	})
+	_, err := s.saveSource(u, l, req.Source)
 	return req.Source, err
 }
 

@@ -180,9 +180,6 @@ func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 		if res.Attempt != wantAttempt {
 			t.Errorf("result %d: attempt = %d, want %d", i, res.Attempt, wantAttempt)
 		}
-		if got := queue.AttemptTag(del.Msg.Tags); got != wantAttempt {
-			t.Errorf("result %d: attempt tag = %d, want %d", i, got, wantAttempt)
-		}
 		if res.JobID != "jdup" {
 			t.Errorf("result %d: job = %q", i, res.JobID)
 		}

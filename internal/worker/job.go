@@ -46,14 +46,11 @@ type Job struct {
 	ID           string   `json:"id"`
 	LabID        string   `json:"lab_id"`
 	UserID       string   `json:"user_id"`
-	SubmissionID string   `json:"submission_id"`
 	Source       string   `json:"source"`
 	DatasetID    int      `json:"dataset_id"`
-	MaxSteps     int64    `json:"max_steps,omitempty"`
-	Requirements []string `json:"requirements,omitempty"`
+	Requirements []string `json:"requirements,omitempty"` // the lab's; the tags of its v2 broker message
 
 	// TraceID correlates the job with the web tier's end-to-end trace.
-	// On the v2 path it also rides the broker message as a meta tag.
 	TraceID string `json:"trace_id,omitempty"`
 
 	// AnalysisPolicy selects what the worker does with kernelcheck

@@ -296,11 +296,6 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 	defer n.pool.Release(ctr)
 
-	maxSteps := job.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = n.limits.MaxSteps
-	}
-
 	// Transient compile-infrastructure failure (chaos testing): the
 	// submission is fine, the worker is not — report it retryable.
 	if ferr := n.faults.Fire(faultinject.PointNodeCompile); ferr != nil {
@@ -398,9 +393,9 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 		res.Outcomes = []*labs.Outcome{{LabID: lab.ID, DatasetID: -1,
 			Compiled: true, WallTime: compileWall}}
 	case job.DatasetID == DatasetAll:
-		res.Outcomes = labs.RunAllCompiled(ctx, lab, prog, ctr.Devices, maxSteps)
+		res.Outcomes = labs.RunAllCompiled(ctx, lab, prog, ctr.Devices, n.limits.MaxSteps)
 	default:
-		res.Outcomes = []*labs.Outcome{labs.RunCompiled(ctx, lab, prog, job.DatasetID, ctr.Devices, maxSteps)}
+		res.Outcomes = []*labs.Outcome{labs.RunCompiled(ctx, lab, prog, job.DatasetID, ctr.Devices, n.limits.MaxSteps)}
 	}
 	ex.End()
 	joinAnalysis()

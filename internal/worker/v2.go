@@ -209,17 +209,12 @@ func (d *Driver) loop(cfg Config) {
 			_ = delivery.Nack() // poison message heads to the DLQ
 			continue
 		}
-		// The trace ID rides the job (and the message's meta tag as a
-		// fallback); the driver collects the worker-side spans locally
-		// and ships them back on the result for the web tier to merge.
-		traceID := job.TraceID
-		if traceID == "" {
-			traceID = queue.TraceTag(delivery.Msg.Tags)
-			job.TraceID = traceID
-		}
+		// The trace ID rides the job; the driver collects the worker-side
+		// spans locally and ships them back on the result for the web
+		// tier to merge.
 		var tr *trace.Trace
-		if traceID != "" {
-			tr = trace.New(traceID)
+		if job.TraceID != "" {
+			tr = trace.New(job.TraceID)
 		}
 		// Broker wait ends at dequeue (not after execution, which used to
 		// fold the run itself into the queue-wait figure); the node adds
@@ -247,18 +242,11 @@ func (d *Driver) loop(cfg Config) {
 			d.crashes.Add(1)
 			continue
 		}
-		// The attempt rides the result message as a meta tag (and the
-		// Result itself) so consumers can dedup a redelivered job's
-		// second result.
-		tags := []string{queue.MetaAttempt(res.Attempt)}
-		if traceID != "" {
-			tags = append(tags, queue.MetaTrace(traceID))
-		}
 		if err := d.faults.Fire(faultinject.PointDriverPublishResult); err != nil {
 			_ = delivery.Nack()
 			continue
 		}
-		if _, err := d.broker.Publish(TopicResults, EncodeResult(res), tags...); err != nil {
+		if _, err := d.broker.Publish(TopicResults, EncodeResult(res)); err != nil {
 			_ = delivery.Nack()
 			continue
 		}

@@ -20,8 +20,7 @@ import (
 
 func refJob(id, labID string, dataset int) *Job {
 	l := labs.ByID(labID)
-	return &Job{ID: id, LabID: labID, UserID: "u1", SubmissionID: "s1",
-		Source: l.Reference, DatasetID: dataset}
+	return &Job{ID: id, LabID: labID, UserID: "u1", Source: l.Reference, DatasetID: dataset}
 }
 
 func TestNodeExecutesReference(t *testing.T) {
