@@ -39,11 +39,11 @@ func TestLimiter(t *testing.T) {
 			{10 * s, "alice", 0}, {11 * s, "bob", 0},
 		}, keys: 2},
 		{name: "submit interval: D7's minute", burst: 1, interval: 10 * s, takes: d7, keys: 1},
-		{name: "overload tenant: burst 2 per minute", burst: 2, interval: time.Minute, takes: []take{
+		{name: "burst 2 per minute: own bucket per key, one token per interval", burst: 2, interval: time.Minute, takes: []take{
 			{0, "alice", 0}, {0, "alice", 0}, {0, "alice", time.Minute}, {0, "bob", 0},
 			{time.Minute, "alice", 0}, {time.Minute, "alice", time.Minute},
 		}, keys: 2},
-		{name: "overload tenant: burst 3 per second, refilled to burst and no further", burst: 3, interval: s, takes: []take{
+		{name: "burst 3 per second: refills to burst and no further", burst: 3, interval: s, takes: []take{
 			{0, "x", 0}, {0, "x", 0}, {0, "x", 0}, {0, "x", s},
 			{500 * ms, "x", 500 * ms}, {s, "x", 0}, {s, "x", s},
 			{time.Hour, "x", 0}, {time.Hour, "x", 0}, {time.Hour, "x", 0}, {time.Hour, "x", s},

@@ -19,8 +19,8 @@
 //     once, the rest of a keystroke burst coalesces into one pickup when
 //     the window closes, and a draft that arrives while an analysis is in
 //     flight cancels the stale analysis.
-//   - Rate limits: per-user and per-session token buckets bound how fast
-//     any client can push drafts, independent of coalescing.
+//   - Rate limit: a per-user token bucket bounds how fast a student can
+//     push drafts, over all of their sessions, independent of coalescing.
 //   - Bounded registry: the manager holds at most MaxSessions sessions
 //     (MaxPerUser per student) and evicts idle ones.
 //   - Cancellation: a dropped event stream cancels the in-flight analysis
@@ -50,7 +50,7 @@ var (
 	ErrSessionLimit = errors.New("devsession: too many live sessions, retry later")
 	// ErrUserSessionLimit means this user already holds MaxPerUser sessions.
 	ErrUserSessionLimit = errors.New("devsession: per-user session limit reached")
-	// ErrRateLimited means a draft push exceeded the user or session budget.
+	// ErrRateLimited means a draft push exceeded the user's draft budget.
 	ErrRateLimited = errors.New("devsession: draft rate limit exceeded")
 	// ErrClosed means the session was closed or evicted.
 	ErrClosed = errors.New("devsession: session closed")
@@ -99,9 +99,9 @@ type Config struct {
 	// EventBuffer is the per-session ring (and per-subscriber channel)
 	// depth backing Last-Event-ID resume.
 	EventBuffer int
-	// DraftBurst/DraftInterval shape the per-user and per-session token
-	// buckets: a bucket holds DraftBurst tokens and refills one every
-	// DraftInterval. Zero means the default; negative disables rate
+	// DraftBurst/DraftInterval shape the per-user token bucket, which a
+	// user's sessions share: it holds DraftBurst tokens and refills one
+	// every DraftInterval. Zero means the default; negative disables rate
 	// limiting.
 	DraftBurst    int
 	DraftInterval time.Duration
@@ -148,9 +148,9 @@ func (c Config) withDefaults() Config {
 type Manager struct {
 	cfg Config
 
-	// userDrafts and sessionDrafts are the draft budgets, keyed by user
-	// and by session ID; nil when rate limiting is off.
-	userDrafts, sessionDrafts *clock.Limiter
+	// userDrafts is the draft budget, keyed by user; nil when rate
+	// limiting is off.
+	userDrafts *clock.Limiter
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -162,11 +162,10 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:           cfg,
-		userDrafts:    clock.NewLimiter(cfg.DraftBurst, cfg.DraftInterval, cfg.Clock),
-		sessionDrafts: clock.NewLimiter(cfg.DraftBurst, cfg.DraftInterval, cfg.Clock),
-		sessions:      map[string]*Session{},
-		perUser:       map[string]int{},
+		cfg:        cfg,
+		userDrafts: clock.NewLimiter(cfg.DraftBurst, cfg.DraftInterval, cfg.Clock),
+		sessions:   map[string]*Session{},
+		perUser:    map[string]int{},
 	}
 	// Register the series at zero so dashboards scraping a fresh server
 	// see the whole devsession_* set, not counters popping in on first use.

@@ -335,32 +335,65 @@ func TestSessionLimits(t *testing.T) {
 	}
 }
 
+// TestDraftRateLimit: a user's sessions share one draft budget of
+// DraftBurst tokens, refilled on the manager's clock; another user's
+// budget is their own.
 func TestDraftRateLimit(t *testing.T) {
 	l := refLab(t)
-	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
-	reg := metrics.NewRegistry()
-	m := NewManager(Config{
-		Clock: clk, Metrics: reg,
-		DraftBurst: 2, DraftInterval: 100 * time.Millisecond, Debounce: -1,
-	})
-	defer m.CloseAll()
-	s, _ := m.Open("u1", l.ID, l.Dialect)
-
-	for i := 0; i < 2; i++ {
-		if _, _, err := s.PushDraft(l.Reference); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
+	push := func(s *Session) error {
+		_, _, err := s.PushDraft(l.Reference)
+		return err
 	}
-	if _, _, err := s.PushDraft(l.Reference); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("burst-exhausted push err = %v, want ErrRateLimited", err)
-	}
-	if c := reg.Counter("devsession_rate_limited"); c != 1 {
-		t.Fatalf("devsession_rate_limited = %v, want 1", c)
-	}
-
-	clk.Advance(time.Second) // refills both buckets
-	if _, _, err := s.PushDraft(l.Reference); err != nil {
-		t.Fatalf("post-refill push: %v", err)
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T, clk *clock.Manual, m *Manager)
+	}{
+		{"one session spends the burst and refills", func(t *testing.T, clk *clock.Manual, m *Manager) {
+			s, _ := m.Open("u1", l.ID, l.Dialect)
+			for i := 0; i < 2; i++ {
+				if err := push(s); err != nil {
+					t.Fatalf("push %d: %v", i, err)
+				}
+			}
+			if err := push(s); !errors.Is(err, ErrRateLimited) {
+				t.Fatalf("burst-exhausted push err = %v, want ErrRateLimited", err)
+			}
+			if c := m.cfg.Metrics.Counter("devsession_rate_limited"); c != 1 {
+				t.Fatalf("devsession_rate_limited = %v, want 1", c)
+			}
+			clk.Advance(time.Second) // refills the bucket
+			if err := push(s); err != nil {
+				t.Fatalf("post-refill push: %v", err)
+			}
+		}},
+		{"two sessions of one user share the burst", func(t *testing.T, clk *clock.Manual, m *Manager) {
+			a, _ := m.Open("u1", l.ID, l.Dialect)
+			b, _ := m.Open("u1", l.ID, l.Dialect)
+			other, _ := m.Open("u2", l.ID, l.Dialect)
+			for _, s := range []*Session{a, b} {
+				if err := push(s); err != nil {
+					t.Fatalf("first push on %s: %v", s.ID, err)
+				}
+			}
+			for _, s := range []*Session{a, b} {
+				if err := push(s); !errors.Is(err, ErrRateLimited) {
+					t.Fatalf("third push of u1 on %s: err = %v, want ErrRateLimited", s.ID, err)
+				}
+			}
+			if err := push(other); err != nil {
+				t.Fatalf("u2's push: %v", err)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
+			m := NewManager(Config{
+				Clock: clk, Metrics: metrics.NewRegistry(),
+				DraftBurst: 2, DraftInterval: 100 * time.Millisecond, Debounce: -1,
+			})
+			defer m.CloseAll()
+			row.run(t, clk, m)
+		})
 	}
 }
 

@@ -124,11 +124,6 @@ func (s *Session) PushDraft(source string) (seq int64, coalesced bool, err error
 		s.mu.Unlock()
 		return 0, false, ErrClosed
 	}
-	if s.m.sessionDrafts.Take(s.ID) > 0 {
-		s.mu.Unlock()
-		s.m.cfg.Metrics.Inc("devsession_rate_limited", 1)
-		return 0, false, ErrRateLimited
-	}
 	s.lastActive = now
 	s.draftSeq++
 	d := &draft{seq: s.draftSeq, source: source, queuedAt: now}

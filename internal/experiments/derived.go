@@ -313,7 +313,7 @@ func Limits() string {
 	rl := sandbox.Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
 	admitted, rejected := 0, 0
 	for i := 0; i < 60; i++ {
-		if sandbox.AdmitSubmit(rl, "abuser") == nil {
+		if rl.Take("abuser") == 0 {
 			admitted++
 		} else {
 			rejected++

@@ -1,8 +1,7 @@
 // Package overload is WebGPU's overload-survival layer: admission
-// control with priority-class load-shedding at the web tier, per-tenant
-// token-bucket rate limits, backpressure signals from the broker and the
-// live-development loop, and burn-rate SLO tracking over the shared
-// metrics registry.
+// control with priority-class load-shedding at the web tier, backpressure
+// signals from the broker and the live-development loop, and burn-rate
+// SLO tracking over the shared metrics registry.
 //
 // The paper's platform survived MOOC deadline spikes (>100k students per
 // offering) by queueing everything; production scale means *graceful
@@ -13,7 +12,7 @@
 //
 //	submissions > draft analyses > peer-review/history reads
 //
-// enforced three ways:
+// enforced two ways:
 //
 //   - Concurrency gates: each class holds at most MaxConcurrent requests
 //     in flight. Submissions may additionally queue (bounded, with a
@@ -23,9 +22,9 @@
 //     load, and the submission queue's fill feed one pressure figure in
 //     [0, ∞). Reads shed at lower pressure than drafts; submissions never
 //     shed on pressure, only when their own bounded queue overflows.
-//   - Per-tenant token buckets: a single user (or course) cannot consume
-//     the whole admission budget during a spike. Buckets are driven by an
-//     injectable clock, so tests are deterministic.
+//
+// The per-user limits are not here: the §III-C submission interval is
+// the web tier's sandbox.Limits, and the draft budget is devsession's.
 //
 // Every decision is recorded: per-class admitted/shed counters, inflight
 // and saturation gauges, queue-wait histograms, and fast/slow burn-rate
@@ -78,7 +77,6 @@ func Classes() []Class { return []Class{ClassSubmission, ClassDraft, ClassRead} 
 
 // Shed reasons, stable for metrics and error envelopes.
 const (
-	ReasonRateLimited  = "rate_limited" // a per-tenant token bucket ran dry
 	ReasonBackpressure = "backpressure" // system pressure above the class threshold
 	ReasonSaturated    = "saturated"    // class at MaxConcurrent, shed-before-queue
 	ReasonQueueFull    = "queue_full"   // class queue already holds MaxQueue waiters
@@ -124,7 +122,7 @@ func RetryAfterSeconds(err error) int {
 // ClassLimit tunes one class's admission gates.
 type ClassLimit struct {
 	// MaxConcurrent bounds in-flight admitted requests. Zero selects the
-	// class default; negative disables the concurrency gate.
+	// class default.
 	MaxConcurrent int
 
 	// MaxQueue bounds how many callers may wait for a slot once the class
@@ -143,20 +141,14 @@ type ClassLimit struct {
 	// makes a class pressure-sheddable.
 	ShedAt float64
 
-	// TenantBurst/TenantInterval shape the per-tenant token buckets: a
-	// bucket holds TenantBurst tokens and refills one every
-	// TenantInterval. TenantBurst == 0 disables per-tenant limiting for
-	// the class.
-	TenantBurst    int
-	TenantInterval time.Duration
-
 	// RetryAfter is the hint returned on saturation/queue sheds; zero
 	// selects a per-class default (longer for lower classes, so retries
 	// re-arrive in priority order).
 	RetryAfter time.Duration
 }
 
-// SLOConfig is one class's availability objective and burn windows.
+// SLOConfig is one class's availability objective and burn windows;
+// each class's is fixed by defaultSLO.
 type SLOConfig struct {
 	// Target is the availability objective in (0, 1): the fraction of
 	// requests that should be admitted, e.g. 0.999.
@@ -213,30 +205,21 @@ func defaultSLO(c Class) SLOConfig {
 
 // Config wires a Controller.
 type Config struct {
-	// Clock times the tenant buckets, the burn windows and the queue
-	// timeout (tests inject a clock.Manual); nil means clock.Real.
+	// Clock times the burn windows and the queue timeout (tests inject a
+	// clock.Manual); nil means clock.Real.
 	Clock clock.Clock
 	// Metrics receives overload_* counters, gauges, and histograms;
 	// nil creates a private registry.
 	Metrics *metrics.Registry
 
 	// Limits overrides per-class gates; classes absent from the map (or
-	// with a zero MaxConcurrent) keep their defaults.
+	// with a zero MaxConcurrent and ShedAt) keep their defaults.
 	Limits map[Class]ClassLimit
-	// SLO overrides per-class objectives; absent classes keep defaults.
-	SLO map[Class]SLOConfig
 
-	// QueueDepth reports the broker's job backlog and DraftLoad the live
-	// development sessions; both feed the pressure figure. Nil signals
-	// contribute zero. Deployments wire them with SetQueueDepth /
-	// SetDraftLoad after construction when the source outlives the
-	// controller's build order.
-	QueueDepth func() int
-	DraftLoad  func() int
-	// QueueDepthLimit / DraftLoadLimit normalize the signals: pressure
-	// from each signal is value/limit. Zero selects the default.
+	// QueueDepthLimit normalizes the broker backlog signal (SetQueueDepth):
+	// its pressure is backlog/limit. Zero selects DefaultQueueDepthLimit.
+	// The draft-load signal (SetDraftLoad) is over DefaultDraftLoadLimit.
 	QueueDepthLimit int
-	DraftLoadLimit  int
 }
 
 // Controller makes admission decisions. One controller guards one web
@@ -246,7 +229,6 @@ type Controller struct {
 	metrics *metrics.Registry
 
 	queueDepthLimit int
-	draftLoadLimit  int
 
 	sigMu      sync.RWMutex
 	queueDepth func() int
@@ -263,10 +245,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		clock:           cfg.Clock,
 		metrics:         cfg.Metrics,
-		queueDepth:      cfg.QueueDepth,
-		draftLoad:       cfg.DraftLoad,
 		queueDepthLimit: cfg.QueueDepthLimit,
-		draftLoadLimit:  cfg.DraftLoadLimit,
 	}
 	if c.clock == nil {
 		c.clock = clock.Real
@@ -277,12 +256,9 @@ func New(cfg Config) *Controller {
 	if c.queueDepthLimit <= 0 {
 		c.queueDepthLimit = DefaultQueueDepthLimit
 	}
-	if c.draftLoadLimit <= 0 {
-		c.draftLoadLimit = DefaultDraftLoadLimit
-	}
 	for _, cl := range Classes() {
 		lim := defaultLimit(cl)
-		if o, ok := cfg.Limits[cl]; ok && (o.MaxConcurrent != 0 || o.TenantBurst != 0 || o.ShedAt != 0) {
+		if o, ok := cfg.Limits[cl]; ok && (o.MaxConcurrent != 0 || o.ShedAt != 0) {
 			lim = o
 			if lim.MaxConcurrent == 0 {
 				lim.MaxConcurrent = defaultLimit(cl).MaxConcurrent
@@ -294,19 +270,8 @@ func New(cfg Config) *Controller {
 		if lim.RetryAfter <= 0 {
 			lim.RetryAfter = defaultLimit(cl).RetryAfter
 		}
-		c.gates[cl] = &gate{limit: lim, tenants: clock.NewLimiter(lim.TenantBurst, lim.TenantInterval, c.clock)}
-
-		slo := defaultSLO(cl)
-		if o, ok := cfg.SLO[cl]; ok && o.Target > 0 {
-			slo = o
-			if slo.FastWindow <= 0 {
-				slo.FastWindow = DefaultFastWindow
-			}
-			if slo.SlowWindow <= 0 {
-				slo.SlowWindow = DefaultSlowWindow
-			}
-		}
-		c.slos[cl] = newBurnTracker(slo)
+		c.gates[cl] = &gate{limit: lim}
+		c.slos[cl] = newBurnTracker(defaultSLO(cl))
 
 		// Register the series at zero (devsession-style) so a fresh
 		// deployment exports the full overload_* set.
@@ -318,8 +283,8 @@ func New(cfg Config) *Controller {
 		c.metrics.Set("overload_burn_fast_"+name, 0)
 		c.metrics.Set("overload_burn_slow_"+name, 0)
 	}
-	for _, reason := range []string{ReasonRateLimited, ReasonBackpressure,
-		ReasonSaturated, ReasonQueueFull, ReasonQueueTimeout, ReasonCancelled} {
+	for _, reason := range []string{ReasonBackpressure, ReasonSaturated,
+		ReasonQueueFull, ReasonQueueTimeout, ReasonCancelled} {
 		c.metrics.Inc("overload_shed_reason_"+reason, 0)
 	}
 	c.metrics.Set("overload_pressure", 0)
@@ -354,7 +319,7 @@ func (c *Controller) Pressure() float64 {
 		p = math.Max(p, float64(qd())/float64(c.queueDepthLimit))
 	}
 	if dl != nil {
-		p = math.Max(p, float64(dl())/float64(c.draftLoadLimit))
+		p = math.Max(p, float64(dl())/DefaultDraftLoadLimit)
 	}
 	// Queued submissions are the most direct overload evidence: demand
 	// already exceeds the worker pool's admitted concurrency.
@@ -382,12 +347,12 @@ func (t *Ticket) Release() {
 	t.once.Do(t.free)
 }
 
-// Admit decides one request: every named tenant's token bucket is
-// charged, backpressure and the class gates are consulted, and on success
-// the returned Ticket holds a concurrency slot until Release. On shed it
-// returns a *ShedError (wrapping ErrShed) carrying the Retry-After hint.
-// ClassNone is always admitted with a no-op ticket.
-func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*Ticket, error) {
+// Admit decides one request: backpressure and the class gate are
+// consulted, and on success the returned Ticket holds a concurrency slot
+// until Release. On shed it returns a *ShedError (wrapping ErrShed)
+// carrying the Retry-After hint. ClassNone is always admitted with a
+// no-op ticket. The trailing tenant names are unread (bench still passes them).
+func (c *Controller) Admit(ctx context.Context, cl Class, _ ...string) (*Ticket, error) {
 	if c == nil || cl <= ClassNone || cl >= numClasses {
 		return &Ticket{free: func() {}}, nil
 	}
@@ -401,22 +366,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class, tenants ...string) (*T
 		}
 	}
 
-	// Per-tenant token buckets: a spike from one tenant must not admit
-	// its way past everyone else's budget.
-	for _, tenant := range tenants {
-		if tenant == "" {
-			continue
-		}
-		if wait := g.tenants.Take(tenant); wait > 0 {
-			return nil, c.shed(cl, ReasonRateLimited, wait)
-		}
-	}
-
 	// Concurrency gate.
-	if g.limit.MaxConcurrent < 0 {
-		c.admitted(cl, g, 0)
-		return &Ticket{free: func() {}}, nil
-	}
 	g.mu.Lock()
 	if g.inflight < g.limit.MaxConcurrent {
 		g.inflight++
@@ -508,10 +458,7 @@ func (c *Controller) release(cl Class, g *gate) {
 func (c *Controller) setInflight(cl Class, g *gate, inflight int) {
 	name := cl.String()
 	c.metrics.Set("overload_inflight_"+name, float64(inflight))
-	if g.limit.MaxConcurrent > 0 {
-		c.metrics.Set("overload_saturation_"+name,
-			float64(inflight)/float64(g.limit.MaxConcurrent))
-	}
+	c.metrics.Set("overload_saturation_"+name, float64(inflight)/float64(g.limit.MaxConcurrent))
 }
 
 // shed records and builds one shed decision.
@@ -525,11 +472,9 @@ func (c *Controller) shed(cl Class, reason string, retryAfter time.Duration) err
 	return &ShedError{Class: cl, Reason: reason, RetryAfter: retryAfter}
 }
 
-// gate is one class's concurrency gate with a FIFO waiter queue, and its
-// tenants' token buckets (nil when the class has none).
+// gate is one class's concurrency gate with a FIFO waiter queue.
 type gate struct {
 	limit    ClassLimit
-	tenants  *clock.Limiter
 	mu       sync.Mutex
 	inflight int
 	waiters  []*waiter

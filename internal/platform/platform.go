@@ -67,9 +67,9 @@ type Options struct {
 	// injection at zero cost.
 	Faults *faultinject.Registry
 
-	// Overload tunes the web tier's admission controller (priority-class
-	// load shedding, per-tenant rate limits, burn-rate SLOs). Nil uses
-	// the controller defaults. The platform wires the broker backlog and
+	// Overload tunes the web tier's admission controller: per-class
+	// gates and the broker backlog's pressure scale. Nil uses the
+	// controller defaults. The platform wires the broker backlog and
 	// live-session load as its backpressure signals either way.
 	Overload *overload.Config
 

@@ -280,12 +280,3 @@ func (l Limits) ClampOutput(out string, spent int) string {
 func (l Limits) SubmitLimiter(c clock.Clock) *clock.Limiter {
 	return clock.NewLimiter(1, l.SubmitInterval, c)
 }
-
-// AdmitSubmit charges one submission by user to lim; a refusal is
-// ErrRateLimited, with the wait until the user may submit again.
-func AdmitSubmit(lim *clock.Limiter, user string) error {
-	if wait := lim.Take(user); wait > 0 {
-		return fmt.Errorf("%w: retry in %v", ErrRateLimited, wait.Round(time.Second))
-	}
-	return nil
-}

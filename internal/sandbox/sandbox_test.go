@@ -3,7 +3,6 @@ package sandbox
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -122,19 +121,19 @@ func TestMonitorErrnoDisposition(t *testing.T) {
 func TestRateLimiter(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	rl := Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
-	if err := AdmitSubmit(rl, "alice"); err != nil {
-		t.Fatalf("first submit: %v", err)
+	if wait := rl.Take("alice"); wait != 0 {
+		t.Fatalf("first submit waits %v", wait)
 	}
-	if err := AdmitSubmit(rl, "alice"); !errors.Is(err, ErrRateLimited) || !strings.Contains(err.Error(), "retry in 10s") {
-		t.Fatalf("immediate resubmit: %v", err)
+	if wait := rl.Take("alice"); wait != 10*time.Second {
+		t.Fatalf("immediate resubmit waits %v, want 10s", wait)
 	}
 	// A different user is unaffected.
-	if err := AdmitSubmit(rl, "bob"); err != nil {
-		t.Fatalf("other user: %v", err)
+	if wait := rl.Take("bob"); wait != 0 {
+		t.Fatalf("other user waits %v", wait)
 	}
 	clk.Advance(10 * time.Second) // exactly one interval
-	if err := AdmitSubmit(rl, "alice"); err != nil {
-		t.Fatalf("after interval: %v", err)
+	if wait := rl.Take("alice"); wait != 0 {
+		t.Fatalf("after interval: waits %v", wait)
 	}
 }
 
@@ -145,27 +144,26 @@ func TestRateLimiterForgetsElapsedUsers(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	rl := Limits{SubmitInterval: 10 * time.Second}.SubmitLimiter(clk)
 	for i := 0; i < 50000; i++ {
-		if err := AdmitSubmit(rl, fmt.Sprintf("user-%06d", i)); err != nil {
-			t.Fatalf("user %d: %v", i, err)
+		if wait := rl.Take(fmt.Sprintf("user-%06d", i)); wait != 0 {
+			t.Fatalf("user %d waits %v", i, wait)
 		}
 	}
 	clk.Advance(7 * time.Second)
-	if err := AdmitSubmit(rl, "live"); err != nil {
-		t.Fatalf("live user: %v", err)
+	if wait := rl.Take("live"); wait != 0 {
+		t.Fatalf("live user waits %v", wait)
 	}
 	clk.Advance(3 * time.Second) // one interval after the rush
-	if err := AdmitSubmit(rl, "late"); err != nil {
-		t.Fatalf("late user: %v", err)
+	if wait := rl.Take("late"); wait != 0 {
+		t.Fatalf("late user waits %v", wait)
 	}
 	if n := rl.Len(); n != 2 {
 		t.Fatalf("limiter holds %d users one interval after the rush, want live and late", n)
 	}
-	err := AdmitSubmit(rl, "live")
-	if !errors.Is(err, ErrRateLimited) || !strings.Contains(err.Error(), "retry in 7s") {
-		t.Fatalf("live user after the sweep: %v, want rate limited with 7s left", err)
+	if wait := rl.Take("live"); wait != 7*time.Second {
+		t.Fatalf("live user after the sweep waits %v, want 7s", wait)
 	}
-	if err := AdmitSubmit(rl, "user-000000"); err != nil {
-		t.Fatalf("swept user resubmitting after the interval: %v", err)
+	if wait := rl.Take("user-000000"); wait != 0 {
+		t.Fatalf("swept user resubmitting after the interval waits %v", wait)
 	}
 }
 

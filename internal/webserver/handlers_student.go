@@ -444,9 +444,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	if l == nil {
 		return
 	}
-	// Submission rate limiting (§III-C).
-	if err := sandbox.AdmitSubmit(s.limiter, u.ID); err != nil {
-		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
+	// Submission rate limiting (§III-C): the wait is the Retry-After,
+	// rounded up to whole seconds.
+	if wait := s.limiter.Take(u.ID); wait > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int((wait+time.Second-1)/time.Second)))
+		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v: retry in %v",
+			sandbox.ErrRateLimited, wait.Round(time.Second))
 		return
 	}
 	ctx, tr := s.startTrace(w, r)

@@ -42,15 +42,11 @@ func (f *overloadFixture) setDepth(n int) {
 func newOverloadFixture(t *testing.T, limits map[overload.Class]overload.ClassLimit) *overloadFixture {
 	of := &overloadFixture{}
 	of.fixture = &fixture{t: t, clk: clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC)), tokens: map[string]string{}}
-	of.ctrl = overload.New(overload.Config{
-		Clock:  of.clk,
-		Limits: limits,
-		QueueDepth: func() int {
-			of.mu.Lock()
-			defer of.mu.Unlock()
-			return of.depth
-		},
-		QueueDepthLimit: 100,
+	of.ctrl = overload.New(overload.Config{Clock: of.clk, Limits: limits, QueueDepthLimit: 100})
+	of.ctrl.SetQueueDepth(func() int {
+		of.mu.Lock()
+		defer of.mu.Unlock()
+		return of.depth
 	})
 	lim := sandbox.DefaultLimits()
 	lim.SubmitInterval = time.Millisecond // keep the §III-C limiter out of the way
@@ -70,8 +66,8 @@ func newOverloadFixture(t *testing.T, limits map[overload.Class]overload.ClassLi
 
 // assertShedEnvelope checks the full shed contract on a response: 429,
 // a Retry-After header of at least one second, and the unified
-// {"error":{"code","message"}} envelope with the expected machine code.
-func assertShedEnvelope(t *testing.T, code int, headers http.Header, body []byte, wantCode string) {
+// {"error":{"code","message"}} envelope with the overloaded code.
+func assertShedEnvelope(t *testing.T, code int, headers http.Header, body []byte) {
 	t.Helper()
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (body %s)", code, body)
@@ -85,8 +81,8 @@ func assertShedEnvelope(t *testing.T, code int, headers http.Header, body []byte
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("shed body is not the unified envelope: %v (%s)", err, body)
 	}
-	if env.Error.Code != wantCode {
-		t.Fatalf("error code = %q, want %q (message %q)", env.Error.Code, wantCode, env.Error.Message)
+	if env.Error.Code != ErrCodeOverloaded {
+		t.Fatalf("error code = %q, want %q (message %q)", env.Error.Code, ErrCodeOverloaded, env.Error.Message)
 	}
 	if env.Error.Message == "" {
 		t.Fatal("shed envelope has an empty message")
@@ -94,7 +90,7 @@ func assertShedEnvelope(t *testing.T, code int, headers http.Header, body []byte
 }
 
 // reqFull is f.req plus response headers, which the shed contract needs.
-func (f *overloadFixture) reqFull(method, path, token string, body interface{}) (int, http.Header, []byte) {
+func (f *fixture) reqFull(method, path, token string, body interface{}) (int, http.Header, []byte) {
 	f.t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -134,18 +130,16 @@ func (f *overloadFixture) openSession(token string) string {
 }
 
 // TestShedPathsReturnUnifiedEnvelope drives every distinct shed path —
-// backpressure, saturation, per-tenant rate limit — through real HTTP and
-// asserts the full contract on each.
+// backpressure and saturation, for reads and drafts — through real HTTP
+// and asserts the full contract on each; every shed is overloaded.
 func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 	cases := []struct {
-		name     string
-		limits   map[overload.Class]overload.ClassLimit
-		wantCode string
-		run      func(t *testing.T, f *overloadFixture) (int, http.Header, []byte)
+		name   string
+		limits map[overload.Class]overload.ClassLimit
+		run    func(t *testing.T, f *overloadFixture) (int, http.Header, []byte)
 	}{
 		{
-			name:     "read backpressure shed",
-			wantCode: ErrCodeOverloaded,
+			name: "read backpressure shed",
 			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
 				f.setDepth(60) // pressure 0.6 >= read's 0.5
 				tok := f.register("bp@test.edu", "student")
@@ -153,8 +147,7 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 			},
 		},
 		{
-			name:     "draft backpressure shed",
-			wantCode: ErrCodeOverloaded,
+			name: "draft backpressure shed",
 			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
 				tok := f.register("draft@test.edu", "student")
 				sess := f.openSession(tok)
@@ -165,10 +158,9 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 		},
 		{
 			// The class gate is the only pressure check a draft meets:
-			// a burst's worth of shed pushes must leave the user's and the
-			// session's token buckets full (the clock never moves here).
-			name:     "shed draft charges no draft budget",
-			wantCode: ErrCodeOverloaded,
+			// a burst's worth of shed pushes must leave the user's draft
+			// budget full (the clock never moves here).
+			name: "shed draft charges no draft budget",
 			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
 				tok := f.register("budget@test.edu", "student")
 				sess := f.openSession(tok)
@@ -179,7 +171,7 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 				f.setDepth(75) // pressure 0.75: at the draft threshold
 				for i := 0; i < devsession.DefaultDraftBurst; i++ {
 					code, headers, body := push()
-					assertShedEnvelope(t, code, headers, body, ErrCodeOverloaded)
+					assertShedEnvelope(t, code, headers, body)
 				}
 				f.setDepth(0)
 				for i := 0; i < devsession.DefaultDraftBurst; i++ {
@@ -200,7 +192,6 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 			limits: map[overload.Class]overload.ClassLimit{
 				overload.ClassRead: {MaxConcurrent: 1},
 			},
-			wantCode: ErrCodeOverloaded,
 			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
 				// Hold the read gate's only slot by admitting directly, then
 				// hit a read route: it must shed synchronously, never queue.
@@ -213,27 +204,12 @@ func TestShedPathsReturnUnifiedEnvelope(t *testing.T) {
 				return f.reqFull("GET", "/api/v1/labs/vector-add/attempts", tok, nil)
 			},
 		},
-		{
-			name: "per-tenant rate limit keeps rate_limited code",
-			limits: map[overload.Class]overload.ClassLimit{
-				overload.ClassRead: {MaxConcurrent: 64, TenantBurst: 1, TenantInterval: time.Minute},
-			},
-			wantCode: ErrCodeRateLimited,
-			run: func(t *testing.T, f *overloadFixture) (int, http.Header, []byte) {
-				tok := f.register("tenant@test.edu", "student")
-				if code, _, body := f.reqFull("GET", "/api/v1/labs/vector-add/history", tok, nil); code != http.StatusOK {
-					t.Fatalf("first read within burst: %d %s", code, body)
-				}
-				// Same clock instant: the bucket cannot have refilled.
-				return f.reqFull("GET", "/api/v1/labs/vector-add/history", tok, nil)
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newOverloadFixture(t, tc.limits)
 			code, headers, body := tc.run(t, f)
-			assertShedEnvelope(t, code, headers, body, tc.wantCode)
+			assertShedEnvelope(t, code, headers, body)
 		})
 	}
 }
@@ -388,7 +364,7 @@ func TestSubmissionsQueueWhileReadsShed(t *testing.T) {
 	var of overloadFixture
 	of.fixture = f
 	code, headers, body := of.reqFull("GET", "/api/v1/labs/vector-add/history", alice, nil)
-	assertShedEnvelope(t, code, headers, body, ErrCodeOverloaded)
+	assertShedEnvelope(t, code, headers, body)
 
 	// Unblock the worker: both submissions complete successfully.
 	close(release)

@@ -101,8 +101,8 @@ type Config struct {
 
 	// Overload is the admission controller every classed route passes
 	// through: priority-class load shedding (submissions > drafts >
-	// reads), per-tenant rate limits, and burn-rate SLOs. Nil builds one
-	// with the default (generous) limits on the shared Metrics/Clock.
+	// reads) and burn-rate SLOs. Nil builds one with the default
+	// (generous) limits on the shared Metrics/Clock.
 	Overload *overload.Controller
 }
 
@@ -746,33 +746,20 @@ func (s *Server) auth(h authedHandler) http.HandlerFunc {
 }
 
 // classed passes an authenticated handler through the admission
-// controller: the request is charged against the caller's and the
-// course's token buckets and holds a priority-class concurrency slot for
-// its duration. A shed renders the unified envelope as 429 with a
-// Retry-After hint; per-tenant bucket sheds keep the rate_limited code
-// (the client's own fault), every other shed is overloaded (the
-// system's state).
+// controller: the request holds a priority-class concurrency slot for
+// its duration. A shed renders the unified envelope as a 429 overloaded
+// (the system's state, not the client's fault) with a Retry-After hint.
 func (s *Server) classed(cl overload.Class, h authedHandler) authedHandler {
 	return func(w http.ResponseWriter, r *http.Request, u *User) {
-		ticket, err := s.overload.Admit(r.Context(), cl, "user:"+u.ID, "course:"+string(s.course))
+		ticket, err := s.overload.Admit(r.Context(), cl)
 		if err != nil {
-			s.writeShed(w, err)
+			w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(err)))
+			writeErr(w, http.StatusTooManyRequests, ErrCodeOverloaded, "%v", err)
 			return
 		}
 		defer ticket.Release()
 		h(w, r, u)
 	}
-}
-
-// writeShed renders one shed decision: 429, Retry-After, unified envelope.
-func (s *Server) writeShed(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(overload.RetryAfterSeconds(err)))
-	code := ErrCodeOverloaded
-	var se *overload.ShedError
-	if errors.As(err, &se) && se.Reason == overload.ReasonRateLimited {
-		code = ErrCodeRateLimited
-	}
-	writeErr(w, http.StatusTooManyRequests, code, "%v", err)
 }
 
 // instructor additionally requires the instructor role.

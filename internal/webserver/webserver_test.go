@@ -148,10 +148,14 @@ func TestSubmitRateLimited(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first submit = %d", code)
 	}
-	// Immediate resubmit hits the §III-C rate limit.
-	code, body := f.req("POST", "/api/v1/labs/vector-add/submit", tok, nil)
-	if code != http.StatusTooManyRequests {
+	// Immediate resubmit hits the §III-C rate limit, and says when the
+	// interval ends.
+	code, headers, body := f.reqFull("POST", "/api/v1/labs/vector-add/submit", tok, nil)
+	if code != http.StatusTooManyRequests || !bytes.Contains(body, []byte("retry in 10s")) {
 		t.Fatalf("resubmit = %d %s", code, body)
+	}
+	if ra := headers.Get("Retry-After"); ra != "10" {
+		t.Fatalf("resubmit Retry-After = %q, want 10", ra)
 	}
 	// After the interval passes it works again.
 	f.clk.Advance(time.Minute)

@@ -54,7 +54,6 @@ type NodeConfig struct {
 	Images   []Image
 	PerImage int // warm containers per image
 	Tags     []string
-	ScanMode sandbox.ScanMode
 	Limits   sandbox.Limits
 
 	// MaxConcurrent bounds jobs in flight; 0 sizes it to the warm-pool
@@ -84,7 +83,6 @@ func DefaultNodeConfig(id string) NodeConfig {
 		Images:   DefaultImages(),
 		PerImage: 2,
 		Tags:     []string{"cuda", "opencl"},
-		ScanMode: sandbox.ScanRaw,
 		Limits:   sandbox.DefaultLimits(),
 	}
 }
@@ -153,7 +151,7 @@ func NewNode(cfg NodeConfig) *Node {
 		GPUs:    gpus,
 		Tags:    tags,
 		pool:    NewPool(images, gpus, perImage),
-		scanner: sandbox.NewScanner(nil, cfg.ScanMode),
+		scanner: sandbox.NewScanner(nil, sandbox.ScanRaw),
 		limits:  limits,
 		metrics: reg,
 		progs:   progs,

@@ -14,7 +14,6 @@ import (
 	"webgpu/internal/labs"
 	"webgpu/internal/progcache"
 	"webgpu/internal/queue"
-	"webgpu/internal/sandbox"
 	"webgpu/internal/trace"
 )
 
@@ -117,17 +116,13 @@ func TestNodeRejectsBlacklistedSource(t *testing.T) {
 	}
 }
 
-func TestNodeScanModeConfigurable(t *testing.T) {
-	cfg := DefaultNodeConfig("w1")
-	cfg.ScanMode = sandbox.ScanPreprocessed
-	n := NewNode(cfg)
+// TestNodeScansRawSource: a node scans the source text as written, so
+// a blacklisted word in a comment is rejected too (§III-D).
+func TestNodeScansRawSource(t *testing.T) {
+	n := NewNode(DefaultNodeConfig("w1"))
 	job := refJob("j1", "vector-add", 0)
-	job.Source = "// asm in a comment is fine\n" + labs.ByID("vector-add").Reference
-	if res := n.Execute(context.Background(), job); res.Rejected {
-		t.Fatalf("preprocessed scanner flagged a comment: %s", res.Error)
-	}
-	raw := NewNode(DefaultNodeConfig("w2"))
-	if res := raw.Execute(context.Background(), job); !res.Rejected {
+	job.Source = "// asm in a comment\n" + labs.ByID("vector-add").Reference
+	if res := n.Execute(context.Background(), job); !res.Rejected {
 		t.Fatal("raw scanner missed the commented asm (paper behaviour)")
 	}
 }
