@@ -1,10 +1,10 @@
 // Command webgpu-server runs a complete WebGPU deployment: the web tier,
-// database, and an in-process worker fleet, in either the v1 (push) or v2
-// (broker) architecture. Students point a browser or API client at it.
+// database, and an in-process worker fleet polling a message broker.
+// Students point a browser or API client at it.
 //
 // Usage:
 //
-//	webgpu-server -addr :8080 -arch v2 -workers 4 -course HPP
+//	webgpu-server -addr :8080 -workers 4 -course HPP
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 
 var (
 	addr     = flag.String("addr", ":8080", "listen address")
-	arch     = flag.String("arch", "v2", "architecture: v1 (push) or v2 (broker)")
 	workers  = flag.Int("workers", 2, "initial worker count")
 	gpus     = flag.Int("gpus", 2, "simulated GPUs per worker")
 	course   = flag.String("course", "HPP", "course: HPP, 408, 598, or PUMPS")
@@ -34,12 +33,7 @@ var (
 func main() {
 	flag.Parse()
 
-	a := platform.V2
-	if *arch == "v1" {
-		a = platform.V1
-	}
 	p := platform.New(platform.Options{
-		Arch:          a,
 		Workers:       *workers,
 		GPUsPerWorker: *gpus,
 		Course:        labs.Course(*course),
@@ -66,8 +60,8 @@ func main() {
 		_, _ = w.Write([]byte(p.Status().Render()))
 	})
 
-	log.Printf("WebGPU %s: course %s, %d workers x %d GPUs, listening on %s",
-		p.Arch, *course, p.Workers(), *gpus, *addr)
+	log.Printf("WebGPU: course %s, %d workers x %d GPUs, listening on %s",
+		*course, p.Workers(), *gpus, *addr)
 	log.Printf("labs: %d available; POST /api/v1/register to begin; GET /admin/status for the dashboard",
 		len(labs.ForCourse(labs.Course(*course))))
 	if err := http.ListenAndServe(*addr, mux); err != nil {

@@ -17,12 +17,12 @@ import (
 )
 
 func main() {
-	// A v2 deployment: broker, polling workers, DB.
-	p := platform.New(platform.Options{Arch: platform.V2, Workers: 2})
+	// A deployment: broker, polling workers, DB.
+	p := platform.New(platform.Options{Workers: 2})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
-	fmt.Printf("WebGPU platform up: %s, %d workers\n\n", p.Arch, p.Workers())
+	fmt.Printf("WebGPU platform up: %d workers\n\n", p.Workers())
 
 	// Register and keep the session token.
 	var reg struct {

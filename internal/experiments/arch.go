@@ -11,6 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"webgpu/internal/clock"
+	"webgpu/internal/db"
 	"webgpu/internal/labs"
 	"webgpu/internal/platform"
 	"webgpu/internal/queue"
@@ -74,10 +76,10 @@ func (c *apiClient) register(email, role string) error {
 }
 
 // pipelineRun drives nStudents × attemptsEach concurrent attempts of a
-// lab's reference solution through a platform over HTTP and counts the
+// lab's reference solution through a web tier over HTTP and counts the
 // correct results relayed back.
-func pipelineRun(p *platform.Platform, labID string, nStudents, attemptsEach int) (int, error) {
-	ts := httptest.NewServer(p.Handler())
+func pipelineRun(h http.Handler, labID string, nStudents, attemptsEach int) (int, error) {
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 	src := labs.ByID(labID).Reference
 
@@ -123,23 +125,32 @@ func pipelineRun(p *platform.Platform, labID string, nStudents, attemptsEach int
 
 // Figure2 exercises the v1 architecture: web server ¬, database ­, and a
 // push-dispatched worker pool ®, through the end-to-end submission flow.
+// The pool's clock stands still, so no worker misses a health check.
 func Figure2() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 2: v1 architecture (web server -> DB -> pushed workers) ==\n\n")
-	p := platform.New(platform.Options{Arch: platform.V1, Workers: 4})
-	defer p.Close()
+	pool := newPushRegistry(30 * time.Second)
+	pool.SetClock(clock.NewManual(time.Unix(0, 0)))
+	for i := 1; i <= 4; i++ {
+		cfg := worker.DefaultNodeConfig(fmt.Sprintf("worker-%03d", i))
+		cfg.GPUs = 2
+		pool.Register(worker.NewNode(cfg))
+	}
+	store := db.New()
+	defer store.Close()
+	srv := webserver.New(webserver.Config{DB: store, Dispatcher: webserver.DispatcherFunc(pool.Dispatch)})
 
 	const students, attempts = 8, 2
-	correct, err := pipelineRun(p, "vector-add", students, attempts)
+	correct, err := pipelineRun(srv.Handler(), "vector-add", students, attempts)
 	if err != nil {
 		return sb.String() + "ERROR: " + err.Error() + "\n"
 	}
 	jobs := students * attempts
-	fmt.Fprintf(&sb, "workers (push-dispatched):  %d\n", p.Workers())
+	fmt.Fprintf(&sb, "workers (push-dispatched):  %d\n", pool.Size())
 	fmt.Fprintf(&sb, "students x attempts:        %d x %d = %d jobs\n", students, attempts, jobs)
 	fmt.Fprintf(&sb, "correct results relayed:    %d/%d\n", correct, jobs)
 	fmt.Fprintf(&sb, "health-checked worker pool: %v alive, %d evictions\n",
-		p.Registry.Alive(), p.Registry.Evictions())
+		pool.Alive(), pool.Evictions())
 	sb.WriteString("\nflow per the paper: user code -> web server -> worker (compile+run in\n" +
 		"sandbox) -> results -> web server -> user; all code/attempt records in the DB.\n")
 	return sb.String()
@@ -305,12 +316,12 @@ func Figure5() string {
 func Figure6() string {
 	var sb strings.Builder
 	sb.WriteString("== Figure 6: v2 architecture (broker + polling workers) ==\n\n")
-	p := platform.New(platform.Options{Arch: platform.V2, Workers: 4, GPUsPerWorker: 2,
+	p := platform.New(platform.Options{Workers: 4, GPUsPerWorker: 2,
 		Course: labs.CourseECE598})
 	defer p.Close()
 
 	const students, attempts = 8, 2
-	correct, err := pipelineRun(p, "scatter-to-gather", students, attempts)
+	correct, err := pipelineRun(p.Handler(), "scatter-to-gather", students, attempts)
 	if err != nil {
 		return sb.String() + "ERROR: " + err.Error() + "\n"
 	}

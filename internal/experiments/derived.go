@@ -144,7 +144,7 @@ func Dispatch() string {
 
 	// v1: the registry evicts silent workers; jobs dispatched meanwhile
 	// fail fast with no automatic retry.
-	reg := worker.NewRegistry(30 * time.Second)
+	reg := newPushRegistry(30 * time.Second)
 	clk := clock.NewManual(time.Unix(0, 0))
 	reg.SetClock(clk)
 	reg.Register(worker.NewNode(worker.DefaultNodeConfig("w1")))
@@ -155,7 +155,7 @@ func Dispatch() string {
 		_, err := reg.Dispatch(context.Background(), job)
 		errc <- err
 	}()
-	for i := 0; i < worker.DefaultDispatchRetries; i++ {
+	for i := 0; i < pushRetries; i++ {
 		clk.BlockUntil(1)        // a retry's backoff, on the registry's clock
 		clk.Advance(time.Second) // past the longest backoff
 	}

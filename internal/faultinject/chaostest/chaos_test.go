@@ -55,22 +55,6 @@ func TestChaosSoakV2(t *testing.T) {
 	}
 }
 
-func TestChaosSoakV1(t *testing.T) {
-	for _, seed := range soakSeeds(t) {
-		seed := seed
-		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
-			rep, err := RunV1(soakScenario(t, seed))
-			if err != nil {
-				t.Fatalf("%v\nreplay with CHAOS_SEED=%d", err, seed)
-			}
-			t.Logf("v1 soak: %s", rep)
-			if rep.Graded != rep.Jobs {
-				t.Fatalf("graded %d of %d jobs; replay with CHAOS_SEED=%d", rep.Graded, rep.Jobs, seed)
-			}
-		})
-	}
-}
-
 // TestChaosSoakV2DeadLetterRedrive turns the fault rate up and the
 // attempt budget down so jobs actually poison into the DLQ, then checks
 // the phase-2 redrive still lands every one of them exactly once.

@@ -1,8 +1,8 @@
 // Package chaostest is the seeded chaos soak harness for the job
-// pipeline: it pushes a batch of real compile/run jobs through either
-// architecture while injecting faults — failed publishes, failed acks,
-// worker crashes around the ack, transient compile/exec failures, worker
-// churn — and then checks the at-least-once invariants:
+// pipeline: it pushes a batch of real compile/run jobs through the
+// broker and a driver fleet while injecting faults — failed publishes,
+// failed acks, worker crashes around the ack, transient compile/exec
+// failures, worker churn — and then checks the at-least-once invariants:
 //
 //   - every job reaches exactly one terminal outcome (graded once, or
 //     parked in the dead-letter queue until an operator redrive);
@@ -16,7 +16,6 @@
 package chaostest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -34,11 +33,11 @@ type Scenario struct {
 	Jobs         int           // jobs to push through the pipeline
 	Workers      int           // worker nodes / drivers
 	FaultRate    float64       // base per-evaluation fault probability
-	Visibility   time.Duration // v2 job lease (short = fast redelivery)
-	PollInterval time.Duration // v2 driver poll cadence
+	Visibility   time.Duration // job lease (short = fast redelivery)
+	PollInterval time.Duration // driver poll cadence
 	Timeout      time.Duration // overall deadline for the soak
 	KillWorkers  bool          // churn the pool while jobs are in flight
-	MaxAttempts  int           // v2 dead-letter threshold (0 = broker default)
+	MaxAttempts  int           // dead-letter threshold (0 = broker default)
 }
 
 // withDefaults fills unset fields with soak-friendly values.
@@ -73,13 +72,12 @@ type Report struct {
 	Duplicates   int64 // redelivered results dropped by dedup
 	DeadLettered int64 // cumulative dead-letter entries during chaos
 	Redriven     int   // dead letters requeued once faults stopped
-	Retries      int64 // v1 dispatch retries
 	Faults       string
 }
 
 func (r Report) String() string {
-	return fmt.Sprintf("seed=%d jobs=%d graded=%d dups=%d dead=%d redriven=%d retries=%d",
-		r.Seed, r.Jobs, r.Graded, r.Duplicates, r.DeadLettered, r.Redriven, r.Retries)
+	return fmt.Sprintf("seed=%d jobs=%d graded=%d dups=%d dead=%d redriven=%d",
+		r.Seed, r.Jobs, r.Graded, r.Duplicates, r.DeadLettered, r.Redriven)
 }
 
 // chaosLab is the lab every soak job runs; its reference solution
@@ -314,137 +312,6 @@ func RunV2(s Scenario) (Report, error) {
 	}
 	if u := broker.Unaccounted(); u != 0 {
 		return rep, fail(s, reg, "chaos v2: broker counters unbalanced by %d (positive = lost, negative = double-counted)", u)
-	}
-	rep.Faults = reg.String()
-	return rep, nil
-}
-
-// RunV1 soaks the push architecture. v1 has no broker, so the retry
-// logic under test is Dispatch's own backoff; jobs whose dispatch
-// exhausts its budget are the v1 analog of dead letters and are
-// re-dispatched in phase 2 once the chaos stops.
-func RunV1(s Scenario) (Report, error) {
-	s = s.withDefaults()
-	reg := faultinject.New(s.Seed)
-	rep := Report{Seed: s.Seed, Jobs: s.Jobs}
-
-	registry := worker.NewRegistry(time.Hour) // no eviction: churn is explicit
-	registry.SetFaults(reg)
-	registry.SetRetry(12, time.Millisecond)
-	mkNode := func(i int) *worker.Node {
-		cfg := worker.DefaultNodeConfig(fmt.Sprintf("chaos-w%02d", i))
-		cfg.Faults = reg
-		return worker.NewNode(cfg)
-	}
-	for i := 0; i < s.Workers; i++ {
-		registry.Register(mkNode(i))
-	}
-
-	reg.Enable(faultinject.PointV1Push, faultinject.Fault{Prob: s.FaultRate})
-	reg.Enable(faultinject.PointNodeCompile, faultinject.Fault{Prob: s.FaultRate * 0.3})
-	reg.Enable(faultinject.PointNodeExec, faultinject.Fault{Prob: s.FaultRate * 0.5})
-
-	// Optional churn: deregister one worker, register a fresh one, so
-	// dispatches race against a shrinking pool.
-	churnStop := make(chan struct{})
-	churnDone := make(chan struct{})
-	if s.KillWorkers {
-		churn := rand.New(rand.NewSource(s.Seed ^ 0x5DEECE66D))
-		go func() {
-			defer close(churnDone)
-			next := s.Workers
-			for {
-				pause := time.Duration(20+churn.Intn(60)) * time.Millisecond
-				select {
-				case <-churnStop:
-					return
-				case <-time.After(pause):
-				}
-				victim := fmt.Sprintf("chaos-w%02d", churn.Intn(next))
-				registry.Deregister(victim)
-				registry.Register(mkNode(next))
-				next++
-			}
-		}()
-	} else {
-		close(churnDone)
-	}
-	defer func() {
-		select {
-		case <-churnStop:
-		default:
-			close(churnStop)
-		}
-		<-churnDone
-	}()
-
-	// Phase 1: dispatch everything concurrently under fire.
-	var (
-		mu     sync.Mutex
-		graded = map[string]int{}
-		failed []*worker.Job
-	)
-	ctx, cancel := context.WithTimeout(context.Background(), s.Timeout)
-	defer cancel()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	conc := s.Workers * 2
-	if conc > 8 {
-		conc = 8
-	}
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				job := chaosJob(i)
-				res, err := registry.Dispatch(ctx, job)
-				mu.Lock()
-				switch {
-				case err != nil:
-					failed = append(failed, job) // v1's dead letter
-				case res == nil:
-					failed = append(failed, job)
-				default:
-					graded[job.ID]++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < s.Jobs; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if ctx.Err() != nil {
-		return rep, fail(s, reg, "chaos v1: soak hit the %s timeout", s.Timeout)
-	}
-	rep.DeadLettered = int64(len(failed))
-
-	// Phase 2: chaos off, re-dispatch the give-ups (the operator redrive).
-	reg.DisableAll()
-	for _, job := range failed {
-		res, err := registry.Dispatch(context.Background(), job)
-		if err != nil || res == nil {
-			return rep, fail(s, reg, "chaos v1: job %s failed even without faults: %v", job.ID, err)
-		}
-		mu.Lock()
-		graded[job.ID]++
-		mu.Unlock()
-	}
-	rep.Redriven = len(failed)
-
-	// Invariants: every job graded exactly once.
-	rep.Graded = len(graded)
-	rep.Retries = registry.Retries()
-	for id, n := range graded {
-		if n != 1 {
-			return rep, fail(s, reg, "chaos v1: job %s graded %d times", id, n)
-		}
-	}
-	if rep.Graded != s.Jobs {
-		return rep, fail(s, reg, "chaos v1: graded %d of %d jobs", rep.Graded, s.Jobs)
 	}
 	rep.Faults = reg.String()
 	return rep, nil

@@ -40,7 +40,6 @@ const (
 	PointDriverPublishResult     = "driver.publish_result"
 	PointNodeCompile             = "node.compile"
 	PointNodeExec                = "node.exec"
-	PointV1Push                  = "v1.push"
 	PointWALAppend               = "wal.append"
 	PointCAStoreRead             = "castore.read"
 	PointCAStoreWrite            = "castore.write"
@@ -60,7 +59,6 @@ var Catalog = []PointInfo{
 	{PointDriverPublishResult, "v2 driver", "a failed result publish: the driver nacks and the job retries"},
 	{PointNodeCompile, "worker node", "a transient compile-infrastructure failure (`Result.Transient`)"},
 	{PointNodeExec, "worker node", "a transient execution-infrastructure failure (`Result.Transient`)"},
-	{PointV1Push, "v1 registry", "a lost push to the selected worker; dispatch backs off and retries"},
 	{PointWALAppend, "db", "a failed write-ahead-log append (full disk); the commit returns the error"},
 	{PointCAStoreRead, "castore", "a store read failing mid-flight; the caller treats it as a miss"},
 	{PointCAStoreWrite, "castore", "a store write failing before the atomic rename; nothing is persisted"},

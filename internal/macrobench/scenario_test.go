@@ -169,7 +169,6 @@ func newPlatform(s Scenario, reg *faultinject.Registry) *platform.Platform {
 		Faults:        reg,
 		Limits:        lim,
 		CacheDir:      s.CacheDir,
-		DispatchWait:  5 * time.Second,        // chaos: bound a lost dispatch, client retries
 		Visibility:    250 * time.Millisecond, // fast redelivery of crash-abandoned leases
 		Overload: &overload.Config{
 			// Backlog at one full pool's worth of jobs = saturated: while

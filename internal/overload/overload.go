@@ -140,11 +140,6 @@ type ClassLimit struct {
 	// pressure shedding (submissions), so only explicit configuration
 	// makes a class pressure-sheddable.
 	ShedAt float64
-
-	// RetryAfter is the hint returned on saturation/queue sheds; zero
-	// selects a per-class default (longer for lower classes, so retries
-	// re-arrive in priority order).
-	RetryAfter time.Duration
 }
 
 // SLOConfig is one class's availability objective and burn windows;
@@ -182,15 +177,20 @@ func defaultLimit(c Class) ClassLimit {
 	switch c {
 	case ClassSubmission:
 		return ClassLimit{MaxConcurrent: 256, MaxQueue: 2048,
-			QueueTimeout: DefaultQueueTimeout, RetryAfter: time.Second}
+			QueueTimeout: DefaultQueueTimeout}
 	case ClassDraft:
 		return ClassLimit{MaxConcurrent: 128, MaxQueue: 0,
-			ShedAt: DefaultDraftShedAt, RetryAfter: 2 * time.Second}
+			ShedAt: DefaultDraftShedAt}
 	default: // ClassRead
 		return ClassLimit{MaxConcurrent: 256, MaxQueue: 0,
-			ShedAt: DefaultReadShedAt, RetryAfter: 5 * time.Second}
+			ShedAt: DefaultReadShedAt}
 	}
 }
+
+// retryHints is each class's Retry-After on saturation and queue sheds,
+// longer for lower classes so retries re-arrive in priority order.
+var retryHints = [numClasses]time.Duration{
+	ClassSubmission: time.Second, ClassDraft: 2 * time.Second, ClassRead: 5 * time.Second}
 
 func defaultSLO(c Class) SLOConfig {
 	switch c {
@@ -266,9 +266,6 @@ func New(cfg Config) *Controller {
 		}
 		if lim.MaxQueue > 0 && lim.QueueTimeout <= 0 {
 			lim.QueueTimeout = DefaultQueueTimeout
-		}
-		if lim.RetryAfter <= 0 {
-			lim.RetryAfter = defaultLimit(cl).RetryAfter
 		}
 		c.gates[cl] = &gate{limit: lim}
 		c.slos[cl] = newBurnTracker(defaultSLO(cl))
@@ -362,7 +359,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class, _ ...string) (*Ticket,
 	// the layer — a sheddable class under pressure must not even queue.
 	if g.limit.ShedAt > 0 {
 		if p := c.Pressure(); p >= g.limit.ShedAt {
-			return nil, c.shed(cl, ReasonBackpressure, c.backpressureRetry(g.limit, p))
+			return nil, c.shed(cl, ReasonBackpressure, c.backpressureRetry(retryHints[cl], p))
 		}
 	}
 
@@ -376,11 +373,11 @@ func (c *Controller) Admit(ctx context.Context, cl Class, _ ...string) (*Ticket,
 	}
 	if g.limit.MaxQueue <= 0 {
 		g.mu.Unlock()
-		return nil, c.shed(cl, ReasonSaturated, g.limit.RetryAfter)
+		return nil, c.shed(cl, ReasonSaturated, retryHints[cl])
 	}
 	if len(g.waiters) >= g.limit.MaxQueue {
 		g.mu.Unlock()
-		return nil, c.shed(cl, ReasonQueueFull, g.limit.RetryAfter)
+		return nil, c.shed(cl, ReasonQueueFull, retryHints[cl])
 	}
 	w := &waiter{ch: make(chan struct{})}
 	g.waiters = append(g.waiters, w)
@@ -396,15 +393,15 @@ func (c *Controller) Admit(ctx context.Context, cl Class, _ ...string) (*Ticket,
 	case <-w.ch:
 	case <-ctx.Done():
 		if g.abandon(w) {
-			return nil, c.shed(cl, ReasonCancelled, g.limit.RetryAfter)
+			return nil, c.shed(cl, ReasonCancelled, retryHints[cl])
 		}
 		// Grant raced the cancellation: the slot is ours, hand it back.
 		c.admitted(cl, g, c.clock.Now().Sub(start))
 		c.release(cl, g)
-		return nil, c.shed(cl, ReasonCancelled, g.limit.RetryAfter)
+		return nil, c.shed(cl, ReasonCancelled, retryHints[cl])
 	case <-timer.C:
 		if g.abandon(w) {
-			return nil, c.shed(cl, ReasonQueueTimeout, g.limit.RetryAfter)
+			return nil, c.shed(cl, ReasonQueueTimeout, retryHints[cl])
 		}
 		// A grant raced the timeout: the slot is ours.
 	}
@@ -413,9 +410,9 @@ func (c *Controller) Admit(ctx context.Context, cl Class, _ ...string) (*Ticket,
 }
 
 // backpressureRetry scales the retry hint with pressure, clamped to
-// [RetryAfter, 30s]: the deeper the overload, the longer clients back off.
-func (c *Controller) backpressureRetry(lim ClassLimit, pressure float64) time.Duration {
-	d := time.Duration(float64(lim.RetryAfter) * math.Max(1, pressure))
+// [base, 30s]: the deeper the overload, the longer clients back off.
+func (c *Controller) backpressureRetry(base time.Duration, pressure float64) time.Duration {
+	d := time.Duration(float64(base) * math.Max(1, pressure))
 	if d > 30*time.Second {
 		d = 30 * time.Second
 	}

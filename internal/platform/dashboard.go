@@ -13,12 +13,10 @@ import (
 // information dashboard is available to the system administrators to
 // track the system status").
 type Status struct {
-	Architecture  string
 	Workers       int
 	DBSeq         uint64
-	BrokerBacklog int    // v2: jobs waiting
-	BrokerStats   string // v2
-	Evictions     int64  // v1: workers dropped for missed health checks
+	BrokerBacklog int // jobs waiting
+	BrokerStats   string
 	GradebookRows int64
 	ProgCache     progcache.Stats // compiled-program cache effectiveness
 
@@ -36,24 +34,18 @@ type Status struct {
 // Status captures the current system state.
 func (p *Platform) Status() Status {
 	s := Status{
-		Architecture:  p.Arch.String(),
 		Workers:       p.Workers(),
 		DBSeq:         p.DB.Seq(),
 		GradebookRows: p.Gradebook.Writes(),
 		ProgCache:     p.progs.Stats(),
 		Pressure:      p.overload.Pressure(),
 		SLO:           p.overload.SLOStatuses(),
+		BrokerBacklog: p.Broker.Backlog("jobs"),
+		BrokerStats:   fmt.Sprintf("%+v", p.Broker.Stats()),
 	}
 	if p.store != nil {
 		s.Artifacts = p.store.Stats()
 		s.HasArtifacts = true
-	}
-	switch p.Arch {
-	case V1:
-		s.Evictions = p.Registry.Evictions()
-	default:
-		s.BrokerBacklog = p.Broker.Backlog("jobs")
-		s.BrokerStats = fmt.Sprintf("%+v", p.Broker.Stats())
 	}
 	return s
 }
@@ -61,7 +53,6 @@ func (p *Platform) Status() Status {
 // Render formats the snapshot as the dashboard text view.
 func (s Status) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "architecture:   %s\n", s.Architecture)
 	fmt.Fprintf(&sb, "workers:        %d\n", s.Workers)
 	fmt.Fprintf(&sb, "db commits:     %d\n", s.DBSeq)
 	fmt.Fprintf(&sb, "gradebook rows: %d\n", s.GradebookRows)
@@ -83,11 +74,7 @@ func (s Status) Render() string {
 		fmt.Fprintf(&sb, "slo %-11s %.0f admitted, %.0f shed, %d inflight, burn %.2f fast / %.2f slow (target %.3f)\n",
 			slo.Name+":", slo.Admitted, slo.Shed, slo.Inflight, slo.FastBurn, slo.SlowBurn, slo.Target)
 	}
-	if s.BrokerStats != "" {
-		fmt.Fprintf(&sb, "broker backlog: %d\n", s.BrokerBacklog)
-		fmt.Fprintf(&sb, "broker stats:   %s\n", s.BrokerStats)
-	} else {
-		fmt.Fprintf(&sb, "evictions:      %d\n", s.Evictions)
-	}
+	fmt.Fprintf(&sb, "broker backlog: %d\n", s.BrokerBacklog)
+	fmt.Fprintf(&sb, "broker stats:   %s\n", s.BrokerStats)
 	return sb.String()
 }

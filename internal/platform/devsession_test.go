@@ -15,7 +15,7 @@ import (
 // for. The draft's entry keeps no program, so the submission rebuilds it
 // exactly once (a compile, as this platform has no artifact store).
 func TestDevSessionSharesWorkerProgCache(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1})
+	p := New(Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()

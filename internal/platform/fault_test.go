@@ -22,7 +22,6 @@ import (
 func TestV2PlatformDedupsDuplicateResults(t *testing.T) {
 	reg := faultinject.New(1)
 	p := New(Options{
-		Arch:       V2,
 		Workers:    1,
 		Faults:     reg,
 		Visibility: 60 * time.Millisecond, // fast redelivery of the abandoned lease
@@ -62,10 +61,9 @@ func TestV2PlatformDedupsDuplicateResults(t *testing.T) {
 }
 
 // TestAdminDeadLetterEndpoints: a poison message lands in the DLQ, the
-// instructor inspects it over HTTP and redrives it; v1 deployments
-// (no broker) answer 501.
+// instructor inspects it over HTTP and redrives it.
 func TestAdminDeadLetterEndpoints(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 1})
+	p := New(Options{Workers: 1})
 	defer p.Close()
 	p.Broker.SetMaxAttempts(2)
 	ts := httptest.NewServer(p.Handler())
@@ -122,7 +120,7 @@ func TestAdminDeadLetterEndpoints(t *testing.T) {
 // through dispatchV2 and dead-lettered is listed with its trace ID and
 // with exactly its lab's requirements as tags.
 func TestAdminDeadLetterShowsTraceAndRequirements(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 1, GPUsPerWorker: 1}) // never multi-gpu
+	p := New(Options{Workers: 1, GPUsPerWorker: 1}) // never multi-gpu
 	defer p.Close()
 	p.Broker.SetMaxAttempts(1)
 	ts := httptest.NewServer(p.Handler())
@@ -174,22 +172,6 @@ func TestAdminDeadLetterShowsTraceAndRequirements(t *testing.T) {
 	}
 	if !slices.Equal(dl.Tags, lab.Requirements) {
 		t.Errorf("tags = %v, want the lab's requirements %v", dl.Tags, lab.Requirements)
-	}
-}
-
-func TestAdminDeadLettersNotImplementedOnV1(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1})
-	defer p.Close()
-	ts := httptest.NewServer(p.Handler())
-	defer ts.Close()
-
-	prof := newClient(t, ts.URL)
-	prof.register("Prof", "prof2@example.edu", "instructor")
-	if code, _ := prof.do("GET", "/api/v1/admin/deadletters", nil, nil); code != http.StatusNotImplemented {
-		t.Errorf("v1 deadletters = %d, want 501", code)
-	}
-	if code, _ := prof.do("POST", "/api/v1/admin/deadletters/redrive", nil, nil); code != http.StatusNotImplemented {
-		t.Errorf("v1 redrive = %d, want 501", code)
 	}
 }
 

@@ -1,15 +1,7 @@
-// Package platform composes the WebGPU system, in either of the paper's
-// two generations.
-//
-//   - V1 (§III, Figure 2): web server ¬ + database ­ + a registry of
-//     worker nodes ® that the web server pushes jobs to, with worker
-//     health checks and eviction.
-//   - V2 (§VI, Figures 6-7): front end + replicated message broker that
-//     autoscalable worker fleets poll, a database, and a remote worker
-//     configuration service.
-//
-// Both expose the same student/instructor HTTP interface; tests and the
-// benchmark harness run identical flows against either.
+// Package platform composes the WebGPU system as the paper's second
+// generation (§VI, Figures 6-7): a front end, a message broker that an
+// autoscalable worker fleet polls, a database, and a remote worker
+// configuration service.
 package platform
 
 import (
@@ -37,30 +29,25 @@ import (
 	"webgpu/internal/worker"
 )
 
-// Architecture selects the system generation.
+// Architecture, V2 and Options.Arch are read by nothing: the platform
+// has one architecture. They stay only because bench/workload.go:70 sets
+// Arch: platform.V2, and go with the benchmark's next change (ROADMAP
+// item 2(i-b)).
 type Architecture int
 
-// Architectures.
-const (
-	V1 Architecture = iota + 1
-	V2
-)
+// V2 names the one architecture.
+const V2 Architecture = 2
 
-func (a Architecture) String() string {
-	if a == V2 {
-		return "v2 (broker + polling workers)"
-	}
-	return "v1 (push dispatch)"
-}
+// dispatchWait bounds how long the web tier waits for a job's result.
+const dispatchWait = 2 * time.Minute
 
 // Options configures a platform instance.
 type Options struct {
-	Arch          Architecture
+	Arch          Architecture // unread; see Architecture
 	Workers       int
 	GPUsPerWorker int
 	Course        labs.Course
-	DispatchWait  time.Duration // v2: how long to wait for a result
-	Visibility    time.Duration // v2: job lease duration (0 = default)
+	Visibility    time.Duration // job lease duration (0 = default)
 
 	// Faults threads a fault-injection registry through the deployment:
 	// broker, workers, dispatch, and result routing. Nil disables
@@ -95,38 +82,27 @@ type Options struct {
 
 // Platform is a running WebGPU deployment.
 type Platform struct {
-	Arch      Architecture
-	DB        *db.DB
-	Server    *webserver.Server
-	Gradebook *grader.CourseraBook
-	Reviews   *peerreview.Store
-
-	// v1
-	Registry *worker.Registry
-
-	// v2
+	DB           *db.DB
+	Server       *webserver.Server
+	Gradebook    *grader.CourseraBook
+	Reviews      *peerreview.Store
 	Broker       *queue.Broker
 	ConfigServer *worker.ConfigServer
 	Fleet        *worker.Fleet
 	router       *resultRouter
 
-	opts          Options
-	progs         *progcache.Cache  // shared by every worker node of this deployment
-	store         *castore.Store    // durable artifact tier under progs; nil without CacheDir
-	metrics       *metrics.Registry // one registry across web tier + every node
-	traces        *trace.Store      // recent job traces, behind /api/v1/admin/traces
-	overload      *overload.Controller
-	mu            sync.Mutex
-	v1Count       int
-	closed        bool
-	stopHeartbeat func()
+	opts     Options
+	progs    *progcache.Cache  // shared by every worker node of this deployment
+	store    *castore.Store    // durable artifact tier under progs; nil without CacheDir
+	metrics  *metrics.Registry // one registry across web tier + every node
+	traces   *trace.Store      // recent job traces, behind /api/v1/admin/traces
+	overload *overload.Controller
+	mu       sync.Mutex
+	closed   bool
 }
 
 // New builds and starts a platform.
 func New(opts Options) *Platform {
-	if opts.Arch == 0 {
-		opts.Arch = V2
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
@@ -136,13 +112,9 @@ func New(opts Options) *Platform {
 	if opts.Course == "" {
 		opts.Course = labs.CourseHPP
 	}
-	if opts.DispatchWait <= 0 {
-		opts.DispatchWait = 2 * time.Minute
-	}
 
 	reg := metrics.NewRegistry()
 	p := &Platform{
-		Arch:      opts.Arch,
 		DB:        db.New(),
 		Gradebook: grader.NewCourseraBook(string(opts.Course)),
 		Reviews:   peerreview.NewStore(0), // reviews carry no grade weight
@@ -173,53 +145,34 @@ func New(opts Options) *Platform {
 		r.Set("workers", float64(p.Workers()))
 	})
 
-	var dispatcher webserver.Dispatcher
-	switch opts.Arch {
-	case V1:
-		p.Registry = worker.NewRegistry(worker.DefaultHealthTTL)
-		p.Registry.SetFaults(opts.Faults)
-		for i := 0; i < opts.Workers; i++ {
-			p.Registry.Register(p.newNode(i + 1))
-		}
-		p.v1Count = opts.Workers
-		// In-process workers still send the §III-C health checks so a
-		// long-lived deployment does not evict its own (healthy) pool.
-		p.stopHeartbeat = p.Registry.StartHeartbeats()
-		dispatcher = webserver.DispatcherFunc(p.Registry.Dispatch)
-	default:
-		p.Broker = queue.NewBroker()
-		p.Broker.SetFaults(opts.Faults)
-		wcfg := worker.DefaultConfig()
-		if opts.Visibility > 0 {
-			wcfg.Visibility = opts.Visibility
-		}
-		p.ConfigServer = worker.NewConfigServer(wcfg)
-		idx := 0
-		p.Fleet = worker.NewFleet(p.Broker, p.ConfigServer, func(id string) *worker.Node {
-			idx++
-			return p.newNode(idx)
-		})
-		// Faults must be attached before Scale starts drivers.
-		p.Fleet.SetFaults(opts.Faults)
-		p.Fleet.Scale(opts.Workers)
-		p.router = newResultRouter(p.Broker, p.metrics)
-		// Broker gauges refresh per scrape too.
-		p.metrics.AddCollector(func(r *metrics.Registry) {
-			bs := p.Broker.Stats()
-			r.Set("broker_published", float64(bs.Published))
-			r.Set("broker_acked", float64(bs.Acked))
-			r.Set("broker_inflight", float64(bs.Inflight))
-			r.Set("broker_dead_letters", float64(bs.DeadLetters))
-			r.Set("broker_backlog_jobs", float64(p.Broker.Backlog(worker.TopicJobs)))
-		})
-		dispatcher = webserver.DispatcherFunc(func(ctx context.Context, job *worker.Job) (*worker.Result, error) {
-			return p.dispatchV2(ctx, job)
-		})
+	p.Broker = queue.NewBroker()
+	p.Broker.SetFaults(opts.Faults)
+	wcfg := worker.DefaultConfig()
+	if opts.Visibility > 0 {
+		wcfg.Visibility = opts.Visibility
 	}
+	p.ConfigServer = worker.NewConfigServer(wcfg)
+	idx := 0
+	p.Fleet = worker.NewFleet(p.Broker, p.ConfigServer, func(id string) *worker.Node {
+		idx++
+		return p.newNode(idx)
+	})
+	// Faults must be attached before Scale starts drivers.
+	p.Fleet.SetFaults(opts.Faults)
+	p.Fleet.Scale(opts.Workers)
+	p.router = newResultRouter(p.Broker, p.metrics)
+	// Broker gauges refresh per scrape too.
+	p.metrics.AddCollector(func(r *metrics.Registry) {
+		bs := p.Broker.Stats()
+		r.Set("broker_published", float64(bs.Published))
+		r.Set("broker_acked", float64(bs.Acked))
+		r.Set("broker_inflight", float64(bs.Inflight))
+		r.Set("broker_dead_letters", float64(bs.DeadLetters))
+		r.Set("broker_backlog_jobs", float64(p.Broker.Backlog(worker.TopicJobs)))
+	})
 
 	// Admission control: the broker's job backlog is the deployment's
-	// primary backpressure signal (v1 push dispatch has no queue, so the
-	// signal stays zero there and pressure comes from the web tier alone).
+	// primary backpressure signal.
 	ocfg := overload.Config{Metrics: p.metrics}
 	if opts.Overload != nil {
 		ocfg = *opts.Overload
@@ -228,15 +181,13 @@ func New(opts Options) *Platform {
 		}
 	}
 	ctrl := overload.New(ocfg)
-	if p.Broker != nil {
-		ctrl.SetQueueDepth(func() int { return p.Broker.Backlog(worker.TopicJobs) })
-	}
+	ctrl.SetQueueDepth(func() int { return p.Broker.Backlog(worker.TopicJobs) })
 	p.metrics.AddCollector(ctrl.Collect)
 	p.overload = ctrl
 
 	scfg := webserver.Config{
 		DB:         p.DB,
-		Dispatcher: dispatcher,
+		Dispatcher: webserver.DispatcherFunc(p.dispatchV2),
 		Gradebook:  p.Gradebook,
 		Reviews:    p.Reviews,
 		Course:     opts.Course,
@@ -248,9 +199,7 @@ func New(opts Options) *Platform {
 		ProgCache: p.progs,
 		Artifacts: p.store,
 		Overload:  ctrl,
-	}
-	if p.Broker != nil {
-		scfg.Queue = p.Broker
+		Queue:     p.Broker,
 	}
 	p.Server = webserver.New(scfg)
 	return p
@@ -283,46 +232,21 @@ func (p *Platform) Overload() *overload.Controller { return p.overload }
 // Handler returns the HTTP handler of the web tier.
 func (p *Platform) Handler() http.Handler { return p.Server.Handler() }
 
-// ResultDuplicates reports how many duplicate results the v2 result
-// router dropped (0 on v1, which has no redelivery).
-func (p *Platform) ResultDuplicates() int64 {
-	if p.router == nil {
-		return 0
-	}
-	return p.router.dedup.Duplicates()
-}
+// ResultDuplicates reports how many duplicate results the result router
+// dropped.
+func (p *Platform) ResultDuplicates() int64 { return p.router.dedup.Duplicates() }
 
-// Scale adjusts the worker count: replacing the pool in v1, resizing the
-// fleet in v2. This is the operation the paper performed the day before
-// each deadline ("We increased the number of GPUs available to WebGPU the
-// day before the deadline", §III).
+// Scale resizes the worker fleet. This is the operation the paper
+// performed the day before each deadline ("We increased the number of
+// GPUs available to WebGPU the day before the deadline", §III).
 func (p *Platform) Scale(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch p.Arch {
-	case V1:
-		for p.v1Count < n {
-			p.v1Count++
-			p.Registry.Register(p.newNode(p.v1Count))
-		}
-		for p.v1Count > n && p.v1Count > 0 {
-			p.Registry.Deregister(fmt.Sprintf("worker-%03d", p.v1Count))
-			p.v1Count--
-		}
-	default:
-		p.Fleet.Scale(n)
-	}
+	p.Fleet.Scale(n)
 }
 
 // Workers reports the current worker count.
-func (p *Platform) Workers() int {
-	switch p.Arch {
-	case V1:
-		return p.Registry.Size()
-	default:
-		return p.Fleet.Size()
-	}
-}
+func (p *Platform) Workers() int { return p.Fleet.Size() }
 
 // Close shuts the platform down.
 func (p *Platform) Close() {
@@ -333,21 +257,10 @@ func (p *Platform) Close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	if p.Server != nil {
-		p.Server.DevSessions().CloseAll()
-	}
-	if p.stopHeartbeat != nil {
-		p.stopHeartbeat()
-	}
-	if p.Fleet != nil {
-		p.Fleet.Stop()
-	}
-	if p.router != nil {
-		p.router.stop()
-	}
-	if p.Broker != nil {
-		p.Broker.Close()
-	}
+	p.Server.DevSessions().CloseAll()
+	p.Fleet.Stop()
+	p.router.stop()
+	p.Broker.Close()
 	if p.store != nil {
 		p.store.Close()
 	}
@@ -373,7 +286,7 @@ func (p *Platform) dispatchV2(ctx context.Context, job *worker.Job) (*worker.Res
 	}
 	// A timer stopped on return, not time.After: go 1.22 keeps an unfired
 	// timer and its channel alive for the full two minutes, per job.
-	timeout := time.NewTimer(p.opts.DispatchWait)
+	timeout := time.NewTimer(dispatchWait)
 	defer timeout.Stop()
 	select {
 	case res := <-waiter:

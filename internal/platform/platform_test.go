@@ -199,14 +199,8 @@ func studentFlow(t *testing.T, p *Platform) {
 	}
 }
 
-func TestStudentFlowV1(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 2})
-	defer p.Close()
-	studentFlow(t, p)
-}
-
 func TestStudentFlowV2(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 2})
+	p := New(Options{Workers: 2})
 	defer p.Close()
 	studentFlow(t, p)
 }
@@ -214,7 +208,7 @@ func TestStudentFlowV2(t *testing.T) {
 func TestV2MPIJobRouting(t *testing.T) {
 	// A fleet of 2-GPU MPI-capable workers serves the mpi-stencil lab
 	// end-to-end through the broker (course 598 uses it).
-	p := New(Options{Arch: V2, Workers: 1, GPUsPerWorker: 2, Course: labs.CourseECE598})
+	p := New(Options{Workers: 1, GPUsPerWorker: 2, Course: labs.CourseECE598})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -231,7 +225,7 @@ func TestV2MPIJobRouting(t *testing.T) {
 }
 
 func TestCourseScopesLabs(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1, Course: labs.CourseHPP})
+	p := New(Options{Workers: 1, Course: labs.CourseHPP})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -244,24 +238,22 @@ func TestCourseScopesLabs(t *testing.T) {
 }
 
 func TestScaleUpAndDown(t *testing.T) {
-	for _, arch := range []Architecture{V1, V2} {
-		p := New(Options{Arch: arch, Workers: 1})
-		p.Scale(4)
-		if got := p.Workers(); got != 4 {
-			t.Errorf("%v: scaled to %d, want 4", arch, got)
-		}
-		p.Scale(2)
-		if got := p.Workers(); got != 2 {
-			t.Errorf("%v: scaled down to %d, want 2", arch, got)
-		}
-		p.Close()
+	p := New(Options{Workers: 1})
+	defer p.Close()
+	p.Scale(4)
+	if got := p.Workers(); got != 4 {
+		t.Errorf("scaled to %d, want 4", got)
+	}
+	p.Scale(2)
+	if got := p.Workers(); got != 2 {
+		t.Errorf("scaled down to %d, want 2", got)
 	}
 }
 
 func TestV2SubmissionSurvivesWorkerChurn(t *testing.T) {
 	// Jobs published while the fleet is empty complete once workers join —
 	// the elasticity argument for the poll model (§VI-A).
-	p := New(Options{Arch: V2, Workers: 0, DispatchWait: time.Minute})
+	p := New(Options{Workers: 0})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -290,42 +282,37 @@ func TestV2SubmissionSurvivesWorkerChurn(t *testing.T) {
 }
 
 func TestDashboardStatus(t *testing.T) {
-	for _, arch := range []Architecture{V1, V2} {
-		p := New(Options{Arch: arch, Workers: 2})
-		ts := httptest.NewServer(p.Handler())
-		c := newClient(t, ts.URL)
-		c.register("S", "s@example.edu", "student")
-		c.mustDo("POST", "/api/v1/labs/vector-add/save",
-			map[string]string{"source": labs.ByID("vector-add").Reference}, nil)
-		c.mustDo("POST", "/api/v1/labs/vector-add/submit", nil, nil)
+	p := New(Options{Workers: 2})
+	defer p.Close()
+	ts := httptest.NewServer(p.Handler())
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+	c.register("S", "s@example.edu", "student")
+	c.mustDo("POST", "/api/v1/labs/vector-add/save",
+		map[string]string{"source": labs.ByID("vector-add").Reference}, nil)
+	c.mustDo("POST", "/api/v1/labs/vector-add/submit", nil, nil)
 
-		st := p.Status()
-		if st.Workers != 2 {
-			t.Errorf("%v: workers = %d", arch, st.Workers)
-		}
-		if st.DBSeq == 0 {
-			t.Errorf("%v: no db commits recorded", arch)
-		}
-		if st.GradebookRows != 1 {
-			t.Errorf("%v: gradebook rows = %d", arch, st.GradebookRows)
-		}
-		out := st.Render()
-		if !strings.Contains(out, "workers:        2") {
-			t.Errorf("%v: render missing workers:\n%s", arch, out)
-		}
-		if arch == V2 && !strings.Contains(out, "broker backlog") {
-			t.Errorf("v2 render missing broker backlog:\n%s", out)
-		}
-		if arch == V1 && !strings.Contains(out, "evictions") {
-			t.Errorf("v1 render missing evictions:\n%s", out)
-		}
-		ts.Close()
-		p.Close()
+	st := p.Status()
+	if st.Workers != 2 {
+		t.Errorf("workers = %d", st.Workers)
+	}
+	if st.DBSeq == 0 {
+		t.Error("no db commits recorded")
+	}
+	if st.GradebookRows != 1 {
+		t.Errorf("gradebook rows = %d", st.GradebookRows)
+	}
+	out := st.Render()
+	if !strings.Contains(out, "workers:        2") {
+		t.Errorf("render missing workers:\n%s", out)
+	}
+	if !strings.Contains(out, "broker backlog") {
+		t.Errorf("render missing broker backlog:\n%s", out)
 	}
 }
 
 func TestHealthEndpoint(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1})
+	p := New(Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -340,7 +327,7 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 func TestLabPageHTML(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1})
+	p := New(Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -364,7 +351,7 @@ func TestLabPageHTML(t *testing.T) {
 }
 
 func TestDuplicateRegistrationRejected(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 1})
+	p := New(Options{Workers: 1})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()

@@ -66,9 +66,9 @@ func traceFlow(t *testing.T, p *Platform) {
 	names := map[string]bool{}
 	for _, sp := range data.Spans {
 		names[sp.Name] = true
-		// The first job of an idle v2 fleet is picked up because the broker
+		// The first job of an idle fleet is picked up because the broker
 		// woke a driver, not because a poll interval ran out.
-		if p.Arch == V2 && sp.Name == "queue_wait" && sp.Attrs["wake"] != "publish" {
+		if sp.Name == "queue_wait" && sp.Attrs["wake"] != "publish" {
 			t.Errorf("queue_wait wake = %q, want publish (attrs %v)", sp.Attrs["wake"], sp.Attrs)
 		}
 	}
@@ -77,18 +77,13 @@ func traceFlow(t *testing.T, p *Platform) {
 			t.Errorf("trace missing span %q (have %v)", want, keysOf(names))
 		}
 	}
-	// Every span's attribute keys are its row of DESIGN.md's span table,
-	// but v1's queue_wait, which has no broker to count attempts or wake.
+	// Every span's attribute keys are its row of DESIGN.md's span table.
 	golden, _, err := markdown.Block("../../DESIGN.md", "gen:spans")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sp := range data.Spans {
-		if p.Arch == V1 && sp.Name == "queue_wait" {
-			if keys := spanRow(sp); keys != "| `queue_wait` | arch, worker |" {
-				t.Errorf("v1 queue_wait row %s, want keys arch, worker", keys)
-			}
-		} else if row := spanRow(sp); !strings.Contains(golden, row+"\n") {
+		if row := spanRow(sp); !strings.Contains(golden, row+"\n") {
 			t.Errorf("span row %s is not in DESIGN.md's span table", row)
 		}
 	}
@@ -129,12 +124,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-func TestTraceEndToEndV1(t *testing.T) {
-	p := New(Options{Arch: V1, Workers: 2})
-	defer p.Close()
-	traceFlow(t, p)
-}
-
 // quietDrivers waits for a v2 platform's drivers to tick idle, stretches
 // their fallback tick to a second and waits until the 5 ms ticks have
 // stopped, so the next job cannot land in the instant between a tick and
@@ -156,7 +145,7 @@ func quietDrivers(p *Platform) {
 }
 
 func TestTraceEndToEndV2(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 2})
+	p := New(Options{Workers: 2})
 	defer p.Close()
 	quietDrivers(p) // so the flow's job is reported as wake=publish
 	traceFlow(t, p)
@@ -171,7 +160,7 @@ func TestTraceEndToEndV2(t *testing.T) {
 // worker's own progcache_hits / _misses / _coalesced counters appear with
 // the first job and are not part of the set.
 func TestCacheSeriesNames(t *testing.T) {
-	p := New(Options{Arch: V2, Workers: 1, CacheDir: t.TempDir()})
+	p := New(Options{Workers: 1, CacheDir: t.TempDir()})
 	defer p.Close()
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
@@ -219,7 +208,7 @@ func exportedNames(body string) map[string]bool {
 // warmPlatform runs one graded submit and one warm draft on a v2
 // platform and returns an instructor's client for it.
 func warmPlatform(t *testing.T) *client {
-	p := New(Options{Arch: V2, Workers: 1})
+	p := New(Options{Workers: 1})
 	t.Cleanup(p.Close)
 	quietDrivers(p) // driver_wakeups appears with the submit, and queue_wait says wake=publish
 	ts := httptest.NewServer(p.Handler())

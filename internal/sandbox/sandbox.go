@@ -248,7 +248,6 @@ type Limits struct {
 	CompileTimeout time.Duration
 	MaxSteps       int64 // per-thread step budget: the execution time limit, in its deterministic form
 	MaxOutputBytes int
-	MaxMemoryBytes int
 	SubmitInterval time.Duration // minimum time between submissions per user
 }
 
@@ -258,7 +257,6 @@ func DefaultLimits() Limits {
 		CompileTimeout: 10 * time.Second,
 		MaxSteps:       4 << 20,
 		MaxOutputBytes: 1 << 20,
-		MaxMemoryBytes: 1 << 30,
 		SubmitInterval: 10 * time.Second,
 	}
 }

@@ -194,9 +194,9 @@ func TestHealthzComponents(t *testing.T) {
 			continue
 		}
 		if comp == "broker" || comp == "castore" {
-			// The test fixture is a v1 deployment with a memory-only
-			// cache: no broker and no artifact store, and neither
-			// absence may degrade the deployment.
+			// The test fixture has no broker and a memory-only cache
+			// (no artifact store), and neither absence may degrade the
+			// deployment.
 			if c.Status != "absent" {
 				t.Errorf("%s status = %q, want absent", comp, c.Status)
 			}
@@ -205,5 +205,19 @@ func TestHealthzComponents(t *testing.T) {
 		if c.Status != "ok" {
 			t.Errorf("component %s status = %q, want ok", comp, c.Status)
 		}
+	}
+}
+
+// TestAdminDeadLettersNotImplementedWithoutBroker: a web tier built
+// without a broker (Config.Queue nil) answers the dead-letter endpoints
+// with 501.
+func TestAdminDeadLettersNotImplementedWithoutBroker(t *testing.T) {
+	f := newFixture(t)
+	prof := f.register("prof@x", "instructor")
+	if code, body := f.req("GET", "/api/v1/admin/deadletters", prof, nil); code != http.StatusNotImplemented {
+		t.Errorf("deadletters = %d %s, want 501", code, body)
+	}
+	if code, body := f.req("POST", "/api/v1/admin/deadletters/redrive", prof, nil); code != http.StatusNotImplemented {
+		t.Errorf("redrive = %d %s, want 501", code, body)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -496,5 +497,31 @@ func TestSessionLimitOverHTTP(t *testing.T) {
 	var env ErrorBody
 	if json.Unmarshal(body, &env) != nil || env.Error.Code != ErrCodeRateLimited {
 		t.Fatalf("session-limit envelope = %s", body)
+	}
+}
+
+// TestFullSessionRegistryIsOverloaded: the deployment-wide session bound
+// is the system's state, not one student's doing, so it answers as an
+// admission shed does: 429 overloaded with a Retry-After.
+func TestFullSessionRegistryIsOverloaded(t *testing.T) {
+	df := newDevFixture(t, devsession.Config{MaxSessions: 1, Debounce: -1, DraftInterval: -1})
+	df.openSession(df.register("first@x", "student"), "vector-add")
+	req, _ := http.NewRequest("POST", df.ts.URL+"/api/v1/labs/vector-add/session", nil)
+	req.Header.Set("Authorization", "Bearer "+df.register("second@x", "student"))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("session past the registry bound = %d %s, want 429", resp.StatusCode, body)
+	}
+	var env ErrorBody
+	if json.Unmarshal(body, &env) != nil || env.Error.Code != ErrCodeOverloaded {
+		t.Fatalf("full-registry envelope = %s, want code %s", body, ErrCodeOverloaded)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q, want 2", ra)
 	}
 }

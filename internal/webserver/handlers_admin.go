@@ -59,7 +59,7 @@ type deadLetterView struct {
 func (s *Server) handleAdminDeadLetters(w http.ResponseWriter, r *http.Request, u *User) {
 	if s.queue == nil {
 		writeErr(w, http.StatusNotImplemented, ErrCodeNotImplemented,
-			"this deployment has no message broker (v1 push dispatch)")
+			"this deployment has no message broker")
 		return
 	}
 	msgs := s.queue.DeadLetters()
@@ -84,7 +84,7 @@ func (s *Server) handleAdminDeadLetters(w http.ResponseWriter, r *http.Request, 
 func (s *Server) handleAdminRedrive(w http.ResponseWriter, r *http.Request, u *User) {
 	if s.queue == nil {
 		writeErr(w, http.StatusNotImplemented, ErrCodeNotImplemented,
-			"this deployment has no message broker (v1 push dispatch)")
+			"this deployment has no message broker")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{

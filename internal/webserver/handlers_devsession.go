@@ -24,8 +24,12 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request, u *Us
 	}
 	sess, err := s.devsessions.Open(u.ID, l.ID, l.Dialect)
 	switch {
-	case errors.Is(err, devsession.ErrSessionLimit),
-		errors.Is(err, devsession.ErrUserSessionLimit):
+	case errors.Is(err, devsession.ErrSessionLimit):
+		// Shed like a draft (2 s): any session that closes frees a slot.
+		w.Header().Set("Retry-After", "2")
+		writeErr(w, http.StatusTooManyRequests, ErrCodeOverloaded, "%v", err)
+		return
+	case errors.Is(err, devsession.ErrUserSessionLimit):
 		writeErr(w, http.StatusTooManyRequests, ErrCodeRateLimited, "%v", err)
 		return
 	case err != nil:

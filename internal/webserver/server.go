@@ -3,8 +3,8 @@
 // code and instructors manage the roster and grades. It persists every
 // code save (the History view), every attempt (the Attempts view), and
 // all grades in the database, dispatches compilation/execution jobs to
-// the worker tier through a pluggable dispatcher (push in v1, broker in
-// v2), and enforces the submission rate limits of §III-C.
+// the worker tier through a pluggable dispatcher, and enforces the
+// submission rate limits of §III-C.
 package webserver
 
 import (
@@ -39,8 +39,8 @@ import (
 )
 
 // Dispatcher sends a job to the worker tier and waits for its result;
-// v1 pushes to a registry, v2 publishes to the broker. The context
-// carries the request's trace and its cancellation: when the student
+// the platform publishes it to the broker. The context carries the
+// request's trace and its cancellation: when the student
 // disconnects or a deadline passes, the worker tier stops launching
 // further datasets instead of burning simulated-GPU time.
 type Dispatcher interface {
@@ -56,7 +56,7 @@ func (f DispatcherFunc) Dispatch(ctx context.Context, job *worker.Job) (*worker.
 }
 
 // QueueAdmin is the slice of the broker the admin API needs: inspecting
-// and redriving dead letters. v1 deployments have no broker and leave it
+// and redriving dead letters. A web tier built without a broker leaves it
 // nil, which renders the endpoints as 501s.
 type QueueAdmin interface {
 	DeadLetters() []*queue.Message
@@ -81,7 +81,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	Traces  *trace.Store
 
-	// Queue backs the dead-letter admin endpoints (v2 only; nil = 501).
+	// Queue backs the dead-letter admin endpoints (nil = 501).
 	Queue QueueAdmin
 
 	// ProgCache backs the live development loop's incremental compiles.
@@ -349,7 +349,7 @@ type ComponentHealth struct {
 }
 
 // handleHealthz reports per-component health as JSON: the database, the
-// dispatcher, the broker (absent on v1 push deployments), the program
+// dispatcher, the broker (absent when the web tier has none), the program
 // cache, and the live-session registry. Any degraded component turns the
 // top-level status degraded and the HTTP status 503, so load balancers
 // and probes need only the status code.
@@ -378,7 +378,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.queue == nil {
-		mark("broker", ComponentHealth{Status: "absent", Detail: "v1 push dispatch has no broker"})
+		mark("broker", ComponentHealth{Status: "absent", Detail: "no message broker configured"})
 	} else {
 		mark("broker", ComponentHealth{Status: "ok",
 			Detail: fmt.Sprintf("%d dead letters", len(s.queue.DeadLetters()))})

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -47,8 +46,7 @@ func registerGatedLab(t *testing.T, id string, datasets int, started chan struct
 
 // TestCancelMidRunAllStopsDatasets cancels a grading job while its first
 // dataset is executing: the remaining datasets must never launch, the
-// result must be marked Canceled, and the v1 dispatch path must surface
-// context.Canceled to the caller.
+// result must be marked Canceled.
 func TestCancelMidRunAllStopsDatasets(t *testing.T) {
 	started := make(chan struct{}, 8)
 	proceed := make(chan struct{})
@@ -58,20 +56,14 @@ func TestCancelMidRunAllStopsDatasets(t *testing.T) {
 	// datasets launch strictly in order.
 	cfg := DefaultNodeConfig("cancel-worker")
 	cfg.GPUs = 1
-	reg := NewRegistry(DefaultHealthTTL)
-	reg.Register(NewNode(cfg))
+	n := NewNode(cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	type dispatched struct {
-		res *Result
-		err error
-	}
-	done := make(chan dispatched, 1)
+	done := make(chan *Result, 1)
 	go func() {
-		res, err := reg.Dispatch(ctx, &Job{
+		done <- n.Execute(ctx, &Job{
 			ID: "j-cancel", LabID: l.ID, Source: l.Reference, DatasetID: DatasetAll,
 		})
-		done <- dispatched{res, err}
 	}()
 
 	// Dataset 0's harness is now running; cancel the job, then let the
@@ -84,26 +76,23 @@ func TestCancelMidRunAllStopsDatasets(t *testing.T) {
 	cancel()
 	close(proceed)
 
-	var d dispatched
+	var res *Result
 	select {
-	case d = <-done:
+	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("dispatch did not return after cancellation")
+		t.Fatal("execute did not return after cancellation")
 	}
-	if !errors.Is(d.err, context.Canceled) {
-		t.Fatalf("dispatch err = %v, want context.Canceled", d.err)
+	if !res.Canceled {
+		t.Fatalf("result = %+v, want Canceled", res)
 	}
-	if d.res == nil || !d.res.Canceled {
-		t.Fatalf("result = %+v, want Canceled", d.res)
-	}
-	if got := len(d.res.Outcomes); got != 4 {
+	if got := len(res.Outcomes); got != 4 {
 		t.Fatalf("outcomes = %d, want one per dataset", got)
 	}
 	// Only dataset 0 reached the harness.
 	if n := len(started); n != 0 {
 		t.Errorf("%d extra datasets launched after cancellation", n+1)
 	}
-	for i, o := range d.res.Outcomes[1:] {
+	for i, o := range res.Outcomes[1:] {
 		if !o.Canceled || o.Ran {
 			t.Errorf("outcome %d = %+v, want Canceled and not Ran", i+1, o)
 		}

@@ -1,8 +1,6 @@
 package worker
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -55,87 +53,6 @@ func TestNodeIDFormatting(t *testing.T) {
 		if got := nodeID(tc.n); got != tc.want {
 			t.Errorf("nodeID(%d) = %q, want %q", tc.n, got, tc.want)
 		}
-	}
-}
-
-func TestDispatchRetriesInjectedPushFault(t *testing.T) {
-	reg := NewRegistry(time.Minute)
-	reg.Register(NewNode(DefaultNodeConfig("w1")))
-	faults := faultinject.New(1)
-	reg.SetFaults(faults)
-	reg.SetRetry(5, time.Microsecond)
-
-	// The first two pushes fail; the third succeeds.
-	faults.Enable(faultinject.PointV1Push, faultinject.Fault{Count: 2})
-	res, err := reg.Dispatch(context.Background(), refJob("j1", "vector-add", 0))
-	if err != nil {
-		t.Fatalf("dispatch: %v", err)
-	}
-	if !res.Correct() {
-		t.Fatalf("result = %+v", res)
-	}
-	if got := reg.Retries(); got != 2 {
-		t.Errorf("retries = %d, want 2", got)
-	}
-}
-
-func TestDispatchRetriesTransientWorkerFault(t *testing.T) {
-	faults := faultinject.New(1)
-	cfg := DefaultNodeConfig("w1")
-	cfg.Faults = faults
-	reg := NewRegistry(time.Minute)
-	reg.Register(NewNode(cfg))
-	reg.SetFaults(faults)
-	reg.SetRetry(5, time.Microsecond)
-
-	// One transient exec failure on the worker; the retry runs clean.
-	faults.Enable(faultinject.PointNodeExec, faultinject.Fault{Once: true})
-	res, err := reg.Dispatch(context.Background(), refJob("j1", "vector-add", 0))
-	if err != nil {
-		t.Fatalf("dispatch: %v", err)
-	}
-	if res.Transient || !res.Correct() {
-		t.Fatalf("result = %+v", res)
-	}
-	if got := reg.Retries(); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
-	}
-}
-
-func TestDispatchGivesUpWrappingLastError(t *testing.T) {
-	reg := NewRegistry(time.Minute)
-	reg.SetRetry(2, time.Microsecond)
-	_, err := reg.Dispatch(context.Background(), refJob("j1", "vector-add", 0))
-	if err == nil {
-		t.Fatal("dispatch into an empty pool succeeded")
-	}
-	// The give-up error wraps the root cause so callers can still switch
-	// on it.
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want wrapped ErrNoWorkers", err)
-	}
-	if errors.Is(ErrNoWorkers, err) && err.Error() == ErrNoWorkers.Error() {
-		t.Fatalf("error was not wrapped with retry context: %v", err)
-	}
-	if got := reg.Retries(); got != 2 {
-		t.Errorf("retries = %d, want 2", got)
-	}
-}
-
-func TestDispatchGivesUpOnPersistentInjectedFault(t *testing.T) {
-	reg := NewRegistry(time.Minute)
-	reg.Register(NewNode(DefaultNodeConfig("w1")))
-	faults := faultinject.New(1)
-	reg.SetFaults(faults)
-	reg.SetRetry(3, time.Microsecond)
-
-	faults.Enable(faultinject.PointV1Push, faultinject.Fault{}) // always fires
-	_, err := reg.Dispatch(context.Background(), refJob("j1", "vector-add", 0))
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want wrapped ErrInjected", err)
-	}
-	if got := faults.Fired(faultinject.PointV1Push); got != 4 {
-		t.Errorf("push attempts = %d, want 1 + 3 retries", got)
 	}
 }
 

@@ -1,10 +1,8 @@
-// Package worker implements WebGPU's GPU worker nodes: the v1 design
-// where the web server pushes jobs to registered workers that answer
-// health checks (§III-C), and the v2 design where worker nodes poll a
-// message broker for jobs matching their capabilities and run each job in
-// a Docker-like container drawn from a pool mapped onto the node's GPUs
-// (§VI-B). Job execution itself — blacklist scan, compile, run, check —
-// is shared between the two.
+// Package worker implements WebGPU's GPU worker nodes (§VI-B): worker
+// nodes poll a message broker for jobs matching their capabilities and
+// run each job in a Docker-like container drawn from a pool mapped onto
+// the node's GPUs. A Node is the job pipeline itself — blacklist scan,
+// compile, run, check — and a Driver feeds it from the broker.
 package worker
 
 import (
@@ -75,7 +73,7 @@ type Result struct {
 	CompletedAt  time.Time       `json:"completed_at"`
 
 	// Attempt is the broker delivery attempt that produced this result
-	// (1-based on the v2 path; 0 on the in-process v1 path). A redelivered
+	// (1-based; 0 when the caller ran the node directly). A redelivered
 	// job publishes a second result with a higher attempt — consumers
 	// accept only the first result per job ID and use the attempt to
 	// label the duplicates they drop.
@@ -90,15 +88,15 @@ type Result struct {
 
 	// Transient marks an infrastructure failure (worker crash, injected
 	// fault) rather than a verdict on the submission: the job is safe to
-	// retry. The v2 driver nacks transient results instead of publishing
-	// them; the v1 registry retries the dispatch with backoff.
+	// retry. The driver nacks transient results instead of publishing
+	// them.
 	Transient bool `json:"transient,omitempty"`
 
 	// TraceID echoes Job.TraceID; Spans carries the worker-side spans
 	// back across a process boundary (the v2 result topic) so the web
-	// tier can merge them into the canonical trace. On the v1 in-process
-	// path the node writes straight into the context's trace and Spans
-	// stays empty.
+	// tier can merge them into the canonical trace. A caller that runs
+	// the node in process gets the spans written straight into the
+	// context's trace, and Spans stays empty.
 	TraceID string       `json:"trace_id,omitempty"`
 	Spans   []trace.Span `json:"spans,omitempty"`
 }

@@ -18,9 +18,9 @@ import (
 	"webgpu/internal/trace"
 )
 
-// Node is the execution core shared by the v1 (push) and v2 (poll)
-// workers: it owns the GPUs, the container pool, the security scanner,
-// the program cache, and the per-job pipeline.
+// Node is a worker's execution core: it owns the GPUs, the container
+// pool, the security scanner, the program cache, and the per-job
+// pipeline.
 type Node struct {
 	ID      string
 	GPUs    int
@@ -188,13 +188,12 @@ func (n *Node) InflightHighWater() int { return int(n.inflightHW.Load()) }
 // Execute runs one job through the full pipeline: admission, security
 // scan, image selection, container acquisition, cached compile, run,
 // container teardown. Result.QueueWait carries the time the job spent
-// blocked on admission (a loaded node queues jobs at its semaphore the
-// way the v1 web tier queued them behind busy workers).
+// blocked on admission (a loaded node queues jobs at its semaphore).
 //
 // The context carries both cancellation (a done ctx aborts admission
 // waits, compile waits, and the per-dataset fan-out) and the job's trace,
-// which the caller owns: the web tier's on the v1 in-process path, the
-// driver's on the v2 path. An untraced job records no spans.
+// which the caller owns: the driver's, or an in-process caller's. An
+// untraced job records no spans.
 func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	if ctx == nil {
 		ctx = context.Background()

@@ -214,54 +214,3 @@ func TestPerContainerDevices(t *testing.T) {
 		t.Errorf("capacity = %d", p.Capacity())
 	}
 }
-
-// TestV1DispatchQueueWait: the push path now reports how long a job
-// queued behind a busy worker instead of leaving QueueWait zero.
-func TestV1DispatchQueueWait(t *testing.T) {
-	cache := progcache.New(16, nil)
-	ready := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var gateOnce sync.Once
-	cache.SetCompileFunc(func(src string, d minicuda.Dialect) (*minicuda.Program, error) {
-		gateOnce.Do(func() {
-			ready <- struct{}{}
-			<-release
-		})
-		return minicuda.Compile(src, d)
-	})
-	cfg := DefaultNodeConfig("busy")
-	cfg.MaxConcurrent = 1
-	cfg.ProgCache = cache
-	reg := NewRegistry(time.Minute)
-	reg.Register(NewNode(cfg))
-
-	first := refJob("hold", "vector-add", 0)
-	first.Source = uniqueSource("queuewait-hold")
-	done := make(chan *Result, 1)
-	go func() {
-		res, err := reg.Dispatch(context.Background(), first)
-		if err != nil {
-			t.Errorf("dispatch: %v", err)
-		}
-		done <- res
-	}()
-	<-ready // the first job owns the node's single admission slot
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		close(release)
-	}()
-
-	second := refJob("wait", "vector-add", 0)
-	second.Source = uniqueSource("queuewait-blocked")
-	res, err := reg.Dispatch(context.Background(), second) // queues behind the held job
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Correct() {
-		t.Fatalf("queued job failed: %+v", res)
-	}
-	if res.QueueWait < 20*time.Millisecond {
-		t.Errorf("QueueWait = %v, want the ~60ms spent queued behind the busy worker", res.QueueWait)
-	}
-	<-done
-}

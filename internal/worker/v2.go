@@ -223,7 +223,7 @@ func (d *Driver) loop(cfg Config) {
 		// interval found it; it is absent when the driver came straight
 		// from its previous job and the message waited for a driver.
 		brokerWait := tr.StageAt(delivery.Msg.Enqueued, clock.Real, nil, "", "queue_wait",
-			"worker", d.node.ID, "arch", "v2", "attempts", strconv.Itoa(delivery.Msg.Attempts), "wake", pickup).End()
+			"worker", d.node.ID, "attempts", strconv.Itoa(delivery.Msg.Attempts), "wake", pickup).End()
 		res := d.node.Execute(trace.NewContext(context.Background(), tr), job)
 		res.QueueWait += brokerWait
 		res.Attempt = delivery.Msg.Attempts

@@ -3,14 +3,11 @@ package worker
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"webgpu/internal/clock"
 	"webgpu/internal/labs"
 	"webgpu/internal/progcache"
 	"webgpu/internal/queue"
@@ -288,96 +285,6 @@ func TestPoolImageSelection(t *testing.T) {
 	}
 	if _, err := p.SelectImage([]string{"fortran"}); !errors.Is(err, ErrNoImage) {
 		t.Errorf("fortran = %v", err)
-	}
-}
-
-// ---- v1 push model ------------------------------------------------------------
-
-func TestRegistryDispatch(t *testing.T) {
-	r := NewRegistry(time.Minute)
-	r.Register(NewNode(DefaultNodeConfig("w1")))
-	r.Register(NewNode(DefaultNodeConfig("w2")))
-	res, err := r.Dispatch(context.Background(), refJob("j1", "vector-add", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Correct() {
-		t.Fatalf("dispatch result: %+v", res)
-	}
-	if r.Size() != 2 {
-		t.Errorf("size = %d", r.Size())
-	}
-}
-
-func TestRegistryEvictsSilentWorkers(t *testing.T) {
-	r := NewRegistry(30 * time.Second)
-	clk := clock.NewManual(time.Unix(0, 0))
-	r.SetClock(clk)
-	r.Register(NewNode(DefaultNodeConfig("w1")))
-	r.Register(NewNode(DefaultNodeConfig("w2")))
-	clk.Advance(20 * time.Second)
-	r.Beat("w1") // only w1 stays healthy
-	clk.Advance(20 * time.Second)
-	alive := r.Alive()
-	if len(alive) != 1 || alive[0] != "w1" {
-		t.Fatalf("alive = %v", alive)
-	}
-	if r.Evictions() != 1 {
-		t.Errorf("evictions = %d", r.Evictions())
-	}
-}
-
-// Alive is reported in ID order, not in the map's iteration order, so a
-// report that prints the pool is a function of the pool.
-func TestRegistryAliveIsSorted(t *testing.T) {
-	r := NewRegistry(time.Minute)
-	for i := 16; i >= 1; i-- {
-		r.Register(NewNode(DefaultNodeConfig(fmt.Sprintf("w%02d", i))))
-	}
-	for call := 0; call < 20; call++ {
-		alive := r.Alive()
-		if len(alive) != 16 || !sort.StringsAreSorted(alive) {
-			t.Fatalf("call %d: alive = %v, want 16 IDs in ascending order", call, alive)
-		}
-	}
-}
-
-func TestRegistryHeartbeatsKeepWorkersAlive(t *testing.T) {
-	r := NewRegistry(60 * time.Millisecond)
-	clk := clock.NewManual(time.Unix(0, 0))
-	r.SetClock(clk)
-	r.Register(NewNode(DefaultNodeConfig("w1")))
-	stop := r.StartHeartbeats() // every 20 ms, a third of the TTL
-	defer stop()
-	for i := 0; i < 8; i++ { // 160 ms, > 2x TTL
-		clk.BlockUntil(1) // the heartbeat timer is re-armed after each beat
-		clk.Advance(20 * time.Millisecond)
-	}
-	clk.BlockUntil(1)
-	if got := r.Size(); got != 1 {
-		t.Fatalf("worker evicted despite heartbeats: size = %d", got)
-	}
-	stop()
-	stop() // idempotent
-	clk.Advance(150 * time.Millisecond)
-	if got := r.Size(); got != 0 {
-		t.Fatalf("worker survived after heartbeats stopped: size = %d", got)
-	}
-}
-
-func TestRegistryNoCapableWorker(t *testing.T) {
-	r := NewRegistry(time.Minute)
-	r.Register(NewNode(DefaultNodeConfig("w1"))) // 1 GPU, no MPI-capable GPUs count
-	_, err := r.Dispatch(context.Background(), refJob("j1", "mpi-stencil", 0))
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRegistryEmptyPool(t *testing.T) {
-	r := NewRegistry(time.Minute)
-	if _, err := r.Dispatch(context.Background(), refJob("j", "vector-add", 0)); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

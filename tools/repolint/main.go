@@ -122,7 +122,6 @@ var settleAllowed = map[string]bool{
 // (ROADMAP items 11 and 16); each line says why.
 var stopwatchAllowed = map[string]bool{
 	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true, // a latency-only fault sleeps on the wall clock
-	"internal/worker/pipeline_test.go:TestV1DispatchQueueWait":      true, // v1 QueueWait is read off the wall clock
 	"internal/macrobench/soak_test.go:TestOverloadSoak":             true, // the soak's p99 bound, until soaks run in virtual time
 	// A paused driver sleeps one poll interval on its wall-clock timer and
 	// counts nothing, so "an unpause is seen within one interval" has no

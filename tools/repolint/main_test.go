@@ -487,14 +487,14 @@ func TestWait(t *testing.T) {
 	}
 }
 `, 0},
-		{"allowlisted function", "internal/worker/pipeline_test.go", `package worker
+		{"allowlisted function", "internal/faultinject/faultinject_test.go", `package faultinject
 
 import (
 	"testing"
 	"time"
 )
 
-func TestV1DispatchQueueWait(t *testing.T) {
+func TestLatencyOnlyFault(t *testing.T) {
 	var d time.Duration
 	if d < 20*time.Millisecond {
 		t.Error("short")
