@@ -56,15 +56,24 @@ var (
 	ErrClosed = errors.New("devsession: session closed")
 )
 
+// Registry bounds. The session bound is per process, not per course.
+const (
+	// MaxSessions bounds the registry deployment-wide; MaxPerUser bounds
+	// one student's sessions.
+	MaxSessions = 1024
+	MaxPerUser  = 4
+	// IdleTimeout evicts sessions with no drafts and no subscribers.
+	IdleTimeout = 10 * time.Minute
+	// EventBuffer is the per-session ring (and per-subscriber channel)
+	// depth backing Last-Event-ID resume.
+	EventBuffer = 256
+)
+
 // Defaults. Rate limits are tuned for a human typing with a client-side
 // debounce (tens of drafts per second is already faster than any editor
-// sends), and the registry bound is per process, not per course.
+// sends).
 const (
-	DefaultMaxSessions   = 1024
-	DefaultMaxPerUser    = 4
-	DefaultIdleTimeout   = 10 * time.Minute
 	DefaultDebounce      = 20 * time.Millisecond
-	DefaultEventBuffer   = 256
 	DefaultDraftBurst    = 30
 	DefaultDraftInterval = 50 * time.Millisecond // sustained 20 drafts/s
 )
@@ -84,21 +93,12 @@ type Config struct {
 	// (tests inject a clock.Manual); nil means clock.Real.
 	Clock clock.Clock
 
-	// MaxSessions bounds the registry deployment-wide; MaxPerUser bounds
-	// one student's sessions. Zero means the default; negative disables.
-	MaxSessions int
-	MaxPerUser  int
-	// IdleTimeout evicts sessions with no drafts and no subscribers.
-	IdleTimeout time.Duration
 	// Debounce is the minimum spacing between two draft pickups of one
 	// session, measured from the previous pickup: a draft arriving later
 	// than that is picked up at once, one arriving inside the window waits
 	// for its remainder, and a keystroke burst coalesces into that one
 	// trailing pickup. Negative disables (every draft is picked up at once).
 	Debounce time.Duration
-	// EventBuffer is the per-session ring (and per-subscriber channel)
-	// depth backing Last-Event-ID resume.
-	EventBuffer int
 	// DraftBurst/DraftInterval shape the per-user token bucket, which a
 	// user's sessions share: it holds DraftBurst tokens and refills one
 	// every DraftInterval. Zero means the default; negative disables rate
@@ -120,20 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.Real
 	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = DefaultMaxSessions
-	}
-	if c.MaxPerUser == 0 {
-		c.MaxPerUser = DefaultMaxPerUser
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = DefaultIdleTimeout
-	}
 	if c.Debounce == 0 {
 		c.Debounce = DefaultDebounce
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = DefaultEventBuffer
 	}
 	if c.DraftBurst <= 0 {
 		c.DraftBurst = DefaultDraftBurst
@@ -192,10 +180,10 @@ func (m *Manager) Open(userID, labID string, dialect minicuda.Dialect) (*Session
 		return nil, ErrClosed
 	}
 	m.sweepLocked(now)
-	if m.cfg.MaxSessions > 0 && len(m.sessions) >= m.cfg.MaxSessions {
+	if len(m.sessions) >= MaxSessions {
 		return nil, ErrSessionLimit
 	}
-	if m.cfg.MaxPerUser > 0 && m.perUser[userID] >= m.cfg.MaxPerUser {
+	if m.perUser[userID] >= MaxPerUser {
 		return nil, ErrUserSessionLimit
 	}
 	s := newSession(m, newSessionID(), userID, labID, dialect, now)
@@ -250,21 +238,11 @@ func (m *Manager) CloseAll() {
 	}
 }
 
-// Sweep evicts idle sessions now (also runs on every Open).
-func (m *Manager) Sweep() {
-	now := m.cfg.Clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepLocked(now)
-}
-
-// sweepLocked evicts sessions idle past the timeout with no subscribers.
+// sweepLocked evicts sessions idle past IdleTimeout with no subscribers.
+// It runs on every Open.
 func (m *Manager) sweepLocked(now time.Time) {
-	if m.cfg.IdleTimeout <= 0 {
-		return
-	}
 	for _, s := range m.sessions {
-		if s.idleSince(now) > m.cfg.IdleTimeout {
+		if s.idleSince(now) > IdleTimeout {
 			m.dropLocked(s, "evicted")
 			// close must not run under m.mu (it takes s.mu and closes
 			// subscriber channels); an evicted session has none anyway.

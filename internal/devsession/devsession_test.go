@@ -316,22 +316,26 @@ func TestSubscribeReplayAfterSeq(t *testing.T) {
 
 func TestSessionLimits(t *testing.T) {
 	l := refLab(t)
-	m := NewManager(Config{MaxSessions: 2, MaxPerUser: 1, Debounce: -1})
+	m := NewManager(Config{Debounce: -1})
 	defer m.CloseAll()
-	if _, err := m.Open("u1", l.ID, l.Dialect); err != nil {
-		t.Fatal(err)
+	for i := 0; i < MaxPerUser; i++ {
+		if _, err := m.Open("u0", l.ID, l.Dialect); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.Open("u1", l.ID, l.Dialect); !errors.Is(err, ErrUserSessionLimit) {
-		t.Fatalf("second u1 session err = %v, want ErrUserSessionLimit", err)
+	if _, err := m.Open("u0", l.ID, l.Dialect); !errors.Is(err, ErrUserSessionLimit) {
+		t.Fatalf("u0 session %d err = %v, want ErrUserSessionLimit", MaxPerUser+1, err)
 	}
-	if _, err := m.Open("u2", l.ID, l.Dialect); err != nil {
-		t.Fatal(err)
+	for i := MaxPerUser; i < MaxSessions; i++ {
+		if _, err := m.Open(fmt.Sprintf("u%d", i), l.ID, l.Dialect); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.Open("u3", l.ID, l.Dialect); !errors.Is(err, ErrSessionLimit) {
-		t.Fatalf("third session err = %v, want ErrSessionLimit", err)
+	if _, err := m.Open("last", l.ID, l.Dialect); !errors.Is(err, ErrSessionLimit) {
+		t.Fatalf("session %d err = %v, want ErrSessionLimit", MaxSessions+1, err)
 	}
-	if m.Active() != 2 {
-		t.Fatalf("Active = %d, want 2", m.Active())
+	if m.Active() != MaxSessions {
+		t.Fatalf("Active = %d, want %d", m.Active(), MaxSessions)
 	}
 }
 
@@ -436,13 +440,15 @@ func TestIdleEviction(t *testing.T) {
 	l := refLab(t)
 	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
 	reg := metrics.NewRegistry()
-	m := NewManager(Config{Clock: clk, Metrics: reg, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
+	m := NewManager(Config{Clock: clk, Metrics: reg, Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 
-	clk.Advance(2 * time.Minute)
-	m.Sweep()
-	if m.Get(s.ID) != nil || m.Active() != 0 {
+	clk.Advance(IdleTimeout + time.Minute)
+	if _, err := m.Open("u2", l.ID, l.Dialect); err != nil { // sweeps first
+		t.Fatal(err)
+	}
+	if m.Get(s.ID) != nil || m.Active() != 1 {
 		t.Fatalf("session survived the sweep")
 	}
 	poll(t, "evicted session to reject drafts", func() bool {
@@ -461,14 +467,16 @@ func TestIdleEviction(t *testing.T) {
 func TestSubscriberKeepsSessionAlive(t *testing.T) {
 	l := refLab(t)
 	clk := clock.NewManual(time.Date(2015, 2, 8, 0, 0, 0, 0, time.UTC))
-	m := NewManager(Config{Clock: clk, IdleTimeout: time.Minute, Debounce: -1, DraftInterval: -1})
+	m := NewManager(Config{Clock: clk, Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 	_, _, unsub, _ := s.Subscribe(0)
 	defer unsub()
 
-	clk.Advance(time.Hour)
-	m.Sweep()
+	clk.Advance(IdleTimeout + time.Hour)
+	if _, err := m.Open("u2", l.ID, l.Dialect); err != nil { // sweeps first
+		t.Fatal(err)
+	}
 	if m.Get(s.ID) == nil {
 		t.Fatal("session with a live subscriber was evicted")
 	}
@@ -495,15 +503,17 @@ func TestCloseAll(t *testing.T) {
 // holds the events for a Last-Event-ID resume.
 func TestSlowSubscriberKicked(t *testing.T) {
 	l := refLab(t)
-	m := NewManager(Config{EventBuffer: 2, Debounce: -1, DraftInterval: -1})
+	m := NewManager(Config{Debounce: -1, DraftInterval: -1})
 	defer m.CloseAll()
 	s, _ := m.Open("u1", l.ID, l.Dialect)
 	_, ch, unsub, _ := s.Subscribe(0)
 	defer unsub()
 
-	// Never read ch: each draft emits 2 events into a 2-slot channel.
-	for i := 0; i < 4; i++ {
-		if _, _, err := s.PushDraft(l.Reference + strings.Repeat("\n", i)); err != nil {
+	// Never read ch: each draft emits 2 events into an EventBuffer-slot
+	// channel. Two sources alternate, so all but the first two drafts are
+	// cache hits.
+	for i := 0; i < EventBuffer/2+1; i++ {
+		if _, _, err := s.PushDraft(l.Reference + strings.Repeat("\n", i%2)); err != nil {
 			t.Fatal(err)
 		}
 		poll(t, "draft analyzed", func() bool {

@@ -164,7 +164,7 @@ func (s *Session) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, ca
 	s.lastActive = now
 	id := s.nextSub
 	s.nextSub++
-	c := make(chan Event, s.m.cfg.EventBuffer)
+	c := make(chan Event, EventBuffer)
 	s.subs[id] = c
 	for _, ev := range s.events {
 		if ev.Seq > afterSeq {
@@ -242,7 +242,7 @@ func (s *Session) emit(typ string, data interface{}) {
 	s.seq++
 	ev := Event{Seq: s.seq, Type: typ, At: s.m.cfg.Clock.Now(), Data: data}
 	s.events = append(s.events, ev)
-	if n := len(s.events) - s.m.cfg.EventBuffer; n > 0 {
+	if n := len(s.events) - EventBuffer; n > 0 {
 		s.events = append(s.events[:0], s.events[n:]...)
 	}
 	var kicked []chan Event

@@ -43,29 +43,27 @@ func D3(x, y, z int) Dim3 { return Dim3{X: x, Y: y, Z: z} }
 // DeviceProps describes a simulated GPU, mirroring cudaDeviceProp. The
 // Device Query lab reports these fields.
 type DeviceProps struct {
-	Name                 string
-	ComputeCapability    [2]int // major, minor
-	MultiprocessorCount  int
-	CoresPerSM           int
-	WarpSize             int
-	MaxThreadsPerBlock   int
-	MaxBlockDim          Dim3
-	MaxGridDim           Dim3
-	TotalGlobalMem       int // bytes
-	SharedMemPerBlock    int // bytes
-	TotalConstMem        int // bytes
-	RegistersPerBlock    int
-	ClockRateKHz         int
-	MemoryClockRateKHz   int
-	MemoryBusWidthBits   int
-	L2CacheSize          int
-	ConcurrentKernels    bool
-	ECCEnabled           bool
-	UnifiedAddressing    bool
-	AsyncEngineCount     int
-	PCIBusID             int
-	PCIDeviceID          int
-	KernelTimeoutEnabled bool
+	Name                string
+	ComputeCapability   [2]int // major, minor
+	MultiprocessorCount int
+	CoresPerSM          int
+	WarpSize            int
+	MaxThreadsPerBlock  int
+	MaxBlockDim         Dim3
+	MaxGridDim          Dim3
+	TotalGlobalMem      int // bytes
+	SharedMemPerBlock   int // bytes
+	TotalConstMem       int // bytes
+	RegistersPerBlock   int
+	ClockRateKHz        int
+	MemoryClockRateKHz  int
+	MemoryBusWidthBits  int
+	L2CacheSize         int
+	ConcurrentKernels   bool
+	UnifiedAddressing   bool
+	AsyncEngineCount    int
+	PCIBusID            int
+	PCIDeviceID         int
 }
 
 // DefaultProps returns properties modeled on the Kepler/Maxwell-era cards

@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing substrate standing in for
 // the MPI installation the paper's Multi-GPU Stencil lab requires on its
 // worker nodes. Ranks run as goroutines within one process and exchange
-// typed messages over channels; the API mirrors the MPI subset the lab
-// harness uses (point-to-point send/recv, barrier, allreduce, gather).
+// typed messages over channels; the API is the MPI subset the lab harness
+// uses: point-to-point send and receive.
 package mpi
 
 import (
@@ -13,16 +13,15 @@ import (
 	"time"
 )
 
-// Errors.
+// Errors a harness sees wrapped with the ranks involved.
 var (
-	ErrRankRange = errors.New("mpi: rank out of range")
-	ErrTimeout   = errors.New("mpi: operation timed out (deadlock?)")
-	ErrFinalized = errors.New("mpi: world has been finalized")
+	errRankRange = errors.New("mpi: rank out of range")
+	errTimeout   = errors.New("mpi: operation timed out (deadlock?)")
 )
 
-// DefaultTimeout bounds blocking operations so a deadlocked student
+// defaultTimeout bounds blocking operations so a deadlocked student
 // harness is reported instead of hanging a worker node.
-const DefaultTimeout = 10 * time.Second
+const defaultTimeout = 10 * time.Second
 
 type message struct {
 	tag  int
@@ -34,25 +33,6 @@ type World struct {
 	size    int
 	timeout time.Duration
 	chans   [][]chan message // chans[from][to]
-
-	mu        sync.Mutex
-	finalized bool
-
-	barrier struct {
-		mu      sync.Mutex
-		cond    *sync.Cond
-		arrived int
-		gen     int
-	}
-
-	reduce struct {
-		mu     sync.Mutex
-		cond   *sync.Cond
-		vals   []float64
-		count  int
-		gen    int
-		result float64
-	}
 }
 
 // NewWorld creates a communicator with the given number of ranks.
@@ -60,7 +40,7 @@ func NewWorld(size int) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: invalid world size %d", size)
 	}
-	w := &World{size: size, timeout: DefaultTimeout}
+	w := &World{size: size, timeout: defaultTimeout}
 	w.chans = make([][]chan message, size)
 	for i := range w.chans {
 		w.chans[i] = make([]chan message, size)
@@ -68,22 +48,13 @@ func NewWorld(size int) (*World, error) {
 			w.chans[i][j] = make(chan message, 64)
 		}
 	}
-	w.barrier.cond = sync.NewCond(&w.barrier.mu)
-	w.reduce.cond = sync.NewCond(&w.reduce.mu)
-	w.reduce.vals = make([]float64, 0, size)
 	return w, nil
 }
-
-// SetTimeout adjusts the blocking-operation timeout.
-func (w *World) SetTimeout(d time.Duration) { w.timeout = d }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Comm returns the communicator handle for one rank.
 func (w *World) Comm(rank int) (*Comm, error) {
 	if rank < 0 || rank >= w.size {
-		return nil, fmt.Errorf("%w: %d of %d", ErrRankRange, rank, w.size)
+		return nil, fmt.Errorf("%w: %d of %d", errRankRange, rank, w.size)
 	}
 	return &Comm{w: w, rank: rank}, nil
 }
@@ -118,22 +89,6 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	return nil
 }
 
-// Finalize shuts the world down; subsequent operations fail.
-func (w *World) Finalize() {
-	w.mu.Lock()
-	w.finalized = true
-	w.mu.Unlock()
-}
-
-func (w *World) ok() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.finalized {
-		return ErrFinalized
-	}
-	return nil
-}
-
 // Comm is one rank's endpoint in a World.
 type Comm struct {
 	w    *World
@@ -146,21 +101,29 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
 
-// Send delivers data to rank `to` with a message tag.
+// Send delivers data to rank `to` with a message tag. A timer is armed
+// only when the channel is full, and stopped on return: go 1.22 keeps an
+// unfired time.After timer alive for the full timeout, per call.
 func (c *Comm) Send(to, tag int, data []byte) error {
-	if err := c.w.ok(); err != nil {
-		return err
-	}
 	if to < 0 || to >= c.w.size {
-		return fmt.Errorf("%w: send to %d", ErrRankRange, to)
+		return fmt.Errorf("%w: send to %d", errRankRange, to)
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	m := message{tag: tag, data: cp}
+	ch := c.w.chans[c.rank][to]
 	select {
-	case c.w.chans[c.rank][to] <- message{tag: tag, data: cp}:
+	case ch <- m:
 		return nil
-	case <-time.After(c.w.timeout):
-		return fmt.Errorf("%w: rank %d send to %d", ErrTimeout, c.rank, to)
+	default:
+	}
+	timeout := time.NewTimer(c.w.timeout)
+	defer timeout.Stop()
+	select {
+	case ch <- m:
+		return nil
+	case <-timeout.C:
+		return fmt.Errorf("%w: rank %d send to %d", errTimeout, c.rank, to)
 	}
 }
 
@@ -169,14 +132,12 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 // subsequent matching Recv calls (a small reorder buffer handles the
 // mismatch, as real MPI does with its unexpected-message queue).
 func (c *Comm) Recv(from, tag int) ([]byte, error) {
-	if err := c.w.ok(); err != nil {
-		return nil, err
-	}
 	if from < 0 || from >= c.w.size {
-		return nil, fmt.Errorf("%w: recv from %d", ErrRankRange, from)
+		return nil, fmt.Errorf("%w: recv from %d", errRankRange, from)
 	}
 	ch := c.w.chans[from][c.rank]
-	deadline := time.After(c.w.timeout)
+	timeout := time.NewTimer(c.w.timeout)
+	defer timeout.Stop()
 	var stash []message
 	defer func() {
 		// Requeue non-matching messages in order.
@@ -191,8 +152,8 @@ func (c *Comm) Recv(from, tag int) ([]byte, error) {
 				return m.data, nil
 			}
 			stash = append(stash, m)
-		case <-deadline:
-			return nil, fmt.Errorf("%w: rank %d recv from %d tag %d", ErrTimeout, c.rank, from, tag)
+		case <-timeout.C:
+			return nil, fmt.Errorf("%w: rank %d recv from %d tag %d", errTimeout, c.rank, from, tag)
 		}
 	}
 }
@@ -217,108 +178,6 @@ func (c *Comm) RecvFloat32s(from, tag int) ([]float32, error) {
 		xs[i] = math.Float32frombits(getU32(b[i*4:]))
 	}
 	return xs, nil
-}
-
-// Barrier blocks until all ranks arrive.
-func (c *Comm) Barrier() error {
-	if err := c.w.ok(); err != nil {
-		return err
-	}
-	b := &c.w.barrier
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == c.w.size {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return nil
-	}
-	deadline := time.Now().Add(c.w.timeout)
-	for gen == b.gen {
-		if time.Now().After(deadline) {
-			b.mu.Unlock()
-			return fmt.Errorf("%w: rank %d barrier", ErrTimeout, c.rank)
-		}
-		waitCondTimeout(b.cond, 10*time.Millisecond)
-	}
-	b.mu.Unlock()
-	return nil
-}
-
-// AllreduceSum returns the sum of each rank's contribution, delivered to
-// all ranks.
-func (c *Comm) AllreduceSum(v float64) (float64, error) {
-	if err := c.w.ok(); err != nil {
-		return 0, err
-	}
-	r := &c.w.reduce
-	r.mu.Lock()
-	gen := r.gen
-	r.vals = append(r.vals, v)
-	r.count++
-	if r.count == c.w.size {
-		var sum float64
-		for _, x := range r.vals {
-			sum += x
-		}
-		r.result = sum
-		r.vals = r.vals[:0]
-		r.count = 0
-		r.gen++
-		r.cond.Broadcast()
-		res := r.result
-		r.mu.Unlock()
-		return res, nil
-	}
-	deadline := time.Now().Add(c.w.timeout)
-	for gen == r.gen {
-		if time.Now().After(deadline) {
-			r.mu.Unlock()
-			return 0, fmt.Errorf("%w: rank %d allreduce", ErrTimeout, c.rank)
-		}
-		waitCondTimeout(r.cond, 10*time.Millisecond)
-	}
-	res := r.result
-	r.mu.Unlock()
-	return res, nil
-}
-
-// GatherFloat32s collects each rank's slice at root, concatenated in rank
-// order; non-root ranks receive nil.
-func (c *Comm) GatherFloat32s(root, tag int, xs []float32) ([][]float32, error) {
-	if c.rank == root {
-		parts := make([][]float32, c.w.size)
-		parts[root] = xs
-		for r := 0; r < c.w.size; r++ {
-			if r == root {
-				continue
-			}
-			p, err := c.RecvFloat32s(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			parts[r] = p
-		}
-		return parts, nil
-	}
-	return nil, c.SendFloat32s(root, tag, xs)
-}
-
-// waitCondTimeout waits on cond with a wakeup tick so callers can poll
-// deadlines. The caller must hold the condition's lock.
-func waitCondTimeout(cond *sync.Cond, d time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-		case <-time.After(d):
-			cond.Broadcast()
-		}
-	}()
-	cond.Wait()
-	close(done)
 }
 
 func putU32(b []byte, v uint32) {

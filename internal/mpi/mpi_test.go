@@ -80,97 +80,29 @@ func TestFloat32RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	w, _ := NewWorld(4)
-	counter := make(chan int, 8)
-	err := w.Run(func(c *Comm) error {
-		counter <- 1
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		// After the barrier, all 4 pre-barrier sends must be visible.
-		if len(counter) < 4 {
-			t.Errorf("rank %d passed barrier with %d arrivals", c.Rank(), len(counter))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceSum(t *testing.T) {
-	w, _ := NewWorld(5)
-	err := w.Run(func(c *Comm) error {
-		got, err := c.AllreduceSum(float64(c.Rank() + 1))
-		if err != nil {
-			return err
-		}
-		if got != 15 {
-			t.Errorf("rank %d: allreduce = %v, want 15", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	w, _ := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		parts, err := c.GatherFloat32s(0, 0, []float32{float32(c.Rank())})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for r := 0; r < 3; r++ {
-				if parts[r][0] != float32(r) {
-					t.Errorf("part[%d] = %v", r, parts[r])
-				}
-			}
-		} else if parts != nil {
-			t.Errorf("non-root rank got parts")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRecvTimeout(t *testing.T) {
 	w, _ := NewWorld(2)
-	w.SetTimeout(50 * time.Millisecond)
+	w.timeout = 50 * time.Millisecond
 	c, _ := w.Comm(1)
-	if _, err := c.Recv(0, 0); !errors.Is(err, ErrTimeout) {
-		t.Errorf("err = %v, want ErrTimeout", err)
+	if _, err := c.Recv(0, 0); !errors.Is(err, errTimeout) {
+		t.Errorf("err = %v, want errTimeout", err)
 	}
 }
 
 func TestRankRange(t *testing.T) {
 	w, _ := NewWorld(2)
 	c, _ := w.Comm(0)
-	if err := c.Send(5, 0, nil); !errors.Is(err, ErrRankRange) {
+	if err := c.Send(5, 0, nil); !errors.Is(err, errRankRange) {
 		t.Errorf("send err = %v", err)
 	}
-	if _, err := c.Recv(-1, 0); !errors.Is(err, ErrRankRange) {
+	if _, err := c.Recv(-1, 0); !errors.Is(err, errRankRange) {
 		t.Errorf("recv err = %v", err)
 	}
-	if _, err := w.Comm(9); !errors.Is(err, ErrRankRange) {
+	if _, err := w.Comm(9); !errors.Is(err, errRankRange) {
 		t.Errorf("comm err = %v", err)
 	}
 	if _, err := NewWorld(0); err == nil {
 		t.Error("zero-size world accepted")
-	}
-}
-
-func TestFinalize(t *testing.T) {
-	w, _ := NewWorld(2)
-	c, _ := w.Comm(0)
-	w.Finalize()
-	if err := c.Send(1, 0, nil); !errors.Is(err, ErrFinalized) {
-		t.Errorf("err = %v, want ErrFinalized", err)
 	}
 }
 

@@ -46,14 +46,11 @@ func TestV2PlatformDedupsDuplicateResults(t *testing.T) {
 	// The redelivered execution publishes a second result; the router
 	// must swallow it.
 	deadline := time.Now().Add(10 * time.Second)
-	for p.ResultDuplicates() == 0 && time.Now().Before(deadline) {
+	for p.metrics.Counter("router_unclaimed_results") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := p.ResultDuplicates(); got != 1 {
-		t.Fatalf("duplicates dropped = %d, want 1", got)
-	}
-	if got := p.metrics.Counter("broker_duplicate_results"); got != 1 {
-		t.Errorf("broker_duplicate_results = %v, want 1", got)
+	if got := p.metrics.Counter("router_unclaimed_results"); got != 1 {
+		t.Fatalf("router_unclaimed_results = %v, want 1", got)
 	}
 	if u := p.Broker.Unaccounted(); u != 0 {
 		t.Errorf("unaccounted = %d", u)
@@ -219,8 +216,8 @@ func TestRouterSettlesResultWhenAckFails(t *testing.T) {
 			if d, u := b.Depth(worker.TopicResults), b.Unaccounted(); d != 0 || u != 0 {
 				t.Fatalf("after %v: depth = %d, unaccounted = %d; want 0, 0", time.Since(start), d, u)
 			}
-			if got := m.Counter("broker_duplicate_results"); got != tc.duplicates {
-				t.Errorf("broker_duplicate_results = %v, want %v", got, tc.duplicates)
+			if got := m.Counter("router_unclaimed_results"); got != tc.duplicates {
+				t.Errorf("router_unclaimed_results = %v, want %v", got, tc.duplicates)
 			}
 			if got := m.Counter("router_settle_errors"); got != 0 {
 				t.Errorf("router_settle_errors = %v, want 0: the hand-back succeeded", got)
@@ -231,6 +228,53 @@ func TestRouterSettlesResultWhenAckFails(t *testing.T) {
 			default:
 			}
 		})
+	}
+}
+
+// TestRouterDropsUnclaimedResult: a result whose waiter is gone — its
+// dispatch timed out or was cancelled — is acked and counted once in
+// router_unclaimed_results, and nothing of it reaches a waiter that
+// registers the same job later. Results route in publish order, so a
+// delivered marker result says the router is past everything before it.
+func TestRouterDropsUnclaimedResult(t *testing.T) {
+	b := queue.NewBroker()
+	m := metrics.NewRegistry()
+	rr := newResultRouter(b, m)
+	publish := func(jobID string) {
+		t.Helper()
+		if _, err := b.Publish(worker.TopicResults, worker.EncodeResult(&worker.Result{JobID: jobID})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver := func(jobID string) {
+		t.Helper()
+		ch := rr.register(jobID)
+		publish(jobID)
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("result %s never delivered", jobID)
+		}
+	}
+
+	rr.register("job-1")
+	rr.unregister("job-1")
+	publish("job-1")
+	deliver("marker-1")
+	later := rr.register("job-1")
+	deliver("marker-2") // a full pass after the later waiter registered
+	rr.stop()           // settles marker-2
+
+	if got := m.Counter("router_unclaimed_results"); got != 1 {
+		t.Errorf("router_unclaimed_results = %v, want 1", got)
+	}
+	if d, u := b.Depth(worker.TopicResults), b.Unaccounted(); d != 0 || u != 0 {
+		t.Errorf("depth = %d, unaccounted = %d; want 0, 0", d, u)
+	}
+	select {
+	case res := <-later:
+		t.Errorf("dropped result reached a later waiter: %+v", res)
+	default:
 	}
 }
 

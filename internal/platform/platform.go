@@ -232,10 +232,6 @@ func (p *Platform) Overload() *overload.Controller { return p.overload }
 // Handler returns the HTTP handler of the web tier.
 func (p *Platform) Handler() http.Handler { return p.Server.Handler() }
 
-// ResultDuplicates reports how many duplicate results the result router
-// dropped.
-func (p *Platform) ResultDuplicates() int64 { return p.router.dedup.Duplicates() }
-
 // Scale resizes the worker fleet. This is the operation the paper
 // performed the day before each deadline ("We increased the number of
 // GPUs available to WebGPU the day before the deadline", §III).
@@ -301,13 +297,13 @@ func (p *Platform) dispatchV2(ctx context.Context, job *worker.Job) (*worker.Res
 }
 
 // resultRouter pumps the results topic and hands each result to the
-// goroutine waiting on its job ID. It is also where the platform enforces
-// at-least-once hygiene: a redelivered job's duplicate result is dropped
-// (acked but not delivered) via the dedup window.
+// goroutine waiting on its job ID. It is also where the platform keeps
+// the at-least-once broker's results at most once per job: a waiter is
+// removed as its result is claimed, so a second result for the job finds
+// none and is acked and dropped.
 type resultRouter struct {
 	broker  *queue.Broker
 	metrics *metrics.Registry
-	dedup   *worker.ResultDedup
 	mu      sync.Mutex
 	waiters map[string]chan *worker.Result
 	stopCh  chan struct{}
@@ -318,7 +314,6 @@ func newResultRouter(b *queue.Broker, m *metrics.Registry) *resultRouter {
 	rr := &resultRouter{
 		broker:  b,
 		metrics: m,
-		dedup:   worker.NewResultDedup(0),
 		waiters: map[string]chan *worker.Result{},
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
@@ -389,14 +384,11 @@ func (rr *resultRouter) loop() {
 			rr.nack(d)
 			continue
 		}
-		// At-least-once means a job that redelivered (worker crash after
-		// publish, expired lease) produces a second result. Only the first
-		// per job ID counts; duplicates are acked and dropped.
-		if !rr.dedup.Accept(res.JobID, res.Attempt) {
-			rr.metrics.Inc("broker_duplicate_results", 1)
-			rr.ack(d)
-			continue
-		}
+		// Claiming a waiter deletes it, so only the first result per job
+		// is delivered. A result no waiter claims is acked and dropped: a
+		// duplicate (a job that redelivered after its worker published, or
+		// a result whose ack gave up and nacked), or one whose dispatch
+		// already timed out or was cancelled.
 		rr.mu.Lock()
 		ch, found := rr.waiters[res.JobID]
 		if found {
@@ -405,6 +397,8 @@ func (rr *resultRouter) loop() {
 		rr.mu.Unlock()
 		if found {
 			ch <- res
+		} else {
+			rr.metrics.Inc("router_unclaimed_results", 1)
 		}
 		rr.ack(d)
 	}
@@ -417,8 +411,8 @@ const ackAttempts = 3
 // handle is still good (a broker fault, injected or real); left at that,
 // the result would stay leased for the full minute and keep the topic's
 // depth above zero. So the ack is retried, and on giving up the result is
-// handed straight back: its redelivery is a duplicate, which the dedup
-// window drops and acks again.
+// handed straight back: its redelivery finds no waiter, and the loop
+// drops it and acks again.
 func (rr *resultRouter) ack(d *queue.Delivery) {
 	for i := 0; i < ackAttempts; i++ {
 		if err := d.Ack(); err == nil || errors.Is(err, queue.ErrUnknown) {

@@ -223,9 +223,12 @@ func warmPlatform(t *testing.T) *client {
 	}
 	c.mustDo("POST", "/api/v1/labs/vector-add/session", nil, &sess)
 	c.mustDo("POST", sess.DraftURL, map[string]string{"source": src}, nil) // the submit warmed it
-	for deadline := time.Now().Add(10 * time.Second); p.Metrics().Hist("devsession_draft_warm_ms") == nil; time.Sleep(5 * time.Millisecond) {
+	// The driver counts driver_jobs after it has published the result and
+	// acked the job, so the submit can return before that series exists.
+	m := p.Metrics()
+	for deadline := time.Now().Add(10 * time.Second); m.Hist("devsession_draft_warm_ms") == nil || m.Counter("driver_jobs") < 1; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the warm draft never finished")
+			t.Fatal("the warm draft never finished, or the driver never counted the submit")
 		}
 	}
 	prof := newClient(t, ts.URL)

@@ -19,7 +19,6 @@ var (
 	ErrBlacklisted   = errors.New("sandbox: source contains blacklisted construct")
 	ErrSyscallDenied = errors.New("sandbox: system call not in whitelist")
 	ErrRateLimited   = errors.New("sandbox: submission rate limit exceeded")
-	ErrOutputLimit   = errors.New("sandbox: output size limit exceeded")
 )
 
 // ---- Compile-time blacklist -------------------------------------------------

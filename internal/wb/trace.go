@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"webgpu/internal/clock"
 )
 
 // Timer categories, mirroring libwb's wbTime tags.
@@ -30,10 +28,10 @@ const (
 type LogEvent struct {
 	Level   string
 	Message string
-	At      time.Time
 }
 
-// TimerSpan is one wbTime start/stop pair.
+// TimerSpan is one wbTime span: a copy or kernel time of the simulated
+// device, never a wall-clock reading, so lab output is deterministic.
 type TimerSpan struct {
 	Category string
 	Message  string
@@ -43,48 +41,19 @@ type TimerSpan struct {
 // Trace collects the wbLog/wbTime output of one lab run; it is returned to
 // the student alongside the correctness result. Safe for concurrent use.
 type Trace struct {
-	mu     sync.Mutex
-	logs   []LogEvent
-	spans  []TimerSpan
-	opened map[string]time.Time
-	clock  clock.Clock
+	mu    sync.Mutex
+	logs  []LogEvent
+	spans []TimerSpan
 }
 
 // NewTrace creates an empty trace.
-func NewTrace() *Trace {
-	return &Trace{opened: make(map[string]time.Time), clock: clock.Real}
-}
-
-// SetClock overrides the time source (tests).
-func (t *Trace) SetClock(c clock.Clock) { t.clock = c }
+func NewTrace() *Trace { return &Trace{} }
 
 // Logf records a log line at the given level.
 func (t *Trace) Logf(level, format string, args ...interface{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.logs = append(t.logs, LogEvent{Level: level, Message: fmt.Sprintf(format, args...), At: t.clock.Now()})
-}
-
-// Start opens a timer span, keyed by category+message as in wbTime_start.
-func (t *Trace) Start(category, message string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.opened[category+"\x00"+message] = t.clock.Now()
-}
-
-// Stop closes a timer span and records its duration. Stopping a span that
-// was never started records a zero-length span (matching libwb's lenient
-// behaviour).
-func (t *Trace) Stop(category, message string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := category + "\x00" + message
-	var elapsed time.Duration
-	if start, ok := t.opened[key]; ok {
-		elapsed = t.clock.Now().Sub(start)
-		delete(t.opened, key)
-	}
-	t.spans = append(t.spans, TimerSpan{Category: category, Message: message, Elapsed: elapsed})
+	t.logs = append(t.logs, LogEvent{Level: level, Message: fmt.Sprintf(format, args...)})
 }
 
 // RecordSpan records an externally-measured span, e.g. the simulated GPU

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"webgpu/internal/clock"
 )
 
 func TestVectorRoundTrip(t *testing.T) {
@@ -231,34 +229,26 @@ func TestDatasetInput(t *testing.T) {
 
 func TestTrace(t *testing.T) {
 	tr := NewTrace()
-	clk := clock.NewManual(time.Unix(0, 0))
-	tr.SetClock(clk)
 	tr.Logf(LevelTrace, "The input length is %d", 64)
-	tr.Start(TimeGPU, "Allocating GPU memory")
-	clk.Advance(time.Millisecond)
-	tr.Stop(TimeGPU, "Allocating GPU memory")
+	tr.RecordSpan(TimeCopy, "Copying input memory to the GPU", time.Millisecond)
 	tr.RecordSpan(TimeCompute, "Performing CUDA computation", 5*time.Millisecond)
-	tr.Stop(TimeCopy, "never started") // lenient zero-length span
 
 	logs := tr.Logs()
 	if len(logs) != 1 || !strings.Contains(logs[0].Message, "64") {
 		t.Errorf("logs = %+v", logs)
 	}
 	spans := tr.Spans()
-	if len(spans) != 3 {
+	if len(spans) != 2 {
 		t.Fatalf("spans = %+v", spans)
 	}
-	if spans[0].Elapsed != time.Millisecond {
-		t.Errorf("span elapsed = %v", spans[0].Elapsed)
+	if spans[1].Elapsed != 5*time.Millisecond {
+		t.Errorf("span elapsed = %v", spans[1].Elapsed)
 	}
-	if spans[2].Elapsed != 0 {
-		t.Errorf("unstarted span elapsed = %v", spans[2].Elapsed)
-	}
-	out := tr.String()
-	for _, want := range []string{"[TRACE]", "input length", "[TIME] GPU", "Performing CUDA computation"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
+	want := "[TRACE] The input length is 64\n" +
+		"[TIME] Copy: 1ms (Copying input memory to the GPU)\n" +
+		"[TIME] Compute: 5ms (Performing CUDA computation)\n"
+	if out := tr.String(); out != want {
+		t.Errorf("trace output:\n%s\nwant:\n%s", out, want)
 	}
 }
 

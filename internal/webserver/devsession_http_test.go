@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -487,12 +488,14 @@ func TestSessionOwnershipAndValidation(t *testing.T) {
 // TestSessionLimitOverHTTP: the per-user session bound surfaces as 429
 // with the rate_limited code.
 func TestSessionLimitOverHTTP(t *testing.T) {
-	df := newDevFixture(t, devsession.Config{MaxPerUser: 1, Debounce: -1, DraftInterval: -1})
+	df := newDevFixture(t, devsession.Config{Debounce: -1, DraftInterval: -1})
 	tok := df.register("bound@x", "student")
-	df.openSession(tok, "vector-add")
+	for i := 0; i < devsession.MaxPerUser; i++ {
+		df.openSession(tok, "vector-add")
+	}
 	code, body := df.req("POST", "/api/v1/labs/vector-add/session", tok, nil)
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("second session = %d %s, want 429", code, body)
+		t.Fatalf("session %d = %d %s, want 429", devsession.MaxPerUser+1, code, body)
 	}
 	var env ErrorBody
 	if json.Unmarshal(body, &env) != nil || env.Error.Code != ErrCodeRateLimited {
@@ -504,8 +507,13 @@ func TestSessionLimitOverHTTP(t *testing.T) {
 // is the system's state, not one student's doing, so it answers as an
 // admission shed does: 429 overloaded with a Retry-After.
 func TestFullSessionRegistryIsOverloaded(t *testing.T) {
-	df := newDevFixture(t, devsession.Config{MaxSessions: 1, Debounce: -1, DraftInterval: -1})
-	df.openSession(df.register("first@x", "student"), "vector-add")
+	df := newDevFixture(t, devsession.Config{Debounce: -1, DraftInterval: -1})
+	lab := labs.ByID("vector-add")
+	for i := 0; i < devsession.MaxSessions; i++ {
+		if _, err := df.mgr.Open(fmt.Sprintf("filler-%d", i/devsession.MaxPerUser), lab.ID, lab.Dialect); err != nil {
+			t.Fatal(err)
+		}
+	}
 	req, _ := http.NewRequest("POST", df.ts.URL+"/api/v1/labs/vector-add/session", nil)
 	req.Header.Set("Authorization", "Bearer "+df.register("second@x", "student"))
 	resp, err := http.DefaultClient.Do(req)

@@ -107,7 +107,8 @@ func TestCancelBeforeAdmission(t *testing.T) {
 	l := registerGatedLab(t, "cancel-admission-probe", 1, started, proceed)
 
 	cfg := DefaultNodeConfig("adm-worker")
-	cfg.MaxConcurrent = 1
+	cfg.Images = DefaultImages()[:1] // one image, one warm container: admission is 1
+	cfg.PerImage = 1
 	n := NewNode(cfg)
 
 	// Occupy the single admission slot.

@@ -8,35 +8,6 @@ import (
 	"webgpu/internal/queue"
 )
 
-func TestResultDedup(t *testing.T) {
-	d := NewResultDedup(3)
-	if !d.Accept("j1", 1) {
-		t.Fatal("first result rejected")
-	}
-	if d.Accept("j1", 2) {
-		t.Fatal("duplicate accepted")
-	}
-	if got := d.Duplicates(); got != 1 {
-		t.Errorf("duplicates = %d", got)
-	}
-	if a, ok := d.AcceptedAttempt("j1"); !ok || a != 1 {
-		t.Errorf("accepted attempt = %d, %v", a, ok)
-	}
-	// FIFO eviction at capacity: j1 falls out after three newer jobs.
-	d.Accept("j2", 1)
-	d.Accept("j3", 1)
-	d.Accept("j4", 1)
-	if d.Len() != 3 {
-		t.Errorf("len = %d, want capacity 3", d.Len())
-	}
-	if _, ok := d.AcceptedAttempt("j1"); ok {
-		t.Error("j1 should have been evicted")
-	}
-	if !d.Accept("j1", 5) {
-		t.Error("post-eviction result should be accepted again")
-	}
-}
-
 func TestNodeIDFormatting(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -60,8 +31,7 @@ func TestNodeIDFormatting(t *testing.T) {
 // duplicate-result hole end to end: a driver that crashes after
 // publishing its result (but before the ack) causes a redelivery, and
 // BOTH results land on the results topic — distinguished by their
-// attempt number, on the Result and as an attempt: meta tag, so a
-// deduping consumer keeps exactly one.
+// attempt number — and a first-wins consumer keeps exactly one.
 func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 	b := queue.NewBroker()
 	cs := NewConfigServer(Config{PollInterval: time.Millisecond, Visibility: 50 * time.Millisecond})
@@ -82,7 +52,7 @@ func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 		t.Fatalf("results depth = %d, want the duplicate too", got)
 	}
 
-	dedup := NewResultDedup(0)
+	seen := map[string]bool{}
 	accepted := 0
 	for i := 0; i < 2; i++ {
 		del, ok, err := b.Poll(TopicResults, "web", map[string]bool{}, time.Minute)
@@ -100,7 +70,8 @@ func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 		if res.JobID != "jdup" {
 			t.Errorf("result %d: job = %q", i, res.JobID)
 		}
-		if dedup.Accept(res.JobID, res.Attempt) {
+		if !seen[res.JobID] {
+			seen[res.JobID] = true
 			accepted++
 		}
 		_ = del.Ack()

@@ -74,9 +74,8 @@ type Result struct {
 
 	// Attempt is the broker delivery attempt that produced this result
 	// (1-based; 0 when the caller ran the node directly). A redelivered
-	// job publishes a second result with a higher attempt — consumers
-	// accept only the first result per job ID and use the attempt to
-	// label the duplicates they drop.
+	// job publishes a second result with a higher attempt; the
+	// platform's result router delivers only the first per job ID.
 	Attempt int `json:"attempt,omitempty"`
 
 	// Diagnostics carries kernelcheck's static-analysis findings for the

@@ -56,11 +56,6 @@ type NodeConfig struct {
 	Tags     []string
 	Limits   sandbox.Limits
 
-	// MaxConcurrent bounds jobs in flight; 0 sizes it to the warm-pool
-	// capacity (PerImage × images, min 1) — the paper's container-pool
-	// unit of worker concurrency.
-	MaxConcurrent int
-
 	// ProgCache is the compiled-program cache the node's pipeline uses;
 	// nil uses the process-wide progcache.Default.
 	ProgCache *progcache.Cache
@@ -125,10 +120,9 @@ func NewNode(cfg NodeConfig) *Node {
 	if limits.MaxSteps == 0 {
 		limits = sandbox.DefaultLimits()
 	}
-	maxConc := cfg.MaxConcurrent
-	if maxConc <= 0 {
-		maxConc = perImage * len(images)
-	}
+	// Admission is the warm-pool capacity (PerImage × images, min 1): the
+	// paper's container-pool unit of worker concurrency.
+	maxConc := perImage * len(images)
 	if maxConc < 1 {
 		maxConc = 1
 	}
@@ -177,9 +171,6 @@ func (n *Node) Pool() *Pool { return n.pool }
 
 // ProgCache exposes the node's program cache.
 func (n *Node) ProgCache() *progcache.Cache { return n.progs }
-
-// MaxConcurrent reports how many jobs the node admits at once.
-func (n *Node) MaxConcurrent() int { return cap(n.sem) }
 
 // InflightHighWater reports the largest number of jobs the node has
 // executed concurrently.

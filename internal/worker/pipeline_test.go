@@ -35,7 +35,8 @@ func TestNodeExecutesConcurrently(t *testing.T) {
 		return minicuda.Compile(src, d)
 	})
 	cfg := DefaultNodeConfig("stress")
-	cfg.MaxConcurrent = k
+	cfg.Images = DefaultImages()[:1] // one image, k warm containers: admission is k
+	cfg.PerImage = k
 	cfg.ProgCache = cache
 	n := NewNode(cfg)
 
@@ -109,8 +110,8 @@ func TestNodeStressMixedSources(t *testing.T) {
 	if total := s.Hits + s.Misses + s.Coalesced; total != goroutines*iters {
 		t.Errorf("cache accesses = %d, want %d", total, goroutines*iters)
 	}
-	if hw := n.InflightHighWater(); hw > n.MaxConcurrent() {
-		t.Errorf("high-water %d exceeded admission limit %d", hw, n.MaxConcurrent())
+	if hw := n.InflightHighWater(); hw > cap(n.sem) {
+		t.Errorf("high-water %d exceeded admission limit %d", hw, cap(n.sem))
 	}
 	hits := n.Metrics().Counter("progcache_hits")
 	misses := n.Metrics().Counter("progcache_misses")

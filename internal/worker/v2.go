@@ -253,7 +253,7 @@ func (d *Driver) loop(cfg Config) {
 		if d.faults.Fire(faultinject.PointDriverCrashAfterPublish) != nil {
 			// Simulated crash after the result publish but before the ack:
 			// the job redelivers and a duplicate result will be published —
-			// exactly the at-least-once hole result dedup exists to close.
+			// the at-least-once hole the platform's result router closes.
 			d.crashes.Add(1)
 			continue
 		}

@@ -3,8 +3,8 @@
 //
 //   - Deterministic clocks: packages whose components all hold a
 //     clock.Clock (internal/castore, internal/queue, internal/overload,
-//     internal/devsession, internal/webserver, internal/wb), and
-//     internal/db, which reads no clock yet, must not name time.Now,
+//     internal/devsession, internal/webserver), and internal/db and
+//     internal/wb, which read no clock, must not name time.Now,
 //     time.Since or a wall-clock timer (time.NewTimer, NewTicker, After,
 //     AfterFunc, Sleep, Tick) in non-test files, called or not. Time there
 //     comes from the component's clock, so a test's clock.Manual controls
@@ -20,12 +20,11 @@
 //     check result, counters and diagnostics; a pattern over source or
 //     error text is the guesswork those facts replaced.
 //
-//   - Request-path timers: the dispatch and live-session packages
-//     (internal/devsession, internal/queue, internal/worker,
-//     internal/platform) must not call time.After inside a for body in
-//     non-test files. Each call allocates a timer that lives until it
-//     fires, and a wait taken on every turn of a loop is how a sleep
-//     ends up as the floor of a latency; reuse one time.Timer.
+//   - Unstopped timers: non-test files under internal/ and cmd/ must not
+//     call time.After. Under go.mod's go 1.22 each call allocates a timer
+//     that lives until it fires, even after its wait is over, and one
+//     taken on every turn of a loop is how a sleep ends up as the floor
+//     of a latency; arm a time.Timer and stop it (or reuse it) instead.
 //
 //   - Lost write-throughs: under internal/, a file that imports
 //     internal/castore must not drop the result of a Store.Put, with
@@ -94,15 +93,6 @@ var wallClock = map[string]bool{
 	"NewTimer": true, "NewTicker": true, "After": true, "AfterFunc": true, "Sleep": true, "Tick": true,
 }
 
-// timerPkgs are the directories whose loops serve requests (draft pickup,
-// broker dispatch, worker drivers) and must reuse one timer.
-var timerPkgs = []string{
-	"internal/devsession",
-	"internal/queue",
-	"internal/worker",
-	"internal/platform",
-}
-
 const hotpathMarker = "//kernelcheck:hotpath"
 
 const castorePath = "webgpu/internal/castore"
@@ -112,7 +102,7 @@ const castorePath = "webgpu/internal/castore"
 var settleAllowed = map[string]bool{
 	// The v2 driver's job loop settles on a lease it is about to abandon
 	// anyway: a refused nack or ack leaves the job's lease to expire, and
-	// the redelivery that follows (deduped downstream when the result was
+	// the redelivery that follows (dropped downstream when the result was
 	// published) is the at-least-once recovery the design counts on.
 	"internal/worker/v2.go:Driver.loop": true,
 }
@@ -264,9 +254,6 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 	if inPkg(slash, clockPkgs) {
 		out = append(out, checkClockCalls(fset, f)...)
 	}
-	if inPkg(slash, timerPkgs) {
-		out = append(out, checkLoopTimers(fset, f)...)
-	}
 	if isHotpath(f) {
 		out = append(out, checkHotpath(fset, f)...)
 	}
@@ -280,6 +267,7 @@ func lintFile(fset *token.FileSet, f *ast.File, path string) []finding {
 		out = append(out, checkStageObserves(fset, f)...)
 	}
 	if inPkg(slash, []string{"internal", "cmd"}) {
+		out = append(out, checkTimeAfter(fset, f)...)
 		out = append(out, checkDroppedSettles(fset, f, slash)...)
 	}
 	return out
@@ -538,35 +526,20 @@ func checkClockCalls(fset *token.FileSet, f *ast.File) []finding {
 	return out
 }
 
-// checkLoopTimers flags time.After calls lexically inside a for or range
-// body.
-func checkLoopTimers(fset *token.FileSet, f *ast.File) []finding {
+// checkTimeAfter flags every time.After call.
+func checkTimeAfter(fset *token.FileSet, f *ast.File) []finding {
 	timeName := importName(f, "time")
 	if timeName == "" {
 		return nil
 	}
-	seen := map[token.Pos]bool{} // a call in nested loops is one finding
 	var out []finding
 	ast.Inspect(f, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		switch loop := n.(type) {
-		case *ast.ForStmt:
-			body = loop.Body
-		case *ast.RangeStmt:
-			body = loop.Body
-		default:
-			return true
+		if call, name := pkgCall(n, timeName); name == "After" {
+			out = append(out, finding{
+				pos: fset.Position(call.Pos()),
+				msg: "time.After call; arm a time.Timer and stop it on return, or reuse one",
+			})
 		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			if call, name := pkgCall(n, timeName); name == "After" && !seen[call.Pos()] {
-				seen[call.Pos()] = true
-				out = append(out, finding{
-					pos: fset.Position(call.Pos()),
-					msg: "time.After call inside a loop on a request path; arm one reusable time.Timer instead",
-				})
-			}
-			return true
-		})
 		return true
 	})
 	return out
