@@ -222,7 +222,7 @@ func TestUnsubscribeCancelsInflight(t *testing.T) {
 		return reg.Counter("devsession_draft_cancelled") >= 1
 	})
 	poll(t, "cancelled status event", func() bool {
-		for _, ev := range s.History(0) {
+		for _, ev := range buffered(s) {
 			if sp, ok := ev.Data.(StatusPayload); ok && sp.State == "cancelled" {
 				return true
 			}
@@ -284,6 +284,13 @@ func TestStaleInflightCancelledByNewerDraft(t *testing.T) {
 	}
 }
 
+// buffered returns a copy of the session's event ring.
+func buffered(s *Session) []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Event(nil), s.events...)
+}
+
 func TestSubscribeReplayAfterSeq(t *testing.T) {
 	l := refLab(t)
 	m := NewManager(Config{Debounce: -1, DraftInterval: -1})
@@ -294,7 +301,7 @@ func TestSubscribeReplayAfterSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	// open status + compile + diagnostics
-	poll(t, "three buffered events", func() bool { return len(s.History(0)) >= 3 })
+	poll(t, "three buffered events", func() bool { return len(buffered(s)) >= 3 })
 
 	replay, _, unsub, err := s.Subscribe(1)
 	if err != nil {
@@ -517,7 +524,7 @@ func TestSlowSubscriberKicked(t *testing.T) {
 			t.Fatal(err)
 		}
 		poll(t, "draft analyzed", func() bool {
-			evs := s.History(0)
+			evs := buffered(s)
 			for _, ev := range evs {
 				if dp, ok := ev.Data.(DiagnosticsPayload); ok && dp.Draft == int64(i+1) {
 					return true
@@ -534,8 +541,11 @@ func TestSlowSubscriberKicked(t *testing.T) {
 			return false
 		}
 	})
-	if s.Subscribers() != 0 {
-		t.Fatalf("Subscribers = %d, want 0 after kick", s.Subscribers())
+	s.mu.Lock()
+	subs := len(s.subs)
+	s.mu.Unlock()
+	if subs != 0 {
+		t.Fatalf("%d subscribers, want 0 after kick", subs)
 	}
 }
 

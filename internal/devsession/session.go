@@ -198,26 +198,6 @@ func (s *Session) Subscribe(afterSeq int64) (replay []Event, ch <-chan Event, ca
 	return replay, c, cancel, nil
 }
 
-// History returns the buffered events with Seq > afterSeq (newest last).
-func (s *Session) History(afterSeq int64) []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Event
-	for _, ev := range s.events {
-		if ev.Seq > afterSeq {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Subscribers reports the number of attached listeners.
-func (s *Session) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
 // idleSince reports how long the session has been idle; a session with a
 // live subscriber is never idle.
 func (s *Session) idleSince(now time.Time) time.Duration {

@@ -120,14 +120,6 @@ func New(seed int64) *Registry {
 	}
 }
 
-// Seed returns the registry's seed, for replay logs.
-func (r *Registry) Seed() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.seed
-}
-
 // Enable arms (or re-arms, resetting counters) a fault point.
 func (r *Registry) Enable(name string, f Fault) {
 	if r == nil {
@@ -230,20 +222,6 @@ func (r *Registry) Evaluations(name string) int64 {
 		return p.evals
 	}
 	return 0
-}
-
-// FiredTotal sums fires across every armed point.
-func (r *Registry) FiredTotal() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	for _, p := range r.points {
-		n += p.fired
-	}
-	return n
 }
 
 // String summarizes the registry for a chaos run's replay log:

@@ -23,11 +23,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Enable(PointQueuePublish, Fault{})
 	r.Disable(PointQueuePublish)
 	r.DisableAll()
-	if r.Fired(PointQueuePublish) != 0 || r.Evaluations(PointQueuePublish) != 0 || r.FiredTotal() != 0 {
+	if r.Fired(PointQueuePublish) != 0 || r.Evaluations(PointQueuePublish) != 0 {
 		t.Error("nil registry reported activity")
-	}
-	if r.Seed() != 0 {
-		t.Error("nil registry has a seed")
 	}
 	if got := r.String(); got != "faultinject: disabled" {
 		t.Errorf("String() = %q", got)

@@ -15,14 +15,13 @@ func BenchmarkMemcpyHtoD(b *testing.B) {
 	}
 }
 
-func BenchmarkMallocFree(b *testing.B) {
+func BenchmarkMallocReset(b *testing.B) {
 	d := NewDefaultDevice()
 	for i := 0; i < b.N; i++ {
-		p, err := d.Malloc(4096)
-		if err != nil {
+		if _, err := d.Malloc(4096); err != nil {
 			b.Fatal(err)
 		}
-		_ = d.Free(p)
+		d.Reset()
 	}
 }
 

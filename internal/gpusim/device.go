@@ -16,7 +16,6 @@ package gpusim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -36,9 +35,6 @@ func D1(x int) Dim3 { return Dim3{X: x, Y: 1, Z: 1} }
 
 // D2 is shorthand for a two-dimensional Dim3.
 func D2(x, y int) Dim3 { return Dim3{X: x, Y: y, Z: 1} }
-
-// D3 is shorthand for a three-dimensional Dim3.
-func D3(x, y, z int) Dim3 { return Dim3{X: x, Y: y, Z: z} }
 
 // DeviceProps describes a simulated GPU, mirroring cudaDeviceProp. The
 // Device Query lab reports these fields.
@@ -137,7 +133,7 @@ type Device struct {
 	nextAlloc uint64
 	allocs    map[uint64]*allocation
 	usedBytes int
-	// constMem is allocated by the first CopyToConst or ConstMem; until
+	// constMem is allocated by the first CopyToConst; until
 	// then constant memory reads as zeros. Most jobs never touch it, and
 	// a worker builds a fresh device set for every job.
 	constMem []byte
@@ -159,12 +155,6 @@ func NewDevice(props DeviceProps) *Device {
 
 // NewDefaultDevice creates a device with DefaultProps.
 func NewDefaultDevice() *Device { return NewDevice(DefaultProps()) }
-
-// Props returns the device properties.
-func (d *Device) Props() DeviceProps { return d.props }
-
-// Index returns the device ordinal assigned by SetIndex (0 by default).
-func (d *Device) Index() int { return d.index }
 
 // SetIndex assigns the device ordinal, as in a multi-GPU worker node.
 func (d *Device) SetIndex(i int) { d.index = i }
@@ -188,30 +178,6 @@ func (d *Device) Malloc(size int) (Ptr, error) {
 	d.allocs[id] = &allocation{id: id, data: make([]byte, size)}
 	d.usedBytes += size
 	return Ptr{alloc: id}, nil
-}
-
-// Free releases an allocation. Freeing the null pointer is a no-op, as in
-// cudaFree.
-func (d *Device) Free(p Ptr) error {
-	if p.IsNil() {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	a, ok := d.allocs[p.alloc]
-	if !ok {
-		return fmt.Errorf("%w: free of unknown allocation", ErrInvalidPtr)
-	}
-	d.usedBytes -= len(a.data)
-	delete(d.allocs, p.alloc)
-	return nil
-}
-
-// UsedBytes reports the bytes of global memory currently allocated.
-func (d *Device) UsedBytes() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.usedBytes
 }
 
 // AllocCount reports the number of live allocations; the worker node uses
@@ -267,20 +233,6 @@ func (d *Device) MemcpyDtoH(dst []byte, src Ptr) error {
 	return nil
 }
 
-// MemcpyDtoD copies n bytes between device allocations.
-func (d *Device) MemcpyDtoD(dst, src Ptr, n int) error {
-	sv, err := d.view(src, n)
-	if err != nil {
-		return err
-	}
-	dv, err := d.view(dst, n)
-	if err != nil {
-		return err
-	}
-	copy(dv, sv)
-	return nil
-}
-
 // Memset fills n bytes of device memory with b.
 func (d *Device) Memset(p Ptr, b byte, n int) error {
 	v, err := d.view(p, n)
@@ -301,23 +253,11 @@ func (d *Device) CopyToConst(off int, src []byte) error {
 		return fmt.Errorf("%w: constant memory write [%d,%d) of %d",
 			ErrIllegalAccess, off, off+len(src), d.props.TotalConstMem)
 	}
-	copy(d.constMemLocked()[off:], src)
-	return nil
-}
-
-// ConstMem returns a read-only view of constant memory. Kernels read it
-// through ThreadCtx so accesses are cost-accounted.
-func (d *Device) ConstMem() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.constMemLocked()
-}
-
-func (d *Device) constMemLocked() []byte {
 	if d.constMem == nil {
 		d.constMem = make([]byte, d.props.TotalConstMem)
 	}
-	return d.constMem
+	copy(d.constMem[off:], src)
+	return nil
 }
 
 // constLoad reads the 32-bit word at element idx of constant memory;
@@ -389,17 +329,4 @@ func (d *Device) QueryString() string {
 		p.TotalGlobalMem, p.TotalConstMem, p.SharedMemPerBlock,
 		p.MaxBlockDim.X, p.MaxBlockDim.Y, p.MaxBlockDim.Z,
 		p.MaxGridDim.X, p.MaxGridDim.Y, p.MaxGridDim.Z, p.WarpSize)
-}
-
-// Allocations lists the live allocation handles in ascending order; used by
-// tests and the leak detector.
-func (d *Device) Allocations() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]uint64, 0, len(d.allocs))
-	for id := range d.allocs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

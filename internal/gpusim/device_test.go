@@ -7,51 +7,24 @@ import (
 	"testing/quick"
 )
 
+// TestMallocFreeAccounting: allocations add up until Reset frees them
+// all, which is how a device's memory is given back.
 func TestMallocFreeAccounting(t *testing.T) {
 	d := NewDefaultDevice()
-	p1, err := d.Malloc(1024)
-	if err != nil {
-		t.Fatalf("Malloc: %v", err)
+	for _, size := range []int{1024, 2048} {
+		if _, err := d.Malloc(size); err != nil {
+			t.Fatalf("Malloc: %v", err)
+		}
 	}
-	p2, err := d.Malloc(2048)
-	if err != nil {
-		t.Fatalf("Malloc: %v", err)
-	}
-	if got := d.UsedBytes(); got != 3072 {
-		t.Errorf("UsedBytes = %d, want 3072", got)
+	if d.usedBytes != 3072 {
+		t.Errorf("usedBytes = %d, want 3072", d.usedBytes)
 	}
 	if got := d.AllocCount(); got != 2 {
 		t.Errorf("AllocCount = %d, want 2", got)
 	}
-	if err := d.Free(p1); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	if got := d.UsedBytes(); got != 2048 {
-		t.Errorf("UsedBytes after free = %d, want 2048", got)
-	}
-	if err := d.Free(p2); err != nil {
-		t.Fatalf("Free: %v", err)
-	}
-	if got := d.AllocCount(); got != 0 {
-		t.Errorf("AllocCount after frees = %d, want 0", got)
-	}
-}
-
-func TestFreeNilIsNoop(t *testing.T) {
-	d := NewDefaultDevice()
-	if err := d.Free(Ptr{}); err != nil {
-		t.Errorf("Free(nil) = %v, want nil", err)
-	}
-}
-
-func TestDoubleFree(t *testing.T) {
-	d := NewDefaultDevice()
-	p, _ := d.Malloc(16)
-	if err := d.Free(p); err != nil {
-		t.Fatalf("first Free: %v", err)
-	}
-	if err := d.Free(p); !errors.Is(err, ErrInvalidPtr) {
-		t.Errorf("double Free = %v, want ErrInvalidPtr", err)
+	d.Reset()
+	if got := d.AllocCount(); d.usedBytes != 0 || got != 0 {
+		t.Errorf("after Reset: %d allocs, %d bytes", got, d.usedBytes)
 	}
 }
 
@@ -62,16 +35,13 @@ func TestOutOfMemory(t *testing.T) {
 	if _, err := d.Malloc(2 << 20); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("Malloc over capacity = %v, want ErrOutOfMemory", err)
 	}
-	// After freeing, the memory is available again.
-	p, err := d.Malloc(1 << 20)
-	if err != nil {
+	// After a reset, the memory is available again.
+	if _, err := d.Malloc(1 << 20); err != nil {
 		t.Fatalf("Malloc at capacity: %v", err)
 	}
-	if err := d.Free(p); err != nil {
-		t.Fatal(err)
-	}
+	d.Reset()
 	if _, err := d.Malloc(1 << 20); err != nil {
-		t.Errorf("Malloc after free: %v", err)
+		t.Errorf("Malloc after reset: %v", err)
 	}
 }
 
@@ -123,25 +93,6 @@ func TestMemcpyInvalidPtr(t *testing.T) {
 	}
 }
 
-func TestMemcpyDtoD(t *testing.T) {
-	d := NewDefaultDevice()
-	a, _ := d.Malloc(8)
-	b, _ := d.Malloc(8)
-	if err := d.MemcpyHtoD(a, []byte{9, 8, 7, 6, 5, 4, 3, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.MemcpyDtoD(b, a, 8); err != nil {
-		t.Fatalf("MemcpyDtoD: %v", err)
-	}
-	got := make([]byte, 8)
-	if err := d.MemcpyDtoH(got, b); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 9 || got[7] != 2 {
-		t.Errorf("DtoD copy mismatch: %v", got)
-	}
-}
-
 func TestMemset(t *testing.T) {
 	d := NewDefaultDevice()
 	p, _ := d.Malloc(4)
@@ -165,10 +116,10 @@ func TestConstMemory(t *testing.T) {
 	if err := d.CopyToConst(0, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CopyToConst(d.Props().TotalConstMem-1, []byte{0, 0}); !errors.Is(err, ErrIllegalAccess) {
+	if err := d.CopyToConst(d.props.TotalConstMem-1, []byte{0, 0}); !errors.Is(err, ErrIllegalAccess) {
 		t.Errorf("const overflow = %v, want ErrIllegalAccess", err)
 	}
-	got := BytesFloat32(d.ConstMem()[:8])
+	got := BytesFloat32(d.constMem[:8])
 	if got[0] != 1.5 || got[1] != -2.5 {
 		t.Errorf("const mem = %v", got)
 	}
@@ -179,8 +130,8 @@ func TestReset(t *testing.T) {
 	p, _ := d.Malloc(128)
 	_ = p
 	d.Reset()
-	if d.AllocCount() != 0 || d.UsedBytes() != 0 {
-		t.Errorf("after Reset: %d allocs, %d bytes", d.AllocCount(), d.UsedBytes())
+	if d.AllocCount() != 0 || d.usedBytes != 0 {
+		t.Errorf("after Reset: %d allocs, %d bytes", d.AllocCount(), d.usedBytes)
 	}
 }
 
@@ -286,12 +237,14 @@ func TestAllocationsDoNotAlias(t *testing.T) {
 
 func TestAllocationsOrdered(t *testing.T) {
 	d := NewDefaultDevice()
+	var ids []uint64
 	for i := 0; i < 5; i++ {
-		if _, err := d.Malloc(8); err != nil {
+		p, err := d.Malloc(8)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, p.alloc)
 	}
-	ids := d.Allocations()
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			t.Fatalf("ids not ascending: %v", ids)

@@ -501,9 +501,6 @@ func (tc *ThreadCtx) SyncThreads() error {
 	return err
 }
 
-// Shared returns the block's shared-memory arena (static + dynamic).
-func (tc *ThreadCtx) Shared() []byte { return tc.block.shared }
-
 // SetSite keys the thread's memory accesses from here on: the cost model
 // prices the accesses of one warp's threads that carry the same key as one
 // instruction (cost.go). A kernel that never calls it is keyed by ordinal.

@@ -112,7 +112,6 @@ type Lab struct {
 	// parses out of it is kept beside it (dsEntry.files).
 	dsMu   sync.Mutex
 	dsOnce map[int]*dsEntry
-	dsGens int64
 }
 
 type dsEntry struct {
@@ -141,19 +140,10 @@ func (l *Lab) dataset(id int) *dsEntry {
 	e, ok := l.dsOnce[id]
 	if !ok {
 		ds, err := l.Generate(id)
-		l.dsGens++
 		e = &dsEntry{ds: ds, err: err}
 		l.dsOnce[id] = e
 	}
 	return e
-}
-
-// DatasetGenerations reports how many times the underlying generator ran
-// (cache effectiveness; tests assert each dataset is built once).
-func (l *Lab) DatasetGenerations() int64 {
-	l.dsMu.Lock()
-	defer l.dsMu.Unlock()
-	return l.dsGens
 }
 
 // UsedBy reports whether the lab is part of the given course (Table II).

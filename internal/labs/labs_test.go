@@ -16,7 +16,7 @@ import (
 	"webgpu/internal/wb"
 )
 
-var update = flag.Bool("update", false, "rewrite README.md's lab table from All()")
+var update = flag.Bool("update", false, "rewrite README.md's lab table and testdata/outcomes")
 
 // TestCatalogDocumented keeps README.md's lab table equal to All().
 func TestCatalogDocumented(t *testing.T) {
@@ -485,7 +485,9 @@ func TestConvolutionSameOnLazyConstMemory(t *testing.T) {
 	for ds := 0; ds < l.NumDatasets; ds++ {
 		lazy := Run(context.Background(), l, l.Reference, ds, NewDeviceSet(1), 0)
 		eager := NewDeviceSet(1)
-		_ = eager[0].ConstMem() // allocate up front
+		if err := eager[0].CopyToConst(0, nil); err != nil { // allocate up front
+			t.Fatal(err)
+		}
 		want := Run(context.Background(), l, l.Reference, ds, eager, 0)
 		if !lazy.Correct || len(lazy.Kernels) == 0 {
 			t.Fatalf("dataset %d: correct=%v (%s), %d kernels", ds, lazy.Correct, lazy.CheckMessage, len(lazy.Kernels))

@@ -85,26 +85,6 @@ func (r *Registry) Hist(name string) *Histogram {
 	return r.hists[name]
 }
 
-// Snapshot renders all metrics as sorted "name value" lines — the
-// dashboard text view.
-func (r *Registry) Snapshot() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for k, v := range r.counts {
-		lines = append(lines, fmt.Sprintf("counter %s %g", k, v))
-	}
-	for k, v := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", k, v))
-	}
-	for k, h := range r.hists {
-		lines = append(lines, fmt.Sprintf("hist %s count=%d p50=%.2f p95=%.2f p99=%.2f max=%.2f",
-			k, h.Count(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.Max()))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 // AddCollector registers a function invoked before each export so
 // subsystems with their own stats structs (program cache, broker, fleet)
 // can refresh gauges lazily instead of pushing on every event.
@@ -224,16 +204,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Sum returns the total of all observations.

@@ -357,11 +357,6 @@ func (p *Program) BytecodeBytes() int {
 	return len(wp.bc.code) * int(unsafe.Sizeof(instr{}))
 }
 
-// UsesBarrier reports whether any function in the program calls
-// __syncthreads (or OpenCL barrier); barrier-free programs launch on the
-// simulator's faster serial-thread path.
-func (p *Program) UsesBarrier() bool { return p.usesBarrier }
-
 // Kernel returns the kernel function with the given name, or nil.
 func (p *Program) Kernel(name string) *Function {
 	return p.kernels[name]

@@ -60,7 +60,7 @@ func runCodecDiff(t *testing.T, c diffCase) {
 	if dec.ConstSize() != prog.ConstSize() {
 		t.Fatalf("const size diverges: %d vs %d", dec.ConstSize(), prog.ConstSize())
 	}
-	if dec.UsesBarrier() != prog.UsesBarrier() {
+	if dec.usesBarrier != prog.usesBarrier {
 		t.Fatalf("usesBarrier diverges")
 	}
 	if dec.InstructionCount() != prog.InstructionCount() {

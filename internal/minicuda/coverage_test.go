@@ -202,7 +202,7 @@ __global__ void k(int *out) {
   out[idx] = blockIdx.z * 100 + threadIdx.z * 10 + threadIdx.y;
 }`)
 	out, _ := d.Malloc(8 * 4)
-	if _, err := p.Launch(d, "k", LaunchOpts{Grid: gpusim.D3(1, 1, 1), Block: gpusim.D3(2, 2, 2)},
+	if _, err := p.Launch(d, "k", LaunchOpts{Grid: gpusim.D1(1), Block: gpusim.Dim3{X: 2, Y: 2, Z: 2}},
 		IntPtr(out)); err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestDiagnosticStrings(t *testing.T) {
 
 func TestUsesBarrierFlag(t *testing.T) {
 	with := mustCompile(t, `__global__ void k(float *a) { __syncthreads(); a[0] = 1.0f; }`)
-	if !with.UsesBarrier() {
+	if !with.usesBarrier {
 		t.Error("barrier program not flagged")
 	}
 	without := mustCompile(t, `__global__ void k(float *a) { a[0] = 1.0f; }`)
-	if without.UsesBarrier() {
+	if without.usesBarrier {
 		t.Error("barrier-free program flagged")
 	}
 }

@@ -232,8 +232,6 @@ __global__ void probe(int *iout, float *fout, int a, int b, float x, float y) {
 			t.Fatalf("trial %d: float mismatch: got %v want %v\nenv %+v\nexpr %s",
 				trial, gotF[0], wantF, e, fe.src)
 		}
-		_ = dev.Free(iout)
-		_ = dev.Free(fout)
 	}
 }
 
@@ -277,6 +275,5 @@ __global__ void probe(int *iout, int a, int b, float x, float y, int iters) {
 		if got[0] != want {
 			t.Fatalf("trial %d: got %d want %d\n%s", trial, got[0], want, src)
 		}
-		_ = dev.Free(iout)
 	}
 }

@@ -104,7 +104,7 @@ type Store struct {
 	mu          sync.Mutex
 	assignments map[string][]*Assignment // reviewer -> assignments
 	byPair      map[string]*Assignment
-	weight      float64 // fraction of the lab grade awarded for completion
+	weight      float64 // fraction of the lab grade awarded for completion; fixed at NewStore
 }
 
 // NewStore creates a store with the given grade weight (0.10 in the
@@ -118,18 +118,7 @@ func NewStore(weight float64) *Store {
 }
 
 // Weight returns the configured grade weight.
-func (s *Store) Weight() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.weight
-}
-
-// SetWeight adjusts the grade weight (the paper's 10% → 5% → 0 sequence).
-func (s *Store) SetWeight(w float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.weight = w
-}
+func (s *Store) Weight() float64 { return s.weight }
 
 // Load registers assignments.
 func (s *Store) Load(as []Assignment) {

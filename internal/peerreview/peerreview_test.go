@@ -136,17 +136,15 @@ func TestStoreCompletionAndBonus(t *testing.T) {
 }
 
 // The weight trajectory the paper describes: 10% in offering two, 5%
-// after complaints, then phased out.
+// after complaints, then phased out. A weight is an offering's, fixed
+// when its store is made.
 func TestWeightPhaseOut(t *testing.T) {
-	st := NewStore(0.10)
-	if st.Weight() != 0.10 {
-		t.Fatal("initial weight")
+	for _, w := range []float64{0.10, 0.05} {
+		if got := NewStore(w).Weight(); got != w {
+			t.Fatalf("Weight() = %v, want %v", got, w)
+		}
 	}
-	st.SetWeight(0.05)
-	if st.Weight() != 0.05 {
-		t.Fatal("reduced weight")
-	}
-	st.SetWeight(0)
+	st := NewStore(0)
 	rng := rand.New(rand.NewSource(3))
 	as, _ := AssignRandom("lab1", students(10), 1, rng)
 	st.Load(as)

@@ -226,9 +226,6 @@ func (p *Platform) ProgCache() *progcache.Cache { return p.progs }
 // ArtifactStore exposes the durable artifact store (nil without CacheDir).
 func (p *Platform) ArtifactStore() *castore.Store { return p.store }
 
-// Overload exposes the deployment's admission controller.
-func (p *Platform) Overload() *overload.Controller { return p.overload }
-
 // Handler returns the HTTP handler of the web tier.
 func (p *Platform) Handler() http.Handler { return p.Server.Handler() }
 

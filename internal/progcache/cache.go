@@ -458,10 +458,3 @@ func (c *Cache) Stats() Stats {
 	}
 	return s
 }
-
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

@@ -134,21 +134,12 @@ func isIdentChar(c byte) bool {
 
 // ---- Runtime syscall whitelist ------------------------------------------------
 
-// Action is what the policy does on a non-whitelisted call.
-type Action int
-
-// Policy actions, mirroring seccomp's SECCOMP_RET_* dispositions.
-const (
-	ActionKill  Action = iota // terminate the job
-	ActionErrno               // fail the call with EPERM but continue
-)
-
 // Policy is the per-lab syscall whitelist the instructor provides
 // (§III-D: "The whitelist is provided by the instructor on a per lab
-// basis").
+// basis"). A call it does not allow kills the job, as seccomp's
+// SECCOMP_RET_KILL does.
 type Policy struct {
 	Allowed map[string]bool
-	OnDeny  Action
 }
 
 // DefaultPolicy permits the calls the lab harness itself needs.
@@ -156,24 +147,19 @@ func DefaultPolicy() *Policy {
 	return NewPolicy([]string{
 		"read", "write", "close", "fstat", "mmap_anon", "brk",
 		"exit", "exit_group", "clock_gettime", "futex", "rt_sigreturn",
-	}, ActionKill)
+	})
 }
 
 // NewPolicy builds a policy from an allow list.
-func NewPolicy(allowed []string, onDeny Action) *Policy {
+func NewPolicy(allowed []string) *Policy {
 	m := make(map[string]bool, len(allowed))
 	for _, a := range allowed {
 		m[a] = true
 	}
-	return &Policy{Allowed: m, OnDeny: onDeny}
+	return &Policy{Allowed: m}
 }
 
-// Allow adds a call to the whitelist.
-func (p *Policy) Allow(call string) { p.Allowed[call] = true }
-
-// Check evaluates one call. A denied call returns ErrSyscallDenied; the
-// caller consults OnDeny to decide whether the job dies (Kill) or the call
-// merely fails (Errno).
+// Check evaluates one call. A denied call returns ErrSyscallDenied.
 func (p *Policy) Check(call string) error {
 	if p.Allowed[call] {
 		return nil
@@ -181,35 +167,26 @@ func (p *Policy) Check(call string) error {
 	return fmt.Errorf("%w: %s", ErrSyscallDenied, call)
 }
 
-// Monitor wraps a policy and records the calls a job attempted, for the
-// administrator dashboard.
+// Monitor enforces a policy over one job's calls.
 type Monitor struct {
 	policy *Policy
 	mu     sync.Mutex
-	calls  map[string]int
-	denied map[string]int
 	killed bool
 }
 
 // NewMonitor wraps a policy.
-func NewMonitor(p *Policy) *Monitor {
-	return &Monitor{policy: p, calls: map[string]int{}, denied: map[string]int{}}
-}
+func NewMonitor(p *Policy) *Monitor { return &Monitor{policy: p} }
 
-// Call evaluates a syscall under the policy, recording it. After a Kill
-// disposition fires, every subsequent call fails.
+// Call evaluates a syscall under the policy. A denied call kills the job:
+// every subsequent call fails.
 func (m *Monitor) Call(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.killed {
 		return fmt.Errorf("%w: job killed", ErrSyscallDenied)
 	}
-	m.calls[name]++
 	if err := m.policy.Check(name); err != nil {
-		m.denied[name]++
-		if m.policy.OnDeny == ActionKill {
-			m.killed = true
-		}
+		m.killed = true
 		return err
 	}
 	return nil
@@ -220,21 +197,6 @@ func (m *Monitor) Killed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.killed
-}
-
-// Stats returns copies of the attempted and denied call counts.
-func (m *Monitor) Stats() (calls, denied map[string]int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	calls = make(map[string]int, len(m.calls))
-	denied = make(map[string]int, len(m.denied))
-	for k, v := range m.calls {
-		calls[k] = v
-	}
-	for k, v := range m.denied {
-		denied[k] = v
-	}
-	return calls, denied
 }
 
 // ---- Resource limits ------------------------------------------------------------

@@ -78,14 +78,13 @@ func TestPolicyAllowDeny(t *testing.T) {
 	if err := p.Check("execve"); !errors.Is(err, ErrSyscallDenied) {
 		t.Errorf("execve allowed: %v", err)
 	}
-	p.Allow("execve")
-	if err := p.Check("execve"); err != nil {
+	if err := NewPolicy([]string{"execve"}).Check("execve"); err != nil {
 		t.Errorf("allowed call denied: %v", err)
 	}
 }
 
 func TestMonitorKillDisposition(t *testing.T) {
-	m := NewMonitor(NewPolicy([]string{"read"}, ActionKill))
+	m := NewMonitor(NewPolicy([]string{"read"}))
 	if err := m.Call("read"); err != nil {
 		t.Fatal(err)
 	}
@@ -98,23 +97,6 @@ func TestMonitorKillDisposition(t *testing.T) {
 	// After kill, even whitelisted calls fail.
 	if err := m.Call("read"); err == nil {
 		t.Fatal("call after kill succeeded")
-	}
-	calls, denied := m.Stats()
-	if calls["read"] != 1 || calls["socket"] != 1 || denied["socket"] != 1 {
-		t.Errorf("stats: calls=%v denied=%v", calls, denied)
-	}
-}
-
-func TestMonitorErrnoDisposition(t *testing.T) {
-	m := NewMonitor(NewPolicy([]string{"read"}, ActionErrno))
-	if err := m.Call("socket"); !errors.Is(err, ErrSyscallDenied) {
-		t.Fatal("socket allowed")
-	}
-	if m.Killed() {
-		t.Fatal("errno disposition killed the job")
-	}
-	if err := m.Call("read"); err != nil {
-		t.Fatalf("read after errno-denied call: %v", err)
 	}
 }
 

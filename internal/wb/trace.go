@@ -7,21 +7,17 @@ import (
 	"time"
 )
 
-// Timer categories, mirroring libwb's wbTime tags.
+// Timer categories, mirroring libwb's wbTime tags; the harnesses time
+// copies and kernels.
 const (
-	TimeGeneric = "Generic"
-	TimeGPU     = "GPU"
 	TimeCopy    = "Copy"
 	TimeCompute = "Compute"
 )
 
-// Log levels, mirroring wbLog.
+// Log levels, mirroring wbLog; the harnesses log at these two.
 const (
 	LevelTrace = "TRACE"
-	LevelDebug = "DEBUG"
 	LevelInfo  = "INFO"
-	LevelWarn  = "WARN"
-	LevelError = "ERROR"
 )
 
 // LogEvent is one wbLog line.
@@ -62,24 +58,6 @@ func (t *Trace) RecordSpan(category, message string, elapsed time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spans = append(t.spans, TimerSpan{Category: category, Message: message, Elapsed: elapsed})
-}
-
-// Logs returns a copy of the recorded log events.
-func (t *Trace) Logs() []LogEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]LogEvent, len(t.logs))
-	copy(out, t.logs)
-	return out
-}
-
-// Spans returns a copy of the recorded timer spans.
-func (t *Trace) Spans() []TimerSpan {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TimerSpan, len(t.spans))
-	copy(out, t.spans)
-	return out
 }
 
 // String renders the trace the way lab output is shown in the Attempts

@@ -233,17 +233,6 @@ func TestTrace(t *testing.T) {
 	tr.RecordSpan(TimeCopy, "Copying input memory to the GPU", time.Millisecond)
 	tr.RecordSpan(TimeCompute, "Performing CUDA computation", 5*time.Millisecond)
 
-	logs := tr.Logs()
-	if len(logs) != 1 || !strings.Contains(logs[0].Message, "64") {
-		t.Errorf("logs = %+v", logs)
-	}
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[1].Elapsed != 5*time.Millisecond {
-		t.Errorf("span elapsed = %v", spans[1].Elapsed)
-	}
 	want := "[TRACE] The input length is 64\n" +
 		"[TIME] Copy: 1ms (Copying input memory to the GPU)\n" +
 		"[TIME] Compute: 5ms (Performing CUDA computation)\n"
@@ -266,7 +255,7 @@ func TestTraceConcurrent(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		<-done
 	}
-	if got := len(tr.Logs()); got != 800 {
+	if got := len(tr.logs); got != 800 {
 		t.Errorf("logs = %d, want 800", got)
 	}
 }

@@ -237,10 +237,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // shutdown; tests inspect it).
 func (s *Server) DevSessions() *devsession.Manager { return s.devsessions }
 
-// Overload exposes the admission controller (deployments wire its
-// backpressure signals; tests inspect its counters).
-func (s *Server) Overload() *overload.Controller { return s.overload }
-
 // APIVersionHeader names the response header stamping which API version
 // served the request ("v1").
 const APIVersionHeader = "X-WebGPU-API-Version"

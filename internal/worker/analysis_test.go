@@ -198,7 +198,7 @@ func TestAnalysisDiagnosticsCached(t *testing.T) {
 // exists at node start, before any job runs.
 func TestAnalysisRuleCountersPreregistered(t *testing.T) {
 	n := NewNode(DefaultNodeConfig("kc6"))
-	snap := n.Metrics().Snapshot()
+	snap := n.Metrics().PrometheusText()
 	for _, r := range kernelcheck.Rules() {
 		if !strings.Contains(snap, kernelcheck.MetricName(r.ID)) {
 			t.Errorf("metric %s not pre-registered", kernelcheck.MetricName(r.ID))

@@ -179,10 +179,3 @@ func (p *Pool) Stats() (created, destroyed, coldStarts int64) {
 	defer p.mu.Unlock()
 	return p.created, p.destroyed, p.coldStart
 }
-
-// FreeCount reports warm containers available for an image.
-func (p *Pool) FreeCount(image string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free[image])
-}

@@ -79,7 +79,7 @@ func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 	if accepted != 1 {
 		t.Errorf("accepted %d results, want exactly 1", accepted)
 	}
-	if got := d.Crashes(); got != 1 {
+	if got := d.crashes.Load(); got != 1 {
 		t.Errorf("crashes = %d, want 1", got)
 	}
 }

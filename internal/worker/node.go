@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"webgpu/internal/faultinject"
@@ -36,9 +35,7 @@ type Node struct {
 	// simulated device set, so up to cap(sem) jobs execute concurrently —
 	// a node with k pooled containers runs k jobs at once instead of
 	// serializing behind a node-wide mutex.
-	sem        chan struct{}
-	inflight   atomic.Int32
-	inflightHW atomic.Int32 // high-water mark of concurrent jobs
+	sem chan struct{}
 
 	// at, set by tests only, is called as a job reaches a point of its
 	// pipeline: "analysis" as the kernelcheck stage starts analyzing,
@@ -122,10 +119,7 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	// Admission is the warm-pool capacity (PerImage × images, min 1): the
 	// paper's container-pool unit of worker concurrency.
-	maxConc := perImage * len(images)
-	if maxConc < 1 {
-		maxConc = 1
-	}
+	pool := NewPool(images, gpus, perImage)
 	progs := cfg.ProgCache
 	if progs == nil {
 		progs = progcache.Default
@@ -144,13 +138,13 @@ func NewNode(cfg NodeConfig) *Node {
 		ID:      cfg.ID,
 		GPUs:    gpus,
 		Tags:    tags,
-		pool:    NewPool(images, gpus, perImage),
+		pool:    pool,
 		scanner: sandbox.NewScanner(nil, sandbox.ScanRaw),
 		limits:  limits,
 		metrics: reg,
 		progs:   progs,
 		faults:  cfg.Faults,
-		sem:     make(chan struct{}, maxConc),
+		sem:     make(chan struct{}, max(pool.Capacity(), 1)),
 	}
 }
 
@@ -168,13 +162,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.metrics }
 
 // Pool exposes the container pool (tests and the dashboard).
 func (n *Node) Pool() *Pool { return n.pool }
-
-// ProgCache exposes the node's program cache.
-func (n *Node) ProgCache() *progcache.Cache { return n.progs }
-
-// InflightHighWater reports the largest number of jobs the node has
-// executed concurrently.
-func (n *Node) InflightHighWater() int { return int(n.inflightHW.Load()) }
 
 // Execute runs one job through the full pipeline: admission, security
 // scan, image selection, container acquisition, cached compile, run,
@@ -212,15 +199,6 @@ func (n *Node) Execute(ctx context.Context, job *Job) *Result {
 	}
 	defer func() { <-n.sem }()
 	res.QueueWait = adm.End()
-
-	cur := n.inflight.Add(1)
-	defer n.inflight.Add(-1)
-	for {
-		hw := n.inflightHW.Load()
-		if cur <= hw || n.inflightHW.CompareAndSwap(hw, cur) {
-			break
-		}
-	}
 
 	start := time.Now()
 	defer func() {

@@ -62,21 +62,36 @@ func TestNodeExecutesConcurrently(t *testing.T) {
 			t.Errorf("job failed: %+v", res)
 		}
 	}
-	if hw := n.InflightHighWater(); hw != k {
-		t.Errorf("inflight high-water = %d, want %d", hw, k)
-	}
 }
 
 // TestNodeStressMixedSources drives concurrent Execute calls carrying
 // identical and distinct sources (run with -race) and asserts the cache
 // counters: every distinct source compiles exactly once, everything else
-// is a hit or a coalesced wait.
+// is a hit or a coalesced wait. As each job's datasets are dispatched it
+// counts the pool's containers in use, which admission bounds.
 func TestNodeStressMixedSources(t *testing.T) {
 	cache := progcache.New(64, nil)
 	cfg := DefaultNodeConfig("stress2")
 	cfg.PerImage = 2
 	cfg.ProgCache = cache
 	n := NewNode(cfg)
+	var mu sync.Mutex
+	maxInUse := 0
+	n.at = func(point string) {
+		if point != "exec" {
+			return
+		}
+		p := n.pool
+		p.mu.Lock()
+		inUse := int(p.created - p.destroyed)
+		for _, free := range p.free {
+			inUse -= len(free)
+		}
+		p.mu.Unlock()
+		mu.Lock()
+		maxInUse = max(maxInUse, inUse)
+		mu.Unlock()
+	}
 
 	const goroutines = 6
 	const iters = 5
@@ -110,8 +125,8 @@ func TestNodeStressMixedSources(t *testing.T) {
 	if total := s.Hits + s.Misses + s.Coalesced; total != goroutines*iters {
 		t.Errorf("cache accesses = %d, want %d", total, goroutines*iters)
 	}
-	if hw := n.InflightHighWater(); hw > cap(n.sem) {
-		t.Errorf("high-water %d exceeded admission limit %d", hw, cap(n.sem))
+	if maxInUse < 1 || maxInUse > cap(n.sem) {
+		t.Errorf("%d containers in use at once, admission limit %d", maxInUse, cap(n.sem))
 	}
 	hits := n.Metrics().Counter("progcache_hits")
 	misses := n.Metrics().Counter("progcache_misses")

@@ -92,7 +92,7 @@ type Driver struct {
 	started atomic.Bool
 
 	jobsDone atomic.Int64
-	restarts atomic.Int64
+	restarts atomic.Int64 // config changes that restarted the loop
 	crashes  atomic.Int64 // injected mid-job crashes (abandoned leases)
 	cfgVer   atomic.Int64
 }
@@ -138,12 +138,6 @@ func (d *Driver) Stop() {
 
 // JobsDone reports how many jobs this driver completed.
 func (d *Driver) JobsDone() int64 { return d.jobsDone.Load() }
-
-// Restarts reports how many times a config change restarted the driver.
-func (d *Driver) Restarts() int64 { return d.restarts.Load() }
-
-// Crashes reports how many injected crashes abandoned a leased job.
-func (d *Driver) Crashes() int64 { return d.crashes.Load() }
 
 func (d *Driver) loop(cfg Config) {
 	defer close(d.doneCh)

@@ -36,7 +36,7 @@ func TestDriverPauseResume(t *testing.T) {
 
 	cfg.Paused = true
 	cs.Update(cfg)
-	waitFor(t, "pause restart", func() bool { return d.Restarts() == 1 })
+	waitFor(t, "pause restart", func() bool { return d.restarts.Load() == 1 })
 
 	_, _ = b.Publish(TopicJobs, EncodeJob(refJob("j2", "vector-add", 0)))
 	time.Sleep(50 * time.Millisecond) // ample polling intervals to misbehave in
@@ -50,7 +50,7 @@ func TestDriverPauseResume(t *testing.T) {
 	cfg.Paused = false
 	cs.Update(cfg)
 	waitFor(t, "resumed job", func() bool { return d.JobsDone() == 2 })
-	if got := d.Restarts(); got != 2 {
+	if got := d.restarts.Load(); got != 2 {
 		t.Errorf("restarts = %d, want 2", got)
 	}
 }
@@ -76,12 +76,12 @@ func TestDriverVisibilityChangeMidFlight(t *testing.T) {
 
 	// The first delivery crashes before its ack, leaving a 60s lease.
 	_, _ = b.Publish(TopicJobs, EncodeJob(refJob("j1", "vector-add", 0)))
-	waitFor(t, "injected crash", func() bool { return d.Crashes() == 1 })
+	waitFor(t, "injected crash", func() bool { return d.crashes.Load() == 1 })
 
 	// Shorten the visibility mid-flight.
 	cfg.Visibility = 5 * time.Second
 	cs.Update(cfg)
-	waitFor(t, "config restart", func() bool { return d.Restarts() == 1 })
+	waitFor(t, "config restart", func() bool { return d.restarts.Load() == 1 })
 
 	// 6 simulated seconds in: past the new 5s visibility but far inside
 	// the original 60s lease — the abandoned job must NOT redeliver yet.

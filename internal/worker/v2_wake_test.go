@@ -145,7 +145,7 @@ func TestBlockedDriverKeepsConfigWatch(t *testing.T) {
 		cfg.Paused = paused
 		start := time.Now()
 		cs.Update(cfg)
-		waitFor(t, "config change", func() bool { return d.Restarts() == int64(i+1) })
+		waitFor(t, "config change", func() bool { return d.restarts.Load() == int64(i+1) })
 		if took := time.Since(start); took >= 2*interval {
 			t.Errorf("paused=%v observed after %v, want within the %v interval", paused, took, interval)
 		}

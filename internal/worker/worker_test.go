@@ -252,7 +252,7 @@ func TestContainerPoolRecycles(t *testing.T) {
 	if created < destroyed {
 		t.Errorf("created = %d < destroyed = %d: pool not replenished", created, destroyed)
 	}
-	if n.Pool().FreeCount("webgpu/cuda:7.0") == 0 {
+	if len(n.pool.free["webgpu/cuda:7.0"]) == 0 {
 		t.Error("warm pool empty after recycling")
 	}
 }
@@ -377,10 +377,10 @@ func TestDriverConfigRestart(t *testing.T) {
 	cfg.PollInterval = time.Millisecond
 	cs.Update(cfg)
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Restarts() == 0 && time.Now().Before(deadline) {
+	for d.restarts.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if d.Restarts() == 0 {
+	if d.restarts.Load() == 0 {
 		t.Fatal("config change did not restart the driver")
 	}
 }

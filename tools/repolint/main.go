@@ -55,6 +55,22 @@
 //     is not is either test support, whose files belong in _test.go, or
 //     dead; either way nothing that ships can reach it.
 //
+//   - Test-only exports: in the same pass, every exported package-level
+//     func, type, var or const, and every exported method, declared in a
+//     non-test file under the module's internal/ must be named by some
+//     non-test file of the walked tree (the module, bench/, examples/).
+//     Methods a standard interface reaches (stdMethods) are exempt, and a
+//     hook a test drives is listed in testOnlyAllowed; an entry there that
+//     names no declaration is a finding too. Struct fields are out of
+//     scope. The match is by name only, so a name that anything else
+//     shares passes: nothing called Platform.Overload, Server.Overload,
+//     gpusim's Device.Index or ThreadCtx.Shared, yet the rule could not see
+//     it beside reads of Options.Overload, strings.Index and minicuda's
+//     Index node, and reads of Shared fields. Resolving types with
+//     go/types and the source importer would see them, but it parses and
+//     checks the standard library too and runs many times longer than the
+//     whole linter.
+//
 // Usage: repolint [dir]... (default "."; dir/... means dir). Directories
 // are walked for .go files; testdata and vendor trees are skipped. Exit
 // code 1 when any finding is reported, 2 on usage or I/O problems.
@@ -167,6 +183,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var all []finding
 	internalPkgs := map[string]string{} // import path -> its first non-test file
 	imported := map[string]bool{}       // import paths named from another package
+	var exports []export                // exported declarations under a module's internal/
+	named := map[string]bool{}          // identifiers some non-test file names
 	for _, path := range files {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -182,8 +200,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		all = append(all, lintFile(fset, f, path)...)
 		self := packagePath(modules, path)
-		if strings.Contains(self, "/internal/") && internalPkgs[self] == "" {
-			internalPkgs[self] = path
+		if strings.Contains(self, "/internal/") {
+			if internalPkgs[self] == "" {
+				internalPkgs[self] = path
+			}
+			exports = append(exports, scanNames(fset, f, self, named)...)
+		} else {
+			scanNames(fset, f, "", named)
 		}
 		for _, imp := range f.Imports {
 			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != self {
@@ -199,6 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 	}
+	all = append(all, checkTestOnlyExports(exports, named, modules)...)
 	for _, fd := range all {
 		fmt.Fprintf(stdout, "%s: %s\n", fd.pos, fd.msg)
 	}
@@ -308,17 +332,32 @@ func settleKey(slash string, fn *ast.FuncDecl) string {
 			break
 		}
 	}
-	name := fn.Name.Name
-	if fn.Recv != nil && len(fn.Recv.List) == 1 {
-		t := fn.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			name = id.Name + "." + name
-		}
+	if recv := recvName(fn); recv != "" {
+		return slash + ":" + recv + "." + fn.Name.Name
 	}
-	return slash + ":" + name
+	return slash + ":" + fn.Name.Name
+}
+
+// recvName is the name of a method's receiver type, without pointer or
+// type arguments, or "" for a function.
+func recvName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return ""
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // timeUnits are the time package's duration constants.
@@ -607,5 +646,143 @@ func checkHotpath(fset *token.FileSet, f *ast.File) []finding {
 		}
 		return true
 	})
+	return out
+}
+
+// testOnlyAllowed lists the exported identifiers, as importpath.Name or
+// importpath.Recv.Name, that only tests may name: hooks a test in another
+// package drives. Each line or group says why.
+var testOnlyAllowed = map[string]bool{
+	// Fault injection is armed and read back by the fault tests of castore,
+	// db, progcache, worker, platform, macrobench and chaostest; Catalog is
+	// the fault-point table DESIGN.md's block is generated from.
+	"webgpu/internal/faultinject.Registry.Enable":      true,
+	"webgpu/internal/faultinject.Registry.Disable":     true,
+	"webgpu/internal/faultinject.Registry.DisableAll":  true,
+	"webgpu/internal/faultinject.Registry.Fired":       true,
+	"webgpu/internal/faultinject.Registry.Evaluations": true,
+	"webgpu/internal/faultinject.Catalog":              true,
+	// The broker's accounting invariant and depth, which the soaks of
+	// chaostest, macrobench, platform and worker assert, and the
+	// redelivery bound the chaostest, platform and queue tests lower.
+	"webgpu/internal/queue.Broker.Unaccounted":    true,
+	"webgpu/internal/queue.Broker.Depth":          true,
+	"webgpu/internal/queue.Broker.SetMaxAttempts": true,
+	// Read back by the tests of castore, overload, progcache, devsession,
+	// platform, trace and worker.
+	"webgpu/internal/metrics.Registry.Gauge": true,
+	"webgpu/internal/metrics.Registry.Hist":  true,
+	// Holds a compile inside the cache, for the worker, devsession and
+	// webserver tests of what runs while a compile is in flight.
+	"webgpu/internal/progcache.Cache.SetCompileFunc": true,
+	// The WAL's recovery surface, driven by db's tests and webserver's
+	// restart tests until stored history is durable (ROADMAP item 24).
+	"webgpu/internal/db.WAL.Entries":     true,
+	"webgpu/internal/db.DB.Replay":       true,
+	"webgpu/internal/db.DB.Compact":      true,
+	"webgpu/internal/db.DB.LoadSnapshot": true,
+	// The tree-walking engine, the warp engine's oracle in minicuda's
+	// differential tests, and a kernel helper the gpusim tests write in Go
+	// (ROADMAP item 19).
+	"webgpu/internal/minicuda.Program.LaunchTree":     true,
+	"webgpu/internal/gpusim.ThreadCtx.GlobalThreadID": true,
+	// Rewrites and checks the generated blocks of DESIGN.md and README.md
+	// for the doc tests of ten packages and commands.
+	"webgpu/internal/markdown.SyncBlock": true,
+}
+
+// stdMethods are method names a standard interface calls (error and
+// errors' Unwrap/Is/As, fmt's Stringer/GoStringer/Formatter, http.Handler,
+// the json and text codecs, io's Reader/Writer/Closer, sort.Interface):
+// nothing in the tree may name them, yet the standard library reaches them.
+var stdMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "Is": true, "As": true, "String": true, "GoString": true, "Format": true,
+	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
+}
+
+// export is one exported declaration: its allowlist key, its name and
+// where it is declared.
+type export struct {
+	key, name string
+	pos       token.Position
+}
+
+// scanNames adds to named every identifier the file names, except the
+// names its package-level declarations and struct fields declare. When
+// pkg is set it returns the file's exported package-level funcs, types,
+// vars and consts and its exported methods, stdMethods aside.
+func scanNames(fset *token.FileSet, f *ast.File, pkg string, named map[string]bool) []export {
+	var out []export
+	declared := map[*ast.Ident]bool{}
+	declare := func(id *ast.Ident, recv string) {
+		declared[id] = true
+		if pkg != "" && id.IsExported() && (recv == "" || !stdMethods[id.Name]) {
+			out = append(out, export{key: pkg + "." + recv + id.Name, name: id.Name, pos: fset.Position(id.Pos())})
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if recv := recvName(d); recv != "" {
+				declare(d.Name, recv+".")
+			} else {
+				declare(d.Name, "")
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declare(s.Name, "")
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						declare(id, "")
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.StructType: // visited before its fields' names
+			for _, field := range x.Fields.List {
+				for _, id := range field.Names {
+					declared[id] = true
+				}
+			}
+		case *ast.Ident:
+			named[x.Name] = named[x.Name] || !declared[x]
+		}
+		return true
+	})
+	return out
+}
+
+// checkTestOnlyExports flags each export no non-test file names and
+// testOnlyAllowed does not list, and each allowlist entry of a walked
+// module that names no export.
+func checkTestOnlyExports(exports []export, named map[string]bool, modules map[string]string) []finding {
+	var out []finding
+	declared := map[string]bool{}
+	for _, e := range exports {
+		declared[e.key] = true
+		if !named[e.name] && !testOnlyAllowed[e.key] {
+			out = append(out, finding{pos: e.pos,
+				msg: e.key + " is exported but only tests name it; delete it, or let the test read unexported state"})
+		}
+	}
+	var stale []string
+	for key := range testOnlyAllowed {
+		for _, mod := range modules {
+			if strings.HasPrefix(key, mod+"/") && !declared[key] {
+				stale = append(stale, key)
+			}
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		out = append(out, finding{pos: token.Position{Filename: "tools/repolint/main.go"},
+			msg: "testOnlyAllowed lists " + key + ", which is not declared; drop the entry"})
+	}
 	return out
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path"
 	"path/filepath"
@@ -657,6 +658,69 @@ func TestOrphanPackageRule(t *testing.T) {
 				if (code == 1) != (row.want > 0) || code > 1 {
 					t.Fatalf("%s: exit = %d with %d findings wanted\n%s", arg, code, row.want, out)
 				}
+			}
+		})
+	}
+}
+
+// TestTestOnlyExportRule: under a module root, an exported identifier
+// declared in a non-test file under internal/ needs a non-test file that
+// names it, in the module, in bench/ or in examples/. A test's use does
+// not count. Allowlisted hooks, test files' declarations and, in every
+// row, Rig.String (a standard-interface method) and helper (unexported)
+// are not judged. An allowlist entry of the module that names no
+// declaration is a finding of its own.
+func TestTestOnlyExportRule(t *testing.T) {
+	const (
+		gomod = "module example.test/m\n\ngo 1.22\n"
+		pkg   = "package soak\n\nfunc Run() {}\n\ntype Rig struct{}\n\nfunc (r *Rig) Hook() {}\n\nfunc (r *Rig) String() string { return \"\" }\n\nfunc helper() {}\n"
+		user  = "package main\n\nimport \"example.test/m/internal/soak\"\n\nfunc main() { var r soak.Rig; soak.Run(); %s }\n"
+	)
+	rows := []struct {
+		name  string
+		files map[string]string
+		allow string // allowlist key, relative to the module
+		want  int    // test-only findings
+		stale int    // stale allowlist findings
+	}{
+		{"named by a command", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "r.Hook()")}, "", 0, 0},
+		{"named only by a test", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "_ = r"),
+			"internal/soak/soak_test.go": "package soak\n\nfunc use(r *Rig) { r.Hook() }\n"}, "", 1, 0},
+		{"named by nothing", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "_ = r")}, "", 1, 0},
+		{"named from bench", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "_ = r"),
+			"bench/go.mod": "module example.test/m/bench\n", "bench/main.go": fmt.Sprintf(user, "r.Hook()")}, "", 0, 0},
+		{"named from examples", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "_ = r"),
+			"examples/demo/main.go": fmt.Sprintf(user, "r.Hook()")}, "", 0, 0},
+		{"allowlisted", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "_ = r")}, "internal/soak.Rig.Hook", 0, 0},
+		{"stale allowlist entry", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": pkg, "cmd/tool/main.go": fmt.Sprintf(user, "r.Hook()")}, "internal/soak.Rig.Gone", 0, 1},
+		{"declared in a test file", map[string]string{
+			"go.mod": gomod, "internal/soak/soak.go": "package soak\n\nfunc Run() {}\n", "cmd/tool/main.go": "package main\n\nimport \"example.test/m/internal/soak\"\n\nfunc main() { soak.Run() }\n",
+			"internal/soak/x_test.go": "package soak\n\nfunc Probe() {}\n"}, "", 0, 0},
+		{"not a module root", map[string]string{
+			"internal/soak/soak.go": pkg}, "internal/soak.Rig.Gone", 0, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			saved := testOnlyAllowed
+			defer func() { testOnlyAllowed = saved }()
+			testOnlyAllowed = map[string]bool{"other.test/m/internal/soak.Rig.Gone": true} // another module's entry is not judged
+			if row.allow != "" {
+				testOnlyAllowed["example.test/m/"+row.allow] = true
+			}
+			code, out := runLint(t, writeTree(t, row.files))
+			n, stale := strings.Count(out, "only tests name it"), strings.Count(out, "testOnlyAllowed lists")
+			if n != row.want || stale != row.stale || (code == 1) != (n+stale > 0) || code > 1 {
+				t.Fatalf("exit %d, %d test-only and %d stale findings, want %d and %d:\n%s", code, n, stale, row.want, row.stale, out)
+			}
+			if n > 0 && !strings.Contains(out, "example.test/m/internal/soak.Rig.Hook is exported") {
+				t.Fatalf("finding does not name the method:\n%s", out)
 			}
 		})
 	}
