@@ -87,8 +87,7 @@ func run() int {
 	}
 
 	broker := queue.NewBroker()
-	cfgSrv := worker.NewConfigServer(worker.DefaultConfig())
-	fleet := worker.NewFleet(broker, cfgSrv, mkNode)
+	fleet := worker.NewFleet(broker, worker.DefaultVisibility, mkNode)
 	fleet.Scale(*workers)
 	defer fleet.Stop()
 

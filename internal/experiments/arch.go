@@ -347,8 +347,7 @@ func Figure6() string {
 func tagRoutingDemo() string {
 	var sb strings.Builder
 	b := queue.NewBroker()
-	cs := worker.NewConfigServer(worker.DefaultConfig())
-	plain := worker.NewDriver(worker.NewNode(worker.DefaultNodeConfig("plain-worker")), b, cs)
+	plain := worker.NewDriver(worker.NewNode(worker.DefaultNodeConfig("plain-worker")), b, worker.DefaultVisibility)
 	plain.Start()
 	defer plain.Stop()
 
@@ -366,7 +365,7 @@ func tagRoutingDemo() string {
 
 	cfg := worker.DefaultNodeConfig("mpi-worker")
 	cfg.GPUs = 2
-	capable := worker.NewDriver(worker.NewNode(cfg), b, cs)
+	capable := worker.NewDriver(worker.NewNode(cfg), b, worker.DefaultVisibility)
 	capable.Start()
 	defer capable.Stop()
 	waitFor(func() bool { return capable.JobsDone() >= 1 }, 30*time.Second)

@@ -29,15 +29,14 @@ import (
 
 // Scenario configures one chaos soak run.
 type Scenario struct {
-	Seed         int64
-	Jobs         int           // jobs to push through the pipeline
-	Workers      int           // worker nodes / drivers
-	FaultRate    float64       // base per-evaluation fault probability
-	Visibility   time.Duration // job lease (short = fast redelivery)
-	PollInterval time.Duration // driver poll cadence
-	Timeout      time.Duration // overall deadline for the soak
-	KillWorkers  bool          // churn the pool while jobs are in flight
-	MaxAttempts  int           // dead-letter threshold (0 = broker default)
+	Seed        int64
+	Jobs        int           // jobs to push through the pipeline
+	Workers     int           // worker nodes / drivers
+	FaultRate   float64       // base per-evaluation fault probability
+	Visibility  time.Duration // job lease (short = fast redelivery)
+	Timeout     time.Duration // overall deadline for the soak
+	KillWorkers bool          // churn the pool while jobs are in flight
+	MaxAttempts int           // dead-letter threshold (0 = broker default)
 }
 
 // withDefaults fills unset fields with soak-friendly values.
@@ -53,9 +52,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Visibility <= 0 {
 		s.Visibility = 150 * time.Millisecond
-	}
-	if s.PollInterval <= 0 {
-		s.PollInterval = time.Millisecond
 	}
 	if s.Timeout <= 0 {
 		s.Timeout = 60 * time.Second
@@ -133,11 +129,7 @@ func RunV2(s Scenario) (Report, error) {
 	}
 	defer broker.Close()
 
-	cfgSrv := worker.NewConfigServer(worker.Config{
-		PollInterval: s.PollInterval,
-		Visibility:   s.Visibility,
-	})
-	fleet := worker.NewFleet(broker, cfgSrv, func(id string) *worker.Node {
+	fleet := worker.NewFleet(broker, s.Visibility, func(id string) *worker.Node {
 		cfg := worker.DefaultNodeConfig(id)
 		cfg.Faults = reg
 		return worker.NewNode(cfg)

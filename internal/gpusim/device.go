@@ -99,7 +99,6 @@ var (
 	ErrInvalidLaunch     = errors.New("gpusim: invalid launch configuration")
 	ErrBarrierDivergence = errors.New("gpusim: barrier divergence: __syncthreads not reached by all threads")
 	ErrBarrierStall      = errors.New("gpusim: barrier stall: a warp parked without arriving all its lanes")
-	ErrDeviceClosed      = errors.New("gpusim: device has been reset")
 )
 
 // Ptr is a device global-memory pointer: an allocation handle plus a byte
@@ -129,7 +128,6 @@ type Device struct {
 	index int
 
 	mu        sync.Mutex
-	closed    bool
 	nextAlloc uint64
 	allocs    map[uint64]*allocation
 	usedBytes int
@@ -166,9 +164,6 @@ func (d *Device) Malloc(size int) (Ptr, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return Ptr{}, ErrDeviceClosed
-	}
 	if d.usedBytes+size > d.props.TotalGlobalMem {
 		return Ptr{}, fmt.Errorf("%w: requested %d bytes, %d in use of %d",
 			ErrOutOfMemory, size, d.usedBytes, d.props.TotalGlobalMem)
@@ -191,9 +186,6 @@ func (d *Device) AllocCount() int {
 func (d *Device) lookup(p Ptr) (*allocation, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrDeviceClosed
-	}
 	a, ok := d.allocs[p.alloc]
 	if !ok {
 		return nil, ErrInvalidPtr
@@ -280,13 +272,6 @@ func (d *Device) Reset() {
 	d.allocs = make(map[uint64]*allocation)
 	d.usedBytes = 0
 	d.constMem = nil
-}
-
-// Close marks the device unusable.
-func (d *Device) Close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
 }
 
 func (d *Device) recordLaunch(s *LaunchStats) {

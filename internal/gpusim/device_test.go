@@ -135,14 +135,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestClosedDevice(t *testing.T) {
-	d := NewDefaultDevice()
-	d.Close()
-	if _, err := d.Malloc(1); !errors.Is(err, ErrDeviceClosed) {
-		t.Errorf("Malloc on closed = %v, want ErrDeviceClosed", err)
-	}
-}
-
 func TestQueryString(t *testing.T) {
 	d := NewDefaultDevice()
 	q := d.QueryString()

@@ -743,12 +743,6 @@ func (d *Device) launchRun(name string, cfg LaunchConfig, run func(bc *blockCtx,
 	if err := d.validateLaunch(cfg); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	closed := d.closed
-	d.mu.Unlock()
-	if closed {
-		return nil, ErrDeviceClosed
-	}
 
 	start := time.Now()
 	numBlocks := cfg.Grid.Count()

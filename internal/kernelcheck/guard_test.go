@@ -91,7 +91,6 @@ func runGuard(t *testing.T, src string, dialect minicuda.Dialect, spec *guardSpe
 		t.Fatalf("compile: %v", err)
 	}
 	d := gpusim.NewDefaultDevice()
-	defer d.Close()
 	in := make([]float32, spec.n)
 	for i := range in {
 		in[i] = float32(i + 1) // distinct and nonzero, so stale reads show

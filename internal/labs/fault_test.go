@@ -40,7 +40,6 @@ func TestFaultsCoverErrors(t *testing.T) {
 		"gpusim.ErrInvalidPtr":     {gpusim.ErrInvalidPtr, "a host-side misuse of the device API by a harness, not by the kernel"},
 		"gpusim.ErrInvalidLaunch":  {gpusim.ErrInvalidLaunch, "the harness picks the launch shape; a bad one is a lab bug"},
 		"gpusim.ErrBarrierStall":   {gpusim.ErrBarrierStall, "a warp engine that broke its contract: a platform bug, not a student's"},
-		"gpusim.ErrDeviceClosed":   {gpusim.ErrDeviceClosed, "the worker reset the device under the run"},
 		"minicuda.ErrBadAddress":   {minicuda.ErrBadAddress, "an access width the engine does not support: a compiler bug, not a student's"},
 		"minicuda.ErrCodecVersion": {minicuda.ErrCodecVersion, "an artifact-store read; it becomes a recompile, never an outcome"},
 	}

@@ -174,7 +174,6 @@ type Histogram struct {
 	samples []float64
 	count   int64
 	sum     float64
-	max     float64
 }
 
 const histCap = 4096
@@ -188,9 +187,6 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.count++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
 	if len(h.samples) < histCap {
 		h.samples = append(h.samples, v)
 	} else {
@@ -211,13 +207,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
 }
 
 // Quantile returns the q-quantile (0..1) of the retained samples.

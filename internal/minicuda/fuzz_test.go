@@ -57,7 +57,6 @@ func FuzzDecodeProgram(f *testing.F) {
 			return
 		}
 		dev := gpusim.NewDefaultDevice()
-		defer dev.Close()
 		for _, name := range prog.Kernels() {
 			var args []minicuda.Arg
 			for _, pd := range prog.Kernel(name).Params {

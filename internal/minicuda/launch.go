@@ -65,10 +65,9 @@ func Float(f float32) Arg { return Arg{v: floatValue(float64(f))} }
 
 // LaunchOpts configures a kernel launch.
 type LaunchOpts struct {
-	Grid           gpusim.Dim3
-	Block          gpusim.Dim3
-	SharedMemBytes int   // dynamic shared memory, beyond static __shared__
-	MaxSteps       int64 // per-thread interpreter step budget; 0 = default
+	Grid     gpusim.Dim3
+	Block    gpusim.Dim3
+	MaxSteps int64 // per-thread interpreter step budget; 0 = default
 }
 
 // DefaultMaxSteps bounds per-thread interpretation; it corresponds to the
@@ -165,7 +164,7 @@ func (p *Program) bind(kernel string, opts LaunchOpts, args []Arg) (*Function, [
 	cfg = gpusim.LaunchConfig{
 		Grid:           opts.Grid,
 		Block:          opts.Block,
-		SharedMemBytes: fn.SharedUse + opts.SharedMemBytes,
+		SharedMemBytes: fn.SharedUse,
 		NoBarriers:     !p.usesBarrier,
 	}
 	return fn, bound, cfg, nil

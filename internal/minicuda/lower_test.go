@@ -26,7 +26,6 @@ const lowerOnceSrc = `__global__ void sum(int *out, int n) {
 // its stats without the wall time, the one field a rerun may change.
 func launchSum(prog *minicuda.Program) (gpusim.LaunchStats, error) {
 	dev := gpusim.NewDefaultDevice()
-	defer dev.Close()
 	out, err := dev.Malloc(2 * 4)
 	if err != nil {
 		return gpusim.LaunchStats{}, err

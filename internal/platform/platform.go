@@ -1,7 +1,6 @@
 // Package platform composes the WebGPU system as the paper's second
 // generation (§VI, Figures 6-7): a front end, a message broker that an
-// autoscalable worker fleet polls, a database, and a remote worker
-// configuration service.
+// autoscalable worker fleet polls, and a database.
 package platform
 
 import (
@@ -82,14 +81,13 @@ type Options struct {
 
 // Platform is a running WebGPU deployment.
 type Platform struct {
-	DB           *db.DB
-	Server       *webserver.Server
-	Gradebook    *grader.CourseraBook
-	Reviews      *peerreview.Store
-	Broker       *queue.Broker
-	ConfigServer *worker.ConfigServer
-	Fleet        *worker.Fleet
-	router       *resultRouter
+	DB        *db.DB
+	Server    *webserver.Server
+	Gradebook *grader.CourseraBook
+	Reviews   *peerreview.Store
+	Broker    *queue.Broker
+	Fleet     *worker.Fleet
+	router    *resultRouter
 
 	opts     Options
 	progs    *progcache.Cache  // shared by every worker node of this deployment
@@ -147,13 +145,8 @@ func New(opts Options) *Platform {
 
 	p.Broker = queue.NewBroker()
 	p.Broker.SetFaults(opts.Faults)
-	wcfg := worker.DefaultConfig()
-	if opts.Visibility > 0 {
-		wcfg.Visibility = opts.Visibility
-	}
-	p.ConfigServer = worker.NewConfigServer(wcfg)
 	idx := 0
-	p.Fleet = worker.NewFleet(p.Broker, p.ConfigServer, func(id string) *worker.Node {
+	p.Fleet = worker.NewFleet(p.Broker, opts.Visibility, func(id string) *worker.Node {
 		idx++
 		return p.newNode(idx)
 	})

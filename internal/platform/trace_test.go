@@ -66,8 +66,9 @@ func traceFlow(t *testing.T, p *Platform) {
 	names := map[string]bool{}
 	for _, sp := range data.Spans {
 		names[sp.Name] = true
-		// The first job of an idle fleet is picked up because the broker
-		// woke a driver, not because a poll interval ran out.
+		// The drivers polled an empty topic and blocked on the broker
+		// while the test registered and saved; the broker's wake-up, not
+		// a poll on the driver's own schedule, hands them the first job.
 		if sp.Name == "queue_wait" && sp.Attrs["wake"] != "publish" {
 			t.Errorf("queue_wait wake = %q, want publish (attrs %v)", sp.Attrs["wake"], sp.Attrs)
 		}
@@ -124,30 +125,9 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// quietDrivers waits for a v2 platform's drivers to tick idle, stretches
-// their fallback tick to a second and waits until the 5 ms ticks have
-// stopped, so the next job cannot land in the instant between a tick and
-// its poll: the broker's wake-up picks it up.
-func quietDrivers(p *Platform) {
-	for p.Metrics().Counter("driver_idle_ticks") == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cfg, _ := p.ConfigServer.Get()
-	cfg.PollInterval = time.Second
-	p.ConfigServer.Update(cfg)
-	for last := -1.0; ; time.Sleep(20 * time.Millisecond) {
-		ticks := p.Metrics().Counter("driver_idle_ticks")
-		if ticks == last {
-			return
-		}
-		last = ticks
-	}
-}
-
 func TestTraceEndToEndV2(t *testing.T) {
 	p := New(Options{Workers: 2})
 	defer p.Close()
-	quietDrivers(p) // so the flow's job is reported as wake=publish
 	traceFlow(t, p)
 	if got := p.Metrics().Counter("driver_wakeups"); got < 1 {
 		t.Errorf("driver_wakeups = %v after a submit to an idle fleet", got)
@@ -210,7 +190,6 @@ func exportedNames(body string) map[string]bool {
 func warmPlatform(t *testing.T) *client {
 	p := New(Options{Workers: 1})
 	t.Cleanup(p.Close)
-	quietDrivers(p) // driver_wakeups appears with the submit, and queue_wait says wake=publish
 	ts := httptest.NewServer(p.Handler())
 	t.Cleanup(ts.Close)
 	c := newClient(t, ts.URL)

@@ -208,7 +208,6 @@ func TestConcurrentMixedSources(t *testing.T) {
 func launchK(t *testing.T, p *minicuda.Program, tag int) {
 	t.Helper()
 	dev := gpusim.NewDefaultDevice()
-	defer dev.Close()
 	out, err := dev.Malloc(32 * 4)
 	if err != nil {
 		t.Fatal(err)

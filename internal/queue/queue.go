@@ -3,7 +3,9 @@
 // *poll* (rather than having jobs pushed at them), requirement tags so a
 // lab needing MPI or multiple GPUs is only handed to a capable worker, a
 // per-topic wake signal so an idle poller blocks instead of sleeping,
-// visibility timeouts with redelivery for at-least-once semantics, and a
+// visibility timeouts with redelivery for at-least-once semantics (the
+// broker expires a lease on its own clock when the deadline passes, as
+// SQS does, so a blocked poller needs no timer of its own), and a
 // dead-letter queue for poison messages.
 package queue
 
@@ -60,6 +62,12 @@ type Broker struct {
 	maxAttempts int
 	clock       clock.Clock
 	faults      *faultinject.Registry
+	// expiry is the deadline expireLoop's timer is armed for, zero while
+	// no loop runs on an open broker; rearm tells the loop of an earlier
+	// one, or of Close, which waits on expiring for the loop to exit.
+	expiry   time.Time
+	rearm    chan struct{}
+	expiring sync.WaitGroup
 
 	stats struct {
 		published   int64
@@ -79,6 +87,7 @@ func NewBroker() *Broker {
 		inflight:    map[*Message]lease{},
 		maxAttempts: DefaultMaxAttempts,
 		clock:       clock.Real,
+		rearm:       make(chan struct{}, 1),
 	}
 }
 
@@ -105,20 +114,23 @@ func (b *Broker) SetMaxAttempts(n int) {
 	b.maxAttempts = n
 }
 
-// Close shuts the broker down and releases every waiter, so a consumer
-// blocked on it sees ErrClosed from its next Poll at once.
+// Close shuts the broker down, stops its expiry timer and releases every
+// waiter, so a consumer blocked on it sees ErrClosed from its next Poll at
+// once.
 func (b *Broker) Close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.closed = true
+	b.signalRearm()
 	for topic := range b.wake {
 		b.wakeLocked(topic)
 	}
+	b.mu.Unlock()
+	b.expiring.Wait()
 }
 
 // Wait returns a channel that is closed the next time a message becomes
-// visible on the topic — a publish, a nack, an expired lease found by a
-// later call, a dead-letter redrive — or the broker closes. A consumer
+// visible on the topic — a publish, a nack, an expired lease, a
+// dead-letter redrive — or the broker closes. A consumer
 // takes it *before* Poll and blocks on it only after that Poll came back
 // empty: an event between the two closes the channel it already holds,
 // so no wake-up is lost. Every waiter on the topic is released, whatever
@@ -211,7 +223,17 @@ func (b *Broker) Poll(topic, consumer string, caps map[string]bool, visibility t
 		b.topics[topic] = slices.Delete(queue, i, i+1)
 		msg.Attempts++
 		b.nextLease++
-		b.inflight[msg] = lease{n: b.nextLease, deadline: now.Add(visibility)}
+		deadline := now.Add(visibility)
+		b.inflight[msg] = lease{n: b.nextLease, deadline: deadline}
+		switch {
+		case b.expiry.IsZero():
+			b.expiry = deadline
+			b.expiring.Add(1)
+			go b.expireLoop()
+		case deadline.Before(b.expiry):
+			b.expiry = deadline
+			b.signalRearm()
+		}
 		b.stats.delivered++
 		if msg.Attempts > 1 {
 			b.stats.redelivered++
@@ -231,14 +253,52 @@ func tagsSatisfied(tags []string, caps map[string]bool) bool {
 }
 
 // expireLocked returns timed-out in-flight messages to their topics (or
-// the dead-letter queue).
-func (b *Broker) expireLocked(now time.Time) {
+// the dead-letter queue) and reports the earliest deadline still in flight,
+// zero when nothing is.
+func (b *Broker) expireLocked(now time.Time) (next time.Time) {
 	for msg, l := range b.inflight {
 		if now.Before(l.deadline) {
+			if next.IsZero() || l.deadline.Before(next) {
+				next = l.deadline
+			}
 			continue
 		}
 		delete(b.inflight, msg)
 		b.requeueLocked(msg)
+	}
+	return next
+}
+
+// expireLoop runs while a lease is in flight: it sleeps on one timer of
+// the broker's clock until b.expiry and then expires what is due, which
+// releases the topic's waiters. A lease settled early is not unarmed; the
+// loop finds nothing due, arms for the earliest remaining lease, and ends
+// when none is left or the broker closes.
+func (b *Broker) expireLoop() {
+	defer b.expiring.Done()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !b.closed && !b.expiry.IsZero() {
+		t := b.clock.NewTimer(b.expiry.Sub(b.clock.Now()))
+		b.mu.Unlock()
+		select {
+		case <-t.C:
+		case <-b.rearm:
+		}
+		t.Stop()
+		b.mu.Lock()
+		if now := b.clock.Now(); !now.Before(b.expiry) {
+			b.expiry = b.expireLocked(now)
+		}
+	}
+}
+
+// signalRearm wakes expireLoop without blocking; one pending signal is
+// enough, since the loop rereads b.expiry and b.closed.
+func (b *Broker) signalRearm() {
+	select {
+	case b.rearm <- struct{}{}:
+	default:
 	}
 }
 

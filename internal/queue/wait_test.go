@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -114,6 +115,41 @@ func TestWaitReleasedByEveryVisibilityEvent(t *testing.T) {
 				t.Error("a channel taken after the event is already closed")
 			}
 		})
+	}
+}
+
+// TestLeaseExpiryWakesWaiter: the broker expires a lease on its own clock.
+// A waiter that took its channel while the one message was leased is
+// released once the clock passes the lease's deadline, with no Poll,
+// Depth or Backlog call to find the expiry, and not a tick before.
+func TestLeaseExpiryWakesWaiter(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	b := NewBroker()
+	b.SetClock(clk)
+	defer b.Close()
+	if _, err := b.Publish("a", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	d, ok, err := b.Poll("a", "w", anyCaps(), time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("poll: %v %v", ok, err)
+	}
+	wake := b.Wait("a")
+	clk.Advance(time.Minute - time.Nanosecond)
+	if released(wake) {
+		t.Fatal("the waiter was released before the lease's deadline")
+	}
+	clk.Advance(time.Nanosecond)
+	select {
+	case <-wake:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the expired lease did not release the waiter")
+	}
+	if err := d.Ack(); !errors.Is(err, ErrUnknown) {
+		t.Errorf("ack of the expired lease = %v, want ErrUnknown", err)
+	}
+	if st := b.Stats(); st.Inflight != 0 {
+		t.Errorf("inflight = %d after expiry, want 0", st.Inflight)
 	}
 }
 

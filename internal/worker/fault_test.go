@@ -34,11 +34,10 @@ func TestNodeIDFormatting(t *testing.T) {
 // attempt number — and a first-wins consumer keeps exactly one.
 func TestDriverDuplicateResultCarriesAttempt(t *testing.T) {
 	b := queue.NewBroker()
-	cs := NewConfigServer(Config{PollInterval: time.Millisecond, Visibility: 50 * time.Millisecond})
 	faults := faultinject.New(1)
 	faults.Enable(faultinject.PointDriverCrashAfterPublish, faultinject.Fault{Once: true})
 
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, cs)
+	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, 50*time.Millisecond)
 	d.SetFaults(faults)
 	d.Start()
 	defer d.Stop()

@@ -2,7 +2,11 @@
 // nodes poll a message broker for jobs matching their capabilities and
 // run each job in a Docker-like container drawn from a pool mapped onto
 // the node's GPUs. A Node is the job pipeline itself — blacklist scan,
-// compile, run, check — and a Driver feeds it from the broker.
+// compile, run, check — and a Driver feeds it from the broker. An idle
+// Driver blocks until the broker announces a visible job (a publish, a
+// nack, a lease the broker expired); its one setting, the lease duration,
+// is fixed when it starts, since §VI-B's remote configuration is not
+// modeled.
 package worker
 
 import (

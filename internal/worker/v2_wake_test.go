@@ -4,9 +4,21 @@ import (
 	"testing"
 	"time"
 
+	"webgpu/internal/clock"
 	"webgpu/internal/faultinject"
 	"webgpu/internal/queue"
 )
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // countPolls arms the broker's poll fault point so that it never fires and
 // returns how many polls the broker has served. A poll is counted under
@@ -48,12 +60,12 @@ func nextResult(t *testing.T, b *queue.Broker) *Result {
 
 // TestIdleDriverIsWokenByPublish: a job published to a driver that has
 // already polled an empty topic is picked up because the broker woke the
-// driver — its poll interval is an hour, so the tick cannot have found it.
+// driver, which polls on nothing else.
 func TestIdleDriverIsWokenByPublish(t *testing.T) {
 	b := queue.NewBroker()
 	polls := countPolls(b)
 	node := NewNode(DefaultNodeConfig("w1"))
-	d := NewDriver(node, b, NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute}))
+	d := NewDriver(node, b, time.Minute)
 	d.Start()
 	defer d.Stop()
 	waitFor(t, "the driver's first, empty poll", func() bool { return polls() >= 1 })
@@ -80,9 +92,67 @@ func TestIdleDriverIsWokenByPublish(t *testing.T) {
 	if !found {
 		t.Fatalf("no queue_wait span in %+v", res.Spans)
 	}
-	m := node.Metrics()
-	if wakeups, ticks := m.Counter("driver_wakeups"), m.Counter("driver_idle_ticks"); wakeups != 1 || ticks != 0 {
-		t.Errorf("driver_wakeups = %v, driver_idle_ticks = %v, want 1 and 0", wakeups, ticks)
+	if wakeups := node.Metrics().Counter("driver_wakeups"); wakeups != 1 {
+		t.Errorf("driver_wakeups = %v, want 1", wakeups)
+	}
+}
+
+// TestIdleFleetPollsOnlyWhenWoken: idle drivers on a broker whose clock
+// moves an hour poll once each and no more, and a job whose driver crashed
+// before its ack is handed out again when the broker's own timer expires
+// the lease: every poll is a wake-up's, counted exactly.
+func TestIdleFleetPollsOnlyWhenWoken(t *testing.T) {
+	const n, visibility = 3, time.Minute
+	clk := clock.NewManual(time.Unix(0, 0))
+	b := queue.NewBroker()
+	b.SetClock(clk)
+	defer b.Close() // ends the broker's expiry loop, armed on clk for the last lease
+	reg := faultinject.New(1)
+	reg.Enable(faultinject.PointQueuePoll, faultinject.Fault{After: 1 << 30})
+	reg.Enable(faultinject.PointDriverCrashBeforeAck, faultinject.Fault{Once: true})
+	b.SetFaults(reg)
+	polls := func() int64 { return reg.Evaluations(faultinject.PointQueuePoll) }
+	var drivers [n]*Driver
+	for i := range drivers {
+		d := NewDriver(NewNode(DefaultNodeConfig(nodeID(i+1))), b, visibility)
+		d.SetFaults(reg)
+		d.Start()
+		defer d.Stop()
+		drivers[i] = d
+	}
+	sum := func(read func(d *Driver) int64) (total int64) {
+		for _, d := range drivers {
+			total += read(d)
+		}
+		return total
+	}
+	waitFor(t, "each driver's empty poll", func() bool { return polls() >= n })
+	clk.Advance(time.Hour)
+
+	// The publish wakes all n drivers: n polls, one lease. Its driver
+	// crashes before the ack and polls once more, finding nothing.
+	if _, err := b.Publish(TopicJobs, EncodeJob(refJob("j1", "vector-add", 0))); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the injected crash", func() bool { return sum(func(d *Driver) int64 { return d.crashes.Load() }) == 1 })
+	waitFor(t, "the crashed driver's next poll", func() bool { return polls() >= 2*n+1 })
+	if got := polls(); got != 2*n+1 {
+		t.Fatalf("polls after the hour and the publish = %d, want %d", got, 2*n+1)
+	}
+
+	// Past the lease, the broker requeues the job and wakes all n again;
+	// the driver that takes it runs clean, acks, and polls once more.
+	clk.Advance(visibility)
+	waitFor(t, "the redelivered job", func() bool { return sum(func(d *Driver) int64 { return d.JobsDone() }) == 1 })
+	waitFor(t, "the last driver's next poll", func() bool { return polls() >= 3*n+2 })
+	if got := polls(); got != 3*n+2 {
+		t.Errorf("polls = %d, want %d", got, 3*n+2)
+	}
+	if st := b.Stats(); st.Redelivered != 1 || st.Acked != 1 {
+		t.Errorf("redelivered = %d, acked = %d, want 1 and 1", st.Redelivered, st.Acked)
+	}
+	if u := b.Unaccounted(); u != 0 {
+		t.Errorf("unaccounted = %d", u)
 	}
 }
 
@@ -97,21 +167,19 @@ func exited(ch <-chan struct{}) bool {
 }
 
 // TestBlockedDriversExitOnClose: two drivers blocked on an idle broker
-// with an hour's poll interval both end their loops when the broker
-// closes, released by the close rather than by a tick.
+// both end their loops when the broker closes.
 func TestBlockedDriversExitOnClose(t *testing.T) {
 	b := queue.NewBroker()
 	polls := countPolls(b)
-	cs := NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute})
 	var drivers [2]*Driver
 	for i := range drivers {
-		d := NewDriver(NewNode(DefaultNodeConfig(nodeID(i+1))), b, cs)
+		d := NewDriver(NewNode(DefaultNodeConfig(nodeID(i+1))), b, time.Minute)
 		d.Start()
 		defer d.Stop()
 		drivers[i] = d
 	}
-	// A driver polls again only when woken or after an hour, so two polls
-	// are one empty poll each.
+	// A driver polls again only when woken, so two polls are one empty
+	// poll each.
 	waitFor(t, "both drivers' empty polls", func() bool { return polls() >= 2 })
 
 	b.Close()
@@ -120,46 +188,16 @@ func TestBlockedDriversExitOnClose(t *testing.T) {
 			t.Fatalf("driver %d still running after the broker closed", i+1)
 		}
 		d.Stop()
-		if ticks := d.node.Metrics().Counter("driver_idle_ticks"); ticks != 0 {
-			t.Errorf("driver %d: driver_idle_ticks = %v, want 0", i+1, ticks)
-		}
 	}
 }
 
-// TestBlockedDriverKeepsConfigWatch: what the broker does not announce —
-// a pause, an unpause — still reaches a driver blocked on it within one
-// poll interval.
-func TestBlockedDriverKeepsConfigWatch(t *testing.T) {
-	const interval = 150 * time.Millisecond
-	b := queue.NewBroker()
-	polls := countPolls(b)
-	cfg := Config{PollInterval: interval, Visibility: time.Minute}
-	cs := NewConfigServer(cfg)
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, cs)
-	d.Start()
-	defer d.Stop()
-	waitFor(t, "the driver's first, empty poll", func() bool { return polls() >= 1 })
-
-	// Observed within one interval; the bound leaves one more for a loaded host.
-	for i, paused := range []bool{true, false} {
-		cfg.Paused = paused
-		start := time.Now()
-		cs.Update(cfg)
-		waitFor(t, "config change", func() bool { return d.restarts.Load() == int64(i+1) })
-		if took := time.Since(start); took >= 2*interval {
-			t.Errorf("paused=%v observed after %v, want within the %v interval", paused, took, interval)
-		}
-	}
-	_, _ = b.Publish(TopicJobs, EncodeJob(refJob("j1", "vector-add", 0)))
-	waitFor(t, "job after unpause", func() bool { return d.JobsDone() == 1 })
-}
-
-// TestStopReleasesBlockedDriver: Stop does not wait the interval out.
+// TestStopReleasesBlockedDriver: Stop ends a driver blocked on an idle
+// broker.
 func TestStopReleasesBlockedDriver(t *testing.T) {
 	b := queue.NewBroker()
 	polls := countPolls(b)
 	node := NewNode(DefaultNodeConfig("w1"))
-	d := NewDriver(node, b, NewConfigServer(Config{PollInterval: time.Hour, Visibility: time.Minute}))
+	d := NewDriver(node, b, time.Minute)
 	d.Start()
 	waitFor(t, "the driver's first, empty poll", func() bool { return polls() >= 1 })
 	stopped := make(chan struct{})
@@ -168,10 +206,9 @@ func TestStopReleasesBlockedDriver(t *testing.T) {
 		close(stopped)
 	}()
 	if !exited(stopped) {
-		t.Fatal("Stop did not return for a driver blocked on an hour's interval")
+		t.Fatal("Stop did not return for a driver blocked on the broker")
 	}
-	m := node.Metrics()
-	if wakeups, ticks := m.Counter("driver_wakeups"), m.Counter("driver_idle_ticks"); wakeups != 0 || ticks != 0 {
-		t.Errorf("driver_wakeups = %v, driver_idle_ticks = %v, want 0 and 0", wakeups, ticks)
+	if wakeups := node.Metrics().Counter("driver_wakeups"); wakeups != 0 {
+		t.Errorf("driver_wakeups = %v, want 0", wakeups)
 	}
 }

@@ -292,8 +292,7 @@ func TestPoolImageSelection(t *testing.T) {
 
 func TestDriverProcessesJobs(t *testing.T) {
 	b := queue.NewBroker()
-	cs := NewConfigServer(DefaultConfig())
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, cs)
+	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, DefaultVisibility)
 	d.Start()
 	defer d.Stop()
 
@@ -328,9 +327,8 @@ func TestDriverProcessesJobs(t *testing.T) {
 
 func TestDriverSkipsJobsItCannotServe(t *testing.T) {
 	b := queue.NewBroker()
-	cs := NewConfigServer(DefaultConfig())
 	// Single-GPU worker; the MPI job is tagged and must not be taken.
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, cs)
+	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, DefaultVisibility)
 	d.Start()
 	defer d.Stop()
 
@@ -355,7 +353,7 @@ func TestDriverSkipsJobsItCannotServe(t *testing.T) {
 	// A capable worker joins and drains it.
 	cfg := DefaultNodeConfig("w2")
 	cfg.GPUs = 2
-	d2 := NewDriver(NewNode(cfg), b, cs)
+	d2 := NewDriver(NewNode(cfg), b, DefaultVisibility)
 	d2.Start()
 	defer d2.Stop()
 	deadline = time.Now().Add(20 * time.Second)
@@ -367,29 +365,18 @@ func TestDriverSkipsJobsItCannotServe(t *testing.T) {
 	}
 }
 
-func TestDriverConfigRestart(t *testing.T) {
-	b := queue.NewBroker()
-	cs := NewConfigServer(DefaultConfig())
-	d := NewDriver(NewNode(DefaultNodeConfig("w1")), b, cs)
-	d.Start()
-	defer d.Stop()
-	cfg, _ := cs.Get()
-	cfg.PollInterval = time.Millisecond
-	cs.Update(cfg)
-	deadline := time.Now().Add(5 * time.Second)
-	for d.restarts.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d.restarts.Load() == 0 {
-		t.Fatal("config change did not restart the driver")
-	}
-}
-
 func TestFleetScale(t *testing.T) {
 	b := queue.NewBroker()
-	cs := NewConfigServer(DefaultConfig())
-	f := NewFleet(b, cs, nil)
+	f := NewFleet(b, DefaultVisibility, nil)
 	f.Scale(3)
+	done := func() (n int64) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, d := range f.drivers {
+			n += d.JobsDone()
+		}
+		return n
+	}
 	if f.Size() != 3 {
 		t.Fatalf("size = %d", f.Size())
 	}
@@ -397,11 +384,11 @@ func TestFleetScale(t *testing.T) {
 		_, _ = b.Publish(TopicJobs, EncodeJob(refJob("j", "vector-add", 0)))
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for f.JobsDone() < 6 && time.Now().Before(deadline) {
+	for done() < 6 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if f.JobsDone() != 6 {
-		t.Fatalf("fleet completed %d of 6", f.JobsDone())
+	if n := done(); n != 6 {
+		t.Fatalf("fleet completed %d of 6", n)
 	}
 	f.Scale(1)
 	if f.Size() != 1 {

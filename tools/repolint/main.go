@@ -36,6 +36,9 @@
 //     settleAllowed may drop the error of a queue delivery's Ack() or
 //     Nack(), with `_ =` or as a bare statement. A refused settle leaves
 //     the message leased until its lease runs out; count it or report it.
+//     An entry of settleAllowed or stopwatchAllowed whose file the walk
+//     reaches (and finds a function in) must name a function declared
+//     there.
 //
 //   - One instrument per stage: outside internal/trace, no Observe or
 //     ObserveDuration call may name a stage histogram (a string literal
@@ -129,10 +132,6 @@ var settleAllowed = map[string]bool{
 var stopwatchAllowed = map[string]bool{
 	"internal/faultinject/faultinject_test.go:TestLatencyOnlyFault": true, // a latency-only fault sleeps on the wall clock
 	"internal/macrobench/soak_test.go:TestOverloadSoak":             true, // the soak's p99 bound, until soaks run in virtual time
-	// A paused driver sleeps one poll interval on its wall-clock timer and
-	// counts nothing, so "an unpause is seen within one interval" has no
-	// counter to be restated by until that timer runs on a clock.Clock.
-	"internal/worker/v2_wake_test.go:TestBlockedDriverKeepsConfigWatch": true,
 }
 
 func main() {
@@ -185,6 +184,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	imported := map[string]bool{}       // import paths named from another package
 	var exports []export                // exported declarations under a module's internal/
 	named := map[string]bool{}          // identifiers some non-test file names
+	funcs := map[string]bool{}          // settleKey of every function declared
+	walked := map[string]bool{}         // the file part of those keys
 	for _, path := range files {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -192,7 +193,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "repolint:", err)
 			return 2
 		}
-		if slash := filepath.ToSlash(path); strings.HasSuffix(slash, "_test.go") {
+		slash := filepath.ToSlash(path)
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				key := settleKey(slash, fn)
+				file, _, _ := strings.Cut(key, ":")
+				funcs[key], walked[file] = true, true
+			}
+		}
+		if strings.HasSuffix(slash, "_test.go") {
 			if inPkg(slash, []string{"internal", "cmd", "tools"}) {
 				all = append(all, checkStopwatch(fset, f, slash)...)
 			}
@@ -223,6 +232,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	all = append(all, checkTestOnlyExports(exports, named, modules)...)
+	all = append(all, staleFuncKeys("settleAllowed", settleAllowed, funcs, walked)...)
+	all = append(all, staleFuncKeys("stopwatchAllowed", stopwatchAllowed, funcs, walked)...)
 	for _, fd := range all {
 		fmt.Fprintf(stdout, "%s: %s\n", fd.pos, fd.msg)
 	}
@@ -263,7 +274,7 @@ func packagePath(modules map[string]string, path string) string {
 	return ""
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -324,7 +335,7 @@ func checkDroppedSettles(fset *token.FileSet, f *ast.File, slash string) []findi
 }
 
 // settleKey names a function for settleAllowed: the file's path from its
-// internal/ or cmd/ directory, then Recv.Func or Func.
+// internal/, cmd/ or tools/ directory, then Recv.Func or Func.
 func settleKey(slash string, fn *ast.FuncDecl) string {
 	for _, dir := range []string{"internal/", "cmd/", "tools/"} {
 		if i := strings.LastIndex(slash, dir); i >= 0 {
@@ -336,6 +347,19 @@ func settleKey(slash string, fn *ast.FuncDecl) string {
 		return slash + ":" + recv + "." + fn.Name.Name
 	}
 	return slash + ":" + fn.Name.Name
+}
+
+// staleFuncKeys flags each entry of the allowlist called name whose file
+// was walked but declares no such function.
+func staleFuncKeys(name string, allowed, funcs, walked map[string]bool) []finding {
+	var out []finding
+	for _, key := range sortedKeys(allowed) {
+		if file, _, _ := strings.Cut(key, ":"); walked[file] && !funcs[key] {
+			out = append(out, finding{pos: token.Position{Filename: "tools/repolint/main.go"},
+				msg: name + " lists " + key + ", which its file does not declare; drop the entry"})
+		}
+	}
+	return out
 }
 
 // recvName is the name of a method's receiver type, without pointer or

@@ -421,7 +421,8 @@ func main() { var d delivery; _ = d.Ack() }
 // the function assigned one of those to, or an operand naming a time
 // unit is flagged; a for condition (a wait bound),
 // an equality, a function on the allowlist, a non-test file and a test
-// outside internal/, cmd/ and tools/ are not.
+// outside internal/, cmd/ and tools/ are not. An allowlist entry whose
+// file is walked but no longer declares its function is flagged too.
 func TestStopwatchRule(t *testing.T) {
 	rows := []struct {
 		name, path, src string
@@ -528,6 +529,12 @@ func TestOther(t *testing.T) {
 	}
 }
 `, 1},
+		{"stale allowlist entry", "internal/faultinject/faultinject_test.go", `package faultinject
+
+import "testing"
+
+func TestOther(t *testing.T) {}
+`, 1},
 		{"not a test file", "internal/queue/q.go", `package queue
 
 import "time"
@@ -552,7 +559,7 @@ func TestD(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			root := writeTree(t, map[string]string{row.path: row.src})
 			code, out := runLint(t, root)
-			if n := strings.Count(out, "compares a stopwatch reading"); n != row.want {
+			if n := strings.Count(out, "compares a stopwatch reading") + strings.Count(out, "stopwatchAllowed lists"); n != row.want {
 				t.Fatalf("want %d stopwatch findings, got %d:\n%s", row.want, n, out)
 			}
 			if (code == 1) != (row.want > 0) || code > 1 {
