@@ -23,9 +23,9 @@ var ErrNoSuchGrade = errors.New("grader: no such grade")
 
 // Grade is the rubric breakdown of one submission.
 type Grade struct {
-	UserID       string    `json:"user_id"`
-	LabID        string    `json:"lab_id"`
-	SubmissionID string    `json:"submission_id"`
+	UserID       string    `json:"user_id,omitempty"`
+	LabID        string    `json:"lab_id,omitempty"`
+	SubmissionID string    `json:"submission_id,omitempty"`
 	Compile      int       `json:"compile_points"`
 	Datasets     int       `json:"dataset_points"`
 	Keywords     int       `json:"keyword_points"`

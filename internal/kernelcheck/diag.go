@@ -9,9 +9,10 @@
 package kernelcheck
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -258,26 +259,33 @@ func analyzeFunc(prog *minicuda.Program, fn *minicuda.Function, sums map[*minicu
 }
 
 // sortDiags orders diagnostics by position (line, then column), then by
-// severity (most severe first), then rule ID, and drops exact
-// duplicates, giving the corpus a stable golden output.
+// severity (most severe first), then rule ID, giving the corpus a stable
+// golden output. Each position is parsed once, before sorting.
 func sortDiags(diags []Diagnostic) {
-	lineCol := func(pos string) (int, int) {
-		var l, c int
-		fmt.Sscanf(pos, "%d:%d", &l, &c)
-		return l, c
+	type keyed struct {
+		line, col int
+		d         Diagnostic
 	}
-	sort.SliceStable(diags, func(i, j int) bool {
-		li, ci := lineCol(diags[i].Pos)
-		lj, cj := lineCol(diags[j].Pos)
-		if li != lj {
-			return li < lj
+	ks := make([]keyed, len(diags))
+	for i, d := range diags {
+		line, col, _ := strings.Cut(d.Pos, ":")
+		ks[i].line, _ = strconv.Atoi(line)
+		ks[i].col, _ = strconv.Atoi(col)
+		ks[i].d = d
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.line, b.line); c != 0 {
+			return c
 		}
-		if ci != cj {
-			return ci < cj
+		if c := cmp.Compare(a.col, b.col); c != 0 {
+			return c
 		}
-		if diags[i].Severity != diags[j].Severity {
-			return diags[i].Severity.rank() > diags[j].Severity.rank()
+		if c := cmp.Compare(b.d.Severity.rank(), a.d.Severity.rank()); c != 0 {
+			return c
 		}
-		return diags[i].ID < diags[j].ID
+		return strings.Compare(a.d.ID, b.d.ID)
 	})
+	for i := range ks {
+		diags[i] = ks[i].d
+	}
 }

@@ -16,10 +16,12 @@ import (
 // Outcome is the result of running one submission against one dataset —
 // the payload a worker node returns to the web tier (§III-C). Every
 // outcome crosses the broker as JSON and is then stored per submission and
-// attempt, so the fields that are empty on a passing run are left out of
-// the encoding; readers decode through this type and see the zero value.
+// attempt, so the fields that are empty on a passing run, or that a
+// superseded record's trimmed copy clears (LabID, Trace, Kernels), are
+// left out of the encoding; readers decode through this type and see the
+// zero value.
 type Outcome struct {
-	LabID        string
+	LabID        string `json:",omitempty"`
 	DatasetID    int
 	Compiled     bool
 	CompileError string `json:",omitempty"`
@@ -28,13 +30,13 @@ type Outcome struct {
 	Fault        *Fault `json:",omitempty"` // the compile or runtime error as facts (FaultOf)
 	Correct      bool
 	CheckMessage string
-	FirstBad     int  `json:",omitempty"` // a failed check's first wrong element, -1 if the lengths differ
-	Total        int  `json:",omitempty"` // a failed check's expected element count
-	Canceled     bool `json:",omitempty"` // the job's context expired before this dataset ran
-	Trace        string
+	FirstBad     int           `json:",omitempty"` // a failed check's first wrong element, -1 if the lengths differ
+	Total        int           `json:",omitempty"` // a failed check's expected element count
+	Canceled     bool          `json:",omitempty"` // the job's context expired before this dataset ran
+	Trace        string        `json:",omitempty"`
 	SimTime      time.Duration // simulated GPU time across launches
 	WallTime     time.Duration
-	Kernels      []KernelStats // per-launch performance counters
+	Kernels      []KernelStats `json:",omitempty"` // per-launch performance counters
 }
 
 // KernelStats summarizes one kernel launch for the feedback analyzer and

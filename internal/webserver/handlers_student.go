@@ -134,7 +134,7 @@ func (s *Server) handleGetLab(w http.ResponseWriter, r *http.Request, u *User) {
 	if l == nil {
 		return
 	}
-	source, err := s.loadSource(u.ID, l)
+	code, err := s.loadCode(u.ID, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
@@ -148,7 +148,7 @@ func (s *Server) handleGetLab(w http.ResponseWriter, r *http.Request, u *User) {
 		"name":            l.Name,
 		"description_md":  l.Description,
 		"description":     markdown.Render(l.Description),
-		"code":            source,
+		"code":            code.Source,
 		"skeleton":        l.Skeleton,
 		"datasets":        datasets,
 		"questions":       l.Questions,
@@ -165,7 +165,7 @@ func (s *Server) handleLabPage(w http.ResponseWriter, r *http.Request, u *User) 
 	if l == nil {
 		return
 	}
-	source, err := s.loadSource(u.ID, l)
+	code, err := s.loadCode(u.ID, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
@@ -190,7 +190,7 @@ func (s *Server) handleLabPage(w http.ResponseWriter, r *http.Request, u *User) 
 <textarea id="editor" rows="30" cols="100">%s</textarea>
 </section>
 </body></html>
-`, html.EscapeString(source))
+`, html.EscapeString(code.Source))
 }
 
 // ---- Code editing (§IV-A action 1: autosave + history) ---------------------------
@@ -243,12 +243,12 @@ func (s *Server) handleGetCode(w http.ResponseWriter, r *http.Request, u *User) 
 	if l == nil {
 		return
 	}
-	source, err := s.loadSource(u.ID, l)
+	code, err := s.loadCode(u.ID, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"source": source})
+	writeJSON(w, http.StatusOK, map[string]string{"source": code.Source})
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) {
@@ -268,9 +268,10 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, u *User) 
 
 // ---- Compile / attempt / submit ---------------------------------------------------
 
-// currentSource prefers the request body's source (saving it as a new
-// revision) and falls back to the last save.
-func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (string, error) {
+// currentSource is the code a run executes: the request body's source,
+// saved as a new revision, or else the last save (the skeleton at
+// revision 0 when there is none). Its Rev is the run's.
+func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (CodeRec, error) {
 	var req struct {
 		Source    string   `json:"source"`
 		DatasetID *int     `json:"dataset_id"`
@@ -280,10 +281,9 @@ func (s *Server) currentSource(r *http.Request, u *User, l *labs.Lab) (string, e
 		_ = readJSON(r, &req) // empty body is fine
 	}
 	if req.Source == "" {
-		return s.loadSource(u.ID, l)
+		return s.loadCode(u.ID, l)
 	}
-	_, err := s.saveSource(u, l, req.Source)
-	return req.Source, err
+	return s.saveSource(u, l, req.Source)
 }
 
 // startTrace opens the request's end-to-end trace, registers it in the
@@ -334,12 +334,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request, u *User) 
 	}
 	ctx, tr := s.startTrace(w, r)
 	defer tr.Finish()
-	source, err := s.currentSource(r, u, l)
+	code, err := s.currentSource(r, u, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
-	res, err := s.runJob(ctx, u, l, source, worker.DatasetCompileOnly)
+	res, err := s.runJob(ctx, u, l, code.Source, worker.DatasetCompileOnly)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeWorkerUnavailable, "%v", err)
 		return
@@ -364,12 +364,12 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 	}
 	ctx, tr := s.startTrace(w, r)
 	defer tr.Finish()
-	source, err := s.currentSource(r, u, l)
+	code, err := s.currentSource(r, u, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
-	res, err := s.runJob(ctx, u, l, source, datasetID)
+	res, err := s.runJob(ctx, u, l, code.Source, datasetID)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeWorkerUnavailable, "%v", err)
 		return
@@ -379,7 +379,8 @@ func (s *Server) handleAttempt(w http.ResponseWriter, r *http.Request, u *User) 
 		UserID:      u.ID,
 		LabID:       l.ID,
 		DatasetID:   datasetID,
-		Source:      source,
+		Source:      code.Source,
+		Rev:         code.Rev,
 		At:          s.clock.Now(),
 		TraceID:     res.TraceID,
 		Diagnostics: res.Diagnostics,
@@ -454,12 +455,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	}
 	ctx, tr := s.startTrace(w, r)
 	defer tr.Finish()
-	source, err := s.currentSource(r, u, l)
+	code, err := s.currentSource(r, u, l)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeInternal, "%v", err)
 		return
 	}
-	res, err := s.runJob(ctx, u, l, source, worker.DatasetAll)
+	res, err := s.runJob(ctx, u, l, code.Source, worker.DatasetAll)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeWorkerUnavailable, "%v", err)
 		return
@@ -483,7 +484,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	}
 
 	gradeSpan := tr.StartSpan("grade")
-	g := grader.Score(l, source, res.Outcomes, answered)
+	g := grader.Score(l, code.Source, res.Outcomes, answered)
 	grader.AttachDiagnostics(g, res.Diagnostics)
 	gradeSpan.End("total", strconv.Itoa(g.Total), "max", strconv.Itoa(g.Max))
 	now := s.clock.Now()
@@ -492,7 +493,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 		ID:              s.newID("sub"),
 		UserID:          u.ID,
 		LabID:           l.ID,
-		Source:          source,
+		Source:          code.Source,
+		Rev:             code.Rev,
 		Outcomes:        res.Outcomes,
 		Grade:           g,
 		At:              now,
@@ -597,6 +599,16 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request, u *User) {
 	att.Shared = true
 	att.ShareTok = randToken()
 	if err := s.db.Update(func(tx *db.Tx) error {
+		// A superseded attempt reaches its source through the owner's
+		// history, which the link's viewer cannot read: the shared record
+		// carries it again.
+		if att.Trimmed && att.Rev > 0 {
+			var code CodeRec
+			if err := tx.Get("history", histKey(att.UserID, att.LabID, att.Rev), &code); err != nil {
+				return err
+			}
+			att.Source = code.Source
+		}
 		if err := tx.Put("attempts", att.ID, att); err != nil {
 			return err
 		}

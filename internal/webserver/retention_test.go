@@ -27,9 +27,11 @@ func storedRow(t *testing.T, f *fixture, table, id string) []byte {
 }
 
 // trimmedBytes is what a superseded record must be stored as: the full
-// record re-encoded without traces, per-launch stats and grade feedback,
-// marked trimmed. It decodes generically, so it does not share the
-// handlers' record types or trimming code.
+// record re-encoded without its outcomes' lab IDs, traces and per-launch
+// stats, without its grade's feedback and IDs, and without its source when
+// it names a history revision (rev above 0), marked trimmed. It decodes
+// generically, so it does not share the handlers' record types or
+// trimming code.
 func trimmedBytes(t *testing.T, full []byte) []byte {
 	t.Helper()
 	var rec map[string]interface{}
@@ -45,10 +47,18 @@ func trimmedBytes(t *testing.T, full []byte) []byte {
 	}
 	for _, o := range outcomes {
 		o := o.(map[string]interface{})
-		o["Trace"], o["Kernels"] = "", nil
+		delete(o, "LabID")
+		delete(o, "Trace")
+		delete(o, "Kernels")
 	}
 	if g, ok := rec["grade"].(map[string]interface{}); ok {
 		delete(g, "feedback")
+		delete(g, "user_id")
+		delete(g, "lab_id")
+		delete(g, "submission_id")
+	}
+	if rev, _ := rec["rev"].(float64); rev > 0 {
+		delete(rec, "source")
 	}
 	rec["trimmed"] = true
 	return canonical(t, rec)
@@ -79,9 +89,10 @@ func canonical(t *testing.T, v interface{}) []byte {
 func TestSupersededRunsShrinkToTheirVerdict(t *testing.T) {
 	const K = 6
 	// perSub bounds what one superseded vector-add submission keeps: its
-	// source, grade and five verdicts without traces or stats, ≈ 1.6 KB.
-	// A full one is ≈ 3.4 KB, so keeping superseded rows whole fails this.
-	const perSub = 2000
+	// grade and five verdicts without traces, stats or the source its
+	// history revision holds, ≈ 1.0 KB. A full one is ≈ 3.4 KB, and one
+	// that keeps its source ≈ 1.6 KB, so either fails this.
+	const perSub = 1200
 	f := newFixture(t)
 	token := f.register("ada@example.edu", "student")
 	l := labs.ByID("vector-add")
@@ -103,7 +114,7 @@ func TestSupersededRunsShrinkToTheirVerdict(t *testing.T) {
 		if err := json.Unmarshal(body, &rec); err != nil || rec.ID == "" || rec.Trimmed {
 			t.Fatalf("POST %s: %s (%v)", path, body, err)
 		}
-		if !bytes.Contains(body, []byte(`"Kernels":[{`)) || bytes.Contains(body, []byte(`"Trace":""`)) {
+		if !bytes.Contains(body, []byte(`"Kernels":[{`)) || !bytes.Contains(body, []byte(`"Trace":"`)) {
 			t.Fatalf("POST %s: the response lacks the run's trace or stats:\n%s", path, body)
 		}
 		table := "attempts"
@@ -198,6 +209,165 @@ func TestSupersededRunsShrinkToTheirVerdict(t *testing.T) {
 	if code, body := f.req("GET", "/api/v1/share/"+tok.ShareTok, "", nil); code != http.StatusOK ||
 		!bytes.Equal(body, append(fullAtt[shared], '\n')) {
 		t.Errorf("shared link = %d %s, want the attempt as shared", code, body)
+	}
+}
+
+// TestTrimmedRecordsResolveToTheirSource: one student saves, attempts and
+// submits with and without a source in the request body, submits once
+// before any save, and shares one attempt before a newer one supersedes
+// it. Every superseded record either names the history revision that
+// holds, byte for byte, the source its run executed, or (the skeleton
+// ran: rev 0) keeps that source itself; the shared attempt stays whole,
+// and one shared after it was superseded shows its source again.
+func TestTrimmedRecordsResolveToTheirSource(t *testing.T) {
+	f := newFixture(t)
+	token := f.register("ada@example.edu", "student")
+	l := labs.ByID("vector-add")
+	base := "/api/v1/labs/" + l.ID
+	variant := func(n int) string { return fmt.Sprintf("// revision %d\n%s", n, l.Reference) }
+
+	type run struct {
+		table, slot string
+		source      string // what the run executed
+		rev         int    // the revision that holds it; 0: the skeleton
+		full        []byte // the record while it is the newest
+	}
+	var runs []*run
+	rev, saved := 0, l.Skeleton
+	// post runs one attempt or submit, with body as the request's source
+	// ("" sends none), and keeps the record as first stored.
+	post := func(path, body string) *run {
+		t.Helper()
+		var req interface{}
+		if body != "" {
+			rev, saved = rev+1, body
+			req = map[string]string{"source": body}
+		}
+		if path == "/submit" {
+			f.clk.Advance(sandbox.DefaultLimits().SubmitInterval)
+		}
+		code, resp := f.req("POST", base+path, token, req)
+		if code != http.StatusOK {
+			t.Fatalf("POST %s = %d %s", path, code, resp)
+		}
+		var rec struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(resp, &rec); err != nil {
+			t.Fatal(err)
+		}
+		r := &run{table: "attempts", slot: path, source: saved, rev: rev}
+		if path == "/submit" {
+			r.table = "submissions"
+		}
+		r.full = storedRow(t, f, r.table, rec.ID)
+		runs = append(runs, r)
+		return r
+	}
+	save := func(src string) {
+		t.Helper()
+		if code, body := f.req("POST", base+"/save", token, map[string]string{"source": src}); code != http.StatusOK {
+			t.Fatalf("save: %d %s", code, body)
+		}
+		rev, saved = rev+1, src
+	}
+
+	post("/submit", "")            // before any save: the skeleton, rev 0
+	post("/attempt?dataset=0", "") // the skeleton again
+	save(variant(1))
+	late := post("/attempt?dataset=0", "") // revision 1, from the code row
+	post("/attempt?dataset=0", variant(2))
+	post("/submit", variant(3))
+	post("/submit", "") // revision 3, from the code row
+	shared := post("/attempt?dataset=1", "")
+	var att struct {
+		ID string `json:"id"`
+	}
+	_ = json.Unmarshal(shared.full, &att)
+	if code, body := f.req("POST", "/api/v1/attempts/"+att.ID+"/share", token, nil); code != http.StatusOK {
+		t.Fatalf("share: %d %s", code, body)
+	}
+	shared.full = storedRow(t, f, "attempts", att.ID)
+	save(variant(4))
+	post("/attempt?dataset=1", variant(5))
+	post("/attempt?dataset=0", "")
+	post("/submit", "")
+	// The newest record of each slot, which nothing supersedes.
+	newest := map[string]*run{}
+	for _, r := range runs {
+		newest[r.slot] = r
+	}
+
+	var inline, resolved int
+	for _, r := range runs {
+		var full, got struct {
+			ID      string  `json:"id"`
+			UserID  string  `json:"user_id"`
+			Source  *string `json:"source"`
+			Rev     int     `json:"rev"`
+			Trimmed bool    `json:"trimmed"`
+		}
+		if err := json.Unmarshal(r.full, &full); err != nil || full.Source == nil {
+			t.Fatalf("full record %s lacks its source (%v)", r.full, err)
+		}
+		if *full.Source != r.source || full.Rev != r.rev {
+			t.Fatalf("%s %s records rev %d and its source, want rev %d and the source it was sent or saved", r.table, full.ID, full.Rev, r.rev)
+		}
+		row := storedRow(t, f, r.table, full.ID)
+		if newest[r.slot] == r || r == shared {
+			if !bytes.Equal(row, r.full) {
+				t.Errorf("%s %s (newest or shared) changed:\n got %s\nwant %s", r.table, full.ID, row, r.full)
+			}
+			continue
+		}
+		if err := json.Unmarshal(row, &got); err != nil || !got.Trimmed || got.Rev != full.Rev {
+			t.Fatalf("%s %s is not trimmed with rev %d: %s (%v)", r.table, full.ID, full.Rev, row, err)
+		}
+		if got.Rev == 0 {
+			if got.Source == nil || *got.Source != *full.Source {
+				t.Errorf("%s %s ran the skeleton but does not keep it: %s", r.table, full.ID, row)
+			}
+			inline++
+			continue
+		}
+		if got.Source != nil {
+			t.Errorf("%s %s keeps a second copy of revision %d's source", r.table, full.ID, got.Rev)
+		}
+		var hist CodeRec
+		if err := f.srv.db.View(func(tx *db.Tx) error {
+			return tx.Get("history", histKey(full.UserID, l.ID, got.Rev), &hist)
+		}); err != nil {
+			t.Fatalf("%s %s: history revision %d: %v", r.table, full.ID, got.Rev, err)
+		}
+		if hist.Source != *full.Source {
+			t.Errorf("%s %s: history revision %d holds\n%q\nbut the run executed\n%q", r.table, full.ID, got.Rev, hist.Source, *full.Source)
+		}
+		resolved++
+	}
+	if inline != 2 || resolved != 4 {
+		t.Errorf("%d superseded records kept the skeleton and %d resolved through history, want 2 and 4", inline, resolved)
+	}
+
+	// Shared once superseded, an attempt carries its source again: the
+	// link's viewer cannot read the owner's history.
+	var ref struct {
+		ID string `json:"id"`
+	}
+	_ = json.Unmarshal(late.full, &ref)
+	code, body := f.req("POST", "/api/v1/attempts/"+ref.ID+"/share", token, nil)
+	var link struct {
+		URL string `json:"url"`
+	}
+	if code != http.StatusOK || json.Unmarshal(body, &link) != nil {
+		t.Fatalf("share a superseded attempt: %d %s", code, body)
+	}
+	code, body = f.req("GET", link.URL, "", nil)
+	var view struct {
+		Source string `json:"source"`
+		Rev    int    `json:"rev"`
+	}
+	if code != http.StatusOK || json.Unmarshal(body, &view) != nil || view.Source != late.source || view.Rev != late.rev {
+		t.Errorf("a superseded attempt's share link = %d %s, want revision %d's source", code, body, late.rev)
 	}
 }
 

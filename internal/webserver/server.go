@@ -467,7 +467,8 @@ type AttemptRec struct {
 	UserID    string        `json:"user_id"`
 	LabID     string        `json:"lab_id"`
 	DatasetID int           `json:"dataset_id"`
-	Source    string        `json:"source"`
+	Source    string        `json:"source,omitempty"`
+	Rev       int           `json:"rev,omitempty"` // the history revision the run executed; 0: the skeleton
 	Outcome   *labs.Outcome `json:"outcome"`
 	At        time.Time     `json:"at"`
 	Shared    bool          `json:"shared,omitempty"`
@@ -479,7 +480,8 @@ type AttemptRec struct {
 	Diagnostics []kernelcheck.Diagnostic `json:"diagnostics,omitempty"`
 
 	// Trimmed marks an attempt a newer one on the same dataset superseded:
-	// its outcome keeps the verdict but not the trace or per-launch stats.
+	// its outcome keeps the verdict but not the trace or per-launch stats,
+	// and a Rev above 0 stands for its source.
 	Trimmed bool `json:"trimmed,omitempty"`
 }
 
@@ -488,7 +490,8 @@ type SubmissionRec struct {
 	ID       string          `json:"id"`
 	UserID   string          `json:"user_id"`
 	LabID    string          `json:"lab_id"`
-	Source   string          `json:"source"`
+	Source   string          `json:"source,omitempty"`
+	Rev      int             `json:"rev,omitempty"` // the history revision the run executed; 0: the skeleton
 	Outcomes []*labs.Outcome `json:"outcomes"`
 	Grade    *grader.Grade   `json:"grade"`
 	Late     bool            `json:"late,omitempty"`
@@ -503,7 +506,8 @@ type SubmissionRec struct {
 
 	// Trimmed marks a submission a newer one on the same lab superseded:
 	// its outcomes keep their verdicts but not their traces or per-launch
-	// stats, and its grade drops the feedback Diagnostics already holds.
+	// stats, its grade drops the feedback Diagnostics already holds, and a
+	// Rev above 0 stands for its source.
 	Trimmed bool `json:"trimmed,omitempty"`
 }
 
@@ -818,12 +822,13 @@ func putIndexed(tx *db.Tx, table, labID, userID, id string, rec interface{}) err
 
 // A student's newest attempt on a dataset and newest submission on a lab
 // keep their full outcomes. Once a newer one lands, a record is stored as
-// its superseded form, trimmed of traces and per-launch stats, so stored
-// state grows by a verdict per resubmission, not by a trace. The form is
-// built when the record is written, while the struct is at hand, and kept
-// as the slot's one row of a pointer table keyed slot|id: the write that
-// supersedes the record copies those bytes over it and decodes no earlier
-// row, however long the student's history is.
+// its superseded form, trimmed of traces and per-launch stats and of the
+// source its history revision already holds, so stored state grows by a
+// verdict per resubmission, not by a trace or a second copy of the code.
+// The form is built when the record is written, while the struct is at
+// hand, and kept as the slot's one row of a pointer table keyed slot|id:
+// the write that supersedes the record copies those bytes over it and
+// decodes no earlier row, however long the student's history is.
 const newestOf = "_newest"
 
 // putNewest stores rec as the newest record of its slot with putIndexed,
@@ -856,17 +861,25 @@ func attemptSlot(userID, labID string, dataset int) string {
 }
 
 // superseded is the attempt as stored once a newer attempt on its dataset
-// lands: the verdict without the trace or per-launch stats.
+// lands: the verdict without the trace or per-launch stats, and no source
+// when history holds it.
 func (a AttemptRec) superseded() AttemptRec {
+	if a.Rev > 0 {
+		a.Source = "" // history holds it, at histKey(user, lab, rev)
+	}
 	a.Outcome = trimmed(a.Outcome)
 	a.Trimmed = true
 	return a
 }
 
 // superseded is the submission as stored once a newer one on its lab
-// lands: the verdicts without traces or per-launch stats, and a grade
-// without the feedback Diagnostics already holds.
+// lands: the verdicts without traces or per-launch stats, no source when
+// history holds it, and a grade without the feedback Diagnostics already
+// holds or the IDs the record itself states.
 func (sub SubmissionRec) superseded() SubmissionRec {
+	if sub.Rev > 0 {
+		sub.Source = "" // history holds it, at histKey(user, lab, rev)
+	}
 	outs := make([]*labs.Outcome, len(sub.Outcomes))
 	for i, o := range sub.Outcomes {
 		outs[i] = trimmed(o)
@@ -875,6 +888,7 @@ func (sub SubmissionRec) superseded() SubmissionRec {
 	if sub.Grade != nil {
 		g := *sub.Grade
 		g.Feedback = nil
+		g.UserID, g.LabID, g.SubmissionID = "", "", ""
 		sub.Grade = &g
 	}
 	sub.Trimmed = true
@@ -882,13 +896,13 @@ func (sub SubmissionRec) superseded() SubmissionRec {
 }
 
 // trimmed returns a copy of the outcome without what it holds beyond its
-// verdict, fault and timings.
+// verdict, fault and timings, nor the lab ID its record states.
 func trimmed(o *labs.Outcome) *labs.Outcome {
 	if o == nil {
 		return nil
 	}
 	c := *o
-	c.Trace, c.Kernels = "", nil
+	c.LabID, c.Trace, c.Kernels = "", "", nil
 	return &c
 }
 
@@ -915,16 +929,17 @@ func scanLab(tx *db.Tx, table, labID string, fn func(userID, id string)) {
 	})
 }
 
-// loadSource returns the student's current saved code, or the skeleton
-// when nothing is saved. Any other failure is the store's and is returned:
-// an empty string here would be graded as the student's program.
-func (s *Server) loadSource(userID string, l *labs.Lab) (string, error) {
+// loadCode returns the student's current saved code, or the skeleton at
+// revision 0 when nothing is saved. Any other failure is the store's and
+// is returned: an empty source here would be graded as the student's
+// program.
+func (s *Server) loadCode(userID string, l *labs.Lab) (CodeRec, error) {
 	var rec CodeRec
 	err := s.db.View(func(tx *db.Tx) error {
 		return tx.Get("code", codeKey(userID, l.ID), &rec)
 	})
 	if errors.Is(err, db.ErrNotFound) {
-		return l.Skeleton, nil
+		return CodeRec{Source: l.Skeleton}, nil
 	}
-	return rec.Source, err
+	return rec, err
 }
